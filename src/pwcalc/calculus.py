@@ -136,12 +136,6 @@ class HomogeneousFunction:
         return xmul(s, self.diagonal_value(x / s, endpoint_tol))
 
 
-def homogeneous_from_diagonal(name: str, diagonal: ExtendedFunction,
-                              corner_x: float, corner_y: float,
-                              variant: str = "full") -> HomogeneousFunction:
-    return HomogeneousFunction(name, diagonal, corner_x, corner_y, variant)
-
-
 @dataclass(frozen=True)
 class CompatibleRepresentation:
     """(T, R, S) for a pair (A, B):  R + S = I on the range of A+B,

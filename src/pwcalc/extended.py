@@ -334,15 +334,14 @@ def approx_equal(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint,
 
 
 BOUNDED = "bounded"
-DENSE_DOMAIN = "dense_domain"  # collapses into bounded at finite dimension
 PROPER_INFINITY = "proper_infinity_part"
 
 
 def classify(T: ExtendedSelfAdjoint) -> str:
     """'bounded' iff the infinity part is zero-dimensional.
 
-    At finite dimension a dense domain forces boundedness, so the
-    dense_domain label is never produced; it exists for interface parity.
+    At finite dimension a dense domain forces boundedness, so there is no
+    separate dense-domain class.
     """
     return BOUNDED if T.is_bounded else PROPER_INFINITY
 

@@ -26,6 +26,10 @@ class NotHermitianError(ValueError):
     """Input violates conjugate symmetry beyond tolerance."""
 
 
+class NonFiniteError(NotHermitianError):
+    """Input has a NaN or infinite entry."""
+
+
 class NotPsdError(ValueError):
     """Input has an eigenvalue below the PSD tolerance."""
 
@@ -48,8 +52,12 @@ def require_hermitian(M, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> 
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
-    dev = np.abs(M - M.conj().T).max(initial=0.0)
-    if dev > atol:
+    # NaN and inf entries make dev NaN or inf, so one comparison rejects both
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(M - M.conj().T).max(initial=0.0)
+    if not dev <= atol:
+        if not np.isfinite(M).all():
+            raise NonFiniteError(f"{name} has a non-finite (NaN or inf) entry")
         raise NotHermitianError(
             f"{name} is not Hermitian: max |M - M*| = {dev:.3e} > {atol:.1e}"
         )

@@ -233,6 +233,22 @@ def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return hermitian_part(A - A @ pinv @ A)
 
 
+def _r_spectrum_weights(A: np.ndarray, B: np.ndarray, rho: np.ndarray):
+    """R's clipped eigenvalues t and the state weights m_i = (Q* T rho T* Q)_ii
+    over its eigenvectors Q, so that rho(T* g(R) T) = sum_i m_i g(t_i).
+
+    Since S = I - R commutes with R, A : lB = T* (l R S (R + l S)^-1) T and
+    rho(A : lB) = sum_i m_i l t_i (1 - t_i) / (t_i + l (1 - t_i)) for every
+    l > 0: one spectrum of R serves a whole quadrature family.  rho must be
+    a validated state; A and B are validated here.
+    """
+    rep = compatible_representation(A, B)
+    t, Q = eigh(rep.r)
+    X = Q.conj().T @ rep.t_map
+    m = ((X @ rho) * X.conj()).sum(axis=1).real
+    return np.clip(t, 0.0, 1.0), m
+
+
 # ---------------------------------------------------------------------------
 # Lebesgue decomposition and absolute continuity
 # ---------------------------------------------------------------------------

@@ -112,11 +112,6 @@ def random_state(rng, n: int) -> np.ndarray:
     return hermitian_part(X @ X.conj().T) / n
 
 
-def random_unit(rng, n: int) -> np.ndarray:
-    xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return xi / np.linalg.norm(xi)
-
-
 def gen_pair(spec: RandomSpec, trial: int = 0):
     """Deterministic PSD pair with the requested spectrum profile."""
     rng = trial_rng(spec, trial)

@@ -2,9 +2,13 @@
 
 Both integral evaluators route every measure through weighted atoms, so a
 single parallel-sum integration path serves atomic and quadrature measures
-alike.  Measures whose true mass is infinite carry a flag; their divergent
-branch is decided by evaluating the state against the relevant singular
-part, which is exactly what the tail of the integral converges to.
+alike.  The path is evaluated from one spectrum of R: since S = I - R
+commutes with R, every node's parallel sum A : lB is T*(l RS (R + lS)^-1)T,
+a scalar function of R's eigenvalues; `parallel_sum` itself stays the
+independent A - A(A+B)^+A oracle the tests compare against.  Measures whose
+true mass is infinite carry a flag; their divergent branch is decided by
+evaluating the state against the relevant singular part, which is exactly
+what the tail of the integral converges to.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
+from .calculus import ENDPOINT_TOL
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
@@ -42,11 +46,7 @@ from .linalg import (
     require_state,
     spectral_norm,
 )
-from .perspectives import (
-    lebesgue_decomposition,
-    parallel_sum,
-    perspective_apply,
-)
+from .perspectives import _r_spectrum_weights, perspective_apply
 
 # State mass on a singular part below this (relative) threshold counts as zero
 # when deciding the divergent branch of an infinite-mass integral.
@@ -57,9 +57,18 @@ def _state_pairing(rho: np.ndarray, M: np.ndarray) -> float:
     return float(np.trace(rho @ M).real)
 
 
-def _singular_mass(rho: np.ndarray, A, B) -> float:
-    """rho evaluated against the B-singular part of A."""
-    return _state_pairing(rho, lebesgue_decomposition(A, B).singular_part)
+def _singular(mass: float, rho: np.ndarray, M) -> bool:
+    """A singular part's state mass exceeds the relative zero threshold."""
+    tr = float(np.trace(rho).real)
+    return mass > SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(M))
+
+
+def _parallel_sum_pairings(t: np.ndarray, m: np.ndarray,
+                           lam: np.ndarray) -> np.ndarray:
+    """rho(A : lB) at every node l, from the spectrum weights of R."""
+    s = 1.0 - t
+    lam = lam[:, None]
+    return (lam * t * s / (t + lam * s)) @ m
 
 
 def _t2_term(A, B, rho) -> float:
@@ -74,9 +83,8 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     + int [rho(A) + rho(B)/l - ((1+l)/l)^2 rho(A : lB)] dmu(l),
     with a0 = b - 2c + d and b0 = a - b + c - 2d.
     """
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
     rho = require_state(rho)
+    t, m = _r_spectrum_weights(A, B, rho)
     a0 = r.b - 2.0 * r.c + r.d
     b0 = r.a - r.b + r.c - 2.0 * r.d
     rho_a = _state_pairing(rho, A)
@@ -86,20 +94,16 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
     if r.d > 0:
         terms.append(xmul(r.d, _t2_term(B, A, rho)))
-    tr = float(np.trace(rho).real)
-    if r.mu.infinite_mass:
-        mass = _singular_mass(rho, A, B)
-        if mass > SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(A)):
-            return INF
-    if r.mu.infinite_inv_mass:
-        mass = _singular_mass(rho, B, A)
-        if mass > SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(B)):
-            return INF
-    total = 0.0
-    for lam, w in zip(r.mu.locations, r.mu.weights):
-        ps = _state_pairing(rho, parallel_sum(A, lam * B))
-        total += w * (rho_a + rho_b / lam - ((1.0 + lam) / lam) ** 2 * ps)
-    terms.append(total)
+    # the singular parts are the eigenprojections of R at 1 (A relative to
+    # B) and at 0 (B relative to A), cut as in lebesgue_decomposition
+    if r.mu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(), rho, A):
+        return INF
+    if r.mu.infinite_inv_mass and _singular(m[t <= ENDPOINT_TOL].sum(), rho, B):
+        return INF
+    lam = r.mu.locations
+    ps = _parallel_sum_pairings(t, m, lam)
+    integrand = rho_a + rho_b / lam - ((1.0 + lam) / lam) ** 2 * ps
+    terms.append(float(np.dot(r.mu.weights, integrand)))
     return xadd(*terms)
 
 
@@ -110,24 +114,17 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     f'(0+) rho(A) + f(0+) rho(B) + c phi_{t^2}(A,B)(rho)
     + int [rho(A) - rho(A : lB)] dnu(l).
     """
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
     rho = require_state(rho)
+    t, m = _r_spectrum_weights(A, B, rho)
     rho_a = _state_pairing(rho, A)
     rho_b = _state_pairing(rho, B)
     terms = [r.fp0 * rho_a, r.f0 * rho_b]
     if r.c > 0:
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
-    tr = float(np.trace(rho).real)
-    if r.nu.infinite_mass:
-        mass = _singular_mass(rho, A, B)
-        if mass > SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(A)):
-            return INF
-    total = 0.0
-    for lam, w in zip(r.nu.locations, r.nu.weights):
-        ps = _state_pairing(rho, parallel_sum(A, lam * B))
-        total += w * (rho_a - ps)
-    terms.append(total)
+    if r.nu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(), rho, A):
+        return INF
+    ps = _parallel_sum_pairings(t, m, r.nu.locations)
+    terms.append(float(np.dot(r.nu.weights, rho_a - ps)))
     return xadd(*terms)
 
 
@@ -320,6 +317,33 @@ def _gauss_legendre_01(nodes: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _gauss_jacobi(nodes: int, a: float, b: float):
+    """Gauss-Jacobi rule for the weight (1-x)^a (1+x)^b on [-1, 1], a, b > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic three-term recurrence, and the weights are
+    mu0 v0^2, with v0 the first component of each normalized eigenvector.
+    """
+    ab = a + b
+    k = np.arange(1, nodes, dtype=float)
+    diag = np.concatenate((
+        [(b - a) / (ab + 2.0)],
+        (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0)),
+    ))
+    # beta_1 in closed form: the general expression is 0/0 when a + b = -1
+    k = k[1:]
+    beta = np.concatenate((
+        [4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + ab) ** 2 * (3.0 + ab))],
+        4.0 * k * (k + a) * (k + b) * (k + ab)
+        / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)),
+    ))
+    off = np.sqrt(beta)
+    x, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = (2.0 ** (ab + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+           / math.gamma(ab + 2.0))
+    return x, mu0 * V[0] ** 2
+
+
 def make_quadrature(kind: str, nodes: int = 200,
                     alpha: float | None = None) -> Measure:
     """Fixed-node quadrature measures under the substitution l = s/(1-s).
@@ -343,7 +367,7 @@ def make_quadrature(kind: str, nodes: int = 200,
             raise ValueError("t_alpha requires an exponent in (1, 2)")
         aj = 1.0 - alpha   # exponent of (1-x) on [-1, 1]
         bj = alpha - 2.0   # exponent of (1+x)
-        x, w = roots_jacobi(nodes, aj, bj)
+        x, w = _gauss_jacobi(nodes, aj, bj)
         s = (x + 1.0) / 2.0
         coeff = math.sin((alpha - 1.0) * math.pi) / math.pi
         # the (0,1)-map scale factor 0.5^(aj+bj+1) is exactly 1 here
@@ -356,11 +380,6 @@ def make_quadrature(kind: str, nodes: int = 200,
 def repr77_square_minus() -> IntegralRepr77:
     """(t-1)^2: pure c-term."""
     return IntegralRepr77(0.0, 0.0, 1.0, 0.0, Measure.zero())
-
-
-def repr77_linear() -> IntegralRepr77:
-    """t - 1: pure b-term."""
-    return IntegralRepr77(0.0, 1.0, 0.0, 0.0, Measure.zero())
 
 
 def repr77_atom(lam: float, weight: float = 1.0) -> IntegralRepr77:

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwcalc.extended import evaluate_state, from_matrix
+from pwcalc.functions import catalog
+from pwcalc.perspectives import perspective_apply
+from pwcalc.variational import integral_eval_91, repr77_tlogt
 from pwcalc.linalg import (
     MatrixFileError,
+    NonFiniteError,
     NotPsdError,
     Subspace,
     eigh,
@@ -249,6 +254,45 @@ class TestMatrixFiles:
         p.write_text("{not json")
         with pytest.raises(MatrixFileError, match="JSON"):
             read_matrix(p)
+
+    def test_nan_literal_rejected(self, tmp_path):
+        # Python's json module accepts the NaN literal as a float
+        p = tmp_path / "nan.json"
+        p.write_text('{"n": 2, "re": [[1.0, NaN], [NaN, 1.0]]}')
+        with pytest.raises(MatrixFileError, match="non-finite"):
+            read_matrix(p)
+
+
+NAN_PAIR = np.array([[1.0, np.nan], [np.nan, 1.0]])
+INF_PAIR = np.array([[np.inf, 0.0], [0.0, 1.0]])
+
+
+class TestNonFiniteInput:
+    """NaN and inf are rejected at the boundary, naming the argument."""
+
+    @pytest.mark.parametrize("A, B, name", [
+        (NAN_PAIR, np.eye(2), "A"),
+        (np.eye(2), INF_PAIR, "B"),
+    ])
+    def test_perspective_apply(self, A, B, name):
+        with pytest.raises(NonFiniteError, match=f"^{name} has a non-finite"):
+            perspective_apply(catalog("tlogt"), A, B)
+
+    @pytest.mark.parametrize("A, B, rho, name", [
+        (NAN_PAIR, np.eye(2), np.eye(2) / 2, "A"),
+        (np.eye(2), INF_PAIR, np.eye(2) / 2, "B"),
+        (np.eye(2), np.eye(2), NAN_PAIR / 2, "state"),
+    ])
+    def test_integral_eval_91(self, A, B, rho, name):
+        with pytest.raises(NonFiniteError, match=f"^{name} has a non-finite"):
+            integral_eval_91(repr77_tlogt(32), A, B, rho)
+
+    def test_evaluate_state(self):
+        with pytest.raises(NonFiniteError, match="^state has a non-finite"):
+            evaluate_state(from_matrix(np.eye(2)), NAN_PAIR / 2)
+
+    def test_is_a_value_error(self):
+        assert issubclass(NonFiniteError, ValueError)
 
 
 class TestSubspaceValidation:

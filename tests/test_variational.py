@@ -1,15 +1,30 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pwcalc.extended import evaluate_state, quadratic_form
-from pwcalc.functions import catalog, from_repr77
-from pwcalc.linalg import vector_state
-from pwcalc.perspectives import parallel_sum, perspective_apply
+import pwcalc
+from pwcalc.calculus import ENDPOINT_TOL, compatible_representation
+from pwcalc.extended import INF, evaluate_state, quadratic_form
+from pwcalc.functions import IntegralRepr77, Measure, catalog, from_repr77
+from pwcalc.linalg import spectral_norm, vector_state
+from pwcalc.perspectives import (
+    _r_spectrum_weights,
+    is_absolutely_continuous,
+    lebesgue_decomposition,
+    parallel_sum,
+    perspective_apply,
+)
 from pwcalc.suites import RandomSpec, gen_pair, random_state
 from pwcalc.variational import (
+    SINGULAR_MASS_REL_TOL,
     Decomposition,
+    _gauss_jacobi,
+    _parallel_sum_pairings,
     constant_decomposition,
     integral_eval_91,
     integral_eval_92,
@@ -113,6 +128,134 @@ class TestIntegralEval92:
         direct = evaluate_state(
             perspective_apply(catalog("power", 1.5), P87, Q87).value, rho)
         assert math.isinf(got) and math.isinf(direct)
+
+
+def _pairing(rho, M) -> float:
+    return float(np.trace(rho @ M).real)
+
+
+def _oracle_pairings(A, B, rho, lam) -> np.ndarray:
+    """rho(A : lB) at every node, one parallel_sum per node."""
+    return np.array([_pairing(rho, parallel_sum(A, l * B)) for l in lam])
+
+
+def _oracle_singular(rho, A, B) -> bool:
+    """rho loads the B-singular part of A, from lebesgue_decomposition."""
+    mass = _pairing(rho, lebesgue_decomposition(A, B).singular_part)
+    tr = float(np.trace(rho).real)
+    return mass > SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(A))
+
+
+def _oracle_eval(r, A, B, rho, ps) -> float:
+    """integral_eval_91/92 for representations without t^2 terms, from
+    per-node parallel sums `ps`, with the infinite-mass branches decided by
+    lebesgue_decomposition."""
+    assert r.c == 0 and getattr(r, "d", 0) == 0
+    ra, rb = _pairing(rho, A), _pairing(rho, B)
+    if isinstance(r, IntegralRepr77):
+        mu = r.mu
+        if mu.infinite_mass and _oracle_singular(rho, A, B):
+            return INF
+        if mu.infinite_inv_mass and _oracle_singular(rho, B, A):
+            return INF
+        lam = mu.locations
+        terms = ra + rb / lam - ((1.0 + lam) / lam) ** 2 * ps
+        return r.b * ra + (r.a - r.b) * rb + float(np.dot(mu.weights, terms))
+    nu = r.nu
+    if nu.infinite_mass and _oracle_singular(rho, A, B):
+        return INF
+    return r.fp0 * ra + r.f0 * rb + float(np.dot(nu.weights, ra - ps))
+
+
+def _integral_scale(r, A, B, rho, ps) -> float:
+    """Sum of the magnitudes the integral cancels: its relative-error base."""
+    ra, rb = _pairing(rho, A), _pairing(rho, B)
+    if isinstance(r, IntegralRepr77):
+        lam, w = r.mu.locations, r.mu.weights
+        return float(np.dot(w, ra + rb / lam + ((1.0 + lam) / lam) ** 2 * np.abs(ps)))
+    return float(np.dot(r.nu.weights, ra + np.abs(ps)))
+
+
+# 48-node rules keep the oracle's per-node loop short; the comparison is
+# between evaluation paths, not of quadrature accuracy.
+ORACLE_REPRS = (
+    ("tlogt:77", repr77_tlogt(48), integral_eval_91),
+    ("tlogt:both-masses", IntegralRepr77(0.0, 1.0, 0.0, 0.0,
+                                         make_quadrature("tlogt", 48)),
+     integral_eval_91),
+    ("t^1.5:97", repr97_t_alpha(1.5, 48), integral_eval_92),
+)
+
+
+class TestSpectrumPathOracle:
+    """The one-spectrum-of-R evaluation against one parallel_sum per node."""
+
+    @pytest.mark.parametrize("profile", ["well_conditioned", "rank_deficient",
+                                         "projection"])
+    def test_matches_per_node_parallel_sums(self, profile):
+        infinite = finite = 0
+        for n in range(2, 7):
+            spec = RandomSpec(n, n, profile, seed=2105)
+            for trial in range(3):
+                A, B = gen_pair(spec, trial)
+                rho = random_state(np.random.default_rng((2106, n, trial)), n)
+                t, m = _r_spectrum_weights(A, B, rho)
+                ra, rb = _pairing(rho, A), _pairing(rho, B)
+                for name, r, evaluate in ORACLE_REPRS:
+                    lam = (r.mu if isinstance(r, IntegralRepr77) else r.nu).locations
+                    ps = _oracle_pairings(A, B, rho, lam)
+                    # relative to rho(A + lB), which bounds 4 rho(A : lB)
+                    err = np.abs(_parallel_sum_pairings(t, m, lam) - ps)
+                    assert (err <= 1e-9 * (ra + lam * rb)).all(), (name, n, trial)
+                    want = _oracle_eval(r, A, B, rho, ps)
+                    got = evaluate(r, A, B, rho)
+                    assert math.isinf(got) == math.isinf(want), (name, n, trial)
+                    if math.isinf(want):
+                        infinite += 1
+                        continue
+                    finite += 1
+                    scale = 1.0 + _integral_scale(r, A, B, rho, ps)
+                    assert abs(got - want) <= 1e-9 * scale, (name, n, trial)
+        assert finite and (infinite or profile == "well_conditioned")
+
+    def test_both_singular_branches(self):
+        # A = P, B = Q: each is singular relative to the other
+        P, Q = P87, Q87
+        rho = np.eye(2) / 2
+        assert not is_absolutely_continuous(P, Q)
+        assert not is_absolutely_continuous(Q, P)
+        only_a = IntegralRepr77(0.0, 1.0, 0.0, 0.0,
+                                Measure(np.array([1.0]), np.array([1.0]),
+                                        infinite_mass=True))
+        only_b = IntegralRepr77(0.0, 1.0, 0.0, 0.0,
+                                Measure(np.array([1.0]), np.array([1.0]),
+                                        infinite_inv_mass=True))
+        for r in (only_a, only_b):
+            assert math.isinf(integral_eval_91(r, P, Q, rho))
+        # states that miss the singular directions keep each branch finite
+        e2 = vector_state(np.array([0.0, 1.0]))
+        assert math.isfinite(integral_eval_91(only_a, P, Q, e2))
+        assert math.isinf(integral_eval_91(only_b, P, Q, e2))
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-11])
+    def test_endpoint_cut_decided_as_lebesgue(self, gap):
+        # top R eigenvalue 1 - gap: 10x on each side of ENDPOINT_TOL
+        A = np.eye(2)
+        B = np.diag([1.0, gap / (1.0 - gap)])
+        rho = np.eye(2) / 2
+        top = np.linalg.eigvalsh(compatible_representation(A, B).r)[-1]
+        assert abs((1.0 - top) - gap) < 1e-3 * gap
+        singular = not is_absolutely_continuous(A, B)
+        assert singular == (gap < ENDPOINT_TOL)
+        assert singular == (np.abs(lebesgue_decomposition(A, B).singular_part).max() > 0)
+        got = integral_eval_91(repr77_tlogt(48), A, B, rho)
+        assert math.isinf(got) == singular
+        got = integral_eval_92(repr97_t_alpha(1.5, 48), A, B, rho)
+        assert math.isinf(got) == singular
+        # the same cut read from the other side: with the pair swapped, R's
+        # eigenvalue is `gap` and the infinite_inv_mass branch decides
+        both = IntegralRepr77(0.0, 1.0, 0.0, 0.0, make_quadrature("tlogt", 48))
+        assert math.isinf(integral_eval_91(both, B, A, rho)) == singular
 
 
 class TestTwoProjections:
@@ -283,6 +426,24 @@ class TestQuadrature:
     def test_node_floor(self):
         with pytest.raises(ValueError, match="nodes"):
             make_quadrature("tlogt", 8)
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.7, 1.95])
+    # scipy's own recurrence divides 0/0 where a + b = -1
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_gauss_jacobi_matches_scipy(self, alpha):
+        special = pytest.importorskip("scipy.special")
+        a, b = 1.0 - alpha, alpha - 2.0
+        x, w = _gauss_jacobi(200, a, b)
+        xs, ws = special.roots_jacobi(200, a, b)
+        assert np.abs(x - xs).max() < 1e-14
+        assert (np.abs(w - ws) / ws).max() < 1e-8
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, pwcalc.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(pwcalc.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
     def test_flags(self):
         assert make_quadrature("tlogt", 32).infinite_mass
