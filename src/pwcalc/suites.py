@@ -39,6 +39,7 @@ from .functions import CLOSED_POS, ExtendedFunction
 from .linalg import (
     hermitian_part,
     eigh,
+    psd_sqrt,
     spectral_norm,
     vector_state,
 )
@@ -220,10 +221,12 @@ def _finish(name, seed, trials, failures, t0, notes=None) -> SuiteReport:
 
 
 def _scale_of(*elements) -> float:
+    # an extended element's scale is read from its ambient form V F V*: F's
+    # entries depend on which basis of the essential part LAPACK returned
     s = 1.0
     for T in elements:
         if isinstance(T, ExtendedSelfAdjoint):
-            s = max(s, 1.0 + float(np.abs(T.finite_part).max(initial=0.0)))
+            s = max(s, 1.0 + float(np.abs(T.form_matrix()).max(initial=0.0)))
         else:
             s = max(s, 1.0 + float(np.abs(np.asarray(T)).max(initial=0.0)))
     return s
@@ -272,8 +275,7 @@ def suite_convexity(f, spec: RandomSpec, trials: int = 500) -> SuiteReport:
             continue
         k = max(1, n - 1)
         V = random_isometry(rng, n, k)
-        left = pw_apply(phi, hermitian_part(V.conj().T @ A1 @ V),
-                        hermitian_part(V.conj().T @ B1 @ V))
+        left = pw_apply(phi, _compress(A1, V), _compress(B1, V))
         right = congruence(V, pw_apply(phi, A1, B1))
         slack = SLACK_REL * _scale_of(left, right)
         ok, witness = form_leq(left, right, slack)
@@ -287,8 +289,7 @@ def suite_convexity(f, spec: RandomSpec, trials: int = 500) -> SuiteReport:
             continue
         C = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         C /= max(1.0, spectral_norm(C))
-        left = pw_apply(phi, hermitian_part(C.conj().T @ A1 @ C),
-                        hermitian_part(C.conj().T @ B1 @ C))
+        left = pw_apply(phi, _compress(A1, C), _compress(B1, C))
         right = congruence(C, pw_apply(phi, A1, B1))
         slack = SLACK_REL * _scale_of(left, right)
         ok, witness = form_leq(left, right, slack)
@@ -314,6 +315,14 @@ def suite_convexity(f, spec: RandomSpec, trials: int = 500) -> SuiteReport:
                     "witness": vec_payload(witness), "slack": slack,
                 })
     return _finish(f"convexity:{phi.name}", spec.seed, trials, failures, t0)
+
+
+def _compress(M, V):
+    """V*MV as the Gram matrix of Y = V* M^(1/2): PSD to roundoff relative
+    to its own norm, where the product V*MV errs relative to |M| and can
+    fail require_psd when M is rank deficient."""
+    Y = V.conj().T @ psd_sqrt(M)
+    return hermitian_part(Y @ Y.conj().T)
 
 
 def _restricted_concave_trial(phi: HomogeneousFunction, spec: RandomSpec,

@@ -80,6 +80,31 @@ class TestConvexitySuite:
         rep = suite_convexity(catalog("neglog"), SPEC, trials=60)
         assert rep.ok
 
+    def test_rank_deficient_compressions_stay_psd(self):
+        # V*AV of a rank-deficient A formed as a product had roundoff
+        # eigenvalues below require_psd's slack and raised NotPsdError
+        rep = suite_convexity(catalog("tlogt"),
+                              RandomSpec(4, 4, "rank_deficient", 110006), 5)
+        assert rep.passes == rep.trials == 5
+        for seed in (3, 5):
+            rep = suite_convexity(catalog("tlogt"),
+                                  RandomSpec(2, 6, "rank_deficient", seed), 100)
+            assert rep.passes == rep.trials == 100
+
+    def test_slack_scale_ignores_the_essential_basis(self):
+        # one element in two bases of its essential part: the slack must
+        # not depend on the basis LAPACK happened to return
+        from pwcalc.extended import ExtendedSelfAdjoint
+        from pwcalc.linalg import Subspace
+        from pwcalc.suites import _scale_of, haar_unitary, random_psd
+        rng = np.random.default_rng(7)
+        V = haar_unitary(rng, 4)[:, :3]
+        F = random_psd(rng, 3)
+        Q = haar_unitary(rng, 3)
+        T1 = ExtendedSelfAdjoint(4, Subspace(V), F)
+        T2 = ExtendedSelfAdjoint(4, Subspace(V @ Q), Q.conj().T @ F @ Q)
+        assert abs(_scale_of(T1) - _scale_of(T2)) < 1e-12
+
     def test_restricted_concave_superadditivity(self):
         from pwcalc.calculus import HomogeneousFunction
         from pwcalc.extended import INF
