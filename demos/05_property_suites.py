@@ -1,6 +1,7 @@
 """Falsification suites for the convexity, continuity and axiom theorems.
 
-A pass is sampled evidence; a failure is a concrete, replayable certificate.
+A pass is sampled evidence; a failure is a concrete certificate, and a
+subadditivity failure replays from its serialized inputs.
 t^3 is convex but not operator convex, so its perspective must be flagged;
 the anticommutator is not operator homogeneous; a rank-one bias breaks the
 transformer inequality.

@@ -27,6 +27,7 @@ from .perspectives import (
     t2_bound,
 )
 from .suites import (
+    _PROFILE_MIN_DIM,
     RandomSpec,
     candidate_anticommutator,
     candidate_connection,
@@ -135,45 +136,67 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--B", required=True)
 
     sp = sub.add_parser("suite", help="run a property/axiom suite")
-    sp.add_argument("name", choices=["convexity", "continuity", "axioms101",
-                                     "axioms103", "connection107"])
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dim", type=int, default=4)
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--f")
-    sp.add_argument("--h")
-    sp.add_argument("--candidate")
-    sp.add_argument("--profile", default="well_conditioned")
-    sp.add_argument("--report")
+    names = sp.add_subparsers(dest="name", required=True)
+    for name, (flags, _, _) in _SUITES.items():
+        # no abbreviations: --h would otherwise be read as --help by the
+        # suites that take no --h
+        sp = names.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--seed", type=_int_at_least(0), default=0)
+        sp.add_argument("--dim", type=_int_at_least(1), default=4)
+        sp.add_argument("--trials", type=_int_at_least(1), default=100)
+        sp.add_argument("--profile", default="well_conditioned",
+                        choices=list(_PROFILE_MIN_DIM))
+        sp.add_argument("--report")
+        for flag, default in flags.items():
+            sp.add_argument(flag, default=default)
     return p
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer"
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return integer
+
+
+def _axioms101_candidate(name: str):
+    """parallel_sum, anticommutator, or mean:<mean spec>."""
+    if name.startswith("mean:"):
+        return candidate_connection(parse_mean_spec(name[5:]))
+    stock = {"parallel_sum": candidate_parallel_sum,
+             "anticommutator": candidate_anticommutator}
+    if name not in stock:
+        raise SpecError(f"unknown axioms101 candidate {name!r}")
+    return stock[name]
+
+
+# suite name -> (the flags it reads, with their defaults; the suite; its
+# subject built from the parsed flags)
+_SUITES = {
+    "convexity": ({"--f": "power:2"}, suite_convexity,
+                  lambda a: parse_function_spec(a.f)),
+    "continuity": ({"--f": "tlogt", "--h": None}, suite_continuity,
+                   lambda a: parse_mean_spec(a.h) if a.h
+                   else parse_function_spec(a.f)),
+    "axioms101": ({"--candidate": "parallel_sum"}, suite_axioms_thm101,
+                  lambda a: _axioms101_candidate(a.candidate)),
+    "axioms103": ({"--f": "tlogt"}, suite_axioms_thm103,
+                  lambda a: candidate_perspective(parse_function_spec(a.f))),
+    "connection107": ({"--h": "geometric"}, suite_connection_cor107,
+                      lambda a: candidate_connection(parse_mean_spec(a.h))),
+}
+
+
 def _run_suite(args) -> int:
-    spec = RandomSpec(args.dim, args.dim, args.profile, args.seed)
-    if args.name == "convexity":
-        f = parse_function_spec(args.f or "power:2")
-        report = suite_convexity(f, spec, args.trials)
-    elif args.name == "continuity":
-        f = parse_mean_spec(args.h) if args.h else parse_function_spec(args.f or "tlogt")
-        report = suite_continuity(f, spec, args.trials)
-    elif args.name == "axioms101":
-        name = args.candidate or "parallel_sum"
-        if name == "parallel_sum":
-            cand = candidate_parallel_sum
-        elif name == "anticommutator":
-            cand = candidate_anticommutator
-        elif name.startswith("mean:"):
-            cand = candidate_connection(parse_mean_spec(name[5:]))
-        else:
-            raise SpecError(f"unknown axioms101 candidate {name!r}")
-        report = suite_axioms_thm101(cand, spec, args.trials)
-    elif args.name == "axioms103":
-        f = parse_function_spec(args.f or "tlogt")
-        report = suite_axioms_thm103(candidate_perspective(f), spec, args.trials)
-    else:
-        h = parse_mean_spec(args.h or "geometric")
-        report = suite_connection_cor107(candidate_connection(h), spec,
-                                         args.trials)
+    if args.dim < _PROFILE_MIN_DIM[args.profile]:
+        raise SpecError(f"--dim must be at least {_PROFILE_MIN_DIM[args.profile]}"
+                        f" for --profile {args.profile}, got {args.dim}")
+    _, suite, subject = _SUITES[args.name]
+    report = suite(subject(args), RandomSpec(args.dim, args.dim, args.profile,
+                                             args.seed), args.trials)
     print(f"{report.suite_name}: {report.passes}/{report.trials} passed "
           f"({report.wall_time_ms:.0f} ms)")
     for rec in report.failures[:5]:

