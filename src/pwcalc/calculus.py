@@ -8,11 +8,14 @@ from the eigenvalues of R through the diagonal t -> phi(t, 1-t).
 
 Eigenvalues of R within ENDPOINT_TOL of 0 or 1 take the corner values
 phi(0,1) / phi(1,0): the corner conventions are exact set distinctions that
-numerics must discretize, and this single constant is the one semantic
-tolerance of the library.  A diagonal that diverges continuously near an
+numerics must discretize.  A diagonal that diverges continuously near an
 endpoint (t^2/(1-t) near 1, say) therefore produces a large finite value for
 eigenvalues just outside the tolerance band and +inf inside it; there is no
-smoothing across that cliff, only the exposed tolerance.
+smoothing across that cliff, only the exposed tolerance.  ENDPOINT_TOL is
+one of six deciding tolerances, with the rank cut of A+B
+(linalg.default_rank_tol), linalg.MEET_COS_TOL, and extended's
+CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL; README lists
+what each decides.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .extended import (
     ExtendedSelfAdjoint,
     FormArithmeticError,
     INF,
+    _diagonal_element,
     congruence,
     form_leq,
     from_matrix,
@@ -155,23 +159,28 @@ def compatible_representation(A: np.ndarray, B: np.ndarray,
 
     R is the compression of (A+B)^{-1/2} A (A+B)^{-1/2} to the range, with
     eigenvalues clipped into [0,1] (floating error can push them to 1+1e-16,
-    which would crash diagonal evaluators).
+    which would crash diagonal evaluators).  A and B are validated here, and
+    their shapes compared before any eigendecomposition.
     """
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    B = np.atleast_2d(np.asarray(B, dtype=complex))
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    S_sum = hermitian_part(A + B)
+    A = require_psd(A, name="A", atol=1e-9)
+    B = require_psd(B, name="B", atol=1e-9)
+    S_sum = A + B  # exactly Hermitian, as A and B are
     sq = psd_sqrt(S_sum)
     inv_half, h_ab = pinv_sqrt(S_sum, rank_tol=rank_tol)
-    U = h_ab.basis
-    t_map = U.conj().T @ sq
-    R = hermitian_part(U.conj().T @ inv_half @ A @ inv_half @ U)
-    if R.shape[0]:
+    Uh = h_ab.basis.conj().T
+    t_map = Uh @ sq
+    R = hermitian_part(Uh @ inv_half @ A @ inv_half @ h_ab.basis)
+    k = R.shape[0]
+    if k:
         w, Q = eigh(R)
         w = np.clip(w, 0.0, 1.0)
         R = hermitian_part((Q * w) @ Q.conj().T)
-    S = np.eye(R.shape[0], dtype=complex) - R
+    S = -R
+    S.flat[:: k + 1] += 1.0  # I - R
     return CompatibleRepresentation(h_ab, t_map, R, S)
 
 
@@ -183,22 +192,15 @@ class PwDiagnostics(NamedTuple):
 
 def _assemble(phi: HomogeneousFunction, rep: CompatibleRepresentation,
               ambient_dim: int, endpoint_tol: float):
-    k = rep.subspace.dim
-    if k == 0:
+    if rep.subspace.dim == 0:
         return zero_element(ambient_dim), PwDiagnostics(np.zeros(0), 0, 0)
     t, Q = eigh(rep.r)
     t = np.clip(t, 0.0, 1.0)
-    hits0 = hits1 = 0
-    pairs = []
-    for i, ti in enumerate(t):
-        ti = float(ti)
-        if ti >= 1.0 - endpoint_tol:
-            hits1 += 1
-        elif ti <= endpoint_tol:
-            hits0 += 1
-        pairs.append((phi.diagonal_value(ti, endpoint_tol), Q[:, i]))
-    M = make_extended(pairs)
-    result = congruence(rep.t_map, M)
+    at_one = t >= 1.0 - endpoint_tol
+    hits1 = int(np.count_nonzero(at_one))
+    hits0 = int(np.count_nonzero((t <= endpoint_tol) & ~at_one))
+    values = [phi.diagonal_value(ti, endpoint_tol) for ti in t.tolist()]
+    result = congruence(rep.t_map, _diagonal_element(values, Q))
     return result, PwDiagnostics(t, hits0, hits1)
 
 

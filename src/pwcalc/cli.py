@@ -162,6 +162,16 @@ def _int_at_least(least: int):
     return integer
 
 
+def _operator_convex(spec: str):
+    """--f of a suite that takes perspectives of f without asserting that f
+    is operator convex, as perspective_apply then requires the tag."""
+    f = parse_function_spec(spec)
+    if not f.has_tag("operator_convex"):
+        raise SpecError(f"--f {spec} is not tagged operator convex, "
+                        "which this suite requires")
+    return f
+
+
 def _axioms101_candidate(name: str):
     """parallel_sum, anticommutator, or mean:<mean spec>."""
     if name.startswith("mean:"):
@@ -180,11 +190,11 @@ _SUITES = {
                   lambda a: parse_function_spec(a.f)),
     "continuity": ({"--f": "tlogt", "--h": None}, suite_continuity,
                    lambda a: parse_mean_spec(a.h) if a.h
-                   else parse_function_spec(a.f)),
+                   else _operator_convex(a.f)),
     "axioms101": ({"--candidate": "parallel_sum"}, suite_axioms_thm101,
                   lambda a: _axioms101_candidate(a.candidate)),
     "axioms103": ({"--f": "tlogt"}, suite_axioms_thm103,
-                  lambda a: candidate_perspective(parse_function_spec(a.f))),
+                  lambda a: candidate_perspective(_operator_convex(a.f))),
     "connection107": ({"--h": "geometric"}, suite_connection_cor107,
                       lambda a: candidate_connection(parse_mean_spec(a.h))),
 }

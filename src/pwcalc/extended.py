@@ -6,6 +6,11 @@ against states, the form order, form sums and congruences all live here.
 
 Conventions enforced throughout: 0 * inf = 0, inf + finite = inf, and
 inf - inf is a trapped logic error (never a silent NaN).
+
+The public constructors `ExtendedSelfAdjoint(...)` and `make_extended(...)`
+check their input.  Elements built here from finite parts that are
+Hermitian by construction, on bases that LAPACK made orthonormal, skip
+those checks.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from .linalg import (
     Subspace,
+    _trusted,
     eigh,
     full_space,
     hermitian_part,
@@ -139,13 +145,24 @@ class ExtendedSelfAdjoint:
         return float(np.trace(self.finite_part).real)
 
 
+def _element(essential: Subspace, F: np.ndarray,
+             lower_bound: float = 0.0) -> ExtendedSelfAdjoint:
+    """Element on a finite part that is exactly Hermitian and fits the
+    essential part by construction: skips ExtendedSelfAdjoint's checks."""
+    return _trusted(ExtendedSelfAdjoint, ambient_dim=essential.ambient_dim,
+                    essential=essential, finite_part=F, lower_bound=lower_bound)
+
+
+def _with_lower_bound(essential: Subspace, F: np.ndarray) -> ExtendedSelfAdjoint:
+    """_element with the lower bound min(0, least eigenvalue of F)."""
+    w, _ = eigh(F)
+    return _element(essential, F, min(float(w[0]), 0.0) if w.size else 0.0)
+
+
 def from_matrix(M: np.ndarray) -> ExtendedSelfAdjoint:
     """Wrap a bounded Hermitian matrix (full essential part, identity basis)."""
     M = hermitian_part(M)
-    n = M.shape[0]
-    w, _ = eigh(M)
-    lb = float(w.min(initial=0.0))
-    return ExtendedSelfAdjoint(n, full_space(n), M, lower_bound=min(lb, 0.0))
+    return _with_lower_bound(full_space(M.shape[0]), M)
 
 
 def zero_element(n: int) -> ExtendedSelfAdjoint:
@@ -172,25 +189,29 @@ def make_extended(pairs) -> ExtendedSelfAdjoint:
         raise ValueError(
             f"eigenvectors not orthonormal: Gram[{i}][{j}] deviates by {dev[i, j]:.3e}"
         )
-    values = [float(v) for v, _ in pairs]
+    return _diagonal_element([float(v) for v, _ in pairs], vecs)
+
+
+def _diagonal_element(values: list, vecs: np.ndarray) -> ExtendedSelfAdjoint:
+    """Element with eigenvalues `values` (floats, +inf allowed) on the
+    columns of the unitary `vecs`; the finite part is the real diagonal of
+    the finite ones."""
     for v in values:
         _check_no_nan(v)
-        if v == -INF:
-            raise ValueError("-inf eigenvalue not permitted (lower semibounded)")
+    if -INF in values:
+        raise ValueError("-inf eigenvalue not permitted (lower semibounded)")
     fin = [i for i, v in enumerate(values) if v != INF]
-    basis = vecs[:, fin]
-    F = np.diag([values[i] for i in fin]).astype(complex)
-    # the raw eigenvector basis is orthonormal but re-span for numerical hygiene
-    ess = Subspace(basis) if basis.shape[1] else zero_subspace(n)
-    lb = min((values[i] for i in fin), default=0.0)
-    return ExtendedSelfAdjoint(n, ess, F, lower_bound=min(lb, 0.0))
+    finite = [values[i] for i in fin]
+    basis = vecs if len(fin) == len(values) else vecs[:, fin]
+    lb = min(min(finite), 0.0) if finite else 0.0
+    return _element(_trusted(Subspace, basis=basis),
+                    np.diag(np.array(finite, dtype=complex)), lb)
 
 
 def infinity_on(sub: Subspace) -> ExtendedSelfAdjoint:
     """Element that is +inf on `sub` and 0 on its complement."""
     comp = sub.complement()
-    k = comp.dim
-    return ExtendedSelfAdjoint(sub.ambient_dim, comp, np.zeros((k, k), dtype=complex))
+    return _element(comp, np.zeros((comp.dim, comp.dim), dtype=complex))
 
 
 def evaluate_state(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
@@ -200,20 +221,22 @@ def evaluate_state(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
     Tr(rho P_inf) <= STATE_INF_REL_TOL * Tr(rho), else +inf.  The threshold
     realizes the exact 0 * inf = 0 convention numerically.
     """
-    rho = require_state(rho)
-    if rho.shape[0] != T.ambient_dim:
+    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
+    # a square state of the wrong size is rejected before require_state's eigh
+    if rho.ndim == 2 and rho.shape[0] == rho.shape[1] != T.ambient_dim:
         raise ValueError(
             f"dimension mismatch: state is {rho.shape[0]}-dim, element is "
             f"{T.ambient_dim}-dim"
         )
-    tr = float(np.trace(rho).real)
-    if T.infinity_dim:
-        Pinf = T.infinity_projector()
-        inf_mass = float(np.trace(rho @ Pinf).real)
-        if inf_mass > STATE_INF_REL_TOL * tr:
-            return INF
+    rho = require_state(rho)
     V = T.essential.basis
     compressed = V.conj().T @ rho @ V
+    if T.infinity_dim:
+        # Tr(rho P_inf) = Tr(rho) - Tr(V* rho V)
+        tr = float(np.trace(rho).real)
+        inf_mass = tr - float(np.trace(compressed).real)
+        if inf_mass > STATE_INF_REL_TOL * tr:
+            return INF
     return float(np.trace(compressed @ T.finite_part).real)
 
 
@@ -240,15 +263,13 @@ def add(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint
     """Form sum: essential parts intersect, finite forms add on the meet."""
     if T1.ambient_dim != T2.ambient_dim:
         raise ValueError("dimension mismatch in form sum")
+    # a sum of two exactly Hermitian forms is exactly Hermitian
+    G = T1.form_matrix() + T2.form_matrix()
     if T1.is_bounded and T2.is_bounded:
-        return from_matrix(T1.form_matrix() + T2.form_matrix())
+        return _with_lower_bound(full_space(T1.ambient_dim), G)
     meet = subspace_meet(T1.essential, T2.essential)
     W = meet.basis
-    G = T1.form_matrix() + T2.form_matrix()
-    F = hermitian_part(W.conj().T @ G @ W)
-    w, _ = eigh(F)
-    lb = float(w.min(initial=0.0))
-    return ExtendedSelfAdjoint(T1.ambient_dim, meet, F, lower_bound=min(lb, 0.0))
+    return _with_lower_bound(meet, hermitian_part(W.conj().T @ G @ W))
 
 
 def scale(alpha: float, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
@@ -257,10 +278,8 @@ def scale(alpha: float, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
         raise ValueError("scale factor must be nonnegative")
     if alpha == 0.0:
         return zero_element(T.ambient_dim)
-    return ExtendedSelfAdjoint(
-        T.ambient_dim, T.essential, alpha * T.finite_part,
-        lower_bound=min(alpha * T.lower_bound, 0.0),
-    )
+    return _element(T.essential, alpha * T.finite_part,
+                    min(alpha * T.lower_bound, 0.0))
 
 
 def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
@@ -275,7 +294,6 @@ def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
             f"shape mismatch: C maps into C^{C.shape[0]}, element lives on "
             f"C^{T.ambient_dim}"
         )
-    dim_k = C.shape[1]
     G = T.form_matrix()
     if T.is_bounded:
         return from_matrix(C.conj().T @ G @ C)
@@ -284,12 +302,9 @@ def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
     tol = max(max(W_inf.shape) * EPS, KERNEL_REL_TOL) * (s.max(initial=0.0))
     rank = int(np.sum(s > tol))
     kernel = Vh[rank:].conj().T  # dim_k x (dim_k - rank), orthonormal
-    ess = Subspace(kernel) if kernel.shape[1] else zero_subspace(dim_k)
     CW = C @ kernel
-    F = hermitian_part(CW.conj().T @ G @ CW)
-    w, _ = eigh(F)
-    lb = float(w.min(initial=0.0))
-    return ExtendedSelfAdjoint(dim_k, ess, F, lower_bound=min(lb, 0.0))
+    return _with_lower_bound(_trusted(Subspace, basis=kernel),
+                             hermitian_part(CW.conj().T @ G @ CW))
 
 
 def form_leq(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint, slack: float):

@@ -18,12 +18,12 @@ from .extended import (
     ExtendedSelfAdjoint,
     FormArithmeticError,
     INF,
+    _diagonal_element,
     congruence,
     form_leq,
-    make_extended,
     xadd,
 )
-from .linalg import EPS, default_rank_tol, eigh, hermitian_part, require_hermitian
+from .linalg import EPS, eigh, hermitian_part, psd_tol, require_hermitian
 
 
 class DomainError(ValueError):
@@ -419,12 +419,10 @@ def calculus(f: ExtendedFunction, A: np.ndarray,
     A = require_hermitian(A, atol=1e-9, name="calculus input")
     w, V = eigh(A)
     if clamp_tol is None:
-        clamp_tol = max(default_rank_tol(np.abs(w)), 4.0 * EPS)
-    pairs = []
-    for i, t in enumerate(w):
-        val = f.value_with_boundary(float(t), clamp_tol)
-        pairs.append((val, V[:, i]))
-    return make_extended(pairs)
+        # n eps max |eigenvalue|, the rank tolerance of |A|
+        clamp_tol = max(psd_tol(w), 4.0 * EPS)
+    return _diagonal_element(
+        [float(f.value_with_boundary(t, clamp_tol)) for t in w.tolist()], V)
 
 
 def _haar_isometry(rng, n: int, k: int) -> np.ndarray:

@@ -3,6 +3,12 @@
 Complex Hermitian matrices throughout; real symmetric input is the
 zero-imaginary special case.  All functions are pure: they never mutate
 their arguments and the returned arrays are freshly allocated.
+
+Validation happens once, at the public boundary: `require_hermitian`,
+`require_psd` and `require_state` check outside input, and the public
+`Subspace(...)` checks that its columns are orthonormal.  Subspaces built
+here from LAPACK's eigenvectors or singular vectors are orthonormal by
+construction and skip that check (`_trusted`).
 """
 
 from __future__ import annotations
@@ -42,26 +48,40 @@ class MatrixFileError(ValueError):
     """A matrix file is malformed; the message names the offending field."""
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` with `fields` set as given,
+    without running its __post_init__ checks: for values that pass them by
+    construction, such as LAPACK's eigenvectors as a Subspace basis."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def hermitian_part(M: np.ndarray) -> np.ndarray:
-    """(M + M*)/2 — used to re-symmetrize every matrix we construct."""
+    """(M + M*)/2: symmetrizes a matrix that is Hermitian up to roundoff.
+
+    Exact on a matrix that is already exactly Hermitian (such as a sum of
+    two such matrices, or a real diagonal), so it is not applied there.
+    """
     M = np.asarray(M, dtype=complex)
     return (M + M.conj().T) / 2
 
 
 def require_hermitian(M, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
+    """Validate a square Hermitian matrix with finite entries; returns its
+    Hermitian part."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
-    # NaN and inf entries make dev NaN or inf, so one comparison rejects both
-    with np.errstate(invalid="ignore"):
-        dev = np.abs(M - M.conj().T).max(initial=0.0)
-    if not dev <= atol:
-        if not np.isfinite(M).all():
-            raise NonFiniteError(f"{name} has a non-finite (NaN or inf) entry")
+    if not np.isfinite(M).all():
+        raise NonFiniteError(f"{name} has a non-finite (NaN or inf) entry")
+    Mh = M.conj().T
+    dev = np.abs(M - Mh).max(initial=0.0)
+    if dev > atol:
         raise NotHermitianError(
             f"{name} is not Hermitian: max |M - M*| = {dev:.3e} > {atol:.1e}"
         )
-    return hermitian_part(M)
+    return (M + Mh) / 2
 
 
 def eigh(M: np.ndarray):
@@ -82,18 +102,26 @@ def eigh(M: np.ndarray):
 
 
 def psd_tol(eigenvalues: np.ndarray, n: int | None = None) -> float:
-    """Scale-invariant PSD slack: n * eps * max |eigenvalue|."""
+    """Scale-invariant PSD slack: n * eps * max |eigenvalue|.
+
+    The eigenvalues come in ascending order, as eigh returns them, so the
+    largest magnitude is read off the two ends.
+    """
     if n is None:
         n = len(eigenvalues)
-    top = float(np.abs(eigenvalues).max(initial=0.0))
-    return n * EPS * top
+    if not len(eigenvalues):
+        return 0.0
+    return n * EPS * max(-float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
 def default_rank_tol(eigenvalues: np.ndarray, n: int | None = None) -> float:
-    """Rank cut n * eps * lambda_max; defines the range of a PSD matrix."""
+    """Rank cut n * eps * lambda_max; defines the range of a PSD matrix.
+
+    The eigenvalues come in ascending order, as eigh returns them.
+    """
     if n is None:
         n = len(eigenvalues)
-    top = float(eigenvalues.max(initial=0.0))
+    top = float(eigenvalues[-1]) if len(eigenvalues) else 0.0
     return n * EPS * max(top, 0.0)
 
 
@@ -165,7 +193,7 @@ class Subspace:
         if k == n:
             return zero_subspace(n)
         w, V = eigh(self.projector())
-        return Subspace(V[:, : n - k])
+        return _trusted(Subspace, basis=V[:, : n - k])
 
     def contains(self, other: "Subspace", cos_tol: float = 1e-8) -> bool:
         """True iff every principal-angle cosine of `other` against self is ~1."""
@@ -184,11 +212,11 @@ class Subspace:
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(np.eye(n, dtype=complex))
+    return _trusted(Subspace, basis=np.eye(n, dtype=complex))
 
 
 def zero_subspace(n: int) -> Subspace:
-    return Subspace(np.zeros((n, 0), dtype=complex))
+    return _trusted(Subspace, basis=np.zeros((n, 0), dtype=complex))
 
 
 def span(columns: np.ndarray, rank_tol: float | None = None) -> Subspace:
@@ -200,7 +228,7 @@ def span(columns: np.ndarray, rank_tol: float | None = None) -> Subspace:
     if rank_tol is None:
         rank_tol = max(C.shape) * EPS * (s.max(initial=0.0))
     r = int(np.sum(s > rank_tol))
-    return Subspace(U[:, :r])
+    return _trusted(Subspace, basis=U[:, :r])
 
 
 def pinv_sqrt(M: np.ndarray, rank_tol: float | None = None):
@@ -220,7 +248,7 @@ def pinv_sqrt(M: np.ndarray, rank_tol: float | None = None):
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / np.sqrt(w[keep])
     P = hermitian_part((V * inv) @ V.conj().T)
-    return P, Subspace(V[:, keep])
+    return P, _trusted(Subspace, basis=V[:, keep])
 
 
 def psd_pinv(M: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
@@ -240,7 +268,7 @@ def range_subspace(M: np.ndarray, rank_tol: float | None = None) -> Subspace:
     w, V = eigh(np.asarray(M, dtype=complex))
     if rank_tol is None:
         rank_tol = default_rank_tol(w)
-    return Subspace(V[:, w > rank_tol])
+    return _trusted(Subspace, basis=V[:, w > rank_tol])
 
 
 def subspace_meet(P: Subspace, Q: Subspace, cos_tol: float = MEET_COS_TOL) -> Subspace:

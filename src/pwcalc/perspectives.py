@@ -10,6 +10,7 @@ of genuinely infinite parts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,14 +49,23 @@ from .linalg import (
     vector_state,
 )
 
-
 def perspective_of(f: ExtendedFunction, assert_convex: bool = False
                    ) -> HomogeneousFunction:
     """Homogeneous extension of f: diagonal (1-t) f(t/(1-t)) with the
     boundary corners alpha = f'(inf) at (1,0) and beta = f(0+) at (0,1).
 
     Requires the operator_convex tag unless the caller asserts convexity.
+    The same f and flag give the same object.
     """
+    return _perspective_of(f, bool(assert_convex))
+
+
+# Cached per function and flag: building a HomogeneousFunction evaluates and
+# checks its corner values, which every perspective call would otherwise
+# repeat.  The key needs f hashable, as ExtendedFunction is; exceptions are
+# not cached, so an untagged f raises on every call.
+@functools.lru_cache(maxsize=64)
+def _perspective_of(f: ExtendedFunction, assert_convex: bool) -> HomogeneousFunction:
     if not f.has_tag("operator_convex") and not assert_convex:
         raise ValueError(
             f"{f.name} is not tagged operator convex; pass assert_convex=True "
@@ -188,8 +198,14 @@ def connection_phi(h: ExtendedFunction, assert_monotone: bool = False
     """Homogeneous function x h(y/x) whose calculus is the connection of h.
 
     Note the argument order: the connection's generator sits in the second
-    slot, reversed relative to perspectives.
+    slot, reversed relative to perspectives.  The same h and flag give the
+    same object.
     """
+    return _connection_phi(h, bool(assert_monotone))
+
+
+@functools.lru_cache(maxsize=64)  # as _perspective_of
+def _connection_phi(h: ExtendedFunction, assert_monotone: bool) -> HomogeneousFunction:
     if not h.has_tag("operator_monotone") and not assert_monotone:
         raise ValueError(f"{h.name} is not tagged operator monotone")
     if not h.has_tag("nonnegative") and not assert_monotone:
@@ -225,11 +241,13 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A : B = A - A (A+B)^+ A, the finite-dimensional exact form."""
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    B = np.atleast_2d(np.asarray(B, dtype=complex))
     if A.shape != B.shape:
         raise ValueError("dimension mismatch")
-    pinv = psd_pinv(hermitian_part(A + B))
+    A = require_psd(A, name="A", atol=1e-9)
+    B = require_psd(B, name="B", atol=1e-9)
+    pinv = psd_pinv(A + B)  # exactly Hermitian, as A and B are
     return hermitian_part(A - A @ pinv @ A)
 
 

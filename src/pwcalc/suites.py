@@ -167,7 +167,7 @@ def gen_pair(spec: RandomSpec, trial: int = 0):
     # dominated_pair
     alpha = spec.param("alpha", 0.5)
     B = random_psd(rng, n)
-    A = hermitian_part(alpha * B + random_psd(rng, n, lo=0.1, hi=1.0))
+    A = alpha * B + random_psd(rng, n, lo=0.1, hi=1.0)
     return A, B
 
 
@@ -291,7 +291,8 @@ def _psd_order(lo, hi):
 
 def _subadditivity(apply, A1, B1, A2, B2, slack=None):
     """apply(A1+A2, B1+B2) <= apply(A1, B1) + apply(A2, B2) in form order."""
-    lhs = apply(hermitian_part(A1 + A2), hermitian_part(B1 + B2))
+    # the inputs the suites draw are exactly Hermitian, and so are their sums
+    lhs = apply(A1 + A2, B1 + B2)
     return _form_order(lhs, add(apply(A1, B1), apply(A2, B2)), slack)
 
 
@@ -320,10 +321,10 @@ def suite_convexity(f, spec: RandomSpec, trials: int = 500) -> SuiteReport:
         def superadditivity(A1, B1, rng):
             n = A1.shape[0]
             B2 = random_psd(rng, n)
-            A2 = hermitian_part(0.5 * B2 + random_psd(rng, n, lo=0.1, hi=1.0))
+            A2 = 0.5 * B2 + random_psd(rng, n, lo=0.1, hi=1.0)
             if f.variant == "le":  # the le cone needs A <= alpha B: swap roles
                 A1, B1, A2, B2 = B1, A1, B2, A2
-            lhs = restricted(hermitian_part(A1 + A2), hermitian_part(B1 + B2))
+            lhs = restricted(A1 + A2, B1 + B2)
             rhs = add(restricted(A1, B1), restricted(A2, B2))
             yield ("superadditivity", {"A1": A1, "B1": B1, "A2": A2, "B2": B2},
                    _form_order(rhs, lhs))
@@ -353,7 +354,7 @@ def suite_convexity(f, spec: RandomSpec, trials: int = 500) -> SuiteReport:
                _form_order(apply(_compress(A1, C), _compress(B1, C)),
                            congruence(C, whole)))
         if monotone:
-            Abig = hermitian_part(A1 + random_psd(rng, n, lo=0.1, hi=0.5))
+            Abig = A1 + random_psd(rng, n, lo=0.1, hi=0.5)
             yield ("monotone_decreasing", {"A1": A1, "A2": Abig, "B": B1},
                    _form_order(apply(Abig, B1), whole))
 
@@ -400,8 +401,7 @@ def suite_continuity(f: ExtendedFunction, spec: RandomSpec,
         direct = evaluate_state(perspective_apply(f, A, B).value, rho)
         if math.isfinite(direct):
             tail = [evaluate_state(perspective_apply(
-                f, hermitian_part(A + 2.0 ** -k * D),
-                hermitian_part(B + 2.0 ** -k * E)).value, rho)
+                f, A + 2.0 ** -k * D, B + 2.0 ** -k * E).value, rho)
                 for k in (26, 28, 30, 32)]
             floor = min((v for v in tail if math.isfinite(v)), default=INF)
             slack = 1e-6 * _scale_of(A, B)
@@ -441,8 +441,7 @@ def suite_axioms_thm101(candidate, spec: RandomSpec,
                _failure(dev > slack, slack, lhs=dev))
         A2, B2 = random_psd(rng, n), random_psd(rng, n)
         Z = np.zeros((n, n))
-        whole = candidate(hermitian_part(np.block([[A, Z], [Z, A2]])),
-                          hermitian_part(np.block([[B, Z], [Z, B2]])))
+        whole = candidate(np.block([[A, Z], [Z, A2]]), np.block([[B, Z], [Z, B2]]))
         parts = np.block([[AB, Z], [Z, candidate(A2, B2)]])
         slack = 1e-8 * _scale_of(whole, parts)
         yield ("direct_sum", {"A": A, "B": B, "A2": A2, "B2": B2},
@@ -536,7 +535,7 @@ def suite_connection_cor107(candidate, spec: RandomSpec,
         n = A1.shape[0]
         A2, B2 = random_psd(rng, n), random_psd(rng, n)
         AB = candidate(A1, B1)
-        whole = candidate(hermitian_part(A1 + A2), hermitian_part(B1 + B2))
+        whole = candidate(A1 + A2, B1 + B2)
         yield ("superadditivity", {"A1": A1, "B1": B1, "A2": A2, "B2": B2},
                _psd_order(AB + candidate(A2, B2), whole))
         C = random_psd(rng, n, lo=0.2, hi=1.5)

@@ -15,10 +15,17 @@ from pwcalc.calculus import (
     pw_commuting_oracle,
     special_values,
 )
-from pwcalc.extended import INF, add, form_leq, quadratic_form
+from pwcalc.extended import (
+    INF,
+    ExtendedSelfAdjoint,
+    add,
+    evaluate_state,
+    form_leq,
+    quadratic_form,
+)
 from pwcalc.functions import ExtendedFunction, Interval, catalog
-from pwcalc.linalg import hermitian_part, spectral_norm
-from pwcalc.perspectives import perspective_of
+from pwcalc.linalg import full_space, hermitian_part, spectral_norm
+from pwcalc.perspectives import parallel_sum, perspective_of
 from pwcalc.suites import (
     RandomSpec,
     gen_pair,
@@ -100,6 +107,22 @@ class TestCompatibleRepresentation:
     def test_zero_pair(self):
         rep = compatible_representation(np.zeros((2, 2)), np.zeros((2, 2)))
         assert rep.subspace.dim == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compatible_representation(np.eye(2), np.eye(3)),
+    lambda: parallel_sum(np.eye(2), np.eye(3)),
+    lambda: evaluate_state(ExtendedSelfAdjoint(2, full_space(2), np.eye(2)),
+                           np.eye(3) / 3),
+], ids=["compatible_representation", "parallel_sum", "evaluate_state"])
+def test_shapes_compared_before_any_eigh(call, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call()
+    assert not calls
 
 
 class TestPwApply:

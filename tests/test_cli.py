@@ -213,6 +213,15 @@ class TestSuiteUsageErrors:
                                 "nope"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suite", ["axioms103", "continuity"])
+    @pytest.mark.parametrize("f", ["t3", "max1"])
+    def test_f_not_operator_convex(self, suite, f, capsys):
+        # these suites take perspective_apply(f), which needs the tag;
+        # convexity asserts convexity and falsifies t3 instead
+        assert self._exit_code(["suite", suite, "--f", f, "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "--f" in err and "operator convex" in err
+
 
 class TestRepr77Spec:
     def test_from_file(self, mats, tmp_path, capsys):

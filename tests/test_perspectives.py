@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from pwcalc.perspectives import (
     check_positive_map_monotonicity,
     connection,
     connection_generator,
+    connection_phi,
     epsilon_diverges,
     epsilon_limit,
     epsilon_monotone,
@@ -63,6 +65,36 @@ class TestPerspectiveOf:
         with pytest.raises(ValueError, match="operator convex"):
             perspective_of(t_cubed())
         perspective_of(t_cubed(), assert_convex=True)  # explicit override
+
+    def test_same_function_gives_same_object(self):
+        f = catalog("tlogt")
+        assert perspective_of(f) is perspective_of(f)
+        h = connection_generator("geometric")
+        assert connection_phi(h) is connection_phi(h)
+
+    def test_untagged_function_raises_on_every_call(self):
+        from pwcalc.suites import t_cubed
+        f = t_cubed()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="operator convex"):
+                perspective_of(f)
+        h = replace(connection_generator("geometric"), tags=frozenset())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="operator monotone"):
+                connection_phi(h)
+
+    def test_flags_are_cached_apart(self):
+        from pwcalc.suites import t_cubed
+        f = t_cubed()
+        asserted = perspective_of(f, assert_convex=True)
+        with pytest.raises(ValueError, match="operator convex"):
+            perspective_of(f)
+        assert perspective_of(f, assert_convex=True) is asserted
+        h = replace(connection_generator("geometric"), tags=frozenset())
+        assert connection_phi(h, assert_monotone=True) is connection_phi(
+            h, assert_monotone=True)
+        with pytest.raises(ValueError, match="operator monotone"):
+            connection_phi(h)
 
 
 class TestPerspectiveApply:
