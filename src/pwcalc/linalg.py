@@ -137,6 +137,19 @@ def require_psd(M, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.nda
     return M
 
 
+def _range_eigh(M: np.ndarray, rank_tol: float | None, name: str):
+    """eigh of a PSD matrix, with its range: (w, V, keep), keep marking the
+    eigenvalues above rank_tol (default n*eps*lambda_max).  An eigenvalue
+    below the PSD slack raises NotPsdError naming `name`."""
+    w, V = eigh(M)
+    tol = psd_tol(w)
+    if w.size and w[0] < -tol:
+        raise NotPsdError(f"{name}: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
+    if rank_tol is None:
+        rank_tol = default_rank_tol(w)
+    return w, V, w > rank_tol
+
+
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD matrix.
 
@@ -146,12 +159,9 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     pinv_sqrt (a sub-tolerance eigenvalue would otherwise surface as a
     sqrt-amplified spurious direction of size ~1e-8).
     """
-    M = np.asarray(M, dtype=complex)
-    w, V = eigh(M)
-    tol = psd_tol(w)
-    if w.size and w[0] < -tol:
-        raise NotPsdError(f"psd_sqrt: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
-    w = np.where(w > default_rank_tol(w), w, 0.0)
+    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), None,
+                             name="psd_sqrt")
+    w = np.where(keep, w, 0.0)
     return hermitian_part((V * np.sqrt(w)) @ V.conj().T)
 
 
@@ -237,14 +247,8 @@ def pinv_sqrt(M: np.ndarray, rank_tol: float | None = None):
     Eigenvalues <= rank_tol (default n*eps*lambda_max) are treated as zero;
     the returned Subspace is spanned by the eigenvectors above the cut.
     """
-    M = np.asarray(M, dtype=complex)
-    w, V = eigh(M)
-    tol = psd_tol(w)
-    if w.size and w[0] < -tol:
-        raise NotPsdError(f"pinv_sqrt: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(w)
-    keep = w > rank_tol
+    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), rank_tol,
+                             name="pinv_sqrt")
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / np.sqrt(w[keep])
     P = hermitian_part((V * inv) @ V.conj().T)

@@ -19,7 +19,7 @@ import numpy as np
 from .calculus import (
     ENDPOINT_TOL,
     HomogeneousFunction,
-    compatible_representation,
+    _pair_spectrum,
     pw_apply,
 )
 from .extended import (
@@ -229,14 +229,20 @@ def _connection_phi(h: ExtendedFunction, assert_monotone: bool) -> HomogeneousFu
 
 def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
                assert_monotone: bool = False) -> np.ndarray:
-    """Kubo-Ando connection A sigma_h B; always a bounded PSD matrix."""
+    """Kubo-Ando connection A sigma_h B; always a bounded PSD matrix.
+
+    X* diag(phi(t, 1-t)) X over the spectrum (t, X) of _pair_spectrum: the
+    calculus of the connection's homogeneous function, which is finite at
+    every t in [0, 1].
+    """
     phi = connection_phi(h, assert_monotone=assert_monotone)
-    result = pw_apply(phi, A, B)
-    if not result.is_bounded:
+    t, X = _pair_spectrum(A, B)
+    values = np.array([phi.diagonal_value(ti) for ti in t.tolist()])
+    if not np.isfinite(values).all():
         raise AssertionError(
             "connection produced an unbounded element; generator metadata is wrong"
         )
-    return result.form_matrix()
+    return hermitian_part(X.conj().T @ (values[:, None] * X))
 
 
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -260,11 +266,9 @@ def _r_spectrum_weights(A: np.ndarray, B: np.ndarray, rho: np.ndarray):
     l > 0: one spectrum of R serves a whole quadrature family.  rho must be
     a validated state; A and B are validated here.
     """
-    rep = compatible_representation(A, B)
-    t, Q = eigh(rep.r)
-    X = Q.conj().T @ rep.t_map
+    t, X = _pair_spectrum(A, B)
     m = ((X @ rho) * X.conj()).sum(axis=1).real
-    return np.clip(t, 0.0, 1.0), m
+    return t, m
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +291,8 @@ def lebesgue_decomposition(A: np.ndarray, B: np.ndarray,
     absolutely continuous part is the increasing limit of A : nB, which the
     tests cross-check at n = 1e8.
     """
-    rep = compatible_representation(A, B)
-    n = np.asarray(A).shape[0]
-    if rep.subspace.dim == 0:
-        zero = np.zeros((n, n), dtype=complex)
-        return LebesgueDecomposition(zero, zero)
-    w, Q = eigh(rep.r)
-    ones = Q[:, w >= 1.0 - endpoint_tol]
-    rows = ones.conj().T @ rep.t_map
+    t, X = _pair_spectrum(A, B)
+    rows = X[t >= 1.0 - endpoint_tol]
     singular = hermitian_part(rows.conj().T @ rows)
     ac = hermitian_part(np.asarray(A, dtype=complex) - singular)
     return LebesgueDecomposition(ac, singular)
@@ -303,11 +301,8 @@ def lebesgue_decomposition(A: np.ndarray, B: np.ndarray,
 def is_absolutely_continuous(A: np.ndarray, B: np.ndarray,
                              endpoint_tol: float = ENDPOINT_TOL) -> bool:
     """True iff A is B-absolutely continuous (max eigenvalue of R < 1)."""
-    rep = compatible_representation(A, B)
-    if rep.subspace.dim == 0:
-        return True
-    w, _ = eigh(rep.r)
-    return bool(w[-1] < 1.0 - endpoint_tol)
+    t, _ = _pair_spectrum(A, B)
+    return bool((t < 1.0 - endpoint_tol).all())
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,13 @@ def _state_pairing(rho: np.ndarray, M: np.ndarray) -> float:
 
 
 def _singular(mass: float, rho: np.ndarray, M) -> bool:
-    """A singular part's state mass exceeds the relative zero threshold."""
-    tr = float(np.trace(rho).real)
-    return mass > SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(M))
+    """A singular part's state mass exceeds the relative zero threshold.
+
+    The threshold is at least SINGULAR_MASS_REL_TOL * Tr rho, so a mass
+    below that is decided without the norm's SVD.
+    """
+    floor = SINGULAR_MASS_REL_TOL * float(np.trace(rho).real)
+    return mass > floor and mass > floor * (1.0 + spectral_norm(M))
 
 
 def _parallel_sum_pairings(t: np.ndarray, m: np.ndarray,

@@ -6,6 +6,7 @@ import pytest
 from pwcalc.calculus import (
     HomogeneousFunction,
     PreconditionError,
+    _pair_spectrum,
     check_homogeneity,
     check_restricted_bounded,
     compatible_representation,
@@ -25,7 +26,13 @@ from pwcalc.extended import (
 )
 from pwcalc.functions import ExtendedFunction, Interval, catalog
 from pwcalc.linalg import full_space, hermitian_part, spectral_norm
-from pwcalc.perspectives import parallel_sum, perspective_of
+from pwcalc.perspectives import (
+    is_absolutely_continuous,
+    lebesgue_decomposition,
+    parallel_sum,
+    perspective_apply,
+    perspective_of,
+)
 from pwcalc.suites import (
     RandomSpec,
     gen_pair,
@@ -107,6 +114,51 @@ class TestCompatibleRepresentation:
     def test_zero_pair(self):
         rep = compatible_representation(np.zeros((2, 2)), np.zeros((2, 2)))
         assert rep.subspace.dim == 0
+
+
+def _kernel_reference_pairs():
+    for profile in ("well_conditioned", "rank_deficient", "projection"):
+        for n in range(1 if profile != "projection" else 2, 7):
+            for trial in range(3):
+                A, B = gen_pair(RandomSpec(n, n, profile, seed=2105), trial)
+                yield f"{profile}/{n}/{trial}", A, B
+    yield "zero", np.zeros((3, 3)), np.zeros((3, 3))
+    for gap in (1e-9, 1e-11):
+        # top R eigenvalue 1 - gap: 10x on each side of ENDPOINT_TOL
+        A, B = np.eye(2), np.diag([1.0, gap / (1.0 - gap)])
+        yield f"cliff/{gap}", A, B
+        yield f"cliff/{gap}/swapped", B, A
+
+
+def test_pair_spectrum_matches_compatible_representation():
+    power2 = catalog("power", 2)
+    decisions = set()
+    for label, A, B in _kernel_reference_pairs():
+        rep = compatible_representation(A, B)
+        t, X = _pair_spectrum(A, B)
+        n, k = A.shape[0], rep.subspace.dim
+        assert t.shape == (k,) and X.shape == (k, n), label
+        assert np.abs(t - np.linalg.eigvalsh(rep.r)).max(initial=0.0) <= 1e-12, label
+        tol = 1e-10 * (1 + spectral_norm(A) + spectral_norm(B))
+        assert np.abs((X.conj().T * t) @ X - A).max() <= tol, label
+        assert np.abs((X.conj().T * (1 - t)) @ X - B).max() <= tol, label
+        ac = is_absolutely_continuous(A, B)
+        assert ac == perspective_apply(power2, A, B).value.is_bounded, label
+        dec = lebesgue_decomposition(A, B)
+        assert ac == (np.abs(dec.singular_part).max() == 0), label
+        assert np.abs(dec.ac_part + dec.singular_part - A).max() <= tol, label
+        decisions.add(ac)
+    assert decisions == {True, False}
+
+
+def test_nested_lists_match_arrays():
+    A, B = [[2.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]
+    got = perspective_apply(catalog("tlogt"), A, B)
+    want = perspective_apply(catalog("tlogt"), np.array(A), np.array(B))
+    assert np.array_equal(got.value.form_matrix(), want.value.form_matrix())
+    got = pw_apply_restricted(ylogxy_restricted(), A, B)
+    want = pw_apply_restricted(ylogxy_restricted(), np.array(A), np.array(B))
+    assert np.array_equal(got.form_matrix(), want.form_matrix())
 
 
 @pytest.mark.parametrize("call", [

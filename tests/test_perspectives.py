@@ -34,11 +34,44 @@ from pwcalc.suites import (
     random_psd,
     random_state,
 )
+from pwcalc.variational import (
+    integral_eval_91,
+    integral_eval_92,
+    repr77_tlogt,
+    repr97_t_alpha,
+)
 
 A712 = np.array([[1.0, 1.0], [1.0, 1.0]])
 B712 = np.diag([1.0, 2.0])
 P87 = np.diag([1.0, 0.0])
 Q87 = 0.5 * np.ones((2, 2))
+
+
+R77_TLOGT = repr77_tlogt(48)
+R97_T15 = repr97_t_alpha(1.5, 48)
+
+
+# _pair_spectrum makes one eigh per validated input, one of A + B and one of
+# R (the integrals one more, for rho); perspective_apply keeps the 7 of
+# compatible_representation and _assemble
+@pytest.mark.parametrize("call, eigh_calls", [
+    (lambda A, B, rho: connection(connection_generator("geometric"), A, B), 4),
+    (lambda A, B, rho: lebesgue_decomposition(A, B), 4),
+    (lambda A, B, rho: is_absolutely_continuous(A, B), 4),
+    (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho), 5),
+    (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho), 5),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B), 7),
+], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
+        "integral_eval_91", "integral_eval_92", "perspective_apply"])
+def test_eigh_calls_per_call(call, eigh_calls, monkeypatch):
+    A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+    rho = random_state(np.random.default_rng(5), 4)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    call(A, B, rho)
+    assert len(calls) == eigh_calls
 
 
 class TestPerspectiveOf:
@@ -197,6 +230,14 @@ class TestConnection:
         # connections stay bounded even on singular pairs
         out = connection(connection_generator("geometric"), P87, Q87)
         assert np.isfinite(out).all()
+
+    def test_infinite_diagonal_is_a_metadata_error(self):
+        # finite boundary data, but +inf around 1: the diagonal is +inf at
+        # t = 1/2, the only eigenvalue of R for A = B
+        h = replace(connection_generator("geometric"),
+                    fn=lambda x: INF if abs(x - 1.0) < 1e-6 else math.sqrt(x))
+        with pytest.raises(AssertionError, match="unbounded"):
+            connection(h, np.eye(2), np.eye(2), assert_monotone=True)
 
 
 class TestParallelSum:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pwcalc
+from pwcalc import variational
 from pwcalc.calculus import ENDPOINT_TOL, compatible_representation
 from pwcalc.extended import INF, evaluate_state, quadratic_form
 from pwcalc.functions import IntegralRepr77, Measure, catalog, from_repr77
@@ -25,6 +26,7 @@ from pwcalc.variational import (
     Decomposition,
     _gauss_jacobi,
     _parallel_sum_pairings,
+    _singular,
     constant_decomposition,
     integral_eval_91,
     integral_eval_92,
@@ -256,6 +258,29 @@ class TestSpectrumPathOracle:
         # eigenvalue is `gap` and the infinite_inv_mass branch decides
         both = IntegralRepr77(0.0, 1.0, 0.0, 0.0, make_quadrature("tlogt", 48))
         assert math.isinf(integral_eval_91(both, B, A, rho)) == singular
+
+
+class TestSingularMass:
+    def test_no_norm_without_singular_mass(self, monkeypatch):
+        # full-rank B: no R eigenvalue at 1, so the singular mass is 0
+        A, B = gen_pair(RandomSpec(3, 3, "well_conditioned", seed=20), 0)
+        rho = random_state(np.random.default_rng(0), 3)
+        calls = []
+        monkeypatch.setattr(variational, "spectral_norm",
+                            lambda M: calls.append(1) or spectral_norm(M))
+        assert math.isfinite(integral_eval_91(repr77_tlogt(48), A, B, rho))
+        assert math.isfinite(integral_eval_92(repr97_t_alpha(1.5, 48), A, B, rho))
+        assert not calls
+
+    def test_decision_unchanged(self):
+        A, _ = gen_pair(RandomSpec(3, 3, "rank_deficient", seed=20), 0)
+        rho = random_state(np.random.default_rng(0), 3)
+        tr = float(np.trace(rho).real)
+        cut = SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(A))
+        floor = SINGULAR_MASS_REL_TOL * tr
+        for mass in (0.0, floor / 2, floor, (floor + cut) / 2, cut,
+                     cut * (1 + 1e-12), 2 * cut, 1.0):
+            assert _singular(mass, rho, A) == (mass > cut), mass
 
 
 class TestTwoProjections:
