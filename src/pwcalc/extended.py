@@ -228,7 +228,11 @@ def evaluate_state(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
             f"dimension mismatch: state is {rho.shape[0]}-dim, element is "
             f"{T.ambient_dim}-dim"
         )
-    rho = require_state(rho)
+    return _state_value(T, require_state(rho))
+
+
+def _state_value(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
+    """evaluate_state's kernel: rho must be a validated state of T's size."""
     V = T.essential.basis
     compressed = V.conj().T @ rho @ V
     if T.infinity_dim:

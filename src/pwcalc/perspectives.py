@@ -147,7 +147,11 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
 def epsilon_monotone(entries, rho: np.ndarray, slack: float = 1e-10) -> bool:
     """True iff the state evaluations are nondecreasing down the schedule."""
-    rho = require_state(rho)
+    return _epsilon_monotone(entries, require_state(rho), slack)
+
+
+def _epsilon_monotone(entries, rho: np.ndarray, slack: float) -> bool:
+    """epsilon_monotone's kernel: rho must be a validated state."""
     vals = [float(np.trace(rho @ M).real) for _, M in entries]
     return all(b >= a - slack for a, b in zip(vals, vals[1:]))
 

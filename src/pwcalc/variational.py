@@ -22,8 +22,8 @@ from .calculus import ENDPOINT_TOL
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
+    _state_value,
     add,
-    evaluate_state,
     from_matrix,
     infinity_on,
     xadd,
@@ -76,7 +76,8 @@ def _parallel_sum_pairings(t: np.ndarray, m: np.ndarray,
 
 
 def _t2_term(A, B, rho) -> float:
-    return evaluate_state(perspective_apply(catalog("power", 2), A, B).value, rho)
+    # rho was validated by the integral evaluation that asks for this term
+    return _state_value(perspective_apply(catalog("power", 2), A, B).value, rho)
 
 
 def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,

@@ -22,8 +22,9 @@ import sys
 import numpy as np
 import pytest
 
-from pwcalc.extended import evaluate_state
+from pwcalc.extended import _state_value, evaluate_state
 from pwcalc.functions import catalog
+from pwcalc.linalg import require_state
 from pwcalc.perspectives import (
     connection,
     connection_generator,
@@ -129,6 +130,20 @@ def test_calculus_matches_golden(profile):
                 _assert_close(_matrix(got["lebesgue"][part]),
                               _matrix(want["lebesgue"][part]),
                               f"{path}.lebesgue.{part}", floor)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_state_kernel_matches_evaluate_state(profile):
+    # evaluate_state is require_state, then _state_value, to the last bit
+    for n in DIMS:
+        for trial in TRIALS:
+            spec = RandomSpec(n, n, profile, SEED)
+            A, B = gen_pair(spec, trial)
+            rho = random_state(aux_rng(spec, trial), n)
+            for f in FUNCTIONS.values():
+                T = perspective_apply(f, A, B).value
+                want = evaluate_state(T, rho)
+                assert _state_value(T, require_state(rho)).hex() == want.hex()
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pwcalc import extended
 from pwcalc.extended import (
     BOUNDED,
     FormArithmeticError,
@@ -27,7 +28,7 @@ from pwcalc.extended import (
     xmul,
     zero_element,
 )
-from pwcalc.linalg import span, vector_state
+from pwcalc.linalg import NonFiniteError, NotPsdError, span, vector_state
 
 
 def e(n, i):
@@ -286,6 +287,29 @@ class TestErrorPaths:
         T = from_matrix(np.eye(2))
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate_state(T, np.eye(3))
+
+    @pytest.mark.parametrize("rho, error, message, eighs", [
+        (np.eye(3) / 3, ValueError,
+         "^dimension mismatch: state is 3-dim, element is 2-dim$", 0),
+        (np.diag([np.nan, 1.0]), NonFiniteError,
+         "^state has a non-finite", 0),
+        (np.diag([1.0, -0.5]), NotPsdError, "^state is not PSD", 1),
+        (np.zeros((2, 2)), ValueError, "^state must have strictly positive", 1),
+    ], ids=["wrong_size", "non_finite", "not_psd", "zero_trace"])
+    def test_state_rejected_before_the_kernel(self, rho, error, message, eighs,
+                                              monkeypatch):
+        # shape and finiteness are checked before any eigh; only the PSD
+        # check's own eigh runs before a rejection, never the kernel
+        T = from_matrix(np.eye(2))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        monkeypatch.setattr(extended, "_state_value",
+                            lambda *a: pytest.fail("kernel reached"))
+        with pytest.raises(error, match=message):
+            evaluate_state(T, rho)
+        assert len(calls) == eighs
 
     def test_congruence_shape_mismatch(self):
         T = from_matrix(np.eye(2))

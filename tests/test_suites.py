@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pwcalc import linalg, suites
 from pwcalc.functions import catalog
 from pwcalc.linalg import spectral_norm
 from pwcalc.perspectives import connection_generator
@@ -233,3 +234,89 @@ class TestReports:
         rep = suite_convexity(t_cubed(), SPEC, trials=40)
         trials = [r["trial"] for r in rep.failures]
         assert trials == sorted(trials)
+
+
+def _key(A, B):
+    return (np.asarray(A, dtype=complex).tobytes(),
+            np.asarray(B, dtype=complex).tobytes())
+
+
+def _record_trials(monkeypatch):
+    """(trials, record): record(A, B) appends the input's key to the list of
+    the current trial.  A trial starts at its gen_pair; trials[0] holds what
+    a suite computes before its first trial."""
+    trials = [[]]
+    draw = suites.gen_pair
+
+    def gen_pair(spec, trial=0):
+        trials.append([])
+        return draw(spec, trial)
+    monkeypatch.setattr(suites, "gen_pair", gen_pair)
+    return trials, lambda A, B: trials[-1].append(_key(A, B))
+
+
+class TestEvaluatesOnce:
+    """Suites evaluate a candidate once per distinct input in a trial and
+    validate each drawn state once."""
+
+    def test_thm103_candidate(self, monkeypatch):
+        spec = RandomSpec(2, 4, "rank_deficient", seed=3)
+        dims = {gen_pair(spec, trial)[0].shape[0] for trial in range(8)}
+        trials, record = _record_trials(monkeypatch)
+        inner = candidate_perspective(catalog("tlogt"))
+
+        def candidate(A, B):
+            record(A, B)
+            return inner(A, B)
+
+        assert suite_axioms_thm103(candidate, spec, trials=8).ok
+        assert len(trials) == 9 and len(dims) > 1
+        for inputs in trials[1:]:
+            assert len(inputs) == len(set(inputs))
+        identities = {_key(np.eye(n), np.eye(n)) for n in dims}
+        seen = [k for inputs in trials for k in inputs if k in identities]
+        assert sorted(seen) == sorted(identities)
+
+    def test_convexity_applies_the_drawn_pair_once(self, monkeypatch):
+        spec = RandomSpec(2, 5, "rank_deficient", seed=5)
+        pairs = [_key(*gen_pair(spec, trial)) for trial in range(6)]
+        trials, record = _record_trials(monkeypatch)
+        apply = suites.pw_apply
+
+        def pw_apply(phi, A, B):
+            record(A, B)
+            return apply(phi, A, B)
+        monkeypatch.setattr(suites, "pw_apply", pw_apply)
+        suite_convexity(catalog("neglog"), spec, trials=6)
+        assert len(trials) == 7
+        for pair, inputs in zip(pairs, trials[1:]):
+            assert inputs.count(pair) == 1
+            assert len(inputs) == len(set(inputs))
+
+    @pytest.mark.parametrize("suite", [
+        lambda spec: suite_axioms_thm103(
+            candidate_perspective(catalog("tlogt")), spec, trials=6),
+        lambda spec: suite_continuity(catalog("tlogt"), spec, trials=6),
+    ], ids=["thm103", "continuity"])
+    def test_state_validated_once_per_trial(self, suite, monkeypatch):
+        trials, record = _record_trials(monkeypatch)
+        check = linalg.require_psd
+
+        def require_psd(M, name="matrix", **kw):
+            if name == "state":
+                record(M, M)
+            return check(M, name=name, **kw)
+        monkeypatch.setattr(linalg, "require_psd", require_psd)
+        suite(RandomSpec(2, 4, "rank_deficient", seed=7))
+        assert [len(inputs) for inputs in trials] == [0] + [1] * 6
+
+    def test_thm103_eigh_count(self, monkeypatch):
+        # 7 per perspective, one value per distinct input of a trial and
+        # candidate(I, I) once, and one eigh per trial validating its state
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        suite_axioms_thm103(candidate_perspective(catalog("tlogt")),
+                            RandomSpec(4, 4, "rank_deficient", 3), 5)
+        assert len(calls) == 312

@@ -132,6 +132,23 @@ class TestIntegralEval92:
         assert math.isinf(got) and math.isinf(direct)
 
 
+@pytest.mark.parametrize("evaluate, r", [
+    (integral_eval_91, repr77_square_minus()),
+    (integral_eval_92, repr97_square()),
+], ids=["91", "92"])
+def test_square_term_reads_the_validated_state(evaluate, r, monkeypatch):
+    # 1 eigh validates rho, 4 give R's spectrum (A, B, A+B, R) and 7 the
+    # perspective of t^2, whose state value does not validate rho again
+    A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=24), 0)
+    rho = random_state(np.random.default_rng(25), 4)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    evaluate(r, A, B, rho)
+    assert len(calls) == 12
+
+
 def _pairing(rho, M) -> float:
     return float(np.trace(rho @ M).real)
 
