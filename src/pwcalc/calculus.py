@@ -47,8 +47,10 @@ from .functions import (
     calculus,
 )
 from .linalg import (
+    HERMITIAN_ATOL,
     Subspace,
     _range_eigh,
+    _validate_stack,
     default_rank_tol,
     eigh,
     hermitian_part,
@@ -56,6 +58,7 @@ from .linalg import (
     psd_sqrt,
     range_subspace,
     require_psd,
+    require_state,
     span,
     spectral_norm,
 )
@@ -153,15 +156,50 @@ class CompatibleRepresentation:
     s: np.ndarray = field(repr=False)       # k x k, identity minus r
 
 
-def _validated_pair(A, B):
-    """A and B as complex PSD arrays; their shapes are compared before
-    either is validated, so a mismatch raises before any eigh."""
+def _sequential_pair(A, B):
+    """A and B as complex PSD arrays, validated one at a time; their shapes
+    are compared before either is validated, so a mismatch raises before
+    any eigh."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
     return (require_psd(A, name="A", atol=1e-9),
             require_psd(B, name="B", atol=1e-9))
+
+
+def _validated_pair(A, B):
+    """_sequential_pair's A and B from one stacked pass (one eigh for both);
+    whatever that pass rejects, _sequential_pair rejects with its own error
+    and message."""
+    return _validate_stack((A, B), (1e-9, 1e-9)) or _sequential_pair(A, B)
+
+
+def _sequential_state_pair(rho, A, B):
+    """rho, A and B validated one at a time: a square state whose size
+    differs from the pair's is rejected first, before any eigh; then rho by
+    require_state, then A and B as _sequential_pair does."""
+    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    B = np.atleast_2d(np.asarray(B, dtype=complex))
+    n = A.shape[0]
+    if (A.shape == B.shape == (n, n) and rho.ndim == 2
+            and rho.shape[0] == rho.shape[1] != n):
+        raise ValueError(
+            f"dimension mismatch: state is {rho.shape[0]}-dim, pair is "
+            f"{n}-dim"
+        )
+    return (require_state(rho), *_sequential_pair(A, B))
+
+
+def _validated_state_pair(rho, A, B):
+    """_sequential_state_pair's rho, A and B from one stacked pass (one eigh
+    for all three); whatever that pass rejects, or a state without positive
+    trace, _sequential_state_pair rejects with its own error and message."""
+    checked = _validate_stack((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9))
+    if checked is None or float(np.trace(checked[0]).real) <= 0.0:
+        return _sequential_state_pair(rho, A, B)
+    return checked
 
 
 def compatible_representation(A: np.ndarray, B: np.ndarray,
@@ -180,7 +218,7 @@ def compatible_representation(A: np.ndarray, B: np.ndarray,
     the two.  pw_apply (so perspective_apply) still builds on this one: the
     benchmark's self-test pins perspective_apply at 7 eigh calls.
     """
-    A, B = _validated_pair(A, B)
+    A, B = _sequential_pair(A, B)
     S_sum = A + B  # exactly Hermitian, as A and B are
     sq = psd_sqrt(S_sum)
     inv_half, h_ab = pinv_sqrt(S_sum, rank_tol=rank_tol)
@@ -204,10 +242,10 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray):
     Over the eigenpairs (w, V) of A+B above the rank cut of
     compatible_representation (so both give the same rank k), t holds the
     eigenvalues of R = D V* A V D (D = diag(w^-1/2)) clipped into [0, 1] and
-    X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  A and B are
-    validated here, their shapes compared first.
+    X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  The kernel
+    trusts its input: A and B are the arrays _validated_pair (or
+    _validated_state_pair) returns, so it validates nothing again.
     """
-    A, B = _validated_pair(A, B)
     w, V, keep = _range_eigh(A + B, None, name="A + B")
     Vk = V[:, keep]
     root = np.sqrt(w[keep])
@@ -223,8 +261,10 @@ class PwDiagnostics(NamedTuple):
 
 
 def _assemble(phi: HomogeneousFunction, rep: CompatibleRepresentation,
-              endpoint_tol: float):
-    """T* phi(R, S) T with its diagnostics, decomposing R once more.
+              w: np.ndarray, Q: np.ndarray, endpoint_tol: float):
+    """T* phi(R, S) T with its diagnostics, from (w, Q) = eigh(rep.r) as the
+    caller made it: w unclipped, so pw_apply_restricted checks its cone on
+    the same spectrum.
 
     The decomposition of R made inside compatible_representation is not
     reused, so that perspective_apply keeps the 7 eigh calls the benchmark's
@@ -234,8 +274,7 @@ def _assemble(phi: HomogeneousFunction, rep: CompatibleRepresentation,
     if rep.subspace.dim == 0:
         return (zero_element(rep.t_map.shape[1]),
                 PwDiagnostics(np.zeros(0), 0, 0))
-    t, Q = eigh(rep.r)
-    t = np.clip(t, 0.0, 1.0)
+    t = np.clip(w, 0.0, 1.0)
     at_one = t >= 1.0 - endpoint_tol
     hits1 = int(np.count_nonzero(at_one))
     hits0 = int(np.count_nonzero((t <= endpoint_tol) & ~at_one))
@@ -259,7 +298,7 @@ def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
             f"{phi.name} is a restricted variant; use pw_apply_restricted"
         )
     rep = compatible_representation(A, B)
-    result, diag = _assemble(phi, rep, endpoint_tol)
+    result, diag = _assemble(phi, rep, *eigh(rep.r), endpoint_tol)
     if with_diagnostics:
         return result, diag
     return result
@@ -275,14 +314,14 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     minimum eigenvalue of R exceeding endpoint_tol; side='le' symmetrically
     requires the maximum eigenvalue of R below 1 - endpoint_tol.  Endpoint
     eigenvalues inside the excluded end are a precondition violation, not an
-    infinite value.  Built on compatible_representation, as pw_apply is.
+    infinite value.  Built on compatible_representation, as pw_apply is;
+    the cone is checked on the eigenvalues of R that _assemble reads.
     """
     if side not in ("ge", "le"):
         raise ValueError("side must be 'ge' or 'le'")
     rep = compatible_representation(A, B)
-    k = rep.subspace.dim
-    if k:
-        w, _ = eigh(rep.r)
+    w, Q = eigh(rep.r)
+    if w.size:
         if side == "ge" and w[0] <= endpoint_tol:
             raise PreconditionError(
                 f"pair is not in the >= cone: min eigenvalue of R is {w[0]:.3e}"
@@ -292,7 +331,7 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
                 f"pair is not in the <= cone: min eigenvalue of S is "
                 f"{1.0 - w[-1]:.3e}"
             )
-    result, diag = _assemble(phi, rep, endpoint_tol)
+    result, diag = _assemble(phi, rep, w, Q, endpoint_tol)
     if with_diagnostics:
         return result, diag
     return result

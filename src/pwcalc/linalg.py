@@ -6,7 +6,9 @@ their arguments and the returned arrays are freshly allocated.
 
 Validation happens once, at the public boundary: `require_hermitian`,
 `require_psd` and `require_state` check outside input, and the public
-`Subspace(...)` checks that its columns are orthonormal.  Subspaces built
+`Subspace(...)` checks that its columns are orthonormal.  A call that takes
+several matrices checks them in one stacked pass (`_validate_stack`) and
+falls back to the one-at-a-time validators for their error.  Subspaces built
 here from LAPACK's eigenvectors or singular vectors are orthonormal by
 construction and skip that check (`_trusted`).
 """
@@ -308,6 +310,47 @@ def require_state(rho, name: str = "state") -> np.ndarray:
     if tr <= 0.0:
         raise ValueError(f"{name} must have strictly positive trace, got {tr:.3e}")
     return rho
+
+
+def _validate_stack(mats, atols):
+    """require_psd over all the matrices of one public call, in one pass.
+
+    The matrices are stacked, and the square, finite and Hermitian checks
+    (each matrix against its own atol) run once over the stack; the PSD
+    check reads one np.linalg.eigh of it, which gives each matrix the
+    eigenvalues eigh gives it alone, to the last bit (the tests check it),
+    so the PSD cliff sits where require_psd puts it.  Returns the Hermitian parts, as require_psd
+    does, or None when the shapes differ or any check fails: the caller
+    then runs the one-at-a-time validators, which raise the error they
+    always raised.
+    """
+    try:
+        S = np.array(mats, dtype=complex)
+    except (TypeError, ValueError):
+        return None
+    n = S.shape[-1]
+    if S.ndim != 3 or S.shape[1] != n or n == 0 or not np.isfinite(S).all():
+        return None
+    # the stack's temporaries are built in place: H = (S + S*)/2, then S
+    # is overwritten by S - S*, whose largest entries are the deviations
+    Sh = S.conj().transpose(0, 2, 1)
+    H = S + Sh
+    H /= 2
+    np.subtract(S, Sh, out=S)
+    del Sh
+    devs = np.abs(S).reshape(len(S), -1).max(axis=1).tolist()
+    del S
+    if any(dev > atol for dev, atol in zip(devs, atols)):
+        return None
+    try:
+        w = np.linalg.eigh(H)[0]
+    except np.linalg.LinAlgError:
+        return None
+    # psd_tol on Python floats, as require_psd reads it
+    for low, high in zip(w[:, 0].tolist(), w[:, -1].tolist()):
+        if low < -(n * EPS * max(-low, high)):
+            return None
+    return tuple(H)
 
 
 def vector_state(xi: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .calculus import (
     ENDPOINT_TOL,
     HomogeneousFunction,
     _pair_spectrum,
+    _validated_pair,
     pw_apply,
 )
 from .extended import (
@@ -240,7 +241,7 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
     every t in [0, 1].
     """
     phi = connection_phi(h, assert_monotone=assert_monotone)
-    t, X = _pair_spectrum(A, B)
+    t, X = _pair_spectrum(*_validated_pair(A, B))
     values = np.array([phi.diagonal_value(ti) for ti in t.tolist()])
     if not np.isfinite(values).all():
         raise AssertionError(
@@ -267,8 +268,8 @@ def _r_spectrum_weights(A: np.ndarray, B: np.ndarray, rho: np.ndarray):
 
     Since S = I - R commutes with R, A : lB = T* (l R S (R + l S)^-1) T and
     rho(A : lB) = sum_i m_i l t_i (1 - t_i) / (t_i + l (1 - t_i)) for every
-    l > 0: one spectrum of R serves a whole quadrature family.  rho must be
-    a validated state; A and B are validated here.
+    l > 0: one spectrum of R serves a whole quadrature family.  Trusts its
+    input: rho, A and B are the arrays _validated_state_pair returns.
     """
     t, X = _pair_spectrum(A, B)
     m = ((X @ rho) * X.conj()).sum(axis=1).real
@@ -295,17 +296,18 @@ def lebesgue_decomposition(A: np.ndarray, B: np.ndarray,
     absolutely continuous part is the increasing limit of A : nB, which the
     tests cross-check at n = 1e8.
     """
+    A, B = _validated_pair(A, B)
     t, X = _pair_spectrum(A, B)
     rows = X[t >= 1.0 - endpoint_tol]
     singular = hermitian_part(rows.conj().T @ rows)
-    ac = hermitian_part(np.asarray(A, dtype=complex) - singular)
+    ac = hermitian_part(A - singular)
     return LebesgueDecomposition(ac, singular)
 
 
 def is_absolutely_continuous(A: np.ndarray, B: np.ndarray,
                              endpoint_tol: float = ENDPOINT_TOL) -> bool:
     """True iff A is B-absolutely continuous (max eigenvalue of R < 1)."""
-    t, _ = _pair_spectrum(A, B)
+    t, _ = _pair_spectrum(*_validated_pair(A, B))
     return bool((t < 1.0 - endpoint_tol).all())
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import ENDPOINT_TOL
+from .calculus import ENDPOINT_TOL, _validated_state_pair
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
@@ -43,7 +43,6 @@ from .linalg import (
     range_subspace,
     require_hermitian,
     require_psd,
-    require_state,
     spectral_norm,
 )
 from .perspectives import _r_spectrum_weights, perspective_apply
@@ -88,7 +87,7 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     + int [rho(A) + rho(B)/l - ((1+l)/l)^2 rho(A : lB)] dmu(l),
     with a0 = b - 2c + d and b0 = a - b + c - 2d.
     """
-    rho = require_state(rho)
+    rho, A, B = _validated_state_pair(rho, A, B)
     t, m = _r_spectrum_weights(A, B, rho)
     a0 = r.b - 2.0 * r.c + r.d
     b0 = r.a - r.b + r.c - 2.0 * r.d
@@ -119,7 +118,7 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     f'(0+) rho(A) + f(0+) rho(B) + c phi_{t^2}(A,B)(rho)
     + int [rho(A) - rho(A : lB)] dnu(l).
     """
-    rho = require_state(rho)
+    rho, A, B = _validated_state_pair(rho, A, B)
     t, m = _r_spectrum_weights(A, B, rho)
     rho_a = _state_pairing(rho, A)
     rho_b = _state_pairing(rho, B)

@@ -7,6 +7,7 @@ from pwcalc.calculus import (
     HomogeneousFunction,
     PreconditionError,
     _pair_spectrum,
+    _validated_pair,
     check_homogeneity,
     check_restricted_bounded,
     compatible_representation,
@@ -135,7 +136,7 @@ def test_pair_spectrum_matches_compatible_representation():
     decisions = set()
     for label, A, B in _kernel_reference_pairs():
         rep = compatible_representation(A, B)
-        t, X = _pair_spectrum(A, B)
+        t, X = _pair_spectrum(*_validated_pair(A, B))
         n, k = A.shape[0], rep.subspace.dim
         assert t.shape == (k,) and X.shape == (k, n), label
         assert np.abs(t - np.linalg.eigvalsh(rep.r)).max(initial=0.0) <= 1e-12, label

@@ -5,15 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwcalc.calculus import (
+    _sequential_pair,
+    _sequential_state_pair,
+    _validated_pair,
+    _validated_state_pair,
+)
 from pwcalc.extended import evaluate_state, from_matrix
 from pwcalc.functions import catalog
 from pwcalc.perspectives import perspective_apply
+from pwcalc.suites import RandomSpec, gen_pair, haar_unitary, random_state
 from pwcalc.variational import integral_eval_91, repr77_tlogt
 from pwcalc.linalg import (
+    HERMITIAN_ATOL,
     MatrixFileError,
     NonFiniteError,
     NotPsdError,
     Subspace,
+    _validate_stack,
     eigh,
     full_space,
     hermitian_part,
@@ -305,3 +314,132 @@ class TestSubspaceValidation:
         c = s.complement()
         assert c.dim == 1
         assert abs(abs(c.basis[1, 0]) - 1) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The stacked validator against the one-at-a-time validators
+# ---------------------------------------------------------------------------
+
+def _outcome(validate, *args):
+    """What a validator does with args: its arrays, or its error."""
+    try:
+        return validate(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_arrays(got, want) -> bool:
+    return len(got) == len(want) and all(
+        g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want))
+
+
+def _psd_cliff(rng, n, scale):
+    """A Hermitian n x n matrix (n >= 2) whose least eigenvalue is -scale
+    times require_psd's slack n eps max |lambda|, as a diagonal and rotated
+    by a random unitary."""
+    w = np.linspace(0.5, 1.0, n)
+    w[0] = -scale * n * np.finfo(float).eps
+    U = haar_unitary(rng, n)
+    return np.diag(w).astype(complex), hermitian_part((U * w) @ U.conj().T)
+
+
+def _with_deviation(M, dev):
+    """M with one off-diagonal entry moved so max |M - M*| = dev exactly."""
+    M = np.array(M, dtype=complex)
+    M[0, 1], M[1, 0] = 0.0, dev
+    return M
+
+
+def _invalid_variants(M, n):
+    """Invalid stand-ins for an n x n argument M, one per kind of error."""
+    nan, inf = M.copy(), M.copy()
+    nan[0, 0], inf[-1, -1] = np.nan, np.inf
+    other = np.eye(n + 1, dtype=complex) / (n + 1)
+    return {"nonsquare": M[:, :-1], "vector": np.ones(n), "3d": M[None],
+            "nan": nan, "inf": inf, "size": other,
+            "nonhermitian": _with_deviation(M, 1e-6),
+            "notpsd": M - 2.0 * np.eye(n), "zero": np.zeros((n, n))}
+
+
+def _validation_corpus():
+    """(label, rho, A, B) around every check the validators make."""
+    rng = np.random.default_rng(20260)
+    for profile in ("well_conditioned", "rank_deficient", "projection"):
+        for n in range(2 if profile == "projection" else 1, 10):
+            for trial in range(2):
+                A, B = gen_pair(RandomSpec(n, n, profile, seed=7 + n), trial)
+                yield (f"{profile}/{n}/{trial}", random_state(rng, n), A, B)
+    n = 3
+    rho, A, B = np.eye(n) / n, np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 2.0])
+    base = [rho, A, B]
+    for atol in (1e-9, 1e-12):
+        for side in (1 - 1e-3, 1 + 1e-3):
+            for i in range(3):
+                args = list(base)
+                args[i] = _with_deviation(args[i], side * atol)
+                yield (f"hermitian/{atol}/{side}/{i}", *args)
+    for scale in (1 - 1e-3, 1 + 1e-3):
+        for m in (2, 5):
+            for j, M in enumerate(_psd_cliff(rng, m, scale)):
+                ok = np.eye(m, dtype=complex) / m
+                for i in range(3):
+                    args = [ok, ok, ok]
+                    args[i] = M
+                    yield (f"psd/{scale}/{m}/{j}/{i}", *args)
+    yield "zero trace", np.zeros((n, n)), A, B
+    variants = [_invalid_variants(M, n) for M in base]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for ki, Mi in variants[i].items():
+            for kj, Mj in variants[j].items():
+                args = list(base)
+                args[i], args[j] = Mi, Mj
+                yield (f"invalid/{i}:{ki}/{j}:{kj}", *args)
+
+
+class TestStackedValidation:
+    """linalg._validate_stack accepts exactly what the one-at-a-time
+    validators accept and returns their arrays to the last bit; the public
+    pair and state-pair validators raise their errors and messages."""
+
+    def test_matches_sequential(self):
+        decisions = set()
+        for label, rho, A, B in _validation_corpus():
+            for args, atols, sequential, validated in (
+                    ((A, B), (1e-9, 1e-9), _sequential_pair, _validated_pair),
+                    ((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9),
+                     _sequential_state_pair, _validated_state_pair)):
+                want = _outcome(sequential, *args)
+                got = _outcome(validated, *args)
+                stacked = _validate_stack(args, atols)
+                if (len(args) == 3 and stacked is not None
+                        and float(np.trace(stacked[0]).real) <= 0.0):
+                    stacked = None
+                rejected = isinstance(want[0], type)
+                decisions.add((label.split("/")[0], rejected))
+                if rejected:
+                    assert got == want, label
+                    assert stacked is None, label
+                else:
+                    assert stacked is not None, label
+                    assert _same_arrays(stacked, want), label
+                    assert _same_arrays(got, want), label
+        # each cliff is met from both sides
+        for kind in ("hermitian", "psd"):
+            assert {(kind, True), (kind, False)} <= decisions
+
+    def test_stacked_eigh_is_per_matrix_eigh(self):
+        stacked = 0
+        for label, *args in _validation_corpus():
+            mats = [np.atleast_2d(np.asarray(M, dtype=complex)) for M in args]
+            if len({M.shape for M in mats}) > 1 or mats[0].ndim != 2 or not all(
+                    np.isfinite(M).all() for M in mats):
+                continue
+            mats = [hermitian_part(M) for M in mats]
+            w, V = np.linalg.eigh(np.stack(mats))
+            for i, M in enumerate(mats):
+                wi, Vi = np.linalg.eigh(M)
+                assert w[i].tobytes() == wi.tobytes(), label
+                assert V[i].tobytes() == Vi.tobytes(), label
+            stacked += 1
+        assert stacked >= 100

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pwcalc.calculus import HomogeneousFunction, pw_apply_restricted
 from pwcalc.extended import INF, evaluate_state, form_leq, quadratic_form
 from pwcalc.functions import catalog, transpose
 from pwcalc.linalg import hermitian_part, vector_state
@@ -49,20 +50,25 @@ Q87 = 0.5 * np.ones((2, 2))
 
 R77_TLOGT = repr77_tlogt(48)
 R97_T15 = repr97_t_alpha(1.5, 48)
+YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, INF,
+                                variant="ge")
 
 
-# _pair_spectrum makes one eigh per validated input, one of A + B and one of
-# R (the integrals one more, for rho); perspective_apply keeps the 7 of
-# compatible_representation and _assemble
+# one stacked eigh validates the call's matrices (A and B, with rho for the
+# integrals), then _pair_spectrum makes one eigh of A + B and one of R;
+# perspective_apply keeps the 7 of compatible_representation and _assemble,
+# and pw_apply_restricted checks its cone on the spectrum _assemble reads
 @pytest.mark.parametrize("call, eigh_calls", [
-    (lambda A, B, rho: connection(connection_generator("geometric"), A, B), 4),
-    (lambda A, B, rho: lebesgue_decomposition(A, B), 4),
-    (lambda A, B, rho: is_absolutely_continuous(A, B), 4),
-    (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho), 5),
-    (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho), 5),
+    (lambda A, B, rho: connection(connection_generator("geometric"), A, B), 3),
+    (lambda A, B, rho: lebesgue_decomposition(A, B), 3),
+    (lambda A, B, rho: is_absolutely_continuous(A, B), 3),
+    (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho), 3),
+    (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho), 3),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B), 7),
+    (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B), 7),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
-        "integral_eval_91", "integral_eval_92", "perspective_apply"])
+        "integral_eval_91", "integral_eval_92", "perspective_apply",
+        "pw_apply_restricted"])
 def test_eigh_calls_per_call(call, eigh_calls, monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
     rho = random_state(np.random.default_rng(5), 4)

@@ -137,8 +137,9 @@ class TestIntegralEval92:
     (integral_eval_92, repr97_square()),
 ], ids=["91", "92"])
 def test_square_term_reads_the_validated_state(evaluate, r, monkeypatch):
-    # 1 eigh validates rho, 4 give R's spectrum (A, B, A+B, R) and 7 the
-    # perspective of t^2, whose state value does not validate rho again
+    # 1 stacked eigh validates rho, A and B, 2 give R's spectrum (A+B, R)
+    # and 7 the perspective of t^2, whose state value does not validate rho
+    # again
     A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=24), 0)
     rho = random_state(np.random.default_rng(25), 4)
     calls = []
@@ -146,7 +147,24 @@ def test_square_term_reads_the_validated_state(evaluate, r, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: calls.append(1) or eigh(*a, **k))
     evaluate(r, A, B, rho)
-    assert len(calls) == 12
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("evaluate, r", [
+    (integral_eval_91, repr77_tlogt()),
+    (integral_eval_92, repr97_t_alpha(1.5)),
+], ids=["91", "92"])
+def test_state_of_another_size_is_rejected_before_any_eigh(evaluate, r,
+                                                           monkeypatch):
+    A, B = np.array([[2.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 0.5])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state is "
+                                         r"3-dim, pair is 2-dim$"):
+        evaluate(r, A, B, np.eye(3) / 3)
+    assert not calls
 
 
 def _pairing(rho, M) -> float:
