@@ -15,7 +15,8 @@ smoothing across that cliff, only the exposed tolerance.  ENDPOINT_TOL is
 one of six deciding tolerances, with the rank cut of A+B
 (linalg.default_rank_tol), linalg.MEET_COS_TOL, and extended's
 CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL; README lists
-what each decides.
+what each decides.  PSD_CERTIFICATE_K only selects how a pair is validated
+(see _certified), and decides no output.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ from .functions import (
     calculus,
 )
 from .linalg import (
+    EPS,
     HERMITIAN_ATOL,
     Subspace,
+    _hermitian_stack,
+    _psd_stack,
     _range_eigh,
     _validate_stack,
     default_rank_tol,
@@ -65,6 +69,9 @@ from .linalg import (
 
 # Endpoint classification tolerance on eigenvalues of R (which lie in [0,1]).
 ENDPOINT_TOL = 1e-10
+# Safety factor K of the definite-pair certificate (_certified).  It selects
+# the validation path of a pair and decides no output.
+PSD_CERTIFICATE_K = 1e3
 
 
 class PreconditionError(ValueError):
@@ -156,14 +163,22 @@ class CompatibleRepresentation:
     s: np.ndarray = field(repr=False)       # k x k, identity minus r
 
 
-def _sequential_pair(A, B):
-    """A and B as complex PSD arrays, validated one at a time; their shapes
-    are compared before either is validated, so a mismatch raises before
-    any eigh."""
+def _same_shape(A, B):
+    """A and B as complex arrays of at least two dimensions, with their
+    shapes compared: a mismatch raises before either is validated or
+    decomposed."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    return A, B
+
+
+def _sequential_pair(A, B):
+    """A and B as complex PSD arrays, validated one at a time; their shapes
+    are compared before either is validated, so a mismatch raises before
+    any eigh."""
+    A, B = _same_shape(A, B)
     return (require_psd(A, name="A", atol=1e-9),
             require_psd(B, name="B", atol=1e-9))
 
@@ -171,7 +186,7 @@ def _sequential_pair(A, B):
 def _validated_pair(A, B):
     """_sequential_pair's A and B from one stacked pass (one eigh for both);
     whatever that pass rejects, _sequential_pair rejects with its own error
-    and message."""
+    and message.  The tests hold _checked_pair_spectrum to this path."""
     return _validate_stack((A, B), (1e-9, 1e-9)) or _sequential_pair(A, B)
 
 
@@ -243,15 +258,85 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray):
     compatible_representation (so both give the same rank k), t holds the
     eigenvalues of R = D V* A V D (D = diag(w^-1/2)) clipped into [0, 1] and
     X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  The kernel
-    trusts its input: A and B are the arrays _validated_pair (or
-    _validated_state_pair) returns, so it validates nothing again.
+    trusts its input: A and B are the Hermitian parts that
+    _checked_pair_spectrum (or _validated_state_pair) has validated or is
+    about to, so it validates nothing again.  An input that fails
+    validation may still raise here, as NotPsdError naming A + B.
     """
+    _, _, r, X = _pair_spectra(A, B)
+    return np.clip(r, 0.0, 1.0), X
+
+
+def _pair_spectra(A: np.ndarray, B: np.ndarray):
+    """_pair_spectrum with the spectra it reads: (w, keep, r, X), w the
+    eigenvalues of A+B with keep marking those above the rank cut, r the
+    eigenvalues of R before clipping."""
     w, V, keep = _range_eigh(A + B, None, name="A + B")
     Vk = V[:, keep]
     root = np.sqrt(w[keep])
     Y = Vk / root  # V D
-    t, Q = eigh(hermitian_part(Y.conj().T @ A @ Y))
-    return np.clip(t, 0.0, 1.0), Q.conj().T @ (root[:, None] * Vk.conj().T)
+    r, Q = eigh(hermitian_part(Y.conj().T @ A @ Y))
+    return w, keep, r, Q.conj().T @ (root[:, None] * Vk.conj().T)
+
+
+def _certified(w: np.ndarray, keep: np.ndarray, r: np.ndarray) -> bool:
+    """True when the spectra of _pair_spectra prove that A and B pass
+    require_psd, so that their own eigh can be skipped.
+
+    Over the range of A+B, A = T* R T and B = T* (I - R) T with T* T = A + B,
+    so lambda_min(A) >= t_min w_min and lambda_min(B) >= (1 - t_max) w_min.
+    A pair is certified when A+B kept all n eigenvalues and
+    min(t_min, 1 - t_max) w_min / w_max > K n eps (K = PSD_CERTIFICATE_K).
+    The computed t are off by about n eps w_max / w_min and the w by about
+    n eps w_max, so a certified A and B are positive definite with a margin
+    near K n eps w_max, which eigh's own error of about n eps max|lambda|
+    cannot close: require_psd accepts them.  The test is scale-invariant.
+    """
+    if not keep[0]:  # w ascends, so A+B kept all n eigenvalues
+        return False
+    ratio = float(w[0]) / float(w[-1])
+    bound = PSD_CERTIFICATE_K * len(w) * EPS
+    # each side compared on its own, so that a NaN certifies nothing
+    return float(r[0]) * ratio > bound and (1.0 - float(r[-1])) * ratio > bound
+
+
+def _sequential_pair_spectrum(A, B):
+    """_pair_spectrum of the pair _sequential_pair validates, with it."""
+    A, B = _sequential_pair(A, B)
+    return A, B, *_pair_spectrum(A, B)
+
+
+def _checked_pair_spectrum(A, B):
+    """(A, B, t, X): the pair as _validated_pair returns it, and its
+    _pair_spectrum (t, X), for the public calls on a pair.
+
+    The square, finite and Hermitian checks run first, over the stack of A
+    and B (_hermitian_stack); the kernel then runs on their Hermitian parts.
+    A definite pair that _certified accepts needs no further check: 2 eigh
+    in all.  Any other pair takes the PSD half (_psd_stack, one eigh of the
+    stack): 3 eigh.  Whatever either half rejects, _sequential_pair rejects
+    with its own error and message.  An error the kernel raised on the
+    unvalidated pair (NotPsdError naming A + B, say) is held until
+    validation has decided, so a validation error wins, and it is raised
+    only when the pair passes.  The arrays, the kernel and its LAPACK
+    inputs are those of _pair_spectrum(*_validated_pair(A, B)), so the
+    result is the same to the last bit.
+    """
+    H = _hermitian_stack((A, B), (1e-9, 1e-9))
+    if H is None:
+        return _sequential_pair_spectrum(A, B)
+    Ah, Bh = H
+    try:
+        w, keep, r, X = _pair_spectra(Ah, Bh)
+    except Exception as exc:  # on input that may yet fail validation
+        held, certified = exc, False
+    else:
+        held, certified = None, _certified(w, keep, r)
+    if not certified and not _psd_stack(H):
+        return _sequential_pair_spectrum(A, B)
+    if held is not None:
+        raise held
+    return Ah, Bh, np.clip(r, 0.0, 1.0), X
 
 
 class PwDiagnostics(NamedTuple):
@@ -367,8 +452,7 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     compatible representation, only the joint spectrum and the bivariate
     evaluator phi(x, y) = (x+y) * diagonal(x/(x+y)).
     """
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A, B = _sequential_pair(A, B)
     comm = spectral_norm(A @ B - B @ A)
     bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
     if comm > max(bound, 1e-13):
@@ -432,8 +516,7 @@ def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     A invertible symmetrically with g(t) = phi(1,t).  Must agree with
     pw_apply whenever applicable.
     """
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A, B = _sequential_pair(A, B)
     wB, _ = eigh(B)
     wA, _ = eigh(A)
     b_invertible = wB.size and wB[0] > default_rank_tol(wB)
@@ -470,6 +553,7 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     The postulate requires range(A+B) inside the range closure of C; pairs
     violating it are reported as skipped, not failed.
     """
+    A, B = _same_shape(A, B)
     C = np.atleast_2d(np.asarray(C, dtype=complex))
     ran_ab = range_subspace(np.asarray(A) + np.asarray(B))
     ran_c = span(C)

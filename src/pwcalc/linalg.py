@@ -7,8 +7,9 @@ their arguments and the returned arrays are freshly allocated.
 Validation happens once, at the public boundary: `require_hermitian`,
 `require_psd` and `require_state` check outside input, and the public
 `Subspace(...)` checks that its columns are orthonormal.  A call that takes
-several matrices checks them in one stacked pass (`_validate_stack`) and
-falls back to the one-at-a-time validators for their error.  Subspaces built
+several matrices checks them in one stacked pass (`_validate_stack`, a
+cheap half `_hermitian_stack` and a PSD half `_psd_stack`) and falls back
+to the one-at-a-time validators for their error.  Subspaces built
 here from LAPACK's eigenvectors or singular vectors are orthonormal by
 construction and skip that check (`_trusted`).
 """
@@ -312,17 +313,12 @@ def require_state(rho, name: str = "state") -> np.ndarray:
     return rho
 
 
-def _validate_stack(mats, atols):
-    """require_psd over all the matrices of one public call, in one pass.
-
-    The matrices are stacked, and the square, finite and Hermitian checks
-    (each matrix against its own atol) run once over the stack; the PSD
-    check reads one np.linalg.eigh of it, which gives each matrix the
-    eigenvalues eigh gives it alone, to the last bit (the tests check it),
-    so the PSD cliff sits where require_psd puts it.  Returns the Hermitian parts, as require_psd
-    does, or None when the shapes differ or any check fails: the caller
-    then runs the one-at-a-time validators, which raise the error they
-    always raised.
+def _hermitian_stack(mats, atols):
+    """The cheap half of _validate_stack: the matrices stacked, with the
+    square, finite and Hermitian checks (each matrix against its own atol)
+    run once over the stack.  Returns the stack of their Hermitian parts,
+    as require_hermitian computes them, or None when the shapes differ or
+    any check fails.
     """
     try:
         S = np.array(mats, dtype=complex)
@@ -342,14 +338,37 @@ def _validate_stack(mats, atols):
     del S
     if any(dev > atol for dev, atol in zip(devs, atols)):
         return None
+    return H
+
+
+def _psd_stack(H) -> bool:
+    """The PSD half of _validate_stack: True iff every matrix of the stack H
+    passes require_psd's check.  It reads one np.linalg.eigh of the stack,
+    which gives each matrix the eigenvalues eigh gives it alone, to the
+    last bit (the tests check it), so the PSD cliff sits where require_psd
+    puts it; a LAPACK failure counts as a rejection.
+    """
     try:
         w = np.linalg.eigh(H)[0]
     except np.linalg.LinAlgError:
-        return None
+        return False
+    n = H.shape[-1]
     # psd_tol on Python floats, as require_psd reads it
     for low, high in zip(w[:, 0].tolist(), w[:, -1].tolist()):
         if low < -(n * EPS * max(-low, high)):
-            return None
+            return False
+    return True
+
+
+def _validate_stack(mats, atols):
+    """require_psd over all the matrices of one public call, in one pass:
+    _hermitian_stack, then _psd_stack.  Returns the Hermitian parts, as
+    require_psd does, or None when any check fails: the caller then runs
+    the one-at-a-time validators, which raise the error they always raised.
+    """
+    H = _hermitian_stack(mats, atols)
+    if H is None or not _psd_stack(H):
+        return None
     return tuple(H)
 
 

@@ -19,8 +19,10 @@ import numpy as np
 from .calculus import (
     ENDPOINT_TOL,
     HomogeneousFunction,
+    _checked_pair_spectrum,
     _pair_spectrum,
-    _validated_pair,
+    _same_shape,
+    _sequential_pair,
     pw_apply,
 )
 from .extended import (
@@ -129,8 +131,7 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
     if not eps or any(e <= 0 for e in eps) or any(
             e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError("schedule must be strictly decreasing and positive")
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A, B = _sequential_pair(A, B)
     n = A.shape[0]
     eye = np.eye(n)
     out = []
@@ -238,10 +239,11 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
     X* diag(phi(t, 1-t)) X over the spectrum (t, X) of _pair_spectrum: the
     calculus of the connection's homogeneous function, which is finite at
-    every t in [0, 1].
+    every t in [0, 1].  The pair is validated by _checked_pair_spectrum: 2
+    eigh when the spectra certify it definite, 3 otherwise.
     """
     phi = connection_phi(h, assert_monotone=assert_monotone)
-    t, X = _pair_spectrum(*_validated_pair(A, B))
+    _, _, t, X = _checked_pair_spectrum(A, B)
     values = np.array([phi.diagonal_value(ti) for ti in t.tolist()])
     if not np.isfinite(values).all():
         raise AssertionError(
@@ -294,10 +296,11 @@ def lebesgue_decomposition(A: np.ndarray, B: np.ndarray,
     The singular part is assembled from the eigenvectors of R with
     eigenvalue >= 1 - endpoint_tol (the eigenprojection form); the
     absolutely continuous part is the increasing limit of A : nB, which the
-    tests cross-check at n = 1e8.
+    tests cross-check at n = 1e8.  The pair and its spectrum come from
+    _checked_pair_spectrum: 2 eigh when the spectra certify the pair
+    definite, 3 otherwise.
     """
-    A, B = _validated_pair(A, B)
-    t, X = _pair_spectrum(A, B)
+    A, _, t, X = _checked_pair_spectrum(A, B)
     rows = X[t >= 1.0 - endpoint_tol]
     singular = hermitian_part(rows.conj().T @ rows)
     ac = hermitian_part(A - singular)
@@ -306,8 +309,12 @@ def lebesgue_decomposition(A: np.ndarray, B: np.ndarray,
 
 def is_absolutely_continuous(A: np.ndarray, B: np.ndarray,
                              endpoint_tol: float = ENDPOINT_TOL) -> bool:
-    """True iff A is B-absolutely continuous (max eigenvalue of R < 1)."""
-    t, _ = _pair_spectrum(*_validated_pair(A, B))
+    """True iff A is B-absolutely continuous (max eigenvalue of R < 1).
+
+    The spectrum of R comes from _checked_pair_spectrum: 2 eigh when it
+    certifies the pair definite, 3 otherwise.
+    """
+    t = _checked_pair_spectrum(A, B)[2]
     return bool((t < 1.0 - endpoint_tol).all())
 
 
@@ -342,6 +349,7 @@ def dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
     Finite at finite dimension iff range(X) is contained in range(Y); the
     value is the top eigenvalue of Y^{+1/2} X Y^{+1/2}.
     """
+    X, Y = _same_shape(X, Y)
     X = require_psd(X, name="X", atol=1e-9)
     Y = require_psd(Y, name="Y", atol=1e-9)
     rx = range_subspace(X)
@@ -370,8 +378,7 @@ def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
     minimum exists but no algorithm is given for it, so the pseudo-inverse
     construction is certified after the fact).
     """
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A, B = _sequential_pair(A, B)
     ra, rb = range_subspace(A), range_subspace(B)
     if not rb.contains(ra, 1e-8):
         return T2Bound(False, INF, False, False)
@@ -412,8 +419,7 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A, B = _sequential_pair(A, B)
     lam_a = dominates_scale(hermitian_part(A @ A), B)
     res_b = perspective_apply(catalog("power", alpha), A, B)
     lam_c = dominates_scale(matrix_power_psd(A, alpha),

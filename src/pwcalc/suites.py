@@ -19,8 +19,10 @@ values are read through the kernels that trust it (`_state_value`,
 `_epsilon_monotone`).  A trial evaluates its candidate (or the calculus) once
 per distinct input: the value at the drawn pair serves subadditivity and
 the checks after it, and `suite_axioms_thm103` keeps candidate(I, I) per
-dimension for the whole call.  Candidates are taken to be functions of
-their input, as the determinism guarantee below already assumes.
+dimension for the whole call; its orientation note evaluates candidate(tI, I)
+down its grid only until the first finite value above 1e-12, which already
+decides the note.  Candidates are taken to be functions of their input, as
+the determinism guarantee below already assumes.
 
 Reports are deterministic: identical (seed, spec, flags) produce identical
 canonical serializations.  The mandated wall_time_ms field is the single
@@ -480,9 +482,9 @@ def suite_axioms_thm103(candidate, spec: RandomSpec,
     candidate looks superadditive (connection-like) instead.
     """
     # orientation: a nonpositive recovered generator means the candidate is
-    # the negative of a Kubo-Ando connection, not a divergence-like object
-    recovered = recover_generator(candidate, np.linspace(0.1, 4.0, 9),
-                                  dim=spec.dim_lo)
+    # the negative of a Kubo-Ando connection, not a divergence-like object;
+    # the grid is recovered only up to its first finite value above 1e-12
+    recovered = _recovered(candidate, np.linspace(0.1, 4.0, 9), spec.dim_lo)
     notes = []
     if all(v <= 1e-12 for v in recovered if math.isfinite(v)):
         notes.append({"orientation":
@@ -527,17 +529,20 @@ def suite_axioms_thm103(candidate, spec: RandomSpec,
 
 def recover_generator(candidate, grid, dim: int = 1) -> list:
     """f(t) recovered from candidate(tI, I) = f(t) I on a scalar grid."""
+    return list(_recovered(candidate, grid, dim))
+
+
+def _recovered(candidate, grid, dim: int):
+    """recover_generator's values, each computed when it is consumed."""
     eye = np.eye(dim)
-    out = []
     for t in grid:
         T = candidate(float(t) * eye, eye)
         if isinstance(T, ExtendedSelfAdjoint):
             if not T.is_bounded:
-                out.append(INF)
+                yield INF
                 continue
             T = T.form_matrix()
-        out.append(float(np.asarray(T)[0, 0].real))
-    return out
+        yield float(np.asarray(T)[0, 0].real)
 
 
 def suite_connection_cor107(candidate, spec: RandomSpec,

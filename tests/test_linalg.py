@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pwcalc import calculus
 from pwcalc.calculus import (
+    PSD_CERTIFICATE_K,
+    _checked_pair_spectrum,
+    _pair_spectrum,
     _sequential_pair,
     _sequential_state_pair,
     _validated_pair,
@@ -22,6 +26,7 @@ from pwcalc.linalg import (
     NonFiniteError,
     NotPsdError,
     Subspace,
+    _hermitian_stack,
     _validate_stack,
     eigh,
     full_space,
@@ -443,3 +448,149 @@ class TestStackedValidation:
                 assert V[i].tobytes() == Vi.tobytes(), label
             stacked += 1
         assert stacked >= 100
+
+
+# ---------------------------------------------------------------------------
+# The definite-pair certificate against validate-then-decompose
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _validated_spectrum(A, B):
+    """The reference path: validate the pair, then decompose it."""
+    A, B = _validated_pair(A, B)
+    return (A, B, *_pair_spectrum(A, B))
+
+
+def _rotated(rng, w):
+    U = haar_unitary(rng, len(w))
+    return hermitian_part((U * np.asarray(w)) @ U.conj().T)
+
+
+def _with_least(rng, n, c, kappa):
+    """A random n x n Hermitian matrix (n >= 2) with eigenvalues log-spaced
+    over [1/kappa, 1], its least moved to c n eps."""
+    w = np.logspace(-np.log10(kappa), 0, n)
+    w[0] = c * n * EPS
+    return _rotated(rng, w)
+
+
+def _margin_pair(side, s=1e-2):
+    """A diagonal pair whose certificate margin t_min w_min / w_max is
+    side * K n eps, n = 2: A + B = diag(s, 1), spec R = (tau, 1/2)."""
+    tau = side * PSD_CERTIFICATE_K * 2 * EPS / s
+    return np.diag([tau * s, 0.5]), np.diag([(1 - tau) * s, 0.5])
+
+
+def _certificate_corpus():
+    """(label, A, B) around the certificate and every check of the pair
+    validators."""
+    rng = np.random.default_rng(20262)
+    for profile in ("well_conditioned", "rank_deficient", "projection"):
+        for n in range(2 if profile == "projection" else 1, 10):
+            for trial in range(2):
+                A, B = gen_pair(RandomSpec(n, n, profile, seed=11 + n), trial)
+                for scale in (1.0, 1e300, 1e-300):
+                    yield f"{profile}/{n}/{trial}/{scale:.0e}", scale * A, scale * B
+    for kappa in 10.0 ** np.arange(0, 16, 3):
+        for n in (2, 5, 9):
+            A = _rotated(rng, np.logspace(-np.log10(kappa), 0, n))
+            B = _rotated(rng, np.logspace(-np.log10(kappa), 0, n))
+            for scale in (1.0, 1e300, 1e-300):
+                yield f"definite/{kappa:.0e}/{n}/{scale:.0e}", scale * A, scale * B
+    # a least eigenvalue of -(1 +- 1e-3) times require_psd's slack, in A
+    # or in B, diagonal and rotated
+    for side in (1 - 1e-3, 1 + 1e-3):
+        for n in (2, 5):
+            for j, M in enumerate(_psd_cliff(rng, n, side)):
+                ok = _rotated(rng, np.linspace(0.2, 1.0, n))
+                yield f"psd/{side}/{n}/{j}/A", M, ok
+                yield f"psd/{side}/{n}/{j}/B", ok, M
+    # least eigenvalues from -5 to 1e6 times n eps, across the certificate
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        c = float(rng.choice([-5.0, -1.0, 0.0, 1.0, 1e2, 1e3, 1e4, 1e6])
+                  * rng.uniform(0.5, 2.0))
+        M = _with_least(rng, n, c, 10 ** rng.uniform(0, 15))
+        other = _rotated(rng, np.logspace(-rng.uniform(0, 15), 0, n))
+        scale = 10.0 ** rng.choice([-300, -150, 0, 150, 300])
+        A, B = (M, other) if rng.random() < 0.5 else (other, M)
+        yield f"least/{c:.1e}/{n}/{scale:.0e}", scale * A, scale * B
+    # the certificate's margin K n eps approached from both sides
+    for side in (1 - 1e-3, 1 + 1e-3):
+        yield f"margin/{side > 1}/diagonal", *_margin_pair(side)
+        A, B = _margin_pair(side, s=1.0)
+        yield f"margin/{side > 1}/swapped", B, A
+    for side in (0.9, 1.1):
+        U = haar_unitary(rng, 2)
+        A, B = _margin_pair(side)
+        yield (f"margin/{side > 1}/rotated", hermitian_part(U @ A @ U.conj().T),
+               hermitian_part(U @ B @ U.conj().T))
+    # A and B pass require_psd, A + B fails the kernel's own PSD check
+    a = 0.9 * 3 * EPS
+    A, B = np.diag([-a, 1.0, 0.0]), np.diag([-a, 0.0, 1.0])
+    yield "cliff/A+B", A, B
+    # every invalid kind in each argument, and in both, around a definite
+    # pair (which would be certified) and a rank-deficient one
+    n = 3
+    for base, (A, B) in (("definite", (np.diag([1.0, 0.5, 0.25]),
+                                       np.diag([0.3, 1.0, 2.0]))),
+                         ("deficient", (np.diag([1.0, 0.5, 0.0]),
+                                        np.diag([0.0, 1.0, 2.0])))):
+        for side in (1 - 1e-3, 1 + 1e-3):
+            yield f"hermitian/{side}/{base}/A", _with_deviation(A, side * 1e-9), B
+            yield f"hermitian/{side}/{base}/B", A, _with_deviation(B, side * 1e-9)
+        kinds_a, kinds_b = _invalid_variants(A, n), _invalid_variants(B, n)
+        for ka, Ma in kinds_a.items():
+            yield f"invalid/{base}/A:{ka}", Ma, B
+            yield f"invalid/{base}/B:{ka}", A, kinds_b[ka]
+            for kb, Mb in kinds_b.items():
+                yield f"invalid/{base}/A:{ka}/B:{kb}", Ma, Mb
+    yield "empty", np.zeros((0, 0)), np.zeros((0, 0))
+    yield "scalars", 2.0, 3.0
+
+
+class TestPairCertificate:
+    """calculus._checked_pair_spectrum gives what validating the pair and
+    then decomposing it gives, to the last bit, with the same errors; the
+    pairs it certifies (and so does not run require_psd's check on) are
+    pairs that check accepts."""
+
+    def test_matches_validated_spectrum(self, monkeypatch):
+        halves = []
+        psd_stack = calculus._psd_stack
+        monkeypatch.setattr(calculus, "_psd_stack",
+                            lambda H: halves.append(1) or psd_stack(H))
+        seen, certified_scales = {}, set()
+        for label, A, B in _certificate_corpus():
+            want = _outcome(_validated_spectrum, A, B)
+            halves.clear()
+            got = _outcome(_checked_pair_spectrum, A, B)
+            rejected = isinstance(want[0], type)
+            if rejected:
+                assert isinstance(got[0], type) and got == want, label
+            else:
+                assert not isinstance(got[0], type), (label, got)
+                assert _same_arrays(got, want), label
+            certified = (not halves and _hermitian_stack(
+                (A, B), (1e-9, 1e-9)) is not None)
+            if certified:
+                assert not rejected, label
+                assert not isinstance(_outcome(_sequential_pair, A, B)[0], type), label
+            kind = label.split("/")[0]
+            seen.setdefault(kind, set()).add((certified, rejected))
+            if certified and kind == "definite":
+                certified_scales.add(label.split("/")[-1])
+            if kind == "margin":
+                assert certified == (label.split("/")[1] == "True"), label
+            if kind == "cliff":
+                assert want[0] is NotPsdError and want[1].startswith("A + B"), want
+        # the certificate is met and missed on valid pairs, at every scale;
+        # it is missed next to require_psd's cliff on either side
+        for kind in ("definite", "least", "margin", "hermitian"):
+            assert {(True, False), (False, False)} <= seen[kind], kind
+        for kind in ("least", "psd", "hermitian", "invalid"):
+            assert (False, True) in seen[kind], kind
+        assert (False, False) in seen["psd"]
+        assert certified_scales == {"1e+00", "1e+300", "1e-300"}

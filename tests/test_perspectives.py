@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pwcalc.calculus import HomogeneousFunction, pw_apply_restricted
+from pwcalc.calculus import (
+    HomogeneousFunction,
+    check_homogeneity,
+    invertible_formula,
+    pw_apply_restricted,
+    pw_commuting_oracle,
+)
 from pwcalc.extended import INF, evaluate_state, form_leq, quadratic_form
 from pwcalc.functions import catalog, transpose
 from pwcalc.linalg import hermitian_part, vector_state
@@ -15,6 +21,7 @@ from pwcalc.perspectives import (
     connection,
     connection_generator,
     connection_phi,
+    dominates_scale,
     epsilon_diverges,
     epsilon_limit,
     epsilon_monotone,
@@ -54,23 +61,40 @@ YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, INF,
                                 variant="ge")
 
 
-# one stacked eigh validates the call's matrices (A and B, with rho for the
-# integrals), then _pair_spectrum makes one eigh of A + B and one of R;
-# perspective_apply keeps the 7 of compatible_representation and _assemble,
-# and pw_apply_restricted checks its cone on the spectrum _assemble reads
-@pytest.mark.parametrize("call, eigh_calls", [
-    (lambda A, B, rho: connection(connection_generator("geometric"), A, B), 3),
-    (lambda A, B, rho: lebesgue_decomposition(A, B), 3),
-    (lambda A, B, rho: is_absolutely_continuous(A, B), 3),
-    (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho), 3),
-    (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho), 3),
-    (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B), 7),
-    (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B), 7),
+CONNECTION = lambda A, B, rho: connection(connection_generator("geometric"),
+                                          A, B)
+LEBESGUE = lambda A, B, rho: lebesgue_decomposition(A, B)
+ABS_CONT = lambda A, B, rho: is_absolutely_continuous(A, B)
+
+
+# _pair_spectrum makes one eigh of A + B and one of R; a definite pair whose
+# spectra certify it needs no other, while a rank-deficient pair adds one
+# stacked eigh validating A and B.  The integrals validate rho, A and B in
+# one stacked eigh; perspective_apply keeps the 7 of
+# compatible_representation and _assemble, and pw_apply_restricted checks
+# its cone on the spectrum _assemble reads
+@pytest.mark.parametrize("call, profile, eigh_calls", [
+    (CONNECTION, "rank_deficient", 3),
+    (LEBESGUE, "rank_deficient", 3),
+    (ABS_CONT, "rank_deficient", 3),
+    (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho),
+     "rank_deficient", 3),
+    (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho),
+     "rank_deficient", 3),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B),
+     "rank_deficient", 7),
+    (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
+     "rank_deficient", 7),
+    (CONNECTION, "well_conditioned", 2),
+    (LEBESGUE, "well_conditioned", 2),
+    (ABS_CONT, "well_conditioned", 2),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "perspective_apply",
-        "pw_apply_restricted"])
-def test_eigh_calls_per_call(call, eigh_calls, monkeypatch):
-    A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+        "pw_apply_restricted", "connection-well_conditioned",
+        "lebesgue_decomposition-well_conditioned",
+        "is_absolutely_continuous-well_conditioned"])
+def test_eigh_calls_per_call(call, profile, eigh_calls, monkeypatch):
+    A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
     rho = random_state(np.random.default_rng(5), 4)
     calls = []
     eigh = np.linalg.eigh
@@ -78,6 +102,31 @@ def test_eigh_calls_per_call(call, eigh_calls, monkeypatch):
                         lambda *a, **k: calls.append(1) or eigh(*a, **k))
     call(A, B, rho)
     assert len(calls) == eigh_calls
+
+
+TLOGT_PHI = perspective_of(catalog("tlogt"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda A, B: epsilon_limit(catalog("tlogt"), A, B),
+    lambda A, B: invertible_formula(TLOGT_PHI, A, B),
+    lambda A, B: pw_commuting_oracle(TLOGT_PHI, A, B),
+    lambda A, B: t2_bound(A, B),
+    lambda A, B: dominates_scale(A, B),
+    lambda A, B: boundedness_chain(2.0, A, B),
+    lambda A, B: check_homogeneity(TLOGT_PHI, A, B, np.eye(2)),
+], ids=["epsilon_limit", "invertible_formula", "pw_commuting_oracle",
+        "t2_bound", "dominates_scale", "boundedness_chain",
+        "check_homogeneity"])
+def test_mismatched_pair_is_rejected_before_any_eigh(call, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    with pytest.raises(ValueError,
+                       match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+        call(np.eye(2), np.eye(3))
+    assert calls == []
 
 
 class TestPerspectiveOf:

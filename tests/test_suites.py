@@ -310,13 +310,32 @@ class TestEvaluatesOnce:
         suite(RandomSpec(2, 4, "rank_deficient", seed=7))
         assert [len(inputs) for inputs in trials] == [0] + [1] * 6
 
+    @pytest.mark.parametrize("candidate, recovered", [
+        (candidate_perspective(catalog("tlogt")), 3),
+        (candidate_negated_connection(connection_generator("geometric")), 9),
+    ], ids=["tlogt", "negated_geometric"])
+    def test_thm103_orientation_stops_at_first_positive(
+            self, candidate, recovered, monkeypatch):
+        # t log t is first positive at the grid's third point, t = 1.075;
+        # -sqrt(t) is never, so the note needs the whole grid
+        trials, record = _record_trials(monkeypatch)
+
+        def recording(A, B):
+            record(A, B)
+            return candidate(A, B)
+
+        suite_axioms_thm103(recording, RandomSpec(2, 4, "rank_deficient", 3),
+                            trials=1)
+        assert len(trials[0]) == recovered
+
     def test_thm103_eigh_count(self, monkeypatch):
-        # 7 per perspective, one value per distinct input of a trial and
-        # candidate(I, I) once, and one eigh per trial validating its state
+        # 7 per perspective, one value per distinct input of a trial,
+        # candidate(I, I) once and 3 of the orientation grid's 9, and one
+        # eigh per trial validating its state
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a, **k: calls.append(1) or eigh(*a, **k))
         suite_axioms_thm103(candidate_perspective(catalog("tlogt")),
                             RandomSpec(4, 4, "rank_deficient", 3), 5)
-        assert len(calls) == 312
+        assert len(calls) == 270
