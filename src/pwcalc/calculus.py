@@ -52,7 +52,9 @@ from .linalg import (
     HERMITIAN_ATOL,
     Subspace,
     _hermitian_stack,
+    _psd_spectra,
     _psd_stack,
+    _range_cut,
     _range_eigh,
     _validate_stack,
     default_rank_tol,
@@ -210,7 +212,8 @@ def _sequential_state_pair(rho, A, B):
 def _validated_state_pair(rho, A, B):
     """_sequential_state_pair's rho, A and B from one stacked pass (one eigh
     for all three); whatever that pass rejects, or a state without positive
-    trace, _sequential_state_pair rejects with its own error and message."""
+    trace, _sequential_state_pair rejects with its own error and message.
+    The tests hold _checked_state_spectrum to this path."""
     checked = _validate_stack((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9))
     if checked is None or float(np.trace(checked[0]).real) <= 0.0:
         return _sequential_state_pair(rho, A, B)
@@ -272,11 +275,24 @@ def _pair_spectra(A: np.ndarray, B: np.ndarray):
     eigenvalues of A+B with keep marking those above the rank cut, r the
     eigenvalues of R before clipping."""
     w, V, keep = _range_eigh(A + B, None, name="A + B")
+    return (w, keep, *_r_spectrum(A, w, V, keep))
+
+
+def _r_spectrum(A: np.ndarray, w: np.ndarray, V: np.ndarray,
+                keep: np.ndarray):
+    """The kernel's second half: (r, X) from the eigenpairs (w, V) of A+B
+    and their rank mask keep, by one eigh of R."""
     Vk = V[:, keep]
     root = np.sqrt(w[keep])
     Y = Vk / root  # V D
     r, Q = eigh(hermitian_part(Y.conj().T @ A @ Y))
-    return w, keep, r, Q.conj().T @ (root[:, None] * Vk.conj().T)
+    return r, Q.conj().T @ (root[:, None] * Vk.conj().T)
+
+
+def _state_weights(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The weights m_i = (X rho X*)_ii of the state rho over the rows of X,
+    so that rho(X* diag(g(t)) X) = sum_i m_i g(t_i)."""
+    return ((X @ rho) * X.conj()).sum(axis=1).real
 
 
 def _certified(w: np.ndarray, keep: np.ndarray, r: np.ndarray) -> bool:
@@ -337,6 +353,57 @@ def _checked_pair_spectrum(A, B):
     if held is not None:
         raise held
     return Ah, Bh, np.clip(r, 0.0, 1.0), X
+
+
+def _sequential_state_spectrum(rho, A, B):
+    """_checked_state_spectrum's result, with rho, A and B validated one at
+    a time (_sequential_state_pair) and each matrix decomposed alone: the
+    path of any input the stacked pass rejects, whose error it raises in
+    its order, and of scalar input, which it accepts."""
+    rho, A, B = _sequential_state_pair(rho, A, B)
+    _, _, r, X = _pair_spectra(A, B)
+    norms = [float(eigh(M)[0][-1]) for M in (A, B)]
+    return (rho, A, B, np.clip(r, 0.0, 1.0), _state_weights(X, rho), *norms)
+
+
+def _checked_state_spectrum(rho, A, B):
+    """(rho, A, B, t, m, |A|, |B|) for the integral evaluators: the state
+    and the pair as _validated_state_pair returns them, R's clipped
+    eigenvalues t and the weights m of rho over them (_state_weights of
+    _pair_spectrum's X), and the spectral norms of A and B.
+
+    The square, finite and Hermitian checks run over the stack of rho, A
+    and B (_hermitian_stack); A + B, the sum of their Hermitian parts, is
+    appended, and one eigh of that 4-stack gives, to the last bit, what
+    eigh gives each matrix alone.  From it come the PSD checks of rho, A
+    and B (_psd_spectra), then rho's trace check, then the rank cut of A+B
+    and its NotPsdError (_range_cut, as the kernel makes it), and the norms
+    as the largest eigenvalues (a least eigenvalue that passed the PSD
+    check is never larger in magnitude).  The kernel's eigh of R follows:
+    2 eigh in all.  Whatever the stacked checks reject, and a LAPACK
+    failure on the stack, goes to _sequential_state_spectrum, so each error
+    keeps its type, message and precedence (rho first).  The arrays, the
+    kernel and its LAPACK inputs are those of
+    _pair_spectrum(*_validated_state_pair(rho, A, B)), so t, X and m are
+    the same to the last bit.
+    """
+    H = _hermitian_stack((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9))
+    if H is None:
+        return _sequential_state_spectrum(rho, A, B)
+    n = H.shape[-1]
+    S = np.empty((4, n, n), dtype=complex)
+    S[:3] = H
+    np.add(H[1], H[2], out=S[3])
+    try:
+        w, V = np.linalg.eigh(S)
+    except np.linalg.LinAlgError:
+        return _sequential_state_spectrum(rho, A, B)
+    if not _psd_spectra(w[:3]) or float(np.trace(H[0]).real) <= 0.0:
+        return _sequential_state_spectrum(rho, A, B)
+    keep = _range_cut(w[3], None, name="A + B")
+    r, X = _r_spectrum(H[1], w[3], V[3], keep)
+    return (*H, np.clip(r, 0.0, 1.0), _state_weights(X, H[0]),
+            float(w[1, -1]), float(w[2, -1]))
 
 
 class PwDiagnostics(NamedTuple):
@@ -551,10 +618,15 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     """Operator homogeneity phi(C*AC, C*BC) = C* phi(A,B) C.
 
     The postulate requires range(A+B) inside the range closure of C; pairs
-    violating it are reported as skipped, not failed.
+    violating it are reported as skipped, not failed.  C maps into the
+    pair's space, so it has as many rows as A and B; the shapes are compared
+    before any eigh.
     """
     A, B = _same_shape(A, B)
     C = np.atleast_2d(np.asarray(C, dtype=complex))
+    if C.ndim != 2 or C.shape[0] != A.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
     ran_ab = range_subspace(np.asarray(A) + np.asarray(B))
     ran_c = span(C)
     if not ran_c.contains(ran_ab, 1e-8):

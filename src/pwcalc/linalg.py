@@ -17,6 +17,7 @@ construction and skip that check (`_trusted`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,19 +73,33 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
 
 def require_hermitian(M, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
     """Validate a square Hermitian matrix with finite entries; returns its
-    Hermitian part."""
+    Hermitian part, formed as M - D/2 with D = M - M* (_hermitian_from)."""
     M = np.atleast_2d(np.asarray(M, dtype=complex))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NonFiniteError(f"{name} has a non-finite (NaN or inf) entry")
-    Mh = M.conj().T
-    dev = np.abs(M - Mh).max(initial=0.0)
+    D = M - M.conj().T
+    dev = np.abs(D).max(initial=0.0)
     if dev > atol:
         raise NotHermitianError(
             f"{name} is not Hermitian: max |M - M*| = {dev:.3e} > {atol:.1e}"
         )
-    return (M + Mh) / 2
+    return _hermitian_from(M, D)
+
+
+def _hermitian_from(M: np.ndarray, D: np.ndarray, out=None) -> np.ndarray:
+    """The Hermitian part of M as M - D/2, from its deviation D = M - M*
+    (overwritten).
+
+    Once D is within the Hermitian tolerance, M - D/2 cannot overflow, as
+    (M + M*)/2 does for entries above about 9e307.  It is M itself when M is
+    exactly Hermitian, at any magnitude, and (M + M*)/2 to the last bit
+    wherever D is exact, which it is (by Sterbenz's lemma) for every real
+    and imaginary component above twice the tolerance in magnitude.
+    """
+    D /= 2
+    return np.subtract(M, D, out=out)
 
 
 def eigh(M: np.ndarray):
@@ -142,15 +157,26 @@ def require_psd(M, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.nda
 
 def _range_eigh(M: np.ndarray, rank_tol: float | None, name: str):
     """eigh of a PSD matrix, with its range: (w, V, keep), keep marking the
-    eigenvalues above rank_tol (default n*eps*lambda_max).  An eigenvalue
-    below the PSD slack raises NotPsdError naming `name`."""
+    eigenvalues above rank_tol (default n*eps*lambda_max).  It raises as
+    _range_cut does."""
     w, V = eigh(M)
+    return w, V, _range_cut(w, rank_tol, name)
+
+
+def _range_cut(w: np.ndarray, rank_tol: float | None, name: str) -> np.ndarray:
+    """The mask of the eigenvalues w (ascending, of a PSD matrix named
+    `name`) above rank_tol (default n*eps*lambda_max).  An eigenvalue below
+    the PSD slack raises NotPsdError, and a NaN at either end
+    NonFiniteError: eigh answers a matrix with an infinite entry, such as a
+    sum A + B that overflowed, with NaN eigenvalues only."""
+    if w.size and not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+        raise NonFiniteError(f"{name} has a non-finite (NaN or inf) eigenvalue")
     tol = psd_tol(w)
     if w.size and w[0] < -tol:
         raise NotPsdError(f"{name}: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
     if rank_tol is None:
         rank_tol = default_rank_tol(w)
-    return w, V, w > rank_tol
+    return w > rank_tol
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -327,18 +353,12 @@ def _hermitian_stack(mats, atols):
     n = S.shape[-1]
     if S.ndim != 3 or S.shape[1] != n or n == 0 or not np.isfinite(S).all():
         return None
-    # the stack's temporaries are built in place: H = (S + S*)/2, then S
-    # is overwritten by S - S*, whose largest entries are the deviations
-    Sh = S.conj().transpose(0, 2, 1)
-    H = S + Sh
-    H /= 2
-    np.subtract(S, Sh, out=S)
-    del Sh
-    devs = np.abs(S).reshape(len(S), -1).max(axis=1).tolist()
-    del S
+    # the deviations D = S - S*, then the Hermitian parts S - D/2 in place
+    D = S - S.conj().transpose(0, 2, 1)
+    devs = np.abs(D).reshape(len(S), -1).max(axis=1).tolist()
     if any(dev > atol for dev, atol in zip(devs, atols)):
         return None
-    return H
+    return _hermitian_from(S, D, out=S)
 
 
 def _psd_stack(H) -> bool:
@@ -352,7 +372,13 @@ def _psd_stack(H) -> bool:
         w = np.linalg.eigh(H)[0]
     except np.linalg.LinAlgError:
         return False
-    n = H.shape[-1]
+    return _psd_spectra(w)
+
+
+def _psd_spectra(w: np.ndarray) -> bool:
+    """True iff every row of w (the eigenvalues of a stack, ascending)
+    passes require_psd's check."""
+    n = w.shape[-1]
     # psd_tol on Python floats, as require_psd reads it
     for low, high in zip(w[:, 0].tolist(), w[:, -1].tolist()):
         if low < -(n * EPS * max(-low, high)):

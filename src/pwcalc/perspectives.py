@@ -23,6 +23,7 @@ from .calculus import (
     _pair_spectrum,
     _same_shape,
     _sequential_pair,
+    _state_weights,
     pw_apply,
 )
 from .extended import (
@@ -254,12 +255,7 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A : B = A - A (A+B)^+ A, the finite-dimensional exact form."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    if A.shape != B.shape:
-        raise ValueError("dimension mismatch")
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A, B = _sequential_pair(A, B)
     pinv = psd_pinv(A + B)  # exactly Hermitian, as A and B are
     return hermitian_part(A - A @ pinv @ A)
 
@@ -272,10 +268,13 @@ def _r_spectrum_weights(A: np.ndarray, B: np.ndarray, rho: np.ndarray):
     rho(A : lB) = sum_i m_i l t_i (1 - t_i) / (t_i + l (1 - t_i)) for every
     l > 0: one spectrum of R serves a whole quadrature family.  Trusts its
     input: rho, A and B are the arrays _validated_state_pair returns.
+
+    The integral evaluators read (t, m) from calculus._checked_state_spectrum,
+    with the validation, and their norms, in the same 2 eigh; this
+    validate-then-decompose form stays as the tests' reference for it.
     """
     t, X = _pair_spectrum(A, B)
-    m = ((X @ rho) * X.conj()).sum(axis=1).real
-    return t, m
+    return t, _state_weights(X, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +524,16 @@ def check_positive_map_monotonicity(f: ExtendedFunction, kraus,
     The right side acts through the predual: its value at rho is the
     perspective of (A, B) evaluated at Phi_*(rho).  Naive conjugation of the
     finite part would mishandle the infinity part, so it is never used.
+    The pair's shapes, then each Kraus operator's (m x n for an n x n pair,
+    all with the same m), are compared before any eigh.
     """
+    A, B = _same_shape(A, B)
+    kraus = [np.atleast_2d(np.asarray(K, dtype=complex)) for K in kraus]
+    for i, K in enumerate(kraus):
+        if K.ndim != 2 or K.shape[1] != A.shape[0] or (
+                K.shape[0] != kraus[0].shape[0]):
+            raise ValueError(f"dimension mismatch: Kraus operator {i} is "
+                             f"{K.shape}, pair is {A.shape}")
     lhs = perspective_apply(f, kraus_apply(kraus, A), kraus_apply(kraus, B)).value
     base = perspective_apply(f, A, B).value
     dim_out = lhs.ambient_dim

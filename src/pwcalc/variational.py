@@ -9,6 +9,16 @@ independent A - A(A+B)^+A oracle the tests compare against.  Measures whose
 true mass is infinite carry a flag; their divergent branch is decided by
 evaluating the state against the relevant singular part, which is exactly
 what the tail of the integral converges to.
+
+An evaluation makes 2 eigh (calculus._checked_state_spectrum): one of the
+stack (rho, A, B, A + B), which validates rho, A and B and gives the
+spectrum of A + B, and one of R.  Everything else is read from those
+spectra: the state's weights m over R's eigenvalues t, the pairings
+rho(A) = sum m_i t_i and rho(B) = sum m_i (1 - t_i) (Tr rho A and Tr rho B
+but for A's and B's parts beyond the rank cut of A + B, at most
+n eps |A + B| Tr rho), and the norms of A and B that scale the
+singular-mass threshold, as their largest eigenvalues.  A phi_{t^2} term
+adds the 7 eigh of its perspective.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import ENDPOINT_TOL, _validated_state_pair
+from .calculus import ENDPOINT_TOL, _checked_state_spectrum
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
@@ -45,25 +55,19 @@ from .linalg import (
     require_psd,
     spectral_norm,
 )
-from .perspectives import _r_spectrum_weights, perspective_apply
+from .perspectives import perspective_apply
 
 # State mass on a singular part below this (relative) threshold counts as zero
 # when deciding the divergent branch of an infinite-mass integral.
 SINGULAR_MASS_REL_TOL = 1e-10
 
 
-def _state_pairing(rho: np.ndarray, M: np.ndarray) -> float:
-    return float(np.trace(rho @ M).real)
-
-
-def _singular(mass: float, rho: np.ndarray, M) -> bool:
-    """A singular part's state mass exceeds the relative zero threshold.
-
-    The threshold is at least SINGULAR_MASS_REL_TOL * Tr rho, so a mass
-    below that is decided without the norm's SVD.
-    """
+def _singular(mass: float, rho: np.ndarray, norm: float) -> bool:
+    """A singular part's state mass exceeds the relative zero threshold
+    SINGULAR_MASS_REL_TOL * Tr rho * (1 + norm), norm the spectral norm of
+    the matrix whose part it is."""
     floor = SINGULAR_MASS_REL_TOL * float(np.trace(rho).real)
-    return mass > floor and mass > floor * (1.0 + spectral_norm(M))
+    return mass > floor * (1.0 + norm)
 
 
 def _parallel_sum_pairings(t: np.ndarray, m: np.ndarray,
@@ -87,12 +91,10 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     + int [rho(A) + rho(B)/l - ((1+l)/l)^2 rho(A : lB)] dmu(l),
     with a0 = b - 2c + d and b0 = a - b + c - 2d.
     """
-    rho, A, B = _validated_state_pair(rho, A, B)
-    t, m = _r_spectrum_weights(A, B, rho)
+    rho, A, B, t, m, norm_a, norm_b = _checked_state_spectrum(rho, A, B)
     a0 = r.b - 2.0 * r.c + r.d
     b0 = r.a - r.b + r.c - 2.0 * r.d
-    rho_a = _state_pairing(rho, A)
-    rho_b = _state_pairing(rho, B)
+    rho_a, rho_b = float(m @ t), float(m @ (1.0 - t))
     terms = [a0 * rho_a, b0 * rho_b]
     if r.c > 0:
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
@@ -100,9 +102,11 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
         terms.append(xmul(r.d, _t2_term(B, A, rho)))
     # the singular parts are the eigenprojections of R at 1 (A relative to
     # B) and at 0 (B relative to A), cut as in lebesgue_decomposition
-    if r.mu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(), rho, A):
+    if r.mu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(),
+                                        rho, norm_a):
         return INF
-    if r.mu.infinite_inv_mass and _singular(m[t <= ENDPOINT_TOL].sum(), rho, B):
+    if r.mu.infinite_inv_mass and _singular(m[t <= ENDPOINT_TOL].sum(),
+                                            rho, norm_b):
         return INF
     lam = r.mu.locations
     ps = _parallel_sum_pairings(t, m, lam)
@@ -118,14 +122,13 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     f'(0+) rho(A) + f(0+) rho(B) + c phi_{t^2}(A,B)(rho)
     + int [rho(A) - rho(A : lB)] dnu(l).
     """
-    rho, A, B = _validated_state_pair(rho, A, B)
-    t, m = _r_spectrum_weights(A, B, rho)
-    rho_a = _state_pairing(rho, A)
-    rho_b = _state_pairing(rho, B)
+    rho, A, B, t, m, norm_a, _ = _checked_state_spectrum(rho, A, B)
+    rho_a, rho_b = float(m @ t), float(m @ (1.0 - t))
     terms = [r.fp0 * rho_a, r.f0 * rho_b]
     if r.c > 0:
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
-    if r.nu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(), rho, A):
+    if r.nu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(),
+                                        rho, norm_a):
         return INF
     ps = _parallel_sum_pairings(t, m, r.nu.locations)
     terms.append(float(np.dot(r.nu.weights, rho_a - ps)))

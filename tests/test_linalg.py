@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from pwcalc import calculus
 from pwcalc.calculus import (
+    ENDPOINT_TOL,
     PSD_CERTIFICATE_K,
     _checked_pair_spectrum,
+    _checked_state_spectrum,
     _pair_spectrum,
     _sequential_pair,
     _sequential_state_pair,
@@ -17,11 +19,23 @@ from pwcalc.calculus import (
 )
 from pwcalc.extended import evaluate_state, from_matrix
 from pwcalc.functions import catalog
-from pwcalc.perspectives import perspective_apply
+from pwcalc.perspectives import (
+    _r_spectrum_weights,
+    connection,
+    connection_generator,
+    lebesgue_decomposition,
+    perspective_apply,
+)
 from pwcalc.suites import RandomSpec, gen_pair, haar_unitary, random_state
-from pwcalc.variational import integral_eval_91, repr77_tlogt
+from pwcalc.variational import (
+    SINGULAR_MASS_REL_TOL,
+    _singular,
+    integral_eval_91,
+    repr77_tlogt,
+)
 from pwcalc.linalg import (
     HERMITIAN_ATOL,
+    EigenSolverError,
     MatrixFileError,
     NonFiniteError,
     NotPsdError,
@@ -34,7 +48,10 @@ from pwcalc.linalg import (
     pinv_sqrt,
     psd_sqrt,
     read_matrix,
+    require_hermitian,
+    require_psd,
     span,
+    spectral_norm,
     subspace_meet,
     write_matrix,
     zero_subspace,
@@ -309,6 +326,70 @@ class TestNonFiniteInput:
         assert issubclass(NonFiniteError, ValueError)
 
 
+# the entries of HUGE and of its Hermitian part are near the float limit;
+# (M + M*)/2 would overflow to inf there, M/2 + M*/2 does not
+HUGE = np.array([[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]])
+NEAR_LIMIT = np.diag([-1e308, 1.0])  # not PSD: its least eigenvalue is -1e308
+BIG_PSD = np.diag([1e308, 1.0])  # PSD, but BIG_PSD + BIG_PSD overflows
+
+
+class TestFloatLimitInput:
+    """Input near the float limit is validated as it is, not as the NaN an
+    overflowing Hermitian part would make of it."""
+
+    def test_hermitian_part_does_not_overflow(self):
+        assert require_hermitian(HUGE).tobytes() == HUGE.tobytes()
+        H = _hermitian_stack((HUGE, HUGE), (1e-9, 1e-9))
+        assert H is not None and H[1].tobytes() == HUGE.tobytes()
+
+    def test_hermitian_part_keeps_its_bits(self):
+        # an exactly Hermitian matrix is its own Hermitian part, subnormal
+        # entries included; a matrix whose components differ from their
+        # mirror images by a relative 1e-9 gets (M + M*)/2 to the last bit,
+        # over entries from 1e-300 to 1e300
+        rng = np.random.default_rng(20263)
+        tiny = np.finfo(float).smallest_subnormal
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            scale = 10.0 ** rng.uniform(-300, 300, size=(n, n))
+            Z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            H = hermitian_part(Z * scale)
+            H[-1, 0], H[0, -1] = 3 * tiny + 5j * tiny, 3 * tiny - 5j * tiny
+            H.flat[:: n + 1] = H.diagonal().real
+            wobble = 1.0 + 1e-9 * rng.uniform(-1, 1, size=(n, n, 2))
+            M = H.real * wobble[..., 0] + 1j * H.imag * wobble[..., 1]
+            for X, want in ((H, H), (M, (M + M.conj().T) / 2)):
+                got = require_hermitian(X, atol=np.inf)
+                assert got.tobytes() == want.tobytes()
+                got = _hermitian_stack((X, X), (np.inf, np.inf))[0]
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda A: require_psd(A, name="A"),
+        lambda A: perspective_apply(catalog("tlogt"), A, np.eye(2)),
+        lambda A: connection(connection_generator("geometric"), A, np.eye(2)),
+        lambda A: lebesgue_decomposition(A, np.eye(2)),
+        lambda A: integral_eval_91(repr77_tlogt(32), A, np.eye(2), np.eye(2) / 2),
+    ], ids=["require_psd", "perspective_apply", "connection",
+            "lebesgue_decomposition", "integral_eval_91"])
+    def test_non_psd_input_is_rejected_naming_it(self, call):
+        with pytest.raises(NotPsdError,
+                           match=r"^A is not PSD: min eigenvalue -1\.000e\+308"):
+            call(NEAR_LIMIT)
+
+    @pytest.mark.parametrize("call", [
+        lambda A: connection(connection_generator("geometric"), A, A),
+        lambda A: lebesgue_decomposition(A, A),
+        lambda A: integral_eval_91(repr77_tlogt(32), A, A, np.eye(2) / 2),
+    ], ids=["connection", "lebesgue_decomposition", "integral_eval_91"])
+    def test_overflowing_sum_is_rejected_naming_it(self, call):
+        # A and B are valid; the kernel's A + B overflows (numpy's overflow
+        # warning is silenced here, to see what the library answers)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^A \+ B has a non-finite"):
+            call(BIG_PSD)
+
+
 class TestSubspaceValidation:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -441,6 +522,7 @@ class TestStackedValidation:
                     np.isfinite(M).all() for M in mats):
                 continue
             mats = [hermitian_part(M) for M in mats]
+            mats.append(mats[1] + mats[2])  # the integrals' stack adds A + B
             w, V = np.linalg.eigh(np.stack(mats))
             for i, M in enumerate(mats):
                 wi, Vi = np.linalg.eigh(M)
@@ -594,3 +676,91 @@ class TestPairCertificate:
             assert (False, True) in seen[kind], kind
         assert (False, False) in seen["psd"]
         assert certified_scales == {"1e+00", "1e+300", "1e-300"}
+
+
+# ---------------------------------------------------------------------------
+# The integrals' one stacked spectrum against validate-then-decompose
+# ---------------------------------------------------------------------------
+
+def _validated_state_spectrum(rho, A, B):
+    """The reference path: validate rho, A and B, then decompose the pair."""
+    rho, A, B = _validated_state_pair(rho, A, B)
+    return (rho, A, B, *_r_spectrum_weights(A, B, rho))
+
+
+def _reference_singular(mass, rho, A) -> bool:
+    """The singular-mass decision with the norm's SVD."""
+    floor = SINGULAR_MASS_REL_TOL * float(np.trace(rho).real)
+    return mass > floor and mass > floor * (1.0 + spectral_norm(A))
+
+
+def _recording_r_spectrum(monkeypatch):
+    """Patch the kernel's R half to record the X it returns."""
+    seen = []
+    r_spectrum = calculus._r_spectrum
+
+    def recording(*args):
+        r, X = r_spectrum(*args)
+        seen.append(X)
+        return r, X
+
+    monkeypatch.setattr(calculus, "_r_spectrum", recording)
+    return seen
+
+
+class TestStateSpectrum:
+    """calculus._checked_state_spectrum gives what validating rho, A and B
+    and then decomposing the pair gives, to the last bit, with the same
+    errors in the same order, and the same singular-mass decisions from
+    norms read off its stacked spectra."""
+
+    def test_matches_validated_state_spectrum(self, monkeypatch):
+        seen = _recording_r_spectrum(monkeypatch)
+        decisions, accepted = set(), 0
+        corpus = list(_validation_corpus()) + [("scalars", 1.0, 2.0, 3.0)]
+        for label, rho, A, B in corpus:
+            seen.clear()
+            want = _outcome(_validated_state_spectrum, rho, A, B)
+            want_x = list(seen)
+            seen.clear()
+            got = _outcome(_checked_state_spectrum, rho, A, B)
+            if isinstance(want[0], type):
+                assert got == want, label
+                continue
+            accepted += 1
+            assert not isinstance(got[0], type), (label, got)
+            assert _same_arrays(got[:5], want), label
+            assert len(seen) == len(want_x) == 1, label
+            assert _same_arrays(seen, want_x), label
+            rho_h, A_h, B_h, t, m, norm_a, norm_b = got
+            for M, norm in ((A_h, norm_a), (B_h, norm_b)):
+                exact = spectral_norm(M)
+                assert abs(norm - exact) <= 8 * M.shape[0] * EPS * exact, label
+            tr = float(np.trace(rho_h).real)
+            for M, norm, mass in ((A_h, norm_a, m[t >= 1.0 - ENDPOINT_TOL].sum()),
+                                  (B_h, norm_b, m[t <= ENDPOINT_TOL].sum())):
+                cut = SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(M))
+                for x in (mass, cut * (1 - 1e-9), cut * (1 + 1e-9)):
+                    decision = _singular(x, rho_h, norm)
+                    assert decision == _reference_singular(x, rho_h, M), label
+                decisions.add(_singular(mass, rho_h, norm))
+        assert accepted >= 70 and decisions == {True, False}
+
+    @pytest.mark.parametrize("failing", ["rho", "A", "B", "A + B"])
+    def test_lapack_failure_keeps_its_order(self, failing, monkeypatch):
+        # np.linalg.eigh fails on any stack holding the chosen matrix, as
+        # LAPACK would on one it cannot decompose
+        rho, A, B = np.eye(3) / 3, np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 2.0])
+        bad = {"rho": rho, "A": A, "B": B, "A + B": A + B}[failing]
+        eigh_ = np.linalg.eigh
+
+        def eigh_failing(M, *a, **k):
+            mats = np.reshape(M, (-1, 3, 3))
+            if any(np.array_equal(X, bad) for X in mats):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh_(M, *a, **k)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
+        want = _outcome(_validated_state_spectrum, rho, A, B)
+        assert want[0] is EigenSolverError
+        assert _outcome(_checked_state_spectrum, rho, A, B) == want

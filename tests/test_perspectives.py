@@ -69,8 +69,9 @@ ABS_CONT = lambda A, B, rho: is_absolutely_continuous(A, B)
 
 # _pair_spectrum makes one eigh of A + B and one of R; a definite pair whose
 # spectra certify it needs no other, while a rank-deficient pair adds one
-# stacked eigh validating A and B.  The integrals validate rho, A and B in
-# one stacked eigh; perspective_apply keeps the 7 of
+# stacked eigh validating A and B.  The integrals read the checks of rho,
+# A and B and the spectrum of A + B from one eigh of their 4-stack, then
+# decompose R; perspective_apply keeps the 7 of
 # compatible_representation and _assemble, and pw_apply_restricted checks
 # its cone on the spectrum _assemble reads
 @pytest.mark.parametrize("call, profile, eigh_calls", [
@@ -78,9 +79,9 @@ ABS_CONT = lambda A, B, rho: is_absolutely_continuous(A, B)
     (LEBESGUE, "rank_deficient", 3),
     (ABS_CONT, "rank_deficient", 3),
     (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho),
-     "rank_deficient", 3),
+     "rank_deficient", 2),
     (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho),
-     "rank_deficient", 3),
+     "rank_deficient", 2),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B),
      "rank_deficient", 7),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
@@ -107,24 +108,45 @@ def test_eigh_calls_per_call(call, profile, eigh_calls, monkeypatch):
 TLOGT_PHI = perspective_of(catalog("tlogt"))
 
 
-@pytest.mark.parametrize("call", [
-    lambda A, B: epsilon_limit(catalog("tlogt"), A, B),
-    lambda A, B: invertible_formula(TLOGT_PHI, A, B),
-    lambda A, B: pw_commuting_oracle(TLOGT_PHI, A, B),
-    lambda A, B: t2_bound(A, B),
-    lambda A, B: dominates_scale(A, B),
-    lambda A, B: boundedness_chain(2.0, A, B),
-    lambda A, B: check_homogeneity(TLOGT_PHI, A, B, np.eye(2)),
+PAIR_MISMATCH = r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"
+
+
+# each call gets I_2 and I_3; the last three make a matched pair of I_2
+# with an operator of I_3's size
+@pytest.mark.parametrize("call, message", [
+    (lambda A, B: epsilon_limit(catalog("tlogt"), A, B), PAIR_MISMATCH),
+    (lambda A, B: invertible_formula(TLOGT_PHI, A, B), PAIR_MISMATCH),
+    (lambda A, B: pw_commuting_oracle(TLOGT_PHI, A, B), PAIR_MISMATCH),
+    (lambda A, B: t2_bound(A, B), PAIR_MISMATCH),
+    (lambda A, B: dominates_scale(A, B), PAIR_MISMATCH),
+    (lambda A, B: boundedness_chain(2.0, A, B), PAIR_MISMATCH),
+    (lambda A, B: check_homogeneity(TLOGT_PHI, A, B, np.eye(2)),
+     PAIR_MISMATCH),
+    (lambda A, B: parallel_sum(A, B), PAIR_MISMATCH),
+    (lambda A, B: check_positive_map_monotonicity(
+        catalog("tlogt"), [np.eye(2)], A, B), PAIR_MISMATCH),
+    (lambda A, B: check_homogeneity(TLOGT_PHI, A, A, B),
+     r"^dimension mismatch: C is \(3, 3\), pair is \(2, 2\)$"),
+    (lambda A, B: check_positive_map_monotonicity(
+        catalog("tlogt"), [B], A, A),
+     r"^dimension mismatch: Kraus operator 0 is \(3, 3\), pair is "
+     r"\(2, 2\)$"),
+    (lambda A, B: check_positive_map_monotonicity(
+        catalog("tlogt"), [A, np.ones((3, 2))], A, A),
+     r"^dimension mismatch: Kraus operator 1 is \(3, 2\), pair is "
+     r"\(2, 2\)$"),
 ], ids=["epsilon_limit", "invertible_formula", "pw_commuting_oracle",
         "t2_bound", "dominates_scale", "boundedness_chain",
-        "check_homogeneity"])
-def test_mismatched_pair_is_rejected_before_any_eigh(call, monkeypatch):
+        "check_homogeneity", "parallel_sum", "check_positive_map_monotonicity",
+        "check_homogeneity-C", "check_positive_map_monotonicity-kraus",
+        "check_positive_map_monotonicity-kraus_rows"])
+def test_mismatched_pair_is_rejected_before_any_eigh(call, message,
+                                                     monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    with pytest.raises(ValueError,
-                       match=r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"):
+    with pytest.raises(ValueError, match=message):
         call(np.eye(2), np.eye(3))
     assert calls == []
 

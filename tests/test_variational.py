@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import pwcalc
-from pwcalc import variational
 from pwcalc.calculus import ENDPOINT_TOL, compatible_representation
 from pwcalc.extended import INF, evaluate_state, quadratic_form
 from pwcalc.functions import IntegralRepr77, Measure, catalog, from_repr77
@@ -137,9 +136,9 @@ class TestIntegralEval92:
     (integral_eval_92, repr97_square()),
 ], ids=["91", "92"])
 def test_square_term_reads_the_validated_state(evaluate, r, monkeypatch):
-    # 1 stacked eigh validates rho, A and B, 2 give R's spectrum (A+B, R)
-    # and 7 the perspective of t^2, whose state value does not validate rho
-    # again
+    # 1 eigh of the stack (rho, A, B, A+B) validates rho, A and B and
+    # gives the spectrum of A+B, 1 gives R's, and 7 the perspective of t^2,
+    # whose state value does not validate rho again
     A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=24), 0)
     rho = random_state(np.random.default_rng(25), 4)
     calls = []
@@ -147,7 +146,7 @@ def test_square_term_reads_the_validated_state(evaluate, r, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: calls.append(1) or eigh(*a, **k))
     evaluate(r, A, B, rho)
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("evaluate, r", [
@@ -295,27 +294,51 @@ class TestSpectrumPathOracle:
         assert math.isinf(integral_eval_91(both, B, A, rho)) == singular
 
 
+def _count_svd(monkeypatch) -> list:
+    """Count LAPACK SVDs, also those np.linalg.norm(M, 2) makes inside
+    numpy."""
+    calls = []
+    for module in (np.linalg, sys.modules["numpy.linalg._linalg"]):
+        svd = module.svd
+        monkeypatch.setattr(module, "svd", lambda *a, svd=svd, **k:
+                            calls.append(1) or svd(*a, **k))
+    return calls
+
+
 class TestSingularMass:
     def test_no_norm_without_singular_mass(self, monkeypatch):
         # full-rank B: no R eigenvalue at 1, so the singular mass is 0
         A, B = gen_pair(RandomSpec(3, 3, "well_conditioned", seed=20), 0)
         rho = random_state(np.random.default_rng(0), 3)
-        calls = []
-        monkeypatch.setattr(variational, "spectral_norm",
-                            lambda M: calls.append(1) or spectral_norm(M))
+        calls = _count_svd(monkeypatch)
         assert math.isfinite(integral_eval_91(repr77_tlogt(48), A, B, rho))
         assert math.isfinite(integral_eval_92(repr97_t_alpha(1.5, 48), A, B, rho))
         assert not calls
+
+    @pytest.mark.parametrize("profile", ["rank_deficient", "projection"])
+    def test_singular_mass_needs_no_svd(self, profile, monkeypatch):
+        # the norms of A and B come from the eigh that validates them
+        spec = RandomSpec(4, 4, profile, seed=20)
+        calls = _count_svd(monkeypatch)
+        infinite = 0
+        for trial in range(6):
+            A, B = gen_pair(spec, trial)
+            rho = random_state(np.random.default_rng((20, trial)), 4)
+            for r, evaluate in ((repr77_tlogt(48), integral_eval_91),
+                                (repr97_t_alpha(1.5, 48), integral_eval_92)):
+                infinite += math.isinf(evaluate(r, A, B, rho))
+        assert infinite and not calls
 
     def test_decision_unchanged(self):
         A, _ = gen_pair(RandomSpec(3, 3, "rank_deficient", seed=20), 0)
         rho = random_state(np.random.default_rng(0), 3)
         tr = float(np.trace(rho).real)
-        cut = SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(A))
+        norm = spectral_norm(A)
+        cut = SINGULAR_MASS_REL_TOL * tr * (1.0 + norm)
         floor = SINGULAR_MASS_REL_TOL * tr
         for mass in (0.0, floor / 2, floor, (floor + cut) / 2, cut,
                      cut * (1 + 1e-12), 2 * cut, 1.0):
-            assert _singular(mass, rho, A) == (mass > cut), mass
+            assert _singular(mass, rho, norm) == (mass > cut), mass
 
 
 class TestTwoProjections:
