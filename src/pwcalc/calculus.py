@@ -176,13 +176,13 @@ def _same_shape(A, B):
     return A, B
 
 
-def _sequential_pair(A, B):
-    """A and B as complex PSD arrays, validated one at a time; their shapes
-    are compared before either is validated, so a mismatch raises before
-    any eigh."""
+def _sequential_pair(A, B, names=("A", "B")):
+    """A and B as complex PSD arrays, validated one at a time and named in
+    errors by `names`; their shapes are compared before either is
+    validated, so a mismatch raises before any eigh."""
     A, B = _same_shape(A, B)
-    return (require_psd(A, name="A", atol=1e-9),
-            require_psd(B, name="B", atol=1e-9))
+    return (require_psd(A, name=names[0], atol=1e-9),
+            require_psd(B, name=names[1], atol=1e-9))
 
 
 def _validated_pair(A, B):
@@ -253,7 +253,7 @@ def compatible_representation(A: np.ndarray, B: np.ndarray,
     return CompatibleRepresentation(h_ab, t_map, R, S)
 
 
-def _pair_spectrum(A: np.ndarray, B: np.ndarray):
+def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     """The compatible representation of (A, B) as a spectrum, from one eigh
     of A+B and one of R: (t, X) with A = X* diag(t) X, B = X* diag(1 - t) X.
 
@@ -264,17 +264,17 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray):
     trusts its input: A and B are the Hermitian parts that
     _checked_pair_spectrum (or _validated_state_pair) has validated or is
     about to, so it validates nothing again.  An input that fails
-    validation may still raise here, as NotPsdError naming A + B.
+    validation may still raise here, as NotPsdError naming A + B (`names`).
     """
-    _, _, r, X = _pair_spectra(A, B)
+    _, _, r, X = _pair_spectra(A, B, names)
     return np.clip(r, 0.0, 1.0), X
 
 
-def _pair_spectra(A: np.ndarray, B: np.ndarray):
+def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     """_pair_spectrum with the spectra it reads: (w, keep, r, X), w the
     eigenvalues of A+B with keep marking those above the rank cut, r the
-    eigenvalues of R before clipping."""
-    w, V, keep = _range_eigh(A + B, None, name="A + B")
+    eigenvalues of R before clipping.  An error names the sum by `names`."""
+    w, V, keep = _range_eigh(A + B, None, name=" + ".join(names))
     return (w, keep, *_r_spectrum(A, w, V, keep))
 
 
@@ -316,15 +316,15 @@ def _certified(w: np.ndarray, keep: np.ndarray, r: np.ndarray) -> bool:
     return float(r[0]) * ratio > bound and (1.0 - float(r[-1])) * ratio > bound
 
 
-def _sequential_pair_spectrum(A, B):
+def _sequential_pair_spectrum(A, B, names):
     """_pair_spectrum of the pair _sequential_pair validates, with it."""
-    A, B = _sequential_pair(A, B)
-    return A, B, *_pair_spectrum(A, B)
+    A, B = _sequential_pair(A, B, names)
+    return A, B, *_pair_spectrum(A, B, names)
 
 
-def _checked_pair_spectrum(A, B):
+def _checked_pair_spectrum(A, B, names=("A", "B")):
     """(A, B, t, X): the pair as _validated_pair returns it, and its
-    _pair_spectrum (t, X), for the public calls on a pair.
+    _pair_spectrum (t, X), for the public calls on a pair (named `names`).
 
     The square, finite and Hermitian checks run first, over the stack of A
     and B (_hermitian_stack); the kernel then runs on their Hermitian parts.
@@ -340,16 +340,16 @@ def _checked_pair_spectrum(A, B):
     """
     H = _hermitian_stack((A, B), (1e-9, 1e-9))
     if H is None:
-        return _sequential_pair_spectrum(A, B)
+        return _sequential_pair_spectrum(A, B, names)
     Ah, Bh = H
     try:
-        w, keep, r, X = _pair_spectra(Ah, Bh)
+        w, keep, r, X = _pair_spectra(Ah, Bh, names)
     except Exception as exc:  # on input that may yet fail validation
         held, certified = exc, False
     else:
         held, certified = None, _certified(w, keep, r)
     if not certified and not _psd_stack(H):
-        return _sequential_pair_spectrum(A, B)
+        return _sequential_pair_spectrum(A, B, names)
     if held is not None:
         raise held
     return Ah, Bh, np.clip(r, 0.0, 1.0), X

@@ -234,8 +234,8 @@ class Subspace:
         w, V = eigh(self.projector())
         return _trusted(Subspace, basis=V[:, : n - k])
 
-    def contains(self, other: "Subspace", cos_tol: float = 1e-8) -> bool:
-        """True iff every principal-angle cosine of `other` against self is ~1."""
+    def contains(self, other: "Subspace", cos_tol: float) -> bool:
+        """True iff every principal-angle cosine of `other` against self is >= 1 - cos_tol."""
         if other.dim == 0:
             return True
         if self.dim == 0:
@@ -245,7 +245,7 @@ class Subspace:
             return False
         return bool(sv.min() >= 1.0 - cos_tol)
 
-    def same_as(self, other: "Subspace", cos_tol: float = 1e-8) -> bool:
+    def same_as(self, other: "Subspace", cos_tol: float) -> bool:
         return (self.dim == other.dim and self.contains(other, cos_tol)
                 and other.contains(self, cos_tol))
 

@@ -44,9 +44,7 @@ from .linalg import (
     default_rank_tol,
     eigh,
     hermitian_part,
-    pinv_sqrt,
     psd_pinv,
-    range_subspace,
     require_psd,
     require_state,
     spectral_norm,
@@ -345,20 +343,15 @@ def matrix_power_psd(M: np.ndarray, p: float) -> np.ndarray:
 def dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
     """min {lambda >= 0 : X <= lambda Y}, or +inf when no lambda exists.
 
-    Finite at finite dimension iff range(X) is contained in range(Y); the
-    value is the top eigenvalue of Y^{+1/2} X Y^{+1/2}.
+    max t / (1 - t) over the pair kernel's spectrum t of (X, Y), and +inf
+    when max t >= 1 - ENDPOINT_TOL: finite exactly when X is Y-absolutely
+    continuous (so +inf past lambda ~ 1 / ENDPOINT_TOL).  Errors name X, Y.
     """
-    X, Y = _same_shape(X, Y)
-    X = require_psd(X, name="X", atol=1e-9)
-    Y = require_psd(Y, name="Y", atol=1e-9)
-    rx = range_subspace(X)
-    ry = range_subspace(Y)
-    if not ry.contains(rx, 1e-8):
+    t = _checked_pair_spectrum(X, Y, ("X", "Y"))[2]
+    top = float(t.max(initial=0.0))
+    if top >= 1.0 - ENDPOINT_TOL:
         return INF
-    inv_half, _ = pinv_sqrt(Y)
-    M = hermitian_part(inv_half @ X @ inv_half)
-    w, _ = eigh(M)
-    return float(max(w.max(initial=0.0), 0.0))
+    return top / (1.0 - top)
 
 
 @dataclass(frozen=True)
@@ -372,17 +365,17 @@ class T2Bound:
 def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
     """Boundedness of the squared perspective and its exact norm.
 
-    Bounded iff ker B is contained in ker A; then the norm is
-    |A B^{+1/2}|^2, certified both ways by semidefinite form checks (the
-    minimum exists but no algorithm is given for it, so the pseudo-inverse
-    construction is certified after the fact).
+    Bounded when max t < 1 - ENDPOINT_TOL over the pair kernel's spectrum
+    (t, X), as perspective_apply decides it; then min {lambda : A^2 <=
+    lambda B} is the norm of the t^2 perspective X* diag(t^2/(1-t)) X,
+    certified both ways after the fact by semidefinite form checks.
     """
-    A, B = _sequential_pair(A, B)
-    ra, rb = range_subspace(A), range_subspace(B)
-    if not rb.contains(ra, 1e-8):
+    A, B, t, X = _checked_pair_spectrum(A, B)
+    if not (t < 1.0 - ENDPOINT_TOL).all():
         return T2Bound(False, INF, False, False)
-    inv_half, _ = pinv_sqrt(B)
-    lam = spectral_norm(A @ inv_half) ** 2
+    g = t * t / (1.0 - t)
+    w, _ = eigh(hermitian_part(X.conj().T @ (g[:, None] * X)))
+    lam = max(float(w[-1]), 0.0)
     A2 = hermitian_part(A @ A)
     scale = 1.0 + lam * spectral_norm(B) + spectral_norm(A2)
     w_up, _ = eigh(hermitian_part(lam * B - A2))
@@ -392,7 +385,7 @@ def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
         delta = 1e-4 * lam
         w_lo, _ = eigh(hermitian_part((lam - delta) * B - A2))
         lower_fails = bool(w_lo.min(initial=0.0) < 0.0)
-    return T2Bound(True, float(lam), upper, lower_fails)
+    return T2Bound(True, lam, upper, lower_fails)
 
 
 @dataclass
@@ -405,6 +398,12 @@ class ChainReport:
     violated: list
 
 
+def _unit_dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
+    """dominates_scale(X, Y) read with each side scaled to spectral norm 1."""
+    x, y = spectral_norm(X) or 1.0, spectral_norm(Y) or 1.0
+    return dominates_scale(X / x, Y / y) * (x / y)
+
+
 def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
                       trials: int = 500, seed: int = 0) -> ChainReport:
     """Evaluate conditions (a)-(e) for t^alpha boundedness and assert the chain
@@ -412,19 +411,19 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
 
     (a) A^2 <= lambda B, (b) the perspective of t^alpha is bounded,
     (c) A^alpha <= lambda B^(alpha-1), (d) the unit-vector scalar inequality,
-    (e) A <= lambda B^((alpha-1)/alpha).  Each existential lambda is decided
-    by the pseudo-inverse norm construction; (d) also samples unit vectors
-    for the reported constant.
+    (e) A <= lambda B^((alpha-1)/alpha).  Each is decided by the pair
+    kernel's rule max t < 1 - ENDPOINT_TOL, (c) and (e) with each side
+    scaled to norm 1, as the rule reads their relative scale (so near the
+    cliff at alpha < 2, (c) can hold where (d) fails); (d) also samples
+    unit vectors for the reported constant.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
     A, B = _sequential_pair(A, B)
-    lam_a = dominates_scale(hermitian_part(A @ A), B)
+    a2 = t2_bound(A, B)
     res_b = perspective_apply(catalog("power", alpha), A, B)
-    lam_c = dominates_scale(matrix_power_psd(A, alpha),
-                            matrix_power_psd(B, alpha - 1.0))
-    ra, rb = range_subspace(A), range_subspace(B)
-    cond_d = rb.contains(ra, 1e-8)
+    lam_c = _unit_dominates_scale(matrix_power_psd(A, alpha),
+                                  matrix_power_psd(B, alpha - 1.0))
     rng = np.random.default_rng(seed)
     n = A.shape[0]
     lam_d = 0.0
@@ -437,18 +436,18 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
             lam_d = INF if qa > 0.0 else lam_d
         else:
             lam_d = max(lam_d, qa ** alpha / qb ** (alpha - 1.0))
-    lam_e = dominates_scale(A, matrix_power_psd(B, (alpha - 1.0) / alpha))
+    lam_e = _unit_dominates_scale(A, matrix_power_psd(B, (alpha - 1.0) / alpha))
     conds = {
-        "a": math.isfinite(lam_a),
+        "a": a2.bounded,
         "b": res_b.bounded,
         "c": math.isfinite(lam_c),
-        "d": bool(cond_d),
+        "d": is_absolutely_continuous(A, B),
         "e": math.isfinite(lam_e),
     }
     chain = [("a", "b"), ("b", "d"), ("d", "e"), ("a", "c"), ("c", "d")]
     violated = [f"{p}=>{q}" for p, q in chain if conds[p] and not conds[q]]
     return ChainReport(conds,
-                       {"a": lam_a, "c": lam_c, "d": lam_d, "e": lam_e},
+                       {"a": a2.lambda_min, "c": lam_c, "d": lam_d, "e": lam_e},
                        not violated, violated)
 
 

@@ -70,12 +70,12 @@ def _singular(mass: float, rho: np.ndarray, norm: float) -> bool:
     return mass > floor * (1.0 + norm)
 
 
-def _parallel_sum_pairings(t: np.ndarray, m: np.ndarray,
-                           lam: np.ndarray) -> np.ndarray:
-    """rho(A : lB) at every node l, from the spectrum weights of R."""
-    s = 1.0 - t
-    lam = lam[:, None]
-    return (lam * t * s / (t + lam * s)) @ m
+def _integrand(num: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """num_i / (t_i + l (1 - t_i)) at each node l (rows) and eigenvalue t_i
+    of R (columns).  With the state weights m it is eq. 9.1's integrand for
+    num = (2t - 1)^2 and eq. 9.2's for num = t^2, free of their cancellation
+    and, weighted before m, of overflow near the float limit."""
+    return num / (t + lam[:, None] * (1.0 - t))
 
 
 def _t2_term(A, B, rho) -> float:
@@ -108,10 +108,8 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     if r.mu.infinite_inv_mass and _singular(m[t <= ENDPOINT_TOL].sum(),
                                             rho, norm_b):
         return INF
-    lam = r.mu.locations
-    ps = _parallel_sum_pairings(t, m, lam)
-    integrand = rho_a + rho_b / lam - ((1.0 + lam) / lam) ** 2 * ps
-    terms.append(float(np.dot(r.mu.weights, integrand)))
+    kernel = _integrand((2.0 * t - 1.0) ** 2, t, r.mu.locations)
+    terms.append(float(r.mu.weights @ kernel @ m))
     return xadd(*terms)
 
 
@@ -130,8 +128,8 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     if r.nu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(),
                                         rho, norm_a):
         return INF
-    ps = _parallel_sum_pairings(t, m, r.nu.locations)
-    terms.append(float(np.dot(r.nu.weights, rho_a - ps)))
+    kernel = _integrand(t * t, t, r.nu.locations)
+    terms.append(float(r.nu.weights @ kernel @ m))
     return xadd(*terms)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pwcalc.calculus import (
+    ENDPOINT_TOL,
     HomogeneousFunction,
     check_homogeneity,
     invertible_formula,
@@ -13,7 +14,13 @@ from pwcalc.calculus import (
 )
 from pwcalc.extended import INF, evaluate_state, form_leq, quadratic_form
 from pwcalc.functions import catalog, transpose
-from pwcalc.linalg import hermitian_part, vector_state
+from pwcalc.linalg import (
+    NonFiniteError,
+    NotHermitianError,
+    NotPsdError,
+    hermitian_part,
+    vector_state,
+)
 from pwcalc.perspectives import (
     boundedness_chain,
     check_ah_inequality,
@@ -65,6 +72,9 @@ CONNECTION = lambda A, B, rho: connection(connection_generator("geometric"),
                                           A, B)
 LEBESGUE = lambda A, B, rho: lebesgue_decomposition(A, B)
 ABS_CONT = lambda A, B, rho: is_absolutely_continuous(A, B)
+DOMINATES = lambda A, B, rho: dominates_scale(A, B)
+T2 = lambda A, B, rho: t2_bound(A, B)
+CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 
 
 # _pair_spectrum makes one eigh of A + B and one of R; a definite pair whose
@@ -73,7 +83,11 @@ ABS_CONT = lambda A, B, rho: is_absolutely_continuous(A, B)
 # A and B and the spectrum of A + B from one eigh of their 4-stack, then
 # decompose R; perspective_apply keeps the 7 of
 # compatible_representation and _assemble, and pw_apply_restricted checks
-# its cone on the spectrum _assemble reads
+# its cone on the spectrum _assemble reads.  dominates_scale reads the pair
+# kernel alone; t2_bound adds, on a bounded pair, one eigh for its norm and
+# two for its form certificates; the chain adds to those two eigh per
+# matrix power, with the kernel of each powered pair.  The rank-deficient
+# pair is bounded in this order (range A in range B) and unbounded swapped
 @pytest.mark.parametrize("call, profile, eigh_calls", [
     (CONNECTION, "rank_deficient", 3),
     (LEBESGUE, "rank_deficient", 3),
@@ -86,14 +100,25 @@ ABS_CONT = lambda A, B, rho: is_absolutely_continuous(A, B)
      "rank_deficient", 7),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
      "rank_deficient", 7),
+    (DOMINATES, "rank_deficient", 3),
+    (T2, "rank_deficient", 6),
+    (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3),
+    (CHAIN, "rank_deficient", 30),
     (CONNECTION, "well_conditioned", 2),
     (LEBESGUE, "well_conditioned", 2),
     (ABS_CONT, "well_conditioned", 2),
+    (DOMINATES, "well_conditioned", 2),
+    (T2, "well_conditioned", 5),
+    (CHAIN, "well_conditioned", 26),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "perspective_apply",
-        "pw_apply_restricted", "connection-well_conditioned",
+        "pw_apply_restricted", "dominates_scale", "t2_bound",
+        "t2_bound-unbounded", "boundedness_chain",
+        "connection-well_conditioned",
         "lebesgue_decomposition-well_conditioned",
-        "is_absolutely_continuous-well_conditioned"])
+        "is_absolutely_continuous-well_conditioned",
+        "dominates_scale-well_conditioned", "t2_bound-well_conditioned",
+        "boundedness_chain-well_conditioned"])
 def test_eigh_calls_per_call(call, profile, eigh_calls, monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
     rho = random_state(np.random.default_rng(5), 4)
@@ -508,6 +533,151 @@ class TestBoundednessChain:
             A, B = gen_pair(spec, trial)
             rep = boundedness_chain(1.7, A, B, trials=100, seed=trial)
             assert rep.implications_ok, rep.violated
+
+
+TILT_KERNEL = np.diag([1.0, 0.0])
+
+
+def _tilt(eps: float) -> np.ndarray:
+    """v v* with v = (1, eps): range tilted by about eps off range(TILT_KERNEL)."""
+    v = np.array([1.0, eps])
+    return np.outer(v, v)
+
+
+def _containment_corpus():
+    """(id, A, B) pairs near the containment boundary: tilts of range(A) off
+    range(B), and A = I against B = diag(1, eps) (also rotated) just on
+    either side of the endpoint cliff, where 1 - max t = eps / (1 + eps)."""
+    pairs = [(f"tilt-1e-{k}", _tilt(10.0 ** -k), TILT_KERNEL)
+             for k in range(3, 13)]
+    c, s = math.cos(0.3), math.sin(0.3)
+    U = np.array([[c, -s], [s, c]])
+    for base in (1e-9, 1e-10):
+        for side in (1.0 - 1e-3, 1.0 + 1e-3):
+            B = np.diag([1.0, base * side])
+            pairs.append((f"cliff_{base * side:.4g}", np.eye(2), B))
+            pairs.append((f"cliff_{base * side:.4g}_rotated", np.eye(2),
+                          hermitian_part(U @ B @ U.T)))
+    return pairs
+
+
+CORPUS = _containment_corpus()
+CORPUS_SCALES = (1.0, 1e-100, 1e100)
+
+
+class TestContainmentCorpus:
+    """Every containment question is decided by one rule: max t < 1 -
+    ENDPOINT_TOL on the pair kernel's spectrum of R."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_tilted_range_is_not_contained(self, eps):
+        A, B = _tilt(eps), TILT_KERNEL
+        assert not perspective_apply(catalog("power", 2), A, B).bounded
+        assert not is_absolutely_continuous(A, B)
+        assert not t2_bound(A, B).bounded
+        assert dominates_scale(A, B) == INF
+        assert boundedness_chain(2.0, A, B).violated == []
+
+    @pytest.mark.parametrize("scale", CORPUS_SCALES)
+    @pytest.mark.parametrize("name, A, B", CORPUS,
+                             ids=[name for name, _, _ in CORPUS])
+    def test_one_decision(self, name, A, B, scale):
+        A, B = scale * A, scale * B
+        chain = boundedness_chain(2.0, A, B, trials=20)
+        decisions = {
+            "perspective_apply": perspective_apply(catalog("power", 2),
+                                                   A, B).bounded,
+            "is_absolutely_continuous": is_absolutely_continuous(A, B),
+            "lebesgue_decomposition": not np.abs(
+                lebesgue_decomposition(A, B).singular_part).max() > 0,
+            "t2_bound": t2_bound(A, B).bounded,
+            "dominates_scale": math.isfinite(dominates_scale(A, B)),
+            "chain-a": chain.conditions["a"],
+            "chain-b": chain.conditions["b"],
+            "chain-d": chain.conditions["d"],
+        }
+        assert len(set(decisions.values())) == 1, decisions
+        assert chain.violated == []
+        if name.startswith("cliff"):
+            eps = float(name.split("_")[1])
+            assert decisions["t2_bound"] == (eps / (1.0 + eps) > ENDPOINT_TOL)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.7])
+    @pytest.mark.parametrize("name, A, B", CORPUS,
+                             ids=[name for name, _, _ in CORPUS])
+    def test_chain_below_two(self, name, A, B, alpha):
+        # B^(alpha-1) lifts the cliff's eps out of the endpoint band, so (c)
+        # holds where (d) does not: the one violation the rule leaves
+        rep = boundedness_chain(alpha, A, B, trials=20)
+        inside = name.startswith("cliff") and not rep.conditions["d"]
+        assert rep.violated == (["c=>d"] if inside else [])
+
+
+class TestContainmentIdentity:
+    """The rule read by different calls gives the same answer."""
+
+    @pytest.mark.parametrize("profile", ["well_conditioned", "rank_deficient",
+                                         "projection"])
+    def test_decisions_agree(self, profile):
+        f2 = catalog("power", 2)
+        spec = RandomSpec(2, 6, profile, seed=1010)
+        contained = 0
+        for trial in range(12):
+            pair = gen_pair(spec, trial)
+            for X, Y in (pair, pair[::-1]):
+                ac = is_absolutely_continuous(X, Y)
+                assert math.isfinite(dominates_scale(X, Y)) == ac, trial
+                bounded = t2_bound(X, Y).bounded
+                assert bounded == perspective_apply(f2, X, Y).bounded, trial
+                assert bounded == ac, trial
+                contained += ac
+        assert contained
+
+
+def _mp_top(X: np.ndarray, Y: np.ndarray, mpmath):
+    """Top eigenvalue of Y^-1/2 X Y^-1/2 in 50 digits, for definite Y."""
+    to_mp = lambda M: mpmath.matrix([[mpmath.mpc(complex(v)) for v in row]
+                                     for row in M])
+    w, V = mpmath.eighe(to_mp(Y))
+    inv_half = V * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * V.H
+    M = inv_half * to_mp(X) * inv_half
+    return max(mpmath.eighe((M + M.H) / 2, eigvals_only=True))
+
+
+@pytest.mark.parametrize("decade", range(10))
+def test_dominance_scale_against_mpmath(decade):
+    # 1 - t loses digits as lambda grows; the error stays of order eps lambda
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng((1011, decade))
+    lam = 10.0 ** decade
+    for n in (2, 3, 4):
+        U, V = haar_unitary(rng, n), haar_unitary(rng, n)
+        y = np.concatenate(([1.0 / lam], rng.uniform(0.5, 1.0, n - 1)))
+        X = hermitian_part((U * rng.uniform(0.5, 1.0, n)) @ U.conj().T)
+        Y = hermitian_part((V * y) @ V.conj().T)
+        tol = 100 * n * np.finfo(float).eps * (1.0 + lam)
+        for got, X_ref in ((dominates_scale(X, Y), X),
+                           (t2_bound(X, Y).lambda_min, X @ X)):
+            want = float(_mp_top(X_ref, Y, mpmath))
+            assert abs(got - want) <= tol * want, (n, got, want)
+
+
+@pytest.mark.parametrize("X, Y, error, message", [
+    (np.diag([-1.0, 1.0]), np.eye(2), NotPsdError, r"^X is not PSD: "),
+    (np.eye(2), np.diag([1.0, -1.0]), NotPsdError, r"^Y is not PSD: "),
+    (np.diag([np.nan, 1.0]), np.eye(2), NonFiniteError,
+     r"^X has a non-finite \(NaN or inf\) entry$"),
+    (np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), NotHermitianError,
+     r"^Y is not Hermitian: "),
+    (np.diag([1e308, 1.0]), np.diag([1e308, 1.0]), NonFiniteError,
+     r"^X \+ Y has a non-finite \(NaN or inf\) eigenvalue$"),
+], ids=["X-not-psd", "Y-not-psd", "X-non-finite", "Y-not-hermitian",
+        "sum-overflows"])
+def test_dominates_scale_names_its_arguments(X, Y, error, message):
+    # numpy warns as the sum overflows; the error is what is pinned here
+    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        dominates_scale(X, Y)
 
 
 class TestAhInequality:

@@ -24,7 +24,7 @@ from pwcalc.variational import (
     SINGULAR_MASS_REL_TOL,
     Decomposition,
     _gauss_jacobi,
-    _parallel_sum_pairings,
+    _integrand,
     _singular,
     constant_decomposition,
     integral_eval_91,
@@ -166,6 +166,18 @@ def test_state_of_another_size_is_rejected_before_any_eigh(evaluate, r,
     assert not calls
 
 
+@pytest.mark.parametrize("evaluate, r, f", [
+    (integral_eval_91, repr77_tlogt(), catalog("tlogt")),
+    (integral_eval_92, repr97_t_alpha(1.5), catalog("power", 1.5)),
+], ids=["91", "92"])
+def test_integrand_does_not_overflow_near_the_float_limit(evaluate, r, f):
+    # a valid pair of norm 1e307: eq. 9.1's rho(B)/l term overflowed at the
+    # smallest nodes, then cancelled as inf - inf
+    A, B, rho = np.diag([1e307, 1.0]), np.diag([1e307, 2.0]), np.eye(2) / 2
+    want = evaluate_state(perspective_apply(f, A, B).value, rho)
+    assert abs(evaluate(r, A, B, rho) - want) <= 1e-12 * 1e307
+
+
 def _pairing(rho, M) -> float:
     return float(np.trace(rho @ M).real)
 
@@ -240,9 +252,15 @@ class TestSpectrumPathOracle:
                 for name, r, evaluate in ORACLE_REPRS:
                     lam = (r.mu if isinstance(r, IntegralRepr77) else r.nu).locations
                     ps = _oracle_pairings(A, B, rho, lam)
-                    # relative to rho(A + lB), which bounds 4 rho(A : lB)
-                    err = np.abs(_parallel_sum_pairings(t, m, lam) - ps)
-                    assert (err <= 1e-9 * (ra + lam * rb)).all(), (name, n, trial)
+                    # the closed-form integrand against the oracle's terms,
+                    # relative to the sum of those terms' magnitudes
+                    if isinstance(r, IntegralRepr77):
+                        num = (2.0 * t - 1.0) ** 2
+                        a, b = ra + rb / lam, ((1.0 + lam) / lam) ** 2 * ps
+                    else:
+                        num, a, b = t * t, ra, ps
+                    err = np.abs(_integrand(num, t, lam) @ m - (a - b))
+                    assert (err <= 1e-9 * (a + np.abs(b))).all(), (name, n, trial)
                     want = _oracle_eval(r, A, B, rho, ps)
                     got = evaluate(r, A, B, rho)
                     assert math.isinf(got) == math.isinf(want), (name, n, trial)
