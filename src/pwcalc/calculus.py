@@ -51,6 +51,7 @@ from .linalg import (
     EPS,
     HERMITIAN_ATOL,
     Subspace,
+    _concurrently,
     _hermitian_stack,
     _psd_spectra,
     _psd_stack,
@@ -235,11 +236,27 @@ def compatible_representation(A: np.ndarray, B: np.ndarray,
     representation from one eigh of A+B and one of R, and the tests compare
     the two.  pw_apply (so perspective_apply) still builds on this one: the
     benchmark's self-test pins perspective_apply at 7 eigh calls.
+
+    The validations of A and B run two at a time on large pairs
+    (linalg._concurrently), with the results of the one-at-a-time run to
+    the last bit and A's error before B's.  psd_sqrt and pinv_sqrt of A+B
+    are independent too, but they run in order: two at a time, they made
+    calls at n = 64...256 about 8% faster still on 2 CPUs, and added about
+    5 MB, 8%, to the peak memory of the process (glibc keeps the worker's
+    heap).  A sum that overflows reaches the rank cut, which raises
+    NonFiniteError.
     """
-    A, B = _sequential_pair(A, B)
-    S_sum = A + B  # exactly Hermitian, as A and B are
+    A, B = _same_shape(A, B)
+    A, B = _concurrently(len(A), lambda: require_psd(A, name="A", atol=1e-9),
+                         lambda: require_psd(B, name="B", atol=1e-9))
+    with np.errstate(over="ignore"):
+        S_sum = A + B  # exactly Hermitian, as A and B are
+    # B (made on the worker thread's heap) and the sum are freed once spent:
+    # at n = 256 that keeps about 4 MB off the peak memory
+    del B
     sq = psd_sqrt(S_sum)
     inv_half, h_ab = pinv_sqrt(S_sum, rank_tol=rank_tol)
+    del S_sum
     Uh = h_ab.basis.conj().T
     t_map = Uh @ sq
     R = hermitian_part(Uh @ inv_half @ A @ inv_half @ h_ab.basis)
@@ -274,7 +291,9 @@ def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     """_pair_spectrum with the spectra it reads: (w, keep, r, X), w the
     eigenvalues of A+B with keep marking those above the rank cut, r the
     eigenvalues of R before clipping.  An error names the sum by `names`."""
-    w, V, keep = _range_eigh(A + B, None, name=" + ".join(names))
+    with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+        S = A + B
+    w, V, keep = _range_eigh(S, None, name=" + ".join(names))
     return (w, keep, *_r_spectrum(A, w, V, keep))
 
 
@@ -393,7 +412,8 @@ def _checked_state_spectrum(rho, A, B):
     n = H.shape[-1]
     S = np.empty((4, n, n), dtype=complex)
     S[:3] = H
-    np.add(H[1], H[2], out=S[3])
+    with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+        np.add(H[1], H[2], out=S[3])
     try:
         w, V = np.linalg.eigh(S)
     except np.linalg.LinAlgError:

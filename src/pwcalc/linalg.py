@@ -16,8 +16,11 @@ construction and skip that check (`_trusted`).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,9 @@ HERMITIAN_ATOL = 1e-12
 FILE_HERMITIAN_ATOL = 1e-9
 # Principal-angle cosine threshold for subspace intersection.
 MEET_COS_TOL = 1e-10
+# Order from which _concurrently runs its two thunks at once: below it,
+# handing one to the worker thread costs more than it saves.
+CONCURRENT_MIN_N = 64
 
 
 class NotHermitianError(ValueError):
@@ -59,6 +65,60 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+@functools.cache
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on, read once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The one worker thread of _concurrently, made on first use under the lock.
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _worker():
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _executor = ThreadPoolExecutor(1, thread_name_prefix="pwcalc")
+        return _executor
+
+
+def _forget_worker():
+    """In a forked child: the parent's worker thread does not run here, and
+    the lock may have been held by a thread that does not either."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _concurrently(n: int, first, second):
+    """(first(), second()) for two independent thunks on n x n matrices.
+
+    From n = CONCURRENT_MIN_N on, and when the process may use two CPUs,
+    second runs on the worker thread while first runs on the calling
+    thread; LAPACK releases the GIL, so two decompositions overlap.
+    Otherwise both run in order on the calling thread.  Either way each
+    thunk computes what it computes alone, and the first thunk's exception
+    wins, then the second's.  The thunks must not call _concurrently.
+    """
+    if n < CONCURRENT_MIN_N or _cpu_count() < 2:
+        return first(), second()
+    future = _worker().submit(second)
+    try:
+        result = first()
+    finally:
+        future.exception()  # wait for the worker before either result
+    return result, future.result()
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:

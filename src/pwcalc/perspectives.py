@@ -362,6 +362,15 @@ class T2Bound:
     lower_fails: bool          # A^2 <= (lambda_min - delta) B failed, as it must
 
 
+def _t2_form_holds(lam: float, A2: np.ndarray, B: np.ndarray) -> bool:
+    """A^2 <= lam B by the form check: the least eigenvalue of lam B - A^2
+    is at least -1e-8 (lam |B| + |A^2|), a slack relative to the pair's
+    scale, so that the check reads the same at every joint scaling."""
+    scale = lam * spectral_norm(B) + spectral_norm(A2)
+    w, _ = eigh(hermitian_part(lam * B - A2))
+    return bool(w.min(initial=0.0) >= -1e-8 * scale)
+
+
 def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
     """Boundedness of the squared perspective and its exact norm.
 
@@ -377,9 +386,7 @@ def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
     w, _ = eigh(hermitian_part(X.conj().T @ (g[:, None] * X)))
     lam = max(float(w[-1]), 0.0)
     A2 = hermitian_part(A @ A)
-    scale = 1.0 + lam * spectral_norm(B) + spectral_norm(A2)
-    w_up, _ = eigh(hermitian_part(lam * B - A2))
-    upper = bool(w_up.min(initial=0.0) >= -1e-8 * scale)
+    upper = _t2_form_holds(lam, A2, B)
     lower_fails = True
     if lam > 0:
         delta = 1e-4 * lam

@@ -1,4 +1,11 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +33,8 @@ from pwcalc.extended import (
     quadratic_form,
 )
 from pwcalc.functions import ExtendedFunction, Interval, catalog
-from pwcalc.linalg import full_space, hermitian_part, spectral_norm
+from pwcalc import linalg
+from pwcalc.linalg import NotPsdError, full_space, hermitian_part, spectral_norm
 from pwcalc.perspectives import (
     is_absolutely_continuous,
     lebesgue_decomposition,
@@ -485,3 +493,136 @@ class TestRestricted:
             A, B = gen_pair(spec, trial)
             out = pw_apply_restricted(phi, A, B, side="ge")
             assert out.is_bounded
+
+
+def _eigh_threads(monkeypatch):
+    """The set of threads that call np.linalg.eigh from now on."""
+    threads = set()
+    eigh = np.linalg.eigh
+
+    def traced(*a, **k):
+        threads.add(threading.get_ident())  # set.add holds the GIL
+        return eigh(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "eigh", traced)
+    return threads
+
+
+class TestConcurrentValidation:
+    """From n = CONCURRENT_MIN_N on, compatible_representation validates A
+    and B two at a time; the results must be the one-at-a-time run's to the
+    last bit, and the errors its errors."""
+
+    @pytest.mark.parametrize("profile", ["well_conditioned", "rank_deficient",
+                                         "projection"])
+    def test_bitwise_equal_to_one_at_a_time(self, profile, monkeypatch):
+        A, B = gen_pair(RandomSpec(64, 64, profile, seed=11), 0)
+        results, threads = [], []
+        for cpus in (2, 1):
+            monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+            with monkeypatch.context() as m:
+                threads.append(_eigh_threads(m))
+                results.append(perspective_apply(catalog("tlogt"), A, B))
+        assert [len(t) for t in threads] == [2, 1]
+        on, off = results
+        for a, b in ((on.value.finite_part, off.value.finite_part),
+                     (on.value.essential.basis, off.value.essential.basis),
+                     (on.r_eigenvalues, off.r_eigenvalues)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert on.endpoint_hits == off.endpoint_hits
+        assert on.value.lower_bound == off.value.lower_bound
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_first_error_wins(self, cpus, monkeypatch):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+        A = -np.eye(64)
+        with pytest.raises(NotPsdError, match="^A is not PSD"):
+            perspective_apply(catalog("tlogt"), A, 2 * A)
+        with pytest.raises(NotPsdError, match="^B is not PSD"):
+            perspective_apply(catalog("tlogt"), -A, A)
+
+    def test_helper_orders_results_and_errors(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        n = linalg.CONCURRENT_MIN_N
+        done = []
+
+        def slow_failure():
+            time.sleep(0.05)
+            done.append(1)
+            raise KeyError("second")
+
+        def fail():
+            raise ValueError("first")
+
+        assert linalg._concurrently(n, lambda: 1, lambda: 2) == (1, 2)
+        with pytest.raises(ValueError, match="first"):
+            linalg._concurrently(n, fail, slow_failure)
+        assert done == [1]  # the worker finished before the error was raised
+        with pytest.raises(KeyError, match="second"):
+            linalg._concurrently(n, lambda: 1, slow_failure)
+
+    def test_one_worker_under_contention(self, monkeypatch):
+        # eight callers start the worker at once, with the interpreter
+        # switching threads every microsecond: every second thunk must run
+        # on one and the same worker thread
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(linalg, "_executor", None)
+        n, seen = linalg.CONCURRENT_MIN_N, []
+
+        def caller():
+            for _ in range(50):
+                seen.append(linalg._concurrently(n, threading.get_ident,
+                                                 threading.get_ident))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(8)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            linalg._worker().shutdown()
+        assert not any(t.is_alive() for t in callers)
+        assert len(seen) == 400
+        workers = {second for _, second in seen}
+        assert len(workers) == 1
+        assert workers.isdisjoint(first for first, _ in seen)
+
+    def test_small_calls_start_no_worker(self):
+        code = (
+            "import sys, threading\n"
+            "import numpy as np, pwcalc as pw\n"
+            "from pwcalc.suites import RandomSpec, gen_pair\n"
+            "for n in range(2, 7):\n"
+            "    A, B = gen_pair(RandomSpec(n, n, 'rank_deficient', 3), 0)\n"
+            "    pw.perspective_apply(pw.catalog('tlogt'), A, B)\n"
+            "    pw.connection(pw.connection_generator('geometric'), A, B)\n"
+            "    pw.lebesgue_decomposition(A, B)\n"
+            "print('concurrent.futures' in sys.modules,"
+            " threading.active_count())\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(linalg.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.split() == ["False", "1"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        A, B = gen_pair(RandomSpec(64, 64, "well_conditioned", seed=12), 0)
+        expected = compatible_representation(A, B).r  # starts the worker
+        pid = os.fork()
+        if pid == 0:  # the child: a hang is killed by the alarm
+            code = 1
+            try:
+                signal.alarm(60)
+                got = compatible_representation(A, B).r
+                code = 0 if got.tobytes() == expected.tobytes() else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from pwcalc.variational import (
     SINGULAR_MASS_REL_TOL,
     _singular,
     integral_eval_91,
+    integral_eval_92,
     repr77_tlogt,
+    repr97_t_alpha,
 )
 from pwcalc.linalg import (
     HERMITIAN_ATOL,
@@ -383,11 +386,34 @@ class TestFloatLimitInput:
         lambda A: integral_eval_91(repr77_tlogt(32), A, A, np.eye(2) / 2),
     ], ids=["connection", "lebesgue_decomposition", "integral_eval_91"])
     def test_overflowing_sum_is_rejected_naming_it(self, call):
-        # A and B are valid; the kernel's A + B overflows (numpy's overflow
-        # warning is silenced here, to see what the library answers)
-        with np.errstate(over="ignore"), pytest.raises(
-                NonFiniteError, match=r"^A \+ B has a non-finite"):
+        # A and B are valid; the kernel's A + B overflows
+        with pytest.raises(NonFiniteError, match=r"^A \+ B has a non-finite"):
             call(BIG_PSD)
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("call", [
+        lambda A, B: perspective_apply(catalog("tlogt"), A, B),
+        lambda A, B: connection(connection_generator("geometric"), A, B),
+        lambda A, B: lebesgue_decomposition(A, B),
+        lambda A, B: integral_eval_91(repr77_tlogt(32), A, B, np.eye(2) / 2),
+        lambda A, B: integral_eval_92(repr97_t_alpha(1.5, 32), A, B,
+                                      np.eye(2) / 2),
+    ], ids=["perspective_apply", "connection", "lebesgue_decomposition",
+            "integral_eval_91", "integral_eval_92"])
+    def test_overflowing_sum_warns_nothing(self, call, action):
+        # the sum of a pair is formed with numpy's overflow silenced: the
+        # valid pair's inf sum fails the rank cut, and the invalid pair's
+        # -inf sum never hides A's own error, under either warning filter
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(NonFiniteError,
+                               match=r"has a non-finite \(NaN or inf\) "
+                                     r"eigenvalue$"):
+                call(BIG_PSD, BIG_PSD)
+            with pytest.raises(NotPsdError,
+                               match=r"^A is not PSD: min eigenvalue -1\.000e"):
+                call(NEAR_LIMIT, NEAR_LIMIT)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestSubspaceValidation:

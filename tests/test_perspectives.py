@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from pwcalc.calculus import (
     pw_apply_restricted,
     pw_commuting_oracle,
 )
+from pwcalc import linalg
 from pwcalc.extended import INF, evaluate_state, form_leq, quadratic_form
 from pwcalc.functions import catalog, transpose
 from pwcalc.linalg import (
@@ -22,6 +24,7 @@ from pwcalc.linalg import (
     vector_state,
 )
 from pwcalc.perspectives import (
+    _t2_form_holds,
     boundedness_chain,
     check_ah_inequality,
     check_positive_map_monotonicity,
@@ -87,7 +90,12 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # kernel alone; t2_bound adds, on a bounded pair, one eigh for its norm and
 # two for its form certificates; the chain adds to those two eigh per
 # matrix power, with the kernel of each powered pair.  The rank-deficient
-# pair is bounded in this order (range A in range B) and unbounded swapped
+# pair is bounded in this order (range A in range B) and unbounded swapped.
+# At n = 64 perspective_apply validates A and B two at a time, on the
+# calling thread and the worker, and still makes 7.
+PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
+
+
 @pytest.mark.parametrize("call, profile, eigh_calls", [
     (CONNECTION, "rank_deficient", 3),
     (LEBESGUE, "rank_deficient", 3),
@@ -97,6 +105,8 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
     (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho),
      "rank_deficient", 2),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B),
+     "rank_deficient", 7),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), *PAIR64),
      "rank_deficient", 7),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
      "rank_deficient", 7),
@@ -112,7 +122,7 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
     (CHAIN, "well_conditioned", 26),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "perspective_apply",
-        "pw_apply_restricted", "dominates_scale", "t2_bound",
+        "perspective_apply-n64", "pw_apply_restricted", "dominates_scale", "t2_bound",
         "t2_bound-unbounded", "boundedness_chain",
         "connection-well_conditioned",
         "lebesgue_decomposition-well_conditioned",
@@ -122,12 +132,19 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 def test_eigh_calls_per_call(call, profile, eigh_calls, monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
     rho = random_state(np.random.default_rng(5), 4)
-    calls = []
+    # the worker thread is used on any host, and counts under a lock
+    monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+    lock, calls = threading.Lock(), [0]
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+
+    def counted(*a, **k):
+        with lock:
+            calls[0] += 1
+        return eigh(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     call(A, B, rho)
-    assert len(calls) == eigh_calls
+    assert calls[0] == eigh_calls
 
 
 TLOGT_PHI = perspective_of(catalog("tlogt"))
@@ -512,6 +529,18 @@ class TestT2Bound:
         norm = perspective_apply(catalog("power", 2), A, B).value.operator_norm()
         assert abs(res.lambda_min - norm) < 1e-7 * (1 + norm)
 
+    # the upper certificate's slack is relative to the pair's scale: half
+    # the true lambda fails it at every joint scaling, tiny pairs included
+    @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-100, 1e100])
+    def test_upper_certificate_at_every_scale(self, scale):
+        A = scale * np.array([[2.0, 1.0], [1.0, 1.0]])
+        B = scale * np.diag([1.0, 0.5])
+        res = t2_bound(A, B)
+        assert res.bounded and res.upper_certified and res.lower_fails
+        A2 = hermitian_part(A @ A)
+        assert _t2_form_holds(res.lambda_min, A2, B)
+        assert not _t2_form_holds(res.lambda_min / 2, A2, B)
+
 
 class TestBoundednessChain:
     def test_invertible_all_hold(self):
@@ -675,8 +704,7 @@ def test_dominance_scale_against_mpmath(decade):
 ], ids=["X-not-psd", "Y-not-psd", "X-non-finite", "Y-not-hermitian",
         "sum-overflows"])
 def test_dominates_scale_names_its_arguments(X, Y, error, message):
-    # numpy warns as the sum overflows; the error is what is pinned here
-    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+    with pytest.raises(error, match=message):
         dominates_scale(X, Y)
 
 
