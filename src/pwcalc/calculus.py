@@ -50,6 +50,7 @@ from .functions import (
 from .linalg import (
     EPS,
     HERMITIAN_ATOL,
+    MATRIX_HERMITIAN_ATOL,
     Subspace,
     _concurrently,
     _hermitian_stack,
@@ -137,9 +138,7 @@ class HomogeneousFunction:
             return self.corner_y
         return self.diagonal(t)  # NaN traps inside the evaluator
 
-    def bivariate(self, x: float, y: float,
-                  endpoint_tol: float = ENDPOINT_TOL,
-                  zero_tol: float = 0.0) -> float:
+    def bivariate(self, x: float, y: float, zero_tol: float = 0.0) -> float:
         """phi(x, y) on the closed quadrant; phi(0,0) = 0.
 
         Arguments with x + y <= zero_tol count as the origin: callers that
@@ -151,7 +150,7 @@ class HomogeneousFunction:
         s = x + y
         if s <= zero_tol:
             return 0.0
-        return xmul(s, self.diagonal_value(x / s, endpoint_tol))
+        return xmul(s, self.diagonal_value(x / s))
 
 
 @dataclass(frozen=True)
@@ -182,15 +181,16 @@ def _sequential_pair(A, B, names=("A", "B")):
     errors by `names`; their shapes are compared before either is
     validated, so a mismatch raises before any eigh."""
     A, B = _same_shape(A, B)
-    return (require_psd(A, name=names[0], atol=1e-9),
-            require_psd(B, name=names[1], atol=1e-9))
+    return (require_psd(A, name=names[0], atol=MATRIX_HERMITIAN_ATOL),
+            require_psd(B, name=names[1], atol=MATRIX_HERMITIAN_ATOL))
 
 
 def _validated_pair(A, B):
     """_sequential_pair's A and B from one stacked pass (one eigh for both);
     whatever that pass rejects, _sequential_pair rejects with its own error
     and message.  The tests hold _checked_pair_spectrum to this path."""
-    return _validate_stack((A, B), (1e-9, 1e-9)) or _sequential_pair(A, B)
+    return (_validate_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
+            or _sequential_pair(A, B))
 
 
 def _sequential_state_pair(rho, A, B):
@@ -215,14 +215,14 @@ def _validated_state_pair(rho, A, B):
     for all three); whatever that pass rejects, or a state without positive
     trace, _sequential_state_pair rejects with its own error and message.
     The tests hold _checked_state_spectrum to this path."""
-    checked = _validate_stack((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9))
+    checked = _validate_stack((rho, A, B), (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL,
+                                            MATRIX_HERMITIAN_ATOL))
     if checked is None or float(np.trace(checked[0]).real) <= 0.0:
         return _sequential_state_pair(rho, A, B)
     return checked
 
 
-def compatible_representation(A: np.ndarray, B: np.ndarray,
-                              rank_tol: float | None = None
+def compatible_representation(A: np.ndarray, B: np.ndarray
                               ) -> CompatibleRepresentation:
     """Compute the unique positive-contraction pair over the range of A+B.
 
@@ -234,8 +234,8 @@ def compatible_representation(A: np.ndarray, B: np.ndarray,
     This is the reference construction, with A+B decomposed by psd_sqrt and
     pinv_sqrt and R decomposed to clip it; `_pair_spectrum` gives the same
     representation from one eigh of A+B and one of R, and the tests compare
-    the two.  pw_apply (so perspective_apply) still builds on this one: the
-    benchmark's self-test pins perspective_apply at 7 eigh calls.
+    the two.  pw_apply (so perspective_apply) still builds on this one,
+    because bench/selftest.py pins perspective_apply's eigh count.
 
     The validations of A and B run two at a time on large pairs
     (linalg._concurrently), with the results of the one-at-a-time run to
@@ -247,15 +247,16 @@ def compatible_representation(A: np.ndarray, B: np.ndarray,
     NonFiniteError.
     """
     A, B = _same_shape(A, B)
-    A, B = _concurrently(len(A), lambda: require_psd(A, name="A", atol=1e-9),
-                         lambda: require_psd(B, name="B", atol=1e-9))
+    A, B = _concurrently(
+        len(A), lambda: require_psd(A, name="A", atol=MATRIX_HERMITIAN_ATOL),
+        lambda: require_psd(B, name="B", atol=MATRIX_HERMITIAN_ATOL))
     with np.errstate(over="ignore"):
         S_sum = A + B  # exactly Hermitian, as A and B are
     # B (made on the worker thread's heap) and the sum are freed once spent:
     # at n = 256 that keeps about 4 MB off the peak memory
     del B
     sq = psd_sqrt(S_sum)
-    inv_half, h_ab = pinv_sqrt(S_sum, rank_tol=rank_tol)
+    inv_half, h_ab = pinv_sqrt(S_sum)
     del S_sum
     Uh = h_ab.basis.conj().T
     t_map = Uh @ sq
@@ -293,7 +294,7 @@ def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     eigenvalues of R before clipping.  An error names the sum by `names`."""
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         S = A + B
-    w, V, keep = _range_eigh(S, None, name=" + ".join(names))
+    w, V, keep = _range_eigh(S, " + ".join(names))
     return (w, keep, *_r_spectrum(A, w, V, keep))
 
 
@@ -357,7 +358,7 @@ def _checked_pair_spectrum(A, B, names=("A", "B")):
     inputs are those of _pair_spectrum(*_validated_pair(A, B)), so the
     result is the same to the last bit.
     """
-    H = _hermitian_stack((A, B), (1e-9, 1e-9))
+    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
     if H is None:
         return _sequential_pair_spectrum(A, B, names)
     Ah, Bh = H
@@ -406,7 +407,8 @@ def _checked_state_spectrum(rho, A, B):
     _pair_spectrum(*_validated_state_pair(rho, A, B)), so t, X and m are
     the same to the last bit.
     """
-    H = _hermitian_stack((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9))
+    H = _hermitian_stack((rho, A, B), (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL,
+                                       MATRIX_HERMITIAN_ATOL))
     if H is None:
         return _sequential_state_spectrum(rho, A, B)
     n = H.shape[-1]
@@ -420,7 +422,7 @@ def _checked_state_spectrum(rho, A, B):
         return _sequential_state_spectrum(rho, A, B)
     if not _psd_spectra(w[:3]) or float(np.trace(H[0]).real) <= 0.0:
         return _sequential_state_spectrum(rho, A, B)
-    keep = _range_cut(w[3], None, name="A + B")
+    keep = _range_cut(w[3], "A + B")
     r, X = _r_spectrum(H[1], w[3], V[3], keep)
     return (*H, np.clip(r, 0.0, 1.0), _state_weights(X, H[0]),
             float(w[1, -1]), float(w[2, -1]))
@@ -439,9 +441,9 @@ def _assemble(phi: HomogeneousFunction, rep: CompatibleRepresentation,
     the same spectrum.
 
     The decomposition of R made inside compatible_representation is not
-    reused, so that perspective_apply keeps the 7 eigh calls the benchmark's
-    self-test pins; moving it onto _pair_spectrum waits for a benchmark
-    change that moves that pin.
+    reused, so that perspective_apply keeps the eigh count bench/selftest.py
+    pins; moving it onto _pair_spectrum waits for a benchmark change that
+    moves that pin.
     """
     if rep.subspace.dim == 0:
         return (zero_element(rep.t_map.shape[1]),
@@ -463,7 +465,7 @@ def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     Full-domain variant only; eigenvalues of R are classified to {0}, (0,1),
     {1} with endpoint_tol and the corner values apply at the endpoints.
     Built on compatible_representation rather than _pair_spectrum, for the
-    eigh count that _assemble explains.
+    eigh count bench/selftest.py pins (see _assemble).
     """
     if phi.variant != "full":
         raise PreconditionError(
@@ -477,14 +479,12 @@ def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
 
 
 def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
-                        side: str = "ge",
-                        endpoint_tol: float = ENDPOINT_TOL,
-                        with_diagnostics: bool = False):
+                        side: str = "ge"):
     """Restricted-domain calculus on dominated pairs.
 
     side='ge' requires A >= alpha B for some alpha > 0, certified by the
-    minimum eigenvalue of R exceeding endpoint_tol; side='le' symmetrically
-    requires the maximum eigenvalue of R below 1 - endpoint_tol.  Endpoint
+    minimum eigenvalue of R exceeding ENDPOINT_TOL; side='le' symmetrically
+    requires the maximum eigenvalue of R below 1 - ENDPOINT_TOL.  Endpoint
     eigenvalues inside the excluded end are a precondition violation, not an
     infinite value.  Built on compatible_representation, as pw_apply is;
     the cone is checked on the eigenvalues of R that _assemble reads.
@@ -494,19 +494,16 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     rep = compatible_representation(A, B)
     w, Q = eigh(rep.r)
     if w.size:
-        if side == "ge" and w[0] <= endpoint_tol:
+        if side == "ge" and w[0] <= ENDPOINT_TOL:
             raise PreconditionError(
                 f"pair is not in the >= cone: min eigenvalue of R is {w[0]:.3e}"
             )
-        if side == "le" and w[-1] >= 1.0 - endpoint_tol:
+        if side == "le" and w[-1] >= 1.0 - ENDPOINT_TOL:
             raise PreconditionError(
                 f"pair is not in the <= cone: min eigenvalue of S is "
                 f"{1.0 - w[-1]:.3e}"
             )
-    result, diag = _assemble(phi, rep, w, Q, endpoint_tol)
-    if with_diagnostics:
-        return result, diag
-    return result
+    return _assemble(phi, rep, w, Q, ENDPOINT_TOL)[0]
 
 
 def _grouped_joint_eigensystem(A: np.ndarray, B: np.ndarray):
@@ -531,8 +528,8 @@ def _grouped_joint_eigensystem(A: np.ndarray, B: np.ndarray):
     return pairs
 
 
-def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
-                        endpoint_tol: float = ENDPOINT_TOL) -> ExtendedSelfAdjoint:
+def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
+                        ) -> ExtendedSelfAdjoint:
     """Independent evaluation for commuting pairs via joint diagonalization.
 
     This is the oracle pw_apply is checked against: it never touches the
@@ -551,7 +548,7 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     pairs = []
     for x, y, v in _grouped_joint_eigensystem(A, B):
         x, y = max(x, 0.0), max(y, 0.0)
-        pairs.append((phi.bivariate(x, y, endpoint_tol, kernel_floor), v))
+        pairs.append((phi.bivariate(x, y, zero_tol=kernel_floor), v))
     return make_extended(pairs)
 
 
@@ -562,27 +559,26 @@ class SpecialValues(NamedTuple):
 
 
 def special_values(phi: HomogeneousFunction, A: np.ndarray, alpha: float,
-                   beta: float,
-                   endpoint_tol: float = ENDPOINT_TOL) -> SpecialValues:
+                   beta: float) -> SpecialValues:
     """Closed-form specializations through the scalar calculus.
 
     phi(A, alpha I) is the spectral calculus of t -> phi(t, alpha), and
     phi(alpha A, beta A) = phi(alpha, beta) A, where an infinite scalar means
     +inf on the range of A and 0 on its kernel.
     """
-    if alpha < 0 or beta < 0:
-        raise ValueError("scalars must be nonnegative")
-    A = require_psd(A, name="A", atol=1e-9)
+    if not (0.0 <= alpha < INF and 0.0 <= beta < INF):
+        raise ValueError("scalars must be finite and nonnegative")
+    A = require_psd(A, name="A", atol=MATRIX_HERMITIAN_ATOL)
 
     right = ExtendedFunction(
         f"{phi.name}(t,{alpha})", CLOSED_POS,
-        lambda t: phi.bivariate(t, alpha, endpoint_tol),
+        lambda t: phi.bivariate(t, alpha),
     )
     left = ExtendedFunction(
         f"{phi.name}({alpha},t)", CLOSED_POS,
-        lambda t: phi.bivariate(alpha, t, endpoint_tol),
+        lambda t: phi.bivariate(alpha, t),
     )
-    scalar = phi.bivariate(alpha, beta, endpoint_tol)
+    scalar = phi.bivariate(alpha, beta)
     if math.isinf(scalar):
         scaled = infinity_on(range_subspace(A))
     else:
@@ -595,8 +591,8 @@ def _inv_sqrt_of_invertible(M: np.ndarray) -> np.ndarray:
     return hermitian_part((V / np.sqrt(w)) @ V.conj().T)
 
 
-def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
-                       endpoint_tol: float = ENDPOINT_TOL) -> ExtendedSelfAdjoint:
+def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
+                       ) -> ExtendedSelfAdjoint:
     """phi(A,B) through the one-sided sandwich when A or B is invertible.
 
     B invertible: B^{1/2} g(B^{-1/2} A B^{-1/2}) B^{1/2} with g(t) = phi(t,1);
@@ -612,13 +608,13 @@ def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
         inv_half = _inv_sqrt_of_invertible(B)
         W = hermitian_part(inv_half @ A @ inv_half)
         g = ExtendedFunction(f"{phi.name}(t,1)", CLOSED_POS,
-                             lambda t: phi.bivariate(t, 1.0, endpoint_tol))
+                             lambda t: phi.bivariate(t, 1.0))
         return congruence(psd_sqrt(B), calculus(g, W))
     if a_invertible:
         inv_half = _inv_sqrt_of_invertible(A)
         W = hermitian_part(inv_half @ B @ inv_half)
         g = ExtendedFunction(f"{phi.name}(1,t)", CLOSED_POS,
-                             lambda t: phi.bivariate(1.0, t, endpoint_tol))
+                             lambda t: phi.bivariate(1.0, t))
         return congruence(psd_sqrt(A), calculus(g, W))
     raise PreconditionError("invertible_formula needs A or B invertible")
 

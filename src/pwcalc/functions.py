@@ -23,7 +23,14 @@ from .extended import (
     form_leq,
     xadd,
 )
-from .linalg import EPS, eigh, hermitian_part, psd_tol, require_hermitian
+from .linalg import (
+    EPS,
+    MATRIX_HERMITIAN_ATOL,
+    eigh,
+    hermitian_part,
+    psd_tol,
+    require_hermitian,
+)
 
 
 class DomainError(ValueError):
@@ -408,19 +415,17 @@ def approximants(r: IntegralRepr77, n: int) -> Approximants:
 # Functional calculus and the property falsifiers
 # ---------------------------------------------------------------------------
 
-def calculus(f: ExtendedFunction, A: np.ndarray,
-             clamp_tol: float | None = None) -> ExtendedSelfAdjoint:
+def calculus(f: ExtendedFunction, A: np.ndarray) -> ExtendedSelfAdjoint:
     """Spectral calculus f(A) as an extended self-adjoint element.
 
     Eigenvalues where f is +inf populate the infinity part.  Eigenvalues
-    within clamp_tol (default: the rank tolerance of A) of a domain endpoint
-    are clamped onto it; anything farther outside raises DomainError.
+    within the rank tolerance of |A| (n eps max |eigenvalue|, at least
+    4 eps) of a domain endpoint are clamped onto it; anything farther
+    outside raises DomainError.
     """
-    A = require_hermitian(A, atol=1e-9, name="calculus input")
+    A = require_hermitian(A, atol=MATRIX_HERMITIAN_ATOL, name="calculus input")
     w, V = eigh(A)
-    if clamp_tol is None:
-        # n eps max |eigenvalue|, the rank tolerance of |A|
-        clamp_tol = max(psd_tol(w), 4.0 * EPS)
+    clamp_tol = max(psd_tol(w), 4.0 * EPS)
     return _diagonal_element(
         [float(f.value_with_boundary(t, clamp_tol)) for t in w.tolist()], V)
 

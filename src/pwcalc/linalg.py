@@ -29,8 +29,9 @@ EPS = float(np.finfo(float).eps)
 
 # Absolute conjugate-symmetry tolerance for validated Hermitian input.
 HERMITIAN_ATOL = 1e-12
-# Looser tolerance for matrices arriving from files.
-FILE_HERMITIAN_ATOL = 1e-9
+# Looser tolerance for matrix arguments of the public calls and for matrices
+# arriving from files.
+MATRIX_HERMITIAN_ATOL = 1e-9
 # Principal-angle cosine threshold for subspace intersection.
 MEET_COS_TOL = 1e-10
 # Order from which _concurrently runs its two thunks at once: below it,
@@ -179,27 +180,25 @@ def eigh(M: np.ndarray):
     return w, V
 
 
-def psd_tol(eigenvalues: np.ndarray, n: int | None = None) -> float:
+def psd_tol(eigenvalues: np.ndarray) -> float:
     """Scale-invariant PSD slack: n * eps * max |eigenvalue|.
 
     The eigenvalues come in ascending order, as eigh returns them, so the
     largest magnitude is read off the two ends.
     """
-    if n is None:
-        n = len(eigenvalues)
-    if not len(eigenvalues):
+    n = len(eigenvalues)
+    if not n:
         return 0.0
     return n * EPS * max(-float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
-def default_rank_tol(eigenvalues: np.ndarray, n: int | None = None) -> float:
+def default_rank_tol(eigenvalues: np.ndarray) -> float:
     """Rank cut n * eps * lambda_max; defines the range of a PSD matrix.
 
     The eigenvalues come in ascending order, as eigh returns them.
     """
-    if n is None:
-        n = len(eigenvalues)
-    top = float(eigenvalues[-1]) if len(eigenvalues) else 0.0
+    n = len(eigenvalues)
+    top = float(eigenvalues[-1]) if n else 0.0
     return n * EPS * max(top, 0.0)
 
 
@@ -215,17 +214,16 @@ def require_psd(M, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.nda
     return M
 
 
-def _range_eigh(M: np.ndarray, rank_tol: float | None, name: str):
+def _range_eigh(M: np.ndarray, name: str):
     """eigh of a PSD matrix, with its range: (w, V, keep), keep marking the
-    eigenvalues above rank_tol (default n*eps*lambda_max).  It raises as
-    _range_cut does."""
+    eigenvalues above the rank cut.  It raises as _range_cut does."""
     w, V = eigh(M)
-    return w, V, _range_cut(w, rank_tol, name)
+    return w, V, _range_cut(w, name)
 
 
-def _range_cut(w: np.ndarray, rank_tol: float | None, name: str) -> np.ndarray:
+def _range_cut(w: np.ndarray, name: str) -> np.ndarray:
     """The mask of the eigenvalues w (ascending, of a PSD matrix named
-    `name`) above rank_tol (default n*eps*lambda_max).  An eigenvalue below
+    `name`) above the rank cut default_rank_tol(w).  An eigenvalue below
     the PSD slack raises NotPsdError, and a NaN at either end
     NonFiniteError: eigh answers a matrix with an infinite entry, such as a
     sum A + B that overflowed, with NaN eigenvalues only."""
@@ -234,9 +232,7 @@ def _range_cut(w: np.ndarray, rank_tol: float | None, name: str) -> np.ndarray:
     tol = psd_tol(w)
     if w.size and w[0] < -tol:
         raise NotPsdError(f"{name}: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
-    if rank_tol is None:
-        rank_tol = default_rank_tol(w)
-    return w > rank_tol
+    return w > default_rank_tol(w)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -248,8 +244,7 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     pinv_sqrt (a sub-tolerance eigenvalue would otherwise surface as a
     sqrt-amplified spurious direction of size ~1e-8).
     """
-    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), None,
-                             name="psd_sqrt")
+    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), "psd_sqrt")
     w = np.where(keep, w, 0.0)
     return hermitian_part((V * np.sqrt(w)) @ V.conj().T)
 
@@ -318,39 +313,36 @@ def zero_subspace(n: int) -> Subspace:
     return _trusted(Subspace, basis=np.zeros((n, 0), dtype=complex))
 
 
-def span(columns: np.ndarray, rank_tol: float | None = None) -> Subspace:
-    """Orthonormalize arbitrary columns into a Subspace (rank-revealing SVD)."""
+def span(columns: np.ndarray) -> Subspace:
+    """Orthonormalize arbitrary columns into a Subspace (rank-revealing SVD,
+    cut at max(shape) * eps * the largest singular value)."""
     C = np.atleast_2d(np.asarray(columns, dtype=complex))
     if C.shape[1] == 0:
         return zero_subspace(C.shape[0])
     U, s, _ = np.linalg.svd(C, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = max(C.shape) * EPS * (s.max(initial=0.0))
-    r = int(np.sum(s > rank_tol))
+    r = int(np.sum(s > max(C.shape) * EPS * s.max(initial=0.0)))
     return _trusted(Subspace, basis=U[:, :r])
 
 
-def pinv_sqrt(M: np.ndarray, rank_tol: float | None = None):
+def pinv_sqrt(M: np.ndarray):
     """Moore-Penrose pseudo-inverse of psd_sqrt(M) plus the range subspace.
 
-    Eigenvalues <= rank_tol (default n*eps*lambda_max) are treated as zero;
-    the returned Subspace is spanned by the eigenvectors above the cut.
+    Eigenvalues at or below the rank cut (n*eps*lambda_max) are treated as
+    zero; the returned Subspace is spanned by the eigenvectors above it.
     """
-    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), rank_tol,
-                             name="pinv_sqrt")
+    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), "pinv_sqrt")
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / np.sqrt(w[keep])
     P = hermitian_part((V * inv) @ V.conj().T)
     return P, _trusted(Subspace, basis=V[:, keep])
 
 
-def psd_pinv(M: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a PSD matrix via its eigensystem."""
+def psd_pinv(M: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse of a PSD matrix via its eigensystem, cut
+    at the rank cut (n*eps*lambda_max)."""
     M = np.asarray(M, dtype=complex)
     w, V = eigh(M)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(w)
-    keep = w > rank_tol
+    keep = w > default_rank_tol(w)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     return hermitian_part((V * inv) @ V.conj().T)
@@ -364,10 +356,11 @@ def range_subspace(M: np.ndarray, rank_tol: float | None = None) -> Subspace:
     return _trusted(Subspace, basis=V[:, w > rank_tol])
 
 
-def subspace_meet(P: Subspace, Q: Subspace, cos_tol: float = MEET_COS_TOL) -> Subspace:
+def subspace_meet(P: Subspace, Q: Subspace) -> Subspace:
     """Intersection of two subspaces via principal angles.
 
-    Directions whose principal-angle cosine is >= 1 - cos_tol count as shared.
+    Directions whose principal-angle cosine is >= 1 - MEET_COS_TOL count as
+    shared.
     """
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError(
@@ -376,7 +369,7 @@ def subspace_meet(P: Subspace, Q: Subspace, cos_tol: float = MEET_COS_TOL) -> Su
     if P.dim == 0 or Q.dim == 0:
         return zero_subspace(P.ambient_dim)
     U, sv, _ = np.linalg.svd(P.basis.conj().T @ Q.basis)
-    shared = sv >= 1.0 - cos_tol
+    shared = sv >= 1.0 - MEET_COS_TOL
     k = int(np.sum(shared))
     if k == 0:
         return zero_subspace(P.ambient_dim)
@@ -514,14 +507,14 @@ def read_matrix(path) -> np.ndarray:
         im = np.zeros((n, n))
     M = re + 1j * im
     try:
-        return require_hermitian(M, atol=FILE_HERMITIAN_ATOL, name=str(path))
+        return require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name=str(path))
     except NotHermitianError as exc:
         raise MatrixFileError(str(exc)) from exc
 
 
 def write_matrix(path, M: np.ndarray) -> None:
     """Write a Hermitian matrix in the text format (lossless doubles)."""
-    M = require_hermitian(M, atol=FILE_HERMITIAN_ATOL, name="matrix")
+    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name="matrix")
     n = M.shape[0]
     payload = {
         "n": n,

@@ -40,6 +40,7 @@ from .functions import (
     catalog,
 )
 from .linalg import (
+    MATRIX_HERMITIAN_ATOL,
     Subspace,
     default_rank_tol,
     eigh,
@@ -127,9 +128,11 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
     of the tail detects the infinity part.
     """
     eps = [float(e) for e in schedule]
-    if not eps or any(e <= 0 for e in eps) or any(
-            e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ValueError("schedule must be strictly decreasing and positive")
+    # written so that a NaN, on which every comparison is False, fails it
+    if not eps or not all(0.0 < e < INF for e in eps) or not all(
+            e2 < e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ValueError(
+            "schedule must be finite, strictly decreasing and positive")
     A, B = _sequential_pair(A, B)
     n = A.shape[0]
     eye = np.eye(n)
@@ -163,6 +166,8 @@ def epsilon_diverges(entries, rho: np.ndarray, threshold: float = 1e6) -> bool:
     The default threshold is meaningful for the default schedule ending at
     eps = 1e-8; it is exposed as a knob rather than hard-wired.
     """
+    if not entries:
+        raise ValueError("entries must not be empty")
     rho = require_state(rho)
     _, M = entries[-1]
     return float(np.trace(rho @ M).real) >= threshold
@@ -238,8 +243,8 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
     X* diag(phi(t, 1-t)) X over the spectrum (t, X) of _pair_spectrum: the
     calculus of the connection's homogeneous function, which is finite at
-    every t in [0, 1].  The pair is validated by _checked_pair_spectrum: 2
-    eigh when the spectra certify it definite, 3 otherwise.
+    every t in [0, 1].  The pair is validated by _checked_pair_spectrum
+    (its eigh count is pinned in tests/test_perspectives.py).
     """
     phi = connection_phi(h, assert_monotone=assert_monotone)
     _, _, t, X = _checked_pair_spectrum(A, B)
@@ -285,34 +290,28 @@ class LebesgueDecomposition:
     singular_part: np.ndarray  # A - [B]A
 
 
-def lebesgue_decomposition(A: np.ndarray, B: np.ndarray,
-                           endpoint_tol: float = ENDPOINT_TOL
+def lebesgue_decomposition(A: np.ndarray, B: np.ndarray
                            ) -> LebesgueDecomposition:
     """Ando decomposition of A relative to B.
 
     The singular part is assembled from the eigenvectors of R with
-    eigenvalue >= 1 - endpoint_tol (the eigenprojection form); the
+    eigenvalue >= 1 - ENDPOINT_TOL (the eigenprojection form); the
     absolutely continuous part is the increasing limit of A : nB, which the
     tests cross-check at n = 1e8.  The pair and its spectrum come from
-    _checked_pair_spectrum: 2 eigh when the spectra certify the pair
-    definite, 3 otherwise.
+    _checked_pair_spectrum, as for connection.
     """
     A, _, t, X = _checked_pair_spectrum(A, B)
-    rows = X[t >= 1.0 - endpoint_tol]
+    rows = X[t >= 1.0 - ENDPOINT_TOL]
     singular = hermitian_part(rows.conj().T @ rows)
     ac = hermitian_part(A - singular)
     return LebesgueDecomposition(ac, singular)
 
 
-def is_absolutely_continuous(A: np.ndarray, B: np.ndarray,
-                             endpoint_tol: float = ENDPOINT_TOL) -> bool:
-    """True iff A is B-absolutely continuous (max eigenvalue of R < 1).
-
-    The spectrum of R comes from _checked_pair_spectrum: 2 eigh when it
-    certifies the pair definite, 3 otherwise.
-    """
+def is_absolutely_continuous(A: np.ndarray, B: np.ndarray) -> bool:
+    """True iff A is B-absolutely continuous: max t < 1 - ENDPOINT_TOL over
+    the spectrum t of R from _checked_pair_spectrum, as for connection."""
     t = _checked_pair_spectrum(A, B)[2]
-    return bool((t < 1.0 - endpoint_tol).all())
+    return bool((t < 1.0 - ENDPOINT_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +333,7 @@ def matrix_power_psd(M: np.ndarray, p: float) -> np.ndarray:
     """M^p for PSD M, rank-consistent: eigenvalues under the rank tolerance
     go to exactly 0 first (fractional powers would otherwise amplify
     spectral noise past the rank cut, e.g. 1e-16 -> 1e-11 at p = 0.7)."""
-    M = require_psd(M, name="matrix", atol=1e-9)
+    M = require_psd(M, name="matrix", atol=MATRIX_HERMITIAN_ATOL)
     w, V = eigh(M)
     w = np.where(w > default_rank_tol(w), w, 0.0)
     return hermitian_part((V * w ** p) @ V.conj().T)
@@ -448,7 +447,7 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
         "a": a2.bounded,
         "b": res_b.bounded,
         "c": math.isfinite(lam_c),
-        "d": is_absolutely_continuous(A, B),
+        "d": a2.bounded,  # absolute continuity: t2_bound's rule, same pair
         "e": math.isfinite(lam_e),
     }
     chain = [("a", "b"), ("b", "d"), ("d", "e"), ("a", "c"), ("c", "d")]
@@ -535,6 +534,8 @@ def check_positive_map_monotonicity(f: ExtendedFunction, kraus,
     """
     A, B = _same_shape(A, B)
     kraus = [np.atleast_2d(np.asarray(K, dtype=complex)) for K in kraus]
+    if not kraus:
+        raise ValueError("kraus must hold at least one operator")
     for i, K in enumerate(kraus):
         if K.ndim != 2 or K.shape[1] != A.shape[0] or (
                 K.shape[0] != kraus[0].shape[0]):

@@ -10,15 +10,16 @@ true mass is infinite carry a flag; their divergent branch is decided by
 evaluating the state against the relevant singular part, which is exactly
 what the tail of the integral converges to.
 
-An evaluation makes 2 eigh (calculus._checked_state_spectrum): one of the
-stack (rho, A, B, A + B), which validates rho, A and B and gives the
-spectrum of A + B, and one of R.  Everything else is read from those
-spectra: the state's weights m over R's eigenvalues t, the pairings
+An evaluation goes through calculus._checked_state_spectrum: one eigh of
+the stack (rho, A, B, A + B), which validates rho, A and B and gives the
+spectrum of A + B, then the eigh of R (the count is pinned in
+tests/test_perspectives.py).  Everything else is read from those spectra:
+the state's weights m over R's eigenvalues t, the pairings
 rho(A) = sum m_i t_i and rho(B) = sum m_i (1 - t_i) (Tr rho A and Tr rho B
 but for A's and B's parts beyond the rank cut of A + B, at most
 n eps |A + B| Tr rho), and the norms of A and B that scale the
 singular-mass threshold, as their largest eigenvalues.  A phi_{t^2} term
-adds the 7 eigh of its perspective.
+adds a perspective_apply.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .functions import (
     catalog,
 )
 from .linalg import (
+    MATRIX_HERMITIAN_ATOL,
     hermitian_part,
     psd_pinv,
     range_subspace,
@@ -274,8 +276,8 @@ def variational_bound_94(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     Any admissible decomposition stays below the direct value; the supremum
     over decompositions and n attains it.
     """
-    A = require_psd(A, name="A", atol=1e-9)
-    B = require_psd(B, name="B", atol=1e-9)
+    A = require_psd(A, name="A", atol=MATRIX_HERMITIAN_ATOL)
+    B = require_psd(B, name="B", atol=MATRIX_HERMITIAN_ATOL)
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     app = approximants(r, n)
     lo, hi = 1.0 / n, float(n)

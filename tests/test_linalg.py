@@ -236,20 +236,21 @@ class TestMatrixFiles:
                     min_size=4, max_size=4))
     def test_round_trip_arbitrary_doubles(self, vals):
         import tempfile
+        from pathlib import Path
 
         M = hermitian_part(np.array([[vals[0], vals[1] + 1j * vals[2]],
                                      [0.0, vals[3]]], dtype=complex))
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            path = fh.name
-        write_matrix(path, M)
-        back = read_matrix(path)
-        assert np.array_equal(back, M)  # exact doubles (0.0 == -0.0 allowed)
-        # writing what was read reproduces the file byte for byte
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            path2 = fh.name
-        write_matrix(path2, back)
-        assert open(path2, "rb").read() == open(path, "rb").read() or \
-            np.array_equal(read_matrix(path2), back)
+        # a directory per example (tmp_path is one per test), removed with
+        # its files when the example ends
+        with tempfile.TemporaryDirectory() as tmp:
+            path, path2 = Path(tmp, "m.json"), Path(tmp, "m2.json")
+            write_matrix(path, M)
+            back = read_matrix(path)
+            assert np.array_equal(back, M)  # exact doubles (0.0 == -0.0 allowed)
+            # writing what was read reproduces the file byte for byte
+            write_matrix(path2, back)
+            assert path2.read_bytes() == path.read_bytes() or \
+                np.array_equal(read_matrix(path2), back)
 
     def test_dimension_mismatch(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from pwcalc.calculus import (
     invertible_formula,
     pw_apply_restricted,
     pw_commuting_oracle,
+    special_values,
 )
 from pwcalc import linalg
 from pwcalc.extended import INF, evaluate_state, form_leq, quadratic_form
@@ -113,13 +114,13 @@ PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
     (DOMINATES, "rank_deficient", 3),
     (T2, "rank_deficient", 6),
     (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3),
-    (CHAIN, "rank_deficient", 30),
+    (CHAIN, "rank_deficient", 27),
     (CONNECTION, "well_conditioned", 2),
     (LEBESGUE, "well_conditioned", 2),
     (ABS_CONT, "well_conditioned", 2),
     (DOMINATES, "well_conditioned", 2),
     (T2, "well_conditioned", 5),
-    (CHAIN, "well_conditioned", 26),
+    (CHAIN, "well_conditioned", 24),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "perspective_apply",
         "perspective_apply-n64", "pw_apply_restricted", "dominates_scale", "t2_bound",
@@ -151,10 +152,13 @@ TLOGT_PHI = perspective_of(catalog("tlogt"))
 
 
 PAIR_MISMATCH = r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"
+SCHEDULE = r"^schedule must be finite, strictly decreasing and positive$"
+SCALARS = r"^scalars must be finite and nonnegative$"
 
 
-# each call gets I_2 and I_3; the last three make a matched pair of I_2
-# with an operator of I_3's size
+# each call gets I_2 and I_3; the C and Kraus rows make a matched pair of
+# I_2 with an operator of I_3's size, and the rows after them pass an empty
+# or non-finite argument, which is rejected first
 @pytest.mark.parametrize("call, message", [
     (lambda A, B: epsilon_limit(catalog("tlogt"), A, B), PAIR_MISMATCH),
     (lambda A, B: invertible_formula(TLOGT_PHI, A, B), PAIR_MISMATCH),
@@ -177,11 +181,29 @@ PAIR_MISMATCH = r"^dimension mismatch: \(2, 2\) vs \(3, 3\)$"
         catalog("tlogt"), [A, np.ones((3, 2))], A, A),
      r"^dimension mismatch: Kraus operator 1 is \(3, 2\), pair is "
      r"\(2, 2\)$"),
+    (lambda A, B: check_positive_map_monotonicity(catalog("tlogt"), [], A, A),
+     r"^kraus must hold at least one operator$"),
+    (lambda A, B: epsilon_diverges([], A), r"^entries must not be empty$"),
+    (lambda A, B: epsilon_limit(catalog("tlogt"), A, B, [math.nan]),
+     SCHEDULE),
+    (lambda A, B: epsilon_limit(catalog("tlogt"), A, B, [math.inf]),
+     SCHEDULE),
+    (lambda A, B: epsilon_limit(catalog("tlogt"), A, B, [0.1, math.nan]),
+     SCHEDULE),
+    (lambda A, B: special_values(TLOGT_PHI, A, math.nan, 1.0), SCALARS),
+    (lambda A, B: special_values(TLOGT_PHI, A, 1.0, math.nan), SCALARS),
+    (lambda A, B: special_values(TLOGT_PHI, A, math.inf, 1.0), SCALARS),
+    (lambda A, B: special_values(TLOGT_PHI, A, 1.0, math.inf), SCALARS),
 ], ids=["epsilon_limit", "invertible_formula", "pw_commuting_oracle",
         "t2_bound", "dominates_scale", "boundedness_chain",
         "check_homogeneity", "parallel_sum", "check_positive_map_monotonicity",
         "check_homogeneity-C", "check_positive_map_monotonicity-kraus",
-        "check_positive_map_monotonicity-kraus_rows"])
+        "check_positive_map_monotonicity-kraus_rows",
+        "check_positive_map_monotonicity-no_kraus",
+        "epsilon_diverges-no_entries", "epsilon_limit-nan",
+        "epsilon_limit-inf", "epsilon_limit-trailing_nan",
+        "special_values-nan_alpha", "special_values-nan_beta",
+        "special_values-inf_alpha", "special_values-inf_beta"])
 def test_mismatched_pair_is_rejected_before_any_eigh(call, message,
                                                      monkeypatch):
     calls = []
