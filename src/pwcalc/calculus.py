@@ -31,7 +31,7 @@ from .extended import (
     ExtendedSelfAdjoint,
     FormArithmeticError,
     INF,
-    _diagonal_element,
+    _diagonal_congruence,
     congruence,
     form_leq,
     from_matrix,
@@ -39,7 +39,6 @@ from .extended import (
     make_extended,
     quadratic_form,
     xmul,
-    zero_element,
 )
 from .functions import (
     CLOSED_POS,
@@ -58,7 +57,6 @@ from .linalg import (
     _psd_stack,
     _range_cut,
     _range_eigh,
-    _validate_stack,
     default_rank_tol,
     eigh,
     hermitian_part,
@@ -185,14 +183,6 @@ def _sequential_pair(A, B, names=("A", "B")):
             require_psd(B, name=names[1], atol=MATRIX_HERMITIAN_ATOL))
 
 
-def _validated_pair(A, B):
-    """_sequential_pair's A and B from one stacked pass (one eigh for both);
-    whatever that pass rejects, _sequential_pair rejects with its own error
-    and message.  The tests hold _checked_pair_spectrum to this path."""
-    return (_validate_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
-            or _sequential_pair(A, B))
-
-
 def _sequential_state_pair(rho, A, B):
     """rho, A and B validated one at a time: a square state whose size
     differs from the pair's is rejected first, before any eigh; then rho by
@@ -210,18 +200,6 @@ def _sequential_state_pair(rho, A, B):
     return (require_state(rho), *_sequential_pair(A, B))
 
 
-def _validated_state_pair(rho, A, B):
-    """_sequential_state_pair's rho, A and B from one stacked pass (one eigh
-    for all three); whatever that pass rejects, or a state without positive
-    trace, _sequential_state_pair rejects with its own error and message.
-    The tests hold _checked_state_spectrum to this path."""
-    checked = _validate_stack((rho, A, B), (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL,
-                                            MATRIX_HERMITIAN_ATOL))
-    if checked is None or float(np.trace(checked[0]).real) <= 0.0:
-        return _sequential_state_pair(rho, A, B)
-    return checked
-
-
 def compatible_representation(A: np.ndarray, B: np.ndarray
                               ) -> CompatibleRepresentation:
     """Compute the unique positive-contraction pair over the range of A+B.
@@ -229,13 +207,23 @@ def compatible_representation(A: np.ndarray, B: np.ndarray
     R is the compression of (A+B)^{-1/2} A (A+B)^{-1/2} to the range, with
     eigenvalues clipped into [0,1] (floating error can push them to 1+1e-16,
     which would crash diagonal evaluators).  A and B are validated here, and
-    their shapes compared before any eigendecomposition.
+    their shapes compared before any eigendecomposition.  The construction
+    is _representation's; this adds S = I - R.
+    """
+    h_ab, t_map, R = _representation(A, B)
+    S = -R
+    S.flat[:: len(R) + 1] += 1.0  # I - R
+    return CompatibleRepresentation(h_ab, t_map, R, S)
 
-    This is the reference construction, with A+B decomposed by psd_sqrt and
-    pinv_sqrt and R decomposed to clip it; `_pair_spectrum` gives the same
-    representation from one eigh of A+B and one of R, and the tests compare
-    the two.  pw_apply (so perspective_apply) still builds on this one,
-    because bench/selftest.py pins perspective_apply's eigh count.
+
+def _representation(A, B):
+    """(H_{A,B}, T, R) of compatible_representation, the reference
+    construction: A+B decomposed by psd_sqrt and pinv_sqrt, R formed as
+    Y* A Y with Y = (A+B)^{-1/2} V_k (V_k the range basis) and decomposed
+    to clip it.  `_pair_spectrum` gives the same representation from one
+    eigh of A+B and one of R, and the tests compare the two.  pw_apply (so
+    perspective_apply) still builds on this one, because bench/selftest.py
+    pins perspective_apply's eigh count.
 
     The validations of A and B run two at a time on large pairs
     (linalg._concurrently), with the results of the one-at-a-time run to
@@ -258,17 +246,13 @@ def compatible_representation(A: np.ndarray, B: np.ndarray
     sq = psd_sqrt(S_sum)
     inv_half, h_ab = pinv_sqrt(S_sum)
     del S_sum
-    Uh = h_ab.basis.conj().T
-    t_map = Uh @ sq
-    R = hermitian_part(Uh @ inv_half @ A @ inv_half @ h_ab.basis)
-    k = R.shape[0]
-    if k:
+    Vk = h_ab.basis
+    Y = inv_half @ Vk
+    R = hermitian_part(Y.conj().T @ A @ Y)
+    if len(R):
         w, Q = eigh(R)
-        w = np.clip(w, 0.0, 1.0)
-        R = hermitian_part((Q * w) @ Q.conj().T)
-    S = -R
-    S.flat[:: k + 1] += 1.0  # I - R
-    return CompatibleRepresentation(h_ab, t_map, R, S)
+        R = hermitian_part((Q * np.clip(w, 0.0, 1.0)) @ Q.conj().T)
+    return h_ab, Vk.conj().T @ sq, R
 
 
 def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
@@ -280,8 +264,8 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     eigenvalues of R = D V* A V D (D = diag(w^-1/2)) clipped into [0, 1] and
     X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  The kernel
     trusts its input: A and B are the Hermitian parts that
-    _checked_pair_spectrum (or _validated_state_pair) has validated or is
-    about to, so it validates nothing again.  An input that fails
+    _checked_pair_spectrum (or _checked_state_spectrum) has validated or
+    is about to, so it validates nothing again.  An input that fails
     validation may still raise here, as NotPsdError naming A + B (`names`).
     """
     _, _, r, X = _pair_spectra(A, B, names)
@@ -343,7 +327,7 @@ def _sequential_pair_spectrum(A, B, names):
 
 
 def _checked_pair_spectrum(A, B, names=("A", "B")):
-    """(A, B, t, X): the pair as _validated_pair returns it, and its
+    """(A, B, t, X): the pair as _sequential_pair returns it, and its
     _pair_spectrum (t, X), for the public calls on a pair (named `names`).
 
     The square, finite and Hermitian checks run first, over the stack of A
@@ -354,9 +338,9 @@ def _checked_pair_spectrum(A, B, names=("A", "B")):
     with its own error and message.  An error the kernel raised on the
     unvalidated pair (NotPsdError naming A + B, say) is held until
     validation has decided, so a validation error wins, and it is raised
-    only when the pair passes.  The arrays, the kernel and its LAPACK
-    inputs are those of _pair_spectrum(*_validated_pair(A, B)), so the
-    result is the same to the last bit.
+    only when the pair passes.  The Hermitian parts are _sequential_pair's
+    to the last bit, so the result is that of
+    _pair_spectrum(*_sequential_pair(A, B)) to the last bit.
     """
     H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
     if H is None:
@@ -388,7 +372,7 @@ def _sequential_state_spectrum(rho, A, B):
 
 def _checked_state_spectrum(rho, A, B):
     """(rho, A, B, t, m, |A|, |B|) for the integral evaluators: the state
-    and the pair as _validated_state_pair returns them, R's clipped
+    and the pair as _sequential_state_pair returns them, R's clipped
     eigenvalues t and the weights m of rho over them (_state_weights of
     _pair_spectrum's X), and the spectral norms of A and B.
 
@@ -402,10 +386,9 @@ def _checked_state_spectrum(rho, A, B):
     check is never larger in magnitude).  The kernel's eigh of R follows:
     2 eigh in all.  Whatever the stacked checks reject, and a LAPACK
     failure on the stack, goes to _sequential_state_spectrum, so each error
-    keeps its type, message and precedence (rho first).  The arrays, the
-    kernel and its LAPACK inputs are those of
-    _pair_spectrum(*_validated_state_pair(rho, A, B)), so t, X and m are
-    the same to the last bit.
+    keeps its type, message and precedence (rho first).  The Hermitian
+    parts, and the spectrum of A+B, are those the one-at-a-time path
+    makes, so t, X and m are the same to the last bit.
     """
     H = _hermitian_stack((rho, A, B), (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL,
                                        MATRIX_HERMITIAN_ATOL))
@@ -434,26 +417,24 @@ class PwDiagnostics(NamedTuple):
     hits_at_one: int
 
 
-def _assemble(phi: HomogeneousFunction, rep: CompatibleRepresentation,
-              w: np.ndarray, Q: np.ndarray, endpoint_tol: float):
-    """T* phi(R, S) T with its diagnostics, from (w, Q) = eigh(rep.r) as the
+def _assemble(phi: HomogeneousFunction, t_map: np.ndarray, w: np.ndarray,
+              Q: np.ndarray, endpoint_tol: float):
+    """T* phi(R, S) T with its diagnostics, from (w, Q) = eigh(R) as the
     caller made it: w unclipped, so pw_apply_restricted checks its cone on
-    the same spectrum.
+    the same spectrum.  It is X* diag(phi(t, 1-t)) X with X = Q* T
+    (_diagonal_congruence), the zero element when A+B = 0.
 
-    The decomposition of R made inside compatible_representation is not
-    reused, so that perspective_apply keeps the eigh count bench/selftest.py
-    pins; moving it onto _pair_spectrum waits for a benchmark change that
-    moves that pin.
+    The decomposition of R made inside _representation is not reused, so
+    that perspective_apply keeps the eigh count bench/selftest.py pins;
+    moving it onto _pair_spectrum waits for a benchmark change that moves
+    that pin.
     """
-    if rep.subspace.dim == 0:
-        return (zero_element(rep.t_map.shape[1]),
-                PwDiagnostics(np.zeros(0), 0, 0))
     t = np.clip(w, 0.0, 1.0)
     at_one = t >= 1.0 - endpoint_tol
     hits1 = int(np.count_nonzero(at_one))
     hits0 = int(np.count_nonzero((t <= endpoint_tol) & ~at_one))
     values = [phi.diagonal_value(ti, endpoint_tol) for ti in t.tolist()]
-    result = congruence(rep.t_map, _diagonal_element(values, Q))
+    result = _diagonal_congruence(Q.conj().T @ t_map, values)
     return result, PwDiagnostics(t, hits0, hits1)
 
 
@@ -464,15 +445,15 @@ def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
 
     Full-domain variant only; eigenvalues of R are classified to {0}, (0,1),
     {1} with endpoint_tol and the corner values apply at the endpoints.
-    Built on compatible_representation rather than _pair_spectrum, for the
-    eigh count bench/selftest.py pins (see _assemble).
+    Built on _representation rather than _pair_spectrum, for the eigh
+    count bench/selftest.py pins (see _assemble).
     """
     if phi.variant != "full":
         raise PreconditionError(
             f"{phi.name} is a restricted variant; use pw_apply_restricted"
         )
-    rep = compatible_representation(A, B)
-    result, diag = _assemble(phi, rep, *eigh(rep.r), endpoint_tol)
+    _, t_map, R = _representation(A, B)
+    result, diag = _assemble(phi, t_map, *eigh(R), endpoint_tol)
     if with_diagnostics:
         return result, diag
     return result
@@ -486,13 +467,13 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     minimum eigenvalue of R exceeding ENDPOINT_TOL; side='le' symmetrically
     requires the maximum eigenvalue of R below 1 - ENDPOINT_TOL.  Endpoint
     eigenvalues inside the excluded end are a precondition violation, not an
-    infinite value.  Built on compatible_representation, as pw_apply is;
-    the cone is checked on the eigenvalues of R that _assemble reads.
+    infinite value.  Built on _representation, as pw_apply is; the cone is
+    checked on the eigenvalues of R that _assemble reads.
     """
     if side not in ("ge", "le"):
         raise ValueError("side must be 'ge' or 'le'")
-    rep = compatible_representation(A, B)
-    w, Q = eigh(rep.r)
+    _, t_map, R = _representation(A, B)
+    w, Q = eigh(R)
     if w.size:
         if side == "ge" and w[0] <= ENDPOINT_TOL:
             raise PreconditionError(
@@ -503,7 +484,7 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
                 f"pair is not in the <= cone: min eigenvalue of S is "
                 f"{1.0 - w[-1]:.3e}"
             )
-    return _assemble(phi, rep, w, Q, ENDPOINT_TOL)[0]
+    return _assemble(phi, t_map, w, Q, ENDPOINT_TOL)[0]
 
 
 def _grouped_joint_eigensystem(A: np.ndarray, B: np.ndarray):

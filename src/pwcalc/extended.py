@@ -311,6 +311,34 @@ def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
                              hermitian_part(CW.conj().T @ G @ CW))
 
 
+def _diagonal_congruence(X: np.ndarray, values) -> ExtendedSelfAdjoint:
+    """X* diag(values) X for a k x n matrix X and floats `values` (+inf
+    allowed): congruence(X, ...) of the diagonal element with those
+    eigenvalues on the standard basis of C^k, without forming it.
+
+    With every value finite it is X* (v X) on C^n.  Otherwise the essential
+    part is the kernel of X's +inf rows, cut as congruence cuts it (one
+    svd), and the finite part is Y* (v_F Y) with Y = X_F times that kernel.
+    NaN and -inf raise as in _diagonal_element.
+    """
+    v = np.array(values, dtype=float)
+    if np.isfinite(v).all():
+        return _with_lower_bound(full_space(X.shape[1]),
+                                 hermitian_part(X.conj().T @ (v[:, None] * X)))
+    if np.isnan(v).any():
+        raise FormArithmeticError("NaN in extended-real arithmetic")
+    if (v == -INF).any():
+        raise ValueError("-inf eigenvalue not permitted (lower semibounded)")
+    inf = v == INF
+    _, s, Vh = np.linalg.svd(X[inf])
+    tol = max(max(X.shape) * EPS, KERNEL_REL_TOL) * s.max(initial=0.0)
+    kernel = Vh[int(np.sum(s > tol)):].conj().T
+    fin = ~inf
+    Y = X[fin] @ kernel
+    return _with_lower_bound(_trusted(Subspace, basis=kernel),
+                             hermitian_part(Y.conj().T @ (v[fin, None] * Y)))
+
+
 def form_leq(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint, slack: float):
     """Form order T1 <= T2 up to slack, with a witness on failure.
 

@@ -7,9 +7,9 @@ their arguments and the returned arrays are freshly allocated.
 Validation happens once, at the public boundary: `require_hermitian`,
 `require_psd` and `require_state` check outside input, and the public
 `Subspace(...)` checks that its columns are orthonormal.  A call that takes
-several matrices checks them in one stacked pass (`_validate_stack`, a
-cheap half `_hermitian_stack` and a PSD half `_psd_stack`) and falls back
-to the one-at-a-time validators for their error.  Subspaces built
+several matrices checks them in one stacked pass (a cheap half
+`_hermitian_stack` and a PSD half `_psd_stack`) and falls back to the
+one-at-a-time validators for their error.  Subspaces built
 here from LAPACK's eigenvectors or singular vectors are orthonormal by
 construction and skip that check (`_trusted`).
 """
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 EPS = float(np.finfo(float).eps)
+_COMPLEX = np.dtype(complex)
 
 # Absolute conjugate-symmetry tolerance for validated Hermitian input.
 HERMITIAN_ATOL = 1e-12
@@ -128,8 +129,17 @@ def hermitian_part(M: np.ndarray) -> np.ndarray:
     Exact on a matrix that is already exactly Hermitian (such as a sum of
     two such matrices, or a real diagonal), so it is not applied there.
     """
-    M = np.asarray(M, dtype=complex)
-    return (M + M.conj().T) / 2
+    M = _as_complex(M)
+    H = M.conj().T + M
+    H *= 0.5
+    return H
+
+
+def _as_complex(M) -> np.ndarray:
+    """M as a complex ndarray: M itself when it already is one."""
+    if type(M) is np.ndarray and M.dtype is _COMPLEX:
+        return M
+    return np.asarray(M, dtype=complex)
 
 
 def require_hermitian(M, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
@@ -169,7 +179,7 @@ def eigh(M: np.ndarray):
     Returns (eigenvalues ascending, unitary eigenvector matrix).  Backed by
     LAPACK through numpy; deterministic for identical input bytes.
     """
-    M = np.asarray(M, dtype=complex)
+    M = _as_complex(M)
     if M.size == 0:
         return np.zeros(0), np.zeros((0, 0), dtype=complex)
     try:
@@ -227,12 +237,16 @@ def _range_cut(w: np.ndarray, name: str) -> np.ndarray:
     the PSD slack raises NotPsdError, and a NaN at either end
     NonFiniteError: eigh answers a matrix with an infinite entry, such as a
     sum A + B that overflowed, with NaN eigenvalues only."""
-    if w.size and not (math.isfinite(w[0]) and math.isfinite(w[-1])):
+    n = len(w)
+    if not n:
+        return w > 0.0
+    lo, hi = float(w[0]), float(w[-1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteError(f"{name} has a non-finite (NaN or inf) eigenvalue")
-    tol = psd_tol(w)
-    if w.size and w[0] < -tol:
-        raise NotPsdError(f"{name}: min eigenvalue {w[0]:.3e} < -{tol:.3e}")
-    return w > default_rank_tol(w)
+    tol = n * EPS * max(-lo, hi)  # psd_tol(w)
+    if lo < -tol:
+        raise NotPsdError(f"{name}: min eigenvalue {lo:.3e} < -{tol:.3e}")
+    return w > n * EPS * max(hi, 0.0)  # default_rank_tol(w)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -244,7 +258,7 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     pinv_sqrt (a sub-tolerance eigenvalue would otherwise surface as a
     sqrt-amplified spurious direction of size ~1e-8).
     """
-    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), "psd_sqrt")
+    w, V, keep = _range_eigh(M, "psd_sqrt")
     w = np.where(keep, w, 0.0)
     return hermitian_part((V * np.sqrt(w)) @ V.conj().T)
 
@@ -330,7 +344,7 @@ def pinv_sqrt(M: np.ndarray):
     Eigenvalues at or below the rank cut (n*eps*lambda_max) are treated as
     zero; the returned Subspace is spanned by the eigenvectors above it.
     """
-    w, V, keep = _range_eigh(np.asarray(M, dtype=complex), "pinv_sqrt")
+    w, V, keep = _range_eigh(M, "pinv_sqrt")
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / np.sqrt(w[keep])
     P = hermitian_part((V * inv) @ V.conj().T)
@@ -393,11 +407,11 @@ def require_state(rho, name: str = "state") -> np.ndarray:
 
 
 def _hermitian_stack(mats, atols):
-    """The cheap half of _validate_stack: the matrices stacked, with the
-    square, finite and Hermitian checks (each matrix against its own atol)
-    run once over the stack.  Returns the stack of their Hermitian parts,
-    as require_hermitian computes them, or None when the shapes differ or
-    any check fails.
+    """The cheap half of the stacked validation: the matrices stacked, with
+    the square, finite and Hermitian checks (each matrix against its own
+    atol) run once over the stack.  Returns the stack of their Hermitian
+    parts, as require_hermitian computes them, or None when the shapes
+    differ or any check fails.
     """
     try:
         S = np.array(mats, dtype=complex)
@@ -415,11 +429,11 @@ def _hermitian_stack(mats, atols):
 
 
 def _psd_stack(H) -> bool:
-    """The PSD half of _validate_stack: True iff every matrix of the stack H
-    passes require_psd's check.  It reads one np.linalg.eigh of the stack,
-    which gives each matrix the eigenvalues eigh gives it alone, to the
-    last bit (the tests check it), so the PSD cliff sits where require_psd
-    puts it; a LAPACK failure counts as a rejection.
+    """The PSD half of the stacked validation: True iff every matrix of the
+    stack H passes require_psd's check.  It reads one np.linalg.eigh of the
+    stack, which gives each matrix the eigenvalues eigh gives it alone, to
+    the last bit (the tests check it), so the PSD cliff sits where
+    require_psd puts it; a LAPACK failure counts as a rejection.
     """
     try:
         w = np.linalg.eigh(H)[0]
@@ -437,18 +451,6 @@ def _psd_spectra(w: np.ndarray) -> bool:
         if low < -(n * EPS * max(-low, high)):
             return False
     return True
-
-
-def _validate_stack(mats, atols):
-    """require_psd over all the matrices of one public call, in one pass:
-    _hermitian_stack, then _psd_stack.  Returns the Hermitian parts, as
-    require_psd does, or None when any check fails: the caller then runs
-    the one-at-a-time validators, which raise the error they always raised.
-    """
-    H = _hermitian_stack(mats, atols)
-    if H is None or not _psd_stack(H):
-        return None
-    return tuple(H)
 
 
 def vector_state(xi: np.ndarray) -> np.ndarray:

@@ -20,10 +20,8 @@ from .calculus import (
     ENDPOINT_TOL,
     HomogeneousFunction,
     _checked_pair_spectrum,
-    _pair_spectrum,
     _same_shape,
     _sequential_pair,
-    _state_weights,
     pw_apply,
 )
 from .extended import (
@@ -263,23 +261,6 @@ def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return hermitian_part(A - A @ pinv @ A)
 
 
-def _r_spectrum_weights(A: np.ndarray, B: np.ndarray, rho: np.ndarray):
-    """R's clipped eigenvalues t and the state weights m_i = (Q* T rho T* Q)_ii
-    over its eigenvectors Q, so that rho(T* g(R) T) = sum_i m_i g(t_i).
-
-    Since S = I - R commutes with R, A : lB = T* (l R S (R + l S)^-1) T and
-    rho(A : lB) = sum_i m_i l t_i (1 - t_i) / (t_i + l (1 - t_i)) for every
-    l > 0: one spectrum of R serves a whole quadrature family.  Trusts its
-    input: rho, A and B are the arrays _validated_state_pair returns.
-
-    The integral evaluators read (t, m) from calculus._checked_state_spectrum,
-    with the validation, and their norms, in the same 2 eigh; this
-    validate-then-decompose form stays as the tests' reference for it.
-    """
-    t, X = _pair_spectrum(A, B)
-    return t, _state_weights(X, rho)
-
-
 # ---------------------------------------------------------------------------
 # Lebesgue decomposition and absolute continuity
 # ---------------------------------------------------------------------------
@@ -333,10 +314,16 @@ def matrix_power_psd(M: np.ndarray, p: float) -> np.ndarray:
     """M^p for PSD M, rank-consistent: eigenvalues under the rank tolerance
     go to exactly 0 first (fractional powers would otherwise amplify
     spectral noise past the rank cut, e.g. 1e-16 -> 1e-11 at p = 0.7)."""
-    M = require_psd(M, name="matrix", atol=MATRIX_HERMITIAN_ATOL)
+    return _psd_powers(require_psd(M, name="matrix",
+                                   atol=MATRIX_HERMITIAN_ATOL), p)[0]
+
+
+def _psd_powers(M: np.ndarray, *ps: float) -> list:
+    """[M^p for p in ps] as matrix_power_psd makes them, from one eigh of a
+    validated M."""
     w, V = eigh(M)
     w = np.where(w > default_rank_tol(w), w, 0.0)
-    return hermitian_part((V * w ** p) @ V.conj().T)
+    return [hermitian_part((V * w ** p) @ V.conj().T) for p in ps]
 
 
 def dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
@@ -378,7 +365,12 @@ def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
     lambda B} is the norm of the t^2 perspective X* diag(t^2/(1-t)) X,
     certified both ways after the fact by semidefinite form checks.
     """
-    A, B, t, X = _checked_pair_spectrum(A, B)
+    return _t2_bound(*_checked_pair_spectrum(A, B))
+
+
+def _t2_bound(A: np.ndarray, B: np.ndarray, t: np.ndarray, X: np.ndarray
+              ) -> T2Bound:
+    """t2_bound's kernel, on a validated pair and its spectrum (t, X)."""
     if not (t < 1.0 - ENDPOINT_TOL).all():
         return T2Bound(False, INF, False, False)
     g = t * t / (1.0 - t)
@@ -421,15 +413,18 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     kernel's rule max t < 1 - ENDPOINT_TOL, (c) and (e) with each side
     scaled to norm 1, as the rule reads their relative scale (so near the
     cliff at alpha < 2, (c) can hold where (d) fails); (d) also samples
-    unit vectors for the reported constant.
+    unit vectors for the reported constant.  A and B are validated once,
+    with their spectrum for (a); the powers are taken of the validated
+    matrices, both of B's from one decomposition.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
-    A, B = _sequential_pair(A, B)
-    a2 = t2_bound(A, B)
+    A, B, t, X = _checked_pair_spectrum(A, B)
+    a2 = _t2_bound(A, B, t, X)
     res_b = perspective_apply(catalog("power", alpha), A, B)
-    lam_c = _unit_dominates_scale(matrix_power_psd(A, alpha),
-                                  matrix_power_psd(B, alpha - 1.0))
+    (A_alpha,) = _psd_powers(A, alpha)
+    B_c, B_e = _psd_powers(B, alpha - 1.0, (alpha - 1.0) / alpha)
+    lam_c = _unit_dominates_scale(A_alpha, B_c)
     rng = np.random.default_rng(seed)
     n = A.shape[0]
     lam_d = 0.0
@@ -442,7 +437,7 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
             lam_d = INF if qa > 0.0 else lam_d
         else:
             lam_d = max(lam_d, qa ** alpha / qb ** (alpha - 1.0))
-    lam_e = _unit_dominates_scale(A, matrix_power_psd(B, (alpha - 1.0) / alpha))
+    lam_e = _unit_dominates_scale(A, B_e)
     conds = {
         "a": a2.bounded,
         "b": res_b.bounded,
@@ -506,6 +501,8 @@ def kraus_apply(kraus, X: np.ndarray) -> np.ndarray:
         K = np.atleast_2d(np.asarray(K, dtype=complex))
         term = K @ X @ K.conj().T
         out = term if out is None else out + term
+    if out is None:
+        raise ValueError("kraus must hold at least one operator")
     return hermitian_part(out)
 
 
@@ -517,6 +514,8 @@ def kraus_predual(kraus, rho: np.ndarray) -> np.ndarray:
         K = np.atleast_2d(np.asarray(K, dtype=complex))
         term = K.conj().T @ rho @ K
         out = term if out is None else out + term
+    if out is None:
+        raise ValueError("kraus must hold at least one operator")
     return hermitian_part(out)
 
 

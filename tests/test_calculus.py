@@ -14,7 +14,6 @@ from pwcalc.calculus import (
     HomogeneousFunction,
     PreconditionError,
     _pair_spectrum,
-    _validated_pair,
     check_homogeneity,
     check_restricted_bounded,
     compatible_representation,
@@ -49,6 +48,7 @@ from pwcalc.suites import (
     random_isometry,
     random_psd,
 )
+from reference import validated_pair
 
 A712 = np.array([[1.0, 1.0], [1.0, 1.0]])
 B712 = np.diag([1.0, 2.0])
@@ -144,7 +144,7 @@ def test_pair_spectrum_matches_compatible_representation():
     decisions = set()
     for label, A, B in _kernel_reference_pairs():
         rep = compatible_representation(A, B)
-        t, X = _pair_spectrum(*_validated_pair(A, B))
+        t, X = _pair_spectrum(*validated_pair(A, B))
         n, k = A.shape[0], rep.subspace.dim
         assert t.shape == (k,) and X.shape == (k, n), label
         assert np.abs(t - np.linalg.eigvalsh(rep.r)).max(initial=0.0) <= 1e-12, label

@@ -6,11 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pwcalc import extended
+from pwcalc.calculus import compatible_representation
 from pwcalc.extended import (
     BOUNDED,
     FormArithmeticError,
     INF,
+    KERNEL_REL_TOL,
     PROPER_INFINITY,
+    _diagonal_congruence,
+    _diagonal_element,
     add,
     approx_equal,
     classify,
@@ -28,7 +32,10 @@ from pwcalc.extended import (
     xmul,
     zero_element,
 )
-from pwcalc.linalg import NonFiniteError, NotPsdError, span, vector_state
+from pwcalc.functions import catalog
+from pwcalc.linalg import NonFiniteError, NotPsdError, eigh, span, vector_state
+from pwcalc.perspectives import perspective_of
+from pwcalc.suites import RandomSpec, gen_pair, haar_unitary
 
 
 def e(n, i):
@@ -227,6 +234,95 @@ class TestCongruence:
                 assert math.isinf(q1) == math.isinf(q2)
                 if math.isfinite(q1):
                     assert abs(q1 - q2) < 1e-8 * (1 + abs(q1))
+
+
+class TestDiagonalCongruence:
+    """_diagonal_congruence(Q* T, v) against the reference it replaces in
+    pw_apply, congruence(T, _diagonal_element(v, Q)): the same infinity
+    part, and form matrices, essential projectors and lower bounds to 1e-12
+    relative.  The lower bound is the least eigenvalue of a finite part
+    the two form with different products, so it agrees to roundoff, not
+    bitwise."""
+
+    @staticmethod
+    def _compare(t_map, Q, values):
+        got = _diagonal_congruence(Q.conj().T @ t_map, values)
+        want = congruence(t_map, _diagonal_element(list(values), Q))
+        assert got.ambient_dim == want.ambient_dim
+        assert got.infinity_dim == want.infinity_dim
+        scale = float(np.abs(want.form_matrix()).max(initial=0.0))
+        assert np.abs(got.form_matrix() - want.form_matrix()).max(
+            initial=0.0) <= 1e-12 * scale
+        assert np.abs(got.essential.projector() - want.essential.projector()
+                      ).max(initial=0.0) <= 1e-12
+        assert abs(got.lower_bound - want.lower_bound) <= 1e-12 * scale
+        return got
+
+    def test_perspective_values_on_pairs(self):
+        """tlogt's perspective values over the representation of drawn
+        pairs: bounded and unbounded results, and k < n."""
+        phi = perspective_of(catalog("tlogt"))
+        seen = set()
+        for profile in ("well_conditioned", "rank_deficient", "projection"):
+            for n in range(2, 7):
+                for trial in range(4):
+                    A, B = gen_pair(RandomSpec(n, n, profile, 11), trial)
+                    for X, Y in ((A, B), (B, A)):
+                        rep = compatible_representation(X, Y)
+                        w, Q = eigh(rep.r)
+                        values = [phi.diagonal_value(t)
+                                  for t in np.clip(w, 0.0, 1.0).tolist()]
+                        got = self._compare(rep.t_map, Q, values)
+                        seen.add((got.is_bounded, rep.subspace.dim < n))
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
+
+    def test_random_maps(self):
+        """Random k x n maps with negative, +inf and all-+inf values, for k
+        below, at and above n."""
+        rng = np.random.default_rng(17)
+        for k, n in ((1, 3), (2, 4), (3, 3), (4, 4), (3, 5), (4, 2)):
+            for _ in range(5):
+                t_map = (rng.standard_normal((k, n))
+                         + 1j * rng.standard_normal((k, n)))
+                Q = haar_unitary(rng, k)
+                v = rng.standard_normal(k)
+                self._compare(t_map, Q, v.tolist())
+                v[rng.integers(k)] = INF
+                self._compare(t_map, Q, v.tolist())
+                got = self._compare(t_map, Q, [INF] * k)
+                assert got.essential.dim == max(n - k, 0)
+                assert got.lower_bound == 0.0
+
+    def test_infinite_rows_at_the_kernel_cut(self):
+        """+inf rows with singular values 1 and c KERNEL_REL_TOL: the row
+        at c = 1.001 is kept in the infinity part and at c = 0.999 is not,
+        on both paths.  Q = I keeps the reference's projection of T exact,
+        so the two svd inputs agree and the kept side is comparable."""
+        rng = np.random.default_rng(23)
+        n = 4
+        for c, inf_dim in ((1.001, 2), (0.999, 1)):
+            for _ in range(5):
+                rows = np.zeros((3, n), dtype=complex)
+                rows[0, 0], rows[1, 1] = 1.0, c * KERNEL_REL_TOL
+                rows[2] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                t_map = rows @ haar_unitary(rng, n)
+                got = self._compare(t_map, np.eye(3, dtype=complex),
+                                    [INF, INF, -0.7])
+                assert got.infinity_dim == inf_dim
+
+    def test_bad_values_raise_as_the_diagonal_element(self):
+        X = np.eye(2, dtype=complex)
+        for values, error in (([1.0, math.nan], FormArithmeticError),
+                              ([INF, math.nan], FormArithmeticError),
+                              ([-INF, math.nan], FormArithmeticError),
+                              ([-INF, 1.0], ValueError)):
+            with pytest.raises(error) as want:
+                _diagonal_element(values, X)
+            with pytest.raises(error) as got:
+                _diagonal_congruence(X, values)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 class TestFormOrder:

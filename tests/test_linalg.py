@@ -15,13 +15,10 @@ from pwcalc.calculus import (
     _pair_spectrum,
     _sequential_pair,
     _sequential_state_pair,
-    _validated_pair,
-    _validated_state_pair,
 )
 from pwcalc.extended import evaluate_state, from_matrix
 from pwcalc.functions import catalog
 from pwcalc.perspectives import (
-    _r_spectrum_weights,
     connection,
     connection_generator,
     lebesgue_decomposition,
@@ -44,7 +41,6 @@ from pwcalc.linalg import (
     NotPsdError,
     Subspace,
     _hermitian_stack,
-    _validate_stack,
     eigh,
     full_space,
     hermitian_part,
@@ -58,6 +54,12 @@ from pwcalc.linalg import (
     subspace_meet,
     write_matrix,
     zero_subspace,
+)
+from reference import (
+    r_spectrum_weights,
+    validate_stack,
+    validated_pair,
+    validated_state_pair,
 )
 
 
@@ -511,20 +513,21 @@ def _validation_corpus():
 
 
 class TestStackedValidation:
-    """linalg._validate_stack accepts exactly what the one-at-a-time
-    validators accept and returns their arrays to the last bit; the public
-    pair and state-pair validators raise their errors and messages."""
+    """reference.validate_stack (linalg's two stacked halves) accepts
+    exactly what the one-at-a-time validators accept and returns their
+    arrays to the last bit; the pair and state-pair validators built on it
+    raise their errors and messages."""
 
     def test_matches_sequential(self):
         decisions = set()
         for label, rho, A, B in _validation_corpus():
             for args, atols, sequential, validated in (
-                    ((A, B), (1e-9, 1e-9), _sequential_pair, _validated_pair),
+                    ((A, B), (1e-9, 1e-9), _sequential_pair, validated_pair),
                     ((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9),
-                     _sequential_state_pair, _validated_state_pair)):
+                     _sequential_state_pair, validated_state_pair)):
                 want = _outcome(sequential, *args)
                 got = _outcome(validated, *args)
-                stacked = _validate_stack(args, atols)
+                stacked = validate_stack(args, atols)
                 if (len(args) == 3 and stacked is not None
                         and float(np.trace(stacked[0]).real) <= 0.0):
                     stacked = None
@@ -568,7 +571,7 @@ EPS = np.finfo(float).eps
 
 def _validated_spectrum(A, B):
     """The reference path: validate the pair, then decompose it."""
-    A, B = _validated_pair(A, B)
+    A, B = validated_pair(A, B)
     return (A, B, *_pair_spectrum(A, B))
 
 
@@ -711,8 +714,8 @@ class TestPairCertificate:
 
 def _validated_state_spectrum(rho, A, B):
     """The reference path: validate rho, A and B, then decompose the pair."""
-    rho, A, B = _validated_state_pair(rho, A, B)
-    return (rho, A, B, *_r_spectrum_weights(A, B, rho))
+    rho, A, B = validated_state_pair(rho, A, B)
+    return (rho, A, B, *r_spectrum_weights(A, B, rho))
 
 
 def _reference_singular(mass, rho, A) -> bool:

@@ -39,6 +39,7 @@ from pwcalc.perspectives import (
     essential_part,
     is_absolutely_continuous,
     kraus_apply,
+    kraus_predual,
     lebesgue_decomposition,
     max_f_divergence,
     parallel_sum,
@@ -85,12 +86,13 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # spectra certify it needs no other, while a rank-deficient pair adds one
 # stacked eigh validating A and B.  The integrals read the checks of rho,
 # A and B and the spectrum of A + B from one eigh of their 4-stack, then
-# decompose R; perspective_apply keeps the 7 of
-# compatible_representation and _assemble, and pw_apply_restricted checks
-# its cone on the spectrum _assemble reads.  dominates_scale reads the pair
-# kernel alone; t2_bound adds, on a bounded pair, one eigh for its norm and
-# two for its form certificates; the chain adds to those two eigh per
-# matrix power, with the kernel of each powered pair.  The rank-deficient
+# decompose R; perspective_apply keeps the 7 of _representation and
+# _assemble, and pw_apply_restricted checks its cone on the spectrum
+# _assemble reads.  dominates_scale reads the pair kernel alone; t2_bound
+# adds, on a bounded pair, one eigh for its norm and two for its form
+# certificates.  The chain validates A and B once, with t2_bound's kernel,
+# then adds a perspective, one eigh for A's power and one for both of B's,
+# and the kernel of each powered pair.  The rank-deficient
 # pair is bounded in this order (range A in range B) and unbounded swapped.
 # At n = 64 perspective_apply validates A and B two at a time, on the
 # calling thread and the worker, and still makes 7.
@@ -114,13 +116,13 @@ PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
     (DOMINATES, "rank_deficient", 3),
     (T2, "rank_deficient", 6),
     (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3),
-    (CHAIN, "rank_deficient", 27),
+    (CHAIN, "rank_deficient", 21),
     (CONNECTION, "well_conditioned", 2),
     (LEBESGUE, "well_conditioned", 2),
     (ABS_CONT, "well_conditioned", 2),
     (DOMINATES, "well_conditioned", 2),
     (T2, "well_conditioned", 5),
-    (CHAIN, "well_conditioned", 24),
+    (CHAIN, "well_conditioned", 18),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "perspective_apply",
         "perspective_apply-n64", "pw_apply_restricted", "dominates_scale", "t2_bound",
@@ -183,6 +185,9 @@ SCALARS = r"^scalars must be finite and nonnegative$"
      r"\(2, 2\)$"),
     (lambda A, B: check_positive_map_monotonicity(catalog("tlogt"), [], A, A),
      r"^kraus must hold at least one operator$"),
+    (lambda A, B: kraus_apply([], A), r"^kraus must hold at least one operator$"),
+    (lambda A, B: kraus_predual([], A),
+     r"^kraus must hold at least one operator$"),
     (lambda A, B: epsilon_diverges([], A), r"^entries must not be empty$"),
     (lambda A, B: epsilon_limit(catalog("tlogt"), A, B, [math.nan]),
      SCHEDULE),
@@ -200,6 +205,7 @@ SCALARS = r"^scalars must be finite and nonnegative$"
         "check_homogeneity-C", "check_positive_map_monotonicity-kraus",
         "check_positive_map_monotonicity-kraus_rows",
         "check_positive_map_monotonicity-no_kraus",
+        "kraus_apply-no_kraus", "kraus_predual-no_kraus",
         "epsilon_diverges-no_entries", "epsilon_limit-nan",
         "epsilon_limit-inf", "epsilon_limit-trailing_nan",
         "special_values-nan_alpha", "special_values-nan_beta",

@@ -13,7 +13,6 @@ from pwcalc.extended import INF, evaluate_state, quadratic_form
 from pwcalc.functions import IntegralRepr77, Measure, catalog, from_repr77
 from pwcalc.linalg import spectral_norm, vector_state
 from pwcalc.perspectives import (
-    _r_spectrum_weights,
     is_absolutely_continuous,
     lebesgue_decomposition,
     parallel_sum,
@@ -42,6 +41,7 @@ from pwcalc.variational import (
     variational_envelope,
 )
 from pwcalc.functions import approximants
+from reference import r_spectrum_weights
 
 P87 = np.diag([1.0, 0.0])
 Q87 = 0.5 * np.ones((2, 2))
@@ -247,7 +247,7 @@ class TestSpectrumPathOracle:
             for trial in range(3):
                 A, B = gen_pair(spec, trial)
                 rho = random_state(np.random.default_rng((2106, n, trial)), n)
-                t, m = _r_spectrum_weights(A, B, rho)
+                t, m = r_spectrum_weights(A, B, rho)
                 ra, rb = _pairing(rho, A), _pairing(rho, B)
                 for name, r, evaluate in ORACLE_REPRS:
                     lam = (r.mu if isinstance(r, IntegralRepr77) else r.nu).locations
