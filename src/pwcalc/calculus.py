@@ -12,11 +12,12 @@ numerics must discretize.  A diagonal that diverges continuously near an
 endpoint (t^2/(1-t) near 1, say) therefore produces a large finite value for
 eigenvalues just outside the tolerance band and +inf inside it; there is no
 smoothing across that cliff, only the exposed tolerance.  ENDPOINT_TOL is
-one of six deciding tolerances, with the rank cut of A+B
-(linalg.default_rank_tol), linalg.MEET_COS_TOL, and extended's
-CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL; README lists
-what each decides.  PSD_CERTIFICATE_K only selects how a pair is validated
-(see _certified), and decides no output.
+one of seven deciding tolerances, with the rank cut of A+B
+(linalg.default_rank_tol), linalg.MEET_COS_TOL, extended's
+CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL, and
+variational.SINGULAR_MASS_REL_TOL; README lists what each decides.
+PSD_CERTIFICATE_K only selects how a pair is validated (see _certified),
+and decides no output.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .extended import (
+    CONTAINMENT_COS_TOL,
     ExtendedSelfAdjoint,
     FormArithmeticError,
     INF,
@@ -80,6 +82,32 @@ class PreconditionError(ValueError):
     """A documented precondition of an operation is violated."""
 
 
+def _endpoints(t: np.ndarray, tol: float = ENDPOINT_TOL):
+    """(at_zero, at_one): the masks of the eigenvalues t of R within tol of
+    0 and of 1, one within tol of both ends (tol >= 1/2) counting at 1.  The
+    only comparison with the endpoint band: every corner, cone,
+    singular-part and containment decision reads these masks."""
+    at_one = t >= 1.0 - tol
+    return (t < 1.0 - tol if tol >= 0.5 else t <= tol), at_one
+
+
+def _diagonal_values(phi: HomogeneousFunction, t: np.ndarray,
+                     tol: float = ENDPOINT_TOL):
+    """(values, at_zero, at_one): phi(t_i, 1 - t_i) over the eigenvalues t
+    of R, the corner values on _endpoints' masks (PreconditionError at the
+    end a restricted variant excludes) and phi.diagonal elsewhere."""
+    at_zero, at_one = _endpoints(t, tol)
+    for mask, variant, end in ((at_one, "le", 1), (at_zero, "ge", 0)):
+        if phi.variant == variant and np.count_nonzero(mask):
+            raise PreconditionError(f"{phi.name}: eigenvalue "
+                                    f"{t[mask][0].item()} hits the excluded "
+                                    f"endpoint {end}")
+    values = [phi.corner_x if one else phi.corner_y if zero else
+              phi.diagonal(ti) for ti, zero, one in
+              zip(t.tolist(), at_zero.tolist(), at_one.tolist())]
+    return values, at_zero, at_one
+
+
 @dataclass(frozen=True)
 class HomogeneousFunction:
     """Homogeneous two-variable function via its diagonal t -> phi(t, 1-t).
@@ -120,21 +148,9 @@ class HomogeneousFunction:
                     f"{self.name}: diagonal(0) = {v} disagrees with "
                     f"phi(0,1) = {self.corner_y}")
 
-    def diagonal_value(self, t: float, endpoint_tol: float = ENDPOINT_TOL) -> float:
+    def diagonal_value(self, t: float) -> float:
         """phi(t, 1-t) with endpoint classification at the corners."""
-        if t >= 1.0 - endpoint_tol:
-            if self.variant == "le":
-                raise PreconditionError(
-                    f"{self.name}: eigenvalue {t} hits the excluded endpoint 1"
-                )
-            return self.corner_x
-        if t <= endpoint_tol:
-            if self.variant == "ge":
-                raise PreconditionError(
-                    f"{self.name}: eigenvalue {t} hits the excluded endpoint 0"
-                )
-            return self.corner_y
-        return self.diagonal(t)  # NaN traps inside the evaluator
+        return _diagonal_values(self, np.array([t]))[0][0]
 
     def bivariate(self, x: float, y: float, zero_tol: float = 0.0) -> float:
         """phi(x, y) on the closed quadrant; phi(0,0) = 0.
@@ -430,60 +446,60 @@ def _assemble(phi: HomogeneousFunction, t_map: np.ndarray, w: np.ndarray,
     that pin.
     """
     t = np.clip(w, 0.0, 1.0)
-    at_one = t >= 1.0 - endpoint_tol
-    hits1 = int(np.count_nonzero(at_one))
-    hits0 = int(np.count_nonzero((t <= endpoint_tol) & ~at_one))
-    values = [phi.diagonal_value(ti, endpoint_tol) for ti in t.tolist()]
-    result = _diagonal_congruence(Q.conj().T @ t_map, values)
-    return result, PwDiagnostics(t, hits0, hits1)
+    values, at_zero, at_one = _diagonal_values(phi, t, endpoint_tol)
+    return (_diagonal_congruence(Q.conj().T @ t_map, values),
+            PwDiagnostics(t, int(np.count_nonzero(at_zero)),
+                          int(np.count_nonzero(at_one))))
 
 
-def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
-             endpoint_tol: float = ENDPOINT_TOL,
-             with_diagnostics: bool = False):
-    """phi(A, B) = T* phi(R, S) T, extended by 0 on ker(A+B).
-
-    Full-domain variant only; eigenvalues of R are classified to {0}, (0,1),
-    {1} with endpoint_tol and the corner values apply at the endpoints.
-    Built on _representation rather than _pair_spectrum, for the eigh
-    count bench/selftest.py pins (see _assemble).
-    """
+def _pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
+              endpoint_tol: float):
+    """(pw_apply's value, PwDiagnostics) at the endpoint band endpoint_tol:
+    perspective_apply's entry, for the CLI's --tau-end."""
     if phi.variant != "full":
         raise PreconditionError(
             f"{phi.name} is a restricted variant; use pw_apply_restricted"
         )
     _, t_map, R = _representation(A, B)
-    result, diag = _assemble(phi, t_map, *eigh(R), endpoint_tol)
-    if with_diagnostics:
-        return result, diag
-    return result
+    return _assemble(phi, t_map, *eigh(R), endpoint_tol)
+
+
+def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray):
+    """phi(A, B) = T* phi(R, S) T, extended by 0 on ker(A+B).
+
+    Full-domain variant only; eigenvalues of R are classified to {0}, (0,1),
+    {1} by _endpoints and the corner values apply at the endpoints.
+    Built on _representation rather than _pair_spectrum, for the eigh
+    count bench/selftest.py pins (see _assemble).
+    """
+    return _pw_apply(phi, A, B, ENDPOINT_TOL)[0]
 
 
 def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
                         side: str = "ge"):
     """Restricted-domain calculus on dominated pairs.
 
-    side='ge' requires A >= alpha B for some alpha > 0, certified by the
-    minimum eigenvalue of R exceeding ENDPOINT_TOL; side='le' symmetrically
-    requires the maximum eigenvalue of R below 1 - ENDPOINT_TOL.  Endpoint
-    eigenvalues inside the excluded end are a precondition violation, not an
-    infinite value.  Built on _representation, as pw_apply is; the cone is
-    checked on the eigenvalues of R that _assemble reads.
+    side='ge' requires A >= alpha B for some alpha > 0, certified by no
+    eigenvalue of R at 0 (_endpoints); side='le' symmetrically requires
+    none at 1.  Endpoint eigenvalues inside the excluded end are a
+    precondition violation, not an infinite value.  Built on
+    _representation, as pw_apply is; the cone is checked on the eigenvalues
+    of R that _assemble reads.
     """
     if side not in ("ge", "le"):
         raise ValueError("side must be 'ge' or 'le'")
     _, t_map, R = _representation(A, B)
     w, Q = eigh(R)
-    if w.size:
-        if side == "ge" and w[0] <= ENDPOINT_TOL:
-            raise PreconditionError(
-                f"pair is not in the >= cone: min eigenvalue of R is {w[0]:.3e}"
-            )
-        if side == "le" and w[-1] >= 1.0 - ENDPOINT_TOL:
-            raise PreconditionError(
-                f"pair is not in the <= cone: min eigenvalue of S is "
-                f"{1.0 - w[-1]:.3e}"
-            )
+    at_zero, at_one = _endpoints(w)
+    if side == "ge" and np.count_nonzero(at_zero):
+        raise PreconditionError(
+            f"pair is not in the >= cone: min eigenvalue of R is {w[0]:.3e}"
+        )
+    if side == "le" and np.count_nonzero(at_one):
+        raise PreconditionError(
+            f"pair is not in the <= cone: min eigenvalue of S is "
+            f"{1.0 - w[-1]:.3e}"
+        )
     return _assemble(phi, t_map, w, Q, ENDPOINT_TOL)[0]
 
 
@@ -626,7 +642,7 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
             f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
     ran_ab = range_subspace(np.asarray(A) + np.asarray(B))
     ran_c = span(C)
-    if not ran_c.contains(ran_ab, 1e-8):
+    if not ran_c.contains(ran_ab, CONTAINMENT_COS_TOL):
         return HomogeneityReport(True, "range(A+B) not contained in range(C)",
                                  True, 0.0, None)
     lhs = pw_apply(phi, hermitian_part(C.conj().T @ A @ C),

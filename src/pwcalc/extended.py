@@ -231,35 +231,36 @@ def evaluate_state(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
     return _state_value(T, require_state(rho))
 
 
+def _loads_infinity(total: float, essential: float) -> bool:
+    """A state of trace `total`, `essential` of it on the essential part,
+    loads the infinity part: total - essential > STATE_INF_REL_TOL * total."""
+    return total - essential > STATE_INF_REL_TOL * total
+
+
 def _state_value(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
     """evaluate_state's kernel: rho must be a validated state of T's size."""
     V = T.essential.basis
     compressed = V.conj().T @ rho @ V
-    if T.infinity_dim:
-        # Tr(rho P_inf) = Tr(rho) - Tr(V* rho V)
-        tr = float(np.trace(rho).real)
-        inf_mass = tr - float(np.trace(compressed).real)
-        if inf_mass > STATE_INF_REL_TOL * tr:
-            return INF
+    if T.infinity_dim and _loads_infinity(float(np.trace(rho).real),
+                                          float(np.trace(compressed).real)):
+        return INF
     return float(np.trace(compressed @ T.finite_part).real)
 
 
 def quadratic_form(T: ExtendedSelfAdjoint, xi: np.ndarray) -> float:
-    """q_T(xi) = m(omega_xi); 0 at xi = 0."""
+    """q_T(xi) = m(omega_xi); 0 at xi = 0; a non-finite xi is rejected."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     if xi.shape[0] != T.ambient_dim:
         raise ValueError("vector dimension mismatch")
+    if not np.isfinite(xi).all():
+        raise ValueError("vector has a non-finite (NaN or inf) entry")
     nrm2 = float(np.vdot(xi, xi).real)
     if nrm2 == 0.0:
         return 0.0
-    if T.infinity_dim:
-        V = T.essential.basis
-        coords = V.conj().T @ xi
-        inf_mass = nrm2 - float(np.vdot(coords, coords).real)
-        if inf_mass > STATE_INF_REL_TOL * nrm2:
-            return INF
-        return float(np.vdot(coords, T.finite_part @ coords).real)
     coords = T.essential.basis.conj().T @ xi
+    if T.infinity_dim and _loads_infinity(
+            nrm2, float(np.vdot(coords, coords).real)):
+        return INF
     return float(np.vdot(coords, T.finite_part @ coords).real)
 
 
@@ -301,14 +302,18 @@ def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
     G = T.form_matrix()
     if T.is_bounded:
         return from_matrix(C.conj().T @ G @ C)
-    W_inf = T.infinity_projector() @ C  # rows annihilating the new essential part
-    U, s, Vh = np.linalg.svd(W_inf)
-    tol = max(max(W_inf.shape) * EPS, KERNEL_REL_TOL) * (s.max(initial=0.0))
-    rank = int(np.sum(s > tol))
-    kernel = Vh[rank:].conj().T  # dim_k x (dim_k - rank), orthonormal
+    kernel = _kernel(T.infinity_projector() @ C)  # preimage of essential(T)
     CW = C @ kernel
     return _with_lower_bound(_trusted(Subspace, basis=kernel),
                              hermitian_part(CW.conj().T @ G @ CW))
+
+
+def _kernel(W: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of W's kernel from one svd, cut at
+    max(max(W.shape) eps, KERNEL_REL_TOL) times the largest singular value."""
+    _, s, Vh = np.linalg.svd(W)
+    tol = max(max(W.shape) * EPS, KERNEL_REL_TOL) * s.max(initial=0.0)
+    return Vh[int(np.sum(s > tol)):].conj().T
 
 
 def _diagonal_congruence(X: np.ndarray, values) -> ExtendedSelfAdjoint:
@@ -330,9 +335,7 @@ def _diagonal_congruence(X: np.ndarray, values) -> ExtendedSelfAdjoint:
     if (v == -INF).any():
         raise ValueError("-inf eigenvalue not permitted (lower semibounded)")
     inf = v == INF
-    _, s, Vh = np.linalg.svd(X[inf])
-    tol = max(max(X.shape) * EPS, KERNEL_REL_TOL) * s.max(initial=0.0)
-    kernel = Vh[int(np.sum(s > tol)):].conj().T
+    kernel = _kernel(X[inf])
     fin = ~inf
     Y = X[fin] @ kernel
     return _with_lower_bound(_trusted(Subspace, basis=kernel),

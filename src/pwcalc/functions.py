@@ -264,10 +264,11 @@ class Measure:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if loc.shape != w.shape:
             raise ValueError("locations and weights must have equal length")
-        if np.any(loc <= 0):
-            raise ValueError("atom locations must be strictly positive")
-        if np.any(w < 0):
-            raise ValueError("atom weights must be nonnegative")
+        if not np.isfinite(loc).all() or np.any(loc <= 0):
+            raise ValueError("atom locations must be finite and strictly "
+                             "positive")
+        if not np.isfinite(w).all() or np.any(w < 0):
+            raise ValueError("atom weights must be finite and nonnegative")
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", w)
 

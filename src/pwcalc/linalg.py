@@ -78,49 +78,35 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# The one worker thread of _concurrently, made on first use under the lock.
-_executor = None
-_executor_lock = threading.Lock()
-
-
-def _worker():
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _executor = ThreadPoolExecutor(1, thread_name_prefix="pwcalc")
-        return _executor
-
-
-def _forget_worker():
-    """In a forked child: the parent's worker thread does not run here, and
-    the lock may have been held by a thread that does not either."""
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
 def _concurrently(n: int, first, second):
     """(first(), second()) for two independent thunks on n x n matrices.
 
     From n = CONCURRENT_MIN_N on, and when the process may use two CPUs,
-    second runs on the worker thread while first runs on the calling
-    thread; LAPACK releases the GIL, so two decompositions overlap.
+    second runs on a thread started for this call while first runs on the
+    calling thread; LAPACK releases the GIL, so two decompositions overlap.
     Otherwise both run in order on the calling thread.  Either way each
-    thunk computes what it computes alone, and the first thunk's exception
-    wins, then the second's.  The thunks must not call _concurrently.
+    thunk computes what it computes alone, the thread is joined before the
+    call returns or raises, and first's exception wins over second's.
     """
     if n < CONCURRENT_MIN_N or _cpu_count() < 2:
         return first(), second()
-    future = _worker().submit(second)
+    box = [None, None]  # second's result, or its exception
+
+    def run():
+        try:
+            box[0] = second()
+        except BaseException as exc:  # re-raised on the calling thread
+            box[1] = exc
+
+    worker = threading.Thread(target=run, name="pwcalc")
+    worker.start()
     try:
         result = first()
     finally:
-        future.exception()  # wait for the worker before either result
-    return result, future.result()
+        worker.join()
+    if box[1] is not None:
+        raise box[1]
+    return result, box[0]
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -237,16 +223,15 @@ def _range_cut(w: np.ndarray, name: str) -> np.ndarray:
     the PSD slack raises NotPsdError, and a NaN at either end
     NonFiniteError: eigh answers a matrix with an infinite entry, such as a
     sum A + B that overflowed, with NaN eigenvalues only."""
-    n = len(w)
-    if not n:
+    if not len(w):
         return w > 0.0
     lo, hi = float(w[0]), float(w[-1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteError(f"{name} has a non-finite (NaN or inf) eigenvalue")
-    tol = n * EPS * max(-lo, hi)  # psd_tol(w)
+    tol = psd_tol(w)
     if lo < -tol:
         raise NotPsdError(f"{name}: min eigenvalue {lo:.3e} < -{tol:.3e}")
-    return w > n * EPS * max(hi, 0.0)  # default_rank_tol(w)
+    return w > default_rank_tol(w)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -445,12 +430,7 @@ def _psd_stack(H) -> bool:
 def _psd_spectra(w: np.ndarray) -> bool:
     """True iff every row of w (the eigenvalues of a stack, ascending)
     passes require_psd's check."""
-    n = w.shape[-1]
-    # psd_tol on Python floats, as require_psd reads it
-    for low, high in zip(w[:, 0].tolist(), w[:, -1].tolist()):
-        if low < -(n * EPS * max(-low, high)):
-            return False
-    return True
+    return not any(row[0] < -psd_tol(row) for row in w.tolist())
 
 
 def vector_state(xi: np.ndarray) -> np.ndarray:

@@ -20,9 +20,11 @@ from .calculus import (
     ENDPOINT_TOL,
     HomogeneousFunction,
     _checked_pair_spectrum,
+    _diagonal_values,
+    _endpoints,
+    _pw_apply,
     _same_shape,
     _sequential_pair,
-    pw_apply,
 )
 from .extended import (
     BOUNDED,
@@ -105,8 +107,7 @@ def perspective_apply(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
                       assert_convex: bool = False) -> PerspectiveResult:
     """Extended operator perspective of (A, B) with diagnostics."""
     phi = perspective_of(f, assert_convex=assert_convex)
-    value, diag = pw_apply(phi, A, B, endpoint_tol=endpoint_tol,
-                           with_diagnostics=True)
+    value, diag = _pw_apply(phi, A, B, endpoint_tol)
     return PerspectiveResult(
         value, diag.r_eigenvalues,
         (diag.hits_at_zero, diag.hits_at_one), classify(value),
@@ -246,7 +247,7 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
     """
     phi = connection_phi(h, assert_monotone=assert_monotone)
     _, _, t, X = _checked_pair_spectrum(A, B)
-    values = np.array([phi.diagonal_value(ti) for ti in t.tolist()])
+    values = np.array(_diagonal_values(phi, t)[0])
     if not np.isfinite(values).all():
         raise AssertionError(
             "connection produced an unbounded element; generator metadata is wrong"
@@ -276,23 +277,23 @@ def lebesgue_decomposition(A: np.ndarray, B: np.ndarray
     """Ando decomposition of A relative to B.
 
     The singular part is assembled from the eigenvectors of R with
-    eigenvalue >= 1 - ENDPOINT_TOL (the eigenprojection form); the
+    eigenvalue at 1 (_endpoints; the eigenprojection form); the
     absolutely continuous part is the increasing limit of A : nB, which the
     tests cross-check at n = 1e8.  The pair and its spectrum come from
     _checked_pair_spectrum, as for connection.
     """
     A, _, t, X = _checked_pair_spectrum(A, B)
-    rows = X[t >= 1.0 - ENDPOINT_TOL]
+    rows = X[_endpoints(t)[1]]
     singular = hermitian_part(rows.conj().T @ rows)
     ac = hermitian_part(A - singular)
     return LebesgueDecomposition(ac, singular)
 
 
 def is_absolutely_continuous(A: np.ndarray, B: np.ndarray) -> bool:
-    """True iff A is B-absolutely continuous: max t < 1 - ENDPOINT_TOL over
-    the spectrum t of R from _checked_pair_spectrum, as for connection."""
+    """True iff A is B-absolutely continuous: no eigenvalue of R at 1
+    (_endpoints) in _checked_pair_spectrum's t, as for connection."""
     t = _checked_pair_spectrum(A, B)[2]
-    return bool((t < 1.0 - ENDPOINT_TOL).all())
+    return not np.count_nonzero(_endpoints(t)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +335,9 @@ def dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
     continuous (so +inf past lambda ~ 1 / ENDPOINT_TOL).  Errors name X, Y.
     """
     t = _checked_pair_spectrum(X, Y, ("X", "Y"))[2]
-    top = float(t.max(initial=0.0))
-    if top >= 1.0 - ENDPOINT_TOL:
+    if np.count_nonzero(_endpoints(t)[1]):
         return INF
+    top = float(t.max(initial=0.0))
     return top / (1.0 - top)
 
 
@@ -371,7 +372,7 @@ def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
 def _t2_bound(A: np.ndarray, B: np.ndarray, t: np.ndarray, X: np.ndarray
               ) -> T2Bound:
     """t2_bound's kernel, on a validated pair and its spectrum (t, X)."""
-    if not (t < 1.0 - ENDPOINT_TOL).all():
+    if np.count_nonzero(_endpoints(t)[1]):
         return T2Bound(False, INF, False, False)
     g = t * t / (1.0 - t)
     w, _ = eigh(hermitian_part(X.conj().T @ (g[:, None] * X)))

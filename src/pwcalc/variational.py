@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import ENDPOINT_TOL, _checked_state_spectrum
+from .calculus import _checked_state_spectrum, _endpoints
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
@@ -65,11 +65,11 @@ SINGULAR_MASS_REL_TOL = 1e-10
 
 
 def _singular(mass: float, rho: np.ndarray, norm: float) -> bool:
-    """A singular part's state mass exceeds the relative zero threshold
-    SINGULAR_MASS_REL_TOL * Tr rho * (1 + norm), norm the spectral norm of
-    the matrix whose part it is."""
+    """A singular part's state mass exceeds SINGULAR_MASS_REL_TOL * Tr rho *
+    norm, norm the spectral norm of the matrix whose part it is: a cut that
+    scales with the pair, as the mass does, at every joint scaling."""
     floor = SINGULAR_MASS_REL_TOL * float(np.trace(rho).real)
-    return mass > floor * (1.0 + norm)
+    return mass > floor * norm
 
 
 def _integrand(num: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -104,11 +104,10 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
         terms.append(xmul(r.d, _t2_term(B, A, rho)))
     # the singular parts are the eigenprojections of R at 1 (A relative to
     # B) and at 0 (B relative to A), cut as in lebesgue_decomposition
-    if r.mu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(),
-                                        rho, norm_a):
+    at_zero, at_one = _endpoints(t)
+    if r.mu.infinite_mass and _singular(m[at_one].sum(), rho, norm_a):
         return INF
-    if r.mu.infinite_inv_mass and _singular(m[t <= ENDPOINT_TOL].sum(),
-                                            rho, norm_b):
+    if r.mu.infinite_inv_mass and _singular(m[at_zero].sum(), rho, norm_b):
         return INF
     kernel = _integrand((2.0 * t - 1.0) ** 2, t, r.mu.locations)
     terms.append(float(r.mu.weights @ kernel @ m))
@@ -127,8 +126,8 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     terms = [r.fp0 * rho_a, r.f0 * rho_b]
     if r.c > 0:
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
-    if r.nu.infinite_mass and _singular(m[t >= 1.0 - ENDPOINT_TOL].sum(),
-                                        rho, norm_a):
+    if r.nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), rho,
+                                        norm_a):
         return INF
     kernel = _integrand(t * t, t, r.nu.locations)
     terms.append(float(r.nu.weights @ kernel @ m))

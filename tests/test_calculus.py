@@ -561,35 +561,40 @@ class TestConcurrentValidation:
         with pytest.raises(KeyError, match="second"):
             linalg._concurrently(n, lambda: 1, slow_failure)
 
-    def test_one_worker_under_contention(self, monkeypatch):
-        # eight callers start the worker at once, with the interpreter
-        # switching threads every microsecond: every second thunk must run
-        # on one and the same worker thread
+    def test_callers_under_contention(self, monkeypatch):
+        # eight callers at once, with the interpreter switching threads
+        # every microsecond: each gets the one-at-a-time results to the last
+        # bit, and no thread outlives the call that started it
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(linalg, "_executor", None)
-        n, seen = linalg.CONCURRENT_MIN_N, []
+        n = linalg.CONCURRENT_MIN_N
+        pairs = [gen_pair(RandomSpec(n, n, "well_conditioned", seed=13), k)
+                 for k in range(8)]
+        want = [(linalg.eigh(A)[0].tobytes(), linalg.eigh(B)[0].tobytes())
+                for A, B in pairs]
+        got = [[] for _ in pairs]
 
-        def caller():
-            for _ in range(50):
-                seen.append(linalg._concurrently(n, threading.get_ident,
-                                                 threading.get_ident))
+        def caller(i):
+            A, B = pairs[i]
+            for _ in range(10):
+                a, b = linalg._concurrently(n, lambda: linalg.eigh(A)[0],
+                                            lambda: linalg.eigh(B)[0])
+                got[i].append((a.tobytes(), b.tobytes()))
 
+        before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=caller) for _ in range(8)]
+            callers = [threading.Thread(target=caller, args=(i,))
+                       for i in range(8)]
             for t in callers:
                 t.start()
             for t in callers:
                 t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            linalg._worker().shutdown()
         assert not any(t.is_alive() for t in callers)
-        assert len(seen) == 400
-        workers = {second for _, second in seen}
-        assert len(workers) == 1
-        assert workers.isdisjoint(first for first, _ in seen)
+        assert threading.active_count() == before
+        assert got == [[w] * 10 for w in want]
 
     def test_small_calls_start_no_worker(self):
         code = (
@@ -614,7 +619,7 @@ class TestConcurrentValidation:
     def test_forked_child_starts_its_own_worker(self, monkeypatch):
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         A, B = gen_pair(RandomSpec(64, 64, "well_conditioned", seed=12), 0)
-        expected = compatible_representation(A, B).r  # starts the worker
+        expected = compatible_representation(A, B).r  # runs a worker thread
         pid = os.fork()
         if pid == 0:  # the child: a hang is killed by the alarm
             code = 1

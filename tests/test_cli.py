@@ -234,6 +234,19 @@ class TestRepr77Spec:
         assert code == 0
         assert "bounded" in out
 
+    @pytest.mark.parametrize("atom", ["[Infinity, 1.0]", "[1.0, Infinity]",
+                                      "[NaN, 1.0]"])
+    def test_non_finite_atom(self, atom, mats, tmp_path, capsys):
+        # json reads Infinity and NaN; the measure rejects them, naming the
+        # field
+        rfile = tmp_path / "r77.json"
+        rfile.write_text('{"a": 0, "b": 0, "c": 0, "d": 0, "atoms": [%s]}'
+                         % atom)
+        code = main(["divergence", "--f", f"repr77:{rfile}",
+                     "--A", mats["a712"], "--B", mats["b712"]])
+        assert code == 2
+        assert "atom" in capsys.readouterr().err
+
     def test_bad_file(self, mats, tmp_path, capsys):
         rfile = tmp_path / "bad77.json"
         rfile.write_text(json.dumps({"a": 0.0}))

@@ -721,7 +721,7 @@ def _validated_state_spectrum(rho, A, B):
 def _reference_singular(mass, rho, A) -> bool:
     """The singular-mass decision with the norm's SVD."""
     floor = SINGULAR_MASS_REL_TOL * float(np.trace(rho).real)
-    return mass > floor and mass > floor * (1.0 + spectral_norm(A))
+    return mass > floor * spectral_norm(A)
 
 
 def _recording_r_spectrum(monkeypatch):
@@ -769,7 +769,7 @@ class TestStateSpectrum:
             tr = float(np.trace(rho_h).real)
             for M, norm, mass in ((A_h, norm_a, m[t >= 1.0 - ENDPOINT_TOL].sum()),
                                   (B_h, norm_b, m[t <= ENDPOINT_TOL].sum())):
-                cut = SINGULAR_MASS_REL_TOL * tr * (1.0 + spectral_norm(M))
+                cut = SINGULAR_MASS_REL_TOL * tr * spectral_norm(M)
                 for x in (mass, cut * (1 - 1e-9), cut * (1 + 1e-9)):
                     decision = _singular(x, rho_h, norm)
                     assert decision == _reference_singular(x, rho_h, M), label

@@ -15,12 +15,8 @@ import pwcalc
 PATTERNS = ("*_tol", "*slack*", "with_diagnostics")
 
 KEPT = {
-    # the CLI's --tau-end reaches these three
-    ("pwcalc.calculus.HomogeneousFunction.diagonal_value", "endpoint_tol"),
-    ("pwcalc.calculus.pw_apply", "endpoint_tol"),
+    # the CLI's --tau-end sets it
     ("pwcalc.perspectives.perspective_apply", "endpoint_tol"),
-    # perspective_apply reads pw_apply's diagnostics
-    ("pwcalc.calculus.pw_apply", "with_diagnostics"),
     # pw_commuting_oracle passes the rank cut of A + B
     ("pwcalc.calculus.HomogeneousFunction.bivariate", "zero_tol"),
     # two_projections cuts its ranges at 1e-6

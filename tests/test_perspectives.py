@@ -8,6 +8,7 @@ import pytest
 from pwcalc.calculus import (
     ENDPOINT_TOL,
     HomogeneousFunction,
+    PreconditionError,
     check_homogeneity,
     invertible_formula,
     pw_apply_restricted,
@@ -15,8 +16,14 @@ from pwcalc.calculus import (
     special_values,
 )
 from pwcalc import linalg
-from pwcalc.extended import INF, evaluate_state, form_leq, quadratic_form
-from pwcalc.functions import catalog, transpose
+from pwcalc.extended import (
+    INF,
+    evaluate_state,
+    form_leq,
+    make_extended,
+    quadratic_form,
+)
+from pwcalc.functions import Measure, catalog, transpose
 from pwcalc.linalg import (
     NonFiniteError,
     NotHermitianError,
@@ -68,6 +75,8 @@ Q87 = 0.5 * np.ones((2, 2))
 
 
 R77_TLOGT = repr77_tlogt(48)
+# both infinite flags: +inf on the singular part of either side
+R77_BOTH = replace(R77_TLOGT, mu=replace(R77_TLOGT.mu, infinite_inv_mass=True))
 R97_T15 = repr97_t_alpha(1.5, 48)
 YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, INF,
                                 variant="ge")
@@ -199,6 +208,13 @@ SCALARS = r"^scalars must be finite and nonnegative$"
     (lambda A, B: special_values(TLOGT_PHI, A, 1.0, math.nan), SCALARS),
     (lambda A, B: special_values(TLOGT_PHI, A, math.inf, 1.0), SCALARS),
     (lambda A, B: special_values(TLOGT_PHI, A, 1.0, math.inf), SCALARS),
+    (lambda A, B: quadratic_form(make_extended(zip((1.0, INF), A)),
+                                 [math.nan, 0.0]),
+     r"^vector has a non-finite \(NaN or inf\) entry$"),
+    (lambda A, B: Measure([math.inf], [1.0]),
+     r"^atom locations must be finite and strictly positive$"),
+    (lambda A, B: Measure([1.0], [math.inf]),
+     r"^atom weights must be finite and nonnegative$"),
 ], ids=["epsilon_limit", "invertible_formula", "pw_commuting_oracle",
         "t2_bound", "dominates_scale", "boundedness_chain",
         "check_homogeneity", "parallel_sum", "check_positive_map_monotonicity",
@@ -209,7 +225,8 @@ SCALARS = r"^scalars must be finite and nonnegative$"
         "epsilon_diverges-no_entries", "epsilon_limit-nan",
         "epsilon_limit-inf", "epsilon_limit-trailing_nan",
         "special_values-nan_alpha", "special_values-nan_beta",
-        "special_values-inf_alpha", "special_values-inf_beta"])
+        "special_values-inf_alpha", "special_values-inf_beta",
+        "quadratic_form-nan", "Measure-inf_location", "Measure-inf_weight"])
 def test_mismatched_pair_is_rejected_before_any_eigh(call, message,
                                                      monkeypatch):
     calls = []
@@ -622,6 +639,15 @@ CORPUS = _containment_corpus()
 CORPUS_SCALES = (1.0, 1e-100, 1e100)
 
 
+def _outside_cone(A, B, side):
+    """True iff pw_apply_restricted rejects (A, B) as outside its cone."""
+    try:
+        pw_apply_restricted(TLOGT_PHI, A, B, side)
+    except PreconditionError:
+        return True
+    return False
+
+
 class TestContainmentCorpus:
     """Every containment question is decided by one rule: max t < 1 -
     ENDPOINT_TOL on the pair kernel's spectrum of R."""
@@ -655,6 +681,27 @@ class TestContainmentCorpus:
         }
         assert len(set(decisions.values())) == 1, decisions
         assert chain.violated == []
+        # the integrals' singular branches, the restricted cones and the
+        # endpoint hits decide absolute continuity of the pair and its swap
+        rho = np.eye(2) / 2
+        for P, Q in ((A, B), (B, A)):
+            ac = is_absolutely_continuous(P, Q)
+            ac_swap = is_absolutely_continuous(Q, P)
+            hits0, hits1 = perspective_apply(catalog("power", 2),
+                                             P, Q).endpoint_hits
+            got = {
+                "integral": math.isinf(integral_eval_91(R77_TLOGT, P, Q, rho)),
+                "integral-both": math.isinf(
+                    integral_eval_91(R77_BOTH, P, Q, rho)),
+                "hits_at_one": hits1 > 0,
+                "hits_at_zero": hits0 > 0,
+                "le": _outside_cone(P, Q, "le"),
+                "ge": _outside_cone(P, Q, "ge"),
+            }
+            want = {"integral": not ac, "integral-both": not (ac and ac_swap),
+                    "hits_at_one": not ac, "hits_at_zero": not ac_swap,
+                    "le": not ac, "ge": not ac_swap}
+            assert got == want, (P is B, got)
         if name.startswith("cliff"):
             eps = float(name.split("_")[1])
             assert decisions["t2_bound"] == (eps / (1.0 + eps) > ENDPOINT_TOL)

@@ -348,15 +348,16 @@ class TestSingularMass:
         assert infinite and not calls
 
     def test_decision_unchanged(self):
+        # the cut scales with the pair: SINGULAR_MASS_REL_TOL Tr rho |A|
         A, _ = gen_pair(RandomSpec(3, 3, "rank_deficient", seed=20), 0)
         rho = random_state(np.random.default_rng(0), 3)
         tr = float(np.trace(rho).real)
-        norm = spectral_norm(A)
-        cut = SINGULAR_MASS_REL_TOL * tr * (1.0 + norm)
-        floor = SINGULAR_MASS_REL_TOL * tr
-        for mass in (0.0, floor / 2, floor, (floor + cut) / 2, cut,
-                     cut * (1 + 1e-12), 2 * cut, 1.0):
-            assert _singular(mass, rho, norm) == (mass > cut), mass
+        for scale in (1.0, 1e-12, 1e100):
+            norm = spectral_norm(scale * A)
+            cut = SINGULAR_MASS_REL_TOL * tr * norm
+            for mass in (0.0, cut / 2, cut, cut * (1 + 1e-12), 2 * cut,
+                         scale):
+                assert _singular(mass, rho, norm) == (mass > cut), mass
 
 
 class TestTwoProjections:
