@@ -53,6 +53,7 @@ from .linalg import (
     HERMITIAN_ATOL,
     MATRIX_HERMITIAN_ATOL,
     Subspace,
+    _check_psd,
     _concurrently,
     _hermitian_stack,
     _psd_spectra,
@@ -224,51 +225,67 @@ def compatible_representation(A: np.ndarray, B: np.ndarray
     eigenvalues clipped into [0,1] (floating error can push them to 1+1e-16,
     which would crash diagonal evaluators).  A and B are validated here, and
     their shapes compared before any eigendecomposition.  The construction
-    is _representation's; this adds S = I - R.
+    is _representation's; this adds S = I - R and leaves out R's
+    decomposition.
     """
-    h_ab, t_map, R = _representation(A, B)
+    h_ab, t_map, R, _, _ = _representation(A, B)
     S = -R
     S.flat[:: len(R) + 1] += 1.0  # I - R
     return CompatibleRepresentation(h_ab, t_map, R, S)
 
 
 def _representation(A, B):
-    """(H_{A,B}, T, R) of compatible_representation, the reference
+    """(H_{A,B}, T, R, w, Q) of compatible_representation, the reference
     construction: A+B decomposed by psd_sqrt and pinv_sqrt, R formed as
     Y* A Y with Y = (A+B)^{-1/2} V_k (V_k the range basis) and decomposed
-    to clip it.  `_pair_spectrum` gives the same representation from one
-    eigh of A+B and one of R, and the tests compare the two.  pw_apply (so
-    perspective_apply) still builds on this one, because bench/selftest.py
-    pins perspective_apply's eigh count.
+    to clip it, and (w, Q) = eigh of the clipped R.  `_pair_spectrum` gives
+    the same representation from one eigh of A+B and one of R, and the
+    tests compare the two.  pw_apply (so perspective_apply) still builds on
+    this one, because bench/selftest.py pins perspective_apply's eigh count.
 
-    The validations of A and B run two at a time on large pairs
-    (linalg._concurrently), with the results of the one-at-a-time run to
-    the last bit and A's error before B's.  psd_sqrt and pinv_sqrt of A+B
-    are independent too, but they run in order: two at a time, they made
-    calls at n = 64...256 about 8% faster still on 2 CPUs, and added about
-    5 MB, 8%, to the peak memory of the process (glibc keeps the worker's
-    heap).  A sum that overflows reaches the rank cut, which raises
-    NonFiniteError.
+    After one stacked Hermitian check of A and B (_hermitian_stack; what it
+    does not take goes to _sequential_pair, which raises its own error or
+    accepts a 0x0 or scalar pair), the work runs in two lanes
+    (linalg._concurrently), two at a time on large pairs: the PSD checks of
+    A and B, then psd_sqrt(A+B), on the calling thread; and pinv_sqrt(A+B),
+    R and R's two decompositions on the worker.  Each eigh gets the bytes
+    it gets in the run in order, so the results are that run's to the last
+    bit.  The first lane's error wins, so errors keep the order A, B,
+    psd_sqrt, pinv_sqrt: a sum that overflows reaches psd_sqrt's rank cut,
+    which raises NonFiniteError.
     """
-    A, B = _same_shape(A, B)
-    A, B = _concurrently(
-        len(A), lambda: require_psd(A, name="A", atol=MATRIX_HERMITIAN_ATOL),
-        lambda: require_psd(B, name="B", atol=MATRIX_HERMITIAN_ATOL))
+    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
+    if H is None:
+        A, B = _sequential_pair(A, B)
+        unchecked = ()
+    else:
+        A, B = H
+        unchecked = ((A, "A"), (B, "B"))
     with np.errstate(over="ignore"):
         S_sum = A + B  # exactly Hermitian, as A and B are
-    # B (made on the worker thread's heap) and the sum are freed once spent:
-    # at n = 256 that keeps about 4 MB off the peak memory
-    del B
-    sq = psd_sqrt(S_sum)
-    inv_half, h_ab = pinv_sqrt(S_sum)
-    del S_sum
-    Vk = h_ab.basis
-    Y = inv_half @ Vk
-    R = hermitian_part(Y.conj().T @ A @ Y)
-    if len(R):
-        w, Q = eigh(R)
-        R = hermitian_part((Q * np.clip(w, 0.0, 1.0)) @ Q.conj().T)
-    return h_ab, Vk.conj().T @ sq, R
+
+    def checked_sqrt():
+        for M, name in unchecked:
+            _check_psd(M, name)
+        return psd_sqrt(S_sum)
+
+    def r_spectrum():
+        # each array is freed once spent, as both lanes' arrays are alive
+        # at once: on pairs of n = 64, 128 and 256 that keeps about 3 MB
+        # off the peak memory of the process
+        inv_half, h_ab = pinv_sqrt(S_sum)
+        Y = inv_half @ h_ab.basis
+        del inv_half
+        R = hermitian_part(Y.conj().T @ A @ Y)
+        del Y
+        if len(R):
+            w, Q = eigh(R)
+            R = hermitian_part((Q * np.clip(w, 0.0, 1.0)) @ Q.conj().T)
+            del w, Q
+        return h_ab, R, *eigh(R)
+
+    sq, (h_ab, R, w, Q) = _concurrently(len(S_sum), checked_sqrt, r_spectrum)
+    return h_ab, h_ab.basis.conj().T @ sq, R, w, Q
 
 
 def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
@@ -435,15 +452,15 @@ class PwDiagnostics(NamedTuple):
 
 def _assemble(phi: HomogeneousFunction, t_map: np.ndarray, w: np.ndarray,
               Q: np.ndarray, endpoint_tol: float):
-    """T* phi(R, S) T with its diagnostics, from (w, Q) = eigh(R) as the
-    caller made it: w unclipped, so pw_apply_restricted checks its cone on
-    the same spectrum.  It is X* diag(phi(t, 1-t)) X with X = Q* T
+    """T* phi(R, S) T with its diagnostics, from (w, Q) = eigh(R) as
+    _representation made it: w unclipped, so pw_apply_restricted checks its
+    cone on the same spectrum.  It is X* diag(phi(t, 1-t)) X with X = Q* T
     (_diagonal_congruence), the zero element when A+B = 0.
 
-    The decomposition of R made inside _representation is not reused, so
-    that perspective_apply keeps the eigh count bench/selftest.py pins;
-    moving it onto _pair_spectrum waits for a benchmark change that moves
-    that pin.
+    It runs on the calling thread after both of _representation's lanes
+    have joined, so an error of either lane is raised before any of its
+    own.  Moving it onto _pair_spectrum waits for a benchmark change that
+    moves the eigh count bench/selftest.py pins.
     """
     t = np.clip(w, 0.0, 1.0)
     values, at_zero, at_one = _diagonal_values(phi, t, endpoint_tol)
@@ -460,8 +477,8 @@ def _pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
         raise PreconditionError(
             f"{phi.name} is a restricted variant; use pw_apply_restricted"
         )
-    _, t_map, R = _representation(A, B)
-    return _assemble(phi, t_map, *eigh(R), endpoint_tol)
+    _, t_map, _, w, Q = _representation(A, B)
+    return _assemble(phi, t_map, w, Q, endpoint_tol)
 
 
 def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray):
@@ -488,8 +505,7 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     """
     if side not in ("ge", "le"):
         raise ValueError("side must be 'ge' or 'le'")
-    _, t_map, R = _representation(A, B)
-    w, Q = eigh(R)
+    _, t_map, _, w, Q = _representation(A, B)
     at_zero, at_one = _endpoints(w)
     if side == "ge" and np.count_nonzero(at_zero):
         raise PreconditionError(

@@ -308,6 +308,16 @@ class Measure:
         return Measure(self.locations[keep], self.weights[keep])
 
 
+def _require_finite(rep, names) -> None:
+    """ValueError naming the first coefficient of rep among names that is
+    NaN or infinite: the representations' values and boundary data take
+    only finite coefficients."""
+    for name in names:
+        value = getattr(rep, name)
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class IntegralRepr77:
     """f(t) = a + b(t-1) + c(t-1)^2 + d(t-1)^2/t + int (t-1)^2/(t+l) dmu(l)."""
@@ -319,6 +329,7 @@ class IntegralRepr77:
     mu: Measure
 
     def __post_init__(self):
+        _require_finite(self, ("a", "b", "c", "d"))
         if self.c < 0 or self.d < 0:
             raise ValueError("c and d must be nonnegative")
 
@@ -333,6 +344,7 @@ class IntegralRepr97:
     nu: Measure
 
     def __post_init__(self):
+        _require_finite(self, ("f0", "fp0", "c"))
         if self.c < 0:
             raise ValueError("c must be nonnegative")
 

@@ -86,7 +86,8 @@ def _concurrently(n: int, first, second):
     calling thread; LAPACK releases the GIL, so two decompositions overlap.
     Otherwise both run in order on the calling thread.  Either way each
     thunk computes what it computes alone, the thread is joined before the
-    call returns or raises, and first's exception wins over second's.
+    call returns or raises, and first's exception wins over second's, so
+    the error is the one the run in order raises.
     """
     if n < CONCURRENT_MIN_N or _cpu_count() < 2:
         return first(), second()
@@ -201,13 +202,18 @@ def default_rank_tol(eigenvalues: np.ndarray) -> float:
 def require_psd(M, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
     """Validate Hermitian + PSD (smallest eigenvalue >= -psd_tol)."""
     M = require_hermitian(M, atol=atol, name=name)
+    _check_psd(M, name)
+    return M
+
+
+def _check_psd(M: np.ndarray, name: str) -> None:
+    """require_psd's PSD half, on a matrix that passed its Hermitian half."""
     w, _ = eigh(M)
     tol = psd_tol(w)
     if w.size and w[0] < -tol:
         raise NotPsdError(
             f"{name} is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}"
         )
-    return M
 
 
 def _range_eigh(M: np.ndarray, name: str):

@@ -33,7 +33,13 @@ from pwcalc.extended import (
 )
 from pwcalc.functions import ExtendedFunction, Interval, catalog
 from pwcalc import linalg
-from pwcalc.linalg import NotPsdError, full_space, hermitian_part, spectral_norm
+from pwcalc.linalg import (
+    NonFiniteError,
+    NotPsdError,
+    full_space,
+    hermitian_part,
+    spectral_norm,
+)
 from pwcalc.perspectives import (
     is_absolutely_continuous,
     lebesgue_decomposition,
@@ -508,29 +514,118 @@ def _eigh_threads(monkeypatch):
     return threads
 
 
+YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, INF,
+                                variant="ge")
+
+
+def _element_outputs(value):
+    return [value.finite_part, value.essential.basis,
+            np.array(value.lower_bound)]
+
+
+def _perspective_outputs(A, B):
+    out = perspective_apply(catalog("tlogt"), A, B)
+    return [*_element_outputs(out.value), out.r_eigenvalues,
+            np.array(out.endpoint_hits)]
+
+
+def _restricted_outputs(A, B):
+    # (A + B, B) lies in the >= cone: R >= I/2 on the range
+    return _element_outputs(pw_apply_restricted(YLOGXY_GE, A + B, B))
+
+
+def _representation_outputs(A, B):
+    rep = compatible_representation(A, B)
+    return [rep.subspace.basis, rep.t_map, rep.r, rep.s]
+
+
+E00 = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("outputs, at_empty, at_scalar", [
+    (_perspective_outputs, [E00, E00, 0.0, np.zeros(0), (0, 0)],
+     [[[2 * math.log(2.0)]], [[1.0]], 0.0, [2 / 3], (0, 0)]),
+    # on (3, 1): phi(x, y) = y log(x / y)
+    (_restricted_outputs, [E00, E00, 0.0],
+     [[[math.log(3.0)]], [[1.0]], 0.0]),
+    (_representation_outputs, [E00, E00, E00, E00],
+     [[[1.0]], [[math.sqrt(3.0)]], [[2 / 3]], [[1 / 3]]]),
+], ids=["perspective_apply", "pw_apply_restricted",
+        "compatible_representation"])
+def test_empty_and_scalar_pairs(outputs, at_empty, at_scalar):
+    # the stacked Hermitian check passes both to the one-at-a-time
+    # validators, which accept them: a 0x0 pair gives the empty outputs, the
+    # scalar pair (2, 1) the scalar calculus
+    for pair, want in (((E00, E00), at_empty), ((2.0, 1.0), at_scalar)):
+        got = outputs(*pair)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == np.shape(w)
+            assert np.allclose(g, w, rtol=1e-14, atol=1e-14)
+
+
 class TestConcurrentValidation:
-    """From n = CONCURRENT_MIN_N on, compatible_representation validates A
-    and B two at a time; the results must be the one-at-a-time run's to the
-    last bit, and the errors its errors."""
+    """From n = CONCURRENT_MIN_N on, the representation under
+    perspective_apply, pw_apply_restricted and compatible_representation
+    runs in two lanes: the PSD checks of A and B and psd_sqrt(A+B) on the
+    calling thread, pinv_sqrt(A+B) and R's decompositions on a worker.  The
+    results must be the run in order's to the last bit, and the errors its
+    errors."""
 
     @pytest.mark.parametrize("profile", ["well_conditioned", "rank_deficient",
                                          "projection"])
     def test_bitwise_equal_to_one_at_a_time(self, profile, monkeypatch):
         A, B = gen_pair(RandomSpec(64, 64, profile, seed=11), 0)
-        results, threads = [], []
+        for outputs in (_perspective_outputs, _restricted_outputs,
+                        _representation_outputs):
+            results, threads = [], []
+            for cpus in (2, 1):
+                monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+                with monkeypatch.context() as m:
+                    threads.append(_eigh_threads(m))
+                    results.append(outputs(A, B))
+            assert [len(t) for t in threads] == [2, 1]
+            for a, b in zip(*results, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda A, B: perspective_apply(catalog("tlogt"), A, B),
+        lambda A, B: pw_apply_restricted(YLOGXY_GE, A, B),
+        compatible_representation,
+    ], ids=["perspective_apply", "pw_apply_restricted",
+            "compatible_representation"])
+    @pytest.mark.parametrize("case", ["A", "B", "both", "B_not_hermitian",
+                                      "overflow"])
+    def test_errors_match_the_run_in_order(self, call, case, monkeypatch):
+        # each lane meets an error of its own where it can: the worker's
+        # pinv_sqrt sees the same invalid sum, and the first lane's error,
+        # raised in the run in order, must win
+        n = linalg.CONCURRENT_MIN_N
+        A, B = gen_pair(RandomSpec(n, n, "well_conditioned", seed=17), 0)
+        v = np.ones(n) / math.sqrt(n)
+        bad_A = A - 2 * spectral_norm(A) * np.outer(v, v)
+        bad_B = B - 2 * spectral_norm(B) * np.outer(v, v)
+        skew_B = B.astype(complex)
+        skew_B[0, 1] += 1e-3
+        huge = np.diag([1e308] + [1.0] * (n - 1))
+        pair, error, message = {
+            "A": ((bad_A, B), NotPsdError, "A is not PSD"),
+            "B": ((A, bad_B), NotPsdError, "B is not PSD"),
+            "both": ((bad_A, bad_B), NotPsdError, "A is not PSD"),
+            "B_not_hermitian": ((bad_A, skew_B), NotPsdError, "A is not PSD"),
+            "overflow": ((huge, huge), NonFiniteError,
+                         "psd_sqrt has a non-finite"),
+        }[case]
+        raised = []
         for cpus in (2, 1):
             monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
-            with monkeypatch.context() as m:
-                threads.append(_eigh_threads(m))
-                results.append(perspective_apply(catalog("tlogt"), A, B))
-        assert [len(t) for t in threads] == [2, 1]
-        on, off = results
-        for a, b in ((on.value.finite_part, off.value.finite_part),
-                     (on.value.essential.basis, off.value.essential.basis),
-                     (on.r_eigenvalues, off.r_eigenvalues)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert on.endpoint_hits == off.endpoint_hits
-        assert on.value.lower_bound == off.value.lower_bound
+            before = threading.active_count()
+            with pytest.raises(error) as info:
+                call(*pair)
+            assert threading.active_count() == before
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][1].startswith(message)
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_first_error_wins(self, cpus, monkeypatch):

@@ -247,6 +247,20 @@ class TestRepr77Spec:
         assert code == 2
         assert "atom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", "Infinity"), ("b", "NaN"), ("c", "NaN"), ("d", "-Infinity")])
+    def test_non_finite_coefficient(self, field, value, mats, tmp_path,
+                                    capsys):
+        # a usage error naming the coefficient, not a value or a traceback
+        coefficients = {"a": "0", "b": "0", "c": "0", "d": "0", field: value}
+        rfile = tmp_path / "r77.json"
+        rfile.write_text("{%s}" % ", ".join(
+            f'"{k}": {v}' for k, v in coefficients.items()))
+        code = main(["divergence", "--f", f"repr77:{rfile}",
+                     "--A", mats["a712"], "--B", mats["b712"]])
+        assert code == 2
+        assert f"coefficient {field} must be finite" in capsys.readouterr().err
+
     def test_bad_file(self, mats, tmp_path, capsys):
         rfile = tmp_path / "bad77.json"
         rfile.write_text(json.dumps({"a": 0.0}))

@@ -23,7 +23,13 @@ from pwcalc.extended import (
     make_extended,
     quadratic_form,
 )
-from pwcalc.functions import Measure, catalog, transpose
+from pwcalc.functions import (
+    IntegralRepr77,
+    IntegralRepr97,
+    Measure,
+    catalog,
+    transpose,
+)
 from pwcalc.linalg import (
     NonFiniteError,
     NotHermitianError,
@@ -103,8 +109,10 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # then adds a perspective, one eigh for A's power and one for both of B's,
 # and the kernel of each powered pair.  The rank-deficient
 # pair is bounded in this order (range A in range B) and unbounded swapped.
-# At n = 64 perspective_apply validates A and B two at a time, on the
-# calling thread and the worker, and still makes 7.
+# At n = 64 perspective_apply and pw_apply_restricted run in two lanes and
+# still make 7: the PSD checks of A and B and psd_sqrt(A+B) on the calling
+# thread, pinv_sqrt(A+B) and R's two decompositions on the worker, and the
+# lower bound of the element after both have joined.
 PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
 
 
@@ -122,6 +130,9 @@ PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
      "rank_deficient", 7),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
      "rank_deficient", 7),
+    (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, PAIR64[0] + PAIR64[1],
+                                           PAIR64[1]),
+     "rank_deficient", 7),
     (DOMINATES, "rank_deficient", 3),
     (T2, "rank_deficient", 6),
     (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3),
@@ -134,7 +145,8 @@ PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
     (CHAIN, "well_conditioned", 18),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "perspective_apply",
-        "perspective_apply-n64", "pw_apply_restricted", "dominates_scale", "t2_bound",
+        "perspective_apply-n64", "pw_apply_restricted",
+        "pw_apply_restricted-n64", "dominates_scale", "t2_bound",
         "t2_bound-unbounded", "boundedness_chain",
         "connection-well_conditioned",
         "lebesgue_decomposition-well_conditioned",
@@ -215,6 +227,20 @@ SCALARS = r"^scalars must be finite and nonnegative$"
      r"^atom locations must be finite and strictly positive$"),
     (lambda A, B: Measure([1.0], [math.inf]),
      r"^atom weights must be finite and nonnegative$"),
+    (lambda A, B: IntegralRepr77(math.inf, 0.0, 0.0, 0.0, Measure.zero()),
+     r"^coefficient a must be finite, got inf$"),
+    (lambda A, B: IntegralRepr77(0.0, math.nan, 0.0, 0.0, Measure.zero()),
+     r"^coefficient b must be finite, got nan$"),
+    (lambda A, B: IntegralRepr77(0.0, 0.0, math.nan, 0.0, Measure.zero()),
+     r"^coefficient c must be finite, got nan$"),
+    (lambda A, B: IntegralRepr77(0.0, 0.0, 0.0, math.inf, Measure.zero()),
+     r"^coefficient d must be finite, got inf$"),
+    (lambda A, B: IntegralRepr97(math.nan, 0.0, 0.0, Measure.zero()),
+     r"^coefficient f0 must be finite, got nan$"),
+    (lambda A, B: IntegralRepr97(0.0, -math.inf, 0.0, Measure.zero()),
+     r"^coefficient fp0 must be finite, got -inf$"),
+    (lambda A, B: IntegralRepr97(0.0, 0.0, math.inf, Measure.zero()),
+     r"^coefficient c must be finite, got inf$"),
 ], ids=["epsilon_limit", "invertible_formula", "pw_commuting_oracle",
         "t2_bound", "dominates_scale", "boundedness_chain",
         "check_homogeneity", "parallel_sum", "check_positive_map_monotonicity",
@@ -226,7 +252,10 @@ SCALARS = r"^scalars must be finite and nonnegative$"
         "epsilon_limit-inf", "epsilon_limit-trailing_nan",
         "special_values-nan_alpha", "special_values-nan_beta",
         "special_values-inf_alpha", "special_values-inf_beta",
-        "quadratic_form-nan", "Measure-inf_location", "Measure-inf_weight"])
+        "quadratic_form-nan", "Measure-inf_location", "Measure-inf_weight",
+        "IntegralRepr77-inf_a", "IntegralRepr77-nan_b", "IntegralRepr77-nan_c",
+        "IntegralRepr77-inf_d", "IntegralRepr97-nan_f0",
+        "IntegralRepr97-inf_fp0", "IntegralRepr97-inf_c"])
 def test_mismatched_pair_is_rejected_before_any_eigh(call, message,
                                                      monkeypatch):
     calls = []
