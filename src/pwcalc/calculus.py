@@ -59,7 +59,6 @@ from .linalg import (
     _psd_spectra,
     _psd_stack,
     _range_cut,
-    _range_eigh,
     default_rank_tol,
     eigh,
     hermitian_part,
@@ -301,29 +300,36 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     is about to, so it validates nothing again.  An input that fails
     validation may still raise here, as NotPsdError naming A + B (`names`).
     """
-    _, _, r, X = _pair_spectra(A, B, names)
-    return np.clip(r, 0.0, 1.0), X
+    return _pair_spectra(A, B, names)[:2]
 
 
 def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
-    """_pair_spectrum with the spectra it reads: (w, keep, r, X), w the
-    eigenvalues of A+B with keep marking those above the rank cut, r the
-    eigenvalues of R before clipping.  An error names the sum by `names`."""
+    """_pair_spectrum with whether _certified accepts the pair:
+    (t, X, certified).  The spectrum of A+B is read once as floats, for its
+    rank cut and the certificate.  An error names the sum by `names`."""
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         S = A + B
-    w, V, keep = _range_eigh(S, " + ".join(names))
-    return (w, keep, *_r_spectrum(A, w, V, keep))
+    w, V = eigh(S)
+    vals = w.tolist()
+    cut = _range_cut(vals, " + ".join(names))
+    t, X = _r_spectrum(A, w, V, vals, cut)
+    return t, X, _certified(vals, cut, t)
 
 
-def _r_spectrum(A: np.ndarray, w: np.ndarray, V: np.ndarray,
-                keep: np.ndarray):
-    """The kernel's second half: (r, X) from the eigenpairs (w, V) of A+B
-    and their rank mask keep, by one eigh of R."""
-    Vk = V[:, keep]
-    root = np.sqrt(w[keep])
-    Y = Vk / root  # V D
+def _r_spectrum(A: np.ndarray, w: np.ndarray, V: np.ndarray, vals: list,
+                cut: float):
+    """The kernel's second half: (t, X) from the eigenpairs (w, V) of A+B
+    (vals their floats) above the rank cut `cut`, by one eigh of R; t holds
+    R's eigenvalues clipped into [0, 1].  V is copied only when it is cut."""
+    if not (vals and vals[0] > cut):  # w ascends: some eigenvalue is cut
+        keep = w > cut
+        V, w = V[:, keep], w[keep]
+    root = np.sqrt(w)
+    Y = V / root  # V D
     r, Q = eigh(hermitian_part(Y.conj().T @ A @ Y))
-    return r, Q.conj().T @ (root[:, None] * Vk.conj().T)
+    # np.clip's result, without its call when it would change nothing
+    t = r if len(r) and 0.0 < r[0] and r[-1] < 1.0 else r.clip(0.0, 1.0)
+    return t, Q.conj().T @ (root[:, None] * V.conj().T)
 
 
 def _state_weights(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -332,9 +338,10 @@ def _state_weights(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return ((X @ rho) * X.conj()).sum(axis=1).real
 
 
-def _certified(w: np.ndarray, keep: np.ndarray, r: np.ndarray) -> bool:
+def _certified(vals: list, cut: float, t: np.ndarray) -> bool:
     """True when the spectra of _pair_spectra prove that A and B pass
-    require_psd, so that their own eigh can be skipped.
+    require_psd, so that their own eigh can be skipped: vals the eigenvalues
+    of A+B as floats, cut their rank cut and t those of R, clipped.
 
     Over the range of A+B, A = T* R T and B = T* (I - R) T with T* T = A + B,
     so lambda_min(A) >= t_min w_min and lambda_min(B) >= (1 - t_max) w_min.
@@ -343,14 +350,15 @@ def _certified(w: np.ndarray, keep: np.ndarray, r: np.ndarray) -> bool:
     The computed t are off by about n eps w_max / w_min and the w by about
     n eps w_max, so a certified A and B are positive definite with a margin
     near K n eps w_max, which eigh's own error of about n eps max|lambda|
-    cannot close: require_psd accepts them.  The test is scale-invariant.
+    cannot close: require_psd accepts them.  The test is scale-invariant,
+    and clipping changes none of its answers.
     """
-    if not keep[0]:  # w ascends, so A+B kept all n eigenvalues
+    if not (vals and vals[0] > cut):  # w ascends: A+B kept all n eigenvalues
         return False
-    ratio = float(w[0]) / float(w[-1])
-    bound = PSD_CERTIFICATE_K * len(w) * EPS
+    ratio = vals[0] / vals[-1]
+    bound = PSD_CERTIFICATE_K * len(vals) * EPS
     # each side compared on its own, so that a NaN certifies nothing
-    return float(r[0]) * ratio > bound and (1.0 - float(r[-1])) * ratio > bound
+    return float(t[0]) * ratio > bound and (1.0 - float(t[-1])) * ratio > bound
 
 
 def _sequential_pair_spectrum(A, B, names):
@@ -380,16 +388,16 @@ def _checked_pair_spectrum(A, B, names=("A", "B")):
         return _sequential_pair_spectrum(A, B, names)
     Ah, Bh = H
     try:
-        w, keep, r, X = _pair_spectra(Ah, Bh, names)
+        t, X, certified = _pair_spectra(Ah, Bh, names)
     except Exception as exc:  # on input that may yet fail validation
         held, certified = exc, False
     else:
-        held, certified = None, _certified(w, keep, r)
+        held = None
     if not certified and not _psd_stack(H):
         return _sequential_pair_spectrum(A, B, names)
     if held is not None:
         raise held
-    return Ah, Bh, np.clip(r, 0.0, 1.0), X
+    return Ah, Bh, t, X
 
 
 def _sequential_state_spectrum(rho, A, B):
@@ -398,50 +406,50 @@ def _sequential_state_spectrum(rho, A, B):
     path of any input the stacked pass rejects, whose error it raises in
     its order, and of scalar input, which it accepts."""
     rho, A, B = _sequential_state_pair(rho, A, B)
-    _, _, r, X = _pair_spectra(A, B)
+    t, X, _ = _pair_spectra(A, B)
     norms = [float(eigh(M)[0][-1]) for M in (A, B)]
-    return (rho, A, B, np.clip(r, 0.0, 1.0), _state_weights(X, rho), *norms)
+    return (rho, A, B, t, _state_weights(X, rho), float(np.trace(rho).real),
+            *norms)
 
 
 def _checked_state_spectrum(rho, A, B):
-    """(rho, A, B, t, m, |A|, |B|) for the integral evaluators: the state
-    and the pair as _sequential_state_pair returns them, R's clipped
+    """(rho, A, B, t, m, Tr rho, |A|, |B|) for the integral evaluators: the
+    state and the pair as _sequential_state_pair returns them, R's clipped
     eigenvalues t and the weights m of rho over them (_state_weights of
-    _pair_spectrum's X), and the spectral norms of A and B.
+    _pair_spectrum's X), rho's trace, and the spectral norms of A and B.
 
-    The square, finite and Hermitian checks run over the stack of rho, A
-    and B (_hermitian_stack); A + B, the sum of their Hermitian parts, is
-    appended, and one eigh of that 4-stack gives, to the last bit, what
-    eigh gives each matrix alone.  From it come the PSD checks of rho, A
-    and B (_psd_spectra), then rho's trace check, then the rank cut of A+B
-    and its NotPsdError (_range_cut, as the kernel makes it), and the norms
-    as the largest eigenvalues (a least eigenvalue that passed the PSD
+    rho, A and B are checked in one stack (_hermitian_stack: square, finite,
+    Hermitian) whose fourth slot takes A + B, the sum of their Hermitian
+    parts; one eigh of it gives, to the last bit, what eigh gives each
+    matrix alone.  Its spectra, read once as floats, give the PSD checks of
+    rho, A and B (_psd_spectra), then rho's trace check, then the rank cut
+    of A+B and its NotPsdError (_range_cut, as the kernel makes it), and the
+    norms as the largest eigenvalues (a least eigenvalue that passed the PSD
     check is never larger in magnitude).  The kernel's eigh of R follows:
-    2 eigh in all.  Whatever the stacked checks reject, and a LAPACK
-    failure on the stack, goes to _sequential_state_spectrum, so each error
-    keeps its type, message and precedence (rho first).  The Hermitian
-    parts, and the spectrum of A+B, are those the one-at-a-time path
-    makes, so t, X and m are the same to the last bit.
+    2 eigh in all.  Whatever the stacked checks reject, and a LAPACK failure
+    on the stack, goes to _sequential_state_spectrum, so each error keeps
+    its type, message and precedence (rho first).  The Hermitian parts, and
+    the spectrum of A+B, are those the one-at-a-time path makes, so t, X and
+    m are the same to the last bit.
     """
     H = _hermitian_stack((rho, A, B), (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL,
-                                       MATRIX_HERMITIAN_ATOL))
+                                       MATRIX_HERMITIAN_ATOL), spare=1)
     if H is None:
         return _sequential_state_spectrum(rho, A, B)
-    n = H.shape[-1]
-    S = np.empty((4, n, n), dtype=complex)
-    S[:3] = H
+    rho_h, Ah, Bh, S = H
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
-        np.add(H[1], H[2], out=S[3])
+        np.add(Ah, Bh, out=S)
     try:
-        w, V = np.linalg.eigh(S)
+        w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError:
         return _sequential_state_spectrum(rho, A, B)
-    if not _psd_spectra(w[:3]) or float(np.trace(H[0]).real) <= 0.0:
+    rows = w.tolist()
+    tr = float(rho_h.trace().real)
+    if not _psd_spectra(rows[:3]) or tr <= 0.0:
         return _sequential_state_spectrum(rho, A, B)
-    keep = _range_cut(w[3], "A + B")
-    r, X = _r_spectrum(H[1], w[3], V[3], keep)
-    return (*H, np.clip(r, 0.0, 1.0), _state_weights(X, H[0]),
-            float(w[1, -1]), float(w[2, -1]))
+    t, X = _r_spectrum(Ah, w[3], V[3], rows[3], _range_cut(rows[3], "A + B"))
+    return (rho_h, Ah, Bh, t, _state_weights(X, rho_h), tr, rows[1][-1],
+            rows[2][-1])
 
 
 class PwDiagnostics(NamedTuple):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -177,11 +178,12 @@ def eigh(M: np.ndarray):
     return w, V
 
 
-def psd_tol(eigenvalues: np.ndarray) -> float:
+def psd_tol(eigenvalues) -> float:
     """Scale-invariant PSD slack: n * eps * max |eigenvalue|.
 
     The eigenvalues come in ascending order, as eigh returns them, so the
-    largest magnitude is read off the two ends.
+    largest magnitude is read off the two ends.  They may be the array or
+    its floats (w.tolist()), which the kernels read once.
     """
     n = len(eigenvalues)
     if not n:
@@ -189,10 +191,11 @@ def psd_tol(eigenvalues: np.ndarray) -> float:
     return n * EPS * max(-float(eigenvalues[0]), float(eigenvalues[-1]))
 
 
-def default_rank_tol(eigenvalues: np.ndarray) -> float:
+def default_rank_tol(eigenvalues) -> float:
     """Rank cut n * eps * lambda_max; defines the range of a PSD matrix.
 
-    The eigenvalues come in ascending order, as eigh returns them.
+    The eigenvalues come in ascending order, as eigh returns them, as the
+    array or its floats.
     """
     n = len(eigenvalues)
     top = float(eigenvalues[-1]) if n else 0.0
@@ -220,24 +223,25 @@ def _range_eigh(M: np.ndarray, name: str):
     """eigh of a PSD matrix, with its range: (w, V, keep), keep marking the
     eigenvalues above the rank cut.  It raises as _range_cut does."""
     w, V = eigh(M)
-    return w, V, _range_cut(w, name)
+    return w, V, w > _range_cut(w.tolist(), name)
 
 
-def _range_cut(w: np.ndarray, name: str) -> np.ndarray:
-    """The mask of the eigenvalues w (ascending, of a PSD matrix named
-    `name`) above the rank cut default_rank_tol(w).  An eigenvalue below
-    the PSD slack raises NotPsdError, and a NaN at either end
-    NonFiniteError: eigh answers a matrix with an infinite entry, such as a
-    sum A + B that overflowed, with NaN eigenvalues only."""
-    if not len(w):
-        return w > 0.0
-    lo, hi = float(w[0]), float(w[-1])
+def _range_cut(vals: list, name: str) -> float:
+    """The rank cut default_rank_tol(vals) of the eigenvalues vals
+    (ascending floats, w.tolist(), of a PSD matrix named `name`): those
+    above it span the range.  An eigenvalue below the PSD slack raises
+    NotPsdError, and a NaN at either end NonFiniteError: eigh answers a
+    matrix with an infinite entry, such as a sum A + B that overflowed,
+    with NaN eigenvalues only."""
+    if not vals:
+        return 0.0
+    lo, hi = vals[0], vals[-1]
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NonFiniteError(f"{name} has a non-finite (NaN or inf) eigenvalue")
-    tol = psd_tol(w)
+    tol = psd_tol(vals)
     if lo < -tol:
         raise NotPsdError(f"{name}: min eigenvalue {lo:.3e} < -{tol:.3e}")
-    return w > default_rank_tol(w)
+    return default_rank_tol(vals)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -397,26 +401,32 @@ def require_state(rho, name: str = "state") -> np.ndarray:
     return rho
 
 
-def _hermitian_stack(mats, atols):
+def _hermitian_stack(mats, atols, spare: int = 0):
     """The cheap half of the stacked validation: the matrices stacked, with
-    the square, finite and Hermitian checks (each matrix against its own
-    atol) run once over the stack.  Returns the stack of their Hermitian
-    parts, as require_hermitian computes them, or None when the shapes
-    differ or any check fails.
+    `spare` slots after them for the caller to fill, and the square, finite
+    and Hermitian checks (each matrix against its own atol) run once over
+    the matrices.  Returns the stack, its first len(mats) slots the
+    Hermitian parts as require_hermitian computes them, or None when the
+    shapes differ or any check fails.
     """
     try:
-        S = np.array(mats, dtype=complex)
+        # one allocation; the spare slots hold copies of the first matrix
+        S = np.array((*mats, *mats[:1] * spare), dtype=complex)
     except (TypeError, ValueError):
         return None
     n = S.shape[-1]
-    if S.ndim != 3 or S.shape[1] != n or n == 0 or not np.isfinite(S).all():
+    if S.ndim != 3 or S.shape[1] != n or n == 0:
         return None
-    # the deviations D = S - S*, then the Hermitian parts S - D/2 in place
-    D = S - S.conj().transpose(0, 2, 1)
-    devs = np.abs(D).reshape(len(S), -1).max(axis=1).tolist()
-    if any(dev > atol for dev, atol in zip(devs, atols)):
+    H = S[:len(mats)]
+    if not np.isfinite(H).all():
         return None
-    return _hermitian_from(S, D, out=S)
+    # the deviations D = H - H*, then the Hermitian parts H - D/2 in place
+    D = H - H.conj().transpose(0, 2, 1)
+    devs = np.abs(D).max(axis=(1, 2)).tolist()
+    if any(map(operator.gt, devs, atols)):
+        return None
+    _hermitian_from(H, D, out=H)
+    return S
 
 
 def _psd_stack(H) -> bool:
@@ -430,13 +440,13 @@ def _psd_stack(H) -> bool:
         w = np.linalg.eigh(H)[0]
     except np.linalg.LinAlgError:
         return False
-    return _psd_spectra(w)
+    return _psd_spectra(w.tolist())
 
 
-def _psd_spectra(w: np.ndarray) -> bool:
-    """True iff every row of w (the eigenvalues of a stack, ascending)
-    passes require_psd's check."""
-    return not any(row[0] < -psd_tol(row) for row in w.tolist())
+def _psd_spectra(rows: list) -> bool:
+    """True iff every row of rows (the eigenvalues of a stack, ascending, as
+    floats: w.tolist()) passes require_psd's check."""
+    return not any(row[0] < -psd_tol(row) for row in rows)
 
 
 def vector_state(xi: np.ndarray) -> np.ndarray:

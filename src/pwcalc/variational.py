@@ -11,15 +11,16 @@ evaluating the state against the relevant singular part, which is exactly
 what the tail of the integral converges to.
 
 An evaluation goes through calculus._checked_state_spectrum: one eigh of
-the stack (rho, A, B, A + B), which validates rho, A and B and gives the
-spectrum of A + B, then the eigh of R (the count is pinned in
-tests/test_perspectives.py).  Everything else is read from those spectra:
-the state's weights m over R's eigenvalues t, the pairings
-rho(A) = sum m_i t_i and rho(B) = sum m_i (1 - t_i) (Tr rho A and Tr rho B
-but for A's and B's parts beyond the rank cut of A + B, at most
-n eps |A + B| Tr rho), and the norms of A and B that scale the
-singular-mass threshold, as their largest eigenvalues.  A phi_{t^2} term
-adds a perspective_apply.
+the stack (rho, A, B, A + B), allocated once, which validates rho, A and B
+and gives the spectrum of A + B, then the eigh of R (the count is pinned in
+tests/test_perspectives.py).  The spectra are read once, as floats, and
+everything else comes from them: the state's weights m over R's
+eigenvalues t, the pairings rho(A) = sum m_i t_i and
+rho(B) = sum m_i (1 - t_i) (Tr rho A and Tr rho B but for A's and B's parts
+beyond the rank cut of A + B, at most n eps |A + B| Tr rho), and the norms
+of A and B that scale the singular-mass threshold, as their largest
+eigenvalues.  Tr rho, computed once by the state's trace check, scales that
+threshold too.  A phi_{t^2} term adds a perspective_apply.
 """
 
 from __future__ import annotations
@@ -64,20 +65,28 @@ from .perspectives import perspective_apply
 SINGULAR_MASS_REL_TOL = 1e-10
 
 
-def _singular(mass: float, rho: np.ndarray, norm: float) -> bool:
-    """A singular part's state mass exceeds SINGULAR_MASS_REL_TOL * Tr rho *
-    norm, norm the spectral norm of the matrix whose part it is: a cut that
-    scales with the pair, as the mass does, at every joint scaling."""
-    floor = SINGULAR_MASS_REL_TOL * float(np.trace(rho).real)
-    return mass > floor * norm
+def _singular(mass: float, tr: float, norm: float) -> bool:
+    """A singular part's state mass exceeds SINGULAR_MASS_REL_TOL * tr *
+    norm, tr = Tr rho and norm the spectral norm of the matrix whose part it
+    is: a cut that scales with the pair, as the mass does, at every joint
+    scaling."""
+    return mass > SINGULAR_MASS_REL_TOL * tr * norm
 
 
-def _integrand(num: np.ndarray, t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """num_i / (t_i + l (1 - t_i)) at each node l (rows) and eigenvalue t_i
-    of R (columns).  With the state weights m it is eq. 9.1's integrand for
-    num = (2t - 1)^2 and eq. 9.2's for num = t^2, free of their cancellation
-    and, weighted before m, of overflow near the float limit."""
-    return num / (t + lam[:, None] * (1.0 - t))
+def _integrand(num: np.ndarray, t: np.ndarray, s: np.ndarray,
+               lam: np.ndarray) -> np.ndarray:
+    """num_i / (t_i + l s_i), s = 1 - t, at each node l (rows) and
+    eigenvalue t_i of R (columns).  With the state weights m it is eq. 9.1's
+    integrand for num = (2t - 1)^2 and eq. 9.2's for num = t^2, free of their
+    cancellation and, weighted before m, of overflow near the float limit.
+    It is formed one row per eigenvalue, so that each operation runs along
+    the nodes, then copied into C order: the quadrature's product with the
+    transposed view would take another BLAS kernel, which rounds
+    differently."""
+    K = np.multiply.outer(s, lam)
+    K += t[:, None]
+    np.divide(num[:, None], K, out=K)
+    return K.T.copy()
 
 
 def _t2_term(A, B, rho) -> float:
@@ -93,11 +102,11 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     + int [rho(A) + rho(B)/l - ((1+l)/l)^2 rho(A : lB)] dmu(l),
     with a0 = b - 2c + d and b0 = a - b + c - 2d.
     """
-    rho, A, B, t, m, norm_a, norm_b = _checked_state_spectrum(rho, A, B)
+    rho, A, B, t, m, tr, norm_a, norm_b = _checked_state_spectrum(rho, A, B)
+    mu, s = r.mu, 1.0 - t
     a0 = r.b - 2.0 * r.c + r.d
     b0 = r.a - r.b + r.c - 2.0 * r.d
-    rho_a, rho_b = float(m @ t), float(m @ (1.0 - t))
-    terms = [a0 * rho_a, b0 * rho_b]
+    terms = [a0 * float(m @ t), b0 * float(m @ s)]
     if r.c > 0:
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
     if r.d > 0:
@@ -105,12 +114,12 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     # the singular parts are the eigenprojections of R at 1 (A relative to
     # B) and at 0 (B relative to A), cut as in lebesgue_decomposition
     at_zero, at_one = _endpoints(t)
-    if r.mu.infinite_mass and _singular(m[at_one].sum(), rho, norm_a):
+    if mu.infinite_mass and _singular(m[at_one].sum(), tr, norm_a):
         return INF
-    if r.mu.infinite_inv_mass and _singular(m[at_zero].sum(), rho, norm_b):
+    if mu.infinite_inv_mass and _singular(m[at_zero].sum(), tr, norm_b):
         return INF
-    kernel = _integrand((2.0 * t - 1.0) ** 2, t, r.mu.locations)
-    terms.append(float(r.mu.weights @ kernel @ m))
+    kernel = _integrand((2.0 * t - 1.0) ** 2, t, s, mu.locations)
+    terms.append(float(mu.weights @ kernel @ m))
     return xadd(*terms)
 
 
@@ -121,16 +130,15 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     f'(0+) rho(A) + f(0+) rho(B) + c phi_{t^2}(A,B)(rho)
     + int [rho(A) - rho(A : lB)] dnu(l).
     """
-    rho, A, B, t, m, norm_a, _ = _checked_state_spectrum(rho, A, B)
-    rho_a, rho_b = float(m @ t), float(m @ (1.0 - t))
-    terms = [r.fp0 * rho_a, r.f0 * rho_b]
+    rho, A, B, t, m, tr, norm_a, _ = _checked_state_spectrum(rho, A, B)
+    nu, s = r.nu, 1.0 - t
+    terms = [r.fp0 * float(m @ t), r.f0 * float(m @ s)]
     if r.c > 0:
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
-    if r.nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), rho,
-                                        norm_a):
+    if nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), tr, norm_a):
         return INF
-    kernel = _integrand(t * t, t, r.nu.locations)
-    terms.append(float(r.nu.weights @ kernel @ m))
+    kernel = _integrand(t * t, t, s, nu.locations)
+    terms.append(float(nu.weights @ kernel @ m))
     return xadd(*terms)
 
 

@@ -14,7 +14,9 @@ from pwcalc.calculus import (
     _checked_state_spectrum,
     _pair_spectrum,
     _sequential_pair,
+    _sequential_pair_spectrum,
     _sequential_state_pair,
+    _sequential_state_spectrum,
 )
 from pwcalc.extended import evaluate_state, from_matrix
 from pwcalc.functions import catalog
@@ -512,6 +514,31 @@ def _validation_corpus():
                 yield (f"invalid/{i}:{ki}/{j}:{kj}", *args)
 
 
+def _kernel_corpus():
+    """(label, rho, A, B) for the pair and state kernels against their
+    one-at-a-time paths: pairs whose sum A + B has full rank (the kernel
+    reads its eigenvectors without a copy) or not, pairs with R's
+    eigenvalues clipped at 0 or 1, 1 x 1 pairs, and 0 x 0 and scalar
+    input."""
+    rng = np.random.default_rng(20264)
+    for profile in ("well_conditioned", "rank_deficient", "projection"):
+        for n in (1, 2, 3, 4, 6):
+            if profile == "projection" and n == 1:
+                continue
+            for trial in range(3):
+                A, B = gen_pair(RandomSpec(n, n, profile, seed=13 + n), trial)
+                yield f"{profile}/{n}/{trial}", random_state(rng, n), A, B
+    for n, r in ((2, 1), (3, 2), (5, 3)):
+        # A + B of rank r < n: A and B on one r-dimensional subspace
+        U = haar_unitary(rng, n)[:, :r]
+        A, B = ((U * rng.uniform(0.1, 1.0, r)) @ U.conj().T for _ in range(2))
+        yield f"shared/{n}/{r}", random_state(rng, n), A, B
+    yield "1x1", np.eye(1), np.full((1, 1), 2.0), np.full((1, 1), 3.0)
+    yield "1x1 kernel", np.eye(1), np.zeros((1, 1)), np.full((1, 1), 3.0)
+    yield "0x0", np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))
+    yield "scalars", 1.0, 2.0, 3.0
+
+
 class TestStackedValidation:
     """reference.validate_stack (linalg's two stacked halves) accepts
     exactly what the one-at-a-time validators accept and returns their
@@ -543,6 +570,45 @@ class TestStackedValidation:
         # each cliff is met from both sides
         for kind in ("hermitian", "psd"):
             assert {(kind, True), (kind, False)} <= decisions
+
+    def test_pair_kernel_matches_sequential(self, monkeypatch):
+        # the stacked kernel, and where it keeps all of A + B's eigenvalues
+        # (its view of V without a copy) or cuts some, gives what validating
+        # A and B one at a time and decomposing them gives, to the last bit
+        fallbacks = []
+        sequential = calculus._sequential_pair_spectrum
+        monkeypatch.setattr(calculus, "_sequential_pair_spectrum",
+                            lambda *a: fallbacks.append(1) or sequential(*a))
+        ranks = set()
+        for label, _, A, B in _kernel_corpus():
+            want = _outcome(_sequential_pair_spectrum, A, B, ("A", "B"))
+            fallbacks.clear()
+            got = _outcome(_checked_pair_spectrum, A, B)
+            if isinstance(want[0], type):
+                assert got == want, label
+                continue
+            assert _same_arrays(got, want), label
+            if label not in ("0x0", "scalars"):
+                assert not fallbacks, label  # the stacked path ran
+                ranks.add(got[3].shape[0] == got[3].shape[1])
+        assert ranks == {True, False}
+
+    def test_pair_kernel_clips_as_np_clip(self, monkeypatch):
+        # t is np.clip of R's eigenvalues to the last bit, where roundoff
+        # puts some outside [0, 1] and where all lie inside
+        spectra = []
+        eigh_ = calculus.eigh
+        monkeypatch.setattr(calculus, "eigh",
+                            lambda M: spectra.append(eigh_(M)) or spectra[-1])
+        outside = set()
+        for label, _, A, B in _kernel_corpus():
+            if label in ("0x0", "scalars"):
+                continue
+            t = _pair_spectrum(*validated_pair(A, B))[0]
+            r = spectra[-1][0]  # R's, the kernel's last eigh
+            assert t.tobytes() == np.clip(r, 0.0, 1.0).tobytes(), label
+            outside.add(bool((r < 0.0).any() or (r > 1.0).any()))
+        assert outside == {True, False}
 
     def test_stacked_eigh_is_per_matrix_eigh(self):
         stacked = 0
@@ -762,19 +828,42 @@ class TestStateSpectrum:
             assert _same_arrays(got[:5], want), label
             assert len(seen) == len(want_x) == 1, label
             assert _same_arrays(seen, want_x), label
-            rho_h, A_h, B_h, t, m, norm_a, norm_b = got
+            rho_h, A_h, B_h, t, m, tr, norm_a, norm_b = got
+            assert tr == float(np.trace(rho_h).real), label
             for M, norm in ((A_h, norm_a), (B_h, norm_b)):
                 exact = spectral_norm(M)
                 assert abs(norm - exact) <= 8 * M.shape[0] * EPS * exact, label
-            tr = float(np.trace(rho_h).real)
             for M, norm, mass in ((A_h, norm_a, m[t >= 1.0 - ENDPOINT_TOL].sum()),
                                   (B_h, norm_b, m[t <= ENDPOINT_TOL].sum())):
                 cut = SINGULAR_MASS_REL_TOL * tr * spectral_norm(M)
                 for x in (mass, cut * (1 - 1e-9), cut * (1 + 1e-9)):
-                    decision = _singular(x, rho_h, norm)
+                    decision = _singular(x, tr, norm)
                     assert decision == _reference_singular(x, rho_h, M), label
-                decisions.add(_singular(mass, rho_h, norm))
+                decisions.add(_singular(mass, tr, norm))
         assert accepted >= 70 and decisions == {True, False}
+
+    def test_matches_sequential_state_spectrum(self, monkeypatch):
+        # the one stack (rho, A, B, A + B), its spectra read once, gives
+        # what the one-at-a-time path gives, to the last bit: arrays, trace
+        # and norms, on full-rank sums (no copy of V), cut ones and 1 x 1
+        fallbacks = []
+        sequential = calculus._sequential_state_spectrum
+        monkeypatch.setattr(calculus, "_sequential_state_spectrum",
+                            lambda *a: fallbacks.append(1) or sequential(*a))
+        ranks = set()
+        for label, rho, A, B in _kernel_corpus():
+            want = _outcome(_sequential_state_spectrum, rho, A, B)
+            fallbacks.clear()
+            got = _outcome(_checked_state_spectrum, rho, A, B)
+            if isinstance(want[0], type):
+                assert got == want, label
+                continue
+            assert _same_arrays(got[:5], want[:5]), label
+            assert got[5:] == want[5:], label
+            if label != "scalars":
+                assert not fallbacks, label  # the stacked path ran
+                ranks.add(len(got[3]) == got[1].shape[0])
+        assert ranks == {True, False}
 
     @pytest.mark.parametrize("failing", ["rho", "A", "B", "A + B"])
     def test_lapack_failure_keeps_its_order(self, failing, monkeypatch):

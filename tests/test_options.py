@@ -9,6 +9,8 @@ import fnmatch
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pwcalc
 
@@ -66,3 +68,57 @@ def test_tolerance_rules_read_only_the_spectrum():
     # the cut scales with len(eigenvalues), with no other n to set
     for rule in (pwcalc.linalg.psd_tol, pwcalc.linalg.default_rank_tol):
         assert list(inspect.signature(rule).parameters) == ["eigenvalues"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the deciding constants of README's tolerance table, and the one that only
+# selects a validation path, which the prose under the table gives
+CONTRACT_CONSTANTS = {
+    ("calculus", "ENDPOINT_TOL"), ("extended", "CONTAINMENT_COS_TOL"),
+    ("linalg", "MEET_COS_TOL"), ("extended", "STATE_INF_REL_TOL"),
+    ("extended", "KERNEL_REL_TOL"), ("variational", "SINGULAR_MASS_REL_TOL"),
+    ("calculus", "PSD_CERTIFICATE_K"),
+}
+
+
+def _contracts_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Numerical contracts", 1)[1].split("\n## ", 1)[0]
+
+
+def _resolve(dotted: str):
+    """The pwcalc object a README cell names, as `module.name`,
+    `Class.method` or a bare function name."""
+    head, *rest = dotted.split(".")
+    modules = [importlib.import_module(f"pwcalc.{info.name}")
+               for info in pkgutil.iter_modules(pwcalc.__path__)]
+    if any(m.__name__ == f"pwcalc.{head}" for m in modules):
+        obj = importlib.import_module(f"pwcalc.{head}")
+    else:
+        obj = next(vars(m)[head] for m in modules if head in vars(m))
+    for attr in rest:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_readme_tolerance_table_matches_the_constants():
+    section = _contracts_section()
+    rows = [line.split(" | ") for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith("| tolerance")]
+    assert len(rows) == 7  # "Seven tolerances make decisions"
+    stated = {}
+    for cells in rows:
+        name = re.search(r"`([\w.]+)`", cells[0])[1]
+        where = re.match(r"`([\w.]+)`", cells[3])[1]
+        assert callable(_resolve(where)), where
+        if name.count(".") == 1 and name.split(".")[1].isupper():
+            stated[tuple(name.split("."))] = re.match(r"`([^`]+)`", cells[1])[1]
+        else:  # the rank cut is a rule, not a constant
+            assert callable(_resolve(name)), name
+    stated["calculus", "PSD_CERTIFICATE_K"] = re.search(
+        r"`calculus\.PSD_CERTIFICATE_K` \(`([^`]+)`\)", section)[1]
+    assert set(stated) == CONTRACT_CONSTANTS
+    for (module, name), value in stated.items():
+        constant = getattr(importlib.import_module(f"pwcalc.{module}"), name)
+        assert float(value) == constant, (module, name, value, constant)

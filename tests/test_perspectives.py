@@ -746,6 +746,49 @@ class TestContainmentCorpus:
         assert rep.violated == (["c=>d"] if inside else [])
 
 
+def _definite_cliff_pair(e):
+    """B = diag(np.logspace(0, -e, 4)) and A the same diagonal reversed: a
+    positive definite pair whose sides differ by 10^e in one direction, so
+    that R has an eigenvalue near 1 - 10^-e."""
+    b = np.logspace(0, -e, 4)
+    return np.diag(b[::-1]), np.diag(b)
+
+
+# tr(A log A - A log B) = sum a_i log(a_i / b_i) of _definite_cliff_pair(e),
+# by mpmath at 50 digits on the same doubles
+DEFINITE_CLIFF_TRACE = {9: 20.730166663746846, 10: 23.0294118251335}
+
+
+def _definite_cliff_traces(e):
+    A, B = _definite_cliff_pair(e)
+    f = catalog("tlogt")
+    phi = perspective_of(f)
+    return {
+        "perspective_apply": perspective_apply(f, A, B).value.trace(),
+        "max_f_divergence": max_f_divergence(f, A, B),
+        "pw_commuting_oracle": pw_commuting_oracle(phi, A, B).trace(),
+        "invertible_formula": invertible_formula(phi, A, B).trace(),
+    }
+
+
+class TestDefinitePairEndpointCliff:
+    """Rows on each side of the endpoint cliff of a definite pair: the trace
+    of its tlogt perspective is finite at every e, but at e = 10 R's
+    eigenvalue 1 - 1e-10 sits inside the absolute ENDPOINT_TOL band and
+    takes the corner value +inf, in the calculus and in both oracles."""
+
+    @pytest.mark.parametrize("e", [9, pytest.param(10, marks=pytest.mark.xfail(
+        strict=True, reason="the endpoint band is absolute, not scaled to "
+        "the pair's own error, so R's eigenvalue 1 - 1e-10 takes the corner "
+        "value +inf"))])
+    def test_finite_trace(self, e):
+        exact = DEFINITE_CLIFF_TRACE[e]
+        for name, value in _definite_cliff_traces(e).items():
+            assert math.isfinite(value), name
+            assert abs(value - exact) <= 1e-8 * exact, (name, value)
+        assert is_absolutely_continuous(*_definite_cliff_pair(e))
+
+
 class TestContainmentIdentity:
     """The rule read by different calls gives the same answer."""
 

@@ -259,7 +259,7 @@ class TestSpectrumPathOracle:
                         a, b = ra + rb / lam, ((1.0 + lam) / lam) ** 2 * ps
                     else:
                         num, a, b = t * t, ra, ps
-                    err = np.abs(_integrand(num, t, lam) @ m - (a - b))
+                    err = np.abs(_integrand(num, t, 1.0 - t, lam) @ m - (a - b))
                     assert (err <= 1e-9 * (a + np.abs(b))).all(), (name, n, trial)
                     want = _oracle_eval(r, A, B, rho, ps)
                     got = evaluate(r, A, B, rho)
@@ -357,7 +357,7 @@ class TestSingularMass:
             cut = SINGULAR_MASS_REL_TOL * tr * norm
             for mass in (0.0, cut / 2, cut, cut * (1 + 1e-12), 2 * cut,
                          scale):
-                assert _singular(mass, rho, norm) == (mass > cut), mass
+                assert _singular(mass, tr, norm) == (mass > cut), mass
 
 
 class TestTwoProjections:
