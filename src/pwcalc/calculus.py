@@ -91,6 +91,15 @@ def _endpoints(t: np.ndarray, tol: float = ENDPOINT_TOL):
     return (t < 1.0 - tol if tol >= 0.5 else t <= tol), at_one
 
 
+def _clipped(w: np.ndarray) -> np.ndarray:
+    """The eigenvalues w of R (ascending, as eigh returns them) clipped into
+    [0, 1], to the bit as np.clip clips them: w itself when it lies inside
+    (0, 1), where the clip changes nothing, else w.clip(0.0, 1.0), the
+    method np.clip calls (it keeps a -0.0).  Every path that clips R's
+    spectrum clips it here."""
+    return w if len(w) and 0.0 < w[0] and w[-1] < 1.0 else w.clip(0.0, 1.0)
+
+
 def _diagonal_values(phi: HomogeneousFunction, t: np.ndarray,
                      tol: float = ENDPOINT_TOL):
     """(values, at_zero, at_one): phi(t_i, 1 - t_i) over the eigenvalues t
@@ -279,7 +288,7 @@ def _representation(A, B):
         del Y
         if len(R):
             w, Q = eigh(R)
-            R = hermitian_part((Q * np.clip(w, 0.0, 1.0)) @ Q.conj().T)
+            R = hermitian_part((Q * _clipped(w)) @ Q.conj().T)
             del w, Q
         return h_ab, R, *eigh(R)
 
@@ -327,9 +336,7 @@ def _r_spectrum(A: np.ndarray, w: np.ndarray, V: np.ndarray, vals: list,
     root = np.sqrt(w)
     Y = V / root  # V D
     r, Q = eigh(hermitian_part(Y.conj().T @ A @ Y))
-    # np.clip's result, without its call when it would change nothing
-    t = r if len(r) and 0.0 < r[0] and r[-1] < 1.0 else r.clip(0.0, 1.0)
-    return t, Q.conj().T @ (root[:, None] * V.conj().T)
+    return _clipped(r), Q.conj().T @ (root[:, None] * V.conj().T)
 
 
 def _state_weights(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -470,7 +477,7 @@ def _assemble(phi: HomogeneousFunction, t_map: np.ndarray, w: np.ndarray,
     own.  Moving it onto _pair_spectrum waits for a benchmark change that
     moves the eigh count bench/selftest.py pins.
     """
-    t = np.clip(w, 0.0, 1.0)
+    t = _clipped(w)
     values, at_zero, at_one = _diagonal_values(phi, t, endpoint_tol)
     return (_diagonal_congruence(Q.conj().T @ t_map, values),
             PwDiagnostics(t, int(np.count_nonzero(at_zero)),

@@ -241,10 +241,10 @@ def _state_value(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
     """evaluate_state's kernel: rho must be a validated state of T's size."""
     V = T.essential.basis
     compressed = V.conj().T @ rho @ V
-    if T.infinity_dim and _loads_infinity(float(np.trace(rho).real),
-                                          float(np.trace(compressed).real)):
+    if T.infinity_dim and _loads_infinity(float(rho.trace().real),
+                                          float(compressed.trace().real)):
         return INF
-    return float(np.trace(compressed @ T.finite_part).real)
+    return float((compressed @ T.finite_part).trace().real)
 
 
 def quadratic_form(T: ExtendedSelfAdjoint, xi: np.ndarray) -> float:
@@ -312,8 +312,9 @@ def _kernel(W: np.ndarray) -> np.ndarray:
     """An orthonormal basis of W's kernel from one svd, cut at
     max(max(W.shape) eps, KERNEL_REL_TOL) times the largest singular value."""
     _, s, Vh = np.linalg.svd(W)
-    tol = max(max(W.shape) * EPS, KERNEL_REL_TOL) * s.max(initial=0.0)
-    return Vh[int(np.sum(s > tol)):].conj().T
+    # svd returns the singular values in descending order
+    tol = max(max(W.shape) * EPS, KERNEL_REL_TOL) * (s[0] if len(s) else 0.0)
+    return Vh[int(np.count_nonzero(s > tol)):].conj().T
 
 
 def _diagonal_congruence(X: np.ndarray, values) -> ExtendedSelfAdjoint:
@@ -324,15 +325,16 @@ def _diagonal_congruence(X: np.ndarray, values) -> ExtendedSelfAdjoint:
     With every value finite it is X* (v X) on C^n.  Otherwise the essential
     part is the kernel of X's +inf rows, cut as congruence cuts it (one
     svd), and the finite part is Y* (v_F Y) with Y = X_F times that kernel.
-    NaN and -inf raise as in _diagonal_element.
+    NaN and -inf raise as in _diagonal_element.  Which case applies is read
+    from the floats themselves; only the +inf case masks their array.
     """
     v = np.array(values, dtype=float)
-    if np.isfinite(v).all():
+    if all(map(math.isfinite, values)):
         return _with_lower_bound(full_space(X.shape[1]),
                                  hermitian_part(X.conj().T @ (v[:, None] * X)))
-    if np.isnan(v).any():
+    if any(map(math.isnan, values)):
         raise FormArithmeticError("NaN in extended-real arithmetic")
-    if (v == -INF).any():
+    if -INF in values:
         raise ValueError("-inf eigenvalue not permitted (lower semibounded)")
     inf = v == INF
     kernel = _kernel(X[inf])

@@ -138,8 +138,9 @@ def require_hermitian(M, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> 
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NonFiniteError(f"{name} has a non-finite (NaN or inf) entry")
-    D = M - M.conj().T
-    dev = np.abs(D).max(initial=0.0)
+    with np.errstate(over="ignore"):  # a deviation past the float limit is inf
+        D = M - M.conj().T
+        dev = np.abs(D).max(initial=0.0)
     if dev > atol:
         raise NotHermitianError(
             f"{name} is not Hermitian: max |M - M*| = {dev:.3e} > {atol:.1e}"
@@ -211,19 +212,23 @@ def require_psd(M, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.nda
 
 def _check_psd(M: np.ndarray, name: str) -> None:
     """require_psd's PSD half, on a matrix that passed its Hermitian half."""
-    w, _ = eigh(M)
-    tol = psd_tol(w)
-    if w.size and w[0] < -tol:
+    vals = eigh(M)[0].tolist()
+    tol = psd_tol(vals)
+    if vals and vals[0] < -tol:
         raise NotPsdError(
-            f"{name} is not PSD: min eigenvalue {w[0]:.3e} < -{tol:.3e}"
+            f"{name} is not PSD: min eigenvalue {vals[0]:.3e} < -{tol:.3e}"
         )
 
 
 def _range_eigh(M: np.ndarray, name: str):
     """eigh of a PSD matrix, with its range: (w, V, keep), keep marking the
-    eigenvalues above the rank cut.  It raises as _range_cut does."""
+    eigenvalues above the rank cut, or None when all of them are (w
+    ascends, so its least one decides, read once as a float).  It raises
+    as _range_cut does."""
     w, V = eigh(M)
-    return w, V, w > _range_cut(w.tolist(), name)
+    vals = w.tolist()
+    cut = _range_cut(vals, name)
+    return w, V, None if vals and vals[0] > cut else w > cut
 
 
 def _range_cut(vals: list, name: str) -> float:
@@ -251,10 +256,13 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     root; anything lower raises NotPsdError.  Eigenvalues under the rank
     tolerance are floored to 0 so the root is rank-consistent with
     pinv_sqrt (a sub-tolerance eigenvalue would otherwise surface as a
-    sqrt-amplified spurious direction of size ~1e-8).
+    sqrt-amplified spurious direction of size ~1e-8).  When M keeps every
+    eigenvalue there is nothing to floor, and the root is taken of the
+    spectrum as eigh returns it.
     """
     w, V, keep = _range_eigh(M, "psd_sqrt")
-    w = np.where(keep, w, 0.0)
+    if keep is not None:
+        w = np.where(keep, w, 0.0)
     return hermitian_part((V * np.sqrt(w)) @ V.conj().T)
 
 
@@ -307,7 +315,8 @@ class Subspace:
         sv = np.linalg.svd(self.basis.conj().T @ other.basis, compute_uv=False)
         if len(sv) < other.dim:
             return False
-        return bool(sv.min() >= 1.0 - cos_tol)
+        # svd returns the singular values in descending order
+        return bool(sv[-1] >= 1.0 - cos_tol)
 
     def same_as(self, other: "Subspace", cos_tol: float) -> bool:
         return (self.dim == other.dim and self.contains(other, cos_tol)
@@ -338,12 +347,18 @@ def pinv_sqrt(M: np.ndarray):
 
     Eigenvalues at or below the rank cut (n*eps*lambda_max) are treated as
     zero; the returned Subspace is spanned by the eigenvectors above it.
+    When M keeps every eigenvalue, the inverse roots are taken of the whole
+    spectrum and the Subspace is spanned by every eigenvector, with no mask
+    or copy: the same values, as each is computed elementwise.
     """
     w, V, keep = _range_eigh(M, "pinv_sqrt")
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / np.sqrt(w[keep])
+    if keep is None:
+        inv, basis = 1.0 / np.sqrt(w), V
+    else:
+        inv, basis = np.zeros_like(w), V[:, keep]
+        inv[keep] = 1.0 / np.sqrt(w[keep])
     P = hermitian_part((V * inv) @ V.conj().T)
-    return P, _trusted(Subspace, basis=V[:, keep])
+    return P, _trusted(Subspace, basis=basis)
 
 
 def psd_pinv(M: np.ndarray) -> np.ndarray:
@@ -378,11 +393,11 @@ def subspace_meet(P: Subspace, Q: Subspace) -> Subspace:
     if P.dim == 0 or Q.dim == 0:
         return zero_subspace(P.ambient_dim)
     U, sv, _ = np.linalg.svd(P.basis.conj().T @ Q.basis)
-    shared = sv >= 1.0 - MEET_COS_TOL
-    k = int(np.sum(shared))
+    k = int(np.count_nonzero(sv >= 1.0 - MEET_COS_TOL))
     if k == 0:
         return zero_subspace(P.ambient_dim)
-    return Subspace(P.basis @ U[:, :k])
+    # an orthonormal basis times orthonormal singular vectors
+    return _trusted(Subspace, basis=P.basis @ U[:, :k])
 
 
 def spectral_norm(M: np.ndarray) -> float:
@@ -395,7 +410,7 @@ def spectral_norm(M: np.ndarray) -> float:
 def require_state(rho, name: str = "state") -> np.ndarray:
     """Validate a state: PSD with strictly positive trace."""
     rho = require_psd(rho, name=name)
-    tr = float(np.trace(rho).real)
+    tr = float(rho.trace().real)
     if tr <= 0.0:
         raise ValueError(f"{name} must have strictly positive trace, got {tr:.3e}")
     return rho
@@ -418,12 +433,13 @@ def _hermitian_stack(mats, atols, spare: int = 0):
     if S.ndim != 3 or S.shape[1] != n or n == 0:
         return None
     H = S[:len(mats)]
-    if not np.isfinite(H).all():
-        return None
-    # the deviations D = H - H*, then the Hermitian parts H - D/2 in place
-    D = H - H.conj().transpose(0, 2, 1)
-    devs = np.abs(D).max(axis=(1, 2)).tolist()
-    if any(map(operator.gt, devs, atols)):
+    # the deviations D = H - H*, then the Hermitian parts H - D/2 in place.
+    # A NaN or infinite entry makes its deviation NaN or inf, as does one
+    # that overflows, and neither is within its atol: the finite check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = H - H.conj().transpose(0, 2, 1)
+        devs = np.abs(D).max(axis=(1, 2)).tolist()
+    if not all(map(operator.le, devs, atols)):
         return None
     _hermitian_from(H, D, out=H)
     return S

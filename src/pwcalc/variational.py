@@ -20,7 +20,8 @@ rho(B) = sum m_i (1 - t_i) (Tr rho A and Tr rho B but for A's and B's parts
 beyond the rank cut of A + B, at most n eps |A + B| Tr rho), and the norms
 of A and B that scale the singular-mass threshold, as their largest
 eigenvalues.  Tr rho, computed once by the state's trace check, scales that
-threshold too.  A phi_{t^2} term adds a perspective_apply.
+threshold too.  A phi_{t^2} term adds a perspective_apply, made only when
+the singular-mass test has not already returned +inf.
 """
 
 from __future__ import annotations
@@ -104,6 +105,14 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     """
     rho, A, B, t, m, tr, norm_a, norm_b = _checked_state_spectrum(rho, A, B)
     mu, s = r.mu, 1.0 - t
+    # the singular parts are the eigenprojections of R at 1 (A relative to
+    # B) and at 0 (B relative to A), cut as in lebesgue_decomposition; a
+    # divergent branch returns before any term is computed
+    at_zero, at_one = _endpoints(t)
+    if mu.infinite_mass and _singular(m[at_one].sum(), tr, norm_a):
+        return INF
+    if mu.infinite_inv_mass and _singular(m[at_zero].sum(), tr, norm_b):
+        return INF
     a0 = r.b - 2.0 * r.c + r.d
     b0 = r.a - r.b + r.c - 2.0 * r.d
     terms = [a0 * float(m @ t), b0 * float(m @ s)]
@@ -111,13 +120,6 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
     if r.d > 0:
         terms.append(xmul(r.d, _t2_term(B, A, rho)))
-    # the singular parts are the eigenprojections of R at 1 (A relative to
-    # B) and at 0 (B relative to A), cut as in lebesgue_decomposition
-    at_zero, at_one = _endpoints(t)
-    if mu.infinite_mass and _singular(m[at_one].sum(), tr, norm_a):
-        return INF
-    if mu.infinite_inv_mass and _singular(m[at_zero].sum(), tr, norm_b):
-        return INF
     kernel = _integrand((2.0 * t - 1.0) ** 2, t, s, mu.locations)
     terms.append(float(mu.weights @ kernel @ m))
     return xadd(*terms)
@@ -132,11 +134,11 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     """
     rho, A, B, t, m, tr, norm_a, _ = _checked_state_spectrum(rho, A, B)
     nu, s = r.nu, 1.0 - t
+    if nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), tr, norm_a):
+        return INF
     terms = [r.fp0 * float(m @ t), r.f0 * float(m @ s)]
     if r.c > 0:
         terms.append(xmul(r.c, _t2_term(A, B, rho)))
-    if nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), tr, norm_a):
-        return INF
     kernel = _integrand(t * t, t, s, nu.locations)
     terms.append(float(nu.weights @ kernel @ m))
     return xadd(*terms)

@@ -1,8 +1,9 @@
 """Reference paths the tests hold the library's fast paths to.
 
-Each validates with the stacked pass and then decomposes, in the order the
-library did before it read the validation and the spectra from one pass;
-none is called by pwcalc itself.
+The pair paths validate with the stacked pass and then decompose, in the
+order the library did before it read the validation and the spectra from
+one pass; the square roots apply their rank mask at every rank, where the
+library skips it on a full-rank matrix.  None is called by pwcalc itself.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from pwcalc.linalg import (
     MATRIX_HERMITIAN_ATOL,
     _hermitian_stack,
     _psd_stack,
+    _range_cut,
+    eigh,
+    hermitian_part,
 )
 
 
@@ -59,3 +63,27 @@ def r_spectrum_weights(A, B, rho):
     are the arrays validated_state_pair returns."""
     t, X = _pair_spectrum(A, B)
     return t, _state_weights(X, rho)
+
+
+def _range_mask(M, name):
+    """eigh of M and the mask of its eigenvalues above the rank cut."""
+    w, V = eigh(M)
+    return w, V, w > _range_cut(w.tolist(), name)
+
+
+def masked_psd_sqrt(M):
+    """psd_sqrt with the rank mask applied at every rank: the eigenvalues
+    at or below the rank cut floored to 0 by np.where, a full-rank M
+    included."""
+    w, V, keep = _range_mask(M, "psd_sqrt")
+    return hermitian_part((V * np.sqrt(np.where(keep, w, 0.0))) @ V.conj().T)
+
+
+def masked_pinv_sqrt(M):
+    """pinv_sqrt with the rank mask applied at every rank: (P, basis), the
+    inverse roots written into zeros through the mask and the range basis
+    copied out through it, a full-rank M included."""
+    w, V, keep = _range_mask(M, "pinv_sqrt")
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / np.sqrt(w[keep])
+    return hermitian_part((V * inv) @ V.conj().T), V[:, keep]

@@ -12,6 +12,7 @@ from pwcalc.calculus import (
     PSD_CERTIFICATE_K,
     _checked_pair_spectrum,
     _checked_state_spectrum,
+    _clipped,
     _pair_spectrum,
     _sequential_pair,
     _sequential_pair_spectrum,
@@ -40,9 +41,11 @@ from pwcalc.linalg import (
     EigenSolverError,
     MatrixFileError,
     NonFiniteError,
+    NotHermitianError,
     NotPsdError,
     Subspace,
     _hermitian_stack,
+    _range_eigh,
     eigh,
     full_space,
     hermitian_part,
@@ -58,6 +61,8 @@ from pwcalc.linalg import (
     zero_subspace,
 )
 from reference import (
+    masked_pinv_sqrt,
+    masked_psd_sqrt,
     r_spectrum_weights,
     validate_stack,
     validated_pair,
@@ -169,6 +174,111 @@ class TestPinvSqrt:
             assert np.abs(P @ S @ P - P).max() < 1e-9
             assert np.abs((S @ P) - (S @ P).conj().T).max() < 1e-9
             assert np.abs((P @ S) - (P @ S).conj().T).max() < 1e-9
+
+
+class TestSpectrumShortcuts:
+    """psd_sqrt and pinv_sqrt skip their rank mask when the matrix keeps
+    every eigenvalue, and calculus._clipped skips np.clip when R's spectrum
+    lies inside (0, 1): each gives what the masked formula
+    (tests/reference.py) or np.clip gives, to the last bit."""
+
+    @staticmethod
+    def _psd_corpus():
+        """PSD matrices of full rank and with eigenvalues cut: random ones
+        of n = 1...8 at ranks 1, n - 1 and n, exact zeros, an eigenvalue
+        at half and at twice the rank cut before roundoff, the sums of
+        drawn pairs, and 0 x 0."""
+        rng = np.random.default_rng(20270)
+        for n in range(1, 9):
+            for rank in sorted({1, max(n - 1, 1), n}):
+                yield rand_psd(rng, n, rank)
+        for c in (0.5, 2.0):  # the cut is 3 eps of the largest eigenvalue
+            U = haar_unitary(rng, 3)
+            w = np.array([c * 3 * np.finfo(float).eps, 0.5, 1.0])
+            yield hermitian_part((U * w) @ U.conj().T)
+        yield np.diag([0.0, 1.0, 2.0])
+        yield np.zeros((2, 2))
+        for profile in ("well_conditioned", "rank_deficient", "projection"):
+            for trial in range(4):
+                A, B = gen_pair(RandomSpec(2, 6, profile, seed=31), trial)
+                yield A + B
+        yield np.zeros((0, 0))
+
+    def test_psd_sqrt_is_the_masked_root(self):
+        full_rank = set()
+        for M in self._psd_corpus():
+            full_rank.add(_range_eigh(M, "psd_sqrt")[2] is None)
+            assert psd_sqrt(M).tobytes() == masked_psd_sqrt(M).tobytes()
+        assert full_rank == {True, False}
+
+    def test_pinv_sqrt_is_the_masked_inverse_root(self):
+        full_rank = set()
+        for M in self._psd_corpus():
+            full_rank.add(_range_eigh(M, "pinv_sqrt")[2] is None)
+            P, sub = pinv_sqrt(M)
+            want_P, want_basis = masked_pinv_sqrt(M)
+            assert P.tobytes() == want_P.tobytes()
+            assert sub.basis.shape == want_basis.shape
+            assert sub.basis.tobytes() == want_basis.tobytes()
+        assert full_rank == {True, False}
+
+    def test_perspective_is_that_of_the_masked_roots(self, monkeypatch):
+        # the range basis is now the eigenvectors themselves, not a copy in
+        # another memory layout, on a full-rank A + B: the products that
+        # read it give the same perspective to the last bit
+        def masked_pinv(M):
+            P, basis = masked_pinv_sqrt(M)
+            return P, Subspace(basis)
+
+        def parts(res):
+            T = res.value
+            return (T.essential.basis.tobytes(), T.finite_part.tobytes(),
+                    T.lower_bound, res.r_eigenvalues.tobytes())
+
+        pairs = [(A, B) for label, _, A, B in _kernel_corpus()
+                 if label not in ("0x0", "scalars")]
+        tlogt = catalog("tlogt")
+        got = [parts(perspective_apply(tlogt, *p)) for p in pairs]
+        monkeypatch.setattr(calculus, "psd_sqrt", masked_psd_sqrt)
+        monkeypatch.setattr(calculus, "pinv_sqrt", masked_pinv)
+        assert got == [parts(perspective_apply(tlogt, *p)) for p in pairs]
+
+    @pytest.mark.parametrize("w", [
+        [0.25, 0.5, 0.75], [0.5], [-0.0, 0.5], [-0.0], [0.0, 0.5], [0.0],
+        [0.5, 1.0], [1.0], [0.0, 1.0], [-1e-17, 0.5], [0.5, 1.0 + 2e-16],
+        [-2.0, 0.5, 3.0], [],
+    ], ids=["inside", "inside-one", "minus-zero", "minus-zero-alone", "zero",
+            "zero-alone", "one", "one-alone", "zero-and-one", "below-zero",
+            "above-one", "far-outside", "empty"])
+    def test_clip_rule_is_np_clip(self, w):
+        # inside (0, 1) the spectrum itself is returned; anywhere else the
+        # clip's result, -0.0 kept as np.clip keeps it
+        w = np.array(w, dtype=float)
+        got = _clipped(w)
+        assert got.tobytes() == np.clip(w, 0.0, 1.0).tobytes()
+        assert (got is w) == bool(len(w) and 0.0 < w.min() and w.max() < 1.0)
+
+    def test_representation_clips_as_np_clip(self, monkeypatch):
+        # _representation rebuilds R from np.clip of its eigenvalues, and
+        # perspective_apply reports np.clip of the rebuilt R's: the two
+        # eigh of R are the only ones calculus makes itself
+        decompositions = []
+        eigh_ = calculus.eigh
+        monkeypatch.setattr(calculus, "eigh", lambda M: decompositions.append(
+            (M, *eigh_(M))) or decompositions[-1][1:])
+        clipped = set()
+        for label, _, A, B in _kernel_corpus():
+            if label in ("0x0", "scalars"):
+                continue
+            decompositions.clear()
+            res = perspective_apply(catalog("tlogt"), A, B)
+            (_, w, Q), (R, w_r, _) = decompositions
+            want = hermitian_part((Q * np.clip(w, 0.0, 1.0)) @ Q.conj().T)
+            assert R.tobytes() == want.tobytes(), label
+            assert res.r_eigenvalues.tobytes() == np.clip(
+                w_r, 0.0, 1.0).tobytes(), label
+            clipped.add(not (0.0 < w[0] and w[-1] < 1.0))
+        assert clipped == {True, False}
 
 
 def basis_vec(n, i):
@@ -339,6 +449,8 @@ class TestNonFiniteInput:
 HUGE = np.array([[1.7e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]])
 NEAR_LIMIT = np.diag([-1e308, 1.0])  # not PSD: its least eigenvalue is -1e308
 BIG_PSD = np.diag([1e308, 1.0])  # PSD, but BIG_PSD + BIG_PSD overflows
+# finite, but its deviation M - M* overflows: 1.7e308 - (-1.7e308)
+ANTI_HERMITIAN_LIMIT = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
 
 
 class TestFloatLimitInput:
@@ -421,6 +533,27 @@ class TestFloatLimitInput:
         assert [str(w.message) for w in caught] == []
 
 
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("call, name", [
+        (lambda M: require_hermitian(M), "matrix"),
+        (lambda M: perspective_apply(catalog("tlogt"), M, np.eye(2)), "A"),
+        (lambda M: integral_eval_91(repr77_tlogt(32), M, np.eye(2),
+                                    np.eye(2) / 2), "A"),
+    ], ids=["require_hermitian", "perspective_apply", "integral_eval_91"])
+    def test_overflowing_deviation_is_not_hermitian(self, call, name, action):
+        # a finite matrix whose deviation M - M* overflows is rejected as
+        # not Hermitian, by a deviation of inf, under either warning filter;
+        # the pair and state calls meet it first in the stacked check
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(NotHermitianError,
+                               match=rf"^{name} is not Hermitian: "
+                                     r"max \|M - M\*\| = inf > ") as info:
+                call(ANTI_HERMITIAN_LIMIT)
+        assert type(info.value) is NotHermitianError
+        assert [str(w.message) for w in caught] == []
+
+
 class TestSubspaceValidation:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -431,6 +564,22 @@ class TestSubspaceValidation:
         c = s.complement()
         assert c.dim == 1
         assert abs(abs(c.basis[1, 0]) - 1) < 1e-12
+
+    @pytest.mark.parametrize("tilt, cos_tol, contained", [
+        (0.0, 1e-8, True), (0.5e-4, 1e-8, True), (2e-4, 1e-8, False),
+        (2e-4, 0.5, True), (np.pi / 2, 0.5, False),
+    ])
+    def test_contains_reads_the_least_principal_cosine(self, tilt, cos_tol,
+                                                       contained):
+        # span(e1, e2) shares e1 with span(e1, cos a e2 + sin a e3): their
+        # principal cosines are 1 and cos a (1 - cos a is about a^2 / 2,
+        # 1.25e-9 and 2e-8 at the two small tilts), and the least decides
+        e = np.eye(3)
+        P = span(e[:, :2])
+        Q = span(np.column_stack((e[:, 0], np.cos(tilt) * e[:, 1]
+                                  + np.sin(tilt) * e[:, 2])))
+        assert P.contains(Q, cos_tol) is contained
+        assert P.contains(span(e[:, :1]), cos_tol)
 
 
 # ---------------------------------------------------------------------------

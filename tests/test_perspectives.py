@@ -112,63 +112,82 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # At n = 64 perspective_apply and pw_apply_restricted run in two lanes and
 # still make 7: the PSD checks of A and B and psd_sqrt(A+B) on the calling
 # thread, pinv_sqrt(A+B) and R's two decompositions on the worker, and the
-# lower bound of the element after both have joined.
+# lower bound of the element after both have joined.  A perspective with an
+# infinity part adds one svd, for the kernel of its +inf rows; no other row
+# makes an svd.  The singular rows give the integrals a t^2 term whose
+# state has mass on the singular part: the +inf is decided from the
+# state's spectrum before that term's perspective would be made.
 PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
+EYE2, P1 = np.eye(2), np.diag([1.0, 0.0])
+R77_SQUARE_TLOGT = IntegralRepr77(0.0, 1.0, 1.0, 0.0, repr77_tlogt(32).mu)
+R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
 
 
-@pytest.mark.parametrize("call, profile, eigh_calls", [
-    (CONNECTION, "rank_deficient", 3),
-    (LEBESGUE, "rank_deficient", 3),
-    (ABS_CONT, "rank_deficient", 3),
+@pytest.mark.parametrize("call, profile, eigh_calls, svd_calls", [
+    (CONNECTION, "rank_deficient", 3, 0),
+    (LEBESGUE, "rank_deficient", 3, 0),
+    (ABS_CONT, "rank_deficient", 3, 0),
     (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho),
-     "rank_deficient", 2),
+     "rank_deficient", 2, 0),
     (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho),
-     "rank_deficient", 2),
+     "rank_deficient", 2, 0),
+    (lambda A, B, rho: integral_eval_91(R77_SQUARE_TLOGT, EYE2, P1, EYE2 / 2),
+     "rank_deficient", 2, 0),
+    (lambda A, B, rho: integral_eval_92(R97_SQUARE_T15, EYE2, P1, EYE2 / 2),
+     "rank_deficient", 2, 0),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B),
-     "rank_deficient", 7),
+     "rank_deficient", 7, 0),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), B, A),
+     "rank_deficient", 7, 1),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), *PAIR64),
-     "rank_deficient", 7),
+     "rank_deficient", 7, 1),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
-     "rank_deficient", 7),
+     "rank_deficient", 7, 0),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, PAIR64[0] + PAIR64[1],
                                            PAIR64[1]),
-     "rank_deficient", 7),
-    (DOMINATES, "rank_deficient", 3),
-    (T2, "rank_deficient", 6),
-    (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3),
-    (CHAIN, "rank_deficient", 21),
-    (CONNECTION, "well_conditioned", 2),
-    (LEBESGUE, "well_conditioned", 2),
-    (ABS_CONT, "well_conditioned", 2),
-    (DOMINATES, "well_conditioned", 2),
-    (T2, "well_conditioned", 5),
-    (CHAIN, "well_conditioned", 18),
+     "rank_deficient", 7, 0),
+    (DOMINATES, "rank_deficient", 3, 0),
+    (T2, "rank_deficient", 6, 0),
+    (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3, 0),
+    (CHAIN, "rank_deficient", 21, 0),
+    (CONNECTION, "well_conditioned", 2, 0),
+    (LEBESGUE, "well_conditioned", 2, 0),
+    (ABS_CONT, "well_conditioned", 2, 0),
+    (DOMINATES, "well_conditioned", 2, 0),
+    (T2, "well_conditioned", 5, 0),
+    (CHAIN, "well_conditioned", 18, 0),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
-        "integral_eval_91", "integral_eval_92", "perspective_apply",
-        "perspective_apply-n64", "pw_apply_restricted",
-        "pw_apply_restricted-n64", "dominates_scale", "t2_bound",
-        "t2_bound-unbounded", "boundedness_chain",
+        "integral_eval_91", "integral_eval_92", "integral_eval_91-singular",
+        "integral_eval_92-singular", "perspective_apply",
+        "perspective_apply-unbounded", "perspective_apply-n64",
+        "pw_apply_restricted", "pw_apply_restricted-n64", "dominates_scale",
+        "t2_bound", "t2_bound-unbounded", "boundedness_chain",
         "connection-well_conditioned",
         "lebesgue_decomposition-well_conditioned",
         "is_absolutely_continuous-well_conditioned",
         "dominates_scale-well_conditioned", "t2_bound-well_conditioned",
         "boundedness_chain-well_conditioned"])
-def test_eigh_calls_per_call(call, profile, eigh_calls, monkeypatch):
+def test_eigh_calls_per_call(call, profile, eigh_calls, svd_calls,
+                             monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
     rho = random_state(np.random.default_rng(5), 4)
     # the worker thread is used on any host, and counts under a lock
     monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-    lock, calls = threading.Lock(), [0]
-    eigh = np.linalg.eigh
+    lock, calls = threading.Lock(), {"eigh": 0, "svd": 0}
 
-    def counted(*a, **k):
-        with lock:
-            calls[0] += 1
-        return eigh(*a, **k)
+    def counted(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def run(*a, **k):
+            with lock:
+                calls[name] += 1
+            return solver(*a, **k)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
     call(A, B, rho)
-    assert calls[0] == eigh_calls
+    assert calls == {"eigh": eigh_calls, "svd": svd_calls}
 
 
 TLOGT_PHI = perspective_of(catalog("tlogt"))
