@@ -142,20 +142,17 @@ class HomogeneousFunction:
                 raise ValueError("corner values must be in (-inf, inf]")
         # corners must agree with the diagonal where its domain is closed
         d = self.diagonal.domain
-        if d.hi == 1.0 and d.closed_hi:
-            v = self.diagonal(1.0)
-            if not (v == self.corner_x or abs(v - self.corner_x) <= 1e-12 * (
+        for end, closed, corner in (
+                (1, d.hi == 1.0 and d.closed_hi, self.corner_x),
+                (0, d.lo == 0.0 and d.closed_lo, self.corner_y)):
+            if not closed:
+                continue
+            v = self.diagonal(float(end))
+            if not (v == corner or abs(v - corner) <= 1e-12 * (
                     1 + abs(v) if math.isfinite(v) else 1)):
                 raise ValueError(
-                    f"{self.name}: diagonal(1) = {v} disagrees with "
-                    f"phi(1,0) = {self.corner_x}")
-        if d.lo == 0.0 and d.closed_lo:
-            v = self.diagonal(0.0)
-            if not (v == self.corner_y or abs(v - self.corner_y) <= 1e-12 * (
-                    1 + abs(v) if math.isfinite(v) else 1)):
-                raise ValueError(
-                    f"{self.name}: diagonal(0) = {v} disagrees with "
-                    f"phi(0,1) = {self.corner_y}")
+                    f"{self.name}: diagonal({end}) = {v} disagrees with "
+                    f"phi({end},{1 - end}) = {corner}")
 
     def diagonal_value(self, t: float) -> float:
         """phi(t, 1-t) with endpoint classification at the corners."""
@@ -368,55 +365,31 @@ def _certified(vals: list, cut: float, t: np.ndarray) -> bool:
     return float(t[0]) * ratio > bound and (1.0 - float(t[-1])) * ratio > bound
 
 
-def _sequential_pair_spectrum(A, B, names):
-    """_pair_spectrum of the pair _sequential_pair validates, with it."""
-    A, B = _sequential_pair(A, B, names)
-    return A, B, *_pair_spectrum(A, B, names)
-
-
 def _checked_pair_spectrum(A, B, names=("A", "B")):
     """(A, B, t, X): the pair as _sequential_pair returns it, and its
     _pair_spectrum (t, X), for the public calls on a pair (named `names`).
 
-    The square, finite and Hermitian checks run first, over the stack of A
-    and B (_hermitian_stack); the kernel then runs on their Hermitian parts.
-    A definite pair that _certified accepts needs no further check: 2 eigh
-    in all.  Any other pair takes the PSD half (_psd_stack, one eigh of the
-    stack): 3 eigh.  Whatever either half rejects, _sequential_pair rejects
-    with its own error and message.  An error the kernel raised on the
-    unvalidated pair (NotPsdError naming A + B, say) is held until
-    validation has decided, so a validation error wins, and it is raised
-    only when the pair passes.  The Hermitian parts are _sequential_pair's
-    to the last bit, so the result is that of
-    _pair_spectrum(*_sequential_pair(A, B)) to the last bit.
+    The kernel runs once, on the Hermitian parts from the cheap half of the
+    stacked validation (_hermitian_stack), _sequential_pair's to the last
+    bit.  A pair that _certified accepts is checked no further; any other
+    takes the PSD half (_psd_stack).  _sequential_pair runs only to raise
+    what either half rejects, or to give a 0x0 or scalar pair as arrays.
+    A kernel error (NotPsdError naming A + B, say) is held until
+    validation has decided, so a validation error wins.
     """
     H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
-    if H is None:
-        return _sequential_pair_spectrum(A, B, names)
-    Ah, Bh = H
+    Ah, Bh = _sequential_pair(A, B, names) if H is None else H
     try:
         t, X, certified = _pair_spectra(Ah, Bh, names)
     except Exception as exc:  # on input that may yet fail validation
         held, certified = exc, False
     else:
         held = None
-    if not certified and not _psd_stack(H):
-        return _sequential_pair_spectrum(A, B, names)
+    if not (H is None or certified or _psd_stack(H)):
+        _sequential_pair(A, B, names)  # raises its own error
     if held is not None:
         raise held
     return Ah, Bh, t, X
-
-
-def _sequential_state_spectrum(rho, A, B):
-    """_checked_state_spectrum's result, with rho, A and B validated one at
-    a time (_sequential_state_pair) and each matrix decomposed alone: the
-    path of any input the stacked pass rejects, whose error it raises in
-    its order, and of scalar input, which it accepts."""
-    rho, A, B = _sequential_state_pair(rho, A, B)
-    t, X, _ = _pair_spectra(A, B)
-    norms = [float(eigh(M)[0][-1]) for M in (A, B)]
-    return (rho, A, B, t, _state_weights(X, rho), float(np.trace(rho).real),
-            *norms)
 
 
 def _checked_state_spectrum(rho, A, B):
@@ -425,35 +398,34 @@ def _checked_state_spectrum(rho, A, B):
     eigenvalues t and the weights m of rho over them (_state_weights of
     _pair_spectrum's X), rho's trace, and the spectral norms of A and B.
 
-    rho, A and B are checked in one stack (_hermitian_stack: square, finite,
-    Hermitian) whose fourth slot takes A + B, the sum of their Hermitian
-    parts; one eigh of it gives, to the last bit, what eigh gives each
-    matrix alone.  Its spectra, read once as floats, give the PSD checks of
-    rho, A and B (_psd_spectra), then rho's trace check, then the rank cut
-    of A+B and its NotPsdError (_range_cut, as the kernel makes it), and the
+    rho, A and B are checked in one stack (_hermitian_stack) whose fourth
+    slot takes A + B, the sum of their Hermitian parts; one eigh of it gives
+    each matrix what eigh gives it alone, to the last bit.  Its spectra,
+    read once as floats, give the PSD checks (_psd_spectra), rho's trace
+    check, the rank cut of A+B (_range_cut, as the kernel makes it) and the
     norms as the largest eigenvalues (a least eigenvalue that passed the PSD
-    check is never larger in magnitude).  The kernel's eigh of R follows:
-    2 eigh in all.  Whatever the stacked checks reject, and a LAPACK failure
-    on the stack, goes to _sequential_state_spectrum, so each error keeps
-    its type, message and precedence (rho first).  The Hermitian parts, and
-    the spectrum of A+B, are those the one-at-a-time path makes, so t, X and
-    m are the same to the last bit.
+    check is never larger in magnitude); then the kernel's eigh of R.
+    _sequential_state_pair runs only to raise what the stack rejects, or
+    LAPACK's failure on it, in its order (rho first, then the eigh of
+    A + B), or to give scalar input as arrays to stack.
     """
-    H = _hermitian_stack((rho, A, B), (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL,
-                                       MATRIX_HERMITIAN_ATOL), spare=1)
+    atols = (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL)
+    H = _hermitian_stack((rho, A, B), atols, spare=1)
     if H is None:
-        return _sequential_state_spectrum(rho, A, B)
+        H = _hermitian_stack(_sequential_state_pair(rho, A, B), atols, spare=1)
     rho_h, Ah, Bh, S = H
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         np.add(Ah, Bh, out=S)
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError:
-        return _sequential_state_spectrum(rho, A, B)
+        _sequential_state_pair(rho, A, B)  # raises for rho, A or B
+        eigh(S)  # or raises EigenSolverError for A + B
+        raise
     rows = w.tolist()
     tr = float(rho_h.trace().real)
     if not _psd_spectra(rows[:3]) or tr <= 0.0:
-        return _sequential_state_spectrum(rho, A, B)
+        _sequential_state_pair(rho, A, B)  # raises its own error
     t, X = _r_spectrum(Ah, w[3], V[3], rows[3], _range_cut(rows[3], "A + B"))
     return (rho_h, Ah, Bh, t, _state_weights(X, rho_h), tr, rows[1][-1],
             rows[2][-1])

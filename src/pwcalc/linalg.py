@@ -8,10 +8,10 @@ Validation happens once, at the public boundary: `require_hermitian`,
 `require_psd` and `require_state` check outside input, and the public
 `Subspace(...)` checks that its columns are orthonormal.  A call that takes
 several matrices checks them in one stacked pass (a cheap half
-`_hermitian_stack` and a PSD half `_psd_stack`) and falls back to the
-one-at-a-time validators for their error.  Subspaces built
-here from LAPACK's eigenvectors or singular vectors are orthonormal by
-construction and skip that check (`_trusted`).
+`_hermitian_stack` and a PSD half `_psd_stack`); the one-at-a-time
+validators run only to raise what that pass rejects, or to shape scalar
+input.  Subspaces built here from LAPACK's eigenvectors or singular vectors
+are orthonormal by construction and skip that check (`_trusted`).
 """
 
 from __future__ import annotations

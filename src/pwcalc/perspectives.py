@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -494,30 +495,30 @@ class CheckOutcome:
     failures: list
 
 
+def _kraus_list(kraus) -> list:
+    """The Kraus operators as complex arrays (np.atleast_2d); at least one."""
+    kraus = [np.atleast_2d(np.asarray(K, dtype=complex)) for K in kraus]
+    if not kraus:
+        raise ValueError("kraus must hold at least one operator")
+    return kraus
+
+
+def _kraus_sum(kraus, X, predual: bool) -> np.ndarray:
+    """The Hermitian part of sum_i K_i X K_i*, or sum_i K_i* X K_i (predual)."""
+    X = np.asarray(X, dtype=complex)
+    terms = (K.conj().T @ X @ K if predual else K @ X @ K.conj().T
+             for K in _kraus_list(kraus))
+    return hermitian_part(functools.reduce(operator.add, terms))
+
+
 def kraus_apply(kraus, X: np.ndarray) -> np.ndarray:
     """Phi(X) = sum_i K_i X K_i*."""
-    X = np.asarray(X, dtype=complex)
-    out = None
-    for K in kraus:
-        K = np.atleast_2d(np.asarray(K, dtype=complex))
-        term = K @ X @ K.conj().T
-        out = term if out is None else out + term
-    if out is None:
-        raise ValueError("kraus must hold at least one operator")
-    return hermitian_part(out)
+    return _kraus_sum(kraus, X, predual=False)
 
 
 def kraus_predual(kraus, rho: np.ndarray) -> np.ndarray:
     """Phi_*(rho) = sum_i K_i* rho K_i, the predual action on states."""
-    rho = np.asarray(rho, dtype=complex)
-    out = None
-    for K in kraus:
-        K = np.atleast_2d(np.asarray(K, dtype=complex))
-        term = K.conj().T @ rho @ K
-        out = term if out is None else out + term
-    if out is None:
-        raise ValueError("kraus must hold at least one operator")
-    return hermitian_part(out)
+    return _kraus_sum(kraus, rho, predual=True)
 
 
 def check_positive_map_monotonicity(f: ExtendedFunction, kraus,
@@ -533,9 +534,7 @@ def check_positive_map_monotonicity(f: ExtendedFunction, kraus,
     all with the same m), are compared before any eigh.
     """
     A, B = _same_shape(A, B)
-    kraus = [np.atleast_2d(np.asarray(K, dtype=complex)) for K in kraus]
-    if not kraus:
-        raise ValueError("kraus must hold at least one operator")
+    kraus = _kraus_list(kraus)
     for i, K in enumerate(kraus):
         if K.ndim != 2 or K.shape[1] != A.shape[0] or (
                 K.shape[0] != kraus[0].shape[0]):

@@ -221,6 +221,24 @@ class TestPwApply:
         with pytest.raises(PreconditionError, match="restricted"):
             pw_apply(ylogxy_restricted(), np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("corners, message", [
+        ((0.5, 0.0), r"^line: diagonal\(1\) = 1\.0 disagrees with "
+                     r"phi\(1,0\) = 0\.5$"),
+        ((1.0, INF), r"^line: diagonal\(0\) = 0\.0 disagrees with "
+                     r"phi\(0,1\) = inf$"),
+        ((1.0, 0.0), None),
+    ], ids=["at_one", "at_zero", "exact"])
+    def test_corners_must_meet_the_closed_diagonal(self, corners, message):
+        # a corner value is checked against the diagonal at each closed end
+        # of its domain; an exact match passes
+        diag = ExtendedFunction("line", Interval(0.0, 1.0, True, True),
+                                lambda t: t)
+        if message is None:
+            assert HomogeneousFunction("line", diag, *corners).corner_x == 1.0
+            return
+        with pytest.raises(ValueError, match=message):
+            HomogeneousFunction("line", diag, *corners)
+
     def test_nan_diagonal_is_logic_error(self):
         from pwcalc.extended import FormArithmeticError
         diag = ExtendedFunction("nan", Interval(0.0, 1.0, True, True),

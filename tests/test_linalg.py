@@ -15,9 +15,7 @@ from pwcalc.calculus import (
     _clipped,
     _pair_spectrum,
     _sequential_pair,
-    _sequential_pair_spectrum,
     _sequential_state_pair,
-    _sequential_state_spectrum,
 )
 from pwcalc.extended import evaluate_state, from_matrix
 from pwcalc.functions import catalog
@@ -594,6 +592,15 @@ def _outcome(validate, *args):
         return type(exc), str(exc)
 
 
+def _counting(monkeypatch, name):
+    """Patch calculus.<name> to record each call; returns the record."""
+    calls = []
+    validator = getattr(calculus, name)
+    monkeypatch.setattr(calculus, name,
+                        lambda *a: calls.append(1) or validator(*a))
+    return calls
+
+
 def _same_arrays(got, want) -> bool:
     return len(got) == len(want) and all(
         g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -665,10 +672,10 @@ def _validation_corpus():
 
 def _kernel_corpus():
     """(label, rho, A, B) for the pair and state kernels against their
-    one-at-a-time paths: pairs whose sum A + B has full rank (the kernel
-    reads its eigenvectors without a copy) or not, pairs with R's
-    eigenvalues clipped at 0 or 1, 1 x 1 pairs, and 0 x 0 and scalar
-    input."""
+    validate-then-decompose references: pairs whose sum A + B has full
+    rank (the kernel reads its eigenvectors without a copy) or not, pairs
+    with R's eigenvalues clipped at 0 or 1, 1 x 1 pairs, and 0 x 0 and
+    scalar input."""
     rng = np.random.default_rng(20264)
     for profile in ("well_conditioned", "rank_deficient", "projection"):
         for n in (1, 2, 3, 4, 6):
@@ -720,27 +727,41 @@ class TestStackedValidation:
         for kind in ("hermitian", "psd"):
             assert {(kind, True), (kind, False)} <= decisions
 
-    def test_pair_kernel_matches_sequential(self, monkeypatch):
-        # the stacked kernel, and where it keeps all of A + B's eigenvalues
-        # (its view of V without a copy) or cuts some, gives what validating
-        # A and B one at a time and decomposing them gives, to the last bit
-        fallbacks = []
-        sequential = calculus._sequential_pair_spectrum
-        monkeypatch.setattr(calculus, "_sequential_pair_spectrum",
-                            lambda *a: fallbacks.append(1) or sequential(*a))
-        ranks = set()
-        for label, _, A, B in _kernel_corpus():
-            want = _outcome(_sequential_pair_spectrum, A, B, ("A", "B"))
-            fallbacks.clear()
+    def test_pair_kernel_replays_only_to_raise(self, monkeypatch):
+        # the stacked kernel, where it keeps all of A + B's eigenvalues (its
+        # view of V without a copy) or cuts some, gives what validating A
+        # and B and then decomposing them gives, to the last bit.  The
+        # one-at-a-time validator runs once on a pair it rejects, to raise,
+        # and on an accepted pair only when it is 0 x 0 or scalar; the
+        # kernel runs at most once
+        replays = _counting(monkeypatch, "_sequential_pair")
+        kernels = _counting(monkeypatch, "_pair_spectra")
+        ranks, decisions = set(), set()
+        corpus = [(label, A, B) for label, _, A, B in _kernel_corpus()]
+        corpus += [(label, A, B) for label, _, A, B in _validation_corpus()]
+        corpus.append(("cliff/A+B", *_sum_cliff()))
+        for label, A, B in corpus:
+            want = _outcome(_validated_spectrum, A, B)
+            rejected = isinstance(_outcome(_sequential_pair, A, B)[0], type)
+            replays.clear()
+            kernels.clear()
             got = _outcome(_checked_pair_spectrum, A, B)
-            if isinstance(want[0], type):
+            assert len(kernels) <= 1, label
+            raised = isinstance(want[0], type)
+            if raised:
                 assert got == want, label
-                continue
-            assert _same_arrays(got, want), label
-            if label not in ("0x0", "scalars"):
-                assert not fallbacks, label  # the stacked path ran
+            else:
+                assert _same_arrays(got, want), label
+            shaped = label in ("0x0", "scalars")
+            assert len(replays) == (rejected or shaped), label
+            decisions.add((rejected, shaped, raised))
+            if not (raised or shaped):
                 ranks.add(got[3].shape[0] == got[3].shape[1])
         assert ranks == {True, False}
+        # the kernel's own error on a valid pair (the A + B cliff) is raised
+        # with no replay
+        assert decisions == {(True, False, True), (False, True, False),
+                             (False, False, False), (False, False, True)}
 
     def test_pair_kernel_clips_as_np_clip(self, monkeypatch):
         # t is np.clip of R's eigenvalues to the last bit, where roundoff
@@ -810,6 +831,13 @@ def _margin_pair(side, s=1e-2):
     return np.diag([tau * s, 0.5]), np.diag([(1 - tau) * s, 0.5])
 
 
+def _sum_cliff():
+    """A pair that passes require_psd whose sum A + B fails the kernel's
+    own PSD check."""
+    a = 0.9 * 3 * EPS
+    return np.diag([-a, 1.0, 0.0]), np.diag([-a, 0.0, 1.0])
+
+
 def _certificate_corpus():
     """(label, A, B) around the certificate and every check of the pair
     validators."""
@@ -854,10 +882,7 @@ def _certificate_corpus():
         A, B = _margin_pair(side)
         yield (f"margin/{side > 1}/rotated", hermitian_part(U @ A @ U.conj().T),
                hermitian_part(U @ B @ U.conj().T))
-    # A and B pass require_psd, A + B fails the kernel's own PSD check
-    a = 0.9 * 3 * EPS
-    A, B = np.diag([-a, 1.0, 0.0]), np.diag([-a, 0.0, 1.0])
-    yield "cliff/A+B", A, B
+    yield "cliff/A+B", *_sum_cliff()
     # every invalid kind in each argument, and in both, around a definite
     # pair (which would be certified) and a rank-deficient one
     n = 3
@@ -991,28 +1016,43 @@ class TestStateSpectrum:
                 decisions.add(_singular(mass, tr, norm))
         assert accepted >= 70 and decisions == {True, False}
 
-    def test_matches_sequential_state_spectrum(self, monkeypatch):
+    def test_replays_only_to_raise(self, monkeypatch):
         # the one stack (rho, A, B, A + B), its spectra read once, gives
-        # what the one-at-a-time path gives, to the last bit: arrays, trace
-        # and norms, on full-rank sums (no copy of V), cut ones and 1 x 1
-        fallbacks = []
-        sequential = calculus._sequential_state_spectrum
-        monkeypatch.setattr(calculus, "_sequential_state_spectrum",
-                            lambda *a: fallbacks.append(1) or sequential(*a))
-        ranks = set()
-        for label, rho, A, B in _kernel_corpus():
-            want = _outcome(_sequential_state_spectrum, rho, A, B)
-            fallbacks.clear()
+        # what validating rho, A and B and then decomposing the pair gives,
+        # to the last bit: arrays, trace and norms, on full-rank sums (no
+        # copy of V), cut ones and 1 x 1.  The one-at-a-time validator runs
+        # once on input it rejects, to raise, and on accepted input only
+        # when it is scalar; the kernel's R half runs at most once
+        replays = _counting(monkeypatch, "_sequential_state_pair")
+        kernels = _counting(monkeypatch, "_r_spectrum")
+        ranks, decisions = set(), set()
+        corpus = [*_kernel_corpus(), *_validation_corpus(),
+                  ("cliff/A+B", np.eye(3) / 3, *_sum_cliff())]
+        for label, rho, A, B in corpus:
+            want = _outcome(_validated_state_spectrum, rho, A, B)
+            rejected = isinstance(
+                _outcome(_sequential_state_pair, rho, A, B)[0], type)
+            replays.clear()
+            kernels.clear()
             got = _outcome(_checked_state_spectrum, rho, A, B)
-            if isinstance(want[0], type):
+            assert len(kernels) <= 1, label
+            raised = isinstance(want[0], type)
+            if raised:
                 assert got == want, label
-                continue
-            assert _same_arrays(got[:5], want[:5]), label
-            assert got[5:] == want[5:], label
-            if label != "scalars":
-                assert not fallbacks, label  # the stacked path ran
+            else:
+                assert _same_arrays(got[:5], want), label
+                assert got[5:] == (float(np.trace(want[0]).real),
+                                   *(float(eigh(M)[0][-1]) for M in want[1:3]))
+            shaped = label == "scalars"
+            assert len(replays) == (rejected or shaped), label
+            decisions.add((rejected, shaped, raised))
+            if not (raised or shaped):
                 ranks.add(len(got[3]) == got[1].shape[0])
         assert ranks == {True, False}
+        # the kernel's own error on valid input (the A + B cliff) is raised
+        # with no replay
+        assert decisions == {(True, False, True), (False, True, False),
+                             (False, False, False), (False, False, True)}
 
     @pytest.mark.parametrize("failing", ["rho", "A", "B", "A + B"])
     def test_lapack_failure_keeps_its_order(self, failing, monkeypatch):
