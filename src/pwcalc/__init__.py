@@ -13,7 +13,6 @@ from .linalg import (
     Subspace,
     eigh,
     hermitian_part,
-    pinv_sqrt,
     psd_pinv,
     psd_sqrt,
     range_subspace,

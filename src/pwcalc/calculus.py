@@ -59,10 +59,11 @@ from .linalg import (
     _psd_spectra,
     _psd_stack,
     _range_cut,
+    _range_eigh,
+    _trusted,
     default_rank_tol,
     eigh,
     hermitian_part,
-    pinv_sqrt,
     psd_sqrt,
     range_subspace,
     require_psd,
@@ -241,22 +242,22 @@ def compatible_representation(A: np.ndarray, B: np.ndarray
 
 def _representation(A, B):
     """(H_{A,B}, T, R, w, Q) of compatible_representation, the reference
-    construction: A+B decomposed by psd_sqrt and pinv_sqrt, R formed as
-    Y* A Y with Y = (A+B)^{-1/2} V_k (V_k the range basis) and decomposed
-    to clip it, and (w, Q) = eigh of the clipped R.  `_pair_spectrum` gives
-    the same representation from one eigh of A+B and one of R, and the
-    tests compare the two.  pw_apply (so perspective_apply) still builds on
+    construction: T = V_k* psd_sqrt(A+B), R = Y* A Y with Y = V_k w_k^-1/2
+    read off a second eigh (w, V) of A+B, R decomposed to clip it, and
+    (w, Q) = eigh of the clipped R.  `_pair_spectrum` gives the same
+    representation from one eigh of A+B and one of R, and the tests compare
+    the two.  pw_apply (so perspective_apply) still builds on
     this one, because bench/selftest.py pins perspective_apply's eigh count.
 
     After one stacked Hermitian check of A and B (_hermitian_stack; what it
     does not take goes to _sequential_pair, which raises its own error or
     accepts a 0x0 or scalar pair), the work runs in two lanes
     (linalg._concurrently), two at a time on large pairs: the PSD checks of
-    A and B, then psd_sqrt(A+B), on the calling thread; and pinv_sqrt(A+B),
-    R and R's two decompositions on the worker.  Each eigh gets the bytes
-    it gets in the run in order, so the results are that run's to the last
-    bit.  The first lane's error wins, so errors keep the order A, B,
-    psd_sqrt, pinv_sqrt: a sum that overflows reaches psd_sqrt's rank cut,
+    A and B, then psd_sqrt(A+B), on the calling thread; and the eigh of A+B
+    that gives V_k, R and R's two decompositions on the worker.  Each eigh
+    gets the bytes it gets in the run in order, so the results are that
+    run's to the last bit.  The first lane's error wins, so errors keep the
+    order A, B, psd_sqrt: a sum that overflows reaches psd_sqrt's rank cut,
     which raises NonFiniteError.
     """
     H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
@@ -278,19 +279,20 @@ def _representation(A, B):
         # each array is freed once spent, as both lanes' arrays are alive
         # at once: on pairs of n = 64, 128 and 256 that keeps about 3 MB
         # off the peak memory of the process
-        inv_half, h_ab = pinv_sqrt(S_sum)
-        Y = inv_half @ h_ab.basis
-        del inv_half
+        w, V, keep = _range_eigh(S_sum, "A + B")
+        if keep is not None:
+            V, w = V[:, keep], w[keep]
+        Y = V / np.sqrt(w)  # (A+B)^{-1/2} V_k
         R = hermitian_part(Y.conj().T @ A @ Y)
         del Y
         if len(R):
             w, Q = eigh(R)
             R = hermitian_part((Q * _clipped(w)) @ Q.conj().T)
             del w, Q
-        return h_ab, R, *eigh(R)
+        return V, R, *eigh(R)
 
-    sq, (h_ab, R, w, Q) = _concurrently(len(S_sum), checked_sqrt, r_spectrum)
-    return h_ab, h_ab.basis.conj().T @ sq, R, w, Q
+    sq, (V, R, w, Q) = _concurrently(len(S_sum), checked_sqrt, r_spectrum)
+    return _trusted(Subspace, basis=V), V.conj().T @ sq, R, w, Q
 
 
 def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
@@ -586,37 +588,28 @@ def special_values(phi: HomogeneousFunction, A: np.ndarray, alpha: float,
     return SpecialValues(calculus(right, A), calculus(left, A), scaled)
 
 
-def _inv_sqrt_of_invertible(M: np.ndarray) -> np.ndarray:
-    w, V = eigh(M)
-    return hermitian_part((V / np.sqrt(w)) @ V.conj().T)
-
-
 def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
                        ) -> ExtendedSelfAdjoint:
     """phi(A,B) through the one-sided sandwich when A or B is invertible.
 
     B invertible: B^{1/2} g(B^{-1/2} A B^{-1/2}) B^{1/2} with g(t) = phi(t,1);
-    A invertible symmetrically with g(t) = phi(1,t).  Must agree with
-    pw_apply whenever applicable.
+    else A's, with g(t) = phi(1,t), both roots read off the eigh that tested
+    invertibility.  Must agree with pw_apply whenever applicable.
     """
     A, B = _sequential_pair(A, B)
-    wB, _ = eigh(B)
-    wA, _ = eigh(A)
-    b_invertible = wB.size and wB[0] > default_rank_tol(wB)
-    a_invertible = wA.size and wA[0] > default_rank_tol(wA)
-    if b_invertible:
-        inv_half = _inv_sqrt_of_invertible(B)
-        W = hermitian_part(inv_half @ A @ inv_half)
-        g = ExtendedFunction(f"{phi.name}(t,1)", CLOSED_POS,
-                             lambda t: phi.bivariate(t, 1.0))
-        return congruence(psd_sqrt(B), calculus(g, W))
-    if a_invertible:
-        inv_half = _inv_sqrt_of_invertible(A)
-        W = hermitian_part(inv_half @ B @ inv_half)
-        g = ExtendedFunction(f"{phi.name}(1,t)", CLOSED_POS,
-                             lambda t: phi.bivariate(1.0, t))
-        return congruence(psd_sqrt(A), calculus(g, W))
-    raise PreconditionError("invertible_formula needs A or B invertible")
+    w, V, keep = _range_eigh(B, "B")
+    inner, g = A, ExtendedFunction(f"{phi.name}(t,1)", CLOSED_POS,
+                                   lambda t: phi.bivariate(t, 1.0))
+    if keep is not None:  # B is singular: try A in its place
+        w, V, keep = _range_eigh(A, "A")
+        if keep is not None:
+            raise PreconditionError("invertible_formula needs A or B invertible")
+        inner, g = B, ExtendedFunction(f"{phi.name}(1,t)", CLOSED_POS,
+                                       lambda t: phi.bivariate(1.0, t))
+    root = np.sqrt(w)
+    inv_half = hermitian_part((V / root) @ V.conj().T)
+    W = hermitian_part(inv_half @ inner @ inv_half)
+    return congruence(hermitian_part((V * root) @ V.conj().T), calculus(g, W))
 
 
 @dataclass

@@ -69,7 +69,6 @@ OPEN_POS = Interval(0.0, INF, False, False)     # (0, inf)
 CLOSED_POS = Interval(0.0, INF, True, False)    # [0, inf)
 UNIT_CLOSED = Interval(0.0, 1.0, True, True)    # [0, 1]
 UNIT_GE = Interval(0.0, 1.0, False, True)       # (0, 1]
-UNIT_LE = Interval(0.0, 1.0, True, False)       # [0, 1)
 
 
 @dataclass(frozen=True)

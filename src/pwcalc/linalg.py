@@ -254,8 +254,8 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
 
     Eigenvalues within the PSD slack below zero are clamped to 0 before the
     root; anything lower raises NotPsdError.  Eigenvalues under the rank
-    tolerance are floored to 0 so the root is rank-consistent with
-    pinv_sqrt (a sub-tolerance eigenvalue would otherwise surface as a
+    tolerance are floored to 0 so the root has the rank of the range basis
+    above the cut (a sub-tolerance eigenvalue would otherwise surface as a
     sqrt-amplified spurious direction of size ~1e-8).  When M keeps every
     eigenvalue there is nothing to floor, and the root is taken of the
     spectrum as eigh returns it.
@@ -297,14 +297,14 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement, via the trailing eigenvectors of the projector."""
+        """Orthogonal complement: the kernel of basis*, from its svd."""
         n, k = self.basis.shape
         if k == 0:
             return full_space(n)
         if k == n:
             return zero_subspace(n)
-        w, V = eigh(self.projector())
-        return _trusted(Subspace, basis=V[:, : n - k])
+        Vh = np.linalg.svd(self.basis.conj().T)[2]
+        return _trusted(Subspace, basis=Vh[k:].conj().T)
 
     def contains(self, other: "Subspace", cos_tol: float) -> bool:
         """True iff every principal-angle cosine of `other` against self is >= 1 - cos_tol."""
@@ -340,25 +340,6 @@ def span(columns: np.ndarray) -> Subspace:
     U, s, _ = np.linalg.svd(C, full_matrices=False)
     r = int(np.sum(s > max(C.shape) * EPS * s.max(initial=0.0)))
     return _trusted(Subspace, basis=U[:, :r])
-
-
-def pinv_sqrt(M: np.ndarray):
-    """Moore-Penrose pseudo-inverse of psd_sqrt(M) plus the range subspace.
-
-    Eigenvalues at or below the rank cut (n*eps*lambda_max) are treated as
-    zero; the returned Subspace is spanned by the eigenvectors above it.
-    When M keeps every eigenvalue, the inverse roots are taken of the whole
-    spectrum and the Subspace is spanned by every eigenvector, with no mask
-    or copy: the same values, as each is computed elementwise.
-    """
-    w, V, keep = _range_eigh(M, "pinv_sqrt")
-    if keep is None:
-        inv, basis = 1.0 / np.sqrt(w), V
-    else:
-        inv, basis = np.zeros_like(w), V[:, keep]
-        inv[keep] = 1.0 / np.sqrt(w[keep])
-    P = hermitian_part((V * inv) @ V.conj().T)
-    return P, _trusted(Subspace, basis=basis)
 
 
 def psd_pinv(M: np.ndarray) -> np.ndarray:

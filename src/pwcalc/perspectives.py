@@ -504,11 +504,16 @@ def _kraus_list(kraus) -> list:
 
 
 def _kraus_sum(kraus, X, predual: bool) -> np.ndarray:
-    """The Hermitian part of sum_i K_i X K_i*, or sum_i K_i* X K_i (predual)."""
+    """The Hermitian part of sum_i K_i X K_i*, or sum_i K_i* X K_i (predual).
+    A non-finite sum (one that overflowed, say) raises ValueError, not NaN."""
     X = np.asarray(X, dtype=complex)
     terms = (K.conj().T @ X @ K if predual else K @ X @ K.conj().T
              for K in _kraus_list(kraus))
-    return hermitian_part(functools.reduce(operator.add, terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = hermitian_part(functools.reduce(operator.add, terms))
+    if not np.isfinite(total).all():
+        raise ValueError("the Kraus sum has a non-finite (NaN or inf) entry")
+    return total
 
 
 def kraus_apply(kraus, X: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ from .extended import (
     form_leq,
     from_matrix,
 )
-from .functions import CLOSED_POS, ExtendedFunction
+from .functions import CLOSED_POS, ExtendedFunction, _haar_isometry
 from .linalg import (
     hermitian_part,
     eigh,
@@ -111,9 +111,7 @@ def aux_rng(spec: RandomSpec, trial: int, tag: int = 1) -> np.random.Generator:
 
 
 def haar_unitary(rng, n: int) -> np.ndarray:
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(X)
-    return Q * np.sign(np.diag(R).real)
+    return _haar_isometry(rng, n, n)
 
 
 def random_isometry(rng, n: int, k: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The pair paths validate with the stacked pass and then decompose, in the
 order the library did before it read the validation and the spectra from
-one pass; the square roots apply their rank mask at every rank, where the
-library skips it on a full-rank matrix.  None is called by pwcalc itself.
+one pass; the square root and the range basis apply their rank mask at
+every rank, where the library skips it on a full-rank matrix.  None is
+called by pwcalc itself.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ def r_spectrum_weights(A, B, rho):
     return t, _state_weights(X, rho)
 
 
-def _range_mask(M, name):
-    """eigh of M and the mask of its eigenvalues above the rank cut."""
+def masked_range_eigh(M, name):
+    """_range_eigh with the rank mask returned at every rank: eigh of M and
+    the mask of its eigenvalues above the rank cut, all True on a
+    full-rank M."""
     w, V = eigh(M)
     return w, V, w > _range_cut(w.tolist(), name)
 
@@ -75,15 +78,5 @@ def masked_psd_sqrt(M):
     """psd_sqrt with the rank mask applied at every rank: the eigenvalues
     at or below the rank cut floored to 0 by np.where, a full-rank M
     included."""
-    w, V, keep = _range_mask(M, "psd_sqrt")
+    w, V, keep = masked_range_eigh(M, "psd_sqrt")
     return hermitian_part((V * np.sqrt(np.where(keep, w, 0.0))) @ V.conj().T)
-
-
-def masked_pinv_sqrt(M):
-    """pinv_sqrt with the rank mask applied at every rank: (P, basis), the
-    inverse roots written into zeros through the mask and the range basis
-    copied out through it, a full-rank M included."""
-    w, V, keep = _range_mask(M, "pinv_sqrt")
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / np.sqrt(w[keep])
-    return hermitian_part((V * inv) @ V.conj().T), V[:, keep]

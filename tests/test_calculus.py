@@ -586,7 +586,8 @@ class TestConcurrentValidation:
     """From n = CONCURRENT_MIN_N on, the representation under
     perspective_apply, pw_apply_restricted and compatible_representation
     runs in two lanes: the PSD checks of A and B and psd_sqrt(A+B) on the
-    calling thread, pinv_sqrt(A+B) and R's decompositions on a worker.  The
+    calling thread, the range basis of A+B and R's decompositions on a
+    worker.  The
     results must be the run in order's to the last bit, and the errors its
     errors."""
 
@@ -616,7 +617,7 @@ class TestConcurrentValidation:
                                       "overflow"])
     def test_errors_match_the_run_in_order(self, call, case, monkeypatch):
         # each lane meets an error of its own where it can: the worker's
-        # pinv_sqrt sees the same invalid sum, and the first lane's error,
+        # eigh of A+B sees the same invalid sum, and the first lane's error,
         # raised in the run in order, must win
         n = linalg.CONCURRENT_MIN_N
         A, B = gen_pair(RandomSpec(n, n, "well_conditioned", seed=17), 0)

@@ -113,10 +113,42 @@ class TestMakeExtended:
             make_extended([(1.0, e(2, 0))])
 
 
+def rotated_element(source):
+    """A bounded 3 x 3 element whose essential basis is a drawn unitary, not
+    the identity: from make_extended's eigenpairs, or read from JSON with a
+    finite part that is not diagonal."""
+    rng = np.random.default_rng(20)
+    U = haar_unitary(rng, 3)
+    if source == "make_extended":
+        return make_extended(zip([-1.0, 0.5, 2.0], U.T))
+    M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    F = M + M.conj().T
+    return from_json_dict({
+        "n": 3,
+        "essential_basis": {"re": U.real.tolist(), "im": U.imag.tolist()},
+        "finite_part": {"re": F.real.tolist(), "im": F.imag.tolist()},
+    })
+
+
 class TestEvaluateState:
     def test_bounded(self):
         T = from_matrix(np.diag([1.0, 2.0]))
         assert abs(evaluate_state(T, np.diag([0.5, 0.5])) - 1.5) < 1e-12
+
+    @pytest.mark.parametrize("source", ["make_extended", "from_json_dict"])
+    def test_bounded_on_a_rotated_basis(self, source):
+        # the state is compressed to the essential basis before it meets the
+        # finite part: m(rho) = Tr(rho V F V*), which Tr(rho F) is not here
+        T = rotated_element(source)
+        form = T.form_matrix()
+        assert T.is_bounded and np.abs(form - T.finite_part).max() > 0.1
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            rho = X @ X.conj().T
+            want = float(np.trace(rho @ form).real)
+            tol = 1e-12 * (1 + np.abs(form).max() * float(np.trace(rho).real))
+            assert abs(evaluate_state(T, rho) - want) <= tol
 
     def test_infinity_hit(self):
         T = inf_on_e1_finite(0.0)
@@ -166,6 +198,18 @@ class TestQuadraticForm:
     def test_mixed_vector_hits_infinity(self):
         T = inf_on_e1_finite(1.0)
         assert quadratic_form(T, (e(2, 0) + e(2, 1)) / np.sqrt(2)) == INF
+
+    @pytest.mark.parametrize("source", ["make_extended", "from_json_dict"])
+    def test_bounded_on_a_rotated_basis(self, source):
+        # q(xi) = <V F V* xi, xi> on an essential basis V that is not I
+        T = rotated_element(source)
+        form = T.form_matrix()
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            want = float(np.vdot(xi, form @ xi).real)
+            tol = 1e-12 * (1 + np.abs(form).max() * float(np.vdot(xi, xi).real))
+            assert abs(quadratic_form(T, xi) - want) <= tol
 
 
 class TestAddScale:

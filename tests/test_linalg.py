@@ -47,7 +47,6 @@ from pwcalc.linalg import (
     eigh,
     full_space,
     hermitian_part,
-    pinv_sqrt,
     psd_sqrt,
     read_matrix,
     require_hermitian,
@@ -59,8 +58,8 @@ from pwcalc.linalg import (
     zero_subspace,
 )
 from reference import (
-    masked_pinv_sqrt,
     masked_psd_sqrt,
+    masked_range_eigh,
     r_spectrum_weights,
     validate_stack,
     validated_pair,
@@ -134,51 +133,12 @@ class TestPsdSqrt:
             psd_sqrt(np.diag([1.0, -0.5]))
 
 
-class TestPinvSqrt:
-    def test_diagonal_with_kernel(self):
-        P, sub = pinv_sqrt(np.diag([4.0, 0.0]))
-        assert np.abs(P - np.diag([0.5, 0.0])).max() < 1e-12
-        assert sub.dim == 1
-        assert np.abs(np.abs(sub.basis[:, 0]) - [1, 0]).max() < 1e-12
-
-    def test_identity(self):
-        P, sub = pinv_sqrt(np.eye(2))
-        assert np.abs(P - np.eye(2)).max() < 1e-12
-        assert sub.dim == 2
-
-    def test_rank_one_penrose(self):
-        M = np.ones((2, 2))
-        P, sub = pinv_sqrt(M)
-        assert sub.dim == 1
-        v = sub.basis[:, 0]
-        assert np.abs(np.abs(v) - np.ones(2) / np.sqrt(2)).max() < 1e-12
-        # Penrose identity through the square: M (P^2) M = M
-        assert np.abs(M @ (P @ P) @ M - M).max() < 1e-9
-
-    def test_penrose_identities_seeded(self):
-        for trial in range(50):
-            rng = np.random.default_rng((55, trial))
-            n = int(rng.integers(1, 9))
-            rank = int(rng.integers(1, n + 1))
-            # controlled spectrum: zeros are exact, positives stay O(1)
-            w = np.zeros(n)
-            w[:rank] = rng.uniform(0.3, 2.0, rank)
-            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            Q = np.linalg.qr(X)[0]
-            M = hermitian_part((Q * w) @ Q.conj().T)
-            S = psd_sqrt(M)
-            P, _ = pinv_sqrt(M)
-            assert np.abs(S @ P @ S - S).max() < 1e-9
-            assert np.abs(P @ S @ P - P).max() < 1e-9
-            assert np.abs((S @ P) - (S @ P).conj().T).max() < 1e-9
-            assert np.abs((P @ S) - (P @ S).conj().T).max() < 1e-9
-
-
 class TestSpectrumShortcuts:
-    """psd_sqrt and pinv_sqrt skip their rank mask when the matrix keeps
-    every eigenvalue, and calculus._clipped skips np.clip when R's spectrum
-    lies inside (0, 1): each gives what the masked formula
-    (tests/reference.py) or np.clip gives, to the last bit."""
+    """psd_sqrt and the representation's range basis skip their rank mask
+    when the matrix keeps every eigenvalue, and calculus._clipped skips
+    np.clip when R's spectrum lies inside (0, 1): each gives what the
+    masked formula (tests/reference.py) or np.clip gives, to the last
+    bit."""
 
     @staticmethod
     def _psd_corpus():
@@ -209,25 +169,11 @@ class TestSpectrumShortcuts:
             assert psd_sqrt(M).tobytes() == masked_psd_sqrt(M).tobytes()
         assert full_rank == {True, False}
 
-    def test_pinv_sqrt_is_the_masked_inverse_root(self):
-        full_rank = set()
-        for M in self._psd_corpus():
-            full_rank.add(_range_eigh(M, "pinv_sqrt")[2] is None)
-            P, sub = pinv_sqrt(M)
-            want_P, want_basis = masked_pinv_sqrt(M)
-            assert P.tobytes() == want_P.tobytes()
-            assert sub.basis.shape == want_basis.shape
-            assert sub.basis.tobytes() == want_basis.tobytes()
-        assert full_rank == {True, False}
-
     def test_perspective_is_that_of_the_masked_roots(self, monkeypatch):
-        # the range basis is now the eigenvectors themselves, not a copy in
+        # the range basis is the eigenvectors themselves, not a copy in
         # another memory layout, on a full-rank A + B: the products that
-        # read it give the same perspective to the last bit
-        def masked_pinv(M):
-            P, basis = masked_pinv_sqrt(M)
-            return P, Subspace(basis)
-
+        # read it give the same perspective to the last bit as the copy
+        # V[:, keep] that an all-True mask makes
         def parts(res):
             T = res.value
             return (T.essential.basis.tobytes(), T.finite_part.tobytes(),
@@ -238,7 +184,7 @@ class TestSpectrumShortcuts:
         tlogt = catalog("tlogt")
         got = [parts(perspective_apply(tlogt, *p)) for p in pairs]
         monkeypatch.setattr(calculus, "psd_sqrt", masked_psd_sqrt)
-        monkeypatch.setattr(calculus, "pinv_sqrt", masked_pinv)
+        monkeypatch.setattr(calculus, "_range_eigh", masked_range_eigh)
         assert got == [parts(perspective_apply(tlogt, *p)) for p in pairs]
 
     @pytest.mark.parametrize("w", [

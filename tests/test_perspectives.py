@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -72,12 +73,14 @@ from pwcalc.variational import (
     integral_eval_92,
     repr77_tlogt,
     repr97_t_alpha,
+    two_projections,
 )
 
 A712 = np.array([[1.0, 1.0], [1.0, 1.0]])
 B712 = np.diag([1.0, 2.0])
 P87 = np.diag([1.0, 0.0])
 Q87 = 0.5 * np.ones((2, 2))
+BIG_DIAG = np.diag([1e308, 1.0])  # finite, but BIG_DIAG @ BIG_DIAG overflows
 
 
 R77_TLOGT = repr77_tlogt(48)
@@ -111,10 +114,14 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # pair is bounded in this order (range A in range B) and unbounded swapped.
 # At n = 64 perspective_apply and pw_apply_restricted run in two lanes and
 # still make 7: the PSD checks of A and B and psd_sqrt(A+B) on the calling
-# thread, pinv_sqrt(A+B) and R's two decompositions on the worker, and the
-# lower bound of the element after both have joined.  A perspective with an
-# infinity part adds one svd, for the kernel of its +inf rows; no other row
-# makes an svd.  The singular rows give the integrals a t^2 term whose
+# thread, the eigh of A+B that gives the range basis and R's two
+# decompositions on the worker, and the lower bound of the element after
+# both have joined.  A perspective with an infinity part adds one svd, for
+# the kernel of its +inf rows.  invertible_formula decomposes B once for its
+# invertibility test and both roots, and A too when B is singular (A is
+# singular in the rank-deficient pair, B is not).  An infinity part made on
+# a subspace (special_values' infinite scalar, two_projections' infinite
+# coefficient) takes its complement from one svd.  The singular rows give the integrals a t^2 term whose
 # state has mass on the singular part: the +inf is decided from the
 # state's spectrum before that term's perspective would be made.
 PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
@@ -156,6 +163,14 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (DOMINATES, "well_conditioned", 2, 0),
     (T2, "well_conditioned", 5, 0),
     (CHAIN, "well_conditioned", 18, 0),
+    (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B),
+     "rank_deficient", 5, 0),
+    (lambda A, B, rho: invertible_formula(TLOGT_PHI, B, A),
+     "rank_deficient", 6, 1),
+    (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 0.0),
+     "rank_deficient", 4, 1),
+    (lambda A, B, rho: two_projections(catalog("power", 2), P87, Q87),
+     "projection", 7, 4),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "integral_eval_91-singular",
         "integral_eval_92-singular", "perspective_apply",
@@ -166,7 +181,9 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         "lebesgue_decomposition-well_conditioned",
         "is_absolutely_continuous-well_conditioned",
         "dominates_scale-well_conditioned", "t2_bound-well_conditioned",
-        "boundedness_chain-well_conditioned"])
+        "boundedness_chain-well_conditioned", "invertible_formula",
+        "invertible_formula-singular_B", "special_values-infinite_scalar",
+        "two_projections"])
 def test_eigh_calls_per_call(call, profile, eigh_calls, svd_calls,
                              monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
@@ -942,6 +959,25 @@ class TestPositiveMaps:
             A, B = gen_pair(spec, trial)
             out = check_positive_map_monotonicity(catalog("tlogt"), kraus, A, B)
             assert out.ok
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("call", [
+        lambda: kraus_apply([BIG_DIAG] * 2, BIG_DIAG),
+        lambda: kraus_predual([BIG_DIAG] * 2, BIG_DIAG),
+        lambda: check_positive_map_monotonicity(
+            catalog("tlogt"), [np.diag([1e200, 1.0])], np.eye(2), np.eye(2)),
+    ], ids=["kraus_apply", "kraus_predual", "check_positive_map_monotonicity"])
+    def test_overflowing_kraus_sum_is_named(self, call, action):
+        # finite Kraus operators whose product K X K* overflows: the sum is
+        # rejected by name under either warning filter, not returned with
+        # NaN entries or left to numpy's overflow warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=r"^the Kraus sum has a "
+                                                 r"non-finite \(NaN or inf\) "
+                                                 r"entry$"):
+                call()
+        assert [str(w.message) for w in caught] == []
 
     def test_scalar_functional_peierls_bogoliubov(self):
         # phi_f(rho(A), rho(B)) <= phi_f(A,B)(rho), strict on the 7.12 pair
