@@ -39,7 +39,6 @@ from .functions import (
     IntegralRepr97,
     Measure,
     approximants,
-    calculus,
     catalog,
     check_operator_convex,
     check_pmi,

@@ -46,6 +46,7 @@ from .functions import (
     CLOSED_POS,
     DomainError,
     ExtendedFunction,
+    _spectral_calculus,
     calculus,
 )
 from .linalg import (
@@ -60,13 +61,14 @@ from .linalg import (
     _psd_stack,
     _range_cut,
     _range_eigh,
+    _range_of,
+    _range_subspace,
+    _sqrt_of,
     _trusted,
     default_rank_tol,
     eigh,
     hermitian_part,
-    psd_sqrt,
-    range_subspace,
-    require_psd,
+    require_hermitian,
     require_state,
     span,
     spectral_norm,
@@ -201,9 +203,17 @@ def _sequential_pair(A, B, names=("A", "B")):
     """A and B as complex PSD arrays, validated one at a time and named in
     errors by `names`; their shapes are compared before either is
     validated, so a mismatch raises before any eigh."""
-    A, B = _same_shape(A, B)
-    return (require_psd(A, name=names[0], atol=MATRIX_HERMITIAN_ATOL),
-            require_psd(B, name=names[1], atol=MATRIX_HERMITIAN_ATOL))
+    return tuple(M for M, _, _ in _sequential_spectra(A, B, names))
+
+
+def _sequential_spectra(A, B, names=("A", "B")):
+    """_sequential_pair's A and B, each with the eigenpairs its PSD check
+    decided on: ((A, wA, VA), (B, wB, VB)), validated in the same order."""
+    checked = []
+    for M, name in zip(_same_shape(A, B), names):
+        M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name=name)
+        checked.append((M, *_check_psd(M, name)))
+    return checked
 
 
 def _sequential_state_pair(rho, A, B):
@@ -242,7 +252,7 @@ def compatible_representation(A: np.ndarray, B: np.ndarray
 
 def _representation(A, B):
     """(H_{A,B}, T, R, w, Q) of compatible_representation, the reference
-    construction: T = V_k* psd_sqrt(A+B), R = Y* A Y with Y = V_k w_k^-1/2
+    construction: T = V_k* (A+B)^{1/2}, R = Y* A Y with Y = V_k w_k^-1/2
     read off a second eigh (w, V) of A+B, R decomposed to clip it, and
     (w, Q) = eigh of the clipped R.  `_pair_spectrum` gives the same
     representation from one eigh of A+B and one of R, and the tests compare
@@ -253,12 +263,13 @@ def _representation(A, B):
     does not take goes to _sequential_pair, which raises its own error or
     accepts a 0x0 or scalar pair), the work runs in two lanes
     (linalg._concurrently), two at a time on large pairs: the PSD checks of
-    A and B, then psd_sqrt(A+B), on the calling thread; and the eigh of A+B
-    that gives V_k, R and R's two decompositions on the worker.  Each eigh
-    gets the bytes it gets in the run in order, so the results are that
-    run's to the last bit.  The first lane's error wins, so errors keep the
-    order A, B, psd_sqrt: a sum that overflows reaches psd_sqrt's rank cut,
-    which raises NonFiniteError.
+    A and B, then the root of A+B (linalg._sqrt_of), on the calling thread;
+    and the eigh of A+B that gives V_k, R and R's two decompositions on the
+    worker.  Each eigh gets the bytes it gets in the run in order, so the
+    results are that run's to the last bit.  The first lane's error wins,
+    so errors keep the order A, B, A + B: a sum that overflows reaches the
+    rank cut of the root, which raises NonFiniteError naming A + B, as the
+    pair kernel does.
     """
     H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
     if H is None:
@@ -273,7 +284,7 @@ def _representation(A, B):
     def checked_sqrt():
         for M, name in unchecked:
             _check_psd(M, name)
-        return psd_sqrt(S_sum)
+        return _sqrt_of(*_range_eigh(S_sum, "A + B"))
 
     def r_spectrum():
         # each array is freed once spent, as both lanes' arrays are alive
@@ -508,9 +519,10 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     return _assemble(phi, t_map, w, Q, ENDPOINT_TOL)[0]
 
 
-def _grouped_joint_eigensystem(A: np.ndarray, B: np.ndarray):
-    """Joint eigenpairs of a commuting Hermitian pair, by block diagonalization."""
-    wA, VA = eigh(A)
+def _grouped_joint_eigensystem(wA: np.ndarray, VA: np.ndarray, B: np.ndarray):
+    """Joint eigenpairs of a commuting Hermitian pair (A, B), by block
+    diagonalization of B over the eigenspaces of A, from the eigenpairs
+    (wA, VA) of A."""
     n = len(wA)
     group_tol = 1e-7 * (1.0 + float(np.abs(wA).max(initial=0.0)))
     pairs = []
@@ -536,9 +548,10 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
 
     This is the oracle pw_apply is checked against: it never touches the
     compatible representation, only the joint spectrum and the bivariate
-    evaluator phi(x, y) = (x+y) * diagonal(x/(x+y)).
+    evaluator phi(x, y) = (x+y) * diagonal(x/(x+y)).  The eigenpairs of A
+    are those its PSD check decided on.
     """
-    A, B = _sequential_pair(A, B)
+    (A, wA, VA), (B, _, _) = _sequential_spectra(A, B)
     comm = spectral_norm(A @ B - B @ A)
     bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
     if comm > max(bound, 1e-13):
@@ -548,7 +561,7 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     w_sum, _ = eigh(A + B)
     kernel_floor = default_rank_tol(w_sum)
     pairs = []
-    for x, y, v in _grouped_joint_eigensystem(A, B):
+    for x, y, v in _grouped_joint_eigensystem(wA, VA, B):
         x, y = max(x, 0.0), max(y, 0.0)
         pairs.append((phi.bivariate(x, y, zero_tol=kernel_floor), v))
     return make_extended(pairs)
@@ -566,11 +579,13 @@ def special_values(phi: HomogeneousFunction, A: np.ndarray, alpha: float,
 
     phi(A, alpha I) is the spectral calculus of t -> phi(t, alpha), and
     phi(alpha A, beta A) = phi(alpha, beta) A, where an infinite scalar means
-    +inf on the range of A and 0 on its kernel.
+    +inf on the range of A and 0 on its kernel.  Both calculi and the range
+    read the eigenpairs of A that its PSD check decided on.
     """
     if not (0.0 <= alpha < INF and 0.0 <= beta < INF):
         raise ValueError("scalars must be finite and nonnegative")
-    A = require_psd(A, name="A", atol=MATRIX_HERMITIAN_ATOL)
+    A = require_hermitian(A, atol=MATRIX_HERMITIAN_ATOL, name="A")
+    w, V = _check_psd(A, "A")
 
     right = ExtendedFunction(
         f"{phi.name}(t,{alpha})", CLOSED_POS,
@@ -582,10 +597,11 @@ def special_values(phi: HomogeneousFunction, A: np.ndarray, alpha: float,
     )
     scalar = phi.bivariate(alpha, beta)
     if math.isinf(scalar):
-        scaled = infinity_on(range_subspace(A))
+        scaled = infinity_on(_range_subspace(w, V))
     else:
         scaled = from_matrix(scalar * A)
-    return SpecialValues(calculus(right, A), calculus(left, A), scaled)
+    return SpecialValues(_spectral_calculus(right, w, V),
+                         _spectral_calculus(left, w, V), scaled)
 
 
 def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
@@ -593,15 +609,16 @@ def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     """phi(A,B) through the one-sided sandwich when A or B is invertible.
 
     B invertible: B^{1/2} g(B^{-1/2} A B^{-1/2}) B^{1/2} with g(t) = phi(t,1);
-    else A's, with g(t) = phi(1,t), both roots read off the eigh that tested
-    invertibility.  Must agree with pw_apply whenever applicable.
+    else A's, with g(t) = phi(1,t).  The invertibility test and both roots
+    read the eigenpairs that the PSD check of B (or A) decided on.  Must
+    agree with pw_apply whenever applicable.
     """
-    A, B = _sequential_pair(A, B)
-    w, V, keep = _range_eigh(B, "B")
+    (A, wA, VA), (B, wB, VB) = _sequential_spectra(A, B)
+    w, V, keep = _range_of(wB, VB, "B")
     inner, g = A, ExtendedFunction(f"{phi.name}(t,1)", CLOSED_POS,
                                    lambda t: phi.bivariate(t, 1.0))
     if keep is not None:  # B is singular: try A in its place
-        w, V, keep = _range_eigh(A, "A")
+        w, V, keep = _range_of(wA, VA, "A")
         if keep is not None:
             raise PreconditionError("invertible_formula needs A or B invertible")
         inner, g = B, ExtendedFunction(f"{phi.name}(1,t)", CLOSED_POS,
@@ -636,7 +653,7 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     if C.ndim != 2 or C.shape[0] != A.shape[0]:
         raise ValueError(
             f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
-    ran_ab = range_subspace(np.asarray(A) + np.asarray(B))
+    ran_ab = _range_subspace(*eigh(A + B))
     ran_c = span(C)
     if not ran_c.contains(ran_ab, CONTAINMENT_COS_TOL):
         return HomogeneityReport(True, "range(A+B) not contained in range(C)",

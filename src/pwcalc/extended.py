@@ -278,9 +278,12 @@ def add(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint
 
 
 def scale(alpha: float, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
-    """alpha * T for alpha >= 0; scale(0, T) is the zero bounded element."""
+    """alpha * T for finite alpha >= 0; scale(0, T) is the zero bounded
+    element."""
     if alpha < 0:
         raise ValueError("scale factor must be nonnegative")
+    if not math.isfinite(alpha):  # NaN or +inf
+        raise ValueError("scale factor must be finite")
     if alpha == 0.0:
         return zero_element(T.ambient_dim)
     return _element(T.essential, alpha * T.finite_part,

@@ -436,7 +436,12 @@ def calculus(f: ExtendedFunction, A: np.ndarray) -> ExtendedSelfAdjoint:
     outside raises DomainError.
     """
     A = require_hermitian(A, atol=MATRIX_HERMITIAN_ATOL, name="calculus input")
-    w, V = eigh(A)
+    return _spectral_calculus(f, *eigh(A))
+
+
+def _spectral_calculus(f: ExtendedFunction, w: np.ndarray, V: np.ndarray
+                       ) -> ExtendedSelfAdjoint:
+    """calculus(f, A) from the eigenpairs (w, V) of a validated A."""
     clamp_tol = max(psd_tol(w), 4.0 * EPS)
     return _diagonal_element(
         [float(f.value_with_boundary(t, clamp_tol)) for t in w.tolist()], V)

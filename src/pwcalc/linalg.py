@@ -5,8 +5,11 @@ zero-imaginary special case.  All functions are pure: they never mutate
 their arguments and the returned arrays are freshly allocated.
 
 Validation happens once, at the public boundary: `require_hermitian`,
-`require_psd` and `require_state` check outside input, and the public
-`Subspace(...)` checks that its columns are orthonormal.  A call that takes
+`require_psd` and `require_state` check outside input, as do `psd_sqrt`,
+`psd_pinv` and `range_subspace` (the library calls their private halves),
+and the public `Subspace(...)` checks that its columns are orthonormal.
+The PSD check returns the eigenpairs it decided on (`_check_psd`), for the
+caller to read instead of decomposing again.  A call that takes
 several matrices checks them in one stacked pass (a cheap half
 `_hermitian_stack` and a PSD half `_psd_stack`); the one-at-a-time
 validators run only to raise what that pass rejects, or to shape scalar
@@ -210,22 +213,29 @@ def require_psd(M, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.nda
     return M
 
 
-def _check_psd(M: np.ndarray, name: str) -> None:
-    """require_psd's PSD half, on a matrix that passed its Hermitian half."""
-    vals = eigh(M)[0].tolist()
+def _check_psd(M: np.ndarray, name: str):
+    """require_psd's PSD half, on a matrix that passed its Hermitian half:
+    the eigenpairs (w, V) of M it decided on, for the caller to read."""
+    w, V = eigh(M)
+    vals = w.tolist()
     tol = psd_tol(vals)
     if vals and vals[0] < -tol:
         raise NotPsdError(
             f"{name} is not PSD: min eigenvalue {vals[0]:.3e} < -{tol:.3e}"
         )
+    return w, V
 
 
 def _range_eigh(M: np.ndarray, name: str):
-    """eigh of a PSD matrix, with its range: (w, V, keep), keep marking the
-    eigenvalues above the rank cut, or None when all of them are (w
-    ascends, so its least one decides, read once as a float).  It raises
-    as _range_cut does."""
-    w, V = eigh(M)
+    """eigh of a PSD matrix, with its range: _range_of(*eigh(M), name)."""
+    return _range_of(*eigh(M), name)
+
+
+def _range_of(w: np.ndarray, V: np.ndarray, name: str):
+    """The eigenpairs (w, V) of a PSD matrix named `name`, with its range:
+    (w, V, keep), keep marking the eigenvalues above the rank cut, or None
+    when all of them are (w ascends, so its least one decides, read once as
+    a float).  It raises as _range_cut does."""
     vals = w.tolist()
     cut = _range_cut(vals, name)
     return w, V, None if vals and vals[0] > cut else w > cut
@@ -249,18 +259,23 @@ def _range_cut(vals: list, name: str) -> float:
     return default_rank_tol(vals)
 
 
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
+def psd_sqrt(M) -> np.ndarray:
     """Principal square root of a PSD matrix.
 
+    M is validated as require_hermitian validates a matrix argument.
     Eigenvalues within the PSD slack below zero are clamped to 0 before the
     root; anything lower raises NotPsdError.  Eigenvalues under the rank
     tolerance are floored to 0 so the root has the rank of the range basis
     above the cut (a sub-tolerance eigenvalue would otherwise surface as a
-    sqrt-amplified spurious direction of size ~1e-8).  When M keeps every
-    eigenvalue there is nothing to floor, and the root is taken of the
-    spectrum as eigh returns it.
+    sqrt-amplified spurious direction of size ~1e-8).
     """
-    w, V, keep = _range_eigh(M, "psd_sqrt")
+    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name="psd_sqrt input")
+    return _sqrt_of(*_range_eigh(M, "psd_sqrt"))
+
+
+def _sqrt_of(w: np.ndarray, V: np.ndarray, keep) -> np.ndarray:
+    """psd_sqrt's root from _range_of's (w, V, keep): the eigenvalues off
+    keep floored to 0, or, when keep is None, w as eigh returned it."""
     if keep is not None:
         w = np.where(keep, w, 0.0)
     return hermitian_part((V * np.sqrt(w)) @ V.conj().T)
@@ -342,10 +357,16 @@ def span(columns: np.ndarray) -> Subspace:
     return _trusted(Subspace, basis=U[:, :r])
 
 
-def psd_pinv(M: np.ndarray) -> np.ndarray:
+def psd_pinv(M) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD matrix via its eigensystem, cut
-    at the rank cut (n*eps*lambda_max)."""
-    M = np.asarray(M, dtype=complex)
+    at the rank cut (n*eps*lambda_max).  M is validated as require_hermitian
+    validates a matrix argument."""
+    return _psd_pinv(require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL,
+                                       name="psd_pinv input"))
+
+
+def _psd_pinv(M: np.ndarray) -> np.ndarray:
+    """psd_pinv of a Hermitian M that the caller has built or validated."""
     w, V = eigh(M)
     keep = w > default_rank_tol(w)
     inv = np.zeros_like(w)
@@ -353,9 +374,18 @@ def psd_pinv(M: np.ndarray) -> np.ndarray:
     return hermitian_part((V * inv) @ V.conj().T)
 
 
-def range_subspace(M: np.ndarray, rank_tol: float | None = None) -> Subspace:
-    """Range of a PSD matrix at the rank_tol cut."""
-    w, V = eigh(np.asarray(M, dtype=complex))
+def range_subspace(M, rank_tol: float | None = None) -> Subspace:
+    """Range of a PSD matrix at the rank_tol cut (default_rank_tol by
+    default).  M is validated as require_hermitian validates a matrix
+    argument."""
+    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL,
+                          name="range_subspace input")
+    return _range_subspace(*eigh(M), rank_tol)
+
+
+def _range_subspace(w: np.ndarray, V: np.ndarray,
+                    rank_tol: float | None = None) -> Subspace:
+    """range_subspace from the eigenpairs (w, V) of a Hermitian matrix."""
     if rank_tol is None:
         rank_tol = default_rank_tol(w)
     return _trusted(Subspace, basis=V[:, w > rank_tol])

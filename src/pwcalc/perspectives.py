@@ -43,11 +43,12 @@ from .functions import (
 from .linalg import (
     MATRIX_HERMITIAN_ATOL,
     Subspace,
+    _check_psd,
+    _psd_pinv,
     default_rank_tol,
     eigh,
     hermitian_part,
-    psd_pinv,
-    require_psd,
+    require_hermitian,
     require_state,
     spectral_norm,
     vector_state,
@@ -259,7 +260,7 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A : B = A - A (A+B)^+ A, the finite-dimensional exact form."""
     A, B = _sequential_pair(A, B)
-    pinv = psd_pinv(A + B)  # exactly Hermitian, as A and B are
+    pinv = _psd_pinv(A + B)  # exactly Hermitian, as A and B are
     return hermitian_part(A - A @ pinv @ A)
 
 
@@ -315,15 +316,15 @@ def essential_part(f: ExtendedFunction, A: np.ndarray, B: np.ndarray) -> Subspac
 def matrix_power_psd(M: np.ndarray, p: float) -> np.ndarray:
     """M^p for PSD M, rank-consistent: eigenvalues under the rank tolerance
     go to exactly 0 first (fractional powers would otherwise amplify
-    spectral noise past the rank cut, e.g. 1e-16 -> 1e-11 at p = 0.7)."""
-    return _psd_powers(require_psd(M, name="matrix",
-                                   atol=MATRIX_HERMITIAN_ATOL), p)[0]
+    spectral noise past the rank cut, e.g. 1e-16 -> 1e-11 at p = 0.7).  The
+    power reads the eigenpairs that the PSD check of M decided on."""
+    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name="matrix")
+    return _psd_powers(*_check_psd(M, "matrix"), p)[0]
 
 
-def _psd_powers(M: np.ndarray, *ps: float) -> list:
-    """[M^p for p in ps] as matrix_power_psd makes them, from one eigh of a
-    validated M."""
-    w, V = eigh(M)
+def _psd_powers(w: np.ndarray, V: np.ndarray, *ps: float) -> list:
+    """[M^p for p in ps] as matrix_power_psd makes them, from the eigenpairs
+    (w, V) of a validated M."""
     w = np.where(w > default_rank_tol(w), w, 0.0)
     return [hermitian_part((V * w ** p) @ V.conj().T) for p in ps]
 
@@ -424,8 +425,8 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     A, B, t, X = _checked_pair_spectrum(A, B)
     a2 = _t2_bound(A, B, t, X)
     res_b = perspective_apply(catalog("power", alpha), A, B)
-    (A_alpha,) = _psd_powers(A, alpha)
-    B_c, B_e = _psd_powers(B, alpha - 1.0, (alpha - 1.0) / alpha)
+    (A_alpha,) = _psd_powers(*eigh(A), alpha)
+    B_c, B_e = _psd_powers(*eigh(B), alpha - 1.0, (alpha - 1.0) / alpha)
     lam_c = _unit_dominates_scale(A_alpha, B_c)
     rng = np.random.default_rng(seed)
     n = A.shape[0]

@@ -57,9 +57,10 @@ from .extended import (
 )
 from .functions import CLOSED_POS, ExtendedFunction, _haar_isometry
 from .linalg import (
+    _range_eigh,
+    _sqrt_of,
     hermitian_part,
     eigh,
-    psd_sqrt,
     require_state,
     spectral_norm,
     vector_state,
@@ -310,7 +311,7 @@ def _compress(M, V):
     """V*MV as the Gram matrix of Y = V* M^(1/2): PSD to roundoff relative
     to its own norm, where the product V*MV errs relative to |M| and can
     fail require_psd when M is rank deficient."""
-    Y = V.conj().T @ psd_sqrt(M)
+    Y = V.conj().T @ _sqrt_of(*_range_eigh(M, "psd_sqrt"))
     return hermitian_part(Y @ Y.conj().T)
 
 

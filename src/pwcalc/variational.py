@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _checked_state_spectrum, _endpoints
+from .calculus import _checked_state_spectrum, _endpoints, _sequential_pair
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
@@ -51,12 +51,11 @@ from .functions import (
     catalog,
 )
 from .linalg import (
-    MATRIX_HERMITIAN_ATOL,
+    _psd_pinv,
+    _range_subspace,
+    eigh,
     hermitian_part,
-    psd_pinv,
-    range_subspace,
     require_hermitian,
-    require_psd,
     spectral_norm,
 )
 from .perspectives import perspective_apply
@@ -152,7 +151,7 @@ def _coeff_times_psd(coeff: float, X: np.ndarray,
                      rank_tol: float | None = None) -> ExtendedSelfAdjoint:
     """coeff * X with inf * X meaning +inf on the range of X."""
     if math.isinf(coeff):
-        return infinity_on(range_subspace(X, rank_tol=rank_tol))
+        return infinity_on(_range_subspace(*eigh(X), rank_tol))
     return from_matrix(coeff * X)
 
 
@@ -178,7 +177,7 @@ def two_projections(f: ExtendedFunction, P: np.ndarray, Q: np.ndarray
     f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
     if alpha is None or beta is None:
         raise ValueError(f"{f.name} is missing boundary metadata")
-    meet = subspace_meet(range_subspace(P), range_subspace(Q))
+    meet = subspace_meet(_range_subspace(*eigh(P)), _range_subspace(*eigh(Q)))
     Pm = meet.projector()
     # P - Pm and Q - Pm are projections (Pm commutes with both), so their
     # eigenvalues are exactly {0, 1} up to meet-construction noise; a wide
@@ -245,14 +244,18 @@ def optimal_decomposition(A: np.ndarray, B: np.ndarray, xi: np.ndarray,
     zeta = (A + tB)^+ A xi and eta = xi - zeta; components of xi in
     ker(A + tB) land in eta, where they cost nothing (any assignment of the
     zero-cost directions is a minimizer; this one is deterministic).
-    Achieves the parallel-sum value <(A : tB) xi, xi>.
+    Achieves the parallel-sum value <(A : tB) xi, xi>.  The shapes of A
+    and B are compared, then each is validated as PSD.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+    return _optimal_decomposition(*_sequential_pair(A, B), xi, t)
+
+
+def _optimal_decomposition(A: np.ndarray, B: np.ndarray, xi, t: float):
+    """optimal_decomposition on a validated pair."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)
-    pinv = psd_pinv(hermitian_part(A + t * B))
+    pinv = _psd_pinv(hermitian_part(A + t * B))
     zeta = pinv @ (A @ xi)
     return xi - zeta, zeta
 
@@ -260,7 +263,14 @@ def optimal_decomposition(A: np.ndarray, B: np.ndarray, xi: np.ndarray,
 def optimizer_decomposition(nu: Measure, A: np.ndarray, B: np.ndarray,
                             xi: np.ndarray, lo: float, hi: float
                             ) -> Decomposition:
-    """One piece per atom of nu, each carrying the closed-form minimizer."""
+    """One piece per atom of nu, each carrying the closed-form minimizer;
+    A and B are validated once, as optimal_decomposition validates them."""
+    return _optimizer_decomposition(nu, *_sequential_pair(A, B), xi, lo, hi)
+
+
+def _optimizer_decomposition(nu: Measure, A: np.ndarray, B: np.ndarray,
+                             xi, lo: float, hi: float) -> Decomposition:
+    """optimizer_decomposition on a validated pair."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     order = np.argsort(nu.locations)
     locs = nu.locations[order]
@@ -269,7 +279,7 @@ def optimizer_decomposition(nu: Measure, A: np.ndarray, B: np.ndarray,
     cuts = [lo] + [float((a + b) / 2) for a, b in zip(locs, locs[1:])] + [hi]
     pieces = []
     for i, t in enumerate(locs):
-        eta, zeta = optimal_decomposition(A, B, xi, float(t))
+        eta, zeta = _optimal_decomposition(A, B, xi, float(t))
         pieces.append((cuts[i], cuts[i + 1], eta, zeta))
     return Decomposition(lo, hi, tuple(pieces), xi)
 
@@ -283,10 +293,16 @@ def variational_bound_94(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     - int (1+t)/t (<A eta(t), eta(t)> + t <B zeta(t), zeta(t)>) dnu_n(t).
 
     Any admissible decomposition stays below the direct value; the supremum
-    over decompositions and n attains it.
+    over decompositions and n attains it.  The shapes of A and B are
+    compared, then each is validated as PSD.
     """
-    A = require_psd(A, name="A", atol=MATRIX_HERMITIAN_ATOL)
-    B = require_psd(B, name="B", atol=MATRIX_HERMITIAN_ATOL)
+    return _variational_bound_94(r, *_sequential_pair(A, B), xi, n,
+                                 decomposition)
+
+
+def _variational_bound_94(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
+                          xi, n: int, decomposition: Decomposition) -> float:
+    """variational_bound_94 on a validated pair."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     app = approximants(r, n)
     lo, hi = 1.0 / n, float(n)
@@ -314,13 +330,15 @@ def variational_envelope(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
 
     The n -> inf monotone envelope realizes the no-cutoff variational
     expression, whose tail contributions are exactly the closed forms the
-    envelope already captures at finite precision.
+    envelope already captures at finite precision.  A and B are validated
+    once, as variational_bound_94 validates them.
     """
+    A, B = _sequential_pair(A, B)
     out = []
     for n in n_list:
         app = approximants(r, n)
-        dec = optimizer_decomposition(app.nu_n, A, B, xi, 1.0 / n, float(n))
-        out.append((n, variational_bound_94(r, A, B, xi, n, dec)))
+        dec = _optimizer_decomposition(app.nu_n, A, B, xi, 1.0 / n, float(n))
+        out.append((n, _variational_bound_94(r, A, B, xi, n, dec)))
     return out
 
 

@@ -36,13 +36,18 @@ from pwcalc import linalg
 from pwcalc.linalg import (
     NonFiniteError,
     NotPsdError,
+    Subspace,
     full_space,
     hermitian_part,
+    psd_pinv,
+    psd_sqrt,
+    range_subspace,
     spectral_norm,
 )
 from pwcalc.perspectives import (
     is_absolutely_continuous,
     lebesgue_decomposition,
+    matrix_power_psd,
     parallel_sum,
     perspective_apply,
     perspective_of,
@@ -54,6 +59,12 @@ from pwcalc.suites import (
     random_isometry,
     random_psd,
 )
+from pwcalc.variational import (
+    optimal_decomposition,
+    repr77_square_minus,
+    variational_envelope,
+)
+import reference
 from reference import validated_pair
 
 A712 = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -585,7 +596,7 @@ def test_empty_and_scalar_pairs(outputs, at_empty, at_scalar):
 class TestConcurrentValidation:
     """From n = CONCURRENT_MIN_N on, the representation under
     perspective_apply, pw_apply_restricted and compatible_representation
-    runs in two lanes: the PSD checks of A and B and psd_sqrt(A+B) on the
+    runs in two lanes: the PSD checks of A and B and the root of A+B on the
     calling thread, the range basis of A+B and R's decompositions on a
     worker.  The
     results must be the run in order's to the last bit, and the errors its
@@ -633,7 +644,7 @@ class TestConcurrentValidation:
             "both": ((bad_A, bad_B), NotPsdError, "A is not PSD"),
             "B_not_hermitian": ((bad_A, skew_B), NotPsdError, "A is not PSD"),
             "overflow": ((huge, huge), NonFiniteError,
-                         "psd_sqrt has a non-finite"),
+                         "A + B has a non-finite"),
         }[case]
         raised = []
         for cpus in (2, 1):
@@ -745,3 +756,127 @@ class TestConcurrentValidation:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _outcome_bytes(call, *args):
+    """The bytes of every array call(*args) returns (elements, subspaces
+    and sequences of them unpacked), or the type and message of its
+    error."""
+    def flat(value):
+        if isinstance(value, ExtendedSelfAdjoint):
+            return [a.tobytes() for a in _element_outputs(value)]
+        if isinstance(value, Subspace):
+            return [value.basis.tobytes()]
+        if isinstance(value, (tuple, list)):
+            return [b for v in value for b in flat(v)]
+        return [np.asarray(value).tobytes()]
+    try:
+        return flat(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _near_hermitian(rng, M):
+    """M with each entry moved by a relative 1e-12, so that it is Hermitian
+    only within the tolerance."""
+    return M * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, M.shape))
+
+
+def _spectrum_pairs():
+    """(label, A, B, kind): drawn pairs of the three profiles, n = 2...5,
+    exactly Hermitian ("exact") and moved off it within the tolerance
+    ("near"), commuting pairs with repeated eigenvalues in a drawn basis,
+    and a non-PSD, a non-finite and a mismatched pair ("invalid")."""
+    rng = np.random.default_rng(20281)
+    for profile in ("well_conditioned", "rank_deficient", "projection"):
+        for n in range(2, 6):
+            for trial in range(2):
+                A, B = gen_pair(RandomSpec(n, n, profile, seed=41), trial)
+                label = f"{profile}-{n}-{trial}"
+                yield label, A, B, "exact"
+                yield label + "-near", _near_hermitian(rng, A), \
+                    _near_hermitian(rng, B), "near"
+    for a, b in (([1.0, 1.0, 2.0, 0.0], [0.5, 3.0, 0.0, 1.0]),
+                 ([2.0, 2.0, 2.0], [1.0, 0.0, 4.0]),
+                 ([1.0, 2.0, 0.0, 3.0], [0.5, 0.0, 1.0, 2.0])):
+        U = haar_unitary(rng, len(a))
+        A = hermitian_part((U * np.array(a)) @ U.conj().T)
+        B = hermitian_part((U * np.array(b)) @ U.conj().T)
+        yield f"commuting-{len(a)}", A, B, "exact"
+        yield f"commuting-{len(a)}-diagonal", np.diag(a), np.diag(b), "exact"
+        yield f"commuting-{len(a)}-near", _near_hermitian(rng, A), \
+            _near_hermitian(rng, B), "near"
+    yield "not_psd", -np.eye(2), np.eye(2), "invalid"
+    yield "non_finite", np.eye(2), np.diag([np.nan, 1.0]), "invalid"
+    yield "mismatch", np.eye(3), np.eye(2), "invalid"
+
+
+ALL = {"exact", "near", "invalid"}
+R77_SQUARE_MINUS = repr77_square_minus()
+
+
+class TestValidatedSpectrum:
+    """special_values, invertible_formula, matrix_power_psd and the
+    commuting-pair oracle read the eigenpairs their PSD checks decided on,
+    psd_sqrt, psd_pinv, range_subspace and optimal_decomposition check
+    their input, and variational_envelope validates its pair once: each
+    gives what decomposing again, decomposing the input as given or
+    validating at every n gives (tests/reference.py), to the last bit.
+    The first four are held to it on every pair, with the same errors on
+    invalid ones, but for special_values on a pair Hermitian only within
+    the tolerance: its reference decomposes A once as validated and once
+    as calculus(f, A) validates it again, which can move a bit there.  The
+    others are held to it on valid, exactly Hermitian input, where
+    validating changes no bit, and the envelope to the same errors too."""
+
+    TLOGT = perspective_of(catalog("tlogt"))
+
+    @pytest.mark.parametrize("call, want, kinds", [
+        (lambda A, B: invertible_formula(TestValidatedSpectrum.TLOGT, A, B),
+         lambda A, B: reference.redecomposed_invertible_formula(
+             TestValidatedSpectrum.TLOGT, A, B), ALL),
+        (lambda A, B: invertible_formula(TestValidatedSpectrum.TLOGT, B, A),
+         lambda A, B: reference.redecomposed_invertible_formula(
+             TestValidatedSpectrum.TLOGT, B, A), ALL),
+        (lambda A, B: pw_commuting_oracle(TestValidatedSpectrum.TLOGT, A, B),
+         lambda A, B: reference.redecomposed_pw_commuting_oracle(
+             TestValidatedSpectrum.TLOGT, A, B), ALL),
+        (lambda A, B: matrix_power_psd(A, 0.7),
+         lambda A, B: reference.redecomposed_matrix_power_psd(A, 0.7), ALL),
+        (lambda A, B: [special_values(TestValidatedSpectrum.TLOGT, A, *ab)
+                       for ab in ((1.0, 0.0), (1.0, 1.0), (0.0, 2.0))],
+         lambda A, B: [reference.redecomposed_special_values(
+             TestValidatedSpectrum.TLOGT, A, *ab)
+             for ab in ((1.0, 0.0), (1.0, 1.0), (0.0, 2.0))],
+         {"exact", "invalid"}),
+        (lambda A, B: (psd_sqrt(A), psd_sqrt(A + B)),
+         lambda A, B: (reference.masked_psd_sqrt(A),
+                       reference.masked_psd_sqrt(A + B)), {"exact"}),
+        (lambda A, B: (psd_pinv(A + B), psd_pinv(A - B)),
+         lambda A, B: (reference.unvalidated_psd_pinv(A + B),
+                       reference.unvalidated_psd_pinv(A - B)), {"exact"}),
+        (lambda A, B: (range_subspace(A), range_subspace(A - B)),
+         lambda A, B: (reference.unvalidated_range_subspace(A),
+                       reference.unvalidated_range_subspace(A - B)),
+         {"exact"}),
+        (lambda A, B: optimal_decomposition(A, B, np.arange(len(A)) + 1j, 0.3),
+         lambda A, B: reference.unvalidated_optimal_decomposition(
+             A, B, np.arange(len(A)) + 1j, 0.3), {"exact"}),
+        (lambda A, B: variational_envelope(R77_SQUARE_MINUS, A, B,
+                                           np.arange(len(A)) + 1j, (1, 3)),
+         lambda A, B: reference.revalidated_variational_envelope(
+             R77_SQUARE_MINUS, A, B, np.arange(len(A)) + 1j, (1, 3)),
+         {"exact", "invalid"}),
+    ], ids=["invertible_formula", "invertible_formula-swapped",
+            "pw_commuting_oracle", "matrix_power_psd", "special_values",
+            "psd_sqrt", "psd_pinv", "range_subspace", "optimal_decomposition",
+            "variational_envelope"])
+    def test_bitwise_equal_to_the_reference(self, call, want, kinds):
+        seen = set()
+        for label, A, B, kind in _spectrum_pairs():
+            if kind in kinds:
+                got = _outcome_bytes(call, A, B)
+                assert got == _outcome_bytes(want, A, B), label
+                seen.add(type(got))
+        # values compared, and errors too wherever invalid pairs are
+        assert seen == {list, tuple} if "invalid" in kinds else {list}

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +222,15 @@ class TestCalculus:
                 q1 = quadratic_form(lhs, xi)
                 q2 = quadratic_form(rhs, U @ xi)
                 assert abs(q1 - q2) < 1e-9 * (1 + abs(q1))
+
+    def test_package_name_is_the_two_variable_module(self):
+        # README documents pwcalc.calculus as the module of the two-variable
+        # calculus; the spectral calculus f(A) is pwcalc.functions.calculus
+        import pwcalc
+        import pwcalc.functions
+
+        assert pwcalc.calculus is sys.modules["pwcalc.calculus"]
+        assert pwcalc.functions.calculus is calculus and callable(calculus)
 
 
 class TestConvexityChecker:

@@ -17,8 +17,8 @@ from pwcalc.calculus import (
     _sequential_pair,
     _sequential_state_pair,
 )
-from pwcalc.extended import evaluate_state, from_matrix
-from pwcalc.functions import catalog
+from pwcalc.extended import evaluate_state, from_matrix, scale
+from pwcalc.functions import Measure, catalog
 from pwcalc.perspectives import (
     connection,
     connection_generator,
@@ -31,8 +31,12 @@ from pwcalc.variational import (
     _singular,
     integral_eval_91,
     integral_eval_92,
+    optimal_decomposition,
+    optimizer_decomposition,
+    repr77_square_minus,
     repr77_tlogt,
     repr97_t_alpha,
+    variational_bound_94,
 )
 from pwcalc.linalg import (
     HERMITIAN_ATOL,
@@ -47,7 +51,9 @@ from pwcalc.linalg import (
     eigh,
     full_space,
     hermitian_part,
+    psd_pinv,
     psd_sqrt,
+    range_subspace,
     read_matrix,
     require_hermitian,
     require_psd,
@@ -173,7 +179,9 @@ class TestSpectrumShortcuts:
         # the range basis is the eigenvectors themselves, not a copy in
         # another memory layout, on a full-rank A + B: the products that
         # read it give the same perspective to the last bit as the copy
-        # V[:, keep] that an all-True mask makes
+        # V[:, keep] that an all-True mask makes.  Both lanes take A + B
+        # through calculus._range_eigh, so its masked form also gives the
+        # root of A + B masked_psd_sqrt's way
         def parts(res):
             T = res.value
             return (T.essential.basis.tobytes(), T.finite_part.tobytes(),
@@ -183,7 +191,6 @@ class TestSpectrumShortcuts:
                  if label not in ("0x0", "scalars")]
         tlogt = catalog("tlogt")
         got = [parts(perspective_apply(tlogt, *p)) for p in pairs]
-        monkeypatch.setattr(calculus, "psd_sqrt", masked_psd_sqrt)
         monkeypatch.setattr(calculus, "_range_eigh", masked_range_eigh)
         assert got == [parts(perspective_apply(tlogt, *p)) for p in pairs]
 
@@ -386,6 +393,60 @@ class TestNonFiniteInput:
 
     def test_is_a_value_error(self):
         assert issubclass(NonFiniteError, ValueError)
+
+
+NAN_1 = np.diag([np.nan, 1.0])
+ATOM = Measure(np.array([1.0]), np.array([1.0]))
+
+
+# the public matrix helpers check their argument as require_hermitian
+# does; optimal_decomposition and variational_bound_94 compare the shapes,
+# then validate A and B; scale takes only a finite factor
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: psd_sqrt([[1.0, 5.0], [0.0, 1.0]]), NotHermitianError,
+     r"^psd_sqrt input is not Hermitian: max \|M - M\*\| = 5\.000e\+00"),
+    (lambda: psd_sqrt(NAN_1), NonFiniteError,
+     r"^psd_sqrt input has a non-finite \(NaN or inf\) entry$"),
+    (lambda: psd_sqrt(np.ones((2, 3))), NotHermitianError,
+     r"^psd_sqrt input must be square, got shape \(2, 3\)$"),
+    (lambda: psd_pinv(NAN_1), NonFiniteError,
+     r"^psd_pinv input has a non-finite \(NaN or inf\) entry$"),
+    (lambda: psd_pinv([[1.0, 5.0], [0.0, 1.0]]), NotHermitianError,
+     r"^psd_pinv input is not Hermitian"),
+    (lambda: psd_pinv(np.ones((2, 3))), NotHermitianError,
+     r"^psd_pinv input must be square"),
+    (lambda: range_subspace(NAN_1), NonFiniteError,
+     r"^range_subspace input has a non-finite \(NaN or inf\) entry$"),
+    (lambda: range_subspace([[1.0, 5.0], [0.0, 1.0]]), NotHermitianError,
+     r"^range_subspace input is not Hermitian"),
+    (lambda: range_subspace(np.ones((2, 3))), NotHermitianError,
+     r"^range_subspace input must be square"),
+    (lambda: optimal_decomposition(np.eye(3), np.eye(2), np.ones(2), 1.0),
+     ValueError, r"^dimension mismatch: \(3, 3\) vs \(2, 2\)$"),
+    (lambda: optimal_decomposition(NAN_1, np.eye(2), np.ones(2), 1.0),
+     NonFiniteError, r"^A has a non-finite \(NaN or inf\) entry$"),
+    (lambda: optimizer_decomposition(ATOM, np.eye(2), NAN_1, np.ones(2),
+                                     0.5, 2.0),
+     NonFiniteError, r"^B has a non-finite \(NaN or inf\) entry$"),
+    (lambda: variational_bound_94(repr77_square_minus(), np.eye(3),
+                                  np.eye(2), np.ones(2), 1, None),
+     ValueError, r"^dimension mismatch: \(3, 3\) vs \(2, 2\)$"),
+    (lambda: scale(np.nan, from_matrix(np.eye(2))), ValueError,
+     r"^scale factor must be finite$"),
+    (lambda: scale(np.inf, from_matrix(np.eye(2))), ValueError,
+     r"^scale factor must be finite$"),
+], ids=["psd_sqrt-not_hermitian", "psd_sqrt-non_finite",
+        "psd_sqrt-not_square", "psd_pinv-non_finite",
+        "psd_pinv-not_hermitian", "psd_pinv-not_square",
+        "range_subspace-non_finite", "range_subspace-not_hermitian",
+        "range_subspace-not_square", "optimal_decomposition-mismatch",
+        "optimal_decomposition-non_finite",
+        "optimizer_decomposition-non_finite", "variational_bound_94-mismatch",
+        "scale-nan", "scale-inf"])
+def test_boundary_rejects_named_input(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
 
 
 # the entries of HUGE and of its Hermitian part are near the float limit;

@@ -55,6 +55,7 @@ from pwcalc.perspectives import (
     kraus_apply,
     kraus_predual,
     lebesgue_decomposition,
+    matrix_power_psd,
     max_f_divergence,
     parallel_sum,
     perspective_apply,
@@ -71,9 +72,11 @@ from pwcalc.suites import (
 from pwcalc.variational import (
     integral_eval_91,
     integral_eval_92,
+    repr77_square_minus,
     repr77_tlogt,
     repr97_t_alpha,
     two_projections,
+    variational_envelope,
 )
 
 A712 = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -113,19 +116,27 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # and the kernel of each powered pair.  The rank-deficient
 # pair is bounded in this order (range A in range B) and unbounded swapped.
 # At n = 64 perspective_apply and pw_apply_restricted run in two lanes and
-# still make 7: the PSD checks of A and B and psd_sqrt(A+B) on the calling
+# still make 7: the PSD checks of A and B and the root of A+B on the calling
 # thread, the eigh of A+B that gives the range basis and R's two
 # decompositions on the worker, and the lower bound of the element after
 # both have joined.  A perspective with an infinity part adds one svd, for
-# the kernel of its +inf rows.  invertible_formula decomposes B once for its
-# invertibility test and both roots, and A too when B is singular (A is
-# singular in the rank-deficient pair, B is not).  An infinity part made on
-# a subspace (special_values' infinite scalar, two_projections' infinite
-# coefficient) takes its complement from one svd.  The singular rows give the integrals a t^2 term whose
+# the kernel of its +inf rows.  invertible_formula reads its invertibility
+# test and both roots off the eigh of the PSD check of B, or of A when B is
+# singular (A is singular in the rank-deficient pair, B is not), then
+# decomposes the sandwiched matrix and the result's finite part.
+# special_values and matrix_power_psd read everything off the PSD check of
+# A, and special_values' finite scalar adds the lower bound of scalar * A.
+# The commuting-pair oracle decomposes A, B and A + B, and B over each of
+# A's four eigenspaces.  variational_envelope validates A and B once, then
+# takes one pseudo-inverse per atom, one atom at each of its two n.  An infinity part made on a subspace
+# (special_values' infinite scalar, two_projections' infinite coefficient)
+# takes its complement from one svd.  The singular rows give the integrals a t^2 term whose
 # state has mass on the singular part: the +inf is decided from the
 # state's spectrum before that term's perspective would be made.
 PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
 EYE2, P1 = np.eye(2), np.diag([1.0, 0.0])
+# a commuting pair whose A has four distinct eigenvalues
+DIAG_A, DIAG_B = np.diag([1.0, 2.0, 0.0, 3.0]), np.diag([0.5, 0.0, 1.0, 2.0])
 R77_SQUARE_TLOGT = IntegralRepr77(0.0, 1.0, 1.0, 0.0, repr77_tlogt(32).mu)
 R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
 
@@ -164,11 +175,19 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (T2, "well_conditioned", 5, 0),
     (CHAIN, "well_conditioned", 18, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B),
-     "rank_deficient", 5, 0),
+     "rank_deficient", 4, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, B, A),
-     "rank_deficient", 6, 1),
-    (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 0.0),
      "rank_deficient", 4, 1),
+    (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 0.0),
+     "rank_deficient", 1, 1),
+    (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 1.0),
+     "rank_deficient", 2, 0),
+    (lambda A, B, rho: matrix_power_psd(A, 0.5), "rank_deficient", 1, 0),
+    (lambda A, B, rho: pw_commuting_oracle(TLOGT_PHI, DIAG_A, DIAG_B),
+     "rank_deficient", 7, 0),
+    (lambda A, B, rho: variational_envelope(repr77_square_minus(), A, B,
+                                            np.ones(4), (1, 2)),
+     "rank_deficient", 4, 0),
     (lambda A, B, rho: two_projections(catalog("power", 2), P87, Q87),
      "projection", 7, 4),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
@@ -183,7 +202,8 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         "dominates_scale-well_conditioned", "t2_bound-well_conditioned",
         "boundedness_chain-well_conditioned", "invertible_formula",
         "invertible_formula-singular_B", "special_values-infinite_scalar",
-        "two_projections"])
+        "special_values-finite_scalar", "matrix_power_psd",
+        "pw_commuting_oracle", "variational_envelope", "two_projections"])
 def test_eigh_calls_per_call(call, profile, eigh_calls, svd_calls,
                              monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
