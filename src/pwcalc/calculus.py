@@ -16,8 +16,9 @@ one of seven deciding tolerances, with the rank cut of A+B
 (linalg.default_rank_tol), linalg.MEET_COS_TOL, extended's
 CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL, and
 variational.SINGULAR_MASS_REL_TOL; README lists what each decides.
-PSD_CERTIFICATE_K only selects how a pair is validated (see _certified),
-and decides no output.
+A pair is validated once, on linalg's stacked path, with its error order;
+PSD_CERTIFICATE_K only selects whether that path's PSD half runs
+(_certified), and decides no output.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from .linalg import (
     _check_psd,
     _concurrently,
     _hermitian_stack,
-    _psd_spectra,
     _psd_stack,
     _range_cut,
     _range_eigh,
     _range_of,
     _range_subspace,
+    _shaped,
     _sqrt_of,
     _trusted,
     default_rank_tol,
@@ -188,49 +189,11 @@ class CompatibleRepresentation:
     s: np.ndarray = field(repr=False)       # k x k, identity minus r
 
 
-def _same_shape(A, B):
-    """A and B as complex arrays of at least two dimensions, with their
-    shapes compared: a mismatch raises before either is validated or
-    decomposed."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    if A.shape != B.shape:
-        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return A, B
-
-
-def _sequential_pair(A, B, names=("A", "B")):
-    """A and B as complex PSD arrays, validated one at a time and named in
-    errors by `names`; their shapes are compared before either is
-    validated, so a mismatch raises before any eigh."""
-    return tuple(M for M, _, _ in _sequential_spectra(A, B, names))
-
-
-def _sequential_spectra(A, B, names=("A", "B")):
-    """_sequential_pair's A and B, each with the eigenpairs its PSD check
-    decided on: ((A, wA, VA), (B, wB, VB)), validated in the same order."""
-    checked = []
-    for M, name in zip(_same_shape(A, B), names):
-        M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name=name)
-        checked.append((M, *_check_psd(M, name)))
-    return checked
-
-
-def _sequential_state_pair(rho, A, B):
-    """rho, A and B validated one at a time: a square state whose size
-    differs from the pair's is rejected first, before any eigh; then rho by
-    require_state, then A and B as _sequential_pair does."""
-    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    n = A.shape[0]
-    if (A.shape == B.shape == (n, n) and rho.ndim == 2
-            and rho.shape[0] == rho.shape[1] != n):
-        raise ValueError(
-            f"dimension mismatch: state is {rho.shape[0]}-dim, pair is "
-            f"{n}-dim"
-        )
-    return (require_state(rho), *_sequential_pair(A, B))
+def _validated_pair(A, B):
+    """(A, B, w, V): A and B validated as require_psd validates each, in
+    one stacked pass, and the eigenpairs (w[i], V[i]) it decided on."""
+    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
+    return (*H, *_psd_stack(H, ("A", "B")))
 
 
 def compatible_representation(A: np.ndarray, B: np.ndarray
@@ -259,31 +222,22 @@ def _representation(A, B):
     the two.  pw_apply (so perspective_apply) still builds on
     this one, because bench/selftest.py pins perspective_apply's eigh count.
 
-    After one stacked Hermitian check of A and B (_hermitian_stack; what it
-    does not take goes to _sequential_pair, which raises its own error or
-    accepts a 0x0 or scalar pair), the work runs in two lanes
+    After the cheap half of the validation, the work runs in two lanes
     (linalg._concurrently), two at a time on large pairs: the PSD checks of
     A and B, then the root of A+B (linalg._sqrt_of), on the calling thread;
-    and the eigh of A+B that gives V_k, R and R's two decompositions on the
-    worker.  Each eigh gets the bytes it gets in the run in order, so the
-    results are that run's to the last bit.  The first lane's error wins,
-    so errors keep the order A, B, A + B: a sum that overflows reaches the
-    rank cut of the root, which raises NonFiniteError naming A + B, as the
-    pair kernel does.
+    the eigh of A+B that gives V_k, R and R's two decompositions on the
+    worker.  Each eigh gets the bytes of the run in order, and the first
+    lane's error wins, so results and errors are that run's: A, B, then
+    A + B (a sum that overflows raises NonFiniteError naming it).
     """
-    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
-    if H is None:
-        A, B = _sequential_pair(A, B)
-        unchecked = ()
-    else:
-        A, B = H
-        unchecked = ((A, "A"), (B, "B"))
+    A, B = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
     with np.errstate(over="ignore"):
-        S_sum = A + B  # exactly Hermitian, as A and B are
+        # eigh reads one triangle, so the sum is decomposed as it is
+        S_sum = A + B
 
     def checked_sqrt():
-        for M, name in unchecked:
-            _check_psd(M, name)
+        _check_psd(A, "A")
+        _check_psd(B, "B")
         return _sqrt_of(*_range_eigh(S_sum, "A + B"))
 
     def r_spectrum():
@@ -314,10 +268,9 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     compatible_representation (so both give the same rank k), t holds the
     eigenvalues of R = D V* A V D (D = diag(w^-1/2)) clipped into [0, 1] and
     X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  The kernel
-    trusts its input: A and B are the Hermitian parts that
-    _checked_pair_spectrum (or _checked_state_spectrum) has validated or
-    is about to, so it validates nothing again.  An input that fails
-    validation may still raise here, as NotPsdError naming A + B (`names`).
+    trusts its input, the Hermitian parts of its caller's validation; a
+    pair that then fails the PSD half may raise here first, as NotPsdError
+    naming A + B (`names`).
     """
     return _pair_spectra(A, B, names)[:2]
 
@@ -379,66 +332,64 @@ def _certified(vals: list, cut: float, t: np.ndarray) -> bool:
 
 
 def _checked_pair_spectrum(A, B, names=("A", "B")):
-    """(A, B, t, X): the pair as _sequential_pair returns it, and its
-    _pair_spectrum (t, X), for the public calls on a pair (named `names`).
-
-    The kernel runs once, on the Hermitian parts from the cheap half of the
-    stacked validation (_hermitian_stack), _sequential_pair's to the last
-    bit.  A pair that _certified accepts is checked no further; any other
-    takes the PSD half (_psd_stack).  _sequential_pair runs only to raise
-    what either half rejects, or to give a 0x0 or scalar pair as arrays.
-    A kernel error (NotPsdError naming A + B, say) is held until
-    validation has decided, so a validation error wins.
+    """(A, B, t, X): the pair validated as require_psd validates each of A
+    and B (named `names`), and its _pair_spectrum (t, X), for the public
+    calls on a pair.  The kernel runs once, on the Hermitian parts from the
+    cheap half; a pair that _certified accepts is checked no further, any
+    other takes the PSD half.  A kernel error (NotPsdError naming A + B,
+    say) is held until the PSD half has decided, so a validation error wins.
     """
-    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
-    Ah, Bh = _sequential_pair(A, B, names) if H is None else H
+    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names)
+    A, B = H
     try:
-        t, X, certified = _pair_spectra(Ah, Bh, names)
+        t, X, certified = _pair_spectra(A, B, names)
     except Exception as exc:  # on input that may yet fail validation
         held, certified = exc, False
     else:
         held = None
-    if not (H is None or certified or _psd_stack(H)):
-        _sequential_pair(A, B, names)  # raises its own error
+    if not certified:
+        _psd_stack(H, names)
     if held is not None:
         raise held
-    return Ah, Bh, t, X
+    return A, B, t, X
 
 
 def _checked_state_spectrum(rho, A, B):
     """(rho, A, B, t, m, Tr rho, |A|, |B|) for the integral evaluators: the
-    state and the pair as _sequential_state_pair returns them, R's clipped
-    eigenvalues t and the weights m of rho over them (_state_weights of
-    _pair_spectrum's X), rho's trace, and the spectral norms of A and B.
+    state and the pair validated as require_state and require_psd validate
+    them, rho first; R's clipped eigenvalues t and the weights m of rho over
+    them (_state_weights of _pair_spectrum's X), rho's trace, and the
+    spectral norms of A and B.
 
-    rho, A and B are checked in one stack (_hermitian_stack) whose fourth
-    slot takes A + B, the sum of their Hermitian parts; one eigh of it gives
-    each matrix what eigh gives it alone, to the last bit.  Its spectra,
-    read once as floats, give the PSD checks (_psd_spectra), rho's trace
-    check, the rank cut of A+B (_range_cut, as the kernel makes it) and the
-    norms as the largest eigenvalues (a least eigenvalue that passed the PSD
-    check is never larger in magnitude); then the kernel's eigh of R.
-    _sequential_state_pair runs only to raise what the stack rejects, or
-    LAPACK's failure on it, in its order (rho first, then the eigh of
-    A + B), or to give scalar input as arrays to stack.
+    One stack holds rho, A, B and, in its spare slot, the sum A + B of
+    their Hermitian parts; its one eigh gives each what eigh gives it
+    alone, to the last bit: the PSD checks, the rank cut of A+B and the
+    norms as the largest eigenvalues.  Tr rho is read off rho's diagonal
+    first (the real parts its Hermitian part keeps); where it is not
+    positive or the shapes differ, rho is validated alone first, its size
+    before any eigh, as its checks come first, and what fails raises.
     """
-    atols = (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL)
-    H = _hermitian_stack((rho, A, B), atols, spare=1)
-    if H is None:
-        H = _hermitian_stack(_sequential_state_pair(rho, A, B), atols, spare=1)
-    rho_h, Ah, Bh, S = H
-    with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+    rho, A, B = _shaped(rho), _shaped(A), _shaped(B)
+    same = rho.ndim == 2 and rho.shape == A.shape == B.shape
+    # a trace of unvalidated input, or a sum, that overflows is inf
+    with np.errstate(over="ignore"):
+        tr = float(rho.trace().real) if same else math.nan
+        if not tr > 0.0:
+            # rho fails its size or require_state, or else the pair its shapes
+            n = A.shape[0]
+            if (A.shape == B.shape == (n, n) and rho.ndim == 2
+                    and rho.shape[0] == rho.shape[1] != n):
+                raise ValueError(f"dimension mismatch: state is "
+                                 f"{rho.shape[0]}-dim, pair is {n}-dim")
+            require_state(rho)
+            _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
+        names = ("state", "A", "B")
+        atols = (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL)
+        H = _hermitian_stack((rho, A, B), atols, names, spare=1)
+        rho_h, Ah, Bh, S = H
         np.add(Ah, Bh, out=S)
-    try:
-        w, V = np.linalg.eigh(H)
-    except np.linalg.LinAlgError:
-        _sequential_state_pair(rho, A, B)  # raises for rho, A or B
-        eigh(S)  # or raises EigenSolverError for A + B
-        raise
+    w, V = _psd_stack(H, names)
     rows = w.tolist()
-    tr = float(rho_h.trace().real)
-    if not _psd_spectra(rows[:3]) or tr <= 0.0:
-        _sequential_state_pair(rho, A, B)  # raises its own error
     t, X = _r_spectrum(Ah, w[3], V[3], rows[3], _range_cut(rows[3], "A + B"))
     return (rho_h, Ah, Bh, t, _state_weights(X, rho_h), tr, rows[1][-1],
             rows[2][-1])
@@ -551,7 +502,7 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     evaluator phi(x, y) = (x+y) * diagonal(x/(x+y)).  The eigenpairs of A
     are those its PSD check decided on.
     """
-    (A, wA, VA), (B, _, _) = _sequential_spectra(A, B)
+    A, B, w, V = _validated_pair(A, B)
     comm = spectral_norm(A @ B - B @ A)
     bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
     if comm > max(bound, 1e-13):
@@ -561,7 +512,7 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     w_sum, _ = eigh(A + B)
     kernel_floor = default_rank_tol(w_sum)
     pairs = []
-    for x, y, v in _grouped_joint_eigensystem(wA, VA, B):
+    for x, y, v in _grouped_joint_eigensystem(w[0], V[0], B):
         x, y = max(x, 0.0), max(y, 0.0)
         pairs.append((phi.bivariate(x, y, zero_tol=kernel_floor), v))
     return make_extended(pairs)
@@ -613,12 +564,12 @@ def invertible_formula(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     read the eigenpairs that the PSD check of B (or A) decided on.  Must
     agree with pw_apply whenever applicable.
     """
-    (A, wA, VA), (B, wB, VB) = _sequential_spectra(A, B)
-    w, V, keep = _range_of(wB, VB, "B")
+    A, B, wAB, VAB = _validated_pair(A, B)
+    w, V, keep = _range_of(wAB[1], VAB[1], "B")
     inner, g = A, ExtendedFunction(f"{phi.name}(t,1)", CLOSED_POS,
                                    lambda t: phi.bivariate(t, 1.0))
     if keep is not None:  # B is singular: try A in its place
-        w, V, keep = _range_of(wA, VA, "A")
+        w, V, keep = _range_of(wAB[0], VAB[0], "A")
         if keep is not None:
             raise PreconditionError("invertible_formula needs A or B invertible")
         inner, g = B, ExtendedFunction(f"{phi.name}(1,t)", CLOSED_POS,
@@ -645,15 +596,21 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
 
     The postulate requires range(A+B) inside the range closure of C; pairs
     violating it are reported as skipped, not failed.  C maps into the
-    pair's space, so it has as many rows as A and B; the shapes are compared
-    before any eigh.
+    pair's space, so it has as many rows as A and B.  A and B are validated
+    as require_psd validates each, C's rows compared with their size before
+    any eigh, and the PSD checks and the range of A+B read off one eigh of
+    the stack (A, B, A + B).
     """
-    A, B = _same_shape(A, B)
+    names = ("A", "B")
+    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names, spare=1)
+    A, B, S = H
     C = np.atleast_2d(np.asarray(C, dtype=complex))
     if C.ndim != 2 or C.shape[0] != A.shape[0]:
         raise ValueError(
             f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
-    ran_ab = _range_subspace(*eigh(A + B))
+    np.add(A, B, out=S)
+    w, V = _psd_stack(H, names)
+    ran_ab = _range_subspace(w[2], V[2])
     ran_c = span(C)
     if not ran_c.contains(ran_ab, CONTAINMENT_COS_TOL):
         return HomogeneityReport(True, "range(A+B) not contained in range(C)",

@@ -4,17 +4,16 @@ Complex Hermitian matrices throughout; real symmetric input is the
 zero-imaginary special case.  All functions are pure: they never mutate
 their arguments and the returned arrays are freshly allocated.
 
-Validation happens once, at the public boundary: `require_hermitian`,
-`require_psd` and `require_state` check outside input, as do `psd_sqrt`,
-`psd_pinv` and `range_subspace` (the library calls their private halves),
-and the public `Subspace(...)` checks that its columns are orthonormal.
-The PSD check returns the eigenpairs it decided on (`_check_psd`), for the
-caller to read instead of decomposing again.  A call that takes
-several matrices checks them in one stacked pass (a cheap half
-`_hermitian_stack` and a PSD half `_psd_stack`); the one-at-a-time
-validators run only to raise what that pass rejects, or to shape scalar
-input.  Subspaces built here from LAPACK's eigenvectors or singular vectors
-are orthonormal by construction and skip that check (`_trusted`).
+Input is validated once, at the public boundary, on one path: the stack of
+a call's matrices takes a cheap half (`_hermitian_stack`: shapes compared,
+then square, finite and Hermitian) and a PSD half (`_psd_stack`: one eigh,
+whose eigenpairs the caller reads).  Errors come as from `require_psd` run
+on each matrix in turn: a shape mismatch, then A Hermitian, A PSD, B
+Hermitian, B PSD.  `require_hermitian` is the cheap half of one matrix;
+`psd_sqrt`, `psd_pinv` and `range_subspace` check their argument with it
+(the library calls their private halves).  `Subspace(...)` checks that its
+columns are orthonormal, except where LAPACK's vectors make them so
+(`_trusted`).
 """
 
 from __future__ import annotations
@@ -135,20 +134,8 @@ def _as_complex(M) -> np.ndarray:
 
 def require_hermitian(M, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
     """Validate a square Hermitian matrix with finite entries; returns its
-    Hermitian part, formed as M - D/2 with D = M - M* (_hermitian_from)."""
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise NonFiniteError(f"{name} has a non-finite (NaN or inf) entry")
-    with np.errstate(over="ignore"):  # a deviation past the float limit is inf
-        D = M - M.conj().T
-        dev = np.abs(D).max(initial=0.0)
-    if dev > atol:
-        raise NotHermitianError(
-            f"{name} is not Hermitian: max |M - M*| = {dev:.3e} > {atol:.1e}"
-        )
-    return _hermitian_from(M, D)
+    Hermitian part M - D/2, D = M - M*: the stacked cheap half on M alone."""
+    return _hermitian_stack((M,), (atol,), (name,))[0]
 
 
 def _hermitian_from(M: np.ndarray, D: np.ndarray, out=None) -> np.ndarray:
@@ -217,13 +204,18 @@ def _check_psd(M: np.ndarray, name: str):
     """require_psd's PSD half, on a matrix that passed its Hermitian half:
     the eigenpairs (w, V) of M it decided on, for the caller to read."""
     w, V = eigh(M)
-    vals = w.tolist()
+    _check_psd_spectrum(w.tolist(), name)
+    return w, V
+
+
+def _check_psd_spectrum(vals: list, name: str) -> None:
+    """NotPsdError when the least of the eigenvalues vals (ascending floats,
+    w.tolist()) of the matrix `name` is below -psd_tol(vals)."""
     tol = psd_tol(vals)
     if vals and vals[0] < -tol:
         raise NotPsdError(
             f"{name} is not PSD: min eigenvalue {vals[0]:.3e} < -{tol:.3e}"
         )
-    return w, V
 
 
 def _range_eigh(M: np.ndarray, name: str):
@@ -427,53 +419,73 @@ def require_state(rho, name: str = "state") -> np.ndarray:
     return rho
 
 
-def _hermitian_stack(mats, atols, spare: int = 0):
-    """The cheap half of the stacked validation: the matrices stacked, with
-    `spare` slots after them for the caller to fill, and the square, finite
-    and Hermitian checks (each matrix against its own atol) run once over
-    the matrices.  Returns the stack, its first len(mats) slots the
-    Hermitian parts as require_hermitian computes them, or None when the
-    shapes differ or any check fails.
+def _hermitian_stack(mats, atols, names, spare: int = 0):
+    """The cheap half of the stacked validation: the matrices mats (named
+    by `names` in errors), shaped as np.atleast_2d shapes them, stacked
+    with `spare` slots after them for the caller to fill, and the square,
+    finite and Hermitian checks, each against its own atol, run once over
+    them; returns the stack, their Hermitian parts as M - D/2.  Different
+    shapes raise ValueError, before any eigh; the first matrix that fails a
+    check raises its error after the PSD checks of those before it.
     """
     try:
         # one allocation; the spare slots hold copies of the first matrix
         S = np.array((*mats, *mats[:1] * spare), dtype=complex)
-    except (TypeError, ValueError):
-        return None
-    n = S.shape[-1]
-    if S.ndim != 3 or S.shape[1] != n or n == 0:
-        return None
+    except ValueError:  # matrices of different shapes
+        S = None
+    if S is None or S.ndim != 3:  # or scalars, vectors, or not matrices
+        mats = [_shaped(M) for M in mats]
+        for M in mats[1:]:
+            if M.shape != mats[0].shape:
+                raise ValueError(
+                    f"dimension mismatch: {mats[0].shape} vs {M.shape}")
+        S = np.array(mats + mats[:1] * spare)
+    if S.ndim != 3 or S.shape[1] != S.shape[2]:
+        raise NotHermitianError(
+            f"{names[0]} must be square, got shape {S.shape[1:]}")
     H = S[:len(mats)]
     # the deviations D = H - H*, then the Hermitian parts H - D/2 in place.
-    # A NaN or infinite entry makes its deviation NaN or inf, as does one
-    # that overflows, and neither is within its atol: the finite check.
+    # A NaN or infinite entry makes its deviation NaN or inf, as one that
+    # overflows does, and neither is within its atol
     with np.errstate(over="ignore", invalid="ignore"):
         D = H - H.conj().transpose(0, 2, 1)
-        devs = np.abs(D).max(axis=(1, 2)).tolist()
-    if not all(map(operator.le, devs, atols)):
-        return None
-    _hermitian_from(H, D, out=H)
-    return S
+        devs = np.abs(D).max(axis=(1, 2), initial=0.0).tolist()
+    if all(map(operator.le, devs, atols)):
+        _hermitian_from(H, D, out=H)
+        return S
+    i = next(i for i, (dev, atol) in enumerate(zip(devs, atols))
+             if not dev <= atol)
+    if i:
+        _psd_stack(_hermitian_from(H[:i], D[:i], out=H[:i]), names)
+    if not np.isfinite(H[i]).all():
+        raise NonFiniteError(f"{names[i]} has a non-finite (NaN or inf) entry")
+    raise NotHermitianError(f"{names[i]} is not Hermitian: max |M - M*| = "
+                            f"{devs[i]:.3e} > {atols[i]:.1e}")
 
 
-def _psd_stack(H) -> bool:
-    """The PSD half of the stacked validation: True iff every matrix of the
-    stack H passes require_psd's check.  It reads one np.linalg.eigh of the
-    stack, which gives each matrix the eigenvalues eigh gives it alone, to
-    the last bit (the tests check it), so the PSD cliff sits where
-    require_psd puts it; a LAPACK failure counts as a rejection.
+def _shaped(M) -> np.ndarray:
+    """M as a complex array, a scalar 1 x 1 and a vector one row."""
+    M = np.asarray(M, dtype=complex)
+    return M if M.ndim >= 2 else M.reshape(1, -1)
+
+
+def _psd_stack(H, names):
+    """The PSD half: the eigenpairs (w, V) of the stack H from one
+    np.linalg.eigh, to the last bit each matrix's from eigh alone (the
+    tests check it), and the PSD check of each matrix `names` names, in
+    order; slots after them are only decomposed.  Should LAPACK fail on the
+    stack, the matrices are decomposed one at a time, so the first whose
+    own eigh fails raises EigenSolverError, unless one before it is not PSD.
     """
     try:
-        w = np.linalg.eigh(H)[0]
+        w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError:
-        return False
-    return _psd_spectra(w.tolist())
-
-
-def _psd_spectra(rows: list) -> bool:
-    """True iff every row of rows (the eigenvalues of a stack, ascending, as
-    floats: w.tolist()) passes require_psd's check."""
-    return not any(row[0] < -psd_tol(row) for row in rows)
+        pairs = [_check_psd(M, name) for M, name in zip(H, names)]
+        pairs += map(eigh, H[len(names):])
+        return tuple(map(np.array, zip(*pairs)))
+    for vals, name in zip(w.tolist(), names):
+        _check_psd_spectrum(vals, name)
+    return w, V
 
 
 def vector_state(xi: np.ndarray) -> np.ndarray:

@@ -24,8 +24,7 @@ from .calculus import (
     _diagonal_values,
     _endpoints,
     _pw_apply,
-    _same_shape,
-    _sequential_pair,
+    _validated_pair,
 )
 from .extended import (
     BOUNDED,
@@ -44,6 +43,7 @@ from .linalg import (
     MATRIX_HERMITIAN_ATOL,
     Subspace,
     _check_psd,
+    _hermitian_stack,
     _psd_pinv,
     default_rank_tol,
     eigh,
@@ -134,7 +134,7 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
             e2 < e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError(
             "schedule must be finite, strictly decreasing and positive")
-    A, B = _sequential_pair(A, B)
+    A, B, _, _ = _validated_pair(A, B)
     n = A.shape[0]
     eye = np.eye(n)
     out = []
@@ -259,8 +259,8 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A : B = A - A (A+B)^+ A, the finite-dimensional exact form."""
-    A, B = _sequential_pair(A, B)
-    pinv = _psd_pinv(A + B)  # exactly Hermitian, as A and B are
+    A, B, _, _ = _validated_pair(A, B)
+    pinv = _psd_pinv(A + B)  # eigh reads one triangle of the sum
     return hermitian_part(A - A @ pinv @ A)
 
 
@@ -536,10 +536,11 @@ def check_positive_map_monotonicity(f: ExtendedFunction, kraus,
     The right side acts through the predual: its value at rho is the
     perspective of (A, B) evaluated at Phi_*(rho).  Naive conjugation of the
     finite part would mishandle the infinity part, so it is never used.
-    The pair's shapes, then each Kraus operator's (m x n for an n x n pair,
-    all with the same m), are compared before any eigh.
+    A and B pass the Hermitian half of the stacked validation, which
+    compares their shapes, and then each Kraus operator's shape (m x n for
+    an n x n pair, all with the same m) is compared, before any eigh.
     """
-    A, B = _same_shape(A, B)
+    A, B = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
     kraus = _kraus_list(kraus)
     for i, K in enumerate(kraus):
         if K.ndim != 2 or K.shape[1] != A.shape[0] or (

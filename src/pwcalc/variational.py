@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _checked_state_spectrum, _endpoints, _sequential_pair
+from .calculus import _checked_state_spectrum, _endpoints, _validated_pair
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
@@ -249,7 +249,7 @@ def optimal_decomposition(A: np.ndarray, B: np.ndarray, xi: np.ndarray,
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    return _optimal_decomposition(*_sequential_pair(A, B), xi, t)
+    return _optimal_decomposition(*_validated_pair(A, B)[:2], xi, t)
 
 
 def _optimal_decomposition(A: np.ndarray, B: np.ndarray, xi, t: float):
@@ -265,7 +265,7 @@ def optimizer_decomposition(nu: Measure, A: np.ndarray, B: np.ndarray,
                             ) -> Decomposition:
     """One piece per atom of nu, each carrying the closed-form minimizer;
     A and B are validated once, as optimal_decomposition validates them."""
-    return _optimizer_decomposition(nu, *_sequential_pair(A, B), xi, lo, hi)
+    return _optimizer_decomposition(nu, *_validated_pair(A, B)[:2], xi, lo, hi)
 
 
 def _optimizer_decomposition(nu: Measure, A: np.ndarray, B: np.ndarray,
@@ -296,7 +296,7 @@ def variational_bound_94(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     over decompositions and n attains it.  The shapes of A and B are
     compared, then each is validated as PSD.
     """
-    return _variational_bound_94(r, *_sequential_pair(A, B), xi, n,
+    return _variational_bound_94(r, *_validated_pair(A, B)[:2], xi, n,
                                  decomposition)
 
 
@@ -333,7 +333,7 @@ def variational_envelope(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     envelope already captures at finite precision.  A and B are validated
     once, as variational_bound_94 validates them.
     """
-    A, B = _sequential_pair(A, B)
+    A, B, _, _ = _validated_pair(A, B)
     out = []
     for n in n_list:
         app = approximants(r, n)

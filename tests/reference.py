@@ -1,14 +1,14 @@
 """Reference paths the tests hold the library's fast paths to.
 
-The pair paths validate with the stacked pass and then decompose, in the
-order the library did before it read the validation and the spectra from
-one pass; the square root and the range basis apply their rank mask at
-every rank, where the library skips it on a full-rank matrix.  The
-`redecomposed_*` calls validate, then decompose each matrix again where
-the library reads the eigenpairs its PSD check decided on, the
-`unvalidated_*` calls decompose their input as given, and
-`revalidated_variational_envelope` validates its pair at every n.  None is called by
-pwcalc itself.
+The pair paths validate one matrix at a time, with the public
+require_psd and require_state only, and then decompose, in the order the
+library did before it read the validation and the spectra from one pass;
+the square root and the range basis apply their rank mask at every rank,
+where the library skips it on a full-rank matrix.  The `redecomposed_*`
+calls validate, then decompose each matrix again where the library reads
+the eigenpairs its PSD check decided on, the `unvalidated_*` calls
+decompose their input as given, and `revalidated_variational_envelope`
+validates its pair at every n.  None is called by pwcalc itself.
 """
 
 from __future__ import annotations
@@ -22,64 +22,62 @@ from pwcalc.calculus import (
     SpecialValues,
     _grouped_joint_eigensystem,
     _pair_spectrum,
-    _sequential_pair,
-    _sequential_state_pair,
     _state_weights,
 )
 from pwcalc.extended import congruence, from_matrix, infinity_on, make_extended
 from pwcalc.functions import CLOSED_POS, ExtendedFunction, approximants, calculus
 from pwcalc.linalg import (
-    HERMITIAN_ATOL,
     MATRIX_HERMITIAN_ATOL,
     Subspace,
-    _hermitian_stack,
-    _psd_stack,
     _range_cut,
     _range_eigh,
     default_rank_tol,
     eigh,
     hermitian_part,
     require_psd,
+    require_state,
     spectral_norm,
 )
 from pwcalc.perspectives import _psd_powers
 from pwcalc.variational import optimizer_decomposition, variational_bound_94
 
 
-def validate_stack(mats, atols):
-    """require_psd over all the matrices of one call, in one pass:
-    _hermitian_stack, then _psd_stack.  Returns the Hermitian parts, as
-    require_psd does, or None when any check fails."""
-    H = _hermitian_stack(mats, atols)
-    if H is None or not _psd_stack(H):
-        return None
-    return tuple(H)
+def _shaped(M) -> np.ndarray:
+    return np.atleast_2d(np.asarray(M, dtype=complex))
 
 
-def validated_pair(A, B):
-    """_sequential_pair's A and B from one stacked pass (one eigh for both);
-    whatever that pass rejects, _sequential_pair rejects with its own error
-    and message."""
-    return (validate_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2)
-            or _sequential_pair(A, B))
+def sequential_pair(A, B, names=("A", "B")):
+    """A and B validated one at a time, named in errors by `names`: their
+    shapes compared first, so that a mismatch raises before either is
+    checked, then require_psd on A, then on B, at the matrix-argument
+    tolerance."""
+    A, B = _shaped(A), _shaped(B)
+    if A.shape != B.shape:
+        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    return tuple(require_psd(M, name=name, atol=MATRIX_HERMITIAN_ATOL)
+                 for M, name in zip((A, B), names))
 
 
-def validated_state_pair(rho, A, B):
-    """_sequential_state_pair's rho, A and B from one stacked pass (one eigh
-    for all three); whatever that pass rejects, or a state without positive
-    trace, _sequential_state_pair rejects with its own error and message."""
-    checked = validate_stack((rho, A, B), (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL,
-                                           MATRIX_HERMITIAN_ATOL))
-    if checked is None or float(np.trace(checked[0]).real) <= 0.0:
-        return _sequential_state_pair(rho, A, B)
-    return checked
+def sequential_state_pair(rho, A, B):
+    """rho, A and B validated one at a time: a square state whose size
+    differs from a square pair's is rejected first, before any eigh; then
+    rho by require_state, then A and B by sequential_pair."""
+    rho, A, B = _shaped(rho), _shaped(A), _shaped(B)
+    n = A.shape[0]
+    if (A.shape == B.shape == (n, n) and rho.ndim == 2
+            and rho.shape[0] == rho.shape[1] != n):
+        raise ValueError(
+            f"dimension mismatch: state is {rho.shape[0]}-dim, pair is "
+            f"{n}-dim"
+        )
+    return (require_state(rho), *sequential_pair(A, B))
 
 
 def r_spectrum_weights(A, B, rho):
     """R's clipped eigenvalues t and the state weights m_i = (X rho X*)_ii
     over the rows of _pair_spectrum's X, so that
     rho(X* diag(g(t)) X) = sum_i m_i g(t_i).  Trusts its input: rho, A and B
-    are the arrays validated_state_pair returns."""
+    are the arrays sequential_state_pair returns."""
     t, X = _pair_spectrum(A, B)
     return t, _state_weights(X, rho)
 
@@ -145,7 +143,7 @@ def redecomposed_special_values(phi, A, alpha, beta):
 def redecomposed_invertible_formula(phi, A, B):
     """invertible_formula with the invertibility test and the roots read off
     a second eigh of B (or of A when B is singular)."""
-    A, B = _sequential_pair(A, B)
+    A, B = sequential_pair(A, B)
     w, V, keep = _range_eigh(B, "B")
     inner, g = A, ExtendedFunction(f"{phi.name}(t,1)", CLOSED_POS,
                                    lambda t: phi.bivariate(t, 1.0))
@@ -171,7 +169,7 @@ def redecomposed_matrix_power_psd(M, p):
 def redecomposed_pw_commuting_oracle(phi, A, B):
     """pw_commuting_oracle with the joint eigensystem built on a second eigh
     of A."""
-    A, B = _sequential_pair(A, B)
+    A, B = sequential_pair(A, B)
     comm = spectral_norm(A @ B - B @ A)
     bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
     if comm > max(bound, 1e-13):

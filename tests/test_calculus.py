@@ -65,7 +65,7 @@ from pwcalc.variational import (
     variational_envelope,
 )
 import reference
-from reference import validated_pair
+from reference import sequential_pair
 
 A712 = np.array([[1.0, 1.0], [1.0, 1.0]])
 B712 = np.diag([1.0, 2.0])
@@ -161,7 +161,7 @@ def test_pair_spectrum_matches_compatible_representation():
     decisions = set()
     for label, A, B in _kernel_reference_pairs():
         rep = compatible_representation(A, B)
-        t, X = _pair_spectrum(*validated_pair(A, B))
+        t, X = _pair_spectrum(*sequential_pair(A, B))
         n, k = A.shape[0], rep.subspace.dim
         assert t.shape == (k,) and X.shape == (k, n), label
         assert np.abs(t - np.linalg.eigvalsh(rep.r)).max(initial=0.0) <= 1e-12, label
@@ -582,9 +582,8 @@ E00 = np.zeros((0, 0))
 ], ids=["perspective_apply", "pw_apply_restricted",
         "compatible_representation"])
 def test_empty_and_scalar_pairs(outputs, at_empty, at_scalar):
-    # the stacked Hermitian check passes both to the one-at-a-time
-    # validators, which accept them: a 0x0 pair gives the empty outputs, the
-    # scalar pair (2, 1) the scalar calculus
+    # the stacked validation shapes and accepts both: a 0x0 pair gives the
+    # empty outputs, the scalar pair (2, 1) the scalar calculus
     for pair, want in (((E00, E00), at_empty), ((2.0, 1.0), at_scalar)):
         got = outputs(*pair)
         assert len(got) == len(want)

@@ -6,29 +6,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwcalc import calculus
+from pwcalc import calculus, linalg
 from pwcalc.calculus import (
     ENDPOINT_TOL,
     PSD_CERTIFICATE_K,
+    HomogeneousFunction,
     _checked_pair_spectrum,
     _checked_state_spectrum,
     _clipped,
     _pair_spectrum,
-    _sequential_pair,
-    _sequential_state_pair,
+    _validated_pair,
+    check_homogeneity,
+    compatible_representation,
+    invertible_formula,
+    pw_apply,
+    pw_apply_restricted,
+    pw_commuting_oracle,
 )
 from pwcalc.extended import evaluate_state, from_matrix, scale
 from pwcalc.functions import Measure, catalog
 from pwcalc.perspectives import (
+    boundedness_chain,
+    check_ah_inequality,
+    check_positive_map_monotonicity,
     connection,
     connection_generator,
+    dominates_scale,
+    epsilon_limit,
+    essential_part,
+    is_absolutely_continuous,
     lebesgue_decomposition,
+    max_f_divergence,
+    parallel_sum,
     perspective_apply,
+    perspective_of,
+    t2_bound,
 )
 from pwcalc.suites import RandomSpec, gen_pair, haar_unitary, random_state
 from pwcalc.variational import (
     SINGULAR_MASS_REL_TOL,
     _singular,
+    constant_decomposition,
     integral_eval_91,
     integral_eval_92,
     optimal_decomposition,
@@ -37,9 +55,9 @@ from pwcalc.variational import (
     repr77_tlogt,
     repr97_t_alpha,
     variational_bound_94,
+    variational_envelope,
 )
 from pwcalc.linalg import (
-    HERMITIAN_ATOL,
     EigenSolverError,
     MatrixFileError,
     NonFiniteError,
@@ -67,9 +85,8 @@ from reference import (
     masked_psd_sqrt,
     masked_range_eigh,
     r_spectrum_weights,
-    validate_stack,
-    validated_pair,
-    validated_state_pair,
+    sequential_pair,
+    sequential_state_pair,
 )
 
 
@@ -464,8 +481,8 @@ class TestFloatLimitInput:
 
     def test_hermitian_part_does_not_overflow(self):
         assert require_hermitian(HUGE).tobytes() == HUGE.tobytes()
-        H = _hermitian_stack((HUGE, HUGE), (1e-9, 1e-9))
-        assert H is not None and H[1].tobytes() == HUGE.tobytes()
+        H = _hermitian_stack((HUGE, HUGE), (1e-9, 1e-9), ("A", "B"))
+        assert H[1].tobytes() == HUGE.tobytes()
 
     def test_hermitian_part_keeps_its_bits(self):
         # an exactly Hermitian matrix is its own Hermitian part, subnormal
@@ -486,7 +503,7 @@ class TestFloatLimitInput:
             for X, want in ((H, H), (M, (M + M.conj().T) / 2)):
                 got = require_hermitian(X, atol=np.inf)
                 assert got.tobytes() == want.tobytes()
-                got = _hermitian_stack((X, X), (np.inf, np.inf))[0]
+                got = _hermitian_stack((X, X), (np.inf, np.inf), "AB")[0]
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("call", [
@@ -588,7 +605,7 @@ class TestSubspaceValidation:
 
 
 # ---------------------------------------------------------------------------
-# The stacked validator against the one-at-a-time validators
+# The stacked validator against the one-at-a-time reference
 # ---------------------------------------------------------------------------
 
 def _outcome(validate, *args):
@@ -606,6 +623,23 @@ def _counting(monkeypatch, name):
     monkeypatch.setattr(calculus, name,
                         lambda *a: calls.append(1) or validator(*a))
     return calls
+
+
+def _validator_runs(monkeypatch):
+    """Patch every validator calculus calls to record its name at each
+    run: the two stacked halves (the PSD half also where the cheap half
+    runs it, on the matrices before one that fails), require_state,
+    require_hermitian and _check_psd.  Returns the record."""
+    runs = []
+    for module, name in ((calculus, "_hermitian_stack"),
+                         (calculus, "_psd_stack"), (linalg, "_psd_stack"),
+                         (calculus, "require_state"),
+                         (calculus, "require_hermitian"),
+                         (calculus, "_check_psd")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, run=getattr(module, name), name=name,
+                            **k: runs.append(name) or run(*a, **k))
+    return runs
 
 
 def _same_arrays(got, want) -> bool:
@@ -702,46 +736,160 @@ def _kernel_corpus():
     yield "scalars", 1.0, 2.0, 3.0
 
 
+def _xi(A):
+    return np.ones(np.atleast_2d(A).shape[0], dtype=complex)
+
+
+TLOGT = catalog("tlogt")
+TLOGT_PHI = perspective_of(TLOGT)
+YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, np.inf,
+                                variant="ge")
+BOUNDARY_A, BOUNDARY_B = np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 2.0])
+NOT_HERMITIAN_B = _with_deviation(BOUNDARY_B, 1e-6)
+# (A, B, rho) on each side of every check the pair and state validators
+# make, then a 0x0 and a scalar triple, which they accept as a pair (the
+# 0x0 state has trace 0)
+BOUNDARY_COLUMNS = {
+    "mismatch": (BOUNDARY_A, np.eye(2), np.eye(3) / 3),
+    "not_square": (np.ones((3, 2)), np.ones((3, 2)), np.eye(3) / 3),
+    "nan": (np.diag([np.nan, 0.5, 0.0]), BOUNDARY_B, np.eye(3) / 3),
+    "not_hermitian": (BOUNDARY_A, NOT_HERMITIAN_B, np.eye(3) / 3),
+    "not_psd": (BOUNDARY_A, BOUNDARY_B - 2.0 * np.eye(3), np.eye(3) / 3),
+    "A_not_psd_B_not_hermitian": (BOUNDARY_A - 2.0 * np.eye(3),
+                                  NOT_HERMITIAN_B, np.eye(3) / 3),
+    "state_size": (BOUNDARY_A, BOUNDARY_B, np.eye(2) / 2),
+    "state_trace": (BOUNDARY_A, BOUNDARY_B, np.zeros((3, 3))),
+    # not Hermitian, and its trace overflows
+    "state_huge": (BOUNDARY_A, BOUNDARY_B,
+                   np.diag([1e308, 1e308, 1.0]) + np.triu(np.ones((3, 3)), 1)),
+    "0x0": (np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))),
+    "scalars": (2.0, 1.0, 1.0),
+}
+
+
+PAIR = lambda A, B, rho: sequential_pair(A, B)
+STATE = lambda A, B, rho: sequential_state_pair(rho, A, B)
+
+
+# every public call on a PSD pair, with the validator whose errors it must
+# raise; two_projections takes projections, which it checks itself
+@pytest.mark.parametrize("call, reference", [
+    (lambda A, B, rho: perspective_apply(TLOGT, A, B), PAIR),
+    (lambda A, B, rho: pw_apply(TLOGT_PHI, A, B), PAIR),
+    (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A, B), PAIR),
+    (lambda A, B, rho: compatible_representation(A, B), PAIR),
+    (lambda A, B, rho: max_f_divergence(TLOGT, A, B), PAIR),
+    (lambda A, B, rho: essential_part(TLOGT, A, B), PAIR),
+    (lambda A, B, rho: check_ah_inequality(catalog("power", 2), A, B),
+     PAIR),
+    (lambda A, B, rho: connection(connection_generator("geometric"), A, B),
+     PAIR),
+    (lambda A, B, rho: parallel_sum(A, B), PAIR),
+    (lambda A, B, rho: lebesgue_decomposition(A, B), PAIR),
+    (lambda A, B, rho: is_absolutely_continuous(A, B), PAIR),
+    (lambda A, B, rho: dominates_scale(A, B),
+     lambda A, B, rho: sequential_pair(A, B, ("X", "Y"))),
+    (lambda A, B, rho: t2_bound(A, B), PAIR),
+    (lambda A, B, rho: boundedness_chain(2.0, A, B, trials=4),
+     PAIR),
+    (lambda A, B, rho: epsilon_limit(TLOGT, A, B), PAIR),
+    (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B), PAIR),
+    (lambda A, B, rho: pw_commuting_oracle(TLOGT_PHI, A, B), PAIR),
+    (lambda A, B, rho: check_homogeneity(
+        TLOGT_PHI, A, B, np.eye(np.atleast_2d(A).shape[0])), PAIR),
+    # a C whose range misses range(A + B): the check is skipped, after A
+    # and B are validated
+    (lambda A, B, rho: check_homogeneity(
+        TLOGT_PHI, A, B, np.eye(np.atleast_2d(A).shape[0])[:, :1]), PAIR),
+    (lambda A, B, rho: check_positive_map_monotonicity(
+        TLOGT, [np.eye(np.atleast_2d(A).shape[0])], A, B, n_states=2),
+     PAIR),
+    (lambda A, B, rho: optimal_decomposition(A, B, _xi(A), 1.0),
+     PAIR),
+    (lambda A, B, rho: optimizer_decomposition(ATOM, A, B, _xi(A), 0.5, 2.0),
+     PAIR),
+    (lambda A, B, rho: variational_bound_94(
+        repr77_square_minus(), A, B, _xi(A), 1,
+        constant_decomposition(1.0, 1.0, _xi(A), 0 * _xi(A))),
+     PAIR),
+    (lambda A, B, rho: variational_envelope(repr77_square_minus(), A, B,
+                                            _xi(A), (1,)), PAIR),
+    (lambda A, B, rho: integral_eval_91(repr77_tlogt(16), A, B, rho),
+     STATE),
+    (lambda A, B, rho: integral_eval_92(repr97_t_alpha(1.5, 16), A, B, rho),
+     STATE),
+], ids=["perspective_apply", "pw_apply", "pw_apply_restricted",
+        "compatible_representation", "max_f_divergence", "essential_part",
+        "check_ah_inequality", "connection", "parallel_sum",
+        "lebesgue_decomposition", "is_absolutely_continuous",
+        "dominates_scale", "t2_bound", "boundedness_chain", "epsilon_limit",
+        "invertible_formula", "pw_commuting_oracle", "check_homogeneity",
+        "check_homogeneity-singular_C",
+        "check_positive_map_monotonicity", "optimal_decomposition",
+        "optimizer_decomposition", "variational_bound_94",
+        "variational_envelope", "integral_eval_91", "integral_eval_92"])
+@pytest.mark.filterwarnings("error")
+def test_pair_and_state_boundary(call, reference):
+    # each column the reference rejects, the call rejects with the
+    # reference's error type and message; what it accepts, the call
+    # validates without an error (on 0x0 some calls then fail on their own)
+    for column, (A, B, rho) in BOUNDARY_COLUMNS.items():
+        want = _outcome(reference, A, B, rho)
+        try:
+            got = call(A, B, rho)
+        except Exception as exc:
+            got = type(exc), str(exc)
+        if isinstance(want[0], type):
+            assert got == want, column
+        elif isinstance(got, tuple) and isinstance(got[0], type):
+            assert not issubclass(got[0], (NotHermitianError,
+                                           NotPsdError)), got
+            assert not got[1].startswith("dimension mismatch"), got
+
+
 class TestStackedValidation:
-    """reference.validate_stack (linalg's two stacked halves) accepts
-    exactly what the one-at-a-time validators accept and returns their
-    arrays to the last bit; the pair and state-pair validators built on it
-    raise their errors and messages."""
+    """linalg's two stacked halves accept exactly what the one-at-a-time
+    reference validators (tests/reference.py, built from require_psd and
+    require_state) accept and return their arrays to the last bit, with
+    each matrix's eigenpairs; what the reference rejects they reject with
+    its error and message."""
 
     def test_matches_sequential(self):
         decisions = set()
         for label, rho, A, B in _validation_corpus():
-            for args, atols, sequential, validated in (
-                    ((A, B), (1e-9, 1e-9), _sequential_pair, validated_pair),
-                    ((rho, A, B), (HERMITIAN_ATOL, 1e-9, 1e-9),
-                     _sequential_state_pair, validated_state_pair)):
-                want = _outcome(sequential, *args)
-                got = _outcome(validated, *args)
-                stacked = validate_stack(args, atols)
-                if (len(args) == 3 and stacked is not None
-                        and float(np.trace(stacked[0]).real) <= 0.0):
-                    stacked = None
-                rejected = isinstance(want[0], type)
-                decisions.add((label.split("/")[0], rejected))
-                if rejected:
-                    assert got == want, label
-                    assert stacked is None, label
-                else:
-                    assert stacked is not None, label
-                    assert _same_arrays(stacked, want), label
-                    assert _same_arrays(got, want), label
+            kind = label.split("/")[0]
+            want = _outcome(sequential_pair, A, B)
+            got = _outcome(_validated_pair, A, B)
+            rejected = isinstance(want[0], type)
+            decisions.add((kind, rejected))
+            if rejected:
+                assert got == want, label
+            else:
+                assert _same_arrays(got[:2], want), label
+                for w, V, M in zip(*got[2:], want):
+                    assert _same_arrays((w, V), eigh(M)), label
+            want = _outcome(sequential_state_pair, rho, A, B)
+            got = _outcome(lambda *a: _checked_state_spectrum(*a)[:3],
+                           rho, A, B)
+            rejected = isinstance(want[0], type)
+            decisions.add((kind, rejected))
+            if rejected:
+                assert got == want, label
+            else:
+                assert _same_arrays(got, want), label
         # each cliff is met from both sides
         for kind in ("hermitian", "psd"):
             assert {(kind, True), (kind, False)} <= decisions
 
-    def test_pair_kernel_replays_only_to_raise(self, monkeypatch):
+    def test_pair_kernel_runs_once_and_nothing_validates_twice(
+            self, monkeypatch):
         # the stacked kernel, where it keeps all of A + B's eigenvalues (its
         # view of V without a copy) or cuts some, gives what validating A
-        # and B and then decomposing them gives, to the last bit.  The
-        # one-at-a-time validator runs once on a pair it rejects, to raise,
-        # and on an accepted pair only when it is 0 x 0 or scalar; the
-        # kernel runs at most once
-        replays = _counting(monkeypatch, "_sequential_pair")
+        # and B one at a time and then decomposing them gives, to the last
+        # bit, and raises what that raises.  The kernel runs at most once,
+        # the cheap half once and the PSD half at most once, and no other
+        # validator runs
+        runs = _validator_runs(monkeypatch)
         kernels = _counting(monkeypatch, "_pair_spectra")
         ranks, decisions = set(), set()
         corpus = [(label, A, B) for label, _, A, B in _kernel_corpus()]
@@ -749,26 +897,48 @@ class TestStackedValidation:
         corpus.append(("cliff/A+B", *_sum_cliff()))
         for label, A, B in corpus:
             want = _outcome(_validated_spectrum, A, B)
-            rejected = isinstance(_outcome(_sequential_pair, A, B)[0], type)
-            replays.clear()
+            rejected = isinstance(_outcome(sequential_pair, A, B)[0], type)
+            runs.clear()
             kernels.clear()
             got = _outcome(_checked_pair_spectrum, A, B)
             assert len(kernels) <= 1, label
+            assert runs.count("_hermitian_stack") == 1, label
+            assert runs.count("_psd_stack") <= 1, label
+            assert len(runs) == len(set(runs)) <= 2, label
             raised = isinstance(want[0], type)
             if raised:
                 assert got == want, label
             else:
                 assert _same_arrays(got, want), label
-            shaped = label in ("0x0", "scalars")
-            assert len(replays) == (rejected or shaped), label
-            decisions.add((rejected, shaped, raised))
-            if not (raised or shaped):
                 ranks.add(got[3].shape[0] == got[3].shape[1])
+            decisions.add((rejected, raised))
         assert ranks == {True, False}
         # the kernel's own error on a valid pair (the A + B cliff) is raised
-        # with no replay
-        assert decisions == {(True, False, True), (False, True, False),
-                             (False, False, False), (False, False, True)}
+        assert decisions == {(True, True), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("failing, a_psd, error", [
+        ("A", True, EigenSolverError), ("B", True, EigenSolverError),
+        ("B", False, NotPsdError)])
+    def test_lapack_failure_keeps_its_order(self, failing, a_psd, error,
+                                            monkeypatch):
+        # np.linalg.eigh fails on any stack holding the chosen matrix, as
+        # LAPACK would on one it cannot decompose: the first matrix whose
+        # own eigh fails raises, unless one before it is not PSD
+        A, B = np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 2.0])
+        if not a_psd:
+            A = -A
+        bad = {"A": A, "B": B}[failing]
+        eigh_ = np.linalg.eigh
+
+        def eigh_failing(M, *a, **k):
+            if any(np.array_equal(X, bad) for X in np.reshape(M, (-1, 3, 3))):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh_(M, *a, **k)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
+        want = _outcome(sequential_pair, A, B)
+        assert want[0] is error
+        assert _outcome(_validated_pair, A, B) == want
 
     def test_pair_kernel_clips_as_np_clip(self, monkeypatch):
         # t is np.clip of R's eigenvalues to the last bit, where roundoff
@@ -781,7 +951,7 @@ class TestStackedValidation:
         for label, _, A, B in _kernel_corpus():
             if label in ("0x0", "scalars"):
                 continue
-            t = _pair_spectrum(*validated_pair(A, B))[0]
+            t = _pair_spectrum(*sequential_pair(A, B))[0]
             r = spectra[-1][0]  # R's, the kernel's last eigh
             assert t.tobytes() == np.clip(r, 0.0, 1.0).tobytes(), label
             outside.add(bool((r < 0.0).any() or (r > 1.0).any()))
@@ -814,7 +984,7 @@ EPS = np.finfo(float).eps
 
 def _validated_spectrum(A, B):
     """The reference path: validate the pair, then decompose it."""
-    A, B = validated_pair(A, B)
+    A, B = sequential_pair(A, B)
     return (A, B, *_pair_spectrum(A, B))
 
 
@@ -917,14 +1087,16 @@ class TestPairCertificate:
     pairs that check accepts."""
 
     def test_matches_validated_spectrum(self, monkeypatch):
-        halves = []
-        psd_stack = calculus._psd_stack
-        monkeypatch.setattr(calculus, "_psd_stack",
-                            lambda H: halves.append(1) or psd_stack(H))
+        halves = _counting(monkeypatch, "_psd_stack")
+        certificates = []
+        pair_spectra = calculus._pair_spectra
+        monkeypatch.setattr(calculus, "_pair_spectra", lambda *a: (
+            certificates.append(pair_spectra(*a)) or certificates[-1]))
         seen, certified_scales = {}, set()
         for label, A, B in _certificate_corpus():
             want = _outcome(_validated_spectrum, A, B)
             halves.clear()
+            certificates.clear()
             got = _outcome(_checked_pair_spectrum, A, B)
             rejected = isinstance(want[0], type)
             if rejected:
@@ -932,11 +1104,11 @@ class TestPairCertificate:
             else:
                 assert not isinstance(got[0], type), (label, got)
                 assert _same_arrays(got, want), label
-            certified = (not halves and _hermitian_stack(
-                (A, B), (1e-9, 1e-9)) is not None)
+            certified = bool(certificates) and certificates[-1][2]
             if certified:
-                assert not rejected, label
-                assert not isinstance(_outcome(_sequential_pair, A, B)[0], type), label
+                assert not (rejected or halves), label
+                assert not isinstance(
+                    _outcome(sequential_pair, A, B)[0], type), label
             kind = label.split("/")[0]
             seen.setdefault(kind, set()).add((certified, rejected))
             if certified and kind == "definite":
@@ -961,7 +1133,7 @@ class TestPairCertificate:
 
 def _validated_state_spectrum(rho, A, B):
     """The reference path: validate rho, A and B, then decompose the pair."""
-    rho, A, B = validated_state_pair(rho, A, B)
+    rho, A, B = sequential_state_pair(rho, A, B)
     return (rho, A, B, *r_spectrum_weights(A, B, rho))
 
 
@@ -1023,14 +1195,17 @@ class TestStateSpectrum:
                 decisions.add(_singular(mass, tr, norm))
         assert accepted >= 70 and decisions == {True, False}
 
-    def test_replays_only_to_raise(self, monkeypatch):
+    def test_state_kernel_runs_once_and_nothing_validates_twice(
+            self, monkeypatch):
         # the one stack (rho, A, B, A + B), its spectra read once, gives
-        # what validating rho, A and B and then decomposing the pair gives,
-        # to the last bit: arrays, trace and norms, on full-rank sums (no
-        # copy of V), cut ones and 1 x 1.  The one-at-a-time validator runs
-        # once on input it rejects, to raise, and on accepted input only
-        # when it is scalar; the kernel's R half runs at most once
-        replays = _counting(monkeypatch, "_sequential_state_pair")
+        # what validating rho, A and B one at a time and then decomposing
+        # the pair gives, to the last bit: arrays, trace and norms, on
+        # full-rank sums (no copy of V), cut ones, 1 x 1 and scalars, and
+        # raises what that raises.  The kernel's R half runs at most once,
+        # and each validator at most once: the stack's two halves, or
+        # require_state on rho alone, where its trace or the shapes fail,
+        # then the cheap half on the pair, which raises
+        runs = _validator_runs(monkeypatch)
         kernels = _counting(monkeypatch, "_r_spectrum")
         ranks, decisions = set(), set()
         corpus = [*_kernel_corpus(), *_validation_corpus(),
@@ -1038,28 +1213,28 @@ class TestStateSpectrum:
         for label, rho, A, B in corpus:
             want = _outcome(_validated_state_spectrum, rho, A, B)
             rejected = isinstance(
-                _outcome(_sequential_state_pair, rho, A, B)[0], type)
-            replays.clear()
+                _outcome(sequential_state_pair, rho, A, B)[0], type)
+            runs.clear()
             kernels.clear()
             got = _outcome(_checked_state_spectrum, rho, A, B)
             assert len(kernels) <= 1, label
+            assert len(runs) == len(set(runs)) <= 2, label
+            assert set(runs) <= {"_hermitian_stack", "_psd_stack",
+                                 "require_state"}, label
             raised = isinstance(want[0], type)
+            if "require_state" in runs:
+                assert rejected and "_psd_stack" not in runs, label
             if raised:
                 assert got == want, label
             else:
                 assert _same_arrays(got[:5], want), label
                 assert got[5:] == (float(np.trace(want[0]).real),
                                    *(float(eigh(M)[0][-1]) for M in want[1:3]))
-            shaped = label == "scalars"
-            assert len(replays) == (rejected or shaped), label
-            decisions.add((rejected, shaped, raised))
-            if not (raised or shaped):
                 ranks.add(len(got[3]) == got[1].shape[0])
+            decisions.add((rejected, raised))
         assert ranks == {True, False}
         # the kernel's own error on valid input (the A + B cliff) is raised
-        # with no replay
-        assert decisions == {(True, False, True), (False, True, False),
-                             (False, False, False), (False, False, True)}
+        assert decisions == {(True, True), (False, False), (False, True)}
 
     @pytest.mark.parametrize("failing", ["rho", "A", "B", "A + B"])
     def test_lapack_failure_keeps_its_order(self, failing, monkeypatch):

@@ -120,20 +120,38 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # thread, the eigh of A+B that gives the range basis and R's two
 # decompositions on the worker, and the lower bound of the element after
 # both have joined.  A perspective with an infinity part adds one svd, for
-# the kernel of its +inf rows.  invertible_formula reads its invertibility
-# test and both roots off the eigh of the PSD check of B, or of A when B is
-# singular (A is singular in the rank-deficient pair, B is not), then
-# decomposes the sandwiched matrix and the result's finite part.
-# special_values and matrix_power_psd read everything off the PSD check of
-# A, and special_values' finite scalar adds the lower bound of scalar * A.
-# The commuting-pair oracle decomposes A, B and A + B, and B over each of
-# A's four eigenspaces.  variational_envelope validates A and B once, then
-# takes one pseudo-inverse per atom, one atom at each of its two n.  An infinity part made on a subspace
+# the kernel of its +inf rows.  The calls that validate a pair and then
+# read it (invertible_formula, the commuting-pair oracle, parallel_sum,
+# epsilon_limit and the variational calls) check A and B with one eigh of
+# their stack.  invertible_formula reads its invertibility test and both
+# roots off B's eigenpairs in it, or A's when B is singular (A is singular
+# in the rank-deficient pair, B is not), then decomposes the sandwiched
+# matrix and the result's finite part.  special_values and
+# matrix_power_psd read everything off the PSD check of A, and
+# special_values' finite scalar adds the lower bound of scalar * A.  The
+# commuting-pair oracle adds A + B, and B over each of A's four
+# eigenspaces.  variational_envelope takes one pseudo-inverse per atom, one
+# atom at each of its two n, parallel_sum one of A + B, and epsilon_limit
+# two eigh at each of its eight eps.  A pair rejected as not PSD is
+# decomposed no further: connection on (A, -B) makes the kernel's eigh of
+# A + B, which fails its own check and is held, and the PSD half's eigh
+# that raises B's error; the integral's one eigh of its stack raises it.
+# An infinity part made on a subspace
 # (special_values' infinite scalar, two_projections' infinite coefficient)
 # takes its complement from one svd.  The singular rows give the integrals a t^2 term whose
 # state has mass on the singular part: the +inf is decided from the
 # state's spectrum before that term's perspective would be made.
 PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
+
+
+def _rejects_minus_b(call):
+    """call on (A, -B), which must raise B's NotPsdError."""
+    def run(A, B, rho):
+        with pytest.raises(NotPsdError, match="^B is not PSD"):
+            call(A, -B, rho)
+    return run
+
+
 EYE2, P1 = np.eye(2), np.diag([1.0, 0.0])
 # a commuting pair whose A has four distinct eigenvalues
 DIAG_A, DIAG_B = np.diag([1.0, 2.0, 0.0, 3.0]), np.diag([0.5, 0.0, 1.0, 2.0])
@@ -175,19 +193,26 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (T2, "well_conditioned", 5, 0),
     (CHAIN, "well_conditioned", 18, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B),
-     "rank_deficient", 4, 0),
+     "rank_deficient", 3, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, B, A),
-     "rank_deficient", 4, 1),
+     "rank_deficient", 3, 1),
     (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 0.0),
      "rank_deficient", 1, 1),
     (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 1.0),
      "rank_deficient", 2, 0),
     (lambda A, B, rho: matrix_power_psd(A, 0.5), "rank_deficient", 1, 0),
     (lambda A, B, rho: pw_commuting_oracle(TLOGT_PHI, DIAG_A, DIAG_B),
-     "rank_deficient", 7, 0),
+     "rank_deficient", 6, 0),
     (lambda A, B, rho: variational_envelope(repr77_square_minus(), A, B,
                                             np.ones(4), (1, 2)),
-     "rank_deficient", 4, 0),
+     "rank_deficient", 3, 0),
+    (lambda A, B, rho: parallel_sum(A, B), "rank_deficient", 2, 0),
+    (lambda A, B, rho: epsilon_limit(catalog("tlogt"), A, B),
+     "rank_deficient", 17, 0),
+    (_rejects_minus_b(CONNECTION), "rank_deficient", 2, 0),
+    (_rejects_minus_b(
+        lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho)),
+     "rank_deficient", 1, 0),
     (lambda A, B, rho: two_projections(catalog("power", 2), P87, Q87),
      "projection", 7, 4),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
@@ -203,7 +228,9 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         "boundedness_chain-well_conditioned", "invertible_formula",
         "invertible_formula-singular_B", "special_values-infinite_scalar",
         "special_values-finite_scalar", "matrix_power_psd",
-        "pw_commuting_oracle", "variational_envelope", "two_projections"])
+        "pw_commuting_oracle", "variational_envelope", "parallel_sum",
+        "epsilon_limit", "connection-B_not_psd", "integral_eval_91-B_not_psd",
+        "two_projections"])
 def test_eigh_calls_per_call(call, profile, eigh_calls, svd_calls,
                              monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
