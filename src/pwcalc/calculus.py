@@ -18,7 +18,10 @@ CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL, and
 variational.SINGULAR_MASS_REL_TOL; README lists what each decides.
 A pair is validated once, on linalg's stacked path, with its error order;
 PSD_CERTIFICATE_K only selects whether that path's PSD half runs
-(_certified), and decides no output.
+(_certified) and, from n = DEFINITE_MIN_N (set from measured costs) on,
+whether the pair kernel reduces a definite A+B by Cholesky
+(_definite_spectra), whose outputs differ from the eigh route's only by
+roundoff; it decides no output.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .linalg import (
     _check_psd,
     _concurrently,
     _hermitian_stack,
+    _lower_inverse,
     _psd_stack,
     _range_cut,
     _range_eigh,
@@ -77,9 +81,15 @@ from .linalg import (
 
 # Endpoint classification tolerance on eigenvalues of R (which lie in [0,1]).
 ENDPOINT_TOL = 1e-10
-# Safety factor K of the definite-pair certificate (_certified).  It selects
-# the validation path of a pair and decides no output.
+# Safety factor K of the definite-pair certificate (_certified) and of the
+# Cholesky route's margin (_definite_spectra).  It selects the validation
+# path and the kernel route of a pair, and decides no output.
 PSD_CERTIFICATE_K = 1e3
+# Order from which _pair_spectra tries the Cholesky route first.  Measured
+# (README, "Numerical contracts"): a factorization that fails on a
+# semidefinite sum costs about what a definite sum saves up to n = 12, and
+# about 6% of the kernel at n = 32, where a definite sum saves about 27%.
+DEFINITE_MIN_N = 32
 
 
 class PreconditionError(ValueError):
@@ -267,7 +277,9 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     Over the eigenpairs (w, V) of A+B above the rank cut of
     compatible_representation (so both give the same rank k), t holds the
     eigenvalues of R = D V* A V D (D = diag(w^-1/2)) clipped into [0, 1] and
-    X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  The kernel
+    X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  A definite
+    A+B of order DEFINITE_MIN_N or more gives them from one eigh instead
+    (_definite_spectra), to roundoff, with X in another basis.  The kernel
     trusts its input, the Hermitian parts of its caller's validation; a
     pair that then fails the PSD half may raise here first, as NotPsdError
     naming A + B (`names`).
@@ -277,15 +289,58 @@ def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
 
 def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     """_pair_spectrum with whether _certified accepts the pair:
-    (t, X, certified).  The spectrum of A+B is read once as floats, for its
-    rank cut and the certificate.  An error names the sum by `names`."""
+    (t, X, certified).  From n = DEFINITE_MIN_N on, a definite A+B takes
+    the Cholesky route (_definite_spectra) when it can; every other pair
+    takes the eigh route, whose spectrum of A+B is read once as floats, for
+    its rank cut and the certificate.  An error names the sum by `names`."""
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         S = A + B
+    if len(S) >= DEFINITE_MIN_N:
+        spectra = _definite_spectra(A, S)
+        if spectra is not None:
+            return spectra
     w, V = eigh(S)
     vals = w.tolist()
     cut = _range_cut(vals, " + ".join(names))
     t, X = _r_spectrum(A, w, V, vals, cut)
-    return t, X, _certified(vals, cut, t)
+    # w ascends: only an A+B that kept all n eigenvalues can be certified
+    return t, X, bool(vals) and vals[0] > cut and _certified(
+        t, vals[0] / vals[-1])
+
+
+def _definite_spectra(A: np.ndarray, S: np.ndarray):
+    """_pair_spectra's (t, X, certified) by the Cholesky reduction of the
+    definite pencil (A, S), S = A+B = L L*, or None where the eigh route
+    must decide: the factorization fails, a value is not finite, or S is
+    not definite by the margin below.
+
+    T = L* is a square root of S in the sense T* T = S, so t holds the
+    eigenvalues of C = L^-1 A L^-*, clipped into [0, 1], and X = (L Z)*, Z
+    their eigenvectors: one eigh, where the eigh route takes two.  With
+    rho = 1 / (|L^-1|_F^2 tr S), a lower bound on w_min / w_max of S, the
+    route is taken only when rho > K n eps (K = PSD_CERTIFICATE_K), so the
+    eigh route's rank cut would keep all n eigenvalues too: both routes
+    give the same rank and differ only by roundoff.  _certified decides the
+    pair with rho in place of w_min / w_max.
+    """
+    bound = PSD_CERTIFICATE_K * len(S) * EPS
+    with np.errstate(all="ignore"):  # inf and NaN fail the tests below
+        try:
+            L = np.linalg.cholesky(S)
+            trace = float(S.trace().real)
+            # |L^-1|_F^2 >= 1 / min L_ii^2: most near-singular S fail
+            # here, before the inverse is formed
+            if not float(L.diagonal().real.min()) ** 2 > bound * trace:
+                return None
+            Linv = _lower_inverse(L)
+        except np.linalg.LinAlgError:  # S is not numerically definite
+            return None
+        rho = 1.0 / (float(np.vdot(Linv, Linv).real) * trace)
+    if not rho > bound:
+        return None
+    r, Z = eigh(hermitian_part(Linv @ A @ Linv.conj().T))
+    t = _clipped(r)
+    return t, (L @ Z).conj().T, _certified(t, rho)
 
 
 def _r_spectrum(A: np.ndarray, w: np.ndarray, V: np.ndarray, vals: list,
@@ -308,25 +363,25 @@ def _state_weights(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return ((X @ rho) * X.conj()).sum(axis=1).real
 
 
-def _certified(vals: list, cut: float, t: np.ndarray) -> bool:
+def _certified(t: np.ndarray, ratio: float) -> bool:
     """True when the spectra of _pair_spectra prove that A and B pass
-    require_psd, so that their own eigh can be skipped: vals the eigenvalues
-    of A+B as floats, cut their rank cut and t those of R, clipped.
+    require_psd, so that their own eigh can be skipped: t the n eigenvalues
+    of R, clipped, over an A+B that kept all n, and ratio w_min / w_max of
+    A+B (the eigh route) or a lower bound on it (rho, the Cholesky route,
+    which only makes the test stricter).
 
     Over the range of A+B, A = T* R T and B = T* (I - R) T with T* T = A + B,
     so lambda_min(A) >= t_min w_min and lambda_min(B) >= (1 - t_max) w_min.
-    A pair is certified when A+B kept all n eigenvalues and
+    A pair is certified when
     min(t_min, 1 - t_max) w_min / w_max > K n eps (K = PSD_CERTIFICATE_K).
     The computed t are off by about n eps w_max / w_min and the w by about
     n eps w_max, so a certified A and B are positive definite with a margin
     near K n eps w_max, which eigh's own error of about n eps max|lambda|
     cannot close: require_psd accepts them.  The test is scale-invariant,
-    and clipping changes none of its answers.
+    and clipping changes none of its answers.  K also sets the margin by
+    which the Cholesky route is taken.
     """
-    if not (vals and vals[0] > cut):  # w ascends: A+B kept all n eigenvalues
-        return False
-    ratio = vals[0] / vals[-1]
-    bound = PSD_CERTIFICATE_K * len(vals) * EPS
+    bound = PSD_CERTIFICATE_K * len(t) * EPS
     # each side compared on its own, so that a NaN certifies nothing
     return float(t[0]) * ratio > bound and (1.0 - float(t[-1])) * ratio > bound
 
@@ -599,7 +654,8 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     pair's space, so it has as many rows as A and B.  A and B are validated
     as require_psd validates each, C's rows compared with their size before
     any eigh, and the PSD checks and the range of A+B read off one eigh of
-    the stack (A, B, A + B).
+    the stack (A, B, A + B); a sum that overflows raises NonFiniteError
+    naming A + B, as in the other pair calls.
     """
     names = ("A", "B")
     H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names, spare=1)
@@ -608,9 +664,10 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     if C.ndim != 2 or C.shape[0] != A.shape[0]:
         raise ValueError(
             f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
-    np.add(A, B, out=S)
+    with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+        np.add(A, B, out=S)
     w, V = _psd_stack(H, names)
-    ran_ab = _range_subspace(w[2], V[2])
+    ran_ab = _range_subspace(w[2], V[2], _range_cut(w[2].tolist(), "A + B"))
     ran_c = span(C)
     if not ran_c.contains(ran_ab, CONTAINMENT_COS_TOL):
         return HomogeneityReport(True, "range(A+B) not contained in range(C)",

@@ -91,13 +91,14 @@ class ExtendedSelfAdjoint:
 
     finite_part is expressed in the coordinates of essential.basis; the
     quadratic form on the ambient space is q(xi) = <F V* xi, V* xi> for xi in
-    the essential part and +inf otherwise.
+    the essential part and +inf otherwise.  lower_bound, when not given, is
+    min(0, least eigenvalue of F), as every element built here carries.
     """
 
     ambient_dim: int
     essential: Subspace
     finite_part: np.ndarray = field(repr=False)
-    lower_bound: float = 0.0
+    lower_bound: float | None = None
 
     def __post_init__(self):
         F = hermitian_part(np.asarray(self.finite_part, dtype=complex))
@@ -109,6 +110,8 @@ class ExtendedSelfAdjoint:
             raise ValueError(
                 f"finite_part shape {F.shape} does not match essential dim {k}"
             )
+        if self.lower_bound is None:
+            object.__setattr__(self, "lower_bound", _least_or_zero(F))
 
     @property
     def infinity_dim(self) -> int:
@@ -153,10 +156,15 @@ def _element(essential: Subspace, F: np.ndarray,
                     essential=essential, finite_part=F, lower_bound=lower_bound)
 
 
+def _least_or_zero(F: np.ndarray) -> float:
+    """min(0, least eigenvalue of the Hermitian F), 0 when F is 0 x 0."""
+    w, _ = eigh(F)
+    return min(float(w[0]), 0.0) if w.size else 0.0
+
+
 def _with_lower_bound(essential: Subspace, F: np.ndarray) -> ExtendedSelfAdjoint:
     """_element with the lower bound min(0, least eigenvalue of F)."""
-    w, _ = eigh(F)
-    return _element(essential, F, min(float(w[0]), 0.0) if w.size else 0.0)
+    return _element(essential, F, _least_or_zero(F))
 
 
 def from_matrix(M: np.ndarray) -> ExtendedSelfAdjoint:

@@ -51,11 +51,11 @@ from .functions import (
     catalog,
 )
 from .linalg import (
+    _hermitian_stack,
     _psd_pinv,
     _range_subspace,
     eigh,
     hermitian_part,
-    require_hermitian,
     spectral_norm,
 )
 from .perspectives import perspective_apply
@@ -162,17 +162,17 @@ def two_projections(f: ExtendedFunction, P: np.ndarray, Q: np.ndarray
     f(1) (P ^ Q) + f'(inf) (P - P ^ Q) + f(0+) (Q - P ^ Q),
 
     assembled as a form sum of three elements; infinite coefficients
-    contribute infinity subspaces.  Agrees with the direct calculus.
+    contribute infinity subspaces.  Agrees with the direct calculus.  P and
+    Q are validated on the stacked path, their shapes compared before any
+    eigh, then each checked for idempotency.
     """
     from .linalg import subspace_meet  # local: avoids polluting module surface
 
+    P, Q = _hermitian_stack((P, Q), (1e-10,) * 2, ("P", "Q"))
     for name, X in (("P", P), ("Q", Q)):
-        X = require_hermitian(X, atol=1e-10, name=name)
         idem = spectral_norm(X @ X - X)
         if idem > 1e-10:
             raise ValueError(f"{name} is not idempotent: |X^2 - X| = {idem:.3e}")
-    P = hermitian_part(np.asarray(P, dtype=complex))
-    Q = hermitian_part(np.asarray(Q, dtype=complex))
     alpha, beta = f.fprime_at_inf, f.f_at_0plus
     f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
     if alpha is None or beta is None:
@@ -217,7 +217,8 @@ class Decomposition:
                 raise ValueError(f"pieces do not partition: gap at {prev} -> {a}")
             if b < a:
                 raise ValueError("piece with reversed endpoints")
-            dev = np.abs(np.asarray(eta) + np.asarray(zeta) - xi).max()
+            dev = np.abs(np.asarray(eta) + np.asarray(zeta) - xi).max(
+                initial=0.0)
             if dev > 1e-12 * max(1.0, float(np.abs(xi).max(initial=0.0))):
                 raise ValueError(f"eta + zeta != xi on piece [{a}, {b}]: {dev:.3e}")
             prev = b

@@ -5,14 +5,20 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pwcalc import calculus
 from pwcalc.calculus import (
+    DEFINITE_MIN_N,
     HomogeneousFunction,
     PreconditionError,
+    _checked_pair_spectrum,
+    _endpoints,
+    _pair_spectra,
     _pair_spectrum,
     check_homogeneity,
     check_restricted_bounded,
@@ -34,6 +40,8 @@ from pwcalc.extended import (
 from pwcalc.functions import ExtendedFunction, Interval, catalog
 from pwcalc import linalg
 from pwcalc.linalg import (
+    EPS,
+    MATRIX_HERMITIAN_ATOL,
     NonFiniteError,
     NotPsdError,
     Subspace,
@@ -42,15 +50,20 @@ from pwcalc.linalg import (
     psd_pinv,
     psd_sqrt,
     range_subspace,
+    require_psd,
     spectral_norm,
 )
 from pwcalc.perspectives import (
+    connection,
+    connection_generator,
+    dominates_scale,
     is_absolutely_continuous,
     lebesgue_decomposition,
     matrix_power_psd,
     parallel_sum,
     perspective_apply,
     perspective_of,
+    t2_bound,
 )
 from pwcalc.suites import (
     RandomSpec,
@@ -190,7 +203,9 @@ def test_nested_lists_match_arrays():
 @pytest.mark.parametrize("call", [
     lambda: compatible_representation(np.eye(2), np.eye(3)),
     lambda: parallel_sum(np.eye(2), np.eye(3)),
-    lambda: evaluate_state(ExtendedSelfAdjoint(2, full_space(2), np.eye(2)),
+    # the lower bound given, so that the element is built with no eigh
+    lambda: evaluate_state(ExtendedSelfAdjoint(2, full_space(2), np.eye(2),
+                                               0.0),
                            np.eye(3) / 3),
 ], ids=["compatible_representation", "parallel_sum", "evaluate_state"])
 def test_shapes_compared_before_any_eigh(call, monkeypatch):
@@ -571,25 +586,32 @@ def _representation_outputs(A, B):
 E00 = np.zeros((0, 0))
 
 
-@pytest.mark.parametrize("outputs, at_empty, at_scalar", [
-    (_perspective_outputs, [E00, E00, 0.0, np.zeros(0), (0, 0)],
+@pytest.mark.parametrize("outputs, at_scalar", [
+    (_perspective_outputs,
      [[[2 * math.log(2.0)]], [[1.0]], 0.0, [2 / 3], (0, 0)]),
     # on (3, 1): phi(x, y) = y log(x / y)
-    (_restricted_outputs, [E00, E00, 0.0],
-     [[[math.log(3.0)]], [[1.0]], 0.0]),
-    (_representation_outputs, [E00, E00, E00, E00],
+    (_restricted_outputs, [[[math.log(3.0)]], [[1.0]], 0.0]),
+    (_representation_outputs,
      [[[1.0]], [[math.sqrt(3.0)]], [[2 / 3]], [[1 / 3]]]),
 ], ids=["perspective_apply", "pw_apply_restricted",
         "compatible_representation"])
-def test_empty_and_scalar_pairs(outputs, at_empty, at_scalar):
-    # the stacked validation shapes and accepts both: a 0x0 pair gives the
-    # empty outputs, the scalar pair (2, 1) the scalar calculus
-    for pair, want in (((E00, E00), at_empty), ((2.0, 1.0), at_scalar)):
-        got = outputs(*pair)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.shape == np.shape(w)
-            assert np.allclose(g, w, rtol=1e-14, atol=1e-14)
+def test_empty_and_scalar_pairs(outputs, at_scalar, monkeypatch):
+    # the stacked validation rejects a 0x0 pair, naming A, before any eigh,
+    # and shapes the scalar pair (2, 1), which gives the scalar calculus
+    calls = []
+    eigh = np.linalg.eigh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh",
+                  lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        with pytest.raises(ValueError, match=r"^A must not be empty, got "
+                                             r"shape \(0, 0\)$"):
+            outputs(E00, E00)
+    assert not calls
+    got = outputs(2.0, 1.0)
+    assert len(got) == len(at_scalar)
+    for g, w in zip(got, at_scalar):
+        assert g.shape == np.shape(w)
+        assert np.allclose(g, w, rtol=1e-14, atol=1e-14)
 
 
 class TestConcurrentValidation:
@@ -879,3 +901,185 @@ class TestValidatedSpectrum:
                 seen.add(type(got))
         # values compared, and errors too wherever invalid pairs are
         assert seen == {list, tuple} if "invalid" in kinds else {list}
+
+
+# ---------------------------------------------------------------------------
+# The pair kernel's Cholesky route against its eigh route
+# ---------------------------------------------------------------------------
+
+def _eigh_route(monkeypatch, call, *args):
+    """call(*args) with the pair kernel on its eigh route at every order."""
+    with monkeypatch.context() as m:
+        m.setattr(calculus, "DEFINITE_MIN_N", math.inf)
+        return call(*args)
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the type and message of its error."""
+    try:
+        return call(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _definite_kinds(n):
+    """(kind, A, B) of order n whose sum A + B is definite: a
+    well-conditioned pair, the pair with A and with B of rank n/2, and the
+    first scaled by 1e6 and by 1e-6."""
+    rng = np.random.default_rng(20231 + n)
+    A, B = random_psd(rng, n), random_psd(rng, n)
+    yield "well_conditioned", A, B
+    yield "A_rank_deficient", random_psd(rng, n, rank=n // 2), B
+    yield "B_rank_deficient", A, random_psd(rng, n, rank=n // 2)
+    yield "scaled_1e6", 1e6 * A, 1e6 * B
+    yield "scaled_1e-6", 1e-6 * A, 1e-6 * B
+
+
+def _pair_outputs(A, B):
+    """The kernel's t and the public calls that read it, on (A, B)."""
+    dec = lebesgue_decomposition(A, B)
+    return (_checked_pair_spectrum(A, B)[2],
+            connection(connection_generator("geometric"), A, B),
+            dec.ac_part, dec.singular_part, dominates_scale(A, B),
+            is_absolutely_continuous(A, B))
+
+
+def _with_least(U, c, kappa):
+    """U diag(w) U* for a unitary U of order n, w log-spaced over
+    [1/kappa, 1] with its least moved to c n eps."""
+    n = len(U)
+    w = np.logspace(-np.log10(kappa), 0, n)
+    w[0] = c * n * EPS
+    return hermitian_part((U * w) @ U.conj().T)
+
+
+class TestDefiniteReduction:
+    """From n = DEFINITE_MIN_N on, the pair kernel reduces a definite
+    A + B = L L* by Cholesky: one eigh of L^-1 A L^-*, where the eigh route
+    takes one of A + B and one of R.  Its outputs differ from the eigh
+    route's by roundoff only, within the kernel's error estimate
+    n eps kappa(A + B) of the pair's scale; the pairs it certifies pass
+    require_psd; and every sum it cannot reduce by a margin falls through
+    to the eigh route, with that route's outputs and errors."""
+
+    @pytest.mark.parametrize("n", [DEFINITE_MIN_N, 64, 96])
+    def test_agrees_with_the_eigh_route(self, n, monkeypatch):
+        for kind, A, B in _definite_kinds(n):
+            w = np.linalg.eigvalsh(A + B)
+            estimate = n * EPS * w[-1] / w[0]
+            assert calculus._definite_spectra(A, A + B) is not None, kind
+            got = _pair_outputs(A, B)
+            want = _eigh_route(monkeypatch, _pair_outputs, A, B)
+            t, want_t = got[0], want[0]
+            assert np.abs(t - want_t).max() <= estimate, kind
+            for g, v in zip(got[1:4], want[1:4]):
+                assert np.abs(g - v).max() <= estimate * w[-1], kind
+            # the rank-deficient side puts n/2 eigenvalues of R at its end
+            hits = [np.count_nonzero(m) for m in _endpoints(t)]
+            assert hits == [np.count_nonzero(m) for m in _endpoints(want_t)]
+            assert hits == {"A_rank_deficient": [n // 2, 0],
+                            "B_rank_deficient": [0, n // 2]}.get(kind, [0, 0])
+            assert got[4] == want[4] or (
+                abs(got[4] - want[4]) <= estimate * want[4]), kind
+            assert got[5] == want[5] == (kind != "B_rank_deficient"), kind
+
+    def test_certified_pairs_pass_require_psd(self, monkeypatch):
+        # least eigenvalues from -5 to 1e6 times n eps across the
+        # certificate, in A or in B, at condition numbers up to 1e12 and
+        # at three scales; the other matrix definite, or with the same
+        # least eigenpair, so that the sum is near singular too
+        rng = np.random.default_rng(20232)
+        seen = set()
+        for n in (DEFINITE_MIN_N, 48, 64):
+            for c in (-5.0, -1.0, 0.0, 1.0, 1e2, 1e3, 1e4, 1e6):
+                for scale in (1e-150, 1.0, 1e150):
+                    U = haar_unitary(rng, n)
+                    M = _with_least(U, c, 10 ** rng.uniform(0, 12))
+                    other = (_with_least(U, c, 10 ** rng.uniform(0, 8))
+                             if rng.random() < 0.3 else _with_least(
+                                 haar_unitary(rng, n), 1e9,
+                                 10 ** rng.uniform(0, 8)))
+                    A, B = (M, other) if rng.random() < 0.5 else (other, M)
+                    A, B = scale * A, scale * B
+                    spectra = calculus._definite_spectra(A, A + B)
+                    certified = spectra is not None and spectra[2]
+                    if certified:
+                        for X in (A, B):
+                            require_psd(X, atol=MATRIX_HERMITIAN_ATOL)
+                    seen.add((spectra is not None, certified))
+                    # rejected pairs raise as on the eigh route
+                    got = _outcome(_checked_pair_spectrum, A, B)
+                    if isinstance(got[0], type):
+                        assert got == _eigh_route(
+                            monkeypatch, _outcome, _checked_pair_spectrum,
+                            A, B)
+        # the route certifies pairs, takes pairs it does not certify, and
+        # leaves pairs to the eigh route
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("kind", ["rank_deficient", "below_the_cut"])
+    @pytest.mark.parametrize("n", [DEFINITE_MIN_N, 64])
+    def test_semidefinite_sums_fall_through(self, n, kind, monkeypatch):
+        # A and B of rank n/3 each, so that the sum has rank 2n/3, or with
+        # one least eigenpair at n eps / 4, so that the sum's least
+        # eigenvalue sits at half the eigh route's rank cut and Cholesky
+        # factors it: the kernel's outputs are the eigh route's to the
+        # last bit
+        rng = np.random.default_rng(20233 + n)
+        if kind == "rank_deficient":
+            A, B = (random_psd(rng, n, rank=n // 3) for _ in range(2))
+        else:
+            U = haar_unitary(rng, n)
+            A, B = _with_least(U, 0.25, 4.0), _with_least(U, 0.25, 2.0)
+            np.linalg.cholesky(A + B)
+        assert calculus._definite_spectra(A, A + B) is None
+        got = _pair_spectra(A, B)
+        want = _eigh_route(monkeypatch, _pair_spectra, A, B)
+        assert [a.tobytes() for a in got[:2]] == [a.tobytes() for a in want[:2]]
+        assert got[2] is want[2] is False
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_overflowing_sums_fall_through(self, action):
+        # a valid pair whose sum overflows is named as the eigh route names
+        # it, and no step warns
+        huge = np.diag([1e308] + [1.0] * (DEFINITE_MIN_N - 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with np.errstate(over="ignore"):
+                S = huge + huge
+            assert calculus._definite_spectra(huge, S) is None
+            for call in (lambda A, B: connection(
+                    connection_generator("geometric"), A, B),
+                    lebesgue_decomposition, t2_bound):
+                with pytest.raises(NonFiniteError,
+                                   match=r"^A \+ B has a non-finite"):
+                    call(huge, huge)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("n", [DEFINITE_MIN_N, 64])
+    def test_non_psd_pairs_raise_as_on_the_eigh_route(self, n, monkeypatch):
+        # A, B or both shifted to a least eigenvalue of -0.05, far beyond
+        # require_psd's slack, with A + B still definite, so that the route
+        # runs and must not certify: the PSD half raises the eigh route's
+        # error and message.  (A, -B) has an indefinite sum, which the
+        # route leaves to the eigh route.
+        rng = np.random.default_rng(20234 + n)
+        A, B = random_psd(rng, n), random_psd(rng, n)
+        eye = np.eye(n)
+        shift_a = np.linalg.eigvalsh(A)[0] + 0.05
+        shift_b = np.linalg.eigvalsh(B)[0] + 0.05
+        pairs = {"A": (A - shift_a * eye, B + shift_a * eye),
+                 "B": (A + shift_b * eye, B - shift_b * eye),
+                 "both": (A - shift_a * eye, B - shift_b * eye),
+                 "minus_B": (A, -B)}
+        for case, (X, Y) in pairs.items():
+            spectra = calculus._definite_spectra(X, X + Y)
+            assert (spectra is None) == (case == "minus_B"), case
+            assert spectra is None or not spectra[2], case
+            for call in (_checked_pair_spectrum, is_absolutely_continuous,
+                         t2_bound):
+                got = _outcome(call, X, Y)
+                assert got[0] is NotPsdError, case
+                name = "B" if case in ("B", "minus_B") else "A"
+                assert got[1].startswith(f"{name} is not PSD"), case
+                assert got == _eigh_route(monkeypatch, _outcome, call, X, Y)

@@ -9,6 +9,7 @@ from pwcalc import extended
 from pwcalc.calculus import compatible_representation
 from pwcalc.extended import (
     BOUNDED,
+    ExtendedSelfAdjoint,
     FormArithmeticError,
     INF,
     KERNEL_REL_TOL,
@@ -33,7 +34,14 @@ from pwcalc.extended import (
     zero_element,
 )
 from pwcalc.functions import catalog
-from pwcalc.linalg import NonFiniteError, NotPsdError, eigh, span, vector_state
+from pwcalc.linalg import (
+    NonFiniteError,
+    NotPsdError,
+    eigh,
+    full_space,
+    span,
+    vector_state,
+)
 from pwcalc.perspectives import perspective_of
 from pwcalc.suites import RandomSpec, gen_pair, haar_unitary
 
@@ -478,3 +486,17 @@ class TestSerialization:
         back = from_json_dict(to_json_dict(T))
         assert back.is_bounded
         assert np.abs(back.form_matrix()).max() == 0.0
+
+    def test_round_trip_keeps_the_lower_bound(self):
+        # the lower bound of an element read back, or built by the public
+        # constructor, is min(0, least eigenvalue of its finite part), and
+        # scale carries it
+        T = from_matrix(-np.eye(2))
+        back = from_json_dict(to_json_dict(T))
+        assert T.lower_bound == back.lower_bound == -1.0
+        assert scale(2.0, back).lower_bound == -2.0
+        built = ExtendedSelfAdjoint(2, full_space(2), np.diag([3.0, -0.5]))
+        assert built.lower_bound == -0.5
+        assert ExtendedSelfAdjoint(2, full_space(2), np.eye(2)).lower_bound == 0.0
+        assert from_json_dict(to_json_dict(infinity_on(full_space(2)))
+                              ).lower_bound == 0.0

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -168,7 +169,7 @@ class TestSpectrumShortcuts:
         """PSD matrices of full rank and with eigenvalues cut: random ones
         of n = 1...8 at ranks 1, n - 1 and n, exact zeros, an eigenvalue
         at half and at twice the rank cut before roundoff, the sums of
-        drawn pairs, and 0 x 0."""
+        drawn pairs."""
         rng = np.random.default_rng(20270)
         for n in range(1, 9):
             for rank in sorted({1, max(n - 1, 1), n}):
@@ -183,7 +184,6 @@ class TestSpectrumShortcuts:
             for trial in range(4):
                 A, B = gen_pair(RandomSpec(2, 6, profile, seed=31), trial)
                 yield A + B
-        yield np.zeros((0, 0))
 
     def test_psd_sqrt_is_the_masked_root(self):
         full_rank = set()
@@ -523,7 +523,10 @@ class TestFloatLimitInput:
         lambda A: connection(connection_generator("geometric"), A, A),
         lambda A: lebesgue_decomposition(A, A),
         lambda A: integral_eval_91(repr77_tlogt(32), A, A, np.eye(2) / 2),
-    ], ids=["connection", "lebesgue_decomposition", "integral_eval_91"])
+        lambda A: check_homogeneity(perspective_of(catalog("tlogt")), A, A,
+                                    np.eye(2)),
+    ], ids=["connection", "lebesgue_decomposition", "integral_eval_91",
+            "check_homogeneity"])
     def test_overflowing_sum_is_rejected_naming_it(self, call):
         # A and B are valid; the kernel's A + B overflows
         with pytest.raises(NonFiniteError, match=r"^A \+ B has a non-finite"):
@@ -537,8 +540,10 @@ class TestFloatLimitInput:
         lambda A, B: integral_eval_91(repr77_tlogt(32), A, B, np.eye(2) / 2),
         lambda A, B: integral_eval_92(repr97_t_alpha(1.5, 32), A, B,
                                       np.eye(2) / 2),
+        lambda A, B: check_homogeneity(perspective_of(catalog("tlogt")), A, B,
+                                       np.eye(2)),
     ], ids=["perspective_apply", "connection", "lebesgue_decomposition",
-            "integral_eval_91", "integral_eval_92"])
+            "integral_eval_91", "integral_eval_92", "check_homogeneity"])
     def test_overflowing_sum_warns_nothing(self, call, action):
         # the sum of a pair is formed with numpy's overflow silenced: the
         # valid pair's inf sum fails the rank cut, and the invalid pair's
@@ -574,6 +579,17 @@ class TestFloatLimitInput:
                 call(ANTI_HERMITIAN_LIMIT)
         assert type(info.value) is NotHermitianError
         assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 100])
+def test_lower_inverse_is_the_inverse(n):
+    # by halves above 32: lower triangular to the last bit, and the
+    # inverse to roundoff of L's condition
+    rng = np.random.default_rng(20235 + n)
+    L = np.linalg.cholesky(rand_psd(rng, n, n) + np.eye(n))
+    got = linalg._lower_inverse(L)
+    assert not np.triu(got, 1).any()
+    assert np.abs(got @ L - np.eye(n)).max() <= 100 * n * np.finfo(float).eps
 
 
 class TestSubspaceValidation:
@@ -747,8 +763,8 @@ YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, np.inf,
 BOUNDARY_A, BOUNDARY_B = np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 2.0])
 NOT_HERMITIAN_B = _with_deviation(BOUNDARY_B, 1e-6)
 # (A, B, rho) on each side of every check the pair and state validators
-# make, then a 0x0 and a scalar triple, which they accept as a pair (the
-# 0x0 state has trace 0)
+# make, then a 0x0 triple, which they reject as empty before any eigh, and a
+# scalar triple, which they accept as a pair
 BOUNDARY_COLUMNS = {
     "mismatch": (BOUNDARY_A, np.eye(2), np.eye(3) / 3),
     "not_square": (np.ones((3, 2)), np.ones((3, 2)), np.eye(3) / 3),
@@ -832,9 +848,15 @@ STATE = lambda A, B, rho: sequential_state_pair(rho, A, B)
 def test_pair_and_state_boundary(call, reference):
     # each column the reference rejects, the call rejects with the
     # reference's error type and message; what it accepts, the call
-    # validates without an error (on 0x0 some calls then fail on their own)
+    # validates without an error.  The 0x0 column is rejected as empty,
+    # naming the first matrix: the state in the state calls, A (or X)
+    # elsewhere
     for column, (A, B, rho) in BOUNDARY_COLUMNS.items():
         want = _outcome(reference, A, B, rho)
+        if column == "0x0":
+            assert want[0] is ValueError
+            assert re.fullmatch(r"(A|X|state) must not be empty, got shape "
+                                r"\(0, 0\)", want[1]), want
         try:
             got = call(A, B, rho)
         except Exception as exc:

@@ -72,13 +72,13 @@ def test_tolerance_rules_read_only_the_spectrum():
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# the deciding constants of README's tolerance table, and the one that only
-# selects a validation path, which the prose under the table gives
+# the deciding constants of README's tolerance table, and the two that only
+# select a path, which the prose under the table gives
 CONTRACT_CONSTANTS = {
     ("calculus", "ENDPOINT_TOL"), ("extended", "CONTAINMENT_COS_TOL"),
     ("linalg", "MEET_COS_TOL"), ("extended", "STATE_INF_REL_TOL"),
     ("extended", "KERNEL_REL_TOL"), ("variational", "SINGULAR_MASS_REL_TOL"),
-    ("calculus", "PSD_CERTIFICATE_K"),
+    ("calculus", "PSD_CERTIFICATE_K"), ("calculus", "DEFINITE_MIN_N"),
 }
 
 
@@ -116,8 +116,9 @@ def test_readme_tolerance_table_matches_the_constants():
             stated[tuple(name.split("."))] = re.match(r"`([^`]+)`", cells[1])[1]
         else:  # the rank cut is a rule, not a constant
             assert callable(_resolve(name)), name
-    stated["calculus", "PSD_CERTIFICATE_K"] = re.search(
-        r"`calculus\.PSD_CERTIFICATE_K` \(`([^`]+)`\)", section)[1]
+    for name in ("PSD_CERTIFICATE_K", "DEFINITE_MIN_N"):
+        stated["calculus", name] = re.search(
+            rf"`calculus\.{name}` \(`([^`]+)`\)", section)[1]
     assert set(stated) == CONTRACT_CONSTANTS
     for (module, name), value in stated.items():
         constant = getattr(importlib.import_module(f"pwcalc.{module}"), name)

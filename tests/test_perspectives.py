@@ -105,7 +105,10 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 
 # _pair_spectrum makes one eigh of A + B and one of R; a definite pair whose
 # spectra certify it needs no other, while a rank-deficient pair adds one
-# stacked eigh validating A and B.  The integrals read the checks of rho,
+# stacked eigh validating A and B.  From n = DEFINITE_MIN_N on, a definite
+# A + B is reduced by Cholesky instead, so the kernel makes one eigh, of
+# L^-1 A L^-*, and a certified pair no other; a semidefinite A + B takes
+# the two of the eigh route and the stacked check.  The integrals read the checks of rho,
 # A and B and the spectrum of A + B from one eigh of their 4-stack, then
 # decompose R; perspective_apply keeps the 7 of _representation and
 # _assemble, and pw_apply_restricted checks its cone on the spectrum
@@ -142,6 +145,10 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # state has mass on the singular part: the +inf is decided from the
 # state's spectrum before that term's perspective would be made.
 PAIR64 = gen_pair(RandomSpec(64, 64, "rank_deficient", seed=5), 0)
+DEFINITE64 = gen_pair(RandomSpec(64, 64, "well_conditioned", seed=5), 0)
+# A and B of rank 21 each: A + B has rank 42 of 64
+SEMIDEFINITE64 = tuple(random_psd(np.random.default_rng((64, k)), 64, rank=21)
+                       for k in range(2))
 
 
 def _rejects_minus_b(call):
@@ -215,6 +222,12 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
      "rank_deficient", 1, 0),
     (lambda A, B, rho: two_projections(catalog("power", 2), P87, Q87),
      "projection", 7, 4),
+    (lambda A, B, rho: CONNECTION(*DEFINITE64, rho), "rank_deficient", 1, 0),
+    (lambda A, B, rho: CONNECTION(*SEMIDEFINITE64, rho), "rank_deficient",
+     3, 0),
+    (lambda A, B, rho: LEBESGUE(*DEFINITE64, rho), "rank_deficient", 1, 0),
+    (lambda A, B, rho: LEBESGUE(*SEMIDEFINITE64, rho), "rank_deficient",
+     3, 0),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "integral_eval_91-singular",
         "integral_eval_92-singular", "perspective_apply",
@@ -230,7 +243,9 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         "special_values-finite_scalar", "matrix_power_psd",
         "pw_commuting_oracle", "variational_envelope", "parallel_sum",
         "epsilon_limit", "connection-B_not_psd", "integral_eval_91-B_not_psd",
-        "two_projections"])
+        "two_projections", "connection-n64", "connection-n64_semidefinite",
+        "lebesgue_decomposition-n64",
+        "lebesgue_decomposition-n64_semidefinite"])
 def test_eigh_calls_per_call(call, profile, eigh_calls, svd_calls,
                              monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
@@ -277,6 +292,8 @@ SCALARS = r"^scalars must be finite and nonnegative$"
     (lambda A, B: parallel_sum(A, B), PAIR_MISMATCH),
     (lambda A, B: check_positive_map_monotonicity(
         catalog("tlogt"), [np.eye(2)], A, B), PAIR_MISMATCH),
+    (lambda A, B: two_projections(catalog("power", 2), P87, np.diag(
+        [1.0, 0.0, 0.0])), PAIR_MISMATCH),
     (lambda A, B: check_homogeneity(TLOGT_PHI, A, A, B),
      r"^dimension mismatch: C is \(3, 3\), pair is \(2, 2\)$"),
     (lambda A, B: check_positive_map_monotonicity(
@@ -327,7 +344,7 @@ SCALARS = r"^scalars must be finite and nonnegative$"
 ], ids=["epsilon_limit", "invertible_formula", "pw_commuting_oracle",
         "t2_bound", "dominates_scale", "boundedness_chain",
         "check_homogeneity", "parallel_sum", "check_positive_map_monotonicity",
-        "check_homogeneity-C", "check_positive_map_monotonicity-kraus",
+        "two_projections", "check_homogeneity-C", "check_positive_map_monotonicity-kraus",
         "check_positive_map_monotonicity-kraus_rows",
         "check_positive_map_monotonicity-no_kraus",
         "kraus_apply-no_kraus", "kraus_predual-no_kraus",
