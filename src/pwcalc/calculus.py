@@ -17,11 +17,12 @@ one of seven deciding tolerances, with the rank cut of A+B
 CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL, and
 variational.SINGULAR_MASS_REL_TOL; README lists what each decides.
 A pair is validated once, on linalg's stacked path, with its error order;
-PSD_CERTIFICATE_K only selects whether that path's PSD half runs
+linalg's PSD_CERTIFICATE_K only selects whether that path's PSD half runs
 (_certified) and, from n = DEFINITE_MIN_N (set from measured costs) on,
 whether the pair kernel reduces a definite A+B by Cholesky
-(_definite_spectra), whose outputs differ from the eigh route's only by
-roundoff; it decides no output.
+(_definite_spectra, on linalg._definite_factor, the certificate
+require_state reads too), whose outputs differ from the eigh route's only
+by roundoff; it decides no output.
 """
 
 from __future__ import annotations
@@ -54,19 +55,22 @@ from .functions import (
     calculus,
 )
 from .linalg import (
+    DEFINITE_MIN_N,
     EPS,
     HERMITIAN_ATOL,
     MATRIX_HERMITIAN_ATOL,
+    PSD_CERTIFICATE_K,
     Subspace,
     _check_psd,
     _concurrently,
+    _definite_factor,
     _hermitian_stack,
-    _lower_inverse,
     _psd_stack,
     _range_cut,
     _range_eigh,
     _range_of,
     _range_subspace,
+    _require_state_of,
     _shaped,
     _sqrt_of,
     _trusted,
@@ -81,15 +85,6 @@ from .linalg import (
 
 # Endpoint classification tolerance on eigenvalues of R (which lie in [0,1]).
 ENDPOINT_TOL = 1e-10
-# Safety factor K of the definite-pair certificate (_certified) and of the
-# Cholesky route's margin (_definite_spectra).  It selects the validation
-# path and the kernel route of a pair, and decides no output.
-PSD_CERTIFICATE_K = 1e3
-# Order from which _pair_spectra tries the Cholesky route first.  Measured
-# (README, "Numerical contracts"): a factorization that fails on a
-# semidefinite sum costs about what a definite sum saves up to n = 12, and
-# about 6% of the kernel at n = 32, where a definite sum saves about 27%.
-DEFINITE_MIN_N = 32
 
 
 class PreconditionError(ValueError):
@@ -311,33 +306,20 @@ def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
 def _definite_spectra(A: np.ndarray, S: np.ndarray):
     """_pair_spectra's (t, X, certified) by the Cholesky reduction of the
     definite pencil (A, S), S = A+B = L L*, or None where the eigh route
-    must decide: the factorization fails, a value is not finite, or S is
-    not definite by the margin below.
+    must decide: linalg._definite_factor declines S.
 
     T = L* is a square root of S in the sense T* T = S, so t holds the
     eigenvalues of C = L^-1 A L^-*, clipped into [0, 1], and X = (L Z)*, Z
-    their eigenvectors: one eigh, where the eigh route takes two.  With
-    rho = 1 / (|L^-1|_F^2 tr S), a lower bound on w_min / w_max of S, the
-    route is taken only when rho > K n eps (K = PSD_CERTIFICATE_K), so the
-    eigh route's rank cut would keep all n eigenvalues too: both routes
+    their eigenvectors: one eigh, where the eigh route takes two.  The
+    factor's rho > K n eps, a lower bound on w_min / w_max of S, means that
+    the eigh route's rank cut would keep all n eigenvalues too: both routes
     give the same rank and differ only by roundoff.  _certified decides the
     pair with rho in place of w_min / w_max.
     """
-    bound = PSD_CERTIFICATE_K * len(S) * EPS
-    with np.errstate(all="ignore"):  # inf and NaN fail the tests below
-        try:
-            L = np.linalg.cholesky(S)
-            trace = float(S.trace().real)
-            # |L^-1|_F^2 >= 1 / min L_ii^2: most near-singular S fail
-            # here, before the inverse is formed
-            if not float(L.diagonal().real.min()) ** 2 > bound * trace:
-                return None
-            Linv = _lower_inverse(L)
-        except np.linalg.LinAlgError:  # S is not numerically definite
-            return None
-        rho = 1.0 / (float(np.vdot(Linv, Linv).real) * trace)
-    if not rho > bound:
+    factor = _definite_factor(S)
+    if factor is None:
         return None
+    L, Linv, rho = factor
     r, Z = eigh(hermitian_part(Linv @ A @ Linv.conj().T))
     t = _clipped(r)
     return t, (L @ Z).conj().T, _certified(t, rho)
@@ -432,11 +414,10 @@ def _checked_state_spectrum(rho, A, B):
         if not tr > 0.0:
             # rho fails its size or require_state, or else the pair its shapes
             n = A.shape[0]
-            if (A.shape == B.shape == (n, n) and rho.ndim == 2
-                    and rho.shape[0] == rho.shape[1] != n):
-                raise ValueError(f"dimension mismatch: state is "
-                                 f"{rho.shape[0]}-dim, pair is {n}-dim")
-            require_state(rho)
+            if A.shape == B.shape == (n, n):
+                _require_state_of(rho, n, "pair")
+            else:
+                require_state(rho)
             _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
         names = ("state", "A", "B")
         atols = (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL)

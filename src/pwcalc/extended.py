@@ -15,6 +15,7 @@ those checks.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,11 +24,11 @@ import numpy as np
 
 from .linalg import (
     Subspace,
+    _require_state_of,
     _trusted,
     eigh,
     full_space,
     hermitian_part,
-    require_state,
     subspace_meet,
     zero_subspace,
     EPS,
@@ -123,6 +124,12 @@ class ExtendedSelfAdjoint:
 
     def form_matrix(self) -> np.ndarray:
         """V F V* on the ambient space; valid as a form only on the essential part."""
+        return self._form.copy()
+
+    @functools.cached_property
+    def _form(self) -> np.ndarray:
+        """form_matrix, formed on first read and kept on the frozen element,
+        for the library's own callers, which only read it."""
         V = self.essential.basis
         return hermitian_part(V @ self.finite_part @ V.conj().T)
 
@@ -229,14 +236,7 @@ def evaluate_state(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
     Tr(rho P_inf) <= STATE_INF_REL_TOL * Tr(rho), else +inf.  The threshold
     realizes the exact 0 * inf = 0 convention numerically.
     """
-    rho = np.atleast_2d(np.asarray(rho, dtype=complex))
-    # a square state of the wrong size is rejected before require_state's eigh
-    if rho.ndim == 2 and rho.shape[0] == rho.shape[1] != T.ambient_dim:
-        raise ValueError(
-            f"dimension mismatch: state is {rho.shape[0]}-dim, element is "
-            f"{T.ambient_dim}-dim"
-        )
-    return _state_value(T, require_state(rho))
+    return _state_value(T, _require_state_of(rho, T.ambient_dim, "element"))
 
 
 def _loads_infinity(total: float, essential: float) -> bool:
@@ -245,14 +245,35 @@ def _loads_infinity(total: float, essential: float) -> bool:
     return total - essential > STATE_INF_REL_TOL * total
 
 
+def _pairing(M: np.ndarray, rho: np.ndarray) -> float:
+    """Re Tr(rho M) without forming rho M: the real part of the sum of
+    conj(M_ij) rho_ij, which is Re Tr(rho M) when M or rho is Hermitian."""
+    return float(np.vdot(M, rho).real)
+
+
 def _state_value(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
-    """evaluate_state's kernel: rho must be a validated state of T's size."""
-    V = T.essential.basis
-    compressed = V.conj().T @ rho @ V
+    """evaluate_state's kernel: rho must be a validated state of T's size.
+
+    With W = rho V, the essential mass Tr(V* rho V) is <V, W> and the value
+    Tr(V* rho V F) is <V F, W>: two products, and none on the identity
+    basis that from_matrix and an all-finite _diagonal_congruence build,
+    where the value is <F, rho>.
+    """
+    V, F = T.essential.basis, T.finite_part
+    if T.is_bounded and _is_identity(V):
+        return _pairing(F, rho)
+    W = rho @ V
     if T.infinity_dim and _loads_infinity(float(rho.trace().real),
-                                          float(compressed.trace().real)):
+                                          float(np.vdot(V, W).real)):
         return INF
-    return float((compressed @ T.finite_part).trace().real)
+    return float(np.vdot(V @ F, W).real)
+
+
+def _is_identity(V: np.ndarray) -> bool:
+    """V is exactly the square identity: n nonzero entries, the n on its
+    diagonal all 1."""
+    n = len(V)
+    return np.count_nonzero(V) == n and bool((V.diagonal() == 1).all())
 
 
 def quadratic_form(T: ExtendedSelfAdjoint, xi: np.ndarray) -> float:
@@ -277,7 +298,7 @@ def add(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint
     if T1.ambient_dim != T2.ambient_dim:
         raise ValueError("dimension mismatch in form sum")
     # a sum of two exactly Hermitian forms is exactly Hermitian
-    G = T1.form_matrix() + T2.form_matrix()
+    G = T1._form + T2._form
     if T1.is_bounded and T2.is_bounded:
         return _with_lower_bound(full_space(T1.ambient_dim), G)
     meet = subspace_meet(T1.essential, T2.essential)
@@ -310,7 +331,7 @@ def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
             f"shape mismatch: C maps into C^{C.shape[0]}, element lives on "
             f"C^{T.ambient_dim}"
         )
-    G = T.form_matrix()
+    G = T._form
     if T.is_bounded:
         return from_matrix(C.conj().T @ G @ C)
     kernel = _kernel(T.infinity_projector() @ C)  # preimage of essential(T)
@@ -381,7 +402,7 @@ def form_leq(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint, slack: float):
         return False, witness
     if T2.essential.dim == 0:
         return True, None
-    D = hermitian_part(V2.conj().T @ (T2.form_matrix() - T1.form_matrix()) @ V2)
+    D = hermitian_part(V2.conj().T @ (T2._form - T1._form) @ V2)
     w, Q = eigh(D)
     if w[0] >= -slack:
         return True, None

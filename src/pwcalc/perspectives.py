@@ -30,6 +30,7 @@ from .extended import (
     BOUNDED,
     ExtendedSelfAdjoint,
     INF,
+    _pairing,
     classify,
     evaluate_state,
 )
@@ -45,6 +46,7 @@ from .linalg import (
     _check_psd,
     _hermitian_stack,
     _psd_pinv,
+    _require_state_of,
     default_rank_tol,
     eigh,
     hermitian_part,
@@ -152,12 +154,21 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
 def epsilon_monotone(entries, rho: np.ndarray, slack: float = 1e-10) -> bool:
     """True iff the state evaluations are nondecreasing down the schedule."""
-    return _epsilon_monotone(entries, require_state(rho), slack)
+    return _epsilon_monotone(entries, _entries_state(entries, rho), slack)
+
+
+def _entries_state(entries, rho) -> np.ndarray:
+    """rho validated as a state of the size of epsilon_limit's entries
+    (a square state of another size rejected first)."""
+    if not entries:
+        return require_state(rho)
+    return _require_state_of(rho, len(entries[-1][1]), "entry")
 
 
 def _epsilon_monotone(entries, rho: np.ndarray, slack: float) -> bool:
-    """epsilon_monotone's kernel: rho must be a validated state."""
-    vals = [float(np.trace(rho @ M).real) for _, M in entries]
+    """epsilon_monotone's kernel: rho must be a validated state of the
+    entries' size."""
+    vals = [_pairing(M, rho) for _, M in entries]
     return all(b >= a - slack for a, b in zip(vals, vals[1:]))
 
 
@@ -169,9 +180,7 @@ def epsilon_diverges(entries, rho: np.ndarray, threshold: float = 1e6) -> bool:
     """
     if not entries:
         raise ValueError("entries must not be empty")
-    rho = require_state(rho)
-    _, M = entries[-1]
-    return float(np.trace(rho @ M).real) >= threshold
+    return _pairing(entries[-1][1], _entries_state(entries, rho)) >= threshold
 
 
 # ---------------------------------------------------------------------------

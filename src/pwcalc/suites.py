@@ -266,11 +266,12 @@ def _run_trials(name, spec: RandomSpec, trials: int, checks,
 
 def _scale_of(*elements) -> float:
     # an extended element's scale is read from its ambient form V F V*: F's
-    # entries depend on which basis of the essential part LAPACK returned
+    # entries depend on which basis of the essential part LAPACK returned.
+    # The element keeps that form, which form_leq then reads again
     s = 1.0
     for T in elements:
         if isinstance(T, ExtendedSelfAdjoint):
-            s = max(s, 1.0 + float(np.abs(T.form_matrix()).max(initial=0.0)))
+            s = max(s, 1.0 + float(np.abs(T._form).max(initial=0.0)))
         else:
             s = max(s, 1.0 + float(np.abs(np.asarray(T)).max(initial=0.0)))
     return s
@@ -540,7 +541,7 @@ def _recovered(candidate, grid, dim: int):
             if not T.is_bounded:
                 yield INF
                 continue
-            T = T.form_matrix()
+            T = T._form
         yield float(np.asarray(T)[0, 0].real)
 
 

@@ -8,7 +8,10 @@ where the library skips it on a full-rank matrix.  The `redecomposed_*`
 calls validate, then decompose each matrix again where the library reads
 the eigenpairs its PSD check decided on, the `unvalidated_*` calls
 decompose their input as given, and `revalidated_variational_envelope`
-validates its pair at every n.  None is called by pwcalc itself.
+validates its pair at every n.  `eigh_require_state` validates a state by
+its eigh at every order, where require_state certifies a large definite
+state by Cholesky, and `compressed_state_value` compresses the state to
+the essential part before it pairs.  None is called by pwcalc itself.
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from pwcalc.calculus import (
     _pair_spectrum,
     _state_weights,
 )
-from pwcalc.extended import congruence, from_matrix, infinity_on, make_extended
+from pwcalc.extended import (
+    INF,
+    _loads_infinity,
+    congruence,
+    from_matrix,
+    infinity_on,
+    make_extended,
+)
 from pwcalc.functions import CLOSED_POS, ExtendedFunction, approximants, calculus
 from pwcalc.linalg import (
     MATRIX_HERMITIAN_ATOL,
@@ -71,6 +81,29 @@ def sequential_state_pair(rho, A, B):
             f"{n}-dim"
         )
     return (require_state(rho), *sequential_pair(A, B))
+
+
+def eigh_require_state(rho, name="state"):
+    """require_state on the eigh path at every order: require_psd, then the
+    trace check."""
+    rho = require_psd(rho, name=name)
+    with np.errstate(over="ignore"):  # a trace that overflows is inf > 0
+        tr = float(rho.trace().real)
+    if tr <= 0.0:
+        raise ValueError(f"{name} must have strictly positive trace, got {tr:.3e}")
+    return rho
+
+
+def compressed_state_value(T, rho):
+    """evaluate_state's value by compressing first: C = V* rho V, +inf when
+    Tr rho - Tr C exceeds the infinity-mass threshold, else Tr(C F).
+    Trusts its input: rho a validated state of T's size."""
+    V = T.essential.basis
+    C = V.conj().T @ rho @ V
+    if T.infinity_dim and _loads_infinity(float(rho.trace().real),
+                                          float(C.trace().real)):
+        return INF
+    return float((C @ T.finite_part).trace().real)
 
 
 def r_spectrum_weights(A, B, rho):

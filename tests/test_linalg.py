@@ -24,7 +24,16 @@ from pwcalc.calculus import (
     pw_apply_restricted,
     pw_commuting_oracle,
 )
-from pwcalc.extended import evaluate_state, from_matrix, scale
+from pwcalc.extended import (
+    INF,
+    ExtendedSelfAdjoint,
+    _is_identity,
+    _state_value,
+    evaluate_state,
+    from_matrix,
+    make_extended,
+    scale,
+)
 from pwcalc.functions import Measure, catalog
 from pwcalc.perspectives import (
     boundedness_chain,
@@ -59,6 +68,7 @@ from pwcalc.variational import (
     variational_envelope,
 )
 from pwcalc.linalg import (
+    DEFINITE_MIN_N,
     EigenSolverError,
     MatrixFileError,
     NonFiniteError,
@@ -76,6 +86,7 @@ from pwcalc.linalg import (
     read_matrix,
     require_hermitian,
     require_psd,
+    require_state,
     span,
     spectral_norm,
     subspace_meet,
@@ -83,6 +94,8 @@ from pwcalc.linalg import (
     zero_subspace,
 )
 from reference import (
+    compressed_state_value,
+    eigh_require_state,
     masked_psd_sqrt,
     masked_range_eigh,
     r_spectrum_weights,
@@ -644,12 +657,14 @@ def _counting(monkeypatch, name):
 def _validator_runs(monkeypatch):
     """Patch every validator calculus calls to record its name at each
     run: the two stacked halves (the PSD half also where the cheap half
-    runs it, on the matrices before one that fails), require_state,
+    runs it, on the matrices before one that fails), require_state (also
+    where linalg._require_state_of runs it after the size check),
     require_hermitian and _check_psd.  Returns the record."""
     runs = []
     for module, name in ((calculus, "_hermitian_stack"),
                          (calculus, "_psd_stack"), (linalg, "_psd_stack"),
                          (calculus, "require_state"),
+                         (linalg, "require_state"),
                          (calculus, "require_hermitian"),
                          (calculus, "_check_psd")):
         monkeypatch.setattr(module, name,
@@ -1147,6 +1162,189 @@ class TestPairCertificate:
             assert (False, True) in seen[kind], kind
         assert (False, False) in seen["psd"]
         assert certified_scales == {"1e+00", "1e+300", "1e-300"}
+
+
+# ---------------------------------------------------------------------------
+# The definite certificate on one state
+# ---------------------------------------------------------------------------
+
+def _eigh_calls(monkeypatch):
+    """Patch np.linalg.eigh to record each call; returns the record."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    return calls
+
+
+def _wishart_state(rng, n, m):
+    """A random state X X* / tr of rank min(n, m): m = 2n is definite with
+    condition number about 34, m = n/2 rank-deficient."""
+    X = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    rho = hermitian_part(X @ X.conj().T)
+    return rho / rho.trace().real
+
+
+def _fall_through_states():
+    """(label, state) that require_state must decide by its eigh, with the
+    errors and messages of that path: every state below DEFINITE_MIN_N,
+    and from it on every state the certificate declines."""
+    rng = np.random.default_rng(20243)
+    n = DEFINITE_MIN_N
+    yield "definite/below_the_floor", _wishart_state(rng, n - 1, 2 * n - 2)
+    yield "rank_deficient", _wishart_state(rng, n, n // 2)
+    yield "rank_deficient/64", _wishart_state(rng, 64, 32)
+    yield "not_psd", random_state(rng, n) - np.eye(n)
+    yield "negative_definite", -np.eye(n)
+    yield "zero_trace", np.zeros((n, n))
+    nan = random_state(rng, n)
+    nan[3, 3] = np.nan  # its trace is NaN
+    yield "nan_trace", nan
+    # definite, and its trace overflows: Cholesky factors it
+    yield "overflowing_trace", np.diag([1e308, 1e308] + [1.0] * (n - 2))
+    yield "not_hermitian", _with_deviation(random_state(rng, n), 1e-6)
+
+
+class TestStateCertificate:
+    """From order DEFINITE_MIN_N on, require_state skips the eigh of a
+    state that linalg._definite_factor certifies (the certificate the pair
+    kernel's Cholesky route reads); the states it certifies pass the eigh
+    check, and every other state takes that check, with its errors and
+    messages.  evaluate_state pairs the state without compressing it."""
+
+    def test_certified_states_pass_the_eigh_check(self, monkeypatch):
+        # least eigenvalues from -5 to 1e6 times n eps across the
+        # certificate, at condition numbers up to 1e12 and at three scales.
+        # The certificate's margin is read off the exact spectrum w too:
+        # 1 / (sum 1/w sum w) = 1 / (|L^-1|_F^2 tr rho) in exact arithmetic,
+        # computed to within n eps kappa, so a state at half the margin or
+        # less is declined and one at twice the margin or more certified
+        rng = np.random.default_rng(20242)
+        calls = _eigh_calls(monkeypatch)
+        seen = set()
+        for n in (DEFINITE_MIN_N, 48, 64):
+            bound = PSD_CERTIFICATE_K * n * EPS
+            for c in (-5.0, -1.0, 0.0, 1.0, 1e2, 1e3, 1e4, 1e6):
+                for s in (1e-150, 1.0, 1e150):
+                    w = np.logspace(-rng.uniform(0, 12), 0, n)
+                    w[0] = c * n * EPS
+                    rho = s * _rotated(rng, w)
+                    H = require_hermitian(rho, name="state")
+                    certified = linalg._definite_factor(H) is not None
+                    if w[0] <= 0 or 1 / (np.sum(1 / w) * w.sum()) < bound / 2:
+                        assert not certified, (n, c, s)
+                    elif 1 / (np.sum(1 / w) * w.sum()) > 2 * bound:
+                        assert certified, (n, c, s)
+                    if certified:
+                        linalg._check_psd(H, "state")
+                    want = _outcome(eigh_require_state, rho)
+                    calls.clear()
+                    got = _outcome(require_state, rho)
+                    rejected = isinstance(want[0], type)
+                    assert len(calls) == (not certified), (n, c, s)
+                    if rejected:
+                        assert got == want, (n, c, s)
+                    else:
+                        assert _same_arrays([got], [want]), (n, c, s)
+                    seen.add((certified, rejected))
+        assert seen == {(True, False), (False, False), (False, True)}
+
+    @pytest.mark.parametrize("label, rho", list(_fall_through_states()),
+                             ids=[label for label, _ in _fall_through_states()])
+    def test_other_states_take_the_eigh_path(self, label, rho, monkeypatch):
+        # the Hermitian half rejects the last two before any eigh
+        cheap_reject = label in ("not_hermitian", "nan_trace")
+        calls = _eigh_calls(monkeypatch)
+        want = _outcome(eigh_require_state, rho)
+        assert len(calls) == (not cheap_reject)
+        calls.clear()
+        got = _outcome(require_state, rho)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert _same_arrays([got], [want])
+        assert len(calls) == (not cheap_reject)
+        if label == "definite/below_the_floor":  # the floor decides
+            assert linalg._definite_factor(require_hermitian(rho)) is not None
+        elif not cheap_reject:
+            assert linalg._definite_factor(require_hermitian(rho)) is None
+
+    @pytest.mark.parametrize("n, kind, eigh_calls", [
+        (4, "definite", 1), (DEFINITE_MIN_N - 1, "definite", 1),
+        (DEFINITE_MIN_N, "definite", 0), (64, "definite", 0),
+        (64, "rank_deficient", 1),
+    ])
+    def test_evaluate_state_eigh_calls(self, n, kind, eigh_calls,
+                                       monkeypatch):
+        rng = np.random.default_rng(20244 + n)
+        definite = kind == "definite"
+        rho = _wishart_state(rng, n, 2 * n if definite else n // 2)
+        assert (linalg._definite_factor(require_hermitian(rho)) is not None
+                ) == definite
+        T = from_matrix(rand_hermitian(rng, n))
+        calls = _eigh_calls(monkeypatch)
+        value = evaluate_state(T, rho)
+        assert len(calls) == eigh_calls
+        assert value == _state_value(T, eigh_require_state(rho))
+
+    def test_state_value_agrees_with_compressing_first(self):
+        # bounded elements on the identity basis (no product) and on a
+        # rotated one, unbounded elements on standard and rotated bases,
+        # with real diagonal and complex finite parts, and states that load
+        # the infinity part and states that do not.
+        # Each way errs by about n eps |F| Tr rho; observed at most 0.97 of
+        # it, at n = 1
+        rng = np.random.default_rng(20245)
+        seen = set()
+        for n in (1, 2, 3, 5, 8, 16, 33, 64):
+            for _ in range(6):
+                U = haar_unitary(rng, n)
+                vals = list(rng.uniform(-3, 3, n) * 10 ** rng.uniform(-5, 5))
+                elements = {
+                    "identity": from_matrix((U * vals) @ U.conj().T),
+                    "rotated": make_extended(zip(vals, U.T)),
+                    "rotated_complex": ExtendedSelfAdjoint(
+                        n, Subspace(U), rand_hermitian(rng, n))}
+                if n > 1:
+                    k = int(rng.integers(1, n))
+                    at_inf = [INF] * k + vals[k:]
+                    elements["unbounded"] = make_extended(zip(at_inf, U.T))
+                    elements["unbounded_standard"] = make_extended(
+                        zip(at_inf, np.eye(n)))
+                    elements["unbounded_complex"] = ExtendedSelfAdjoint(
+                        n, Subspace(U[:, k:]), rand_hermitian(rng, n - k))
+                for kind, T in elements.items():
+                    V = T.essential.basis
+                    assert _is_identity(V) == (kind == "identity"), kind
+                    states = [random_state(rng, n)]
+                    if T.infinity_dim:  # a state on the essential part
+                        Y = V @ rng.standard_normal((V.shape[1], V.shape[1]))
+                        states.append(Y @ Y.conj().T)
+                    for rho in map(require_state, states):
+                        got = _state_value(T, rho)
+                        want = compressed_state_value(T, rho)
+                        seen.add((kind, got == INF))
+                        if want == INF:
+                            assert got == INF, (kind, n)
+                            continue
+                        bound = 2 * n * EPS * spectral_norm(
+                            T.finite_part) * float(rho.trace().real)
+                        assert abs(got - want) <= bound, (kind, n)
+        assert seen == {("identity", False), ("rotated", False),
+                        ("rotated_complex", False),
+                        *((kind, inf) for kind in (
+                            "unbounded", "unbounded_standard",
+                            "unbounded_complex") for inf in (True, False))}
+
+    def test_identity_basis_needs_every_entry(self):
+        n = 4
+        eye = np.eye(n, dtype=complex)
+        assert _is_identity(eye)
+        flipped, perm, near = eye.copy(), eye[:, ::-1], eye.copy()
+        flipped[2, 2] = -1.0
+        near[0, 1] = 1e-300
+        for V in (flipped, perm, near):
+            assert not _is_identity(V)
 
 
 # ---------------------------------------------------------------------------

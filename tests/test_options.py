@@ -78,7 +78,7 @@ CONTRACT_CONSTANTS = {
     ("calculus", "ENDPOINT_TOL"), ("extended", "CONTAINMENT_COS_TOL"),
     ("linalg", "MEET_COS_TOL"), ("extended", "STATE_INF_REL_TOL"),
     ("extended", "KERNEL_REL_TOL"), ("variational", "SINGULAR_MASS_REL_TOL"),
-    ("calculus", "PSD_CERTIFICATE_K"), ("calculus", "DEFINITE_MIN_N"),
+    ("linalg", "PSD_CERTIFICATE_K"), ("linalg", "DEFINITE_MIN_N"),
 }
 
 
@@ -117,8 +117,8 @@ def test_readme_tolerance_table_matches_the_constants():
         else:  # the rank cut is a rule, not a constant
             assert callable(_resolve(name)), name
     for name in ("PSD_CERTIFICATE_K", "DEFINITE_MIN_N"):
-        stated["calculus", name] = re.search(
-            rf"`calculus\.{name}` \(`([^`]+)`\)", section)[1]
+        stated["linalg", name] = re.search(
+            rf"`linalg\.{name}` \(`([^`]+)`\)", section)[1]
     assert set(stated) == CONTRACT_CONSTANTS
     for (module, name), value in stated.items():
         constant = getattr(importlib.import_module(f"pwcalc.{module}"), name)

@@ -310,6 +310,10 @@ SCALARS = r"^scalars must be finite and nonnegative$"
     (lambda A, B: kraus_predual([], A),
      r"^kraus must hold at least one operator$"),
     (lambda A, B: epsilon_diverges([], A), r"^entries must not be empty$"),
+    (lambda A, B: epsilon_monotone([(0.1, A)], B),
+     r"^dimension mismatch: state is 3-dim, entry is 2-dim$"),
+    (lambda A, B: epsilon_diverges([(0.1, A)], B),
+     r"^dimension mismatch: state is 3-dim, entry is 2-dim$"),
     (lambda A, B: epsilon_limit(catalog("tlogt"), A, B, [math.nan]),
      SCHEDULE),
     (lambda A, B: epsilon_limit(catalog("tlogt"), A, B, [math.inf]),
@@ -348,7 +352,8 @@ SCALARS = r"^scalars must be finite and nonnegative$"
         "check_positive_map_monotonicity-kraus_rows",
         "check_positive_map_monotonicity-no_kraus",
         "kraus_apply-no_kraus", "kraus_predual-no_kraus",
-        "epsilon_diverges-no_entries", "epsilon_limit-nan",
+        "epsilon_diverges-no_entries", "epsilon_monotone-state_size",
+        "epsilon_diverges-state_size", "epsilon_limit-nan",
         "epsilon_limit-inf", "epsilon_limit-trailing_nan",
         "special_values-nan_alpha", "special_values-nan_beta",
         "special_values-inf_alpha", "special_values-inf_beta",

@@ -1,9 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from pwcalc import linalg, suites
+from pwcalc.extended import ExtendedSelfAdjoint
 from pwcalc.functions import catalog
 from pwcalc.linalg import spectral_norm
 from pwcalc.perspectives import connection_generator
@@ -104,7 +106,6 @@ class TestConvexitySuite:
     def test_slack_scale_ignores_the_essential_basis(self):
         # one element in two bases of its essential part: the slack must
         # not depend on the basis LAPACK happened to return
-        from pwcalc.extended import ExtendedSelfAdjoint
         from pwcalc.linalg import Subspace
         from pwcalc.suites import _scale_of, haar_unitary, random_psd
         rng = np.random.default_rng(7)
@@ -299,6 +300,8 @@ class TestEvaluatesOnce:
         lambda spec: suite_continuity(catalog("tlogt"), spec, trials=6),
     ], ids=["thm103", "continuity"])
     def test_state_validated_once_per_trial(self, suite, monkeypatch):
+        # the suites' states (n <= 6) sit below linalg.DEFINITE_MIN_N, so
+        # require_state validates them through require_psd
         trials, record = _record_trials(monkeypatch)
         check = linalg.require_psd
 
@@ -339,3 +342,26 @@ class TestEvaluatesOnce:
         suite_axioms_thm103(candidate_perspective(catalog("tlogt")),
                             RandomSpec(4, 4, "rank_deficient", 3), 5)
         assert len(calls) == 270
+
+    def test_thm103_forms_each_element_once(self, monkeypatch):
+        # the form order, form sums and congruences read an element's form
+        # matrix V F V* from the element, which forms it on first read:
+        # over 30 trials each of the 198 elements read is formed once (the
+        # scale of a form-order check and form_leq formed both sides twice,
+        # and the subadditivity sum and the transformer congruence formed
+        # the trial's value twice: 348 formations)
+        formed, kept = [], []
+        form = ExtendedSelfAdjoint._form.func
+
+        def counted(T):
+            formed.append(id(T))
+            kept.append(T)  # alive, so that no id is reused
+            return form(T)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(ExtendedSelfAdjoint, "_form")
+        monkeypatch.setattr(ExtendedSelfAdjoint, "_form", prop)
+        for seed in range(3000, 3006):
+            assert suite_axioms_thm103(candidate_perspective(catalog("tlogt")),
+                                       RandomSpec(4, 4, "rank_deficient",
+                                                  seed), 5).ok
+        assert len(formed) == len(set(formed)) == 198
