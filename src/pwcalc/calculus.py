@@ -74,7 +74,6 @@ from .linalg import (
     _shaped,
     _sqrt_of,
     _trusted,
-    default_rank_tol,
     eigh,
     hermitian_part,
     require_hermitian,
@@ -194,11 +193,24 @@ class CompatibleRepresentation:
     s: np.ndarray = field(repr=False)       # k x k, identity minus r
 
 
-def _validated_pair(A, B):
+def _validated_pair(A, B, with_sum: bool = False, check=None):
     """(A, B, w, V): A and B validated as require_psd validates each, in
-    one stacked pass, and the eigenpairs (w[i], V[i]) it decided on."""
-    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
-    return (*H, *_psd_stack(H, ("A", "B")))
+    one stacked pass, and the eigenpairs (w[i], V[i]) it decided on.  With
+    the sum, the stack is (A, B, A + B) and (A, B, w, V, cut) comes back,
+    cut the rank cut of A + B (_range_cut: NonFiniteError naming A + B for
+    a sum that overflows).  check(A) runs before any eigh."""
+    names = ("A", "B")
+    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names,
+                         spare=int(with_sum))
+    if check is not None:
+        check(H[0])
+    if with_sum:
+        with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+            np.add(H[0], H[1], out=H[2])
+    w, V = _psd_stack(H, names)
+    if not with_sum:
+        return (*H, w, V)
+    return H[0], H[1], w, V, _range_cut(w[2].tolist(), "A + B")
 
 
 def compatible_representation(A: np.ndarray, B: np.ndarray
@@ -222,18 +234,16 @@ def _representation(A, B):
     """(H_{A,B}, T, R, w, Q) of compatible_representation, the reference
     construction: T = V_k* (A+B)^{1/2}, R = Y* A Y with Y = V_k w_k^-1/2
     read off a second eigh (w, V) of A+B, R decomposed to clip it, and
-    (w, Q) = eigh of the clipped R.  `_pair_spectrum` gives the same
-    representation from one eigh of A+B and one of R, and the tests compare
-    the two.  pw_apply (so perspective_apply) still builds on
-    this one, because bench/selftest.py pins perspective_apply's eigh count.
+    (w, Q) = eigh of the clipped R.  `_pair_spectra` gives the same from
+    one eigh of A+B and one of R; pw_apply stays on this one for the eigh
+    count bench/selftest.py pins.
 
-    After the cheap half of the validation, the work runs in two lanes
-    (linalg._concurrently), two at a time on large pairs: the PSD checks of
-    A and B, then the root of A+B (linalg._sqrt_of), on the calling thread;
-    the eigh of A+B that gives V_k, R and R's two decompositions on the
-    worker.  Each eigh gets the bytes of the run in order, and the first
-    lane's error wins, so results and errors are that run's: A, B, then
-    A + B (a sum that overflows raises NonFiniteError naming it).
+    After the cheap half of the validation, two lanes run
+    (linalg._concurrently): the PSD checks of A and B, then the root of
+    A+B, on the calling thread; the eigh of A+B that gives V_k, R and R's
+    two decompositions on the worker.  Results and errors are those of the
+    run in order: A, B, then A + B (NonFiniteError for a sum that
+    overflows).
     """
     A, B = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
     with np.errstate(over="ignore"):
@@ -265,29 +275,20 @@ def _representation(A, B):
     return _trusted(Subspace, basis=V), V.conj().T @ sq, R, w, Q
 
 
-def _pair_spectrum(A: np.ndarray, B: np.ndarray, names=("A", "B")):
-    """The compatible representation of (A, B) as a spectrum, from one eigh
-    of A+B and one of R: (t, X) with A = X* diag(t) X, B = X* diag(1 - t) X.
+def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
+    """The compatible representation of (A, B) as a spectrum (t, X), with
+    A = X* diag(t) X, B = X* diag(1 - t) X, and whether _certified accepts
+    the pair: (t, X, certified).
 
     Over the eigenpairs (w, V) of A+B above the rank cut of
-    compatible_representation (so both give the same rank k), t holds the
-    eigenvalues of R = D V* A V D (D = diag(w^-1/2)) clipped into [0, 1] and
-    X = Q* diag(sqrt(w)) V* is k x n, Q the eigenvectors of R.  A definite
-    A+B of order DEFINITE_MIN_N or more gives them from one eigh instead
-    (_definite_spectra), to roundoff, with X in another basis.  The kernel
-    trusts its input, the Hermitian parts of its caller's validation; a
-    pair that then fails the PSD half may raise here first, as NotPsdError
-    naming A + B (`names`).
+    compatible_representation (so both give the same rank k), read once as
+    floats, t holds the eigenvalues of R = D V* A V D (D = diag(w^-1/2))
+    clipped into [0, 1] and X = Q* diag(sqrt(w)) V*, Q those of R.  From
+    n = DEFINITE_MIN_N on, a definite A+B takes the Cholesky route
+    (_definite_spectra) instead, to roundoff.  The kernel trusts the
+    Hermitian parts it is given; a pair that fails the PSD half may raise
+    here first, as NotPsdError naming the sum by `names`.
     """
-    return _pair_spectra(A, B, names)[:2]
-
-
-def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
-    """_pair_spectrum with whether _certified accepts the pair:
-    (t, X, certified).  From n = DEFINITE_MIN_N on, a definite A+B takes
-    the Cholesky route (_definite_spectra) when it can; every other pair
-    takes the eigh route, whose spectrum of A+B is read once as floats, for
-    its rank cut and the certificate.  An error names the sum by `names`."""
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         S = A + B
     if len(S) >= DEFINITE_MIN_N:
@@ -370,7 +371,7 @@ def _certified(t: np.ndarray, ratio: float) -> bool:
 
 def _checked_pair_spectrum(A, B, names=("A", "B")):
     """(A, B, t, X): the pair validated as require_psd validates each of A
-    and B (named `names`), and its _pair_spectrum (t, X), for the public
+    and B (named `names`), and its _pair_spectra (t, X), for the public
     calls on a pair.  The kernel runs once, on the Hermitian parts from the
     cheap half; a pair that _certified accepts is checked no further, any
     other takes the PSD half.  A kernel error (NotPsdError naming A + B,
@@ -395,7 +396,7 @@ def _checked_state_spectrum(rho, A, B):
     """(rho, A, B, t, m, Tr rho, |A|, |B|) for the integral evaluators: the
     state and the pair validated as require_state and require_psd validate
     them, rho first; R's clipped eigenvalues t and the weights m of rho over
-    them (_state_weights of _pair_spectrum's X), rho's trace, and the
+    them (_state_weights of _pair_spectra's X), rho's trace, and the
     spectral norms of A and B.
 
     One stack holds rho, A, B and, in its spare slot, the sum A + B of
@@ -442,12 +443,8 @@ def _assemble(phi: HomogeneousFunction, t_map: np.ndarray, w: np.ndarray,
     """T* phi(R, S) T with its diagnostics, from (w, Q) = eigh(R) as
     _representation made it: w unclipped, so pw_apply_restricted checks its
     cone on the same spectrum.  It is X* diag(phi(t, 1-t)) X with X = Q* T
-    (_diagonal_congruence), the zero element when A+B = 0.
-
-    It runs on the calling thread after both of _representation's lanes
-    have joined, so an error of either lane is raised before any of its
-    own.  Moving it onto _pair_spectrum waits for a benchmark change that
-    moves the eigh count bench/selftest.py pins.
+    (_diagonal_congruence), the zero element when A+B = 0, made after both
+    of _representation's lanes have joined, so their errors come first.
     """
     t = _clipped(w)
     values, at_zero, at_one = _diagonal_values(phi, t, endpoint_tol)
@@ -473,7 +470,7 @@ def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray):
 
     Full-domain variant only; eigenvalues of R are classified to {0}, (0,1),
     {1} by _endpoints and the corner values apply at the endpoints.
-    Built on _representation rather than _pair_spectrum, for the eigh
+    Built on _representation rather than _pair_spectra, for the eigh
     count bench/selftest.py pins (see _assemble).
     """
     return _pw_apply(phi, A, B, ENDPOINT_TOL)[0]
@@ -536,17 +533,16 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     This is the oracle pw_apply is checked against: it never touches the
     compatible representation, only the joint spectrum and the bivariate
     evaluator phi(x, y) = (x+y) * diagonal(x/(x+y)).  The eigenpairs of A
-    are those its PSD check decided on.
+    and the kernel floor, the rank cut of A + B, come from the one eigh of
+    the validation's stack (A, B, A + B).
     """
-    A, B, w, V = _validated_pair(A, B)
+    A, B, w, V, kernel_floor = _validated_pair(A, B, with_sum=True)
     comm = spectral_norm(A @ B - B @ A)
     bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
     if comm > max(bound, 1e-13):
         raise PreconditionError(
             f"pair does not commute: |AB - BA| = {comm:.3e} > {bound:.3e}"
         )
-    w_sum, _ = eigh(A + B)
-    kernel_floor = default_rank_tol(w_sum)
     pairs = []
     for x, y, v in _grouped_joint_eigensystem(w[0], V[0], B):
         x, y = max(x, 0.0), max(y, 0.0)
@@ -634,21 +630,18 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     violating it are reported as skipped, not failed.  C maps into the
     pair's space, so it has as many rows as A and B.  A and B are validated
     as require_psd validates each, C's rows compared with their size before
-    any eigh, and the PSD checks and the range of A+B read off one eigh of
-    the stack (A, B, A + B); a sum that overflows raises NonFiniteError
-    naming A + B, as in the other pair calls.
+    any eigh, and the range of A+B read off the validation's stack (A, B,
+    A + B), as in pw_commuting_oracle.
     """
-    names = ("A", "B")
-    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names, spare=1)
-    A, B, S = H
-    C = np.atleast_2d(np.asarray(C, dtype=complex))
-    if C.ndim != 2 or C.shape[0] != A.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
-    with np.errstate(over="ignore"):  # an inf sum fails the rank cut
-        np.add(A, B, out=S)
-    w, V = _psd_stack(H, names)
-    ran_ab = _range_subspace(w[2], V[2], _range_cut(w[2].tolist(), "A + B"))
+    def check_rows(A):
+        nonlocal C
+        C = np.atleast_2d(np.asarray(C, dtype=complex))
+        if C.ndim != 2 or C.shape[0] != A.shape[0]:
+            raise ValueError(
+                f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
+
+    A, B, w, V, cut = _validated_pair(A, B, with_sum=True, check=check_rows)
+    ran_ab = _range_subspace(w[2], V[2], cut)
     ran_c = span(C)
     if not ran_c.contains(ran_ab, CONTAINMENT_COS_TOL):
         return HomogeneityReport(True, "range(A+B) not contained in range(C)",

@@ -416,26 +416,26 @@ def psd_pinv(M) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD matrix via its eigensystem, cut
     at the rank cut (n*eps*lambda_max).  M is validated as require_hermitian
     validates a matrix argument."""
-    return _psd_pinv(require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL,
-                                       name="psd_pinv input"))
+    return _pinv_of(*eigh(require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL,
+                                            name="psd_pinv input")))
 
 
-def _psd_pinv(M: np.ndarray) -> np.ndarray:
-    """psd_pinv of a Hermitian M that the caller has built or validated."""
-    w, V = eigh(M)
-    keep = w > default_rank_tol(w)
+def _pinv_of(w: np.ndarray, V: np.ndarray, cut: float | None = None
+             ) -> np.ndarray:
+    """psd_pinv from the eigenpairs (w, V) of a Hermitian matrix, its
+    eigenvalues above cut (default_rank_tol by default) inverted."""
+    keep = w > (default_rank_tol(w) if cut is None else cut)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     return hermitian_part((V * inv) @ V.conj().T)
 
 
-def range_subspace(M, rank_tol: float | None = None) -> Subspace:
-    """Range of a PSD matrix at the rank_tol cut (default_rank_tol by
-    default).  M is validated as require_hermitian validates a matrix
-    argument."""
+def range_subspace(M) -> Subspace:
+    """Range of a PSD matrix at the rank cut (default_rank_tol).  M is
+    validated as require_hermitian validates a matrix argument."""
     M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL,
                           name="range_subspace input")
-    return _range_subspace(*eigh(M), rank_tol)
+    return _range_subspace(*eigh(M))
 
 
 def _range_subspace(w: np.ndarray, V: np.ndarray,

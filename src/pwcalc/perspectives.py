@@ -23,6 +23,7 @@ from .calculus import (
     _checked_pair_spectrum,
     _diagonal_values,
     _endpoints,
+    _pair_spectra,
     _pw_apply,
     _validated_pair,
 )
@@ -45,7 +46,7 @@ from .linalg import (
     Subspace,
     _check_psd,
     _hermitian_stack,
-    _psd_pinv,
+    _pinv_of,
     _require_state_of,
     default_rank_tol,
     eigh,
@@ -251,10 +252,9 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
                assert_monotone: bool = False) -> np.ndarray:
     """Kubo-Ando connection A sigma_h B; always a bounded PSD matrix.
 
-    X* diag(phi(t, 1-t)) X over the spectrum (t, X) of _pair_spectrum: the
+    X* diag(phi(t, 1-t)) X over the spectrum (t, X) of _pair_spectra: the
     calculus of the connection's homogeneous function, which is finite at
-    every t in [0, 1].  The pair is validated by _checked_pair_spectrum
-    (its eigh count is pinned in tests/test_perspectives.py).
+    every t in [0, 1].  The pair is validated by _checked_pair_spectrum.
     """
     phi = connection_phi(h, assert_monotone=assert_monotone)
     _, _, t, X = _checked_pair_spectrum(A, B)
@@ -267,10 +267,10 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 
 
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A : B = A - A (A+B)^+ A, the finite-dimensional exact form."""
-    A, B, _, _ = _validated_pair(A, B)
-    pinv = _psd_pinv(A + B)  # eigh reads one triangle of the sum
-    return hermitian_part(A - A @ pinv @ A)
+    """A : B = A - A (A+B)^+ A, the finite-dimensional exact form, (A+B)^+
+    read off the validation's stack (A, B, A + B) at the rank cut."""
+    A, B, w, V, cut = _validated_pair(A, B, with_sum=True)
+    return hermitian_part(A - A @ _pinv_of(w[2], V[2], cut) @ A)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,11 @@ def dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
     when max t >= 1 - ENDPOINT_TOL: finite exactly when X is Y-absolutely
     continuous (so +inf past lambda ~ 1 / ENDPOINT_TOL).  Errors name X, Y.
     """
-    t = _checked_pair_spectrum(X, Y, ("X", "Y"))[2]
+    return _scale_of(_checked_pair_spectrum(X, Y, ("X", "Y"))[2])
+
+
+def _scale_of(t: np.ndarray) -> float:
+    """dominates_scale's lambda from the pair kernel's spectrum t."""
     if np.count_nonzero(_endpoints(t)[1]):
         return INF
     top = float(t.max(initial=0.0))
@@ -409,9 +413,10 @@ class ChainReport:
 
 
 def _unit_dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
-    """dominates_scale(X, Y) read with each side scaled to spectral norm 1."""
+    """dominates_scale(X, Y) read with each side scaled to spectral norm 1,
+    on a pair PSD by construction, which the pair kernel trusts."""
     x, y = spectral_norm(X) or 1.0, spectral_norm(Y) or 1.0
-    return dominates_scale(X / x, Y / y) * (x / y)
+    return _scale_of(_pair_spectra(X / x, Y / y, ("X", "Y"))[0]) * (x / y)
 
 
 def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
@@ -425,17 +430,17 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     kernel's rule max t < 1 - ENDPOINT_TOL, (c) and (e) with each side
     scaled to norm 1, as the rule reads their relative scale (so near the
     cliff at alpha < 2, (c) can hold where (d) fails); (d) also samples
-    unit vectors for the reported constant.  A and B are validated once,
-    with their spectrum for (a); the powers are taken of the validated
-    matrices, both of B's from one decomposition.
+    unit vectors for the reported constant.  One stacked eigh validates A
+    and B and gives the powers; the trusting pair kernel gives the spectra
+    of (a) and of (c)'s and (e)'s pairs, PSD by construction.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
-    A, B, t, X = _checked_pair_spectrum(A, B)
-    a2 = _t2_bound(A, B, t, X)
+    A, B, w, V = _validated_pair(A, B)
+    a2 = _t2_bound(A, B, *_pair_spectra(A, B)[:2])
     res_b = perspective_apply(catalog("power", alpha), A, B)
-    (A_alpha,) = _psd_powers(*eigh(A), alpha)
-    B_c, B_e = _psd_powers(*eigh(B), alpha - 1.0, (alpha - 1.0) / alpha)
+    (A_alpha,) = _psd_powers(w[0], V[0], alpha)
+    B_c, B_e = _psd_powers(w[1], V[1], alpha - 1.0, (alpha - 1.0) / alpha)
     lam_c = _unit_dominates_scale(A_alpha, B_c)
     rng = np.random.default_rng(seed)
     n = A.shape[0]

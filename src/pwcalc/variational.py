@@ -12,10 +12,9 @@ what the tail of the integral converges to.
 
 An evaluation goes through calculus._checked_state_spectrum: one eigh of
 the stack (rho, A, B, A + B), allocated once, which validates rho, A and B
-and gives the spectrum of A + B, then the eigh of R (the count is pinned in
-tests/test_perspectives.py).  The spectra are read once, as floats, and
-everything else comes from them: the state's weights m over R's
-eigenvalues t, the pairings rho(A) = sum m_i t_i and
+and gives the spectrum of A + B, then the eigh of R.  The spectra are
+read once, as floats, and everything else comes from them: the state's
+weights m over R's eigenvalues t, the pairings rho(A) = sum m_i t_i and
 rho(B) = sum m_i (1 - t_i) (Tr rho A and Tr rho B but for A's and B's parts
 beyond the rank cut of A + B, at most n eps |A + B| Tr rho), and the norms
 of A and B that scale the singular-mass threshold, as their largest
@@ -52,11 +51,13 @@ from .functions import (
 )
 from .linalg import (
     _hermitian_stack,
-    _psd_pinv,
+    _pinv_of,
+    _psd_stack,
     _range_subspace,
     eigh,
     hermitian_part,
     spectral_norm,
+    subspace_meet,
 )
 from .perspectives import perspective_apply
 
@@ -147,11 +148,13 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
 # Two projections
 # ---------------------------------------------------------------------------
 
-def _coeff_times_psd(coeff: float, X: np.ndarray,
-                     rank_tol: float | None = None) -> ExtendedSelfAdjoint:
-    """coeff * X with inf * X meaning +inf on the range of X."""
+def _coeff_times_psd(coeff: float, X: np.ndarray) -> ExtendedSelfAdjoint:
+    """coeff * X with inf * X meaning +inf on the range of X, for X = P or Q
+    less their meet: a projection (the meet commutes with both), whose
+    eigenvalues are {0, 1} up to the meet's noise, which a wide rank cut of
+    1e-6 keeps out of the infinity subspace."""
     if math.isinf(coeff):
-        return infinity_on(_range_subspace(*eigh(X), rank_tol))
+        return infinity_on(_range_subspace(*eigh(X), 1e-6))
     return from_matrix(coeff * X)
 
 
@@ -164,11 +167,12 @@ def two_projections(f: ExtendedFunction, P: np.ndarray, Q: np.ndarray
     assembled as a form sum of three elements; infinite coefficients
     contribute infinity subspaces.  Agrees with the direct calculus.  P and
     Q are validated on the stacked path, their shapes compared before any
-    eigh, then each checked for idempotency.
+    eigh, then each checked for idempotency; their ranges come from one
+    eigh of that stack, with no PSD check (the idempotency slack admits
+    eigenvalues near -1e-10).
     """
-    from .linalg import subspace_meet  # local: avoids polluting module surface
-
-    P, Q = _hermitian_stack((P, Q), (1e-10,) * 2, ("P", "Q"))
+    H = _hermitian_stack((P, Q), (1e-10,) * 2, ("P", "Q"))
+    P, Q = H
     for name, X in (("P", P), ("Q", Q)):
         idem = spectral_norm(X @ X - X)
         if idem > 1e-10:
@@ -177,19 +181,12 @@ def two_projections(f: ExtendedFunction, P: np.ndarray, Q: np.ndarray
     f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
     if alpha is None or beta is None:
         raise ValueError(f"{f.name} is missing boundary metadata")
-    meet = subspace_meet(_range_subspace(*eigh(P)), _range_subspace(*eigh(Q)))
-    Pm = meet.projector()
-    # P - Pm and Q - Pm are projections (Pm commutes with both), so their
-    # eigenvalues are exactly {0, 1} up to meet-construction noise; a wide
-    # rank cut keeps that noise out of the infinity subspaces
-    terms = [
-        from_matrix(f1 * Pm),
-        _coeff_times_psd(alpha, hermitian_part(P - Pm), rank_tol=1e-6),
-        _coeff_times_psd(beta, hermitian_part(Q - Pm), rank_tol=1e-6),
-    ]
-    out = terms[0]
-    for t in terms[1:]:
-        out = add(out, t)
+    w, V = _psd_stack(H, ())
+    Pm = subspace_meet(_range_subspace(w[0], V[0]),
+                       _range_subspace(w[1], V[1])).projector()
+    out = from_matrix(f1 * Pm)
+    for coeff, X in ((alpha, P), (beta, Q)):
+        out = add(out, _coeff_times_psd(coeff, hermitian_part(X - Pm)))
     return out
 
 
@@ -256,7 +253,7 @@ def optimal_decomposition(A: np.ndarray, B: np.ndarray, xi: np.ndarray,
 def _optimal_decomposition(A: np.ndarray, B: np.ndarray, xi, t: float):
     """optimal_decomposition on a validated pair."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)
-    pinv = _psd_pinv(hermitian_part(A + t * B))
+    pinv = _pinv_of(*eigh(hermitian_part(A + t * B)))
     zeta = pinv @ (A @ xi)
     return xi - zeta, zeta
 

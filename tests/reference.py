@@ -5,8 +5,8 @@ require_psd and require_state only, and then decompose, in the order the
 library did before it read the validation and the spectra from one pass;
 the square root and the range basis apply their rank mask at every rank,
 where the library skips it on a full-rank matrix.  The `redecomposed_*`
-calls validate, then decompose each matrix again where the library reads
-the eigenpairs its PSD check decided on, the `unvalidated_*` calls
+calls validate, then decompose each matrix (and A + B) again where the
+library reads the eigenpairs of its validation's stack, the `unvalidated_*` calls
 decompose their input as given, and `revalidated_variational_envelope`
 validates its pair at every n.  `eigh_require_state` validates a state by
 its eigh at every order, where require_state certifies a large definite
@@ -21,21 +21,33 @@ import math
 import numpy as np
 
 from pwcalc.calculus import (
+    HomogeneityReport,
     PreconditionError,
     SpecialValues,
     _grouped_joint_eigensystem,
-    _pair_spectrum,
+    _pair_spectra,
     _state_weights,
+    pw_apply,
 )
 from pwcalc.extended import (
+    CONTAINMENT_COS_TOL,
     INF,
     _loads_infinity,
+    add,
     congruence,
+    form_leq,
     from_matrix,
     infinity_on,
     make_extended,
+    quadratic_form,
 )
-from pwcalc.functions import CLOSED_POS, ExtendedFunction, approximants, calculus
+from pwcalc.functions import (
+    CLOSED_POS,
+    ExtendedFunction,
+    approximants,
+    calculus,
+    catalog,
+)
 from pwcalc.linalg import (
     MATRIX_HERMITIAN_ATOL,
     Subspace,
@@ -44,12 +56,26 @@ from pwcalc.linalg import (
     default_rank_tol,
     eigh,
     hermitian_part,
+    psd_pinv,
+    require_hermitian,
     require_psd,
     require_state,
+    span,
     spectral_norm,
+    subspace_meet,
 )
-from pwcalc.perspectives import _psd_powers
-from pwcalc.variational import optimizer_decomposition, variational_bound_94
+from pwcalc.perspectives import (
+    ChainReport,
+    _psd_powers,
+    _t2_bound,
+    dominates_scale,
+    perspective_apply,
+)
+from pwcalc.variational import (
+    _coeff_times_psd,
+    optimizer_decomposition,
+    variational_bound_94,
+)
 
 
 def _shaped(M) -> np.ndarray:
@@ -108,10 +134,10 @@ def compressed_state_value(T, rho):
 
 def r_spectrum_weights(A, B, rho):
     """R's clipped eigenvalues t and the state weights m_i = (X rho X*)_ii
-    over the rows of _pair_spectrum's X, so that
+    over the rows of _pair_spectra's X, so that
     rho(X* diag(g(t)) X) = sum_i m_i g(t_i).  Trusts its input: rho, A and B
     are the arrays sequential_state_pair returns."""
-    t, X = _pair_spectrum(A, B)
+    t, X, _ = _pair_spectra(A, B)
     return t, _state_weights(X, rho)
 
 
@@ -223,4 +249,97 @@ def revalidated_variational_envelope(r, A, B, xi, n_list):
         app = approximants(r, n)
         dec = optimizer_decomposition(app.nu_n, A, B, xi, 1.0 / n, float(n))
         out.append((n, variational_bound_94(r, A, B, xi, n, dec)))
+    return out
+
+
+def redecomposed_parallel_sum(A, B):
+    """parallel_sum with the pair validated by sequential_pair and the
+    pseudo-inverse from psd_pinv(A + B), an eigh of the sum's own."""
+    A, B = sequential_pair(A, B)
+    return hermitian_part(A - A @ psd_pinv(A + B) @ A)
+
+
+def redecomposed_check_homogeneity(phi, A, B, C, probe_vectors=10, seed=0):
+    """check_homogeneity with the pair validated by sequential_pair and the
+    range of A + B from an eigh of the sum's own; C must have the pair's
+    rows."""
+    A, B = sequential_pair(A, B)
+    C = np.atleast_2d(np.asarray(C, dtype=complex))
+    w, V, keep = masked_range_eigh(A + B, "A + B")
+    if not span(C).contains(Subspace(V[:, keep]), CONTAINMENT_COS_TOL):
+        return HomogeneityReport(True, "range(A+B) not contained in range(C)",
+                                 True, 0.0, None)
+    lhs = pw_apply(phi, hermitian_part(C.conj().T @ A @ C),
+                   hermitian_part(C.conj().T @ B @ C))
+    rhs = congruence(C, pw_apply(phi, A, B))
+    slack = 1e-8 * (1.0 + max(np.abs(lhs.finite_part).max(initial=0.0),
+                              np.abs(rhs.finite_part).max(initial=0.0)))
+    le, w1 = form_leq(lhs, rhs, slack)
+    ge, w2 = form_leq(rhs, lhs, slack)
+    rng = np.random.default_rng(seed)
+    dev = 0.0
+    for _ in range(probe_vectors):
+        xi = rng.standard_normal(C.shape[1]) + 1j * rng.standard_normal(
+            C.shape[1])
+        q1, q2 = quadratic_form(lhs, xi), quadratic_form(rhs, xi)
+        if math.isinf(q1) != math.isinf(q2):
+            dev = INF
+        elif not math.isinf(q1):
+            dev = max(dev, abs(q1 - q2))
+    return HomogeneityReport(False, None, le and ge, dev,
+                             w1 if w1 is not None else w2)
+
+
+def redecomposed_boundedness_chain(alpha, A, B, trials=500, seed=0):
+    """boundedness_chain with the pair validated by sequential_pair, the
+    powers from eigh(A) and eigh(B), and (c) and (e) from dominates_scale,
+    which validates each powered pair again."""
+    if not 1.0 < alpha <= 2.0:
+        raise ValueError("alpha must lie in (1, 2]")
+    A, B = sequential_pair(A, B)
+    a2 = _t2_bound(A, B, *_pair_spectra(A, B)[:2])
+    res_b = perspective_apply(catalog("power", alpha), A, B)
+    (A_alpha,) = _psd_powers(*eigh(A), alpha)
+    B_c, B_e = _psd_powers(*eigh(B), alpha - 1.0, (alpha - 1.0) / alpha)
+
+    def unit_scale(X, Y):
+        x, y = spectral_norm(X) or 1.0, spectral_norm(Y) or 1.0
+        return dominates_scale(X / x, Y / y) * (x / y)
+
+    lam_c, lam_e = unit_scale(A_alpha, B_c), unit_scale(A, B_e)
+    rng = np.random.default_rng(seed)
+    lam_d = 0.0
+    for _ in range(trials):
+        xi = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
+        xi /= np.linalg.norm(xi)
+        qa = float(np.vdot(xi, A @ xi).real)
+        qb = float(np.vdot(xi, B @ xi).real)
+        if qb <= 0.0:
+            lam_d = INF if qa > 0.0 else lam_d
+        else:
+            lam_d = max(lam_d, qa ** alpha / qb ** (alpha - 1.0))
+    conds = {"a": a2.bounded, "b": res_b.bounded, "c": math.isfinite(lam_c),
+             "d": a2.bounded, "e": math.isfinite(lam_e)}
+    chain = [("a", "b"), ("b", "d"), ("d", "e"), ("a", "c"), ("c", "d")]
+    violated = [f"{p}=>{q}" for p, q in chain if conds[p] and not conds[q]]
+    return ChainReport(conds,
+                       {"a": a2.lambda_min, "c": lam_c, "d": lam_d, "e": lam_e},
+                       not violated, violated)
+
+
+def redecomposed_two_projections(f, P, Q):
+    """two_projections with P and Q validated one at a time and their
+    ranges from an eigh of each."""
+    P, Q = (require_hermitian(X, atol=1e-10, name=name)
+            for X, name in ((P, "P"), (Q, "Q")))
+    for name, X in (("P", P), ("Q", Q)):
+        idem = spectral_norm(X @ X - X)
+        if idem > 1e-10:
+            raise ValueError(f"{name} is not idempotent: |X^2 - X| = {idem:.3e}")
+    f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
+    Pm = subspace_meet(unvalidated_range_subspace(P),
+                       unvalidated_range_subspace(Q)).projector()
+    out = from_matrix(f1 * Pm)
+    for coeff, X in ((f.fprime_at_inf, P), (f.f_at_0plus, Q)):
+        out = add(out, _coeff_times_psd(coeff, hermitian_part(X - Pm)))
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -19,7 +20,6 @@ from pwcalc.calculus import (
     _checked_pair_spectrum,
     _endpoints,
     _pair_spectra,
-    _pair_spectrum,
     check_homogeneity,
     check_restricted_bounded,
     compatible_representation,
@@ -54,6 +54,7 @@ from pwcalc.linalg import (
     spectral_norm,
 )
 from pwcalc.perspectives import (
+    boundedness_chain,
     connection,
     connection_generator,
     dominates_scale,
@@ -75,6 +76,7 @@ from pwcalc.suites import (
 from pwcalc.variational import (
     optimal_decomposition,
     repr77_square_minus,
+    two_projections,
     variational_envelope,
 )
 import reference
@@ -174,7 +176,7 @@ def test_pair_spectrum_matches_compatible_representation():
     decisions = set()
     for label, A, B in _kernel_reference_pairs():
         rep = compatible_representation(A, B)
-        t, X = _pair_spectrum(*sequential_pair(A, B))
+        t, X, _ = _pair_spectra(*sequential_pair(A, B))
         n, k = A.shape[0], rep.subspace.dim
         assert t.shape == (k,) and X.shape == (k, n), label
         assert np.abs(t - np.linalg.eigvalsh(rep.r)).max(initial=0.0) <= 1e-12, label
@@ -788,8 +790,15 @@ def _outcome_bytes(call, *args):
             return [a.tobytes() for a in _element_outputs(value)]
         if isinstance(value, Subspace):
             return [value.basis.tobytes()]
+        if dataclasses.is_dataclass(value):  # a report: its fields in order
+            value = [getattr(value, f.name)
+                     for f in dataclasses.fields(value)]
+        if isinstance(value, dict):
+            value = list(value.items())
         if isinstance(value, (tuple, list)):
             return [b for v in value for b in flat(v)]
+        if value is None or isinstance(value, str):
+            return [repr(value)]
         return [np.asarray(value).tobytes()]
     try:
         return flat(call(*args))
@@ -901,6 +910,70 @@ class TestValidatedSpectrum:
                 seen.add(type(got))
         # values compared, and errors too wherever invalid pairs are
         assert seen == {list, tuple} if "invalid" in kinds else {list}
+
+
+def _stacked_pairs():
+    """(label, A, B): drawn pairs of the five gen_pair profiles, n = 2...6,
+    and definite pairs of n = 40 and 64."""
+    for profile in ("well_conditioned", "rank_deficient", "projection",
+                    "commuting_pair", "dominated_pair"):
+        for n in range(2, 7):
+            for trial in range(2):
+                yield (f"{profile}-{n}-{trial}",
+                       *gen_pair(RandomSpec(n, n, profile, seed=43), trial))
+    for n in (40, 64):
+        yield (f"definite-{n}",
+               *gen_pair(RandomSpec(n, n, "well_conditioned", seed=43), 0))
+
+
+def _full_rank_c(A):
+    """A C of the pair's size whose range holds range(A + B)."""
+    n = len(A)
+    return np.eye(n) + 0.5j * np.tri(n, k=-1)
+
+
+class TestStackedPairCalls:
+    """check_homogeneity, parallel_sum and pw_commuting_oracle read A, B and
+    A + B from one eigh of the validation's stack, boundedness_chain reads
+    its powers from the stack of A and B and trusts the powered pairs, and
+    two_projections reads both ranges from one eigh of (P, Q): each gives
+    what validating, then decomposing each matrix (and A + B) on its own
+    gives (tests/reference.py), to the last bit, errors included."""
+
+    TLOGT = perspective_of(catalog("tlogt"))
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda A, B: check_homogeneity(TestStackedPairCalls.TLOGT, A, B,
+                                        _full_rank_c(A)),
+         lambda A, B: reference.redecomposed_check_homogeneity(
+             TestStackedPairCalls.TLOGT, A, B, _full_rank_c(A))),
+        (lambda A, B: check_homogeneity(TestStackedPairCalls.TLOGT, A, B,
+                                        _full_rank_c(A)[:, :1]),
+         lambda A, B: reference.redecomposed_check_homogeneity(
+             TestStackedPairCalls.TLOGT, A, B, _full_rank_c(A)[:, :1])),
+        (parallel_sum, reference.redecomposed_parallel_sum),
+        (lambda A, B: pw_commuting_oracle(TestStackedPairCalls.TLOGT, A, B),
+         lambda A, B: reference.redecomposed_pw_commuting_oracle(
+             TestStackedPairCalls.TLOGT, A, B)),
+        (lambda A, B: [boundedness_chain(alpha, A, B, trials=8)
+                       for alpha in (1.5, 2.0)],
+         lambda A, B: [reference.redecomposed_boundedness_chain(
+             alpha, A, B, trials=8) for alpha in (1.5, 2.0)]),
+        (lambda A, B: [two_projections(catalog(*f), A, B)
+                       for f in (("power", 2), ("neglog",))],
+         lambda A, B: [reference.redecomposed_two_projections(
+             catalog(*f), A, B) for f in (("power", 2), ("neglog",))]),
+    ], ids=["check_homogeneity", "check_homogeneity-skipped", "parallel_sum",
+            "pw_commuting_oracle", "boundedness_chain", "two_projections"])
+    def test_bitwise_equal_to_the_reference(self, call, want):
+        seen = set()
+        for label, A, B in _stacked_pairs():
+            got = _outcome_bytes(call, A, B)
+            assert got == _outcome_bytes(want, A, B), label
+            seen.add(type(got))
+        # values compared on every profile; the oracle and two_projections
+        # reject the pairs that do not commute or are not projections
+        assert list in seen
 
 
 # ---------------------------------------------------------------------------

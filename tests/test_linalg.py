@@ -15,7 +15,7 @@ from pwcalc.calculus import (
     _checked_pair_spectrum,
     _checked_state_spectrum,
     _clipped,
-    _pair_spectrum,
+    _pair_spectra,
     _validated_pair,
     check_homogeneity,
     compatible_representation,
@@ -538,8 +538,10 @@ class TestFloatLimitInput:
         lambda A: integral_eval_91(repr77_tlogt(32), A, A, np.eye(2) / 2),
         lambda A: check_homogeneity(perspective_of(catalog("tlogt")), A, A,
                                     np.eye(2)),
+        lambda A: parallel_sum(A, A),
+        lambda A: pw_commuting_oracle(perspective_of(catalog("tlogt")), A, A),
     ], ids=["connection", "lebesgue_decomposition", "integral_eval_91",
-            "check_homogeneity"])
+            "check_homogeneity", "parallel_sum", "pw_commuting_oracle"])
     def test_overflowing_sum_is_rejected_naming_it(self, call):
         # A and B are valid; the kernel's A + B overflows
         with pytest.raises(NonFiniteError, match=r"^A \+ B has a non-finite"):
@@ -555,8 +557,12 @@ class TestFloatLimitInput:
                                       np.eye(2) / 2),
         lambda A, B: check_homogeneity(perspective_of(catalog("tlogt")), A, B,
                                        np.eye(2)),
+        lambda A, B: parallel_sum(A, B),
+        lambda A, B: pw_commuting_oracle(perspective_of(catalog("tlogt")), A,
+                                         B),
     ], ids=["perspective_apply", "connection", "lebesgue_decomposition",
-            "integral_eval_91", "integral_eval_92", "check_homogeneity"])
+            "integral_eval_91", "integral_eval_92", "check_homogeneity",
+            "parallel_sum", "pw_commuting_oracle"])
     def test_overflowing_sum_warns_nothing(self, call, action):
         # the sum of a pair is formed with numpy's overflow silenced: the
         # valid pair's inf sum fails the rank cut, and the invalid pair's
@@ -988,7 +994,7 @@ class TestStackedValidation:
         for label, _, A, B in _kernel_corpus():
             if label in ("0x0", "scalars"):
                 continue
-            t = _pair_spectrum(*sequential_pair(A, B))[0]
+            t = _pair_spectra(*sequential_pair(A, B))[0]
             r = spectra[-1][0]  # R's, the kernel's last eigh
             assert t.tobytes() == np.clip(r, 0.0, 1.0).tobytes(), label
             outside.add(bool((r < 0.0).any() or (r > 1.0).any()))
@@ -1022,7 +1028,7 @@ EPS = np.finfo(float).eps
 def _validated_spectrum(A, B):
     """The reference path: validate the pair, then decompose it."""
     A, B = sequential_pair(A, B)
-    return (A, B, *_pair_spectrum(A, B))
+    return (A, B, *_pair_spectra(A, B)[:2])
 
 
 def _rotated(rng, w):

@@ -21,8 +21,6 @@ KEPT = {
     ("pwcalc.perspectives.perspective_apply", "endpoint_tol"),
     # pw_commuting_oracle passes the rank cut of A + B
     ("pwcalc.calculus.HomogeneousFunction.bivariate", "zero_tol"),
-    # two_projections cuts its ranges at 1e-6
-    ("pwcalc.linalg.range_subspace", "rank_tol"),
     # no default: each caller names its own cosine
     ("pwcalc.linalg.Subspace.contains", "cos_tol"),
     ("pwcalc.linalg.Subspace.same_as", "cos_tol"),

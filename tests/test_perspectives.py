@@ -103,7 +103,7 @@ T2 = lambda A, B, rho: t2_bound(A, B)
 CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 
 
-# _pair_spectrum makes one eigh of A + B and one of R; a definite pair whose
+# _pair_spectra makes one eigh of A + B and one of R; a definite pair whose
 # spectra certify it needs no other, while a rank-deficient pair adds one
 # stacked eigh validating A and B.  From n = DEFINITE_MIN_N on, a definite
 # A + B is reduced by Cholesky instead, so the kernel makes one eigh, of
@@ -114,9 +114,10 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # _assemble, and pw_apply_restricted checks its cone on the spectrum
 # _assemble reads.  dominates_scale reads the pair kernel alone; t2_bound
 # adds, on a bounded pair, one eigh for its norm and two for its form
-# certificates.  The chain validates A and B once, with t2_bound's kernel,
-# then adds a perspective, one eigh for A's power and one for both of B's,
-# and the kernel of each powered pair.  The rank-deficient
+# certificates.  The chain validates A and B with one eigh of their stack,
+# which also gives A's power and both of B's, then adds t2_bound's kernel
+# and its three, a perspective, and the kernel of each powered pair, which
+# trusts them, so both profiles make the same count.  The rank-deficient
 # pair is bounded in this order (range A in range B) and unbounded swapped.
 # At n = 64 perspective_apply and pw_apply_restricted run in two lanes and
 # still make 7: the PSD checks of A and B and the root of A+B on the calling
@@ -126,17 +127,19 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # the kernel of its +inf rows.  The calls that validate a pair and then
 # read it (invertible_formula, the commuting-pair oracle, parallel_sum,
 # epsilon_limit and the variational calls) check A and B with one eigh of
-# their stack.  invertible_formula reads its invertibility test and both
+# their stack; the oracle's and parallel_sum's stack holds A + B too, whose
+# rank cut gives the oracle's kernel floor and parallel_sum its
+# pseudo-inverse.  invertible_formula reads its invertibility test and both
 # roots off B's eigenpairs in it, or A's when B is singular (A is singular
 # in the rank-deficient pair, B is not), then decomposes the sandwiched
 # matrix and the result's finite part.  special_values and
 # matrix_power_psd read everything off the PSD check of A, and
 # special_values' finite scalar adds the lower bound of scalar * A.  The
-# commuting-pair oracle adds A + B, and B over each of A's four
-# eigenspaces.  variational_envelope takes one pseudo-inverse per atom, one
-# atom at each of its two n, parallel_sum one of A + B, and epsilon_limit
-# two eigh at each of its eight eps.  A pair rejected as not PSD is
-# decomposed no further: connection on (A, -B) makes the kernel's eigh of
+# commuting-pair oracle adds B over each of A's four eigenspaces.
+# variational_envelope takes one pseudo-inverse per atom, one atom at each
+# of its two n, and epsilon_limit two eigh at each of its eight eps.
+# two_projections reads the ranges of P and Q off one eigh of their stack.
+# A pair rejected as not PSD is decomposed no further: connection on (A, -B) makes the kernel's eigh of
 # A + B, which fails its own check and is held, and the PSD half's eigh
 # that raises B's error; the integral's one eigh of its stack raises it.
 # An infinity part made on a subspace
@@ -192,13 +195,13 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (DOMINATES, "rank_deficient", 3, 0),
     (T2, "rank_deficient", 6, 0),
     (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3, 0),
-    (CHAIN, "rank_deficient", 21, 0),
+    (CHAIN, "rank_deficient", 17, 0),
     (CONNECTION, "well_conditioned", 2, 0),
     (LEBESGUE, "well_conditioned", 2, 0),
     (ABS_CONT, "well_conditioned", 2, 0),
     (DOMINATES, "well_conditioned", 2, 0),
     (T2, "well_conditioned", 5, 0),
-    (CHAIN, "well_conditioned", 18, 0),
+    (CHAIN, "well_conditioned", 17, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B),
      "rank_deficient", 3, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, B, A),
@@ -209,11 +212,11 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
      "rank_deficient", 2, 0),
     (lambda A, B, rho: matrix_power_psd(A, 0.5), "rank_deficient", 1, 0),
     (lambda A, B, rho: pw_commuting_oracle(TLOGT_PHI, DIAG_A, DIAG_B),
-     "rank_deficient", 6, 0),
+     "rank_deficient", 5, 0),
     (lambda A, B, rho: variational_envelope(repr77_square_minus(), A, B,
                                             np.ones(4), (1, 2)),
      "rank_deficient", 3, 0),
-    (lambda A, B, rho: parallel_sum(A, B), "rank_deficient", 2, 0),
+    (lambda A, B, rho: parallel_sum(A, B), "rank_deficient", 1, 0),
     (lambda A, B, rho: epsilon_limit(catalog("tlogt"), A, B),
      "rank_deficient", 17, 0),
     (_rejects_minus_b(CONNECTION), "rank_deficient", 2, 0),
@@ -221,7 +224,7 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho)),
      "rank_deficient", 1, 0),
     (lambda A, B, rho: two_projections(catalog("power", 2), P87, Q87),
-     "projection", 7, 4),
+     "projection", 6, 4),
     (lambda A, B, rho: CONNECTION(*DEFINITE64, rho), "rank_deficient", 1, 0),
     (lambda A, B, rho: CONNECTION(*SEMIDEFINITE64, rho), "rank_deficient",
      3, 0),
