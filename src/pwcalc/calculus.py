@@ -61,6 +61,7 @@ from .linalg import (
     MATRIX_HERMITIAN_ATOL,
     PSD_CERTIFICATE_K,
     Subspace,
+    _check_finite_spectrum,
     _check_psd,
     _concurrently,
     _definite_factor,
@@ -74,6 +75,7 @@ from .linalg import (
     _shaped,
     _sqrt_of,
     _trusted,
+    default_rank_tol,
     eigh,
     hermitian_part,
     require_hermitian,
@@ -196,21 +198,21 @@ class CompatibleRepresentation:
 def _validated_pair(A, B, with_sum: bool = False, check=None):
     """(A, B, w, V): A and B validated as require_psd validates each, in
     one stacked pass, and the eigenpairs (w[i], V[i]) it decided on.  With
-    the sum, the stack is (A, B, A + B) and (A, B, w, V, cut) comes back,
-    cut the rank cut of A + B (_range_cut: NonFiniteError naming A + B for
-    a sum that overflows).  check(A) runs before any eigh."""
+    the sum, the stack is (A, B, A + B); the sum is checked for finite
+    eigenvalues only (NonFiniteError naming A + B), not for PSD.  check(A)
+    runs before any eigh."""
     names = ("A", "B")
     H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names,
                          spare=int(with_sum))
     if check is not None:
         check(H[0])
     if with_sum:
-        with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+        with np.errstate(over="ignore"):  # an inf sum fails the check below
             np.add(H[0], H[1], out=H[2])
     w, V = _psd_stack(H, names)
-    if not with_sum:
-        return (*H, w, V)
-    return H[0], H[1], w, V, _range_cut(w[2].tolist(), "A + B")
+    if with_sum:
+        _check_finite_spectrum(w[2].tolist(), "A + B")
+    return H[0], H[1], w, V
 
 
 def compatible_representation(A: np.ndarray, B: np.ndarray
@@ -536,7 +538,8 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     and the kernel floor, the rank cut of A + B, come from the one eigh of
     the validation's stack (A, B, A + B).
     """
-    A, B, w, V, kernel_floor = _validated_pair(A, B, with_sum=True)
+    A, B, w, V = _validated_pair(A, B, with_sum=True)
+    kernel_floor = default_rank_tol(w[2])
     comm = spectral_norm(A @ B - B @ A)
     bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
     if comm > max(bound, 1e-13):
@@ -631,17 +634,17 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     pair's space, so it has as many rows as A and B.  A and B are validated
     as require_psd validates each, C's rows compared with their size before
     any eigh, and the range of A+B read off the validation's stack (A, B,
-    A + B), as in pw_commuting_oracle.
+    A + B) at _range_cut, which also rejects a sum below the PSD slack.
     """
+    C = np.atleast_2d(np.asarray(C, dtype=complex))
+
     def check_rows(A):
-        nonlocal C
-        C = np.atleast_2d(np.asarray(C, dtype=complex))
         if C.ndim != 2 or C.shape[0] != A.shape[0]:
             raise ValueError(
                 f"dimension mismatch: C is {C.shape}, pair is {A.shape}")
 
-    A, B, w, V, cut = _validated_pair(A, B, with_sum=True, check=check_rows)
-    ran_ab = _range_subspace(w[2], V[2], cut)
+    A, B, w, V = _validated_pair(A, B, with_sum=True, check=check_rows)
+    ran_ab = _range_subspace(w[2], V[2], _range_cut(w[2].tolist(), "A + B"))
     ran_c = span(C)
     if not ran_c.contains(ran_ab, CONTAINMENT_COS_TOL):
         return HomogeneityReport(True, "range(A+B) not contained in range(C)",

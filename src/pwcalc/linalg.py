@@ -303,15 +303,18 @@ def _range_cut(vals: list, name: str) -> float:
     NotPsdError, and a NaN at either end NonFiniteError: eigh answers a
     matrix with an infinite entry, such as a sum A + B that overflowed,
     with NaN eigenvalues only."""
-    if not vals:
-        return 0.0
-    lo, hi = vals[0], vals[-1]
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonFiniteError(f"{name} has a non-finite (NaN or inf) eigenvalue")
+    _check_finite_spectrum(vals, name)
     tol = psd_tol(vals)
-    if lo < -tol:
-        raise NotPsdError(f"{name}: min eigenvalue {lo:.3e} < -{tol:.3e}")
+    if vals and vals[0] < -tol:
+        raise NotPsdError(f"{name}: min eigenvalue {vals[0]:.3e} < -{tol:.3e}")
     return default_rank_tol(vals)
+
+
+def _check_finite_spectrum(vals: list, name: str) -> None:
+    """NonFiniteError when the eigenvalues vals (ascending floats,
+    w.tolist()) of the matrix `name` have a NaN or inf at either end."""
+    if vals and not (math.isfinite(vals[0]) and math.isfinite(vals[-1])):
+        raise NonFiniteError(f"{name} has a non-finite (NaN or inf) eigenvalue")
 
 
 def psd_sqrt(M) -> np.ndarray:
@@ -420,11 +423,10 @@ def psd_pinv(M) -> np.ndarray:
                                             name="psd_pinv input")))
 
 
-def _pinv_of(w: np.ndarray, V: np.ndarray, cut: float | None = None
-             ) -> np.ndarray:
+def _pinv_of(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """psd_pinv from the eigenpairs (w, V) of a Hermitian matrix, its
-    eigenvalues above cut (default_rank_tol by default) inverted."""
-    keep = w > (default_rank_tol(w) if cut is None else cut)
+    eigenvalues above the rank cut inverted."""
+    keep = w > default_rank_tol(w)
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / w[keep]
     return hermitian_part((V * inv) @ V.conj().T)

@@ -269,8 +269,8 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A : B = A - A (A+B)^+ A, the finite-dimensional exact form, (A+B)^+
     read off the validation's stack (A, B, A + B) at the rank cut."""
-    A, B, w, V, cut = _validated_pair(A, B, with_sum=True)
-    return hermitian_part(A - A @ _pinv_of(w[2], V[2], cut) @ A)
+    A, B, w, V = _validated_pair(A, B, with_sum=True)
+    return hermitian_part(A - A @ _pinv_of(w[2], V[2]) @ A)
 
 
 # ---------------------------------------------------------------------------

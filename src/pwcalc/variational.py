@@ -171,8 +171,7 @@ def two_projections(f: ExtendedFunction, P: np.ndarray, Q: np.ndarray
     eigh of that stack, with no PSD check (the idempotency slack admits
     eigenvalues near -1e-10).
     """
-    H = _hermitian_stack((P, Q), (1e-10,) * 2, ("P", "Q"))
-    P, Q = H
+    P, Q = H = _hermitian_stack((P, Q), (1e-10,) * 2, ("P", "Q"))
     for name, X in (("P", P), ("Q", Q)):
         idem = spectral_norm(X @ X - X)
         if idem > 1e-10:

@@ -11,7 +11,9 @@ decompose their input as given, and `revalidated_variational_envelope`
 validates its pair at every n.  `eigh_require_state` validates a state by
 its eigh at every order, where require_state certifies a large definite
 state by Cholesky, and `compressed_state_value` compresses the state to
-the essential part before it pairs.  None is called by pwcalc itself.
+the essential part before it pairs.  `mp_perspective` evaluates the
+invertible-pair sandwich in mpmath, the first arbitrary-precision
+reference.  None is called by pwcalc itself.
 """
 
 from __future__ import annotations
@@ -343,3 +345,25 @@ def redecomposed_two_projections(f, P, Q):
     for coeff, X in ((f.fprime_at_inf, P), (f.f_at_0plus, Q)):
         out = add(out, _coeff_times_psd(coeff, hermitian_part(X - Pm)))
     return out
+
+
+def mp_perspective(f, A, B, shift=0.0, dps=60):
+    """B^1/2 f(B^-1/2 A B^-1/2) B^1/2 of (A + shift I, B + shift I) in dps
+    digits, on the given doubles (the shift added exactly), for an
+    invertible B + shift I; f maps an mpmath number, as mpmath.log does.
+    Needs mpmath, which pwcalc does not."""
+    import mpmath
+
+    n = len(A)
+    with mpmath.workdps(dps):
+        to_mp = lambda M: mpmath.matrix(
+            [[mpmath.mpc(complex(v)) for v in row] for row in M]
+        ) + shift * mpmath.eye(n)
+        w, V = mpmath.eighe(to_mp(B))
+        inv_half = V * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * V.H
+        half = V * mpmath.diag([mpmath.sqrt(x) for x in w]) * V.H
+        W = inv_half * to_mp(A) * inv_half
+        u, Q = mpmath.eighe((W + W.H) / 2)
+        M = half * Q * mpmath.diag([f(x) for x in u]) * Q.H * half
+        return np.array([[complex(M[i, j]) for j in range(n)]
+                         for i in range(n)])

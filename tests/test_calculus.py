@@ -924,6 +924,14 @@ def _stacked_pairs():
     for n in (40, 64):
         yield (f"definite-{n}",
                *gen_pair(RandomSpec(n, n, "well_conditioned", seed=43), 0))
+    yield ("sum-below-slack", *_sum_below_slack_pair())
+
+
+def _sum_below_slack_pair():
+    """A and B that commute and pass require_psd (slack 3 eps), whose sum
+    diag(1, 1, -4 eps) is below its own slack."""
+    e = 2 * np.finfo(float).eps
+    return np.diag([1.0, 0.0, -e]), np.diag([0.0, 1.0, -e])
 
 
 def _full_rank_c(A):
@@ -974,6 +982,18 @@ class TestStackedPairCalls:
         # values compared on every profile; the oracle and two_projections
         # reject the pairs that do not commute or are not projections
         assert list in seen
+
+    def test_sum_is_decomposed_not_checked(self):
+        # parallel_sum and the oracle cut the sum at the rank cut, as an eigh
+        # of the sum's own did; check_homogeneity reads its range at
+        # _range_cut, which rejects it
+        A, B = _sum_below_slack_pair()
+        e = 2 * np.finfo(float).eps
+        assert np.array_equal(parallel_sum(A, B), np.diag([0.0, 0.0, -e]))
+        assert isinstance(pw_commuting_oracle(self.TLOGT, A, B),
+                          ExtendedSelfAdjoint)
+        with pytest.raises(NotPsdError, match=r"^A \+ B: min eigenvalue "):
+            check_homogeneity(self.TLOGT, A, B, np.eye(3))
 
 
 # ---------------------------------------------------------------------------
