@@ -20,11 +20,13 @@ import numpy as np
 from .calculus import (
     ENDPOINT_TOL,
     HomogeneousFunction,
+    PreconditionError,
     _checked_pair_spectrum,
     _diagonal_values,
     _endpoints,
     _pair_spectra,
     _pw_apply,
+    _r_spectrum,
     _validated_pair,
 )
 from .extended import (
@@ -126,10 +128,11 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
                   schedule=DEFAULT_EPS_SCHEDULE):
     """Regularized perspectives of (A + eps I, B + eps I) down a schedule.
 
-    Each entry is the plain invertible-pair sandwich, a bounded Hermitian
-    matrix.  For f with f(1) = 0 the state evaluations are nondecreasing as
-    eps decreases, and they converge to the extended perspective; divergence
-    of the tail detects the infinity part.
+    Each entry is the pair kernel's X* diag((1-t) f(t/(1-t))) X, a bounded
+    Hermitian matrix, on the eigenpairs of A + B shifted by 2 eps; an eps
+    they cannot resolve raises PreconditionError.  For f with f(1) = 0 the
+    state evaluations are nondecreasing down the schedule, to the extended
+    perspective; divergence of the tail detects the infinity part.
     """
     eps = [float(e) for e in schedule]
     # written so that a NaN, on which every comparison is False, fails it
@@ -137,19 +140,18 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
             e2 < e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValueError(
             "schedule must be finite, strictly decreasing and positive")
-    A, B, _, _ = _validated_pair(A, B)
-    n = A.shape[0]
-    eye = np.eye(n)
-    out = []
+    A, _, w, V = _validated_pair(A, B, with_sum=True)
+    eye, out = np.eye(len(A)), []
     for e in eps:
-        Be = B + e * eye
-        w, V = eigh(Be)
-        inv_half = (V / np.sqrt(w)) @ V.conj().T
-        W = hermitian_part(inv_half @ (A + e * eye) @ inv_half)
-        wv, Q = eigh(W)
-        fw = (Q * np.array([f(max(float(t), 1e-300)) for t in wv])) @ Q.conj().T
-        half = (V * np.sqrt(w)) @ V.conj().T
-        out.append((e, hermitian_part(half @ fw @ half)))
+        with np.errstate(over="ignore"):  # an inf is cut, and so refused
+            u = w[2] + 2.0 * e
+        vals = u.tolist()
+        t, X = _r_spectrum(A + e * eye, u, V[2], vals, default_rank_tol(vals))
+        if not (len(t) == len(A) and 0.0 < t[0] and t[-1] < 1.0):
+            raise PreconditionError(f"eps = {e:.3e} is not resolved by the "
+                                    "spectrum of A + B")
+        v = np.array([(1.0 - s) * f(s / (1.0 - s)) for s in t.tolist()])
+        out.append((e, hermitian_part(X.conj().T @ (v[:, None] * X))))
     return out
 
 

@@ -540,8 +540,10 @@ class TestFloatLimitInput:
                                     np.eye(2)),
         lambda A: parallel_sum(A, A),
         lambda A: pw_commuting_oracle(perspective_of(catalog("tlogt")), A, A),
+        lambda A: epsilon_limit(TLOGT, A, A),
     ], ids=["connection", "lebesgue_decomposition", "integral_eval_91",
-            "check_homogeneity", "parallel_sum", "pw_commuting_oracle"])
+            "check_homogeneity", "parallel_sum", "pw_commuting_oracle",
+            "epsilon_limit"])
     def test_overflowing_sum_is_rejected_naming_it(self, call):
         # A and B are valid; the kernel's A + B overflows
         with pytest.raises(NonFiniteError, match=r"^A \+ B has a non-finite"):
@@ -560,9 +562,10 @@ class TestFloatLimitInput:
         lambda A, B: parallel_sum(A, B),
         lambda A, B: pw_commuting_oracle(perspective_of(catalog("tlogt")), A,
                                          B),
+        lambda A, B: epsilon_limit(TLOGT, A, B),
     ], ids=["perspective_apply", "connection", "lebesgue_decomposition",
             "integral_eval_91", "integral_eval_92", "check_homogeneity",
-            "parallel_sum", "pw_commuting_oracle"])
+            "parallel_sum", "pw_commuting_oracle", "epsilon_limit"])
     def test_overflowing_sum_warns_nothing(self, call, action):
         # the sum of a pair is formed with numpy's overflow silenced: the
         # valid pair's inf sum fails the rank cut, and the invalid pair's

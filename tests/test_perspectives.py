@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import warnings
 from dataclasses import replace
@@ -40,6 +41,7 @@ from pwcalc.linalg import (
     vector_state,
 )
 from pwcalc.perspectives import (
+    DEFAULT_EPS_SCHEDULE,
     _t2_form_holds,
     boundedness_chain,
     check_ah_inequality,
@@ -130,17 +132,18 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # the kernel of its +inf rows.  The calls that validate a pair and then
 # read it (invertible_formula, the commuting-pair oracle, parallel_sum,
 # epsilon_limit and the variational calls) check A and B with one eigh of
-# their stack; the oracle's and parallel_sum's stack holds A + B too, whose
-# rank cut gives the oracle's kernel floor and parallel_sum its
-# pseudo-inverse.  invertible_formula reads its invertibility test and both
-# roots off B's eigenpairs in it, or A's when B is singular (A is singular
-# in the rank-deficient pair, B is not), then decomposes the sandwiched
-# matrix and the result's finite part.  special_values and
+# their stack; the oracle's, parallel_sum's and epsilon_limit's stack holds
+# A + B too, whose rank cut gives the oracle's kernel floor and parallel_sum
+# its pseudo-inverse, and whose eigenpairs, shifted by 2 eps, give
+# epsilon_limit the sum at each eps.  invertible_formula reads its
+# invertibility test and both roots off B's eigenpairs in it, or A's when B
+# is singular (A is singular in the rank-deficient pair, B is not), then
+# decomposes the sandwiched matrix and the result's finite part.  special_values and
 # matrix_power_psd read everything off the PSD check of A, and
 # special_values' finite scalar adds the lower bound of scalar * A.  The
 # commuting-pair oracle adds B over each of A's four eigenspaces.
 # variational_envelope takes one pseudo-inverse per atom, one atom at each
-# of its two n, and epsilon_limit two eigh at each of its eight eps.
+# of its two n, and epsilon_limit one of R at each of its eight eps.
 # two_projections reads the ranges of P and Q off one eigh of their stack.
 # A pair rejected as not PSD is decomposed no further: connection on (A, -B) makes the kernel's eigh of
 # A + B, which fails its own check and is held, and the PSD half's eigh
@@ -221,7 +224,7 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
      "rank_deficient", 3, 0),
     (lambda A, B, rho: parallel_sum(A, B), "rank_deficient", 1, 0),
     (lambda A, B, rho: epsilon_limit(catalog("tlogt"), A, B),
-     "rank_deficient", 17, 0),
+     "rank_deficient", 9, 0),
     (_rejects_minus_b(CONNECTION), "rank_deficient", 2, 0),
     (_rejects_minus_b(
         lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho)),
@@ -479,6 +482,15 @@ class TestPerspectiveApply:
                     assert abs(q1 - q2) < 1e-9 * (1 + abs(q1) + abs(q2))
 
 
+# three profiles, trials 0-7 each, of order 3 to 5
+SCALE_PAIRS = [gen_pair(RandomSpec(3 + trial % 3, 3 + trial % 3, profile, 17),
+                        trial)
+               for profile in ("well_conditioned", "rank_deficient",
+                               "projection")
+               for trial in range(8)]
+UNRESOLVED = r"^eps = \S+ is not resolved by the spectrum of A \+ B$"
+
+
 class TestEpsilonLimit:
     def test_monotone_for_centered_f(self):
         spec = RandomSpec(4, 4, "rank_deficient", seed=9)
@@ -501,6 +513,48 @@ class TestEpsilonLimit:
     def test_schedule_validation(self):
         with pytest.raises(ValueError, match="decreasing"):
             epsilon_limit(catalog("power", 2), A712, B712, schedule=(1e-2, 1e-1))
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-9, 1e9, 1e150])
+    @pytest.mark.parametrize("name", ["tlogt", "neglog"])
+    def test_joint_scaling(self, name, c):
+        # P_f(cA + c eps, cB + c eps) = c P_f(A + eps, B + eps), to an
+        # error absolute in the pair's scale
+        f = catalog(name)
+        for A, B in SCALE_PAIRS:
+            scaled = epsilon_limit(f, c * A, c * B,
+                                   [c * e for e in DEFAULT_EPS_SCHEDULE])
+            tol = 1e-6 * (np.linalg.norm(A, 2) + np.linalg.norm(B, 2))
+            for (_, got), (_, want) in zip(scaled, epsilon_limit(f, A, B)):
+                assert np.abs(got / c - want).max() <= tol
+
+    @pytest.mark.parametrize("c", [1e9, 1e150])
+    @pytest.mark.parametrize("name", ["tlogt", "neglog"])
+    def test_default_schedule_at_scale(self, name, c):
+        # an absolute eps may sink below the roundoff of c (A + B): each
+        # call gives finite entries or refuses the eps by name, and warns
+        # nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A, B in SCALE_PAIRS:
+                try:
+                    entries = epsilon_limit(catalog(name), c * A, c * B)
+                except PreconditionError as exc:
+                    assert re.match(UNRESOLVED, str(exc)), exc
+                else:
+                    assert all(np.isfinite(M).all() for _, M in entries)
+
+    def test_unresolved_eps_is_named(self):
+        A, B = gen_pair(RandomSpec(2, 6, "rank_deficient", 11), 6)
+        with pytest.raises(PreconditionError, match=UNRESOLVED):
+            epsilon_limit(catalog("neglog"), 1e9 * A, 1e9 * B)
+
+    def test_overflowing_shift_is_refused(self):
+        # A + B is finite, A + B + 2 eps I is not, and no overflow warns
+        M = np.diag([5e307, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=UNRESOLVED):
+                epsilon_limit(catalog("tlogt"), M, M, [5e307])
 
 
 class TestConnection:
@@ -950,26 +1004,11 @@ def test_dominance_scale_against_mpmath(decade):
             assert abs(got - want) <= tol * want, (n, got, want)
 
 
-def _shifted_epsilon_entry(f, A, B, e):
-    """epsilon_limit's entry at e with (B + e I)'s eigenpairs read as B's
-    plus e, the fusion ROADMAP item 3 weighs, instead of eigh(B + e I)."""
-    eye = np.eye(len(A))
-    w, V = eigh(B)
-    w = w + e
-    inv_half = (V / np.sqrt(w)) @ V.conj().T
-    W = hermitian_part(inv_half @ (A + e * eye) @ inv_half)
-    wv, Q = eigh(W)
-    fw = (Q * np.array([f(max(float(t), 1e-300)) for t in wv])) @ Q.conj().T
-    half = (V * np.sqrt(w)) @ V.conj().T
-    return hermitian_part(half @ fw @ half)
-
-
 @pytest.fixture(scope="module")
 def epsilon_errors():
-    """(epsilon_limit's error, the shifted spectrum's error, their
-    distance) at eps = 1e-8 and f = neglog, each relative to the largest
-    entry of the reference, over the pairs with a singular B among the
-    first 12 trials of three singular profiles."""
+    """epsilon_limit's error at eps = 1e-8 and f = neglog, relative to the
+    largest entry of the reference, over the pairs with a singular B among
+    the first 12 trials of three singular profiles."""
     mpmath = pytest.importorskip("mpmath")
     f, e = catalog("neglog"), 1e-8
     rows = {}
@@ -980,37 +1019,51 @@ def epsilon_errors():
             if np.linalg.matrix_rank(B) == len(B):
                 continue
             ref = reference.mp_perspective(lambda x: -mpmath.log(x), A, B, e)
-            scale = np.abs(ref).max()
             got = epsilon_limit(f, A, B, [e])[0][1]
-            shifted = _shifted_epsilon_entry(f, A, B, e)
-            rows[f"{profile}-{trial}"] = (np.abs(got - ref).max() / scale,
-                                          np.abs(shifted - ref).max() / scale,
-                                          np.abs(shifted - got).max() / scale)
+            rows[f"{profile}-{trial}"] = (np.abs(got - ref).max()
+                                          / np.abs(ref).max())
     return rows
 
 
+def _graded_pair(ratio, trial):
+    """A definite and B singular, of order 3 to 5, with |A| = ratio |B|."""
+    n = 3 + trial % 3
+    A = gen_pair(RandomSpec(n, n, "well_conditioned", 29), trial)[0]
+    B = gen_pair(RandomSpec(n, n, "rank_deficient", 29), trial)[1]
+    A, B = hermitian_part(A), hermitian_part(B)
+    return A * (ratio * np.linalg.norm(B, 2) / np.linalg.norm(A, 2)), B
+
+
 class TestEpsilonLimitAgainstMpmath:
-    """At eps = 1e-8 on a singular B, the least eigenvalue of
-    W = (B+eps)^-1/2 (A+eps) (B+eps)^-1/2 is of the order of its own
-    roundoff, n eps |A| / eps; where it comes out at or below 0, neglog
-    reads the 1e-300 floor, and the entry is off by tens of times its
-    size, whichever way (B + eps I) was decomposed."""
+    """At eps = 1e-8 on a singular B, the entries are read off the pair
+    kernel's t in [0, 1], whose error is absolute in |A + B|: near 1e-10 of
+    the largest entry on unit pairs, and growing with how far |A| and |B|
+    are apart, until 1 - t rounds onto 0 and the eps is refused."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="W's least eigenvalue is at its roundoff; "
-                       "below 0 it takes the 1e-300 floor")
-    def test_entries_within_a_tenth(self, epsilon_errors):
-        for label, (err, _, _) in epsilon_errors.items():
-            assert err <= 0.1, (label, err)
+    def test_entries_within_a_millionth(self, epsilon_errors):
+        assert len(epsilon_errors) >= 24
+        for label, err in epsilon_errors.items():
+            assert err <= 1e-6, (label, err)
 
-    def test_shifted_spectrum_is_as_far_off(self, epsilon_errors):
-        # reading B's spectrum plus eps moves entries far more than the last
-        # bits, and is the more accurate of the two about as often as not
-        rows = list(epsilon_errors.values())
-        assert len(rows) >= 24
-        assert sum(d > 1e-6 for _, _, d in rows) >= len(rows) / 2
-        assert sum(s > g for g, s, _ in rows) >= len(rows) / 4
-        assert sum(g > s for g, s, _ in rows) >= len(rows) / 4
+    @pytest.mark.parametrize("ratio, bound", [
+        (1e4, 1e-8), (1e6, 1e-8), (1e8, 1e-4), (1e10, 1e-4)])
+    def test_graded_pairs(self, ratio, bound):
+        # below the cliff every entry is resolved; past it, where 1 - t of
+        # B's kernel is near eps / |A| and so near A + B's roundoff, an
+        # entry is within 1e-4 or its eps is refused by name
+        mpmath = pytest.importorskip("mpmath")
+        f, e = catalog("neglog"), 1e-8
+        for trial in range(6):
+            A, B = _graded_pair(ratio, trial)
+            ref = reference.mp_perspective(lambda x: -mpmath.log(x), A, B, e)
+            try:
+                got = epsilon_limit(f, A, B, [e])[0][1]
+            except PreconditionError as exc:
+                assert ratio > 1e6, (trial, exc)
+                assert re.match(UNRESOLVED, str(exc)), exc
+                continue
+            err = np.abs(got - ref).max() / np.abs(ref).max()
+            assert err <= bound, (trial, err)
 
 
 @pytest.mark.parametrize("X, Y, error, message", [
