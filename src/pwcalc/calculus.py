@@ -8,21 +8,15 @@ from the eigenvalues of R through the diagonal t -> phi(t, 1-t).
 
 Eigenvalues of R within ENDPOINT_TOL of 0 or 1 take the corner values
 phi(0,1) / phi(1,0): the corner conventions are exact set distinctions that
-numerics must discretize.  A diagonal that diverges continuously near an
-endpoint (t^2/(1-t) near 1, say) therefore produces a large finite value for
-eigenvalues just outside the tolerance band and +inf inside it; there is no
-smoothing across that cliff, only the exposed tolerance.  ENDPOINT_TOL is
-one of seven deciding tolerances, with the rank cut of A+B
-(linalg.default_rank_tol), linalg.MEET_COS_TOL, extended's
-CONTAINMENT_COS_TOL, STATE_INF_REL_TOL and KERNEL_REL_TOL, and
-variational.SINGULAR_MASS_REL_TOL; README lists what each decides.
-A pair is validated once, on linalg's stacked path, with its error order;
-linalg's PSD_CERTIFICATE_K only selects whether that path's PSD half runs
-(_certified) and, from n = DEFINITE_MIN_N (set from measured costs) on,
-whether the pair kernel reduces a definite A+B by Cholesky
-(_definite_spectra, on linalg._definite_factor, the certificate
-require_state reads too), whose outputs differ from the eigh route's only
-by roundoff; it decides no output.
+numerics must discretize, so a diagonal that diverges near an endpoint
+(t^2/(1-t) near 1, say) is large and finite just outside the band and +inf
+inside it, with no smoothing across that cliff.  Every tolerance is a
+constant of the module that owns its question; README ("Numerical
+contracts") lists what each decides.  A pair is validated once, on linalg's
+stacked path; linalg's PSD_CERTIFICATE_K and DEFINITE_MIN_N only select
+whether its PSD half runs (_certified) and whether the pair kernel reduces
+a definite A+B by Cholesky (_definite_spectra), whose outputs differ from
+the eigh route's by roundoff: they decide no output.
 """
 
 from __future__ import annotations
@@ -36,9 +30,11 @@ import numpy as np
 from .extended import (
     CONTAINMENT_COS_TOL,
     ExtendedSelfAdjoint,
+    FORM_SLACK_REL,
     FormArithmeticError,
     INF,
     _diagonal_congruence,
+    _form_scale,
     congruence,
     form_leq,
     from_matrix,
@@ -86,6 +82,10 @@ from .linalg import (
 
 # Endpoint classification tolerance on eigenvalues of R (which lie in [0,1]).
 ENDPOINT_TOL = 1e-10
+CORNER_REL_TOL = 1e-12  # diagonal(end) vs its corner, times 1 + |diagonal|
+COMMUTE_REL_TOL = 1e-9  # the commuting oracle's test, times |A| |B|
+GROUP_REL_TOL = 1e-7  # its grouping of A's eigenvalues, times max |eig A|
+OPEN_END_OFFSET = 1e-12  # check_restricted_bounded's step into an open end
 
 
 class PreconditionError(ValueError):
@@ -158,7 +158,7 @@ class HomogeneousFunction:
             if not closed:
                 continue
             v = self.diagonal(float(end))
-            if not (v == corner or abs(v - corner) <= 1e-12 * (
+            if not (v == corner or abs(v - corner) <= CORNER_REL_TOL * (
                     1 + abs(v) if math.isfinite(v) else 1)):
                 raise ValueError(
                     f"{self.name}: diagonal({end}) = {v} disagrees with "
@@ -510,7 +510,7 @@ def _grouped_joint_eigensystem(wA: np.ndarray, VA: np.ndarray, B: np.ndarray):
     diagonalization of B over the eigenspaces of A, from the eigenpairs
     (wA, VA) of A."""
     n = len(wA)
-    group_tol = 1e-7 * (1.0 + float(np.abs(wA).max(initial=0.0)))
+    group_tol = GROUP_REL_TOL * float(np.abs(wA).max(initial=0.0))
     pairs = []
     start = 0
     while start < n:
@@ -541,8 +541,8 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
     A, B, w, V = _validated_pair(A, B, with_sum=True)
     kernel_floor = default_rank_tol(w[2])
     comm = spectral_norm(A @ B - B @ A)
-    bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
-    if comm > max(bound, 1e-13):
+    bound = COMMUTE_REL_TOL * spectral_norm(A) * spectral_norm(B)
+    if comm > bound:
         raise PreconditionError(
             f"pair does not commute: |AB - BA| = {comm:.3e} > {bound:.3e}"
         )
@@ -653,9 +653,7 @@ def check_homogeneity(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
                    hermitian_part(C.conj().T @ B @ C))
     rhs = congruence(C, pw_apply(phi, A, B))
     if slack is None:
-        scale = 1.0 + max(np.abs(lhs.finite_part).max(initial=0.0),
-                          np.abs(rhs.finite_part).max(initial=0.0))
-        slack = 1e-8 * scale
+        slack = FORM_SLACK_REL * _form_scale(lhs, rhs)
     le, w1 = form_leq(lhs, rhs, slack)
     ge, w2 = form_leq(rhs, lhs, slack)
     rng = np.random.default_rng(seed)
@@ -689,9 +687,9 @@ def check_restricted_bounded(phi: HomogeneousFunction,
             lo, hi = 0.0, 1.0 - delta
         else:
             lo, hi = delta, 1.0
-        interior = phi.diagonal.domain
-        lo = max(lo, interior.lo + (0.0 if interior.closed_lo else 1e-12))
-        hi = min(hi, interior.hi - (0.0 if interior.closed_hi else 1e-12))
+        d = phi.diagonal.domain
+        lo = max(lo, d.lo + (0.0 if d.closed_lo else OPEN_END_OFFSET))
+        hi = min(hi, d.hi - (0.0 if d.closed_hi else OPEN_END_OFFSET))
         grid1 = np.linspace(lo, hi, coarse)
         grid2 = np.linspace(lo, hi, coarse * refine + 1)
         try:

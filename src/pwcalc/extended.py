@@ -49,6 +49,8 @@ CONTAINMENT_COS_TOL = 1e-8
 # an amplitude fraction of 1e-12 carries mass 1e-24, far under the state
 # threshold, so both classifications agree on which vectors evaluate finite.
 KERNEL_REL_TOL = 1e-12
+# The checks' form order, times _form_scale: roundoff of two evaluations.
+FORM_SLACK_REL = 1e-8
 
 
 class FormArithmeticError(ArithmeticError):
@@ -197,13 +199,7 @@ def make_extended(pairs) -> ExtendedSelfAdjoint:
     n, k = vecs.shape
     if k != n:
         raise ValueError(f"eigenvectors must span the space: got {k} vectors in C^{n}")
-    gram = vecs.conj().T @ vecs
-    dev = np.abs(gram - np.eye(n))
-    if dev.max() > 1e-10:
-        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-        raise ValueError(
-            f"eigenvectors not orthonormal: Gram[{i}][{j}] deviates by {dev[i, j]:.3e}"
-        )
+    Subspace(vecs)  # checks that the vectors are orthonormal
     return _diagonal_element([float(v) for v, _ in pairs], vecs)
 
 
@@ -407,6 +403,12 @@ def form_leq(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint, slack: float):
     if w[0] >= -slack:
         return True, None
     return False, V2 @ Q[:, 0]
+
+
+def _form_scale(*operands) -> float:
+    """1 + the largest entry of matrices and elements' basis-free forms VFV*."""
+    return 1.0 + max(float(np.abs(getattr(T, "_form", T)).max(initial=0.0))
+                     for T in operands)
 
 
 def approx_equal(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint,

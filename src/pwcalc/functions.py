@@ -16,9 +16,11 @@ import numpy as np
 
 from .extended import (
     ExtendedSelfAdjoint,
+    FORM_SLACK_REL,
     FormArithmeticError,
     INF,
     _diagonal_element,
+    _form_scale,
     congruence,
     form_leq,
     xadd,
@@ -31,6 +33,11 @@ from .linalg import (
     psd_tol,
     require_hermitian,
 )
+
+LIMIT_REL_SLACK = 1e-6  # a boundary value vs its sampled limit, x 1 + |lim|
+PMI_SLACK = 1e-10  # check_pmi's, absolute on its window (see there)
+INTERIOR_MARGIN = 1e-3  # check_theorem37_boundary's step into its window
+DIVERGENCE_FLOOR = 1e-12  # the least start of _diverges' growth test
 
 
 class DomainError(ValueError):
@@ -490,7 +497,7 @@ def check_operator_convex(f: ExtendedFunction, dims=(4, 2), trials: int = 300,
     """Sampled isometry-compression test f(V*AV) <= V* f(A) V.
 
     Random A with spectrum in the domain, random isometries V into a smaller
-    space; both sides compared in the form order with slack 1e-8 * scale.
+    space; both sides compared in the form order within the checks' slack.
     """
     dim_h, dim_k = dims
     failures = []
@@ -500,9 +507,7 @@ def check_operator_convex(f: ExtendedFunction, dims=(4, 2), trials: int = 300,
         V = _haar_isometry(rng, dim_h, dim_k)
         lhs = calculus(f, hermitian_part(V.conj().T @ A @ V))
         rhs = congruence(V, calculus(f, A))
-        scale = 1.0 + max(np.abs(lhs.finite_part).max(initial=0.0),
-                          np.abs(rhs.finite_part).max(initial=0.0))
-        ok, witness = form_leq(lhs, rhs, 1e-8 * scale)
+        ok, witness = form_leq(lhs, rhs, FORM_SLACK_REL * _form_scale(lhs, rhs))
         if not ok:
             failures.append({"trial": trial, "A": A, "V": V, "witness": witness})
     return CheckReport(f"operator_convex:{f.name}", trials,
@@ -532,20 +537,17 @@ def check_theorem37_boundary(f: ExtendedFunction, trials: int = 100,
     d = f.domain
     failures = []
     width = (d.hi - d.lo) if math.isfinite(d.hi) else 1.0
-    if d.closed_lo:
-        lim, vals = _approach_limit(f, d.lo, width)
-        if not (f(d.lo) >= lim - 1e-6 * (1 + abs(lim) if math.isfinite(lim) else 1)):
-            failures.append({"endpoint": d.lo, "declared": f(d.lo), "limit": lim})
+    ends = [(d.lo, width)] if d.closed_lo else []
     if math.isfinite(d.hi) and d.closed_hi:
-        lim, vals = _approach_limit(f, d.hi, -width)
-        if math.isinf(lim):
-            ok = math.isinf(f(d.hi))
-        else:
-            ok = f(d.hi) >= lim - 1e-6 * (1 + abs(lim))
-        if not ok:
-            failures.append({"endpoint": d.hi, "declared": f(d.hi), "limit": lim})
+        ends.append((d.hi, -width))
+    for end, inward in ends:
+        lim, _ = _approach_limit(f, end, inward)
+        if not f(end) >= lim - LIMIT_REL_SLACK * (
+                1 + abs(lim) if math.isfinite(lim) else 1):
+            failures.append({"endpoint": end, "declared": f(end), "limit": lim})
     lo_eff, hi_eff = _sample_window(d)
-    interior = np.linspace(lo_eff + 1e-3 * width, hi_eff - 1e-3 * width, 101)
+    interior = np.linspace(lo_eff + INTERIOR_MARGIN * width,
+                           hi_eff - INTERIOR_MARGIN * width, 101)
     for t in interior:
         if math.isinf(f(float(t))):
             failures.append({"interior_point": float(t), "value": INF})
@@ -560,7 +562,7 @@ def check_theorem37_boundary(f: ExtendedFunction, trials: int = 100,
 def check_pmi(f: ExtendedFunction, trials: int = 200, seed: int = 0) -> CheckReport:
     """Power-monotone-increasing test: f(t^p) >= f(t)^p for p >= 1.
 
-    The sample window keeps f(t)^p below ~1e3 so the absolute 1e-10 slack
+    The sample window keeps f(t)^p below ~1e3 so the absolute PMI_SLACK
     stays above floating noise for exact-equality functions like t^2.
     """
     failures = []
@@ -571,7 +573,7 @@ def check_pmi(f: ExtendedFunction, trials: int = 200, seed: int = 0) -> CheckRep
         ft = f(t)
         if ft <= 0:
             raise ValueError(f"check_pmi requires f > 0; {f.name}({t}) = {ft}")
-        if f(t ** p) < ft ** p - 1e-10:
+        if f(t ** p) < ft ** p - PMI_SLACK:
             failures.append({"trial": trial, "t": t, "p": p,
                              "lhs": f(t ** p), "rhs": ft ** p})
     return CheckReport(f"pmi:{f.name}", trials, trials - len(failures), failures)
@@ -582,10 +584,12 @@ def _diverges(vals) -> bool:
     (covers logarithmic rates, where a fixed large threshold would lie)."""
     mags = [abs(v) for v in vals]
     growing = all(b >= a for a, b in zip(mags, mags[1:]))
-    return growing and (mags[-1] > 1e2 or mags[-1] >= 1.5 * max(mags[0], 1e-12))
+    return growing and (mags[-1] > 1e2
+                        or mags[-1] >= 1.5 * max(mags[0], DIVERGENCE_FLOOR))
 
 
-def verify_boundary_metadata(f: ExtendedFunction, rel_tol: float = 1e-6) -> bool:
+def verify_boundary_metadata(f: ExtendedFunction,
+                             rel_tol: float = LIMIT_REL_SLACK) -> bool:
     """Check declared f(0+) and f'(inf) against a geometric sample grid."""
     ok = True
     if f.f_at_0plus is not None:

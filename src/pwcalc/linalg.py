@@ -43,19 +43,15 @@ HERMITIAN_ATOL = 1e-12
 MATRIX_HERMITIAN_ATOL = 1e-9
 # Principal-angle cosine threshold for subspace intersection.
 MEET_COS_TOL = 1e-10
+ORTHONORMAL_ATOL = 1e-10  # |B*B - I| of a Subspace's or make_extended's B
 # Order from which _concurrently runs its two thunks at once: below it,
 # handing one to the worker thread costs more than it saves.
 CONCURRENT_MIN_N = 64
-# Safety factor K of the definite certificate (_definite_factor), which the
-# pair kernel (calculus._definite_spectra, calculus._certified) and
-# require_state read.  It selects a validation path and a kernel route, and
-# decides no output.
+# Safety factor K of the definite certificate (_definite_factor): it selects
+# a validation path and a kernel route, and decides no output.
 PSD_CERTIFICATE_K = 1e3
-# Order from which the pair kernel and require_state try the definite
-# certificate first.  Measured (README, "Numerical contracts"): a
-# factorization that fails on a semidefinite sum costs about what a definite
-# sum saves up to n = 12, and about 6% of the kernel at n = 32, where a
-# definite sum saves about 27%.
+# Order from which the pair kernel and require_state try that certificate
+# first, set from measured costs (README, "Numerical contracts").
 DEFINITE_MIN_N = 32
 
 
@@ -350,13 +346,11 @@ class Subspace:
         if B.ndim != 2:
             raise ValueError(f"subspace basis must be 2-d, got ndim {B.ndim}")
         object.__setattr__(self, "basis", B)
-        if B.shape[1]:
-            gram = B.conj().T @ B
-            dev = np.abs(gram - np.eye(B.shape[1])).max()
-            if dev > 1e-10:
-                raise ValueError(
-                    f"subspace basis columns not orthonormal: |B*B - I| = {dev:.3e}"
-                )
+        dev = np.abs(B.conj().T @ B - np.eye(B.shape[1]))
+        if not dev.max(initial=0.0) <= ORTHONORMAL_ATOL:  # NaN fails too
+            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+            raise ValueError(f"subspace basis columns not orthonormal: "
+                             f"|B*B - I| = {dev[i, j]:.3e} at Gram[{i}][{j}]")
 
     @property
     def ambient_dim(self) -> int:

@@ -59,6 +59,12 @@ from .linalg import (
     vector_state,
 )
 
+EPS_MONOTONE_SLACK = 1e-10  # absolute: roundoff at the suites' scale of ~1
+T2_SLACK_REL = 1e-8  # t2_bound's form check, x lam |B| + |A^2|, no floor
+T2_LOWER_STEP = 1e-4  # t2_bound's step below lam, times lam
+PREDUAL_TRACE_FLOOR = 1e-14  # a predual state's trace that counts as zero
+
+
 def perspective_of(f: ExtendedFunction, assert_convex: bool = False
                    ) -> HomogeneousFunction:
     """Homogeneous extension of f: diagonal (1-t) f(t/(1-t)) with the
@@ -155,7 +161,8 @@ def epsilon_limit(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
     return out
 
 
-def epsilon_monotone(entries, rho: np.ndarray, slack: float = 1e-10) -> bool:
+def epsilon_monotone(entries, rho: np.ndarray,
+                     slack: float = EPS_MONOTONE_SLACK) -> bool:
     """True iff the state evaluations are nondecreasing down the schedule."""
     return _epsilon_monotone(entries, _entries_state(entries, rho), slack)
 
@@ -368,11 +375,10 @@ class T2Bound:
 
 def _t2_form_holds(lam: float, A2: np.ndarray, B: np.ndarray) -> bool:
     """A^2 <= lam B by the form check: the least eigenvalue of lam B - A^2
-    is at least -1e-8 (lam |B| + |A^2|), a slack relative to the pair's
-    scale, so that the check reads the same at every joint scaling."""
+    is at least -T2_SLACK_REL (lam |B| + |A^2|)."""
     scale = lam * spectral_norm(B) + spectral_norm(A2)
     w, _ = eigh(hermitian_part(lam * B - A2))
-    return bool(w.min(initial=0.0) >= -1e-8 * scale)
+    return bool(w.min(initial=0.0) >= -T2_SLACK_REL * scale)
 
 
 def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
@@ -398,7 +404,7 @@ def _t2_bound(A: np.ndarray, B: np.ndarray, t: np.ndarray, X: np.ndarray
     upper = _t2_form_holds(lam, A2, B)
     lower_fails = True
     if lam > 0:
-        delta = 1e-4 * lam
+        delta = T2_LOWER_STEP * lam
         w_lo, _ = eigh(hermitian_part((lam - delta) * B - A2))
         lower_fails = bool(w_lo.min(initial=0.0) < 0.0)
     return T2Bound(True, lam, upper, lower_fails)
@@ -579,7 +585,7 @@ def check_positive_map_monotonicity(f: ExtendedFunction, kraus,
             rho = X @ X.conj().T / dim_out
         lv = evaluate_state(lhs, rho)
         pre = kraus_predual(kraus, rho)
-        if float(np.trace(pre).real) <= 1e-14:
+        if float(np.trace(pre).real) <= PREDUAL_TRACE_FLOOR:
             rv = 0.0
         else:
             rv = evaluate_state(base, pre)

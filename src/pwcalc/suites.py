@@ -20,9 +20,10 @@ values are read through the kernels that trust it (`_state_value`,
 per distinct input: the value at the drawn pair serves subadditivity and
 the checks after it, and `suite_axioms_thm103` keeps candidate(I, I) per
 dimension for the whole call; its orientation note evaluates candidate(tI, I)
-down its grid only until the first finite value above 1e-12, which already
-decides the note.  Candidates are taken to be functions of their input, as
-the determinism guarantee below already assumes.
+down its grid only until the first finite value above its threshold, which
+already decides the note.  Each slack and step of a check is a row of CHECKS.
+Candidates are taken to be functions of their input, as the determinism
+guarantee below already assumes.
 
 Reports are deterministic: identical (seed, spec, flags) produce identical
 canonical serializations.  The mandated wall_time_ms field is the single
@@ -48,7 +49,9 @@ from .calculus import (
 )
 from .extended import (
     ExtendedSelfAdjoint,
+    FORM_SLACK_REL,
     INF,
+    _form_scale,
     _state_value,
     add,
     congruence,
@@ -66,6 +69,7 @@ from .linalg import (
     vector_state,
 )
 from .perspectives import (
+    EPS_MONOTONE_SLACK,
     _epsilon_monotone,
     connection,
     epsilon_limit,
@@ -74,7 +78,24 @@ from .perspectives import (
     perspective_of,
 )
 
-SLACK_REL = 1e-8
+# check or note: (slack, step); a slack multiplies _form_scale of what the
+# check compares unless marked absolute; continuity slacks absorb the step.
+CHECKS = {
+    # _form_order and _psd_order, for every order check: two evaluations
+    "form_order": (FORM_SLACK_REL, None),
+    "operator_homogeneity": (1e-7, None),  # also times |A, B|: C is not unit
+    "direct_sum": (1e-8, None),  # roundoff of two evaluations
+    "floored_continuity": (1e-5, 2.0 ** -26),
+    "diagonal_shift": (1e-4, 1e-9),
+    "decreasing_chain": (1e-6, 2.0 ** -30),
+    "decreasing_continuity": (1e-6, 2.0 ** -30),
+    "lower_semicontinuity": (1e-6, tuple(2.0 ** -k for k in (26, 28, 30, 32))),
+    "shift_continuity": (1e-5, 1e-8),
+    "local_upper_continuity": (1e-5, 2.0 ** -26),  # absolute, at I
+    "shift_monotonicity": (EPS_MONOTONE_SLACK, None),  # absolute
+    "expected_divergence": (1e2, None),  # note: the blowup's growth factor
+    "orientation": (1e-12, None),  # note: top generator value taken as <= 0
+}
 
 
 def t_cubed() -> ExtendedFunction:
@@ -264,38 +285,25 @@ def _run_trials(name, spec: RandomSpec, trials: int, checks,
                        failures, (time.perf_counter() - t0) * 1e3, list(notes))
 
 
-def _scale_of(*elements) -> float:
-    # an extended element's scale is read from its ambient form V F V*: F's
-    # entries depend on which basis of the essential part LAPACK returned.
-    # The element keeps that form, which form_leq then reads again
-    s = 1.0
-    for T in elements:
-        if isinstance(T, ExtendedSelfAdjoint):
-            s = max(s, 1.0 + float(np.abs(T._form).max(initial=0.0)))
-        else:
-            s = max(s, 1.0 + float(np.abs(np.asarray(T)).max(initial=0.0)))
-    return s
-
-
 def _failure(failed, slack, **values):
     """The failure's record fields when `failed`, else None."""
     return {"slack": slack, **values} if failed else None
 
 
 def _form_order(lo, hi, slack=None):
-    """lo <= hi in the form order, within SLACK_REL of their scale unless a
-    slack is given: None, or the failure with its witness."""
+    """lo <= hi in the form order, within the form_order slack of their
+    scale unless a slack is given: None, or the failure with its witness."""
     if slack is None:
-        slack = SLACK_REL * _scale_of(lo, hi)
+        slack = CHECKS["form_order"][0] * _form_scale(lo, hi)
     ok, witness = form_leq(lo, hi, slack)
     return None if ok else {"witness": vec_payload(witness), "slack": slack}
 
 
 def _psd_order(lo, hi):
-    """lo <= hi as matrices, by the least eigenvalue of hi - lo, within
-    SLACK_REL of their scale: None, or the failure with it as lhs."""
+    """lo <= hi as matrices, by the least eigenvalue of hi - lo, within the
+    form_order slack of their scale: None, or the failure with it as lhs."""
     w, _ = eigh(hermitian_part(hi - lo))
-    slack = SLACK_REL * _scale_of(lo, hi)
+    slack = CHECKS["form_order"][0] * _form_scale(lo, hi)
     least = float(w.min(initial=0.0))
     return _failure(least < -slack, slack, lhs=least)
 
@@ -390,7 +398,7 @@ def suite_continuity(f: ExtendedFunction, spec: RandomSpec,
         # scalar pairs shrinking at mismatched rates can blow up; expected
         phi = perspective_of(f, assert_convex=True)
         vals = [phi.bivariate(2.0 ** -k, 8.0 ** -k) for k in range(1, 12)]
-        if vals[-1] > 1e2 * max(1.0, abs(vals[0])):
+        if vals[-1] > CHECKS["expected_divergence"][0] * max(1.0, abs(vals[0])):
             notes.append({"expected_divergence": "scalar pair (2^-n X, 8^-n X)",
                           "terminal": vals[-1]})
 
@@ -400,9 +408,9 @@ def suite_continuity(f: ExtendedFunction, spec: RandomSpec,
         E = random_psd(rng, n, lo=0.2, hi=1.0)
         if connection_mode:
             base = connection(f, A, B)
-            dev = np.abs(connection(f, A + 2.0 ** -30 * D, B + 2.0 ** -30 * E)
-                         - base).max()
-            slack = 1e-6 * _scale_of(base)
+            slack, step = CHECKS["decreasing_chain"]
+            dev = np.abs(connection(f, A + step * D, B + step * E) - base).max()
+            slack *= _form_scale(base)
             yield ("decreasing_chain", {"A": A, "B": B, "D": D, "E": E},
                    _failure(dev > slack, slack, lhs=dev))
             return
@@ -412,11 +420,11 @@ def suite_continuity(f: ExtendedFunction, spec: RandomSpec,
         rho = require_state(random_state(rng, n))
         direct = _state_value(perspective_apply(f, A, B).value, rho)
         if math.isfinite(direct):
+            slack, steps = CHECKS["lower_semicontinuity"]
             tail = [_state_value(perspective_apply(
-                f, A + 2.0 ** -k * D, B + 2.0 ** -k * E).value, rho)
-                for k in (26, 28, 30, 32)]
+                f, A + step * D, B + step * E).value, rho) for step in steps]
             floor = min((v for v in tail if math.isfinite(v)), default=INF)
-            slack = 1e-6 * _scale_of(A, B)
+            slack *= _form_scale(A, B)
             yield ("lower_semicontinuity", {"A": A, "B": B, "D": D, "E": E},
                    _failure(direct > floor + slack, slack, lhs=direct,
                             rhs=floor))
@@ -424,9 +432,10 @@ def suite_continuity(f: ExtendedFunction, spec: RandomSpec,
         f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
         f0 = ExtendedFunction(f"{f.name}-centered", f.domain,
                               lambda t: f(t) - f1, tags=f.tags)
-        monotone = _epsilon_monotone(epsilon_limit(f0, A, B), rho, 1e-10)
+        slack = CHECKS["shift_monotonicity"][0]
+        monotone = _epsilon_monotone(epsilon_limit(f0, A, B), rho, slack)
         yield ("shift_monotonicity", {"A": A, "B": B},
-               _failure(not monotone, 1e-10))
+               _failure(not monotone, slack))
 
     return _run_trials(f"continuity:{f.name}", spec, trials, checks, notes)
 
@@ -448,26 +457,29 @@ def suite_axioms_thm101(candidate, spec: RandomSpec,
                         hermitian_part(C.conj().T @ B @ C))
         rhs = C.conj().T @ AB @ C
         dev = float(np.abs(lhs - rhs).max())
-        slack = 1e-7 * _scale_of(lhs, rhs) * _scale_of(A, B)
+        slack = (CHECKS["operator_homogeneity"][0] * _form_scale(lhs, rhs)
+                 * _form_scale(A, B))
         yield ("operator_homogeneity", {"A": A, "B": B, "C": C},
                _failure(dev > slack, slack, lhs=dev))
         A2, B2 = random_psd(rng, n), random_psd(rng, n)
         Z = np.zeros((n, n))
         whole = candidate(np.block([[A, Z], [Z, A2]]), np.block([[B, Z], [Z, B2]]))
         parts = np.block([[AB, Z], [Z, candidate(A2, B2)]])
-        slack = 1e-8 * _scale_of(whole, parts)
+        slack = CHECKS["direct_sum"][0] * _form_scale(whole, parts)
         yield ("direct_sum", {"A": A, "B": B, "A2": A2, "B2": B2},
                _failure(np.abs(whole - parts).max() > slack, slack))
         # floored SOT surrogate: A_k -> A with A_k + B_k >= 0.5 I
         eye = np.eye(n)
         base = candidate(A + 0.5 * eye, B + 0.5 * eye)
-        Ak = A + 0.5 * eye + 2.0 ** -26 * random_psd(rng, n)
-        Bk = B + 0.5 * eye + 2.0 ** -26 * random_psd(rng, n)
-        slack = 1e-5 * _scale_of(base)
+        slack, step = CHECKS["floored_continuity"]
+        Ak = A + 0.5 * eye + step * random_psd(rng, n)
+        Bk = B + 0.5 * eye + step * random_psd(rng, n)
+        slack *= _form_scale(base)
         yield ("floored_continuity", {"A": A, "B": B},
                _failure(np.abs(candidate(Ak, Bk) - base).max() > slack, slack))
-        shifted = candidate(A + 1e-9 * eye, B + 1e-9 * eye)
-        slack = 1e-4 * _scale_of(AB)
+        slack, step = CHECKS["diagonal_shift"]
+        shifted = candidate(A + step * eye, B + step * eye)
+        slack *= _form_scale(AB)
         yield ("diagonal_shift", {"A": A, "B": B},
                _failure(np.abs(shifted - AB).max() > slack, slack))
 
@@ -483,10 +495,10 @@ def suite_axioms_thm103(candidate, spec: RandomSpec,
     """
     # orientation: a nonpositive recovered generator means the candidate is
     # the negative of a Kubo-Ando connection, not a divergence-like object;
-    # the grid is recovered only up to its first finite value above 1e-12
+    # the grid is recovered only up to its first finite value above `top`
     recovered = _recovered(candidate, np.linspace(0.1, 4.0, 9), spec.dim_lo)
-    notes = []
-    if all(v <= 1e-12 for v in recovered if math.isfinite(v)):
+    notes, top = [], CHECKS["orientation"][0]
+    if all(v <= top for v in recovered if math.isfinite(v)):
         notes.append({"orientation":
                       "recovered generator is nonpositive (negated connection)"})
 
@@ -507,9 +519,10 @@ def suite_axioms_thm103(candidate, spec: RandomSpec,
         direct = _state_value(AB, rho)
         eye = np.eye(n)
         if math.isfinite(direct):
+            slack, step = CHECKS["shift_continuity"]
             shifted = _state_value(
-                candidate(A1 + 1e-8 * eye, B1 + 1e-8 * eye), rho)
-            slack = 1e-5 * _scale_of(A1, B1)
+                candidate(A1 + step * eye, B1 + step * eye), rho)
+            slack *= _form_scale(A1, B1)
             yield ("shift_continuity", {"A": A1, "B": B1},
                    _failure(abs(shifted - direct) > slack, slack, lhs=shifted,
                             rhs=direct))
@@ -520,9 +533,10 @@ def suite_axioms_thm103(candidate, spec: RandomSpec,
         if n not in at_identity:
             at_identity[n] = candidate(eye, eye)
         base = _state_value(at_identity[n], rho)
-        seq = _state_value(candidate(eye + 2.0 ** -26 * X, eye), rho)
+        slack, step = CHECKS["local_upper_continuity"]
+        seq = _state_value(candidate(eye + step * X, eye), rho)
         yield ("local_upper_continuity", {"X": X},
-               _failure(abs(seq - base) > 1e-5, 1e-5, lhs=seq, rhs=base))
+               _failure(abs(seq - base) > slack, slack, lhs=seq, rhs=base))
 
     return _run_trials("axioms_thm103", spec, trials, checks, notes)
 
@@ -563,9 +577,9 @@ def suite_connection_cor107(candidate, spec: RandomSpec,
                _psd_order(hermitian_part(C @ AB @ C), right))
         D = random_psd(rng, n, lo=0.2, hi=1.0)
         E = random_psd(rng, n, lo=0.2, hi=1.0)
-        dev = float(np.abs(candidate(A1 + 2.0 ** -30 * D, B1 + 2.0 ** -30 * E)
-                           - AB).max())
-        slack = 1e-6 * _scale_of(AB)
+        slack, step = CHECKS["decreasing_continuity"]
+        dev = float(np.abs(candidate(A1 + step * D, B1 + step * E) - AB).max())
+        slack *= _form_scale(AB)
         yield ("decreasing_continuity", {"A": A1, "B": B1, "D": D, "E": E},
                _failure(dev > slack, slack, lhs=dev))
 

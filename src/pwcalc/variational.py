@@ -64,6 +64,9 @@ from .perspectives import perspective_apply
 # State mass on a singular part below this (relative) threshold counts as zero
 # when deciding the divergent branch of an infinite-mass integral.
 SINGULAR_MASS_REL_TOL = 1e-10
+PROJECTION_ATOL = 1e-10  # two_projections' band on |X - X*| and |X^2 - X|
+PROJECTION_RANK_CUT = 1e-6  # wide: the meet's noise stays out of X - meet
+DECOMPOSITION_REL_TOL = 1e-12  # by _off: a decomposition's roundoff, no gap
 
 
 def _singular(mass: float, tr: float, norm: float) -> bool:
@@ -150,11 +153,10 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
 
 def _coeff_times_psd(coeff: float, X: np.ndarray) -> ExtendedSelfAdjoint:
     """coeff * X with inf * X meaning +inf on the range of X, for X = P or Q
-    less their meet: a projection (the meet commutes with both), whose
-    eigenvalues are {0, 1} up to the meet's noise, which a wide rank cut of
-    1e-6 keeps out of the infinity subspace."""
+    less their meet: a projection (the meet commutes with both), cut at
+    PROJECTION_RANK_CUT."""
     if math.isinf(coeff):
-        return infinity_on(_range_subspace(*eigh(X), 1e-6))
+        return infinity_on(_range_subspace(*eigh(X), PROJECTION_RANK_CUT))
     return from_matrix(coeff * X)
 
 
@@ -169,12 +171,12 @@ def two_projections(f: ExtendedFunction, P: np.ndarray, Q: np.ndarray
     Q are validated on the stacked path, their shapes compared before any
     eigh, then each checked for idempotency; their ranges come from one
     eigh of that stack, with no PSD check (the idempotency slack admits
-    eigenvalues near -1e-10).
+    eigenvalues near -PROJECTION_ATOL).
     """
-    P, Q = H = _hermitian_stack((P, Q), (1e-10,) * 2, ("P", "Q"))
+    P, Q = H = _hermitian_stack((P, Q), (PROJECTION_ATOL,) * 2, ("P", "Q"))
     for name, X in (("P", P), ("Q", Q)):
         idem = spectral_norm(X @ X - X)
-        if idem > 1e-10:
+        if idem > PROJECTION_ATOL:
             raise ValueError(f"{name} is not idempotent: |X^2 - X| = {idem:.3e}")
     alpha, beta = f.fprime_at_inf, f.f_at_0plus
     f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
@@ -209,23 +211,28 @@ class Decomposition:
             raise ValueError("decomposition needs at least one piece")
         prev = self.lo
         for (a, b, eta, zeta) in self.pieces:
-            if abs(a - prev) > 1e-9 * max(1.0, abs(prev)):
+            if _off(a, prev) > DECOMPOSITION_REL_TOL:
                 raise ValueError(f"pieces do not partition: gap at {prev} -> {a}")
             if b < a:
                 raise ValueError("piece with reversed endpoints")
-            dev = np.abs(np.asarray(eta) + np.asarray(zeta) - xi).max(
-                initial=0.0)
-            if dev > 1e-12 * max(1.0, float(np.abs(xi).max(initial=0.0))):
+            dev = _off(np.asarray(eta) + np.asarray(zeta), xi)
+            if dev > DECOMPOSITION_REL_TOL:
                 raise ValueError(f"eta + zeta != xi on piece [{a}, {b}]: {dev:.3e}")
             prev = b
-        if abs(prev - self.hi) > 1e-9 * max(1.0, abs(self.hi)):
+        if _off(prev, self.hi) > DECOMPOSITION_REL_TOL:
             raise ValueError(f"pieces stop at {prev}, expected {self.hi}")
 
     def at(self, t: float):
         for (a, b, eta, zeta) in self.pieces:
-            if a - 1e-12 <= t <= b + 1e-12:
+            if _off(t, min(max(t, a), b)) <= DECOMPOSITION_REL_TOL:
                 return np.asarray(eta, dtype=complex), np.asarray(zeta, dtype=complex)
         raise ValueError(f"point {t} outside decomposition interval")
+
+
+def _off(x, ref) -> float:
+    """max |x - ref| / max(1, max |ref|): a cut point's or a vector's miss."""
+    return float(np.max(np.abs(np.subtract(x, ref)), initial=0.0)) / max(
+        1.0, float(np.max(np.abs(ref), initial=0.0)))
 
 
 def constant_decomposition(lo: float, hi: float, eta, zeta) -> Decomposition:
@@ -303,12 +310,13 @@ def _variational_bound_94(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     app = approximants(r, n)
     lo, hi = 1.0 / n, float(n)
-    if decomposition.lo > lo + 1e-12 or decomposition.hi < hi - 1e-12:
+    if max(_off(lo, max(lo, decomposition.lo)),
+           _off(hi, min(hi, decomposition.hi))) > DECOMPOSITION_REL_TOL:
         raise ValueError(
             f"decomposition covers [{decomposition.lo}, {decomposition.hi}], "
             f"needs [{lo}, {hi}]"
         )
-    if np.abs(decomposition.target - xi).max(initial=0.0) > 1e-12:
+    if _off(decomposition.target, xi) > DECOMPOSITION_REL_TOL:
         raise ValueError("decomposition target differs from xi")
     qa = float(np.vdot(xi, A @ xi).real)
     qb = float(np.vdot(xi, B @ xi).real)

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from pwcalc.calculus import (
+    COMMUTE_REL_TOL,
     HomogeneityReport,
     PreconditionError,
     SpecialValues,
@@ -33,7 +34,9 @@ from pwcalc.calculus import (
 )
 from pwcalc.extended import (
     CONTAINMENT_COS_TOL,
+    FORM_SLACK_REL,
     INF,
+    _form_scale,
     _loads_infinity,
     add,
     congruence,
@@ -74,6 +77,7 @@ from pwcalc.perspectives import (
     perspective_apply,
 )
 from pwcalc.variational import (
+    PROJECTION_ATOL,
     _coeff_times_psd,
     optimizer_decomposition,
     variational_bound_94,
@@ -232,8 +236,8 @@ def redecomposed_pw_commuting_oracle(phi, A, B):
     of A."""
     A, B = sequential_pair(A, B)
     comm = spectral_norm(A @ B - B @ A)
-    bound = 1e-9 * spectral_norm(A) * spectral_norm(B)
-    if comm > max(bound, 1e-13):
+    bound = COMMUTE_REL_TOL * spectral_norm(A) * spectral_norm(B)
+    if comm > bound:
         raise PreconditionError(
             f"pair does not commute: |AB - BA| = {comm:.3e} > {bound:.3e}"
         )
@@ -274,8 +278,7 @@ def redecomposed_check_homogeneity(phi, A, B, C, probe_vectors=10, seed=0):
     lhs = pw_apply(phi, hermitian_part(C.conj().T @ A @ C),
                    hermitian_part(C.conj().T @ B @ C))
     rhs = congruence(C, pw_apply(phi, A, B))
-    slack = 1e-8 * (1.0 + max(np.abs(lhs.finite_part).max(initial=0.0),
-                              np.abs(rhs.finite_part).max(initial=0.0)))
+    slack = FORM_SLACK_REL * _form_scale(lhs, rhs)
     le, w1 = form_leq(lhs, rhs, slack)
     ge, w2 = form_leq(rhs, lhs, slack)
     rng = np.random.default_rng(seed)
@@ -332,11 +335,11 @@ def redecomposed_boundedness_chain(alpha, A, B, trials=500, seed=0):
 def redecomposed_two_projections(f, P, Q):
     """two_projections with P and Q validated one at a time and their
     ranges from an eigh of each."""
-    P, Q = (require_hermitian(X, atol=1e-10, name=name)
+    P, Q = (require_hermitian(X, atol=PROJECTION_ATOL, name=name)
             for X, name in ((P, "P"), (Q, "Q")))
     for name, X in (("P", P), ("Q", Q)):
         idem = spectral_norm(X @ X - X)
-        if idem > 1e-10:
+        if idem > PROJECTION_ATOL:
             raise ValueError(f"{name} is not idempotent: |X^2 - X| = {idem:.3e}")
     f1 = f.f_at_1 if f.f_at_1 is not None else f(1.0)
     Pm = subspace_meet(unvalidated_range_subspace(P),

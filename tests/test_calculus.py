@@ -307,6 +307,33 @@ class TestCommutingOracle:
         with pytest.raises(PreconditionError, match="commute"):
             pw_commuting_oracle(phi_t2(), A712, B712)
 
+    # the oracle's commutator test and eigenvalue grouping are relative, so
+    # they read the same on (cA, cB) as on (A, B): an absolute floor in
+    # either accepted a non-commuting pair, or grouped distinct eigenvalues
+    # of A, once c was small enough
+    JOINT_SCALES = (1e-150, 1e-9, 1e-8, 1e-7, 1.0, 1e9, 1e150)
+
+    @staticmethod
+    def rotated_commuting_pair():
+        """diag(1, 2, 4) and diag(3, 1, 2) in a drawn unitary basis, each
+        exactly Hermitian, so commuting to roundoff."""
+        U = haar_unitary(np.random.default_rng(41), 3)
+        return tuple(hermitian_part((U * np.array(w)) @ U.conj().T)
+                     for w in ((1.0, 2.0, 4.0), (3.0, 1.0, 2.0)))
+
+    @pytest.mark.parametrize("c", JOINT_SCALES)
+    def test_agrees_with_pw_apply_at_joint_scale(self, c):
+        A, B = self.rotated_commuting_pair()
+        direct = pw_apply(phi_t2(), c * A, c * B).form_matrix()
+        oracle = pw_commuting_oracle(phi_t2(), c * A, c * B).form_matrix()
+        assert np.abs(oracle - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("c", JOINT_SCALES)
+    def test_rejects_noncommuting_at_joint_scale(self, c):
+        A = np.array([[2.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(PreconditionError, match="commute"):
+            pw_commuting_oracle(phi_t2(), c * A, c * np.diag([1.0, 3.0]))
+
 
 class TestSpecialValues:
     def test_scalar_identity_recovers_f(self):

@@ -116,6 +116,11 @@ class TestMakeExtended:
         with pytest.raises(ValueError, match="Gram"):
             make_extended([(1.0, e(2, 0)), (2.0, (e(2, 0) + e(2, 1)) / np.sqrt(2))])
 
+    def test_rejects_a_nan_vector(self):
+        # it once made an element whose state values were NaN
+        with pytest.raises(ValueError, match="orthonormal.*nan"):
+            make_extended([(1.0, np.array([np.nan, 0.0])), (2.0, e(2, 1))])
+
     def test_rejects_incomplete_span(self):
         with pytest.raises(ValueError, match="span"):
             make_extended([(1.0, e(2, 0))])

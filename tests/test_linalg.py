@@ -619,6 +619,11 @@ class TestSubspaceValidation:
         with pytest.raises(ValueError, match="orthonormal"):
             Subspace(np.array([[1.0], [1.0]]))
 
+    def test_rejects_a_nan_column(self):
+        # a NaN entry makes |B*B - I| NaN, which the check must not pass
+        with pytest.raises(ValueError, match="orthonormal.*nan"):
+            Subspace(np.array([[np.nan], [0.0]]))
+
     def test_complement(self):
         s = span(np.array([[1.0], [0.0]]))
         c = s.complement()

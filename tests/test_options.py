@@ -5,11 +5,14 @@ the same question gets the same answer in every module.  A new per-call
 override has to be added to KEPT here, with the caller that needs it.
 """
 
+import ast
 import fnmatch
 import importlib
 import inspect
+import io
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 import pwcalc
@@ -76,6 +79,12 @@ CONTRACT_CONSTANTS = {
     ("calculus", "ENDPOINT_TOL"), ("extended", "CONTAINMENT_COS_TOL"),
     ("linalg", "MEET_COS_TOL"), ("extended", "STATE_INF_REL_TOL"),
     ("extended", "KERNEL_REL_TOL"), ("variational", "SINGULAR_MASS_REL_TOL"),
+    ("linalg", "HERMITIAN_ATOL"), ("linalg", "MATRIX_HERMITIAN_ATOL"),
+    ("linalg", "ORTHONORMAL_ATOL"), ("calculus", "CORNER_REL_TOL"),
+    ("calculus", "COMMUTE_REL_TOL"), ("calculus", "GROUP_REL_TOL"),
+    ("variational", "PROJECTION_ATOL"), ("variational", "PROJECTION_RANK_CUT"),
+    ("variational", "DECOMPOSITION_REL_TOL"), ("perspectives", "T2_SLACK_REL"),
+    ("perspectives", "T2_LOWER_STEP"),
     ("linalg", "PSD_CERTIFICATE_K"), ("linalg", "DEFINITE_MIN_N"),
 }
 
@@ -104,7 +113,7 @@ def test_readme_tolerance_table_matches_the_constants():
     section = _contracts_section()
     rows = [line.split(" | ") for line in section.splitlines()
             if line.startswith("| ") and not line.startswith("| tolerance")]
-    assert len(rows) == 7  # "Seven tolerances make decisions"
+    assert len(rows) == 18  # "Eighteen tolerances make decisions"
     stated = {}
     for cells in rows:
         name = re.search(r"`([\w.]+)`", cells[0])[1]
@@ -121,3 +130,39 @@ def test_readme_tolerance_table_matches_the_constants():
     for (module, name), value in stated.items():
         constant = getattr(importlib.import_module(f"pwcalc.{module}"), name)
         assert float(value) == constant, (module, name, value, constant)
+
+
+SRC = Path(pwcalc.__file__).resolve().parent
+
+
+def _named_spans(tree):
+    """The source spans where a tolerance literal may stand: the value of a
+    module-level UPPER_CASE constant, and a default of a public function's
+    or method's signature."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if targets and all(isinstance(t, ast.Name) and t.id.isupper()
+                           for t in targets):
+            yield node
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                not node.name.startswith("_")):
+            yield from node.args.defaults
+            yield from filter(None, node.args.kw_defaults)
+
+
+def test_no_bare_tolerance_literals():
+    # every 1e-N in the library is a named constant or a documented default,
+    # so a tolerance has one name and one value, in the module that owns it
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        spans = [((n.lineno, n.col_offset), (n.end_lineno, n.end_col_offset))
+                 for n in _named_spans(ast.parse(text))]
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string) \
+                    and not any(lo <= tok.start and tok.end <= hi
+                                for lo, hi in spans):
+                bare.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not bare, bare

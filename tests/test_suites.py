@@ -104,17 +104,22 @@ class TestConvexitySuite:
             assert rep.passes == rep.trials == 100
 
     def test_slack_scale_ignores_the_essential_basis(self):
-        # one element in two bases of its essential part: the slack must
-        # not depend on the basis LAPACK happened to return
+        # one unbounded element in two bases of its essential part: the
+        # slack scale that the suites, check_homogeneity and
+        # check_operator_convex share must not depend on the basis LAPACK
+        # happened to return, as F's entries do
+        from pwcalc.extended import _form_scale
         from pwcalc.linalg import Subspace
-        from pwcalc.suites import _scale_of, haar_unitary, random_psd
+        from pwcalc.suites import haar_unitary, random_psd
         rng = np.random.default_rng(7)
         V = haar_unitary(rng, 4)[:, :3]
         F = random_psd(rng, 3)
         Q = haar_unitary(rng, 3)
         T1 = ExtendedSelfAdjoint(4, Subspace(V), F)
         T2 = ExtendedSelfAdjoint(4, Subspace(V @ Q), Q.conj().T @ F @ Q)
-        assert abs(_scale_of(T1) - _scale_of(T2)) < 1e-12
+        assert abs(np.abs(T1.finite_part).max()
+                   - np.abs(T2.finite_part).max()) > 0.1
+        assert abs(_form_scale(T1) - _form_scale(T2)) < 1e-12
 
     def test_restricted_concave_superadditivity(self):
         from pwcalc.calculus import HomogeneousFunction
