@@ -13,10 +13,10 @@ numerics must discretize, so a diagonal that diverges near an endpoint
 inside it, with no smoothing across that cliff.  Every tolerance is a
 constant of the module that owns its question; README ("Numerical
 contracts") lists what each decides.  A pair is validated once, on linalg's
-stacked path; linalg's PSD_CERTIFICATE_K and DEFINITE_MIN_N only select
-whether its PSD half runs (_certified) and whether the pair kernel reduces
-a definite A+B by Cholesky (_definite_spectra), whose outputs differ from
-the eigh route's by roundoff: they decide no output.
+stacked path, whose one eigh also decomposes A + B.  From DEFINITE_MIN_N on,
+a definite A+B is reduced by Cholesky (_definite_spectra), to roundoff, and
+the PSD half is skipped on a pair of margin PSD_CERTIFICATE_K (_certified):
+linalg's two constants select a route and decide no output.
 """
 
 from __future__ import annotations
@@ -279,37 +279,30 @@ def _representation(A, B):
 
 def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
     """The compatible representation of (A, B) as a spectrum (t, X), with
-    A = X* diag(t) X, B = X* diag(1 - t) X, and whether _certified accepts
-    the pair: (t, X, certified).
+    A = X* diag(t) X and B = X* diag(1 - t) X, on a pair that is PSD by
+    construction: the kernel trusts the Hermitian parts it is given.
 
-    Over the eigenpairs (w, V) of A+B above the rank cut of
-    compatible_representation (so both give the same rank k), read once as
-    floats, t holds the eigenvalues of R = D V* A V D (D = diag(w^-1/2))
-    clipped into [0, 1] and X = Q* diag(sqrt(w)) V*, Q those of R.  From
-    n = DEFINITE_MIN_N on, a definite A+B takes the Cholesky route
-    (_definite_spectra) instead, to roundoff.  The kernel trusts the
-    Hermitian parts it is given; a pair that fails the PSD half may raise
-    here first, as NotPsdError naming the sum by `names`.
+    From n = DEFINITE_MIN_N on, a definite A+B takes the Cholesky route
+    (_definite_spectra), to roundoff; any other A+B is decomposed by one
+    eigh, and _r_spectrum reads (t, X) off it at the rank cut of
+    compatible_representation (so both give the same rank k).  A sum that
+    fails its own check raises here, as NotPsdError naming it by `names`.
     """
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         S = A + B
     if len(S) >= DEFINITE_MIN_N:
         spectra = _definite_spectra(A, S)
         if spectra is not None:
-            return spectra
+            return spectra[:2]
     w, V = eigh(S)
     vals = w.tolist()
-    cut = _range_cut(vals, " + ".join(names))
-    t, X = _r_spectrum(A, w, V, vals, cut)
-    # w ascends: only an A+B that kept all n eigenvalues can be certified
-    return t, X, bool(vals) and vals[0] > cut and _certified(
-        t, vals[0] / vals[-1])
+    return _r_spectrum(A, w, V, vals, _range_cut(vals, " + ".join(names)))
 
 
 def _definite_spectra(A: np.ndarray, S: np.ndarray):
-    """_pair_spectra's (t, X, certified) by the Cholesky reduction of the
-    definite pencil (A, S), S = A+B = L L*, or None where the eigh route
-    must decide: linalg._definite_factor declines S.
+    """(t, X, certified): _pair_spectra's (t, X) by the Cholesky reduction
+    of the definite pencil (A, S), S = A+B = L L*, with _certified's answer;
+    or None where linalg._definite_factor declines S.
 
     T = L* is a square root of S in the sense T* T = S, so t holds the
     eigenvalues of C = L^-1 A L^-*, clipped into [0, 1], and X = (L Z)*, Z
@@ -317,7 +310,7 @@ def _definite_spectra(A: np.ndarray, S: np.ndarray):
     factor's rho > K n eps, a lower bound on w_min / w_max of S, means that
     the eigh route's rank cut would keep all n eigenvalues too: both routes
     give the same rank and differ only by roundoff.  _certified decides the
-    pair with rho in place of w_min / w_max.
+    pair with rho, a lower bound on w_min / w_max.
     """
     factor = _definite_factor(S)
     if factor is None:
@@ -348,50 +341,52 @@ def _state_weights(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return ((X @ rho) * X.conj()).sum(axis=1).real
 
 
-def _certified(t: np.ndarray, ratio: float) -> bool:
-    """True when the spectra of _pair_spectra prove that A and B pass
+def _certified(t: np.ndarray, rho: float) -> bool:
+    """True when the Cholesky route's spectrum proves that A and B pass
     require_psd, so that their own eigh can be skipped: t the n eigenvalues
-    of R, clipped, over an A+B that kept all n, and ratio w_min / w_max of
-    A+B (the eigh route) or a lower bound on it (rho, the Cholesky route,
-    which only makes the test stricter).
+    of R, clipped, and rho a lower bound on w_min / w_max of A+B
+    (_definite_spectra).
 
     Over the range of A+B, A = T* R T and B = T* (I - R) T with T* T = A + B,
     so lambda_min(A) >= t_min w_min and lambda_min(B) >= (1 - t_max) w_min.
     A pair is certified when
-    min(t_min, 1 - t_max) w_min / w_max > K n eps (K = PSD_CERTIFICATE_K).
-    The computed t are off by about n eps w_max / w_min and the w by about
-    n eps w_max, so a certified A and B are positive definite with a margin
-    near K n eps w_max, which eigh's own error of about n eps max|lambda|
-    cannot close: require_psd accepts them.  The test is scale-invariant,
-    and clipping changes none of its answers.  K also sets the margin by
-    which the Cholesky route is taken.
+    min(t_min, 1 - t_max) rho > K n eps (K = PSD_CERTIFICATE_K).
+    The computed t are off by about n eps w_max / w_min, so a certified A
+    and B are positive definite with a margin near K n eps w_max, which
+    eigh's own error of about n eps max|lambda| cannot close: require_psd
+    accepts them.  The test is scale-invariant, and clipping changes none
+    of its answers.  K also sets the margin by which the Cholesky route is
+    taken.
     """
     bound = PSD_CERTIFICATE_K * len(t) * EPS
     # each side compared on its own, so that a NaN certifies nothing
-    return float(t[0]) * ratio > bound and (1.0 - float(t[-1])) * ratio > bound
+    return float(t[0]) * rho > bound and (1.0 - float(t[-1])) * rho > bound
 
 
 def _checked_pair_spectrum(A, B, names=("A", "B")):
     """(A, B, t, X): the pair validated as require_psd validates each of A
     and B (named `names`), and its _pair_spectra (t, X), for the public
-    calls on a pair.  The kernel runs once, on the Hermitian parts from the
-    cheap half; a pair that _certified accepts is checked no further, any
-    other takes the PSD half.  A kernel error (NotPsdError naming A + B,
-    say) is held until the PSD half has decided, so a validation error wins.
+    calls on a pair.  The cheap half puts the sum of the Hermitian parts in
+    the stack's spare slot.  From n = DEFINITE_MIN_N on, a sum that
+    _definite_spectra reduces gives (t, X), and the PSD half of A and B
+    runs unless _certified accepts the pair.  Any other pair takes one eigh
+    of the stack (A, B, A + B): the PSD checks of A and B, then the sum's
+    rank cut (its own errors, named by `names`) and _r_spectrum on it.
     """
-    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names)
-    A, B = H
-    try:
-        t, X, certified = _pair_spectra(A, B, names)
-    except Exception as exc:  # on input that may yet fail validation
-        held, certified = exc, False
-    else:
-        held = None
-    if not certified:
-        _psd_stack(H, names)
-    if held is not None:
-        raise held
-    return A, B, t, X
+    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names, spare=1)
+    A, B, S = H
+    with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+        np.add(A, B, out=S)
+    if len(S) >= DEFINITE_MIN_N:
+        spectra = _definite_spectra(A, S)
+        if spectra is not None:
+            if not spectra[2]:
+                _psd_stack(H[:2], names)
+            return (A, B, *spectra[:2])
+    w, V = _psd_stack(H, names)
+    vals = w[2].tolist()
+    cut = _range_cut(vals, " + ".join(names))
+    return (A, B, *_r_spectrum(A, w[2], V[2], vals, cut))
 
 
 def _checked_state_spectrum(rho, A, B):

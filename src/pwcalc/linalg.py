@@ -160,7 +160,7 @@ def _hermitian_from(M: np.ndarray, D: np.ndarray, out=None) -> np.ndarray:
     wherever D is exact, which it is (by Sterbenz's lemma) for every real
     and imaginary component above twice the tolerance in magnitude.
     """
-    D /= 2
+    D *= 0.5  # not D /= 2, a complex true division about 5x slower
     return np.subtract(M, D, out=out)
 
 

@@ -445,7 +445,7 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
     A, B, w, V = _validated_pair(A, B)
-    a2 = _t2_bound(A, B, *_pair_spectra(A, B)[:2])
+    a2 = _t2_bound(A, B, *_pair_spectra(A, B))
     res_b = perspective_apply(catalog("power", alpha), A, B)
     (A_alpha,) = _psd_powers(w[0], V[0], alpha)
     B_c, B_e = _psd_powers(w[1], V[1], alpha - 1.0, (alpha - 1.0) / alpha)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwcalc import calculus, linalg
+from pwcalc import calculus, linalg, perspectives
 from pwcalc.calculus import (
     ENDPOINT_TOL,
     PSD_CERTIFICATE_K,
@@ -15,6 +15,7 @@ from pwcalc.calculus import (
     _checked_pair_spectrum,
     _checked_state_spectrum,
     _clipped,
+    _diagonal_values,
     _pair_spectra,
     _validated_pair,
     check_homogeneity,
@@ -941,7 +942,7 @@ class TestStackedValidation:
         # the cheap half once and the PSD half at most once, and no other
         # validator runs
         runs = _validator_runs(monkeypatch)
-        kernels = _counting(monkeypatch, "_pair_spectra")
+        kernels = _counting(monkeypatch, "_r_spectrum")
         ranks, decisions = set(), set()
         corpus = [(label, A, B) for label, _, A, B in _kernel_corpus()]
         corpus += [(label, A, B) for label, _, A, B in _validation_corpus()]
@@ -1036,7 +1037,7 @@ EPS = np.finfo(float).eps
 def _validated_spectrum(A, B):
     """The reference path: validate the pair, then decompose it."""
     A, B = sequential_pair(A, B)
-    return (A, B, *_pair_spectra(A, B)[:2])
+    return (A, B, *_pair_spectra(A, B))
 
 
 def _rotated(rng, w):
@@ -1133,21 +1134,18 @@ def _certificate_corpus():
 
 class TestPairCertificate:
     """calculus._checked_pair_spectrum gives what validating the pair and
-    then decomposing it gives, to the last bit, with the same errors; the
-    pairs it certifies (and so does not run require_psd's check on) are
-    pairs that check accepts."""
+    then decomposing it gives, to the last bit, with the same errors.
+    Below DEFINITE_MIN_N no certificate is read: every pair that passes
+    the cheap half takes the PSD half once.  From it on, a pair whose sum
+    Cholesky factors and whose certificate declines keeps the Cholesky
+    spectrum and takes the PSD half."""
 
     def test_matches_validated_spectrum(self, monkeypatch):
         halves = _counting(monkeypatch, "_psd_stack")
-        certificates = []
-        pair_spectra = calculus._pair_spectra
-        monkeypatch.setattr(calculus, "_pair_spectra", lambda *a: (
-            certificates.append(pair_spectra(*a)) or certificates[-1]))
-        seen, certified_scales = {}, set()
+        seen = {}
         for label, A, B in _certificate_corpus():
             want = _outcome(_validated_spectrum, A, B)
             halves.clear()
-            certificates.clear()
             got = _outcome(_checked_pair_spectrum, A, B)
             rejected = isinstance(want[0], type)
             if rejected:
@@ -1155,27 +1153,55 @@ class TestPairCertificate:
             else:
                 assert not isinstance(got[0], type), (label, got)
                 assert _same_arrays(got, want), label
-            certified = bool(certificates) and certificates[-1][2]
-            if certified:
-                assert not (rejected or halves), label
-                assert not isinstance(
-                    _outcome(sequential_pair, A, B)[0], type), label
+                assert len(halves) == 1, label
             kind = label.split("/")[0]
-            seen.setdefault(kind, set()).add((certified, rejected))
-            if certified and kind == "definite":
-                certified_scales.add(label.split("/")[-1])
-            if kind == "margin":
-                assert certified == (label.split("/")[1] == "True"), label
+            seen.setdefault(kind, set()).add(rejected)
             if kind == "cliff":
                 assert want[0] is NotPsdError and want[1].startswith("A + B"), want
-        # the certificate is met and missed on valid pairs, at every scale;
-        # it is missed next to require_psd's cliff on either side
-        for kind in ("definite", "least", "margin", "hermitian"):
-            assert {(True, False), (False, False)} <= seen[kind], kind
+        # valid pairs, and pairs rejected next to require_psd's cliff on
+        # either side
+        for kind in ("definite", "least", "margin", "hermitian", "psd"):
+            assert False in seen[kind], kind
         for kind in ("least", "psd", "hermitian", "invalid"):
-            assert (False, True) in seen[kind], kind
-        assert (False, False) in seen["psd"]
-        assert certified_scales == {"1e+00", "1e+300", "1e-300"}
+            assert True in seen[kind], kind
+
+    @pytest.mark.parametrize("n", [DEFINITE_MIN_N + 1, 40])
+    def test_uncertified_definite_pairs_keep_the_cholesky_spectrum(
+            self, n, monkeypatch):
+        # rank-deficient and projection pairs whose sum Cholesky factors,
+        # while a singular A (or B) puts an eigenvalue of R at 0 (or 1),
+        # so that the certificate declines: the pair calls read the
+        # Cholesky route's (t, X) to the last bit, which differs from the
+        # stacked eigh route's by roundoff, and run the PSD half of A and B
+        halves = _counting(monkeypatch, "_psd_stack")
+        pairs, moved = 0, 0
+        for profile in ("rank_deficient", "projection"):
+            for trial in range(10):
+                A, B = gen_pair(RandomSpec(n, n, profile, seed=5), trial)
+                spectra = calculus._definite_spectra(A, A + B)
+                if spectra is None or spectra[2]:
+                    continue
+                want = _validated_spectrum(A, B)
+                assert [a.tobytes() for a in want[2:]] == [
+                    a.tobytes() for a in spectra[:2]], (profile, trial)
+                halves.clear()
+                got = _checked_pair_spectrum(A, B)
+                assert _same_arrays(got, want), (profile, trial)
+                assert len(halves) == 1, (profile, trial)
+                # the public calls read that spectrum
+                geometric = connection_generator("geometric")
+                values = np.array(_diagonal_values(
+                    perspectives.connection_phi(geometric), want[2])[0])
+                assert connection(geometric, A, B).tobytes() == hermitian_part(
+                    want[3].conj().T @ (values[:, None] * want[3])).tobytes()
+                assert dominates_scale(A, B) == perspectives._scale_of(want[2])
+                assert t2_bound(A, B) == perspectives._t2_bound(*want)
+                with monkeypatch.context() as m:
+                    m.setattr(calculus, "DEFINITE_MIN_N", np.inf)
+                    eigh_route = _checked_pair_spectrum(A, B)
+                moved += not _same_arrays(eigh_route, got)
+                pairs += 1
+        assert pairs >= 8 and moved
 
 
 # ---------------------------------------------------------------------------

@@ -108,14 +108,13 @@ T2 = lambda A, B, rho: t2_bound(A, B)
 CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 
 
-# _pair_spectra makes one eigh of A + B and one of R; a definite pair whose
-# spectra certify it needs no other, while a rank-deficient pair adds one
-# stacked eigh validating A and B.  From n = DEFINITE_MIN_N on, a definite
-# A + B is reduced by Cholesky instead, so the kernel makes one eigh, of
-# L^-1 A L^-*, and a certified pair no other; a semidefinite A + B takes
-# the two of the eigh route and the stacked check.  The integrals read the checks of rho,
-# A and B and the spectrum of A + B from one eigh of their 4-stack, then
-# decompose R; perspective_apply keeps the 7 of _representation and
+# The pair calls check A and B and decompose A + B with one eigh of the
+# stack (A, B, A + B), then make one of R, on every profile.  From
+# n = DEFINITE_MIN_N on, a definite A + B is reduced by Cholesky instead,
+# so the kernel makes one eigh, of L^-1 A L^-*, and a certified pair no
+# other; a semidefinite A + B takes the stacked eigh and R's.  The
+# integrals read the checks of rho, A and B and the spectrum of A + B from
+# one eigh of their 4-stack, then decompose R; perspective_apply keeps the 7 of _representation and
 # _assemble, and pw_apply_restricted checks its cone on the spectrum
 # _assemble reads.  dominates_scale reads the pair kernel alone; t2_bound
 # adds, on a bounded pair, one eigh for its norm and two for its form
@@ -145,9 +144,8 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # variational_envelope takes one pseudo-inverse per atom, one atom at each
 # of its two n, and epsilon_limit one of R at each of its eight eps.
 # two_projections reads the ranges of P and Q off one eigh of their stack.
-# A pair rejected as not PSD is decomposed no further: connection on (A, -B) makes the kernel's eigh of
-# A + B, which fails its own check and is held, and the PSD half's eigh
-# that raises B's error; the integral's one eigh of its stack raises it.
+# A pair rejected as not PSD is decomposed no further: on (A, -B) the one
+# eigh of connection's stack, as of the integral's, raises B's error.
 # An infinity part made on a subspace
 # (special_values' infinite scalar, two_projections' infinite coefficient)
 # takes its complement from one svd.  The singular rows give the integrals a t^2 term whose
@@ -176,9 +174,9 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
 
 
 @pytest.mark.parametrize("call, profile, eigh_calls, svd_calls", [
-    (CONNECTION, "rank_deficient", 3, 0),
-    (LEBESGUE, "rank_deficient", 3, 0),
-    (ABS_CONT, "rank_deficient", 3, 0),
+    (CONNECTION, "rank_deficient", 2, 0),
+    (LEBESGUE, "rank_deficient", 2, 0),
+    (ABS_CONT, "rank_deficient", 2, 0),
     (lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho),
      "rank_deficient", 2, 0),
     (lambda A, B, rho: integral_eval_92(R97_T15, A, B, rho),
@@ -198,9 +196,9 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, PAIR64[0] + PAIR64[1],
                                            PAIR64[1]),
      "rank_deficient", 7, 0),
-    (DOMINATES, "rank_deficient", 3, 0),
-    (T2, "rank_deficient", 6, 0),
-    (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 3, 0),
+    (DOMINATES, "rank_deficient", 2, 0),
+    (T2, "rank_deficient", 5, 0),
+    (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 2, 0),
     (CHAIN, "rank_deficient", 17, 0),
     (CONNECTION, "well_conditioned", 2, 0),
     (LEBESGUE, "well_conditioned", 2, 0),
@@ -225,7 +223,7 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (lambda A, B, rho: parallel_sum(A, B), "rank_deficient", 1, 0),
     (lambda A, B, rho: epsilon_limit(catalog("tlogt"), A, B),
      "rank_deficient", 9, 0),
-    (_rejects_minus_b(CONNECTION), "rank_deficient", 2, 0),
+    (_rejects_minus_b(CONNECTION), "rank_deficient", 1, 0),
     (_rejects_minus_b(
         lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho)),
      "rank_deficient", 1, 0),
@@ -233,10 +231,10 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
      "projection", 6, 4),
     (lambda A, B, rho: CONNECTION(*DEFINITE64, rho), "rank_deficient", 1, 0),
     (lambda A, B, rho: CONNECTION(*SEMIDEFINITE64, rho), "rank_deficient",
-     3, 0),
+     2, 0),
     (lambda A, B, rho: LEBESGUE(*DEFINITE64, rho), "rank_deficient", 1, 0),
     (lambda A, B, rho: LEBESGUE(*SEMIDEFINITE64, rho), "rank_deficient",
-     3, 0),
+     2, 0),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "integral_eval_91-singular",
         "integral_eval_92-singular", "perspective_apply",
