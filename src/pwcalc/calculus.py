@@ -53,8 +53,6 @@ from .functions import (
 from .linalg import (
     DEFINITE_MIN_N,
     EPS,
-    HERMITIAN_ATOL,
-    MATRIX_HERMITIAN_ATOL,
     PSD_CERTIFICATE_K,
     Subspace,
     _check_finite_spectrum,
@@ -202,8 +200,7 @@ def _validated_pair(A, B, with_sum: bool = False, check=None):
     eigenvalues only (NonFiniteError naming A + B), not for PSD.  check(A)
     runs before any eigh."""
     names = ("A", "B")
-    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names,
-                         spare=int(with_sum))
+    H = _hermitian_stack((A, B), names, spare=int(with_sum))
     if check is not None:
         check(H[0])
     if with_sum:
@@ -247,7 +244,7 @@ def _representation(A, B):
     run in order: A, B, then A + B (NonFiniteError for a sum that
     overflows).
     """
-    A, B = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
+    A, B = _hermitian_stack((A, B), ("A", "B"))
     with np.errstate(over="ignore"):
         # eigh reads one triangle, so the sum is decomposed as it is
         S_sum = A + B
@@ -373,7 +370,7 @@ def _checked_pair_spectrum(A, B, names=("A", "B")):
     of the stack (A, B, A + B): the PSD checks of A and B, then the sum's
     rank cut (its own errors, named by `names`) and _r_spectrum on it.
     """
-    H = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, names, spare=1)
+    H = _hermitian_stack((A, B), names, spare=1)
     A, B, S = H
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         np.add(A, B, out=S)
@@ -416,10 +413,9 @@ def _checked_state_spectrum(rho, A, B):
                 _require_state_of(rho, n, "pair")
             else:
                 require_state(rho)
-            _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
+            _hermitian_stack((A, B), ("A", "B"))
         names = ("state", "A", "B")
-        atols = (HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL, MATRIX_HERMITIAN_ATOL)
-        H = _hermitian_stack((rho, A, B), atols, names, spare=1)
+        H = _hermitian_stack((rho, A, B), names, spare=1)
         rho_h, Ah, Bh, S = H
         np.add(Ah, Bh, out=S)
     w, V = _psd_stack(H, names)
@@ -565,7 +561,7 @@ def special_values(phi: HomogeneousFunction, A: np.ndarray, alpha: float,
     """
     if not (0.0 <= alpha < INF and 0.0 <= beta < INF):
         raise ValueError("scalars must be finite and nonnegative")
-    A = require_hermitian(A, atol=MATRIX_HERMITIAN_ATOL, name="A")
+    A = require_hermitian(A, name="A")
     w, V = _check_psd(A, "A")
 
     right = ExtendedFunction(

@@ -27,7 +27,6 @@ from .extended import (
 )
 from .linalg import (
     EPS,
-    MATRIX_HERMITIAN_ATOL,
     eigh,
     hermitian_part,
     psd_tol,
@@ -442,7 +441,7 @@ def calculus(f: ExtendedFunction, A: np.ndarray) -> ExtendedSelfAdjoint:
     4 eps) of a domain endpoint are clamped onto it; anything farther
     outside raises DomainError.
     """
-    A = require_hermitian(A, atol=MATRIX_HERMITIAN_ATOL, name="calculus input")
+    A = require_hermitian(A, name="calculus input")
     return _spectral_calculus(f, *eigh(A))
 
 

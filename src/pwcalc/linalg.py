@@ -6,10 +6,10 @@ their arguments and the returned arrays are freshly allocated.
 
 Input is validated once, at the public boundary, on one path: the stack of
 a call's matrices takes a cheap half (`_hermitian_stack`: shapes compared,
-then square, finite and Hermitian) and a PSD half (`_psd_stack`: one eigh,
-whose eigenpairs the caller reads).  Errors come as from `require_psd` run
-on each matrix in turn: a shape mismatch, then A Hermitian, A PSD, B
-Hermitian, B PSD.  `require_hermitian` is the cheap half of one matrix;
+then square, finite and Hermitian at each matrix's own scale) and a PSD
+half (`_psd_stack`: one eigh, whose eigenpairs the caller reads).  Errors
+come as from `require_psd` run on each matrix in turn: a shape mismatch,
+then A Hermitian, A PSD, B Hermitian, B PSD.  `require_hermitian` is the cheap half of one matrix;
 `psd_sqrt`, `psd_pinv` and `range_subspace` check their argument with it
 (the library calls their private halves).  One definite certificate
 (`_definite_factor`: Cholesky, then a margin of PSD_CERTIFICATE_K n eps on
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -36,11 +35,9 @@ import numpy as np
 EPS = float(np.finfo(float).eps)
 _COMPLEX = np.dtype(complex)
 
-# Absolute conjugate-symmetry tolerance for validated Hermitian input.
-HERMITIAN_ATOL = 1e-12
-# Looser tolerance for matrix arguments of the public calls and for matrices
-# arriving from files.
-MATRIX_HERMITIAN_ATOL = 1e-9
+# Conjugate-symmetry band of every Hermitian check, relative to the matrix:
+# max |M - M*| at most this times its largest real or imaginary component.
+HERMITIAN_REL_TOL = 1e-9
 # Principal-angle cosine threshold for subspace intersection.
 MEET_COS_TOL = 1e-10
 ORTHONORMAL_ATOL = 1e-10  # |B*B - I| of a Subspace's or make_extended's B
@@ -144,24 +141,27 @@ def _as_complex(M) -> np.ndarray:
     return np.asarray(M, dtype=complex)
 
 
-def require_hermitian(M, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(M, name: str = "matrix") -> np.ndarray:
     """Validate a square Hermitian matrix with finite entries; returns its
-    Hermitian part M - D/2, D = M - M*: the stacked cheap half on M alone."""
-    return _hermitian_stack((M,), (atol,), (name,))[0]
+    Hermitian part (_hermitian_from): the stacked cheap half on M alone."""
+    return _hermitian_stack((M,), (name,))[0]
 
 
-def _hermitian_from(M: np.ndarray, D: np.ndarray, out=None) -> np.ndarray:
-    """The Hermitian part of M as M - D/2, from its deviation D = M - M*
-    (overwritten).
-
-    Once D is within the Hermitian tolerance, M - D/2 cannot overflow, as
-    (M + M*)/2 does for entries above about 9e307.  It is M itself when M is
-    exactly Hermitian, at any magnitude, and (M + M*)/2 to the last bit
-    wherever D is exact, which it is (by Sterbenz's lemma) for every real
-    and imaginary component above twice the tolerance in magnitude.
+def _hermitian_from(M: np.ndarray, D: np.ndarray) -> None:
+    """Overwrite M with its Hermitian part, from its deviation D = M - M*
+    (overwritten too): the lower triangle of M - D/2 with its conjugate
+    mirrored above, exactly Hermitian, so validating it again leaves it as
+    it is.  Once D is within the Hermitian band, M - D/2 cannot overflow, as
+    (M + M*)/2 does for entries above about 9e307.  It is (M + M*)/2 to the
+    last bit wherever D is exact, which it is (by Sterbenz's lemma) for
+    every real and imaginary component above twice the band in magnitude.
     """
     D *= 0.5  # not D /= 2, a complex true division about 5x slower
-    return np.subtract(M, D, out=out)
+    M -= D
+    i, j = np.triu_indices(len(M), 1)
+    M.real[i, j] = M.real[j, i]
+    # 0 - x, not -x: a zero imaginary part stays +0.0, as in (M + M*)/2
+    M.imag[i, j] = 0.0 - M.imag[j, i]
 
 
 def eigh(M: np.ndarray):
@@ -252,9 +252,9 @@ def default_rank_tol(eigenvalues) -> float:
     return n * EPS * max(top, 0.0)
 
 
-def require_psd(M, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_psd(M, name: str = "matrix") -> np.ndarray:
     """Validate Hermitian + PSD (smallest eigenvalue >= -psd_tol)."""
-    M = require_hermitian(M, atol=atol, name=name)
+    M = require_hermitian(M, name=name)
     _check_psd(M, name)
     return M
 
@@ -316,14 +316,14 @@ def _check_finite_spectrum(vals: list, name: str) -> None:
 def psd_sqrt(M) -> np.ndarray:
     """Principal square root of a PSD matrix.
 
-    M is validated as require_hermitian validates a matrix argument.
-    Eigenvalues within the PSD slack below zero are clamped to 0 before the
-    root; anything lower raises NotPsdError.  Eigenvalues under the rank
-    tolerance are floored to 0 so the root has the rank of the range basis
-    above the cut (a sub-tolerance eigenvalue would otherwise surface as a
-    sqrt-amplified spurious direction of size ~1e-8).
+    M is validated by require_hermitian.  Eigenvalues within the PSD slack
+    below zero are clamped to 0 before the root; anything lower raises
+    NotPsdError.  Eigenvalues under the rank tolerance are floored to 0 so
+    the root has the rank of the range basis above the cut (a sub-tolerance
+    eigenvalue would otherwise surface as a sqrt-amplified spurious
+    direction of size ~1e-8).
     """
-    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name="psd_sqrt input")
+    M = require_hermitian(M, name="psd_sqrt input")
     return _sqrt_of(*_range_eigh(M, "psd_sqrt"))
 
 
@@ -411,10 +411,9 @@ def span(columns: np.ndarray) -> Subspace:
 
 def psd_pinv(M) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a PSD matrix via its eigensystem, cut
-    at the rank cut (n*eps*lambda_max).  M is validated as require_hermitian
-    validates a matrix argument."""
-    return _pinv_of(*eigh(require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL,
-                                            name="psd_pinv input")))
+    at the rank cut (n*eps*lambda_max).  M is validated by
+    require_hermitian."""
+    return _pinv_of(*eigh(require_hermitian(M, name="psd_pinv input")))
 
 
 def _pinv_of(w: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -428,9 +427,8 @@ def _pinv_of(w: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def range_subspace(M) -> Subspace:
     """Range of a PSD matrix at the rank cut (default_rank_tol).  M is
-    validated as require_hermitian validates a matrix argument."""
-    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL,
-                          name="range_subspace input")
+    validated by require_hermitian."""
+    M = require_hermitian(M, name="range_subspace input")
     return _range_subspace(*eigh(M))
 
 
@@ -503,15 +501,16 @@ def _require_state_of(rho, n: int, what: str) -> np.ndarray:
     return require_state(rho)
 
 
-def _hermitian_stack(mats, atols, names, spare: int = 0):
+def _hermitian_stack(mats, names, spare: int = 0):
     """The cheap half of the stacked validation: the matrices mats (named
     by `names` in errors), shaped as np.atleast_2d shapes them, stacked
     with `spare` slots after them for the caller to fill, and the square,
-    finite and Hermitian checks, each against its own atol, run once over
-    them; returns the stack, their Hermitian parts as M - D/2.  Different
-    shapes, and 0 x 0 matrices, raise ValueError, before any eigh; the
-    first matrix that fails a check raises its error after the PSD checks
-    of those before it.
+    finite and Hermitian checks run once over them (max |M - M*| at most
+    HERMITIAN_REL_TOL times M's largest component, the same at every
+    scale); returns the stack, their Hermitian parts (_hermitian_from).
+    Different shapes, and 0 x 0 matrices, raise ValueError, before any
+    eigh; the first matrix that fails a check raises its error after the
+    PSD checks of those before it.
     """
     try:
         # one allocation; the spare slots hold copies of the first matrix
@@ -531,23 +530,28 @@ def _hermitian_stack(mats, atols, names, spare: int = 0):
     if not S.shape[1]:
         raise ValueError(f"{names[0]} must not be empty, got shape (0, 0)")
     H = S[:len(mats)]
-    # the deviations D = H - H*, then the Hermitian parts H - D/2 in place.
-    # A NaN or infinite entry makes its deviation NaN or inf, as one that
-    # overflows does, and neither is within its atol
+    # the deviations D = H - H*.  A NaN or infinite entry makes its
+    # deviation NaN or inf, as one that overflows does
     with np.errstate(over="ignore", invalid="ignore"):
         D = H - H.conj().transpose(0, 2, 1)
         devs = np.abs(D).max(axis=(1, 2), initial=0.0).tolist()
-    if all(map(operator.le, devs, atols)):
-        _hermitian_from(H, D, out=H)
+    if not any(devs):  # exactly Hermitian: each is its own Hermitian part
         return S
-    i = next(i for i, (dev, atol) in enumerate(zip(devs, atols))
-             if not dev <= atol)
+    for i, dev in enumerate(devs):
+        if dev:
+            # the largest component, off the float view: |z| could overflow
+            tol = HERMITIAN_REL_TOL * float(np.abs(H[i].view(float)).max())
+            if not dev <= tol < math.inf:  # NaN fails; an inf entry, tol inf
+                break
+            _hermitian_from(H[i], D[i])
+    else:
+        return S
     if i:
-        _psd_stack(_hermitian_from(H[:i], D[:i], out=H[:i]), names)
+        _psd_stack(H[:i], names)
     if not np.isfinite(H[i]).all():
         raise NonFiniteError(f"{names[i]} has a non-finite (NaN or inf) entry")
     raise NotHermitianError(f"{names[i]} is not Hermitian: max |M - M*| = "
-                            f"{devs[i]:.3e} > {atols[i]:.1e}")
+                            f"{dev:.3e} > {tol:.3e}")
 
 
 def _shaped(M) -> np.ndarray:
@@ -631,14 +635,14 @@ def read_matrix(path) -> np.ndarray:
         im = np.zeros((n, n))
     M = re + 1j * im
     try:
-        return require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name=str(path))
+        return require_hermitian(M, name=str(path))
     except NotHermitianError as exc:
         raise MatrixFileError(str(exc)) from exc
 
 
 def write_matrix(path, M: np.ndarray) -> None:
     """Write a Hermitian matrix in the text format (lossless doubles)."""
-    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name="matrix")
+    M = require_hermitian(M, name="matrix")
     n = M.shape[0]
     payload = {
         "n": n,

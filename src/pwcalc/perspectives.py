@@ -44,7 +44,6 @@ from .functions import (
     catalog,
 )
 from .linalg import (
-    MATRIX_HERMITIAN_ATOL,
     Subspace,
     _check_psd,
     _hermitian_stack,
@@ -336,7 +335,7 @@ def matrix_power_psd(M: np.ndarray, p: float) -> np.ndarray:
     go to exactly 0 first (fractional powers would otherwise amplify
     spectral noise past the rank cut, e.g. 1e-16 -> 1e-11 at p = 0.7).  The
     power reads the eigenpairs that the PSD check of M decided on."""
-    M = require_hermitian(M, atol=MATRIX_HERMITIAN_ATOL, name="matrix")
+    M = require_hermitian(M, name="matrix")
     return _psd_powers(*_check_psd(M, "matrix"), p)[0]
 
 
@@ -562,7 +561,7 @@ def check_positive_map_monotonicity(f: ExtendedFunction, kraus,
     compares their shapes, and then each Kraus operator's shape (m x n for
     an n x n pair, all with the same m) is compared, before any eigh.
     """
-    A, B = _hermitian_stack((A, B), (MATRIX_HERMITIAN_ATOL,) * 2, ("A", "B"))
+    A, B = _hermitian_stack((A, B), ("A", "B"))
     kraus = _kraus_list(kraus)
     for i, K in enumerate(kraus):
         if K.ndim != 2 or K.shape[1] != A.shape[0] or (

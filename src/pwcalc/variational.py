@@ -64,7 +64,7 @@ from .perspectives import perspective_apply
 # State mass on a singular part below this (relative) threshold counts as zero
 # when deciding the divergent branch of an infinite-mass integral.
 SINGULAR_MASS_REL_TOL = 1e-10
-PROJECTION_ATOL = 1e-10  # two_projections' band on |X - X*| and |X^2 - X|
+PROJECTION_ATOL = 1e-10  # two_projections' band on |X^2 - X|
 PROJECTION_RANK_CUT = 1e-6  # wide: the meet's noise stays out of X - meet
 DECOMPOSITION_REL_TOL = 1e-12  # by _off: a decomposition's roundoff, no gap
 
@@ -173,7 +173,7 @@ def two_projections(f: ExtendedFunction, P: np.ndarray, Q: np.ndarray
     eigh of that stack, with no PSD check (the idempotency slack admits
     eigenvalues near -PROJECTION_ATOL).
     """
-    P, Q = H = _hermitian_stack((P, Q), (PROJECTION_ATOL,) * 2, ("P", "Q"))
+    P, Q = H = _hermitian_stack((P, Q), ("P", "Q"))
     for name, X in (("P", P), ("Q", Q)):
         idem = spectral_norm(X @ X - X)
         if idem > PROJECTION_ATOL:

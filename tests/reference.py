@@ -54,7 +54,6 @@ from pwcalc.functions import (
     catalog,
 )
 from pwcalc.linalg import (
-    MATRIX_HERMITIAN_ATOL,
     Subspace,
     _range_cut,
     _range_eigh,
@@ -91,13 +90,11 @@ def _shaped(M) -> np.ndarray:
 def sequential_pair(A, B, names=("A", "B")):
     """A and B validated one at a time, named in errors by `names`: their
     shapes compared first, so that a mismatch raises before either is
-    checked, then require_psd on A, then on B, at the matrix-argument
-    tolerance."""
+    checked, then require_psd on A, then on B."""
     A, B = _shaped(A), _shaped(B)
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    return tuple(require_psd(M, name=name, atol=MATRIX_HERMITIAN_ATOL)
-                 for M, name in zip((A, B), names))
+    return tuple(require_psd(M, name=name) for M, name in zip((A, B), names))
 
 
 def sequential_state_pair(rho, A, B):
@@ -192,7 +189,7 @@ def redecomposed_special_values(phi, A, alpha, beta):
     """special_values with A validated by require_psd, its range from a
     second eigh of A and each calculus from calculus(f, A), which
     validates A and decomposes it again."""
-    A = require_psd(A, name="A", atol=MATRIX_HERMITIAN_ATOL)
+    A = require_psd(A, name="A")
     right = ExtendedFunction(f"{phi.name}(t,{alpha})", CLOSED_POS,
                              lambda t: phi.bivariate(t, alpha))
     left = ExtendedFunction(f"{phi.name}({alpha},t)", CLOSED_POS,
@@ -227,7 +224,7 @@ def redecomposed_invertible_formula(phi, A, B):
 def redecomposed_matrix_power_psd(M, p):
     """matrix_power_psd with M validated by require_psd, then decomposed
     again."""
-    M = require_psd(M, name="matrix", atol=MATRIX_HERMITIAN_ATOL)
+    M = require_psd(M, name="matrix")
     return _psd_powers(*eigh(M), p)[0]
 
 
@@ -335,7 +332,7 @@ def redecomposed_boundedness_chain(alpha, A, B, trials=500, seed=0):
 def redecomposed_two_projections(f, P, Q):
     """two_projections with P and Q validated one at a time and their
     ranges from an eigh of each."""
-    P, Q = (require_hermitian(X, atol=PROJECTION_ATOL, name=name)
+    P, Q = (require_hermitian(X, name=name)
             for X, name in ((P, "P"), (Q, "Q")))
     for name, X in (("P", P), ("Q", Q)):
         idem = spectral_norm(X @ X - X)

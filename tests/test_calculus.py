@@ -41,7 +41,6 @@ from pwcalc.functions import ExtendedFunction, Interval, catalog
 from pwcalc import linalg
 from pwcalc.linalg import (
     EPS,
-    MATRIX_HERMITIAN_ATOL,
     NonFiniteError,
     NotPsdError,
     Subspace,
@@ -879,12 +878,11 @@ class TestValidatedSpectrum:
     their input, and variational_envelope validates its pair once: each
     gives what decomposing again, decomposing the input as given or
     validating at every n gives (tests/reference.py), to the last bit.
-    The first four are held to it on every pair, with the same errors on
-    invalid ones, but for special_values on a pair Hermitian only within
-    the tolerance: its reference decomposes A once as validated and once
-    as calculus(f, A) validates it again, which can move a bit there.  The
-    others are held to it on valid, exactly Hermitian input, where
-    validating changes no bit, and the envelope to the same errors too."""
+    The first five are held to it on every pair, with the same errors on
+    invalid ones (special_values' reference validates A again inside
+    calculus(f, A), which changes no bit of a Hermitian part).  The others
+    are held to it on valid, exactly Hermitian input, where validating
+    changes no bit, and the envelope to the same errors too."""
 
     TLOGT = perspective_of(catalog("tlogt"))
 
@@ -904,8 +902,7 @@ class TestValidatedSpectrum:
                        for ab in ((1.0, 0.0), (1.0, 1.0), (0.0, 2.0))],
          lambda A, B: [reference.redecomposed_special_values(
              TestValidatedSpectrum.TLOGT, A, *ab)
-             for ab in ((1.0, 0.0), (1.0, 1.0), (0.0, 2.0))],
-         {"exact", "invalid"}),
+             for ab in ((1.0, 0.0), (1.0, 1.0), (0.0, 2.0))], ALL),
         (lambda A, B: (psd_sqrt(A), psd_sqrt(A + B)),
          lambda A, B: (reference.masked_psd_sqrt(A),
                        reference.masked_psd_sqrt(A + B)), {"exact"}),
@@ -1125,7 +1122,7 @@ class TestDefiniteReduction:
                     certified = spectra is not None and spectra[2]
                     if certified:
                         for X in (A, B):
-                            require_psd(X, atol=MATRIX_HERMITIAN_ATOL)
+                            require_psd(X)
                     seen.add((spectra is not None, certified))
                     # rejected pairs raise as on the eigh route
                     got = _outcome(_checked_pair_spectrum, A, B)

@@ -491,18 +491,24 @@ ANTI_HERMITIAN_LIMIT = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
 
 class TestFloatLimitInput:
     """Input near the float limit is validated as it is, not as the NaN an
-    overflowing Hermitian part would make of it."""
+    overflowing Hermitian part would make of it, and a Hermitian part is
+    exactly Hermitian, whatever the scale."""
 
     def test_hermitian_part_does_not_overflow(self):
         assert require_hermitian(HUGE).tobytes() == HUGE.tobytes()
-        H = _hermitian_stack((HUGE, HUGE), (1e-9, 1e-9), ("A", "B"))
+        H = _hermitian_stack((HUGE, HUGE), ("A", "B"))
         assert H[1].tobytes() == HUGE.tobytes()
+        # off Hermitian within the band, near the float limit
+        moved = HUGE * (1.0 + 1e-12 * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        got = require_hermitian(moved)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == require_hermitian(got).tobytes()
 
     def test_hermitian_part_keeps_its_bits(self):
         # an exactly Hermitian matrix is its own Hermitian part, subnormal
         # entries included; a matrix whose components differ from their
-        # mirror images by a relative 1e-9 gets (M + M*)/2 to the last bit,
-        # over entries from 1e-300 to 1e300
+        # mirror images by a relative 1e-10, inside the band of the largest,
+        # gets (M + M*)/2 to the last bit, over entries from 1e-300 to 1e300
         rng = np.random.default_rng(20263)
         tiny = np.finfo(float).smallest_subnormal
         for _ in range(200):
@@ -512,13 +518,39 @@ class TestFloatLimitInput:
             H = hermitian_part(Z * scale)
             H[-1, 0], H[0, -1] = 3 * tiny + 5j * tiny, 3 * tiny - 5j * tiny
             H.flat[:: n + 1] = H.diagonal().real
-            wobble = 1.0 + 1e-9 * rng.uniform(-1, 1, size=(n, n, 2))
+            wobble = 1.0 + 1e-10 * rng.uniform(-1, 1, size=(n, n, 2))
             M = H.real * wobble[..., 0] + 1j * H.imag * wobble[..., 1]
             for X, want in ((H, H), (M, (M + M.conj().T) / 2)):
-                got = require_hermitian(X, atol=np.inf)
+                got = require_hermitian(X)
                 assert got.tobytes() == want.tobytes()
-                got = _hermitian_stack((X, X), (np.inf, np.inf), "AB")[0]
+                got = _hermitian_stack((X, X), "AB")[0]
                 assert got.tobytes() == want.tobytes()
+
+    def test_validating_a_hermitian_part_keeps_its_bits(self):
+        # 1x1 to 5x5 matrices of scale (largest component) 1e-12...1e3, real
+        # or complex, moved by complex noise of up to 1e-10 of it, so that
+        # D = M - M* is inexact on the small components: M - D/2 alone can
+        # round two mirrored entries apart, the Hermitian part cannot, and
+        # validating it again changes no bit
+        rng = np.random.default_rng(20301)
+        inexact = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 6))
+            scale = 10.0 ** rng.uniform(-12, 3)
+            Z = rng.standard_normal((n, n))
+            if rng.random() < 0.5:
+                Z = Z + 1j * rng.standard_normal((n, n))
+            H = hermitian_part(Z)
+            H *= scale / np.abs(H.view(float)).max()
+            noise = rng.uniform(-1, 1, (n, n, 2)) @ [1.0, 1j]
+            M = H + 1e-10 / 2 * scale * noise
+            half = M - (M - M.conj().T) * 0.5
+            inexact += not np.array_equal(half, half.conj().T)
+            H = require_hermitian(M)
+            assert np.array_equal(H, H.conj().T)
+            assert require_hermitian(H).tobytes() == H.tobytes()
+            assert _hermitian_stack((M, H), "AB")[1].tobytes() == H.tobytes()
+        assert inexact > 200
 
     @pytest.mark.parametrize("call", [
         lambda A: require_psd(A, name="A"),
@@ -586,10 +618,14 @@ class TestFloatLimitInput:
     @pytest.mark.parametrize("action", ["default", "error"])
     @pytest.mark.parametrize("call, name", [
         (lambda M: require_hermitian(M), "matrix"),
+        (lambda M: require_psd(M), "matrix"),
         (lambda M: perspective_apply(catalog("tlogt"), M, np.eye(2)), "A"),
+        (lambda M: connection(connection_generator("geometric"), np.eye(2),
+                              M), "B"),
         (lambda M: integral_eval_91(repr77_tlogt(32), M, np.eye(2),
                                     np.eye(2) / 2), "A"),
-    ], ids=["require_hermitian", "perspective_apply", "integral_eval_91"])
+    ], ids=["require_hermitian", "require_psd", "perspective_apply",
+            "connection", "integral_eval_91"])
     def test_overflowing_deviation_is_not_hermitian(self, call, name, action):
         # a finite matrix whose deviation M - M* overflows is rejected as
         # not Hermitian, by a deviation of inf, under either warning filter;
@@ -733,12 +769,15 @@ def _validation_corpus():
     n = 3
     rho, A, B = np.eye(n) / n, np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 1.0, 2.0])
     base = [rho, A, B]
-    for atol in (1e-9, 1e-12):
+    for c in (1e-3, 1.0, 1e3):
         for side in (1 - 1e-3, 1 + 1e-3):
             for i in range(3):
-                args = list(base)
-                args[i] = _with_deviation(args[i], side * atol)
-                yield (f"hermitian/{atol}/{side}/{i}", *args)
+                # the band is relative to the largest component, which the
+                # moved entry leaves as it is
+                args = [c * M for M in base]
+                band = linalg.HERMITIAN_REL_TOL * np.abs(args[i]).max()
+                args[i] = _with_deviation(args[i], side * band)
+                yield (f"hermitian/{c}/{side}/{i}", *args)
     for scale in (1 - 1e-3, 1 + 1e-3):
         for m in (2, 5):
             for j, M in enumerate(_psd_cliff(rng, m, scale)):
@@ -899,6 +938,19 @@ def test_pair_and_state_boundary(call, reference):
             assert not got[1].startswith("dimension mismatch"), got
 
 
+GEOMETRIC = connection_generator("geometric")
+# U diag(1, 2, 3, 4) U^T for an orthogonal U: |M - M^T| = 5.6e-17
+ROTATED = (lambda U: (U * [1.0, 2.0, 3.0, 4.0]) @ U.T)(
+    np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0])
+
+
+def _written(path, M):
+    """path, with M written to it in the matrix file format as it is."""
+    path.write_text(json.dumps({"n": len(M), "re": M.real.tolist(),
+                                "im": M.imag.tolist()}))
+    return path
+
+
 class TestStackedValidation:
     """linalg's two stacked halves accept exactly what the one-at-a-time
     reference validators (tests/reference.py, built from require_psd and
@@ -932,6 +984,55 @@ class TestStackedValidation:
         # each cliff is met from both sides
         for kind in ("hermitian", "psd"):
             assert {(kind, True), (kind, False)} <= decisions
+
+    # max |M - M*| at most 1e-9 times M's largest component, at any scale:
+    # an upper-triangular matrix is not Hermitian at 1e-10, and a rotated
+    # diagonal with |M - M^T| = 5.6e-17 is at 1e9
+    @pytest.mark.parametrize("call, hermitian", [
+        (lambda: require_psd(1e-10 * np.triu(np.ones((2, 2)))), False),
+        (lambda: connection(GEOMETRIC, 1e-10 * np.triu(np.ones((2, 2))),
+                            1e-10 * np.eye(2)), False),
+        (lambda: connection(GEOMETRIC, 1e9 * ROTATED, np.eye(4)), True),
+        (lambda: connection(GEOMETRIC, ROTATED, np.eye(4)), True),
+    ], ids=["require_psd-triangular", "connection-triangular",
+            "connection-rotated-1e9", "connection-rotated"])
+    def test_hermitian_band_is_relative(self, call, hermitian):
+        if hermitian:
+            call()
+        else:
+            with pytest.raises(NotHermitianError, match=r"^\w+ is not Herm"):
+                call()
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-9, 1.0, 1e9, 1e150])
+    @pytest.mark.parametrize("call", [
+        lambda X, c, path: require_psd(X),
+        lambda X, c, path: require_state(X),
+        lambda X, c, path: connection(GEOMETRIC, X, c * np.eye(len(X))),
+        lambda X, c, path: integral_eval_91(repr77_tlogt(32), X,
+                                            c * np.eye(len(X)),
+                                            np.eye(len(X)) / len(X)),
+        lambda X, c, path: read_matrix(_written(path, X)),
+    ], ids=["require_psd", "require_state", "connection", "integral_eval_91",
+            "read_matrix"])
+    def test_hermitian_check_reads_the_same_at_every_scale(self, call, c,
+                                                           tmp_path):
+        # PSD matrices moved off Hermitian by 1e-10 and 1e-8 of their
+        # largest component, then scaled by c: the first is Hermitian at
+        # every c, the second at none
+        tridiagonal = 2.0 * np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1)
+        for M in (tridiagonal,
+                  rand_psd(np.random.default_rng(20302), 4) + np.eye(4) / 2):
+            largest = np.abs(M.astype(complex).view(float)).max()
+            for rel in (1e-10, 1e-8):
+                X = M.astype(complex)
+                X[-1, 0] += rel * largest * (0.6 + 0.8j)
+                X *= c
+                if rel < 1e-9:
+                    call(X, c, tmp_path / "m.json")
+                else:
+                    with pytest.raises((NotHermitianError, MatrixFileError),
+                                       match="is not Hermitian: "):
+                        call(X, c, tmp_path / "m.json")
 
     def test_pair_kernel_runs_once_and_nothing_validates_twice(
             self, monkeypatch):
