@@ -274,55 +274,65 @@ def _representation(A, B):
     return _trusted(Subspace, basis=V), V.conj().T @ sq, R, w, Q
 
 
-def _pair_spectra(A: np.ndarray, B: np.ndarray, names=("A", "B")):
-    """The compatible representation of (A, B) as a spectrum (t, X), with
-    A = X* diag(t) X and B = X* diag(1 - t) X, on a pair that is PSD by
-    construction: the kernel trusts the Hermitian parts it is given.
+class PairSpectrum(NamedTuple):
+    """The pair kernel's record of a PSD pair: A = X* diag(t) X and
+    B = X* diag(1 - t) X, t R's eigenvalues clipped into [0, 1]."""
 
-    From n = DEFINITE_MIN_N on, a definite A+B takes the Cholesky route
-    (_definite_spectra), to roundoff; any other A+B is decomposed by one
-    eigh, and _r_spectrum reads (t, X) off it at the rank cut of
-    compatible_representation (so both give the same rank k).  A sum that
-    fails its own check raises here, as NotPsdError naming it by `names`.
-    """
+    A: np.ndarray
+    B: np.ndarray
+    t: np.ndarray
+    X: np.ndarray
+
+
+class DefiniteSpectrum(NamedTuple):
+    spectrum: PairSpectrum
+    certified: bool  # _certified: A and B pass require_psd
+
+
+def _pair_spectra(A, B, names=("A", "B")) -> PairSpectrum:
+    """The PairSpectrum of a pair PSD by construction, whose Hermitian parts
+    the kernel trusts; the errors of the sum A + B name it by `names`."""
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         S = A + B
-    if len(S) >= DEFINITE_MIN_N:
-        spectra = _definite_spectra(A, S)
-        if spectra is not None:
-            return spectra[:2]
-    w, V = eigh(S)
-    vals = w.tolist()
-    return _r_spectrum(A, w, V, vals, _range_cut(vals, " + ".join(names)))
+    definite = _definite_spectra(A, B, S)
+    if definite is None:
+        return _eigh_spectrum(A, B, *eigh(S), " + ".join(names))
+    return definite.spectrum
 
 
-def _definite_spectra(A: np.ndarray, S: np.ndarray):
-    """(t, X, certified): _pair_spectra's (t, X) by the Cholesky reduction
-    of the definite pencil (A, S), S = A+B = L L*, with _certified's answer;
-    or None where linalg._definite_factor declines S.
+def _definite_spectra(A, B, S: np.ndarray):
+    """The DefiniteSpectrum of (A, B) by the Cholesky reduction of the
+    pencil (A, S), S = A+B = L L*; None below order DEFINITE_MIN_N (the one
+    place the route is chosen) or where linalg._definite_factor declines S.
 
     T = L* is a square root of S in the sense T* T = S, so t holds the
     eigenvalues of C = L^-1 A L^-*, clipped into [0, 1], and X = (L Z)*, Z
     their eigenvectors: one eigh, where the eigh route takes two.  The
     factor's rho > K n eps, a lower bound on w_min / w_max of S, means that
     the eigh route's rank cut would keep all n eigenvalues too: both routes
-    give the same rank and differ only by roundoff.  _certified decides the
-    pair with rho, a lower bound on w_min / w_max.
+    give the same rank and differ only by roundoff.
     """
-    factor = _definite_factor(S)
+    factor = _definite_factor(S) if len(S) >= DEFINITE_MIN_N else None
     if factor is None:
         return None
     L, Linv, rho = factor
     r, Z = eigh(hermitian_part(Linv @ A @ Linv.conj().T))
     t = _clipped(r)
-    return t, (L @ Z).conj().T, _certified(t, rho)
+    return DefiniteSpectrum(PairSpectrum(A, B, t, (L @ Z).conj().T),
+                            _certified(t, rho))
 
 
-def _r_spectrum(A: np.ndarray, w: np.ndarray, V: np.ndarray, vals: list,
-                cut: float):
-    """The kernel's second half: (t, X) from the eigenpairs (w, V) of A+B
-    (vals their floats) above the rank cut `cut`, by one eigh of R; t holds
-    R's eigenvalues clipped into [0, 1].  V is copied only when it is cut."""
+def _eigh_spectrum(A, B, w, V, name: str) -> PairSpectrum:
+    """The eigh route's tail: the PairSpectrum from the eigenpairs (w, V) of
+    A + B, cut as compatible_representation cuts (_range_cut, naming it)."""
+    vals = w.tolist()
+    return PairSpectrum(A, B, *_r_spectrum(A, w, V, vals,
+                                           _range_cut(vals, name)))
+
+
+def _r_spectrum(A, w: np.ndarray, V: np.ndarray, vals: list, cut: float):
+    """A PairSpectrum's (t, X) from the eigenpairs (w, V) of A+B (vals their
+    floats) above the rank cut `cut`, by one eigh of R; V copied if cut."""
     if not (vals and vals[0] > cut):  # w ascends: some eigenvalue is cut
         keep = w > cut
         V, w = V[:, keep], w[keep]
@@ -340,67 +350,59 @@ def _state_weights(X: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _certified(t: np.ndarray, rho: float) -> bool:
     """True when the Cholesky route's spectrum proves that A and B pass
-    require_psd, so that their own eigh can be skipped: t the n eigenvalues
-    of R, clipped, and rho a lower bound on w_min / w_max of A+B
-    (_definite_spectra).
+    require_psd, so that their own eigh can be skipped: t the n clipped
+    eigenvalues of R, rho a lower bound on w_min / w_max of A+B.
 
     Over the range of A+B, A = T* R T and B = T* (I - R) T with T* T = A + B,
     so lambda_min(A) >= t_min w_min and lambda_min(B) >= (1 - t_max) w_min.
-    A pair is certified when
-    min(t_min, 1 - t_max) rho > K n eps (K = PSD_CERTIFICATE_K).
-    The computed t are off by about n eps w_max / w_min, so a certified A
-    and B are positive definite with a margin near K n eps w_max, which
-    eigh's own error of about n eps max|lambda| cannot close: require_psd
-    accepts them.  The test is scale-invariant, and clipping changes none
-    of its answers.  K also sets the margin by which the Cholesky route is
-    taken.
+    A pair is certified when min(t_min, 1 - t_max) rho > K n eps
+    (K = PSD_CERTIFICATE_K).  The computed t are off by about
+    n eps w_max / w_min, so a certified A and B are definite by a margin near
+    K n eps w_max, which eigh's own error of about n eps max|lambda| cannot
+    close.  The test is scale-invariant, and clipping changes none of its
+    answers.
     """
     bound = PSD_CERTIFICATE_K * len(t) * EPS
     # each side compared on its own, so that a NaN certifies nothing
     return float(t[0]) * rho > bound and (1.0 - float(t[-1])) * rho > bound
 
 
-def _checked_pair_spectrum(A, B, names=("A", "B")):
-    """(A, B, t, X): the pair validated as require_psd validates each of A
-    and B (named `names`), and its _pair_spectra (t, X), for the public
-    calls on a pair.  The cheap half puts the sum of the Hermitian parts in
-    the stack's spare slot.  From n = DEFINITE_MIN_N on, a sum that
-    _definite_spectra reduces gives (t, X), and the PSD half of A and B
-    runs unless _certified accepts the pair.  Any other pair takes one eigh
-    of the stack (A, B, A + B): the PSD checks of A and B, then the sum's
-    rank cut (its own errors, named by `names`) and _r_spectrum on it.
-    """
+def _checked_pair_spectrum(A, B, names=("A", "B")) -> PairSpectrum:
+    """The PairSpectrum of the pair validated as require_psd validates each
+    of A and B (named `names`), for the public calls on a pair.  A sum that
+    _definite_spectra reduces skips the PSD half of a pair it certifies; any
+    other pair takes one eigh of the stack (A, B, A + B), whose spare slot
+    the cheap half fills with the sum, and _eigh_spectrum."""
     H = _hermitian_stack((A, B), names, spare=1)
     A, B, S = H
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
         np.add(A, B, out=S)
-    if len(S) >= DEFINITE_MIN_N:
-        spectra = _definite_spectra(A, S)
-        if spectra is not None:
-            if not spectra[2]:
-                _psd_stack(H[:2], names)
-            return (A, B, *spectra[:2])
-    w, V = _psd_stack(H, names)
-    vals = w[2].tolist()
-    cut = _range_cut(vals, " + ".join(names))
-    return (A, B, *_r_spectrum(A, w[2], V[2], vals, cut))
+    definite = _definite_spectra(A, B, S)
+    if definite is None:
+        w, V = _psd_stack(H, names)
+        return _eigh_spectrum(A, B, w[2], V[2], " + ".join(names))
+    if not definite.certified:
+        _psd_stack(H[:2], names)
+    return definite.spectrum
 
 
-def _checked_state_spectrum(rho, A, B):
-    """(rho, A, B, t, m, Tr rho, |A|, |B|) for the integral evaluators: the
-    state and the pair validated as require_state and require_psd validate
-    them, rho first; R's clipped eigenvalues t and the weights m of rho over
-    them (_state_weights of _pair_spectra's X), rho's trace, and the
-    spectral norms of A and B.
+class StateSpectrum(NamedTuple):
+    rho: np.ndarray  # the validated state and pair
+    A: np.ndarray
+    B: np.ndarray
+    t: np.ndarray  # R's clipped eigenvalues
+    m: np.ndarray  # the state's weights over them (_state_weights)
+    tr: float  # Tr rho
+    norm_a: float  # the spectral norms of A and B
+    norm_b: float
 
-    One stack holds rho, A, B and, in its spare slot, the sum A + B of
-    their Hermitian parts; its one eigh gives each what eigh gives it
-    alone, to the last bit: the PSD checks, the rank cut of A+B and the
-    norms as the largest eigenvalues.  Tr rho is read off rho's diagonal
-    first (the real parts its Hermitian part keeps); where it is not
-    positive or the shapes differ, rho is validated alone first, its size
-    before any eigh, as its checks come first, and what fails raises.
-    """
+
+def _checked_state_spectrum(rho, A, B) -> StateSpectrum:
+    """The StateSpectrum of rho and (A, B), validated as require_state and
+    require_psd validate them, rho first.  One eigh of the stack (rho, A,
+    B, A + B) gives each what eigh gives it alone, to the last bit.  Where
+    Tr rho, read off its diagonal, is not positive or the shapes differ,
+    rho is validated alone first, its size before any eigh."""
     rho, A, B = _shaped(rho), _shaped(A), _shaped(B)
     same = rho.ndim == 2 and rho.shape == A.shape == B.shape
     # a trace of unvalidated input, or a sum, that overflows is inf
@@ -419,10 +421,9 @@ def _checked_state_spectrum(rho, A, B):
         rho_h, Ah, Bh, S = H
         np.add(Ah, Bh, out=S)
     w, V = _psd_stack(H, names)
-    rows = w.tolist()
-    t, X = _r_spectrum(Ah, w[3], V[3], rows[3], _range_cut(rows[3], "A + B"))
-    return (rho_h, Ah, Bh, t, _state_weights(X, rho_h), tr, rows[1][-1],
-            rows[2][-1])
+    pair = _eigh_spectrum(Ah, Bh, w[3], V[3], "A + B")
+    return StateSpectrum(rho_h, Ah, Bh, pair.t, _state_weights(pair.X, rho_h),
+                         tr, float(w[1, -1]), float(w[2, -1]))
 
 
 class PwDiagnostics(NamedTuple):

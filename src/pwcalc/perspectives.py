@@ -61,6 +61,11 @@ from .linalg import (
 EPS_MONOTONE_SLACK = 1e-10  # absolute: roundoff at the suites' scale of ~1
 T2_SLACK_REL = 1e-8  # t2_bound's form check, x lam |B| + |A^2|, no floor
 T2_LOWER_STEP = 1e-4  # t2_bound's step below lam, times lam
+# A pair of scale within 4^-UNSCALED_POW4 ... 4^UNSCALED_POW4 is squared and
+# powered as it is; one beyond is first divided by a power of four, exactly
+# (_unit_power).  Inside, A^2 stays within the range where LAPACK's eigh
+# and svd rescale nothing, so there the division would change no bit.
+UNSCALED_POW4 = 100
 PREDUAL_TRACE_FLOOR = 1e-14  # a predual state's trace that counts as zero
 
 
@@ -260,18 +265,17 @@ def connection(h: ExtendedFunction, A: np.ndarray, B: np.ndarray,
                assert_monotone: bool = False) -> np.ndarray:
     """Kubo-Ando connection A sigma_h B; always a bounded PSD matrix.
 
-    X* diag(phi(t, 1-t)) X over the spectrum (t, X) of _pair_spectra: the
-    calculus of the connection's homogeneous function, which is finite at
-    every t in [0, 1].  The pair is validated by _checked_pair_spectrum.
+    X* diag(phi(t, 1-t)) X over the pair's _checked_pair_spectrum: the
+    calculus of the connection's homogeneous function, finite on [0, 1].
     """
     phi = connection_phi(h, assert_monotone=assert_monotone)
-    _, _, t, X = _checked_pair_spectrum(A, B)
-    values = np.array(_diagonal_values(phi, t)[0])
+    sp = _checked_pair_spectrum(A, B)
+    values = np.array(_diagonal_values(phi, sp.t)[0])
     if not np.isfinite(values).all():
         raise AssertionError(
             "connection produced an unbounded element; generator metadata is wrong"
         )
-    return hermitian_part(X.conj().T @ (values[:, None] * X))
+    return hermitian_part(sp.X.conj().T @ (values[:, None] * sp.X))
 
 
 def parallel_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -301,17 +305,17 @@ def lebesgue_decomposition(A: np.ndarray, B: np.ndarray
     tests cross-check at n = 1e8.  The pair and its spectrum come from
     _checked_pair_spectrum, as for connection.
     """
-    A, _, t, X = _checked_pair_spectrum(A, B)
-    rows = X[_endpoints(t)[1]]
+    sp = _checked_pair_spectrum(A, B)
+    rows = sp.X[_endpoints(sp.t)[1]]
     singular = hermitian_part(rows.conj().T @ rows)
-    ac = hermitian_part(A - singular)
+    ac = hermitian_part(sp.A - singular)
     return LebesgueDecomposition(ac, singular)
 
 
 def is_absolutely_continuous(A: np.ndarray, B: np.ndarray) -> bool:
     """True iff A is B-absolutely continuous: no eigenvalue of R at 1
     (_endpoints) in _checked_pair_spectrum's t, as for connection."""
-    t = _checked_pair_spectrum(A, B)[2]
+    t = _checked_pair_spectrum(A, B).t
     return not np.count_nonzero(_endpoints(t)[1])
 
 
@@ -353,7 +357,7 @@ def dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
     when max t >= 1 - ENDPOINT_TOL: finite exactly when X is Y-absolutely
     continuous (so +inf past lambda ~ 1 / ENDPOINT_TOL).  Errors name X, Y.
     """
-    return _scale_of(_checked_pair_spectrum(X, Y, ("X", "Y"))[2])
+    return _scale_of(_checked_pair_spectrum(X, Y, ("X", "Y")).t)
 
 
 def _scale_of(t: np.ndarray) -> float:
@@ -388,25 +392,36 @@ def t2_bound(A: np.ndarray, B: np.ndarray) -> T2Bound:
     lambda B} is the norm of the t^2 perspective X* diag(t^2/(1-t)) X,
     certified both ways after the fact by semidefinite form checks.
     """
-    return _t2_bound(*_checked_pair_spectrum(A, B))
+    return _t2_bound(_checked_pair_spectrum(A, B))
 
 
-def _t2_bound(A: np.ndarray, B: np.ndarray, t: np.ndarray, X: np.ndarray
-              ) -> T2Bound:
-    """t2_bound's kernel, on a validated pair and its spectrum (t, X)."""
+def _t2_bound(sp) -> T2Bound:
+    """t2_bound's kernel, on a validated pair's PairSpectrum.  The form
+    checks square A, so they run on the pair and on lam divided by
+    _unit_power of the pair's scale tr(A + B) = |X|_F^2."""
+    t, X = sp.t, sp.X
     if np.count_nonzero(_endpoints(t)[1]):
         return T2Bound(False, INF, False, False)
     g = t * t / (1.0 - t)
     w, _ = eigh(hermitian_part(X.conj().T @ (g[:, None] * X)))
     lam = max(float(w[-1]), 0.0)
+    c = _unit_power(float(np.vdot(X, X).real))
+    A, B = (sp.A, sp.B) if c == 1.0 else (sp.A / c, sp.B / c)
     A2 = hermitian_part(A @ A)
-    upper = _t2_form_holds(lam, A2, B)
+    upper = _t2_form_holds(lam / c, A2, B)
     lower_fails = True
     if lam > 0:
         delta = T2_LOWER_STEP * lam
-        w_lo, _ = eigh(hermitian_part((lam - delta) * B - A2))
+        w_lo, _ = eigh(hermitian_part((lam - delta) / c * B - A2))
         lower_fails = bool(w_lo.min(initial=0.0) < 0.0)
     return T2Bound(True, lam, upper, lower_fails)
+
+
+def _unit_power(scale: float) -> float:
+    """1.0 for a pair whose scale lies within 4^+-UNSCALED_POW4, else the
+    power of four 4^j <= scale < 4^(j+1) to divide it by."""
+    e = math.frexp(scale)[1]  # scale in [2^(e-1), 2^e); 0 at 0, inf, NaN
+    return 1.0 if abs(e) <= 2 * UNSCALED_POW4 else math.ldexp(1.0, e & -2)
 
 
 @dataclass
@@ -423,7 +438,7 @@ def _unit_dominates_scale(X: np.ndarray, Y: np.ndarray) -> float:
     """dominates_scale(X, Y) read with each side scaled to spectral norm 1,
     on a pair PSD by construction, which the pair kernel trusts."""
     x, y = spectral_norm(X) or 1.0, spectral_norm(Y) or 1.0
-    return _scale_of(_pair_spectra(X / x, Y / y, ("X", "Y"))[0]) * (x / y)
+    return _scale_of(_pair_spectra(X / x, Y / y, ("X", "Y")).t) * (x / y)
 
 
 def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
@@ -439,16 +454,21 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     cliff at alpha < 2, (c) can hold where (d) fails); (d) also samples
     unit vectors for the reported constant.  One stacked eigh validates A
     and B and gives the powers; the trusting pair kernel gives the spectra
-    of (a) and of (c)'s and (e)'s pairs, PSD by construction.
+    of (a) and of (c)'s and (e)'s pairs, PSD by construction.  The powers
+    and the sample run on the pair divided by _unit_power of its norm, and
+    each constant is mapped back by its degree.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
     A, B, w, V = _validated_pair(A, B)
-    a2 = _t2_bound(A, B, *_pair_spectra(A, B))
+    c = _unit_power(float(w.max(initial=0.0)))
+    if c != 1.0:
+        A, B, w = A / c, B / c, w / c
+    a2 = _t2_bound(_pair_spectra(A, B))
     res_b = perspective_apply(catalog("power", alpha), A, B)
     (A_alpha,) = _psd_powers(w[0], V[0], alpha)
     B_c, B_e = _psd_powers(w[1], V[1], alpha - 1.0, (alpha - 1.0) / alpha)
-    lam_c = _unit_dominates_scale(A_alpha, B_c)
+    lam_c = _unit_dominates_scale(A_alpha, B_c) * c
     rng = np.random.default_rng(seed)
     n = A.shape[0]
     lam_d = 0.0
@@ -461,7 +481,7 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
             lam_d = INF if qa > 0.0 else lam_d
         else:
             lam_d = max(lam_d, qa ** alpha / qb ** (alpha - 1.0))
-    lam_e = _unit_dominates_scale(A, B_e)
+    lam_e = _unit_dominates_scale(A, B_e) * c ** (1.0 / alpha)
     conds = {
         "a": a2.bounded,
         "b": res_b.bounded,
@@ -471,8 +491,8 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     }
     chain = [("a", "b"), ("b", "d"), ("d", "e"), ("a", "c"), ("c", "d")]
     violated = [f"{p}=>{q}" for p, q in chain if conds[p] and not conds[q]]
-    return ChainReport(conds,
-                       {"a": a2.lambda_min, "c": lam_c, "d": lam_d, "e": lam_e},
+    return ChainReport(conds, {"a": a2.lambda_min * c, "c": lam_c,
+                               "d": lam_d * c, "e": lam_e},
                        not violated, violated)
 
 

@@ -10,17 +10,11 @@ true mass is infinite carry a flag; their divergent branch is decided by
 evaluating the state against the relevant singular part, which is exactly
 what the tail of the integral converges to.
 
-An evaluation goes through calculus._checked_state_spectrum: one eigh of
-the stack (rho, A, B, A + B), allocated once, which validates rho, A and B
-and gives the spectrum of A + B, then the eigh of R.  The spectra are
-read once, as floats, and everything else comes from them: the state's
-weights m over R's eigenvalues t, the pairings rho(A) = sum m_i t_i and
-rho(B) = sum m_i (1 - t_i) (Tr rho A and Tr rho B but for A's and B's parts
-beyond the rank cut of A + B, at most n eps |A + B| Tr rho), and the norms
-of A and B that scale the singular-mass threshold, as their largest
-eigenvalues.  Tr rho, computed once by the state's trace check, scales that
-threshold too.  A phi_{t^2} term adds a perspective_apply, made only when
-the singular-mass test has not already returned +inf.
+An evaluation reads calculus._checked_state_spectrum's record: the
+pairings rho(A) = sum m_i t_i and rho(B) = sum m_i (1 - t_i) (Tr rho A and
+Tr rho B but for the parts beyond the rank cut of A + B, at most
+n eps |A + B| Tr rho), and Tr rho and the norms of A and B, which scale the
+singular-mass threshold.  A phi_{t^2} term adds a perspective_apply.
 """
 
 from __future__ import annotations
@@ -106,23 +100,23 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     + int [rho(A) + rho(B)/l - ((1+l)/l)^2 rho(A : lB)] dmu(l),
     with a0 = b - 2c + d and b0 = a - b + c - 2d.
     """
-    rho, A, B, t, m, tr, norm_a, norm_b = _checked_state_spectrum(rho, A, B)
-    mu, s = r.mu, 1.0 - t
+    st = _checked_state_spectrum(rho, A, B)
+    mu, t, m, s = r.mu, st.t, st.m, 1.0 - st.t
     # the singular parts are the eigenprojections of R at 1 (A relative to
     # B) and at 0 (B relative to A), cut as in lebesgue_decomposition; a
     # divergent branch returns before any term is computed
     at_zero, at_one = _endpoints(t)
-    if mu.infinite_mass and _singular(m[at_one].sum(), tr, norm_a):
+    if mu.infinite_mass and _singular(m[at_one].sum(), st.tr, st.norm_a):
         return INF
-    if mu.infinite_inv_mass and _singular(m[at_zero].sum(), tr, norm_b):
+    if mu.infinite_inv_mass and _singular(m[at_zero].sum(), st.tr, st.norm_b):
         return INF
     a0 = r.b - 2.0 * r.c + r.d
     b0 = r.a - r.b + r.c - 2.0 * r.d
     terms = [a0 * float(m @ t), b0 * float(m @ s)]
     if r.c > 0:
-        terms.append(xmul(r.c, _t2_term(A, B, rho)))
+        terms.append(xmul(r.c, _t2_term(st.A, st.B, st.rho)))
     if r.d > 0:
-        terms.append(xmul(r.d, _t2_term(B, A, rho)))
+        terms.append(xmul(r.d, _t2_term(st.B, st.A, st.rho)))
     kernel = _integrand((2.0 * t - 1.0) ** 2, t, s, mu.locations)
     terms.append(float(mu.weights @ kernel @ m))
     return xadd(*terms)
@@ -135,13 +129,13 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     f'(0+) rho(A) + f(0+) rho(B) + c phi_{t^2}(A,B)(rho)
     + int [rho(A) - rho(A : lB)] dnu(l).
     """
-    rho, A, B, t, m, tr, norm_a, _ = _checked_state_spectrum(rho, A, B)
-    nu, s = r.nu, 1.0 - t
-    if nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), tr, norm_a):
+    st = _checked_state_spectrum(rho, A, B)
+    nu, t, m, s = r.nu, st.t, st.m, 1.0 - st.t
+    if nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), st.tr, st.norm_a):
         return INF
     terms = [r.fp0 * float(m @ t), r.f0 * float(m @ s)]
     if r.c > 0:
-        terms.append(xmul(r.c, _t2_term(A, B, rho)))
+        terms.append(xmul(r.c, _t2_term(st.A, st.B, st.rho)))
     kernel = _integrand(t * t, t, s, nu.locations)
     terms.append(float(nu.weights @ kernel @ m))
     return xadd(*terms)

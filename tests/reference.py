@@ -140,8 +140,8 @@ def r_spectrum_weights(A, B, rho):
     over the rows of _pair_spectra's X, so that
     rho(X* diag(g(t)) X) = sum_i m_i g(t_i).  Trusts its input: rho, A and B
     are the arrays sequential_state_pair returns."""
-    t, X = _pair_spectra(A, B)
-    return t, _state_weights(X, rho)
+    spectrum = _pair_spectra(A, B)
+    return spectrum.t, _state_weights(spectrum.X, rho)
 
 
 def masked_range_eigh(M, name):
@@ -299,7 +299,7 @@ def redecomposed_boundedness_chain(alpha, A, B, trials=500, seed=0):
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
     A, B = sequential_pair(A, B)
-    a2 = _t2_bound(A, B, *_pair_spectra(A, B))
+    a2 = _t2_bound(_pair_spectra(A, B))
     res_b = perspective_apply(catalog("power", alpha), A, B)
     (A_alpha,) = _psd_powers(*eigh(A), alpha)
     B_c, B_e = _psd_powers(*eigh(B), alpha - 1.0, (alpha - 1.0) / alpha)

@@ -175,7 +175,8 @@ def test_pair_spectrum_matches_compatible_representation():
     decisions = set()
     for label, A, B in _kernel_reference_pairs():
         rep = compatible_representation(A, B)
-        t, X = _pair_spectra(*sequential_pair(A, B))
+        spectrum = _pair_spectra(*sequential_pair(A, B))
+        t, X = spectrum.t, spectrum.X
         n, k = A.shape[0], rep.subspace.dim
         assert t.shape == (k,) and X.shape == (k, n), label
         assert np.abs(t - np.linalg.eigvalsh(rep.r)).max(initial=0.0) <= 1e-12, label
@@ -1055,7 +1056,7 @@ def _definite_kinds(n):
 def _pair_outputs(A, B):
     """The kernel's t and the public calls that read it, on (A, B)."""
     dec = lebesgue_decomposition(A, B)
-    return (_checked_pair_spectrum(A, B)[2],
+    return (_checked_pair_spectrum(A, B).t,
             connection(connection_generator("geometric"), A, B),
             dec.ac_part, dec.singular_part, dominates_scale(A, B),
             is_absolutely_continuous(A, B))
@@ -1084,7 +1085,7 @@ class TestDefiniteReduction:
         for kind, A, B in _definite_kinds(n):
             w = np.linalg.eigvalsh(A + B)
             estimate = n * EPS * w[-1] / w[0]
-            assert calculus._definite_spectra(A, A + B) is not None, kind
+            assert calculus._definite_spectra(A, B, A + B) is not None, kind
             got = _pair_outputs(A, B)
             want = _eigh_route(monkeypatch, _pair_outputs, A, B)
             t, want_t = got[0], want[0]
@@ -1118,12 +1119,12 @@ class TestDefiniteReduction:
                                  10 ** rng.uniform(0, 8)))
                     A, B = (M, other) if rng.random() < 0.5 else (other, M)
                     A, B = scale * A, scale * B
-                    spectra = calculus._definite_spectra(A, A + B)
-                    certified = spectra is not None and spectra[2]
+                    definite = calculus._definite_spectra(A, B, A + B)
+                    certified = definite is not None and definite.certified
                     if certified:
                         for X in (A, B):
                             require_psd(X)
-                    seen.add((spectra is not None, certified))
+                    seen.add((definite is not None, certified))
                     # rejected pairs raise as on the eigh route
                     got = _outcome(_checked_pair_spectrum, A, B)
                     if isinstance(got[0], type):
@@ -1149,7 +1150,7 @@ class TestDefiniteReduction:
             U = haar_unitary(rng, n)
             A, B = _with_least(U, 0.25, 4.0), _with_least(U, 0.25, 2.0)
             np.linalg.cholesky(A + B)
-        assert calculus._definite_spectra(A, A + B) is None
+        assert calculus._definite_spectra(A, B, A + B) is None
         got = _pair_spectra(A, B)
         want = _eigh_route(monkeypatch, _pair_spectra, A, B)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -1163,7 +1164,7 @@ class TestDefiniteReduction:
             warnings.simplefilter(action)
             with np.errstate(over="ignore"):
                 S = huge + huge
-            assert calculus._definite_spectra(huge, S) is None
+            assert calculus._definite_spectra(huge, huge, S) is None
             for call in (lambda A, B: connection(
                     connection_generator("geometric"), A, B),
                     lebesgue_decomposition, t2_bound):
@@ -1189,9 +1190,9 @@ class TestDefiniteReduction:
                  "both": (A - shift_a * eye, B - shift_b * eye),
                  "minus_B": (A, -B)}
         for case, (X, Y) in pairs.items():
-            spectra = calculus._definite_spectra(X, X + Y)
-            assert (spectra is None) == (case == "minus_B"), case
-            assert spectra is None or not spectra[2], case
+            definite = calculus._definite_spectra(X, Y, X + Y)
+            assert (definite is None) == (case == "minus_B"), case
+            assert definite is None or not definite.certified, case
             for call in (_checked_pair_spectrum, is_absolutely_continuous,
                          t2_bound):
                 got = _outcome(call, X, Y)

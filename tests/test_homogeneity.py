@@ -1,0 +1,195 @@
+"""Exact positive homogeneity of the pair calls at powers of four.
+
+phi(cA, cB) = c phi(A, B) for every homogeneous phi, and for c = 4^k the
+scaling is exact in binary floating point, as is sqrt(c) = 2^k.  So each
+call on (cA, cB) must give c times (or sqrt(c) times, or, for a scale-free
+output, exactly) what it gives on (A, B), to the last bit, and raise the
+same error.  The check needs no reference implementation, no tolerance and
+no mpmath, so it shares no fast path with the code it checks.
+
+Covered domain: gen_pair pairs (seed 11) of the well_conditioned,
+rank_deficient and projection profiles, n in {2, 3, 6, 33} (33 takes the
+Cholesky route on a definite sum), trials 0 and 1, k in {-200, -60, 7, 60,
+200}.  Measured on these pairs, every output is exact for -202 <= k <= 241
+and the first breaks come at k = -203 and k = 242, where numpy's eigh
+itself stops scaling exactly: LAPACK rescales a matrix near underflow or
+overflow by a factor that is not a power of two.  The test stays inside,
+at |k| <= 200.  t2_bound and boundedness_chain square the pair, which would
+halve that range (the chain's (c) constant was exact only for |k| <= 114),
+so they first divide a pair of scale outside 4^-100 ... 4^100
+(perspectives.UNSCALED_POW4) by a power of four.  Beyond the exact domain,
+the second test holds their decisions on both sides of the joint scales
+where forming A^2 as given failed.
+"""
+
+import functools
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from pwcalc.extended import evaluate_state
+from pwcalc.functions import catalog
+from pwcalc.perspectives import (
+    DEFAULT_EPS_SCHEDULE,
+    boundedness_chain,
+    connection,
+    connection_generator,
+    dominates_scale,
+    epsilon_limit,
+    is_absolutely_continuous,
+    lebesgue_decomposition,
+    parallel_sum,
+    perspective_apply,
+    t2_bound,
+)
+from pwcalc.suites import RandomSpec, gen_pair, random_state
+from pwcalc.variational import (
+    integral_eval_91,
+    integral_eval_92,
+    repr77_tlogt,
+    repr97_t_alpha,
+)
+
+PROFILES = ("well_conditioned", "rank_deficient", "projection")
+TLOGT = catalog("tlogt")
+GEOMETRIC = connection_generator("geometric")
+R77 = repr77_tlogt(48)
+R97 = repr97_t_alpha(1.5, 48)
+
+
+def _perspective(A, B, rho, c):
+    res = perspective_apply(TLOGT, A, B)
+    return {"form": (1, res.value.form_matrix()),
+            "infinity_dim": (0, res.value.infinity_dim),
+            "r_eigenvalues": (0, res.r_eigenvalues),
+            "endpoint_hits": (0, res.endpoint_hits),
+            "classification": (0, res.classification),
+            "state": (1, evaluate_state(res.value, rho))}
+
+
+def _lebesgue(A, B, rho, c):
+    dec = lebesgue_decomposition(A, B)
+    return {"ac": (1, dec.ac_part), "singular": (1, dec.singular_part)}
+
+
+def _t2(A, B, rho, c):
+    res = t2_bound(A, B)
+    return {"lambda_min": (1, res.lambda_min),
+            "flags": (0, (res.bounded, res.upper_certified, res.lower_fails))}
+
+
+def _chain(A, B, rho, c):
+    rep = boundedness_chain(2.0, A, B, trials=20)
+    return {"conditions": (0, rep.conditions),
+            "violated": (0, rep.violated),
+            # (c) A^2 <= lam B and (d) scale as c, (e) A <= lam B^(1/2) as
+            # sqrt(c)
+            **{f"scale_{key}": (0.5 if key == "e" else 1, value)
+               for key, value in rep.scales.items()}}
+
+
+def _epsilon(A, B, rho, c):
+    entries = epsilon_limit(TLOGT, A, B, [c * e for e in DEFAULT_EPS_SCHEDULE])
+    return {f"entry_{i}": (1, (e, M)) for i, (e, M) in enumerate(entries)}
+
+
+CALLS = {
+    "perspective_apply": _perspective,
+    "connection": lambda A, B, rho, c: {
+        "value": (1, connection(GEOMETRIC, A, B))},
+    "lebesgue_decomposition": _lebesgue,
+    "is_absolutely_continuous": lambda A, B, rho, c: {
+        "value": (0, is_absolutely_continuous(A, B))},
+    "dominates_scale": lambda A, B, rho, c: {
+        "value": (0, dominates_scale(A, B))},
+    "t2_bound": _t2,
+    "boundedness_chain": _chain,
+    "integral_eval_91": lambda A, B, rho, c: {
+        "value": (1, integral_eval_91(R77, A, B, rho))},
+    "integral_eval_92": lambda A, B, rho, c: {
+        "value": (1, integral_eval_92(R97, A, B, rho))},
+    "parallel_sum": lambda A, B, rho, c: {
+        "value": (1, parallel_sum(A, B))},
+    "epsilon_limit": _epsilon,
+}
+
+
+def _outcome(call, A, B, rho, c):
+    """call's outputs on (cA, cB), or the type of its error."""
+    try:
+        return call(c * A, c * B, rho, c)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _bits(value, factor):
+    """value times factor (each number of a nested value), as bytes, or
+    the value itself where it holds no float."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v, factor) for v in value)
+    if isinstance(value, dict):
+        return {k: _bits(v, factor) for k, v in value.items()}
+    if isinstance(value, (bool, str, int, np.bool_)):
+        return value
+    return (np.asarray(value) * factor).tobytes()
+
+
+@functools.cache
+def _case(profile, n, trial):
+    A, B = gen_pair(RandomSpec(n, n, profile, 11), trial)
+    rho = random_state(np.random.default_rng((n, trial)), n)
+    return A, B, rho, {name: _outcome(call, A, B, rho, 1.0)
+                       for name, call in CALLS.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 33])
+@pytest.mark.parametrize("k", [-200, -60, 7, 60, 200])
+def test_outputs_scale_exactly_at_powers_of_four(k, n):
+    c = 4.0 ** k
+    compared = 0
+    for profile in PROFILES:
+        for trial in range(2):
+            A, B, rho, unscaled = _case(profile, n, trial)
+            for name, call in CALLS.items():
+                got, want = _outcome(call, A, B, rho, c), unscaled[name]
+                label = (profile, trial, name)
+                if isinstance(want, type):
+                    assert got is want, label
+                    continue
+                assert not isinstance(got, type), (label, got)
+                assert got.keys() == want.keys(), label
+                for key, (degree, value) in want.items():
+                    scale = 2.0 ** (2 * k * degree)
+                    assert _bits(got[key][1], 1.0) == _bits(value, scale), (
+                        label, key)
+                compared += 1
+    assert compared == len(PROFILES) * 2 * len(CALLS)
+
+
+@pytest.mark.parametrize("k", [-260, -256, -250, 250, 255, 256, 260])
+@pytest.mark.parametrize("profile", ["well_conditioned", "rank_deficient"])
+def test_t2_and_chain_decide_as_unscaled_beyond_the_exact_domain(profile, k):
+    # Past LAPACK's own rescaling an output need not scale to the last bit,
+    # but each decision must be the unscaled pair's, and nothing may warn.
+    # Formed as given, A^2 overflowed from 4^256 on (svd did not converge),
+    # and at 4^-260 the chain's power of A was subnormal.
+    c = 4.0 ** k
+    for n in (2, 3, 4):
+        A, B = gen_pair(RandomSpec(n, n, profile, 11), 0)
+        t2, chain = t2_bound(A, B), boundedness_chain(2.0, A, B, trials=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_t2 = t2_bound(c * A, c * B)
+            got_chain = boundedness_chain(2.0, c * A, c * B, trials=20)
+        assert (got_t2.bounded, got_t2.upper_certified, got_t2.lower_fails) \
+            == (t2.bounded, t2.upper_certified, t2.lower_fails), n
+        assert math.isclose(got_t2.lambda_min, c * t2.lambda_min,
+                            rel_tol=1e-12), n
+        assert got_chain.conditions == chain.conditions, n
+        assert got_chain.violated == chain.violated, n
+        for key, value in chain.scales.items():
+            scale = math.sqrt(c) if key == "e" else c
+            assert math.isclose(got_chain.scales[key], scale * value,
+                                rel_tol=1e-12), (n, key)

@@ -973,14 +973,13 @@ class TestStackedValidation:
                 for w, V, M in zip(*got[2:], want):
                     assert _same_arrays((w, V), eigh(M)), label
             want = _outcome(sequential_state_pair, rho, A, B)
-            got = _outcome(lambda *a: _checked_state_spectrum(*a)[:3],
-                           rho, A, B)
+            got = _outcome(_checked_state_spectrum, rho, A, B)
             rejected = isinstance(want[0], type)
             decisions.add((kind, rejected))
             if rejected:
                 assert got == want, label
             else:
-                assert _same_arrays(got, want), label
+                assert _same_arrays((got.rho, got.A, got.B), want), label
         # each cliff is met from both sides
         for kind in ("hermitian", "psd"):
             assert {(kind, True), (kind, False)} <= decisions
@@ -1104,7 +1103,7 @@ class TestStackedValidation:
         for label, _, A, B in _kernel_corpus():
             if label in ("0x0", "scalars"):
                 continue
-            t = _pair_spectra(*sequential_pair(A, B))[0]
+            t = _pair_spectra(*sequential_pair(A, B)).t
             r = spectra[-1][0]  # R's, the kernel's last eigh
             assert t.tobytes() == np.clip(r, 0.0, 1.0).tobytes(), label
             outside.add(bool((r < 0.0).any() or (r > 1.0).any()))
@@ -1138,7 +1137,7 @@ EPS = np.finfo(float).eps
 def _validated_spectrum(A, B):
     """The reference path: validate the pair, then decompose it."""
     A, B = sequential_pair(A, B)
-    return (A, B, *_pair_spectra(A, B))
+    return _pair_spectra(A, B)
 
 
 def _rotated(rng, w):
@@ -1279,12 +1278,12 @@ class TestPairCertificate:
         for profile in ("rank_deficient", "projection"):
             for trial in range(10):
                 A, B = gen_pair(RandomSpec(n, n, profile, seed=5), trial)
-                spectra = calculus._definite_spectra(A, A + B)
-                if spectra is None or spectra[2]:
+                definite = calculus._definite_spectra(A, B, A + B)
+                if definite is None or definite.certified:
                     continue
-                want = _validated_spectrum(A, B)
-                assert [a.tobytes() for a in want[2:]] == [
-                    a.tobytes() for a in spectra[:2]], (profile, trial)
+                want, spectrum = _validated_spectrum(A, B), definite.spectrum
+                assert _same_arrays((spectrum.t, spectrum.X),
+                                    (want.t, want.X)), (profile, trial)
                 halves.clear()
                 got = _checked_pair_spectrum(A, B)
                 assert _same_arrays(got, want), (profile, trial)
@@ -1292,11 +1291,11 @@ class TestPairCertificate:
                 # the public calls read that spectrum
                 geometric = connection_generator("geometric")
                 values = np.array(_diagonal_values(
-                    perspectives.connection_phi(geometric), want[2])[0])
+                    perspectives.connection_phi(geometric), want.t)[0])
                 assert connection(geometric, A, B).tobytes() == hermitian_part(
-                    want[3].conj().T @ (values[:, None] * want[3])).tobytes()
-                assert dominates_scale(A, B) == perspectives._scale_of(want[2])
-                assert t2_bound(A, B) == perspectives._t2_bound(*want)
+                    want.X.conj().T @ (values[:, None] * want.X)).tobytes()
+                assert dominates_scale(A, B) == perspectives._scale_of(want.t)
+                assert t2_bound(A, B) == perspectives._t2_bound(want)
                 with monkeypatch.context() as m:
                     m.setattr(calculus, "DEFINITE_MIN_N", np.inf)
                     eigh_route = _checked_pair_spectrum(A, B)

@@ -166,3 +166,48 @@ def test_no_bare_tolerance_literals():
                                 for lo, hi in spans):
                 bare.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert not bare, bare
+
+
+KERNEL_ENTRIES = {"_pair_spectra", "_checked_pair_spectrum",
+                  "_checked_state_spectrum", "_definite_spectra"}
+
+
+def _positional_reads(tree):
+    """(line, entry) where code indexes, slices, star-unpacks or
+    tuple-unpacks the record of a call to a pair-kernel entry, or of a name
+    bound to one anywhere in the module."""
+    def entry(node, bound):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            return name if name in KERNEL_ENTRIES else None
+        return None
+
+    nodes = list(ast.walk(tree))
+    bound = {n.targets[0].id: entry(n.value, {}) for n in nodes
+             if isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Name)
+             and entry(n.value, {})}
+    for node in nodes:
+        if isinstance(node, (ast.Subscript, ast.Starred)) or (
+                isinstance(node, ast.Assign) and isinstance(
+                    node.targets[0], (ast.Tuple, ast.List))):
+            read = entry(node.value, bound)
+            if read:
+                yield node.lineno, read
+
+
+def test_kernel_records_are_read_by_name():
+    # the pair kernel's entries return named records (PairSpectrum,
+    # StateSpectrum, DefiniteSpectrum): the library reads them by field, so
+    # that no caller depends on the order of a record's fields
+    probe = ("def f(A, B):\n    t = _pair_spectra(A, B)[2]\n"
+             "    s = _checked_state_spectrum(A, B, A)\n    a, b = s\n"
+             "    g(*_definite_spectra(A, B, A))\n")
+    assert sorted(line for line, _ in _positional_reads(ast.parse(probe))) == [
+        2, 4, 5]
+    positional = [f"{path.name}:{line}: {name}"
+                  for path in sorted(SRC.glob("*.py"))
+                  for line, name in _positional_reads(
+                      ast.parse(path.read_text(encoding="utf-8")))]
+    assert not positional, positional
