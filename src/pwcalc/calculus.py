@@ -220,27 +220,24 @@ def compatible_representation(A: np.ndarray, B: np.ndarray
     eigenvalues clipped into [0,1] (floating error can push them to 1+1e-16,
     which would crash diagonal evaluators).  A and B are validated here, and
     their shapes compared before any eigendecomposition.  The construction
-    is _representation's; this adds S = I - R and leaves out R's
-    decomposition.
+    is _representation's; this adds S = I - R.  The calculus reads the same
+    pair off _checked_pair_spectrum instead.
     """
-    h_ab, t_map, R, _, _ = _representation(A, B)
+    h_ab, t_map, R = _representation(A, B)
     S = -R
     S.flat[:: len(R) + 1] += 1.0  # I - R
     return CompatibleRepresentation(h_ab, t_map, R, S)
 
 
 def _representation(A, B):
-    """(H_{A,B}, T, R, w, Q) of compatible_representation, the reference
-    construction: T = V_k* (A+B)^{1/2}, R = Y* A Y with Y = V_k w_k^-1/2
-    read off a second eigh (w, V) of A+B, R decomposed to clip it, and
-    (w, Q) = eigh of the clipped R.  `_pair_spectra` gives the same from
-    one eigh of A+B and one of R; pw_apply stays on this one for the eigh
-    count bench/selftest.py pins.
+    """(H_{A,B}, T, R) of compatible_representation: T = V_k* (A+B)^{1/2},
+    R = Y* A Y with Y = V_k w_k^-1/2 read off a second eigh (w, V) of A+B,
+    and R rebuilt from its clipped eigenvalues.
 
     After the cheap half of the validation, two lanes run
     (linalg._concurrently): the PSD checks of A and B, then the root of
-    A+B, on the calling thread; the eigh of A+B that gives V_k, R and R's
-    two decompositions on the worker.  Results and errors are those of the
+    A+B, on the calling thread; the eigh of A+B that gives V_k and R, and
+    R's decomposition, on the worker.  Results and errors are those of the
     run in order: A, B, then A + B (NonFiniteError for a sum that
     overflows).
     """
@@ -254,10 +251,9 @@ def _representation(A, B):
         _check_psd(B, "B")
         return _sqrt_of(*_range_eigh(S_sum, "A + B"))
 
-    def r_spectrum():
+    def r_matrix():
         # each array is freed once spent, as both lanes' arrays are alive
-        # at once: on pairs of n = 64, 128 and 256 that keeps about 3 MB
-        # off the peak memory of the process
+        # at once
         w, V, keep = _range_eigh(S_sum, "A + B")
         if keep is not None:
             V, w = V[:, keep], w[keep]
@@ -267,11 +263,10 @@ def _representation(A, B):
         if len(R):
             w, Q = eigh(R)
             R = hermitian_part((Q * _clipped(w)) @ Q.conj().T)
-            del w, Q
-        return V, R, *eigh(R)
+        return V, R
 
-    sq, (V, R, w, Q) = _concurrently(len(S_sum), checked_sqrt, r_spectrum)
-    return _trusted(Subspace, basis=V), V.conj().T @ sq, R, w, Q
+    sq, (V, R) = _concurrently(len(S_sum), checked_sqrt, r_matrix)
+    return _trusted(Subspace, basis=V), V.conj().T @ sq, R
 
 
 class PairSpectrum(NamedTuple):
@@ -432,21 +427,6 @@ class PwDiagnostics(NamedTuple):
     hits_at_one: int
 
 
-def _assemble(phi: HomogeneousFunction, t_map: np.ndarray, w: np.ndarray,
-              Q: np.ndarray, endpoint_tol: float):
-    """T* phi(R, S) T with its diagnostics, from (w, Q) = eigh(R) as
-    _representation made it: w unclipped, so pw_apply_restricted checks its
-    cone on the same spectrum.  It is X* diag(phi(t, 1-t)) X with X = Q* T
-    (_diagonal_congruence), the zero element when A+B = 0, made after both
-    of _representation's lanes have joined, so their errors come first.
-    """
-    t = _clipped(w)
-    values, at_zero, at_one = _diagonal_values(phi, t, endpoint_tol)
-    return (_diagonal_congruence(Q.conj().T @ t_map, values),
-            PwDiagnostics(t, int(np.count_nonzero(at_zero)),
-                          int(np.count_nonzero(at_one))))
-
-
 def _pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
               endpoint_tol: float):
     """(pw_apply's value, PwDiagnostics) at the endpoint band endpoint_tol:
@@ -455,17 +435,20 @@ def _pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
         raise PreconditionError(
             f"{phi.name} is a restricted variant; use pw_apply_restricted"
         )
-    _, t_map, _, w, Q = _representation(A, B)
-    return _assemble(phi, t_map, w, Q, endpoint_tol)
+    sp = _checked_pair_spectrum(A, B)
+    values, at_zero, at_one = _diagonal_values(phi, sp.t, endpoint_tol)
+    return (_diagonal_congruence(sp.X, values),
+            PwDiagnostics(sp.t, int(np.count_nonzero(at_zero)),
+                          int(np.count_nonzero(at_one))))
 
 
 def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray):
     """phi(A, B) = T* phi(R, S) T, extended by 0 on ker(A+B).
 
     Full-domain variant only; eigenvalues of R are classified to {0}, (0,1),
-    {1} by _endpoints and the corner values apply at the endpoints.
-    Built on _representation rather than _pair_spectra, for the eigh
-    count bench/selftest.py pins (see _assemble).
+    {1} by _endpoints and the corner values apply at the endpoints.  The
+    value is X* diag(phi(t, 1-t)) X over the pair's _checked_pair_spectrum
+    (_diagonal_congruence), the zero element when A+B = 0.
     """
     return _pw_apply(phi, A, B, ENDPOINT_TOL)[0]
 
@@ -477,24 +460,24 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     side='ge' requires A >= alpha B for some alpha > 0, certified by no
     eigenvalue of R at 0 (_endpoints); side='le' symmetrically requires
     none at 1.  Endpoint eigenvalues inside the excluded end are a
-    precondition violation, not an infinite value.  Built on
-    _representation, as pw_apply is; the cone is checked on the eigenvalues
-    of R that _assemble reads.
+    precondition violation, not an infinite value.  The cone is checked on
+    the clipped eigenvalues of R that the value reads, and its error prints
+    them.
     """
     if side not in ("ge", "le"):
         raise ValueError("side must be 'ge' or 'le'")
-    _, t_map, _, w, Q = _representation(A, B)
-    at_zero, at_one = _endpoints(w)
+    sp = _checked_pair_spectrum(A, B)
+    at_zero, at_one = _endpoints(sp.t)
     if side == "ge" and np.count_nonzero(at_zero):
         raise PreconditionError(
-            f"pair is not in the >= cone: min eigenvalue of R is {w[0]:.3e}"
+            f"pair is not in the >= cone: min eigenvalue of R is {sp.t[0]:.3e}"
         )
     if side == "le" and np.count_nonzero(at_one):
         raise PreconditionError(
             f"pair is not in the <= cone: min eigenvalue of S is "
-            f"{1.0 - w[-1]:.3e}"
+            f"{1.0 - sp.t[-1]:.3e}"
         )
-    return _assemble(phi, t_map, w, Q, ENDPOINT_TOL)[0]
+    return _diagonal_congruence(sp.X, _diagonal_values(phi, sp.t)[0])
 
 
 def _grouped_joint_eigensystem(wA: np.ndarray, VA: np.ndarray, B: np.ndarray):

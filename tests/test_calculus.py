@@ -15,6 +15,7 @@ import pytest
 from pwcalc import calculus
 from pwcalc.calculus import (
     DEFINITE_MIN_N,
+    ENDPOINT_TOL,
     HomogeneousFunction,
     PreconditionError,
     _checked_pair_spectrum,
@@ -517,6 +518,13 @@ class TestConvexityInequalities:
             assert ok
 
 
+XLOGYX_LE = HomogeneousFunction(
+    "xlogyx", ExtendedFunction(
+        "diag", Interval(0.0, 1.0, True, False),
+        lambda t: t * math.log((1.0 - t) / t) if t > 0 else 0.0),
+    INF, 0.0, variant="le")
+
+
 class TestRestricted:
     def test_commuting_scalar_value(self):
         out = pw_apply_restricted(ylogxy_restricted(), 2 * np.eye(2), np.eye(2))
@@ -531,13 +539,37 @@ class TestRestricted:
             pw_apply_restricted(ylogxy_restricted(), np.diag([1.0, 0.0]),
                                 np.diag([0.0, 1.0]), side="ge")
 
+    def test_cone_error_prints_the_clipped_spectrum(self):
+        # two projections: R's eigenvalue at 0 computes as -5.6e-17 and is
+        # printed as the value reads it, clipped to 0
+        A, B = gen_pair(RandomSpec(2, 2, "projection", seed=5), 8)
+        with pytest.raises(PreconditionError, match=r"^pair is not in the "
+                           r">= cone: min eigenvalue of R is 0\.000e\+00$"):
+            pw_apply_restricted(ylogxy_restricted(), A, B)
+
+    @pytest.mark.parametrize("side", ["ge", "le"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_cone_edge_at_the_endpoint_band(self, side, factor):
+        # A + B = I and min t (ge) or min 1 - t (le) at factor times the
+        # band: inside it the pair is outside the cone, outside it the value
+        # is finite
+        gap = factor * ENDPOINT_TOL
+        A, B = np.diag([gap, 0.5]), np.diag([1.0 - gap, 0.5])
+        phi = ylogxy_restricted() if side == "ge" else XLOGYX_LE
+        if side == "le":
+            A, B = B, A
+        if factor < 1.0:
+            cone, of = (">=", "R") if side == "ge" else ("<=", "S")
+            with pytest.raises(PreconditionError, match=(
+                    rf"^pair is not in the {cone} cone: min eigenvalue of "
+                    rf"{of} is 5\.000e-11$")):
+                pw_apply_restricted(phi, A, B, side=side)
+        else:
+            assert pw_apply_restricted(phi, A, B, side=side).is_bounded
+
     def test_le_side(self):
-        phi = HomogeneousFunction(
-            "xlogyx", ExtendedFunction(
-                "diag", Interval(0.0, 1.0, True, False),
-                lambda t: t * math.log((1.0 - t) / t) if t > 0 else 0.0),
-            INF, 0.0, variant="le")
-        out = pw_apply_restricted(phi, np.eye(2), 2 * np.eye(2), side="le")
+        out = pw_apply_restricted(XLOGYX_LE, np.eye(2), 2 * np.eye(2),
+                                  side="le")
         assert np.abs(out.form_matrix() - math.log(2) * np.eye(2)).max() < 1e-10
 
     def test_restricted_bounded_ylogxy(self):
@@ -644,29 +676,26 @@ def test_empty_and_scalar_pairs(outputs, at_scalar, monkeypatch):
 
 
 class TestConcurrentValidation:
-    """From n = CONCURRENT_MIN_N on, the representation under
-    perspective_apply, pw_apply_restricted and compatible_representation
-    runs in two lanes: the PSD checks of A and B and the root of A+B on the
-    calling thread, the range basis of A+B and R's decompositions on a
-    worker.  The
+    """From n = CONCURRENT_MIN_N on, compatible_representation runs in two
+    lanes: the PSD checks of A and B and the root of A+B on the calling
+    thread, the range basis of A+B and R's decomposition on a worker.  The
     results must be the run in order's to the last bit, and the errors its
-    errors."""
+    errors.  perspective_apply and pw_apply_restricted read the pair kernel
+    on one thread, and must raise the same errors."""
 
     @pytest.mark.parametrize("profile", ["well_conditioned", "rank_deficient",
                                          "projection"])
     def test_bitwise_equal_to_one_at_a_time(self, profile, monkeypatch):
         A, B = gen_pair(RandomSpec(64, 64, profile, seed=11), 0)
-        for outputs in (_perspective_outputs, _restricted_outputs,
-                        _representation_outputs):
-            results, threads = [], []
-            for cpus in (2, 1):
-                monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
-                with monkeypatch.context() as m:
-                    threads.append(_eigh_threads(m))
-                    results.append(outputs(A, B))
-            assert [len(t) for t in threads] == [2, 1]
-            for a, b in zip(*results, strict=True):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        results, threads = [], []
+        for cpus in (2, 1):
+            monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+            with monkeypatch.context() as m:
+                threads.append(_eigh_threads(m))
+                results.append(_representation_outputs(A, B))
+        assert [len(t) for t in threads] == [2, 1]
+        for a, b in zip(*results, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("call", [
         lambda A, B: perspective_apply(catalog("tlogt"), A, B),

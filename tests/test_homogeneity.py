@@ -8,13 +8,15 @@ same error.  The check needs no reference implementation, no tolerance and
 no mpmath, so it shares no fast path with the code it checks.
 
 Covered domain: gen_pair pairs (seed 11) of the well_conditioned,
-rank_deficient and projection profiles, n in {2, 3, 6, 33} (33 takes the
-Cholesky route on a definite sum), trials 0 and 1, k in {-200, -60, 7, 60,
-200}.  Measured on these pairs, every output is exact for -202 <= k <= 241
-and the first breaks come at k = -203 and k = 242, where numpy's eigh
-itself stops scaling exactly: LAPACK rescales a matrix near underflow or
-overflow by a factor that is not a power of two.  The test stays inside,
-at |k| <= 200.  t2_bound and boundedness_chain square the pair, which would
+rank_deficient and projection profiles, n in {2, 3, 6, 33, 40} (33 and 40
+take the Cholesky route on a definite sum), trials 0 and 1, k in {-200,
+-60, 7, 60, 200}; perspective_apply and pw_apply_restricted, on both
+sides, also on the commuting_pair and dominated_pair profiles.  Measured on
+the first three profiles' pairs up to n = 33, every output is exact for
+-202 <= k <= 241 and the first breaks come at k = -203 and k = 242, where
+numpy's eigh itself stops scaling exactly: LAPACK rescales a matrix near
+underflow or overflow by a factor that is not a power of two.  The test
+stays inside, at |k| <= 200.  t2_bound and boundedness_chain square the pair, which would
 halve that range (the chain's (c) constant was exact only for |k| <= 114),
 so they first divide a pair of scale outside 4^-100 ... 4^100
 (perspectives.UNSCALED_POW4) by a power of four.  Beyond the exact domain,
@@ -29,8 +31,9 @@ import warnings
 import numpy as np
 import pytest
 
-from pwcalc.extended import evaluate_state
-from pwcalc.functions import catalog
+from pwcalc.calculus import HomogeneousFunction, pw_apply_restricted
+from pwcalc.extended import INF, evaluate_state
+from pwcalc.functions import ExtendedFunction, Interval, catalog
 from pwcalc.perspectives import (
     DEFAULT_EPS_SCHEDULE,
     boundedness_chain,
@@ -57,6 +60,14 @@ TLOGT = catalog("tlogt")
 GEOMETRIC = connection_generator("geometric")
 R77 = repr77_tlogt(48)
 R97 = repr97_t_alpha(1.5, 48)
+# y log(x/y) on the >= cone, and x log(y/x) on the <= cone
+YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, INF,
+                                variant="ge")
+XLOGYX_LE = HomogeneousFunction(
+    "xlogyx", ExtendedFunction(
+        "diag", Interval(0.0, 1.0, True, False),
+        lambda t: t * math.log((1.0 - t) / t) if t > 0 else 0.0),
+    INF, 0.0, variant="le")
 
 
 def _perspective(A, B, rho, c):
@@ -67,6 +78,16 @@ def _perspective(A, B, rho, c):
             "endpoint_hits": (0, res.endpoint_hits),
             "classification": (0, res.classification),
             "state": (1, evaluate_state(res.value, rho))}
+
+
+def _restricted(phi, side):
+    def call(A, B, rho, c):
+        # the <= cone holds the dominated pair swapped
+        X, Y = (A, B) if side == "ge" else (B, A)
+        value = pw_apply_restricted(phi, X, Y, side)
+        return {"form": (1, value.form_matrix()),
+                "infinity_dim": (0, value.infinity_dim)}
+    return call
 
 
 def _lebesgue(A, B, rho, c):
@@ -116,6 +137,18 @@ CALLS = {
 }
 
 
+# perspective_apply and pw_apply_restricted on two more profiles: commuting
+# pairs, whose R can have eigenvalues at 0 and at 1, and dominated pairs,
+# which lie in both cones (the <= cone swapped); a restricted call must
+# raise the same PreconditionError on a pair outside its cone
+MOVED_PROFILES = ("commuting_pair", "dominated_pair")
+MOVED = {
+    "perspective_apply": _perspective,
+    "pw_apply_restricted-ge": _restricted(YLOGXY_GE, "ge"),
+    "pw_apply_restricted-le": _restricted(XLOGYX_LE, "le"),
+}
+
+
 def _outcome(call, A, B, rho, c):
     """call's outputs on (cA, cB), or the type of its error."""
     try:
@@ -137,22 +170,26 @@ def _bits(value, factor):
 
 
 @functools.cache
-def _case(profile, n, trial):
+def _case(profile, n, trial, calls):
     A, B = gen_pair(RandomSpec(n, n, profile, 11), trial)
     rho = random_state(np.random.default_rng((n, trial)), n)
     return A, B, rho, {name: _outcome(call, A, B, rho, 1.0)
-                       for name, call in CALLS.items()}
+                       for name, call in TABLES[calls].items()}
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 33])
-@pytest.mark.parametrize("k", [-200, -60, 7, 60, 200])
-def test_outputs_scale_exactly_at_powers_of_four(k, n):
+TABLES = {"calls": CALLS, "moved": MOVED}
+
+
+def _compare(k, n, profiles, calls):
+    """Each call of TABLES[calls] on each profile's pairs scaled by 4^k
+    against the unscaled; the (profile, trial, call) whose outputs, not
+    errors, were compared."""
     c = 4.0 ** k
-    compared = 0
-    for profile in PROFILES:
+    compared = set()
+    for profile in profiles:
         for trial in range(2):
-            A, B, rho, unscaled = _case(profile, n, trial)
-            for name, call in CALLS.items():
+            A, B, rho, unscaled = _case(profile, n, trial, calls)
+            for name, call in TABLES[calls].items():
                 got, want = _outcome(call, A, B, rho, c), unscaled[name]
                 label = (profile, trial, name)
                 if isinstance(want, type):
@@ -164,8 +201,26 @@ def test_outputs_scale_exactly_at_powers_of_four(k, n):
                     scale = 2.0 ** (2 * k * degree)
                     assert _bits(got[key][1], 1.0) == _bits(value, scale), (
                         label, key)
-                compared += 1
-    assert compared == len(PROFILES) * 2 * len(CALLS)
+                compared.add(label)
+    return compared
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 33, 40])
+@pytest.mark.parametrize("k", [-200, -60, 7, 60, 200])
+def test_outputs_scale_exactly_at_powers_of_four(k, n):
+    compared = _compare(k, n, PROFILES, "calls")
+    assert len(compared) == len(PROFILES) * 2 * len(CALLS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 33, 40])
+@pytest.mark.parametrize("k", [-200, -60, 7, 60, 200])
+def test_kernel_calls_scale_exactly_on_more_profiles(k, n):
+    # only the restricted calls on a commuting pair may raise
+    compared = _compare(k, n, MOVED_PROFILES, "moved")
+    assert compared >= {(profile, trial, name) for profile in MOVED_PROFILES
+                        for trial in range(2) for name in MOVED
+                        if profile == "dominated_pair"
+                        or name == "perspective_apply"}
 
 
 @pytest.mark.parametrize("k", [-260, -256, -250, 250, 255, 256, 260])

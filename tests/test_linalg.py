@@ -241,9 +241,8 @@ class TestSpectrumShortcuts:
         assert (got is w) == bool(len(w) and 0.0 < w.min() and w.max() < 1.0)
 
     def test_representation_clips_as_np_clip(self, monkeypatch):
-        # _representation rebuilds R from np.clip of its eigenvalues, and
-        # perspective_apply reports np.clip of the rebuilt R's: the two
-        # eigh of R are the only ones calculus makes itself
+        # compatible_representation rebuilds R from np.clip of its
+        # eigenvalues: that eigh of R is the only one calculus makes itself
         decompositions = []
         eigh_ = calculus.eigh
         monkeypatch.setattr(calculus, "eigh", lambda M: decompositions.append(
@@ -253,12 +252,10 @@ class TestSpectrumShortcuts:
             if label in ("0x0", "scalars"):
                 continue
             decompositions.clear()
-            res = perspective_apply(catalog("tlogt"), A, B)
-            (_, w, Q), (R, w_r, _) = decompositions
+            rep = compatible_representation(A, B)
+            [(_, w, Q)] = decompositions
             want = hermitian_part((Q * np.clip(w, 0.0, 1.0)) @ Q.conj().T)
-            assert R.tobytes() == want.tobytes(), label
-            assert res.r_eigenvalues.tobytes() == np.clip(
-                w_r, 0.0, 1.0).tobytes(), label
+            assert rep.r.tobytes() == want.tobytes(), label
             clipped.add(not (0.0 < w[0] and w[-1] < 1.0))
         assert clipped == {True, False}
 

@@ -1,6 +1,6 @@
 import math
 import re
-import threading
+import sys
 import warnings
 from dataclasses import replace
 
@@ -17,7 +17,6 @@ from pwcalc.calculus import (
     pw_commuting_oracle,
     special_values,
 )
-from pwcalc import linalg
 from pwcalc.extended import (
     INF,
     evaluate_state,
@@ -114,21 +113,22 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # so the kernel makes one eigh, of L^-1 A L^-*, and a certified pair no
 # other; a semidefinite A + B takes the stacked eigh and R's.  The
 # integrals read the checks of rho, A and B and the spectrum of A + B from
-# one eigh of their 4-stack, then decompose R; perspective_apply keeps the 7 of _representation and
-# _assemble, and pw_apply_restricted checks its cone on the spectrum
-# _assemble reads.  dominates_scale reads the pair kernel alone; t2_bound
-# adds, on a bounded pair, one eigh for its norm and two for its form
-# certificates.  The chain validates A and B with one eigh of their stack,
-# which also gives A's power and both of B's, then adds t2_bound's kernel
-# and its three, a perspective, and the kernel of each powered pair, which
-# trusts them, so both profiles make the same count.  The rank-deficient
+# one eigh of their 4-stack, then decompose R.  perspective_apply and
+# pw_apply_restricted read the pair kernel too, and the perspective adds
+# the lower bound of its element, so 3, or 2 on a certified definite pair;
+# pw_apply_restricted checks its cone on the kernel's t.  dominates_scale
+# reads the pair kernel alone; t2_bound adds, on a bounded pair, one eigh
+# for its norm and two for its form certificates, and two svd for the
+# spectral norms of B and A^2 in its form test.  The chain validates A and
+# B with one eigh of their stack, which also gives A's power and both of
+# B's, then adds t2_bound's kernel and its three eigh and two svd, a
+# perspective, and the kernel of each powered pair, which trusts them,
+# with two spectral norms (svd) for each powered pair's scale, so both
+# profiles make the same count.  The rank-deficient
 # pair is bounded in this order (range A in range B) and unbounded swapped.
-# At n = 64 perspective_apply and pw_apply_restricted run in two lanes and
-# still make 7: the PSD checks of A and B and the root of A+B on the calling
-# thread, the eigh of A+B that gives the range basis and R's two
-# decompositions on the worker, and the lower bound of the element after
-# both have joined.  A perspective with an infinity part adds one svd, for
-# the kernel of its +inf rows.  The calls that validate a pair and then
+# A perspective with an infinity part adds one svd, for the kernel of its
+# +inf rows.  np.linalg.norm(M, 2) runs the svd of numpy.linalg._linalg,
+# so both bindings are counted.  The calls that validate a pair and then
 # read it (invertible_formula, the commuting-pair oracle, parallel_sum,
 # epsilon_limit and the variational calls) check A and B with one eigh of
 # their stack; the oracle's, parallel_sum's and epsilon_limit's stack holds
@@ -140,10 +140,13 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # decomposes the sandwiched matrix and the result's finite part.  special_values and
 # matrix_power_psd read everything off the PSD check of A, and
 # special_values' finite scalar adds the lower bound of scalar * A.  The
-# commuting-pair oracle adds B over each of A's four eigenspaces.
+# commuting-pair oracle adds B over each of A's four eigenspaces, and three
+# spectral norms (svd) for its commutator test.
 # variational_envelope takes one pseudo-inverse per atom, one atom at each
 # of its two n, and epsilon_limit one of R at each of its eight eps.
-# two_projections reads the ranges of P and Q off one eigh of their stack.
+# two_projections reads the ranges of P and Q off one eigh of their stack;
+# its idempotency tests take two spectral norms (svd), and its meet of the
+# ranges an svd, as does each meet inside its form sums.
 # A pair rejected as not PSD is decomposed no further: on (A, -B) the one
 # eigh of connection's stack, as of the integral's, raises B's error.
 # An infinity part made on a subspace
@@ -186,26 +189,31 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (lambda A, B, rho: integral_eval_92(R97_SQUARE_T15, EYE2, P1, EYE2 / 2),
      "rank_deficient", 2, 0),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B),
-     "rank_deficient", 7, 0),
+     "rank_deficient", 3, 0),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), B, A),
-     "rank_deficient", 7, 1),
+     "rank_deficient", 3, 1),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), *PAIR64),
-     "rank_deficient", 7, 1),
+     "rank_deficient", 3, 1),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), *DEFINITE64),
+     "rank_deficient", 2, 0),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
-     "rank_deficient", 7, 0),
+     "rank_deficient", 3, 0),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, PAIR64[0] + PAIR64[1],
                                            PAIR64[1]),
-     "rank_deficient", 7, 0),
+     "rank_deficient", 3, 0),
+    (lambda A, B, rho: pw_apply_restricted(
+        YLOGXY_GE, DEFINITE64[0] + DEFINITE64[1], DEFINITE64[1]),
+     "rank_deficient", 2, 0),
     (DOMINATES, "rank_deficient", 2, 0),
-    (T2, "rank_deficient", 5, 0),
+    (T2, "rank_deficient", 5, 2),
     (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 2, 0),
-    (CHAIN, "rank_deficient", 17, 0),
+    (CHAIN, "rank_deficient", 13, 6),
     (CONNECTION, "well_conditioned", 2, 0),
     (LEBESGUE, "well_conditioned", 2, 0),
     (ABS_CONT, "well_conditioned", 2, 0),
     (DOMINATES, "well_conditioned", 2, 0),
-    (T2, "well_conditioned", 5, 0),
-    (CHAIN, "well_conditioned", 17, 0),
+    (T2, "well_conditioned", 5, 2),
+    (CHAIN, "well_conditioned", 13, 6),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B),
      "rank_deficient", 3, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, B, A),
@@ -216,7 +224,7 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
      "rank_deficient", 2, 0),
     (lambda A, B, rho: matrix_power_psd(A, 0.5), "rank_deficient", 1, 0),
     (lambda A, B, rho: pw_commuting_oracle(TLOGT_PHI, DIAG_A, DIAG_B),
-     "rank_deficient", 5, 0),
+     "rank_deficient", 5, 3),
     (lambda A, B, rho: variational_envelope(repr77_square_minus(), A, B,
                                             np.ones(4), (1, 2)),
      "rank_deficient", 3, 0),
@@ -228,7 +236,7 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho)),
      "rank_deficient", 1, 0),
     (lambda A, B, rho: two_projections(catalog("power", 2), P87, Q87),
-     "projection", 6, 4),
+     "projection", 6, 6),
     (lambda A, B, rho: CONNECTION(*DEFINITE64, rho), "rank_deficient", 1, 0),
     (lambda A, B, rho: CONNECTION(*SEMIDEFINITE64, rho), "rank_deficient",
      2, 0),
@@ -239,7 +247,9 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         "integral_eval_91", "integral_eval_92", "integral_eval_91-singular",
         "integral_eval_92-singular", "perspective_apply",
         "perspective_apply-unbounded", "perspective_apply-n64",
-        "pw_apply_restricted", "pw_apply_restricted-n64", "dominates_scale",
+        "perspective_apply-n64_definite", "pw_apply_restricted",
+        "pw_apply_restricted-n64", "pw_apply_restricted-n64_definite",
+        "dominates_scale",
         "t2_bound", "t2_bound-unbounded", "boundedness_chain",
         "connection-well_conditioned",
         "lebesgue_decomposition-well_conditioned",
@@ -257,21 +267,21 @@ def test_eigh_calls_per_call(call, profile, eigh_calls, svd_calls,
                              monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
     rho = random_state(np.random.default_rng(5), 4)
-    # the worker thread is used on any host, and counts under a lock
-    monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-    lock, calls = threading.Lock(), {"eigh": 0, "svd": 0}
+    calls = {"eigh": 0, "svd": 0}
 
     def counted(name):
         solver = getattr(np.linalg, name)
 
         def run(*a, **k):
-            with lock:
-                calls[name] += 1
+            calls[name] += 1
             return solver(*a, **k)
         return run
 
+    # np.linalg.norm(M, 2) calls the svd of numpy.linalg._linalg directly
     for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+        run = counted(name)
+        for module in (np.linalg, sys.modules["numpy.linalg._linalg"]):
+            monkeypatch.setattr(module, name, run)
     call(A, B, rho)
     assert calls == {"eigh": eigh_calls, "svd": svd_calls}
 

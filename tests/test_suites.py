@@ -337,16 +337,17 @@ class TestEvaluatesOnce:
         assert len(trials[0]) == recovered
 
     def test_thm103_eigh_count(self, monkeypatch):
-        # 7 per perspective, one value per distinct input of a trial,
-        # candidate(I, I) once and 3 of the orientation grid's 9, and one
-        # eigh per trial validating its state
+        # 3 per perspective (the pair kernel's 2 and the element's lower
+        # bound), one value per distinct input of a trial, candidate(I, I)
+        # once and 3 of the orientation grid's 9: 105; two per form order,
+        # two orders a trial; and one eigh per trial validating its state
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a, **k: calls.append(1) or eigh(*a, **k))
         suite_axioms_thm103(candidate_perspective(catalog("tlogt")),
                             RandomSpec(4, 4, "rank_deficient", 3), 5)
-        assert len(calls) == 270
+        assert len(calls) == 130
 
     def test_thm103_forms_each_element_once(self, monkeypatch):
         # the form order, form sums and congruences read an element's form
