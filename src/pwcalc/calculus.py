@@ -509,14 +509,14 @@ def pw_commuting_oracle(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray
 
     This is the oracle pw_apply is checked against: it never touches the
     compatible representation, only the joint spectrum and the bivariate
-    evaluator phi(x, y) = (x+y) * diagonal(x/(x+y)).  The eigenpairs of A
-    and the kernel floor, the rank cut of A + B, come from the one eigh of
-    the validation's stack (A, B, A + B).
+    evaluator phi(x, y) = (x+y) * diagonal(x/(x+y)).  The eigenpairs of A,
+    the norms of A and B and the kernel floor, the rank cut of A + B, come
+    from the one eigh of the validation's stack (A, B, A + B).
     """
     A, B, w, V = _validated_pair(A, B, with_sum=True)
     kernel_floor = default_rank_tol(w[2])
     comm = spectral_norm(A @ B - B @ A)
-    bound = COMMUTE_REL_TOL * spectral_norm(A) * spectral_norm(B)
+    bound = COMMUTE_REL_TOL * float(np.prod(np.abs(w[:2]).max(axis=1)))
     if comm > bound:
         raise PreconditionError(
             f"pair does not commute: |AB - BA| = {comm:.3e} > {bound:.3e}"

@@ -95,7 +95,7 @@ class ExtendedSelfAdjoint:
     finite_part is expressed in the coordinates of essential.basis; the
     quadratic form on the ambient space is q(xi) = <F V* xi, V* xi> for xi in
     the essential part and +inf otherwise.  lower_bound, when not given, is
-    min(0, least eigenvalue of F), as every element built here carries.
+    min(0, least eigenvalue of F), computed on first read and then kept.
     """
 
     ambient_dim: int
@@ -113,8 +113,8 @@ class ExtendedSelfAdjoint:
             raise ValueError(
                 f"finite_part shape {F.shape} does not match essential dim {k}"
             )
-        if self.lower_bound is None:
-            object.__setattr__(self, "lower_bound", _least_or_zero(F))
+        if self.lower_bound is None:  # computed on first read
+            del self.__dict__["lower_bound"]
 
     @property
     def infinity_dim(self) -> int:
@@ -158,11 +158,11 @@ class ExtendedSelfAdjoint:
 
 
 def _element(essential: Subspace, F: np.ndarray,
-             lower_bound: float = 0.0) -> ExtendedSelfAdjoint:
+             **lower_bound) -> ExtendedSelfAdjoint:
     """Element on a finite part that is exactly Hermitian and fits the
     essential part by construction: skips ExtendedSelfAdjoint's checks."""
     return _trusted(ExtendedSelfAdjoint, ambient_dim=essential.ambient_dim,
-                    essential=essential, finite_part=F, lower_bound=lower_bound)
+                    essential=essential, finite_part=F, **lower_bound)
 
 
 def _least_or_zero(F: np.ndarray) -> float:
@@ -171,15 +171,16 @@ def _least_or_zero(F: np.ndarray) -> float:
     return min(float(w[0]), 0.0) if w.size else 0.0
 
 
-def _with_lower_bound(essential: Subspace, F: np.ndarray) -> ExtendedSelfAdjoint:
-    """_element with the lower bound min(0, least eigenvalue of F)."""
-    return _element(essential, F, _least_or_zero(F))
+# an unset bound, from the constructor or _element, is computed on first read
+ExtendedSelfAdjoint.lower_bound = functools.cached_property(
+    lambda self: _least_or_zero(self.finite_part))
+ExtendedSelfAdjoint.lower_bound.__set_name__(ExtendedSelfAdjoint, "lower_bound")
 
 
 def from_matrix(M: np.ndarray) -> ExtendedSelfAdjoint:
     """Wrap a bounded Hermitian matrix (full essential part, identity basis)."""
     M = hermitian_part(M)
-    return _with_lower_bound(full_space(M.shape[0]), M)
+    return _element(full_space(M.shape[0]), M)
 
 
 def zero_element(n: int) -> ExtendedSelfAdjoint:
@@ -216,13 +217,13 @@ def _diagonal_element(values: list, vecs: np.ndarray) -> ExtendedSelfAdjoint:
     basis = vecs if len(fin) == len(values) else vecs[:, fin]
     lb = min(min(finite), 0.0) if finite else 0.0
     return _element(_trusted(Subspace, basis=basis),
-                    np.diag(np.array(finite, dtype=complex)), lb)
+                    np.diag(np.array(finite, dtype=complex)), lower_bound=lb)
 
 
 def infinity_on(sub: Subspace) -> ExtendedSelfAdjoint:
     """Element that is +inf on `sub` and 0 on its complement."""
     comp = sub.complement()
-    return _element(comp, np.zeros((comp.dim, comp.dim), dtype=complex))
+    return _element(comp, np.zeros((comp.dim,) * 2, complex), lower_bound=0.0)
 
 
 def evaluate_state(T: ExtendedSelfAdjoint, rho: np.ndarray) -> float:
@@ -296,10 +297,9 @@ def add(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint
     # a sum of two exactly Hermitian forms is exactly Hermitian
     G = T1._form + T2._form
     if T1.is_bounded and T2.is_bounded:
-        return _with_lower_bound(full_space(T1.ambient_dim), G)
+        return _element(full_space(T1.ambient_dim), G)
     meet = subspace_meet(T1.essential, T2.essential)
-    W = meet.basis
-    return _with_lower_bound(meet, hermitian_part(W.conj().T @ G @ W))
+    return _element(meet, hermitian_part(meet.basis.conj().T @ G @ meet.basis))
 
 
 def scale(alpha: float, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
@@ -312,7 +312,7 @@ def scale(alpha: float, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
     if alpha == 0.0:
         return zero_element(T.ambient_dim)
     return _element(T.essential, alpha * T.finite_part,
-                    min(alpha * T.lower_bound, 0.0))
+                    lower_bound=min(alpha * T.lower_bound, 0.0))
 
 
 def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
@@ -332,8 +332,8 @@ def congruence(C: np.ndarray, T: ExtendedSelfAdjoint) -> ExtendedSelfAdjoint:
         return from_matrix(C.conj().T @ G @ C)
     kernel = _kernel(T.infinity_projector() @ C)  # preimage of essential(T)
     CW = C @ kernel
-    return _with_lower_bound(_trusted(Subspace, basis=kernel),
-                             hermitian_part(CW.conj().T @ G @ CW))
+    return _element(_trusted(Subspace, basis=kernel),
+                    hermitian_part(CW.conj().T @ G @ CW))
 
 
 def _kernel(W: np.ndarray) -> np.ndarray:
@@ -358,8 +358,8 @@ def _diagonal_congruence(X: np.ndarray, values) -> ExtendedSelfAdjoint:
     """
     v = np.array(values, dtype=float)
     if all(map(math.isfinite, values)):
-        return _with_lower_bound(full_space(X.shape[1]),
-                                 hermitian_part(X.conj().T @ (v[:, None] * X)))
+        return _element(full_space(X.shape[1]),
+                        hermitian_part(X.conj().T @ (v[:, None] * X)))
     if any(map(math.isnan, values)):
         raise FormArithmeticError("NaN in extended-real arithmetic")
     if -INF in values:
@@ -368,8 +368,8 @@ def _diagonal_congruence(X: np.ndarray, values) -> ExtendedSelfAdjoint:
     kernel = _kernel(X[inf])
     fin = ~inf
     Y = X[fin] @ kernel
-    return _with_lower_bound(_trusted(Subspace, basis=kernel),
-                             hermitian_part(Y.conj().T @ (v[fin, None] * Y)))
+    return _element(_trusted(Subspace, basis=kernel),
+                    hermitian_part(Y.conj().T @ (v[fin, None] * Y)))
 
 
 def form_leq(T1: ExtendedSelfAdjoint, T2: ExtendedSelfAdjoint, slack: float):

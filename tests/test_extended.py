@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -505,3 +506,97 @@ class TestSerialization:
         assert ExtendedSelfAdjoint(2, full_space(2), np.eye(2)).lower_bound == 0.0
         assert from_json_dict(to_json_dict(infinity_on(full_space(2)))
                               ).lower_bound == 0.0
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _hermitian(rng, n):
+    """A Hermitian n x n matrix with eigenvalues of both signs."""
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return M + M.conj().T
+
+
+# +inf on e1 and a Hermitian finite part on e2, e3
+UNBOUNDED3 = make_extended([(INF, e(3, 0)), (-0.7, e(3, 1)), (1.3, e(3, 2))])
+LAZY_BUILDERS = {
+    "from_matrix": lambda rng: from_matrix(_hermitian(rng, 3)),
+    "add-bounded": lambda rng: add(from_matrix(_hermitian(rng, 3)),
+                                   from_matrix(_hermitian(rng, 3))),
+    "add-unbounded": lambda rng: add(UNBOUNDED3,
+                                     from_matrix(_hermitian(rng, 3))),
+    "congruence-bounded": lambda rng: congruence(
+        rng.standard_normal((3, 2)), from_matrix(_hermitian(rng, 3))),
+    "congruence-unbounded": lambda rng: congruence(
+        rng.standard_normal((3, 3)), UNBOUNDED3),
+    "diagonal_congruence-finite": lambda rng: _diagonal_congruence(
+        rng.standard_normal((3, 3)), [-1.5, 0.25, 2.0]),
+    "diagonal_congruence-inf": lambda rng: _diagonal_congruence(
+        rng.standard_normal((3, 4)), [INF, -1.5, 2.0]),
+    "from_json_dict": lambda rng: from_json_dict(
+        to_json_dict(from_matrix(_hermitian(rng, 3)))),
+    "constructor": lambda rng: ExtendedSelfAdjoint(3, full_space(3),
+                                                   _hermitian(rng, 3)),
+}
+
+
+class TestLazyLowerBound:
+    """An element built without a lower bound computes min(0, least
+    eigenvalue of F) on first read, with one eigh, from the same bytes as
+    the eager _least_or_zero(F), and keeps it."""
+
+    @pytest.fixture(params=list(LAZY_BUILDERS))
+    def built(self, request):
+        T = LAZY_BUILDERS[request.param](np.random.default_rng(40))
+        assert "lower_bound" not in vars(T)
+        return T
+
+    def test_first_read_computes_it_once(self, built, monkeypatch):
+        calls = []
+        solver = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append(1) or solver(*a, **k))
+        first = built.lower_bound
+        assert built.lower_bound is first and len(calls) == 1
+        assert vars(built)["lower_bound"] is first
+
+    def test_bitwise_the_eager_bound(self, built):
+        want = extended._least_or_zero(built.finite_part)
+        assert want < 0.0
+        assert _bits(built.lower_bound) == _bits(want)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 7.0])
+    def test_scale_as_on_an_eager_element(self, built, alpha):
+        eager = extended._element(
+            built.essential, built.finite_part,
+            lower_bound=extended._least_or_zero(built.finite_part))
+        got, want = scale(alpha, built), scale(alpha, eager)
+        assert "lower_bound" in vars(got)
+        assert _bits(got.lower_bound) == _bits(want.lower_bound)
+        assert np.array_equal(got.finite_part, want.finite_part)
+
+    def test_repr_reads_it(self, built):
+        assert repr(built).endswith(f"lower_bound={built.lower_bound!r})")
+
+    def test_a_given_bound_is_kept(self, built):
+        F = built.finite_part
+        given = ExtendedSelfAdjoint(built.ambient_dim, built.essential, F,
+                                    lower_bound=-123.0)
+        assert vars(given)["lower_bound"] == given.lower_bound == -123.0
+        trusted = extended._element(built.essential, F, lower_bound=-5.0)
+        assert trusted.lower_bound == -5.0
+
+    def test_still_a_field(self):
+        names = [f.name for f in dataclasses.fields(ExtendedSelfAdjoint)]
+        assert names[-1] == "lower_bound"
+        T = from_matrix(np.diag([-2.0, 1.0]))
+        assert dataclasses.replace(T, lower_bound=-9.0).lower_bound == -9.0
+        assert dataclasses.replace(T).lower_bound == -2.0
+
+    def test_cheap_bounds_are_set_when_built(self):
+        # the diagonal element and scale carry a float bound from the start
+        T = make_extended([(INF, e(2, 0)), (-0.5, e(2, 1))])
+        assert vars(T)["lower_bound"] == -0.5
+        assert vars(infinity_on(full_space(2)))["lower_bound"] == 0.0
+        assert vars(scale(2.0, T))["lower_bound"] == -1.0

@@ -11,7 +11,10 @@ Covered domain: gen_pair pairs (seed 11) of the well_conditioned,
 rank_deficient and projection profiles, n in {2, 3, 6, 33, 40} (33 and 40
 take the Cholesky route on a definite sum), trials 0 and 1, k in {-200,
 -60, 7, 60, 200}; perspective_apply and pw_apply_restricted, on both
-sides, also on the commuting_pair and dominated_pair profiles.  Measured on
+sides, also on the commuting_pair and dominated_pair profiles; and the
+independent oracles (invertible_formula, pw_commuting_oracle,
+special_values) on the well_conditioned, commuting_pair and dominated_pair
+profiles.  Measured on
 the first three profiles' pairs up to n = 33, every output is exact for
 -202 <= k <= 241 and the first breaks come at k = -203 and k = 242, where
 numpy's eigh itself stops scaling exactly: LAPACK rescales a matrix near
@@ -22,6 +25,16 @@ so they first divide a pair of scale outside 4^-100 ... 4^100
 (perspectives.UNSCALED_POW4) by a power of four.  Beyond the exact domain,
 the second test holds their decisions on both sides of the joint scales
 where forming A^2 as given failed.
+
+An element's lower bound is the least eigenvalue of its finite part F,
+which can lie far below its pair's scale: F can be roundoff, of norm
+1e-15 on a pair of norm 1.  numpy's eigh scales exactly with its input
+only while the input's largest entry lies in 4^-202 ... 4^242
+(EIGH_EXACT, measured on n = 2 ... 33); outside, LAPACK rescales the
+tridiagonal form or the matrix by a factor that is not a power of two.
+So the bound is compared where c max|F| lies in that window, and the
+one measured case that leaves it inside |k| <= 200 is pinned on both
+sides of its break (test_lower_bound_of_a_roundoff_sized_part).
 """
 
 import functools
@@ -31,7 +44,13 @@ import warnings
 import numpy as np
 import pytest
 
-from pwcalc.calculus import HomogeneousFunction, pw_apply_restricted
+from pwcalc.calculus import (
+    HomogeneousFunction,
+    invertible_formula,
+    pw_apply_restricted,
+    pw_commuting_oracle,
+    special_values,
+)
 from pwcalc.extended import INF, evaluate_state
 from pwcalc.functions import ExtendedFunction, Interval, catalog
 from pwcalc.perspectives import (
@@ -45,6 +64,7 @@ from pwcalc.perspectives import (
     lebesgue_decomposition,
     parallel_sum,
     perspective_apply,
+    perspective_of,
     t2_bound,
 )
 from pwcalc.suites import RandomSpec, gen_pair, random_state
@@ -57,6 +77,9 @@ from pwcalc.variational import (
 
 PROFILES = ("well_conditioned", "rank_deficient", "projection")
 TLOGT = catalog("tlogt")
+TLOGT_PHI = perspective_of(TLOGT)
+# the largest entry of a matrix whose eigh scales exactly by powers of four
+EIGH_EXACT = (4.0 ** -202, 4.0 ** 242)
 GEOMETRIC = connection_generator("geometric")
 R77 = repr77_tlogt(48)
 R97 = repr97_t_alpha(1.5, 48)
@@ -70,10 +93,18 @@ XLOGYX_LE = HomogeneousFunction(
     INF, 0.0, variant="le")
 
 
+def _element(T, degree=1, prefix=""):
+    """An element's form, infinity dimension and lower bound, the bound with
+    the largest entry of its finite part, which _compare reads."""
+    bound = (T.lower_bound, np.abs(T.finite_part).max(initial=0.0))
+    return {prefix + "form": (degree, T.form_matrix()),
+            prefix + "infinity_dim": (0, T.infinity_dim),
+            prefix + "lower_bound": (degree, bound)}
+
+
 def _perspective(A, B, rho, c):
     res = perspective_apply(TLOGT, A, B)
-    return {"form": (1, res.value.form_matrix()),
-            "infinity_dim": (0, res.value.infinity_dim),
+    return {**_element(res.value),
             "r_eigenvalues": (0, res.r_eigenvalues),
             "endpoint_hits": (0, res.endpoint_hits),
             "classification": (0, res.classification),
@@ -84,9 +115,7 @@ def _restricted(phi, side):
     def call(A, B, rho, c):
         # the <= cone holds the dominated pair swapped
         X, Y = (A, B) if side == "ge" else (B, A)
-        value = pw_apply_restricted(phi, X, Y, side)
-        return {"form": (1, value.form_matrix()),
-                "infinity_dim": (0, value.infinity_dim)}
+        return _element(pw_apply_restricted(phi, X, Y, side))
     return call
 
 
@@ -177,7 +206,39 @@ def _case(profile, n, trial, calls):
                        for name, call in TABLES[calls].items()}
 
 
-TABLES = {"calls": CALLS, "moved": MOVED}
+def _special_values(A, B, rho, c):
+    # phi(cA, c alpha I) = c phi(A, alpha I), and the scaled pair
+    # phi(c alpha cA, c beta cA) = c^2 phi(alpha A, beta A)
+    sv = special_values(TLOGT_PHI, A, c * 1.0, c * 0.5)
+    return {**_element(sv.with_scalar_right, prefix="right_"),
+            **_element(sv.with_scalar_left, prefix="left_"),
+            **_element(sv.scaled_pair, 2, "scaled_pair_")}
+
+
+# the independent oracles; each must raise the same PreconditionError on a
+# pair outside its domain
+ORACLE_PROFILES = ("well_conditioned", "commuting_pair", "dominated_pair")
+ORACLES = {
+    "invertible_formula": lambda A, B, rho, c: _element(
+        invertible_formula(TLOGT_PHI, A, B)),
+    "pw_commuting_oracle": lambda A, B, rho, c: _element(
+        pw_commuting_oracle(TLOGT_PHI, A, B)),
+    "special_values": _special_values,
+}
+# the profiles on which each oracle's precondition holds at every n
+ORACLE_DOMAINS = {
+    "invertible_formula": ("well_conditioned", "dominated_pair"),
+    "pw_commuting_oracle": ("commuting_pair",),
+    "special_values": ORACLE_PROFILES,
+}
+
+TABLES = {"calls": CALLS, "moved": MOVED, "oracles": ORACLES}
+
+
+def _rescaled_by_eigh(largest):
+    """A matrix of this largest entry is rescaled inside eigh: it is nonzero
+    and outside EIGH_EXACT."""
+    return largest != 0 and not EIGH_EXACT[0] <= largest <= EIGH_EXACT[1]
 
 
 def _compare(k, n, profiles, calls):
@@ -199,6 +260,9 @@ def _compare(k, n, profiles, calls):
                 assert got.keys() == want.keys(), label
                 for key, (degree, value) in want.items():
                     scale = 2.0 ** (2 * k * degree)
+                    if key.endswith("lower_bound") and _rescaled_by_eigh(
+                            scale * value[1]):
+                        continue
                     assert _bits(got[key][1], 1.0) == _bits(value, scale), (
                         label, key)
                 compared.add(label)
@@ -221,6 +285,32 @@ def test_kernel_calls_scale_exactly_on_more_profiles(k, n):
                         for trial in range(2) for name in MOVED
                         if profile == "dominated_pair"
                         or name == "perspective_apply"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 33, 40])
+@pytest.mark.parametrize("k", [-200, -60, 7, 60, 200])
+def test_oracles_scale_exactly(k, n):
+    compared = _compare(k, n, ORACLE_PROFILES, "oracles")
+    assert compared >= {(profile, trial, name)
+                        for name, profiles in ORACLE_DOMAINS.items()
+                        for profile in profiles for trial in range(2)}
+
+
+@pytest.mark.parametrize("k, exact", [(-177, True), (-178, False),
+                                      (-200, False)])
+def test_lower_bound_of_a_roundoff_sized_part(k, exact):
+    # the perspective of this projection pair has a finite part of largest
+    # entry 8.3e-16 (4^-25.05): at 4^-177 that entry is 2^-404.1 and eigh
+    # scales exactly, at 4^-178 (2^-406.1) LAPACK rescales it and the bound
+    # is off by roundoff, while the pair's other outputs stay exact to 4^-200
+    A, B = gen_pair(RandomSpec(2, 2, "projection", 11), 1)
+    T = perspective_apply(TLOGT, A, B).value
+    assert 8.2e-16 < np.abs(T.finite_part).max() < 8.3e-16
+    c = 4.0 ** k
+    got, want = perspective_apply(TLOGT, c * A, c * B).value, c * T.lower_bound
+    assert got.form_matrix().tobytes() == (c * T.form_matrix()).tobytes()
+    assert (got.lower_bound == want) is exact
+    assert abs(got.lower_bound - want) <= 4 * np.finfo(float).eps * abs(want)
 
 
 @pytest.mark.parametrize("k", [-260, -256, -250, 250, 255, 256, 260])

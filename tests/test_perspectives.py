@@ -114,10 +114,9 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # other; a semidefinite A + B takes the stacked eigh and R's.  The
 # integrals read the checks of rho, A and B and the spectrum of A + B from
 # one eigh of their 4-stack, then decompose R.  perspective_apply and
-# pw_apply_restricted read the pair kernel too, and the perspective adds
-# the lower bound of its element, so 3, or 2 on a certified definite pair;
-# pw_apply_restricted checks its cone on the kernel's t.  dominates_scale
-# reads the pair kernel alone; t2_bound adds, on a bounded pair, one eigh
+# pw_apply_restricted read the pair kernel too, so 2, or 1 on a certified
+# definite pair; an element's lower bound costs an eigh only when it is
+# read.  pw_apply_restricted checks its cone on the kernel's t.  dominates_scale reads the pair kernel alone; t2_bound adds, on a bounded pair, one eigh
 # for its norm and two for its form certificates, and two svd for the
 # spectral norms of B and A^2 in its form test.  The chain validates A and
 # B with one eigh of their stack, which also gives A's power and both of
@@ -137,11 +136,11 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # epsilon_limit the sum at each eps.  invertible_formula reads its
 # invertibility test and both roots off B's eigenpairs in it, or A's when B
 # is singular (A is singular in the rank-deficient pair, B is not), then
-# decomposes the sandwiched matrix and the result's finite part.  special_values and
-# matrix_power_psd read everything off the PSD check of A, and
-# special_values' finite scalar adds the lower bound of scalar * A.  The
-# commuting-pair oracle adds B over each of A's four eigenspaces, and three
-# spectral norms (svd) for its commutator test.
+# decomposes the sandwiched matrix.  special_values and matrix_power_psd
+# read everything off the PSD check of A.  The commuting-pair oracle adds
+# B over each of A's four eigenspaces, and one spectral norm (svd), of the
+# commutator, for its commutator test; the norms of A and B are read off
+# its stack.
 # variational_envelope takes one pseudo-inverse per atom, one atom at each
 # of its two n, and epsilon_limit one of R at each of its eight eps.
 # two_projections reads the ranges of P and Q off one eigh of their stack;
@@ -189,42 +188,42 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (lambda A, B, rho: integral_eval_92(R97_SQUARE_T15, EYE2, P1, EYE2 / 2),
      "rank_deficient", 2, 0),
     (lambda A, B, rho: perspective_apply(catalog("tlogt"), A, B),
-     "rank_deficient", 3, 0),
-    (lambda A, B, rho: perspective_apply(catalog("tlogt"), B, A),
-     "rank_deficient", 3, 1),
-    (lambda A, B, rho: perspective_apply(catalog("tlogt"), *PAIR64),
-     "rank_deficient", 3, 1),
-    (lambda A, B, rho: perspective_apply(catalog("tlogt"), *DEFINITE64),
      "rank_deficient", 2, 0),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), B, A),
+     "rank_deficient", 2, 1),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), *PAIR64),
+     "rank_deficient", 2, 1),
+    (lambda A, B, rho: perspective_apply(catalog("tlogt"), *DEFINITE64),
+     "rank_deficient", 1, 0),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, A + B, B),
-     "rank_deficient", 3, 0),
+     "rank_deficient", 2, 0),
     (lambda A, B, rho: pw_apply_restricted(YLOGXY_GE, PAIR64[0] + PAIR64[1],
                                            PAIR64[1]),
-     "rank_deficient", 3, 0),
+     "rank_deficient", 2, 0),
     (lambda A, B, rho: pw_apply_restricted(
         YLOGXY_GE, DEFINITE64[0] + DEFINITE64[1], DEFINITE64[1]),
-     "rank_deficient", 2, 0),
+     "rank_deficient", 1, 0),
     (DOMINATES, "rank_deficient", 2, 0),
     (T2, "rank_deficient", 5, 2),
     (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 2, 0),
-    (CHAIN, "rank_deficient", 13, 6),
+    (CHAIN, "rank_deficient", 12, 6),
     (CONNECTION, "well_conditioned", 2, 0),
     (LEBESGUE, "well_conditioned", 2, 0),
     (ABS_CONT, "well_conditioned", 2, 0),
     (DOMINATES, "well_conditioned", 2, 0),
     (T2, "well_conditioned", 5, 2),
-    (CHAIN, "well_conditioned", 13, 6),
+    (CHAIN, "well_conditioned", 12, 6),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B),
-     "rank_deficient", 3, 0),
+     "rank_deficient", 2, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, B, A),
-     "rank_deficient", 3, 1),
+     "rank_deficient", 2, 1),
     (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 0.0),
      "rank_deficient", 1, 1),
     (lambda A, B, rho: special_values(TLOGT_PHI, A, 1.0, 1.0),
-     "rank_deficient", 2, 0),
+     "rank_deficient", 1, 0),
     (lambda A, B, rho: matrix_power_psd(A, 0.5), "rank_deficient", 1, 0),
     (lambda A, B, rho: pw_commuting_oracle(TLOGT_PHI, DIAG_A, DIAG_B),
-     "rank_deficient", 5, 3),
+     "rank_deficient", 5, 1),
     (lambda A, B, rho: variational_envelope(repr77_square_minus(), A, B,
                                             np.ones(4), (1, 2)),
      "rank_deficient", 3, 0),
@@ -236,7 +235,7 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         lambda A, B, rho: integral_eval_91(R77_TLOGT, A, B, rho)),
      "rank_deficient", 1, 0),
     (lambda A, B, rho: two_projections(catalog("power", 2), P87, Q87),
-     "projection", 6, 6),
+     "projection", 2, 6),
     (lambda A, B, rho: CONNECTION(*DEFINITE64, rho), "rank_deficient", 1, 0),
     (lambda A, B, rho: CONNECTION(*SEMIDEFINITE64, rho), "rank_deficient",
      2, 0),

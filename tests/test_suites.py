@@ -337,17 +337,18 @@ class TestEvaluatesOnce:
         assert len(trials[0]) == recovered
 
     def test_thm103_eigh_count(self, monkeypatch):
-        # 3 per perspective (the pair kernel's 2 and the element's lower
-        # bound), one value per distinct input of a trial, candidate(I, I)
-        # once and 3 of the orientation grid's 9: 105; two per form order,
-        # two orders a trial; and one eigh per trial validating its state
+        # 2 per perspective (the pair kernel's), one value per distinct
+        # input of a trial, candidate(I, I) once and 3 of the orientation
+        # grid's 9: 70; one per form order, two orders a trial; and one eigh
+        # per trial validating its state.  No check reads a lower bound, so
+        # the form sum and the congruence the orders compare make none
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a, **k: calls.append(1) or eigh(*a, **k))
         suite_axioms_thm103(candidate_perspective(catalog("tlogt")),
                             RandomSpec(4, 4, "rank_deficient", 3), 5)
-        assert len(calls) == 130
+        assert len(calls) == 85
 
     def test_thm103_forms_each_element_once(self, monkeypatch):
         # the form order, form sums and congruences read an element's form
