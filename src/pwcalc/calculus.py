@@ -57,12 +57,10 @@ from .linalg import (
     Subspace,
     _check_finite_spectrum,
     _check_psd,
-    _concurrently,
     _definite_factor,
     _hermitian_stack,
     _psd_stack,
     _range_cut,
-    _range_eigh,
     _range_of,
     _range_subspace,
     _require_state_of,
@@ -218,55 +216,28 @@ def compatible_representation(A: np.ndarray, B: np.ndarray
 
     R is the compression of (A+B)^{-1/2} A (A+B)^{-1/2} to the range, with
     eigenvalues clipped into [0,1] (floating error can push them to 1+1e-16,
-    which would crash diagonal evaluators).  A and B are validated here, and
-    their shapes compared before any eigendecomposition.  The construction
-    is _representation's; this adds S = I - R.  The calculus reads the same
-    pair off _checked_pair_spectrum instead.
+    which would crash diagonal evaluators).  The eigenpairs (w, V) of A+B
+    come from the validation's stack (A, B, A + B): H_{A,B} is spanned by
+    the V_k above the rank cut (_range_of), T = V_k* (A+B)^{1/2} and
+    R = Y* A Y with Y = V_k w_k^-1/2, rebuilt from its clipped eigenvalues
+    by one eigh of R.  The calculus reads the same pair off
+    _checked_pair_spectrum instead; this never takes its Cholesky route, so
+    T is always the root in range coordinates.
     """
-    h_ab, t_map, R = _representation(A, B)
+    A, _, w, V = _validated_pair(A, B, with_sum=True)
+    w, V, keep = _range_of(w[2], V[2], "A + B")
+    sq = _sqrt_of(w, V, keep)
+    if keep is not None:
+        V, w = V[:, keep], w[keep]
+    Y = V / np.sqrt(w)  # (A+B)^{-1/2} V_k
+    R = hermitian_part(Y.conj().T @ A @ Y)
+    if len(R):
+        r, Q = eigh(R)
+        R = hermitian_part((Q * _clipped(r)) @ Q.conj().T)
     S = -R
     S.flat[:: len(R) + 1] += 1.0  # I - R
-    return CompatibleRepresentation(h_ab, t_map, R, S)
-
-
-def _representation(A, B):
-    """(H_{A,B}, T, R) of compatible_representation: T = V_k* (A+B)^{1/2},
-    R = Y* A Y with Y = V_k w_k^-1/2 read off a second eigh (w, V) of A+B,
-    and R rebuilt from its clipped eigenvalues.
-
-    After the cheap half of the validation, two lanes run
-    (linalg._concurrently): the PSD checks of A and B, then the root of
-    A+B, on the calling thread; the eigh of A+B that gives V_k and R, and
-    R's decomposition, on the worker.  Results and errors are those of the
-    run in order: A, B, then A + B (NonFiniteError for a sum that
-    overflows).
-    """
-    A, B = _hermitian_stack((A, B), ("A", "B"))
-    with np.errstate(over="ignore"):
-        # eigh reads one triangle, so the sum is decomposed as it is
-        S_sum = A + B
-
-    def checked_sqrt():
-        _check_psd(A, "A")
-        _check_psd(B, "B")
-        return _sqrt_of(*_range_eigh(S_sum, "A + B"))
-
-    def r_matrix():
-        # each array is freed once spent, as both lanes' arrays are alive
-        # at once
-        w, V, keep = _range_eigh(S_sum, "A + B")
-        if keep is not None:
-            V, w = V[:, keep], w[keep]
-        Y = V / np.sqrt(w)  # (A+B)^{-1/2} V_k
-        R = hermitian_part(Y.conj().T @ A @ Y)
-        del Y
-        if len(R):
-            w, Q = eigh(R)
-            R = hermitian_part((Q * _clipped(w)) @ Q.conj().T)
-        return V, R
-
-    sq, (V, R) = _concurrently(len(S_sum), checked_sqrt, r_matrix)
-    return _trusted(Subspace, basis=V), V.conj().T @ sq, R
+    return CompatibleRepresentation(_trusted(Subspace, basis=V),
+                                    V.conj().T @ sq, R, S)
 
 
 class PairSpectrum(NamedTuple):

@@ -23,11 +23,8 @@ columns are orthonormal, except where LAPACK's vectors make them so
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +38,6 @@ HERMITIAN_REL_TOL = 1e-9
 # Principal-angle cosine threshold for subspace intersection.
 MEET_COS_TOL = 1e-10
 ORTHONORMAL_ATOL = 1e-10  # |B*B - I| of a Subspace's or make_extended's B
-# Order from which _concurrently runs its two thunks at once: below it,
-# handing one to the worker thread costs more than it saves.
-CONCURRENT_MIN_N = 64
 # Safety factor K of the definite certificate (_definite_factor): it selects
 # a validation path and a kernel route, and decides no output.
 PSD_CERTIFICATE_K = 1e3
@@ -79,47 +73,6 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-@functools.cache
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on, read once."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _concurrently(n: int, first, second):
-    """(first(), second()) for two independent thunks on n x n matrices.
-
-    From n = CONCURRENT_MIN_N on, and when the process may use two CPUs,
-    second runs on a thread started for this call while first runs on the
-    calling thread; LAPACK releases the GIL, so two decompositions overlap.
-    Otherwise both run in order on the calling thread.  Either way each
-    thunk computes what it computes alone, the thread is joined before the
-    call returns or raises, and first's exception wins over second's, so
-    the error is the one the run in order raises.
-    """
-    if n < CONCURRENT_MIN_N or _cpu_count() < 2:
-        return first(), second()
-    box = [None, None]  # second's result, or its exception
-
-    def run():
-        try:
-            box[0] = second()
-        except BaseException as exc:  # re-raised on the calling thread
-            box[1] = exc
-
-    worker = threading.Thread(target=run, name="pwcalc")
-    worker.start()
-    try:
-        result = first()
-    finally:
-        worker.join()
-    if box[1] is not None:
-        raise box[1]
-    return result, box[0]
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:

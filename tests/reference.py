@@ -3,9 +3,9 @@
 The pair paths validate one matrix at a time, with the public
 require_psd and require_state only, and then decompose, in the order the
 library did before it read the validation and the spectra from one pass;
-the square root and the range basis apply their rank mask at every rank,
-where the library skips it on a full-rank matrix.  The `redecomposed_*`
-calls validate, then decompose each matrix (and A + B) again where the
+the square root, the range basis and R's spectrum apply their rank mask
+at every rank, where the library skips it on a full-rank matrix.  The
+`redecomposed_*` calls validate, then decompose each matrix (and A + B) again where the
 library reads the eigenpairs of its validation's stack, the `unvalidated_*` calls
 decompose their input as given, and `revalidated_variational_envelope`
 validates its pair at every n.  `eigh_require_state` validates a state by
@@ -27,6 +27,7 @@ from pwcalc.calculus import (
     HomogeneityReport,
     PreconditionError,
     SpecialValues,
+    _clipped,
     _grouped_joint_eigensystem,
     _pair_spectra,
     _state_weights,
@@ -158,6 +159,18 @@ def masked_psd_sqrt(M):
     included."""
     w, V, keep = masked_range_eigh(M, "psd_sqrt")
     return hermitian_part((V * np.sqrt(np.where(keep, w, 0.0))) @ V.conj().T)
+
+
+def masked_r_spectrum(A, w, V, vals, cut):
+    """calculus._r_spectrum with the rank mask applied at every rank: the
+    eigenpairs of A + B above the cut copied by V[:, w > cut], a full-rank
+    A + B included."""
+    keep = w > cut
+    V, w = V[:, keep], w[keep]
+    root = np.sqrt(w)
+    Y = V / root
+    r, Q = eigh(hermitian_part(Y.conj().T @ A @ Y))
+    return _clipped(r), Q.conj().T @ (root[:, None] * V.conj().T)
 
 
 def unvalidated_range_subspace(M):

@@ -1,13 +1,6 @@
 import dataclasses
 import math
-import os
-import signal
-import subprocess
-import sys
-import threading
-import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +32,6 @@ from pwcalc.extended import (
     quadratic_form,
 )
 from pwcalc.functions import ExtendedFunction, Interval, catalog
-from pwcalc import linalg
 from pwcalc.linalg import (
     EPS,
     NonFiniteError,
@@ -606,19 +598,6 @@ class TestRestricted:
             assert out.is_bounded
 
 
-def _eigh_threads(monkeypatch):
-    """The set of threads that call np.linalg.eigh from now on."""
-    threads = set()
-    eigh = np.linalg.eigh
-
-    def traced(*a, **k):
-        threads.add(threading.get_ident())  # set.add holds the GIL
-        return eigh(*a, **k)
-
-    monkeypatch.setattr(np.linalg, "eigh", traced)
-    return threads
-
-
 YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, INF,
                                 variant="ge")
 
@@ -675,166 +654,39 @@ def test_empty_and_scalar_pairs(outputs, at_scalar, monkeypatch):
         assert np.allclose(g, w, rtol=1e-14, atol=1e-14)
 
 
-class TestConcurrentValidation:
-    """From n = CONCURRENT_MIN_N on, compatible_representation runs in two
-    lanes: the PSD checks of A and B and the root of A+B on the calling
-    thread, the range basis of A+B and R's decomposition on a worker.  The
-    results must be the run in order's to the last bit, and the errors its
-    errors.  perspective_apply and pw_apply_restricted read the pair kernel
-    on one thread, and must raise the same errors."""
-
-    @pytest.mark.parametrize("profile", ["well_conditioned", "rank_deficient",
-                                         "projection"])
-    def test_bitwise_equal_to_one_at_a_time(self, profile, monkeypatch):
-        A, B = gen_pair(RandomSpec(64, 64, profile, seed=11), 0)
-        results, threads = [], []
-        for cpus in (2, 1):
-            monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
-            with monkeypatch.context() as m:
-                threads.append(_eigh_threads(m))
-                results.append(_representation_outputs(A, B))
-        assert [len(t) for t in threads] == [2, 1]
-        for a, b in zip(*results, strict=True):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("call", [
-        lambda A, B: perspective_apply(catalog("tlogt"), A, B),
-        lambda A, B: pw_apply_restricted(YLOGXY_GE, A, B),
-        compatible_representation,
-    ], ids=["perspective_apply", "pw_apply_restricted",
-            "compatible_representation"])
-    @pytest.mark.parametrize("case", ["A", "B", "both", "B_not_hermitian",
-                                      "overflow"])
-    def test_errors_match_the_run_in_order(self, call, case, monkeypatch):
-        # each lane meets an error of its own where it can: the worker's
-        # eigh of A+B sees the same invalid sum, and the first lane's error,
-        # raised in the run in order, must win
-        n = linalg.CONCURRENT_MIN_N
-        A, B = gen_pair(RandomSpec(n, n, "well_conditioned", seed=17), 0)
-        v = np.ones(n) / math.sqrt(n)
-        bad_A = A - 2 * spectral_norm(A) * np.outer(v, v)
-        bad_B = B - 2 * spectral_norm(B) * np.outer(v, v)
-        skew_B = B.astype(complex)
-        skew_B[0, 1] += 1e-3
-        huge = np.diag([1e308] + [1.0] * (n - 1))
-        pair, error, message = {
-            "A": ((bad_A, B), NotPsdError, "A is not PSD"),
-            "B": ((A, bad_B), NotPsdError, "B is not PSD"),
-            "both": ((bad_A, bad_B), NotPsdError, "A is not PSD"),
-            "B_not_hermitian": ((bad_A, skew_B), NotPsdError, "A is not PSD"),
-            "overflow": ((huge, huge), NonFiniteError,
-                         "A + B has a non-finite"),
-        }[case]
-        raised = []
-        for cpus in (2, 1):
-            monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
-            before = threading.active_count()
-            with pytest.raises(error) as info:
-                call(*pair)
-            assert threading.active_count() == before
-            raised.append((type(info.value), str(info.value)))
-        assert raised[0] == raised[1]
-        assert raised[0][1].startswith(message)
-
-    @pytest.mark.parametrize("cpus", [2, 1])
-    def test_first_error_wins(self, cpus, monkeypatch):
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
-        A = -np.eye(64)
-        with pytest.raises(NotPsdError, match="^A is not PSD"):
-            perspective_apply(catalog("tlogt"), A, 2 * A)
-        with pytest.raises(NotPsdError, match="^B is not PSD"):
-            perspective_apply(catalog("tlogt"), -A, A)
-
-    def test_helper_orders_results_and_errors(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-        n = linalg.CONCURRENT_MIN_N
-        done = []
-
-        def slow_failure():
-            time.sleep(0.05)
-            done.append(1)
-            raise KeyError("second")
-
-        def fail():
-            raise ValueError("first")
-
-        assert linalg._concurrently(n, lambda: 1, lambda: 2) == (1, 2)
-        with pytest.raises(ValueError, match="first"):
-            linalg._concurrently(n, fail, slow_failure)
-        assert done == [1]  # the worker finished before the error was raised
-        with pytest.raises(KeyError, match="second"):
-            linalg._concurrently(n, lambda: 1, slow_failure)
-
-    def test_callers_under_contention(self, monkeypatch):
-        # eight callers at once, with the interpreter switching threads
-        # every microsecond: each gets the one-at-a-time results to the last
-        # bit, and no thread outlives the call that started it
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-        n = linalg.CONCURRENT_MIN_N
-        pairs = [gen_pair(RandomSpec(n, n, "well_conditioned", seed=13), k)
-                 for k in range(8)]
-        want = [(linalg.eigh(A)[0].tobytes(), linalg.eigh(B)[0].tobytes())
-                for A, B in pairs]
-        got = [[] for _ in pairs]
-
-        def caller(i):
-            A, B = pairs[i]
-            for _ in range(10):
-                a, b = linalg._concurrently(n, lambda: linalg.eigh(A)[0],
-                                            lambda: linalg.eigh(B)[0])
-                got[i].append((a.tobytes(), b.tobytes()))
-
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=caller, args=(i,))
-                       for i in range(8)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert threading.active_count() == before
-        assert got == [[w] * 10 for w in want]
-
-    def test_small_calls_start_no_worker(self):
-        code = (
-            "import sys, threading\n"
-            "import numpy as np, pwcalc as pw\n"
-            "from pwcalc.suites import RandomSpec, gen_pair\n"
-            "for n in range(2, 7):\n"
-            "    A, B = gen_pair(RandomSpec(n, n, 'rank_deficient', 3), 0)\n"
-            "    pw.perspective_apply(pw.catalog('tlogt'), A, B)\n"
-            "    pw.connection(pw.connection_generator('geometric'), A, B)\n"
-            "    pw.lebesgue_decomposition(A, B)\n"
-            "print('concurrent.futures' in sys.modules,"
-            " threading.active_count())\n"
-        )
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(linalg.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env)
-        assert out.stdout.split() == ["False", "1"]
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_starts_its_own_worker(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-        A, B = gen_pair(RandomSpec(64, 64, "well_conditioned", seed=12), 0)
-        expected = compatible_representation(A, B).r  # runs a worker thread
-        pid = os.fork()
-        if pid == 0:  # the child: a hang is killed by the alarm
-            code = 1
-            try:
-                signal.alarm(60)
-                got = compatible_representation(A, B).r
-                code = 0 if got.tobytes() == expected.tobytes() else 1
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
+@pytest.mark.parametrize("call", [
+    lambda A, B: perspective_apply(catalog("tlogt"), A, B),
+    lambda A, B: pw_apply_restricted(YLOGXY_GE, A, B),
+    compatible_representation,
+], ids=["perspective_apply", "pw_apply_restricted",
+        "compatible_representation"])
+@pytest.mark.parametrize("case", ["A", "B", "both", "B_not_hermitian",
+                                  "overflow", "negative_A", "negative_B"])
+def test_errors_keep_their_order_at_n64(call, case):
+    # at n = 64 the pair kernel tries the Cholesky route first, and
+    # compatible_representation reads the validation's stack: each raises
+    # what validating A, then B, then the sum A + B raises
+    n = 64
+    A, B = gen_pair(RandomSpec(n, n, "well_conditioned", seed=17), 0)
+    v = np.ones(n) / math.sqrt(n)
+    bad_A = A - 2 * spectral_norm(A) * np.outer(v, v)
+    bad_B = B - 2 * spectral_norm(B) * np.outer(v, v)
+    skew_B = B.astype(complex)
+    skew_B[0, 1] += 1e-3
+    huge = np.diag([1e308] + [1.0] * (n - 1))
+    eye = np.eye(n)
+    pair, error, message = {
+        "A": ((bad_A, B), NotPsdError, "A is not PSD"),
+        "B": ((A, bad_B), NotPsdError, "B is not PSD"),
+        "both": ((bad_A, bad_B), NotPsdError, "A is not PSD"),
+        "B_not_hermitian": ((bad_A, skew_B), NotPsdError, "A is not PSD"),
+        "overflow": ((huge, huge), NonFiniteError, "A + B has a non-finite"),
+        "negative_A": ((-eye, -2 * eye), NotPsdError, "A is not PSD"),
+        "negative_B": ((eye, -eye), NotPsdError, "B is not PSD"),
+    }[case]
+    with pytest.raises(error) as info:
+        call(*pair)
+    assert str(info.value).startswith(message)
 
 
 def _outcome_bytes(call, *args):

@@ -10,7 +10,8 @@ no mpmath, so it shares no fast path with the code it checks.
 Covered domain: gen_pair pairs (seed 11) of the well_conditioned,
 rank_deficient and projection profiles, n in {2, 3, 6, 33, 40} (33 and 40
 take the Cholesky route on a definite sum), trials 0 and 1, k in {-200,
--60, 7, 60, 200}; perspective_apply and pw_apply_restricted, on both
+-60, 7, 60, 200}; compatible_representation, which never takes that
+route; perspective_apply and pw_apply_restricted, on both
 sides, also on the commuting_pair and dominated_pair profiles; and the
 independent oracles (invertible_formula, pw_commuting_oracle,
 special_values) on the well_conditioned, commuting_pair and dominated_pair
@@ -46,6 +47,7 @@ import pytest
 
 from pwcalc.calculus import (
     HomogeneousFunction,
+    compatible_representation,
     invertible_formula,
     pw_apply_restricted,
     pw_commuting_oracle,
@@ -145,8 +147,16 @@ def _epsilon(A, B, rho, c):
     return {f"entry_{i}": (1, (e, M)) for i, (e, M) in enumerate(entries)}
 
 
+def _representation(A, B, rho, c):
+    # T = V_k* (A+B)^(1/2) scales as sqrt(c); the basis, R and S not at all
+    rep = compatible_representation(A, B)
+    return {"basis": (0, rep.subspace.basis), "t_map": (0.5, rep.t_map),
+            "r": (0, rep.r), "s": (0, rep.s)}
+
+
 CALLS = {
     "perspective_apply": _perspective,
+    "compatible_representation": _representation,
     "connection": lambda A, B, rho, c: {
         "value": (1, connection(GEOMETRIC, A, B))},
     "lebesgue_decomposition": _lebesgue,

@@ -98,7 +98,7 @@ from reference import (
     compressed_state_value,
     eigh_require_state,
     masked_psd_sqrt,
-    masked_range_eigh,
+    masked_r_spectrum,
     r_spectrum_weights,
     sequential_pair,
     sequential_state_pair,
@@ -207,23 +207,28 @@ class TestSpectrumShortcuts:
         assert full_rank == {True, False}
 
     def test_perspective_is_that_of_the_masked_roots(self, monkeypatch):
-        # the range basis is the eigenvectors themselves, not a copy in
-        # another memory layout, on a full-rank A + B: the products that
-        # read it give the same perspective to the last bit as the copy
-        # V[:, keep] that an all-True mask makes.  Both lanes take A + B
-        # through calculus._range_eigh, so its masked form also gives the
-        # root of A + B masked_psd_sqrt's way
+        # on a full-rank A + B, the pair kernel's _r_spectrum reads the
+        # range basis as the eigenvectors themselves, not a copy in another
+        # memory layout: the products that read it give the same
+        # perspective to the last bit as the copy V[:, keep] that an
+        # all-True mask makes
         def parts(res):
             T = res.value
             return (T.essential.basis.tobytes(), T.finite_part.tobytes(),
                     T.lower_bound, res.r_eigenvalues.tobytes())
 
+        def masked(A, w, V, vals, cut):
+            full_rank.add(vals[0] > cut)
+            return masked_r_spectrum(A, w, V, vals, cut)
+
         pairs = [(A, B) for label, _, A, B in _kernel_corpus()
                  if label not in ("0x0", "scalars")]
         tlogt = catalog("tlogt")
         got = [parts(perspective_apply(tlogt, *p)) for p in pairs]
-        monkeypatch.setattr(calculus, "_range_eigh", masked_range_eigh)
+        full_rank = set()
+        monkeypatch.setattr(calculus, "_r_spectrum", masked)
         assert got == [parts(perspective_apply(tlogt, *p)) for p in pairs]
+        assert full_rank == {True, False}
 
     @pytest.mark.parametrize("w", [
         [0.25, 0.5, 0.75], [0.5], [-0.0, 0.5], [-0.0], [0.0, 0.5], [0.0],

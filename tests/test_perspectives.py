@@ -12,6 +12,7 @@ from pwcalc.calculus import (
     HomogeneousFunction,
     PreconditionError,
     check_homogeneity,
+    compatible_representation,
     invertible_formula,
     pw_apply_restricted,
     pw_commuting_oracle,
@@ -136,7 +137,9 @@ CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 # epsilon_limit the sum at each eps.  invertible_formula reads its
 # invertibility test and both roots off B's eigenpairs in it, or A's when B
 # is singular (A is singular in the rank-deficient pair, B is not), then
-# decomposes the sandwiched matrix.  special_values and matrix_power_psd
+# decomposes the sandwiched matrix.  compatible_representation reads the
+# range and root of A + B off its stack (A, B, A + B) on every profile, and
+# rebuilds R from one eigh of its own.  special_values and matrix_power_psd
 # read everything off the PSD check of A.  The commuting-pair oracle adds
 # B over each of A's four eigenspaces, and one spectral norm (svd), of the
 # commutator, for its commutator test; the norms of A and B are read off
@@ -242,6 +245,10 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (lambda A, B, rho: LEBESGUE(*DEFINITE64, rho), "rank_deficient", 1, 0),
     (lambda A, B, rho: LEBESGUE(*SEMIDEFINITE64, rho), "rank_deficient",
      2, 0),
+    (lambda A, B, rho: compatible_representation(A, B), "rank_deficient",
+     2, 0),
+    (lambda A, B, rho: compatible_representation(A, B), "well_conditioned",
+     2, 0),
 ], ids=["connection", "lebesgue_decomposition", "is_absolutely_continuous",
         "integral_eval_91", "integral_eval_92", "integral_eval_91-singular",
         "integral_eval_92-singular", "perspective_apply",
@@ -261,7 +268,8 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
         "epsilon_limit", "connection-B_not_psd", "integral_eval_91-B_not_psd",
         "two_projections", "connection-n64", "connection-n64_semidefinite",
         "lebesgue_decomposition-n64",
-        "lebesgue_decomposition-n64_semidefinite"])
+        "lebesgue_decomposition-n64_semidefinite", "compatible_representation",
+        "compatible_representation-well_conditioned"])
 def test_eigh_calls_per_call(call, profile, eigh_calls, svd_calls,
                              monkeypatch):
     A, B = gen_pair(RandomSpec(4, 4, profile, seed=5), 0)
