@@ -24,6 +24,7 @@ import numpy as np
 
 from pwcalc.calculus import (
     COMMUTE_REL_TOL,
+    CompatibleRepresentation,
     HomogeneityReport,
     PreconditionError,
     SpecialValues,
@@ -58,6 +59,8 @@ from pwcalc.linalg import (
     Subspace,
     _range_cut,
     _range_eigh,
+    _sqrt_of,
+    _trusted,
     default_rank_tol,
     eigh,
     hermitian_part,
@@ -273,6 +276,29 @@ def redecomposed_parallel_sum(A, B):
     pseudo-inverse from psd_pinv(A + B), an eigh of the sum's own."""
     A, B = sequential_pair(A, B)
     return hermitian_part(A - A @ psd_pinv(A + B) @ A)
+
+
+def redecomposed_compatible_representation(A, B):
+    """compatible_representation with the pair validated by sequential_pair,
+    then the range and the root of A + B read off an eigh of the sum's own,
+    and R rebuilt from its clipped eigenvalues: the construction in order,
+    one matrix at a time."""
+    A, B = sequential_pair(A, B)
+    with np.errstate(over="ignore"):  # an inf sum fails the rank cut
+        S = A + B
+    w, V, keep = _range_eigh(S, "A + B")
+    sq = _sqrt_of(w, V, keep)
+    if keep is not None:
+        V, w = V[:, keep], w[keep]
+    Y = V / np.sqrt(w)
+    R = hermitian_part(Y.conj().T @ A @ Y)
+    if len(R):
+        r, Q = eigh(R)
+        R = hermitian_part((Q * _clipped(r)) @ Q.conj().T)
+    S = -R
+    S.flat[:: len(R) + 1] += 1.0  # I - R
+    return CompatibleRepresentation(_trusted(Subspace, basis=V),
+                                    V.conj().T @ sq, R, S)
 
 
 def redecomposed_check_homogeneity(phi, A, B, C, probe_vectors=10, seed=0):

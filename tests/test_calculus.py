@@ -754,15 +754,16 @@ R77_SQUARE_MINUS = repr77_square_minus()
 
 
 class TestValidatedSpectrum:
-    """special_values, invertible_formula, matrix_power_psd and the
-    commuting-pair oracle read the eigenpairs their PSD checks decided on,
-    psd_sqrt, psd_pinv, range_subspace and optimal_decomposition check
-    their input, and variational_envelope validates its pair once: each
-    gives what decomposing again, decomposing the input as given or
-    validating at every n gives (tests/reference.py), to the last bit.
-    The first five are held to it on every pair, with the same errors on
-    invalid ones (special_values' reference validates A again inside
-    calculus(f, A), which changes no bit of a Hermitian part).  The others
+    """special_values, invertible_formula, matrix_power_psd, the
+    commuting-pair oracle and compatible_representation read the eigenpairs
+    their PSD checks decided on, psd_sqrt, psd_pinv, range_subspace and
+    optimal_decomposition check their input, and variational_envelope
+    validates its pair once: each gives what decomposing again, decomposing
+    the input as given or validating at every n gives (tests/reference.py),
+    to the last bit.  The first six are held to it on every pair, with the
+    same errors on invalid ones (special_values' reference validates A
+    again inside calculus(f, A), which changes no bit of a Hermitian
+    part).  The others
     are held to it on valid, exactly Hermitian input, where validating
     changes no bit, and the envelope to the same errors too."""
 
@@ -803,10 +804,12 @@ class TestValidatedSpectrum:
          lambda A, B: reference.revalidated_variational_envelope(
              R77_SQUARE_MINUS, A, B, np.arange(len(A)) + 1j, (1, 3)),
          {"exact", "invalid"}),
+        (compatible_representation,
+         reference.redecomposed_compatible_representation, ALL),
     ], ids=["invertible_formula", "invertible_formula-swapped",
             "pw_commuting_oracle", "matrix_power_psd", "special_values",
             "psd_sqrt", "psd_pinv", "range_subspace", "optimal_decomposition",
-            "variational_envelope"])
+            "variational_envelope", "compatible_representation"])
     def test_bitwise_equal_to_the_reference(self, call, want, kinds):
         seen = set()
         for label, A, B, kind in _spectrum_pairs():
@@ -847,8 +850,9 @@ def _full_rank_c(A):
 
 
 class TestStackedPairCalls:
-    """check_homogeneity, parallel_sum and pw_commuting_oracle read A, B and
-    A + B from one eigh of the validation's stack, boundedness_chain reads
+    """check_homogeneity, parallel_sum, pw_commuting_oracle and
+    compatible_representation read A, B and A + B from one eigh of the
+    validation's stack, boundedness_chain reads
     its powers from the stack of A and B and trusts the powered pairs, and
     two_projections reads both ranges from one eigh of (P, Q): each gives
     what validating, then decomposing each matrix (and A + B) on its own
@@ -877,8 +881,11 @@ class TestStackedPairCalls:
                        for f in (("power", 2), ("neglog",))],
          lambda A, B: [reference.redecomposed_two_projections(
              catalog(*f), A, B) for f in (("power", 2), ("neglog",))]),
+        (compatible_representation,
+         reference.redecomposed_compatible_representation),
     ], ids=["check_homogeneity", "check_homogeneity-skipped", "parallel_sum",
-            "pw_commuting_oracle", "boundedness_chain", "two_projections"])
+            "pw_commuting_oracle", "boundedness_chain", "two_projections",
+            "compatible_representation"])
     def test_bitwise_equal_to_the_reference(self, call, want):
         seen = set()
         for label, A, B in _stacked_pairs():
