@@ -333,12 +333,38 @@ def _certified(t: np.ndarray, rho: float) -> bool:
     return float(t[0]) * rho > bound and (1.0 - float(t[-1])) * rho > bound
 
 
+# The last pair _checked_pair_spectrum validated, as (_pair_key, its
+# read-only PairSpectrum): one entry, replaced whole by one assignment, so a
+# caller on another thread reads either the old pair or the new one.
+_last_pair = None
+
+
+def _pair_key(A, B):
+    """The shape and bytes of A and B as complex arrays, copied, so that an
+    array edited in place, or a -0.0 for a 0.0, reads as another pair; None
+    where they are not arrays of numbers, which the validation rejects."""
+    try:
+        A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return A.shape, B.shape, A.tobytes(), B.tobytes()
+
+
 def _checked_pair_spectrum(A, B, names=("A", "B")) -> PairSpectrum:
     """The PairSpectrum of the pair validated as require_psd validates each
-    of A and B (named `names`), for the public calls on a pair.  A sum that
-    _definite_spectra reduces skips the PSD half of a pair it certifies; any
-    other pair takes one eigh of the stack (A, B, A + B), whose spare slot
-    the cheap half fills with the sum, and _eigh_spectrum."""
+    of A and B (named `names`), for the public calls on a pair, read-only.
+    A sum that _definite_spectra reduces skips the PSD half of a pair it
+    certifies; any other pair takes one eigh of the stack (A, B, A + B),
+    whose spare slot the cheap half fills with the sum, and _eigh_spectrum.
+    A pair bitwise the last one that passed (_pair_key) gets its record
+    back with neither: both are functions of those bytes alone, and a pair
+    that raised is never kept.  The names only reach errors, so they are
+    not in the key."""
+    global _last_pair
+    key = _pair_key(A, B)
+    last = _last_pair
+    if last is not None and last[0] == key:
+        return last[1]
     H = _hermitian_stack((A, B), names, spare=1)
     A, B, S = H
     with np.errstate(over="ignore"):  # an inf sum fails the rank cut
@@ -346,10 +372,16 @@ def _checked_pair_spectrum(A, B, names=("A", "B")) -> PairSpectrum:
     definite = _definite_spectra(A, B, S)
     if definite is None:
         w, V = _psd_stack(H, names)
-        return _eigh_spectrum(A, B, w[2], V[2], " + ".join(names))
-    if not definite.certified:
-        _psd_stack(H[:2], names)
-    return definite.spectrum
+        sp = _eigh_spectrum(A, B, w[2], V[2], " + ".join(names))
+    else:
+        if not definite.certified:
+            _psd_stack(H[:2], names)
+        sp = definite.spectrum
+    for M in sp:
+        M.setflags(write=False)
+    if key is not None:
+        _last_pair = key, sp
+    return sp
 
 
 class StateSpectrum(NamedTuple):
@@ -409,7 +441,7 @@ def _pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
     sp = _checked_pair_spectrum(A, B)
     values, at_zero, at_one = _diagonal_values(phi, sp.t, endpoint_tol)
     return (_diagonal_congruence(sp.X, values),
-            PwDiagnostics(sp.t, int(np.count_nonzero(at_zero)),
+            PwDiagnostics(sp.t.copy(), int(np.count_nonzero(at_zero)),
                           int(np.count_nonzero(at_one))))
 
 

@@ -1,0 +1,10 @@
+import pytest
+
+from pwcalc import calculus
+
+
+@pytest.fixture(autouse=True)
+def fresh_pair_memo(monkeypatch):
+    # every test starts with no pair in _checked_pair_spectrum's memo, so
+    # that no count it pins depends on which test ran before it
+    monkeypatch.setattr(calculus, "_last_pair", None)

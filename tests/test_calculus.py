@@ -1,5 +1,8 @@
+import collections
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -35,6 +38,7 @@ from pwcalc.functions import ExtendedFunction, Interval, catalog
 from pwcalc.linalg import (
     EPS,
     NonFiniteError,
+    NotHermitianError,
     NotPsdError,
     Subspace,
     full_space,
@@ -914,9 +918,12 @@ class TestStackedPairCalls:
 # ---------------------------------------------------------------------------
 
 def _eigh_route(monkeypatch, call, *args):
-    """call(*args) with the pair kernel on its eigh route at every order."""
+    """call(*args) with the pair kernel on its eigh route at every order,
+    on an empty memo: else a pair the Cholesky route just decomposed would
+    come back as that route's record."""
     with monkeypatch.context() as m:
         m.setattr(calculus, "DEFINITE_MIN_N", math.inf)
+        m.setattr(calculus, "_last_pair", None)
         return call(*args)
 
 
@@ -1088,3 +1095,196 @@ class TestDefiniteReduction:
                 name = "B" if case in ("B", "minus_B") else "A"
                 assert got[1].startswith(f"{name} is not PSD"), case
                 assert got == _eigh_route(monkeypatch, _outcome, call, X, Y)
+
+
+# ---------------------------------------------------------------------------
+# The pair kernel's memo of the last pair
+# ---------------------------------------------------------------------------
+
+MEMO_TLOGT = perspective_of(catalog("tlogt"))
+MEMO_CALLS = {
+    "pw_apply": lambda A, B: pw_apply(MEMO_TLOGT, A, B),
+    "perspective_apply": lambda A, B: perspective_apply(catalog("tlogt"), A,
+                                                        B),
+    "pw_apply_restricted": lambda A, B: pw_apply_restricted(YLOGXY_GE, A, B),
+    "connection": lambda A, B: connection(connection_generator("geometric"),
+                                          A, B),
+    "lebesgue_decomposition": lebesgue_decomposition,
+    "is_absolutely_continuous": is_absolutely_continuous,
+    "dominates_scale": dominates_scale,
+    "t2_bound": t2_bound,
+}
+KERNEL_STEPS = ("_hermitian_stack", "_psd_stack", "_definite_factor")
+
+
+def _memo_pairs():
+    """(label, A, B): a cut and a full-rank sum on the eigh route, a pair in
+    the >= cone, and a certified definite pair on the Cholesky route."""
+    for profile in ("rank_deficient", "well_conditioned", "dominated_pair"):
+        yield (profile, *gen_pair(RandomSpec(4, 4, profile, seed=5), 0))
+    yield ("definite-40",
+           *gen_pair(RandomSpec(40, 40, "well_conditioned", seed=5), 0))
+
+
+def _counted(m):
+    """Patch eigh and svd (numpy.linalg's and numpy.linalg._linalg's, which
+    np.linalg.norm(M, 2) calls) and the kernel's validation and factor
+    steps to record each run; returns the record, a Counter."""
+    record = collections.Counter()
+
+    def counting(name, run):
+        return lambda *a, **k: record.update((name,)) or run(*a, **k)
+
+    for module in (np.linalg, sys.modules["numpy.linalg._linalg"]):
+        for name in ("eigh", "svd"):
+            m.setattr(module, name, counting(name, getattr(module, name)))
+    for name in KERNEL_STEPS:
+        m.setattr(calculus, name, counting(name, getattr(calculus, name)))
+    return record
+
+
+def _runs(monkeypatch, call, *args):
+    """(the bytes of call(*args)'s outcome, the Counter of its runs)."""
+    with monkeypatch.context() as m:
+        record = _counted(m)
+        try:
+            out = call(*args)
+        except Exception as exc:
+            out = exc
+    if isinstance(out, Exception):
+        return (type(out), str(out)), record
+    return _outcome_bytes(lambda: out), record
+
+
+class TestPairMemo:
+    """_checked_pair_spectrum keeps the last pair that passed, keyed by the
+    shape and bytes of A and B: a call on those bytes again reads its
+    record, with no validation and no decomposition, and every output and
+    error is what a fresh decomposition gives, to the last bit."""
+
+    @pytest.mark.parametrize("name", MEMO_CALLS)
+    def test_a_repeat_skips_the_kernel(self, name, monkeypatch):
+        call = MEMO_CALLS[name]
+        for label, A, B in _memo_pairs():
+            monkeypatch.setattr(calculus, "_last_pair", None)
+            _, kernel = _runs(monkeypatch, _checked_pair_spectrum, A, B)
+            monkeypatch.setattr(calculus, "_last_pair", None)
+            fresh, fresh_runs = _runs(monkeypatch, call, A, B)
+            again, again_runs = _runs(monkeypatch, call, A, B)
+            assert again == fresh, label
+            # the repeat makes what the call makes beside the kernel: no
+            # validation, no factor, and no eigh or svd of the pair's
+            assert kernel["eigh"] and kernel["_hermitian_stack"] == 1, label
+            assert not kernel - fresh_runs, label
+            assert again_runs == fresh_runs - kernel, label
+            assert not any(again_runs[step] for step in KERNEL_STEPS), label
+            if name != "t2_bound":  # whose norm and form checks make eigh
+                assert again_runs == {}, label
+
+    def test_the_record_is_read_only_and_no_output_aliases_it(self):
+        A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+        record = _checked_pair_spectrum(A, B)
+        assert not any(M.flags.writeable for M in record)
+        out = perspective_apply(catalog("tlogt"), A, B)
+        want = out.r_eigenvalues.copy()
+        assert out.r_eigenvalues.flags.writeable
+        out.r_eigenvalues[:] = 0.5
+        for diagnostics in (perspective_apply(catalog("tlogt"), A, B),
+                            calculus._pw_apply(MEMO_TLOGT, A, B,
+                                               ENDPOINT_TOL)[1]):
+            assert diagnostics.r_eigenvalues.tobytes() == want.tobytes()
+        assert calculus._last_pair[1] is record
+
+    @pytest.mark.parametrize("edit", ["in_place", "ulp", "negative_zero"])
+    def test_other_bytes_are_decomposed_again(self, edit, monkeypatch):
+        # the same array object edited in place, one entry moved by one
+        # ulp, and a +0.0 imaginary part made -0.0 (equal as numbers)
+        A, B = (M.astype(complex) for M in
+                gen_pair(RandomSpec(4, 4, "well_conditioned", seed=5), 0))
+        first = _checked_pair_spectrum(A, B)
+        if edit == "in_place":
+            A *= 2.0
+        elif edit == "ulp":
+            A[1, 1] = np.nextafter(A[1, 1].real, math.inf)
+        else:
+            A[2, 2] = complex(A[2, 2].real, -0.0)
+        got, runs = _runs(monkeypatch, _checked_pair_spectrum, A, B)
+        assert runs["_hermitian_stack"] == 1 and runs["eigh"] == 2
+        assert calculus._last_pair[1] is not first
+        monkeypatch.setattr(calculus, "_last_pair", None)
+        assert got == _outcome_bytes(_checked_pair_spectrum, A, B)
+
+    def test_shapes_with_the_same_bytes_differ(self):
+        A, B = gen_pair(RandomSpec(4, 4, "well_conditioned", seed=5), 0)
+        _checked_pair_spectrum(A, B)
+        with pytest.raises(NotHermitianError,
+                           match=r"^A must be square, got shape \(2, 8\)$"):
+            _checked_pair_spectrum(A.reshape(2, 8), B.reshape(2, 8))
+
+    def test_a_failing_pair_is_not_kept(self, monkeypatch):
+        A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+        kept = _checked_pair_spectrum(A, B)
+        errors = []
+        for _ in range(2):
+            error, runs = _runs(monkeypatch, connection,
+                                connection_generator("geometric"), A, -B)
+            assert runs["_hermitian_stack"] == runs["_psd_stack"] == 1
+            assert calculus._last_pair[1] is kept
+            errors.append(error)
+        assert errors[0] == errors[1]
+        assert errors[0][0] is NotPsdError
+        assert errors[0][1].startswith("B is not PSD")
+
+    def test_one_entry_decomposes_p_again_after_q(self, monkeypatch):
+        P = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+        Q = gen_pair(RandomSpec(4, 4, "projection", seed=5), 0)
+        outputs, kernels = [], 0
+        for A, B in (P, Q, P):
+            out, runs = _runs(monkeypatch, lebesgue_decomposition, A, B)
+            outputs.append(out)
+            kernels += runs["_hermitian_stack"]
+        assert kernels == 3
+        assert outputs[0] == outputs[2] != outputs[1]
+
+    def test_another_call_and_names_read_the_same_record(self, monkeypatch):
+        A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+        connection(connection_generator("geometric"), A, B)
+        X, Y = A.copy(), B.copy()  # other objects, the same bytes
+        got, runs = _runs(monkeypatch, dominates_scale, X, Y)
+        assert runs == {}
+        monkeypatch.setattr(calculus, "_last_pair", None)
+        assert got == _outcome_bytes(dominates_scale, X, Y)
+
+    def test_threads_read_their_own_pairs(self):
+        # four threads, more than the cores of a small host, cycle through
+        # six pairs from different starts, each pair twice in a row, with a
+        # short switch interval: a record read for another pair than the
+        # call's would show in its outputs
+        pairs = [gen_pair(RandomSpec(4, 4, profile, seed=5), trial)
+                 for profile in ("rank_deficient", "well_conditioned")
+                 for trial in range(3)]
+        want = [_outcome_bytes(lebesgue_decomposition, A, B)
+                for A, B in pairs]
+        wrong, done = [], []
+
+        def run(start):
+            for i in range(300):
+                j = (start + i // 2) % len(pairs)  # each pair twice in a row
+                if _outcome_bytes(lebesgue_decomposition,
+                                  *pairs[j]) != want[j]:
+                    wrong.append(j)
+            done.append(start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,))
+                       for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2, 3] and wrong == []

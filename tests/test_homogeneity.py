@@ -5,7 +5,9 @@ scaling is exact in binary floating point, as is sqrt(c) = 2^k.  So each
 call on (cA, cB) must give c times (or sqrt(c) times, or, for a scale-free
 output, exactly) what it gives on (A, B), to the last bit, and raise the
 same error.  The check needs no reference implementation, no tolerance and
-no mpmath, so it shares no fast path with the code it checks.
+no mpmath, so it shares no fast path with the code it checks.  Each scaled
+call runs twice on the same (cA, cB): the second run's pair kernel reads
+the record of the pair the first run left, and must give the same bytes.
 
 Covered domain: gen_pair pairs (seed 11) of the well_conditioned,
 rank_deficient and projection profiles, n in {2, 3, 6, 33, 40} (33 and 40
@@ -64,6 +66,7 @@ from pwcalc.perspectives import (
     epsilon_limit,
     is_absolutely_continuous,
     lebesgue_decomposition,
+    max_f_divergence,
     parallel_sum,
     perspective_apply,
     perspective_of,
@@ -164,6 +167,9 @@ CALLS = {
         "value": (0, is_absolutely_continuous(A, B))},
     "dominates_scale": lambda A, B, rho, c: {
         "value": (0, dominates_scale(A, B))},
+    # the trace of the perspective, +inf where it has an infinity part
+    "max_f_divergence": lambda A, B, rho, c: {
+        "value": (1, max_f_divergence(TLOGT, A, B))},
     "t2_bound": _t2,
     "boundedness_chain": _chain,
     "integral_eval_91": lambda A, B, rho, c: {
@@ -198,12 +204,12 @@ def _outcome(call, A, B, rho, c):
 
 def _bits(value, factor):
     """value times factor (each number of a nested value), as bytes, or
-    the value itself where it holds no float."""
+    the value itself where it holds no float (an error's type too)."""
     if isinstance(value, (tuple, list)):
         return tuple(_bits(v, factor) for v in value)
     if isinstance(value, dict):
         return {k: _bits(v, factor) for k, v in value.items()}
-    if isinstance(value, (bool, str, int, np.bool_)):
+    if isinstance(value, (bool, str, int, np.bool_, type)):
         return value
     return (np.asarray(value) * factor).tobytes()
 
@@ -263,6 +269,10 @@ def _compare(k, n, profiles, calls):
             for name, call in TABLES[calls].items():
                 got, want = _outcome(call, A, B, rho, c), unscaled[name]
                 label = (profile, trial, name)
+                # the same (cA, cB) again: the pair kernel's readers get the
+                # record the first run read, which must give its bytes
+                again = _outcome(call, A, B, rho, c)
+                assert _bits(again, 1.0) == _bits(got, 1.0), label
                 if isinstance(want, type):
                     assert got is want, label
                     continue

@@ -1054,6 +1054,8 @@ class TestStackedValidation:
             rejected = isinstance(_outcome(sequential_pair, A, B)[0], type)
             runs.clear()
             kernels.clear()
+            # a repeat of the corpus's last pair would read the memo
+            monkeypatch.setattr(calculus, "_last_pair", None)
             got = _outcome(_checked_pair_spectrum, A, B)
             assert len(kernels) <= 1, label
             assert runs.count("_hermitian_stack") == 1, label
@@ -1300,6 +1302,8 @@ class TestPairCertificate:
                 assert t2_bound(A, B) == perspectives._t2_bound(want)
                 with monkeypatch.context() as m:
                     m.setattr(calculus, "DEFINITE_MIN_N", np.inf)
+                    # else the memo returns the Cholesky record
+                    m.setattr(calculus, "_last_pair", None)
                     eigh_route = _checked_pair_spectrum(A, B)
                 moved += not _same_arrays(eigh_route, got)
                 pairs += 1

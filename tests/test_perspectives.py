@@ -108,6 +108,9 @@ T2 = lambda A, B, rho: t2_bound(A, B)
 CHAIN = lambda A, B, rho: boundedness_chain(2.0, A, B)
 
 
+# Each pin counts a fresh pair: every test starts with an empty pair memo
+# (tests/conftest.py), and a repeat of the last pair that passed makes
+# none of the pair kernel's eigh (test_calculus.py::TestPairMemo).
 # The pair calls check A and B and decompose A + B with one eigh of the
 # stack (A, B, A + B), then make one of R, on every profile.  From
 # n = DEFINITE_MIN_N on, a definite A + B is reduced by Cholesky instead,
