@@ -333,21 +333,25 @@ def _certified(t: np.ndarray, rho: float) -> bool:
     return float(t[0]) * rho > bound and (1.0 - float(t[-1])) * rho > bound
 
 
-# The last pair _checked_pair_spectrum validated, as (_pair_key, its
-# read-only PairSpectrum): one entry, replaced whole by one assignment, so a
-# caller on another thread reads either the old pair or the new one.
-_last_pair = None
+# The last pair _checked_pair_spectrum validated and the last triple
+# _checked_state_spectrum validated, each as (_key, its read-only record):
+# one entry each, replaced whole by one assignment, so a caller on another
+# thread reads either the old input's record or the new one's.
+_last_pair = _last_state = None
 
 
-def _pair_key(A, B):
-    """The shape and bytes of A and B as complex arrays, copied, so that an
-    array edited in place, or a -0.0 for a 0.0, reads as another pair; None
+def _key(*mats):
+    """The shape and bytes of each of mats as a complex array, copied, so an
+    array edited in place, or a -0.0 for a 0.0, reads as other input; None
     where they are not arrays of numbers, which the validation rejects."""
-    try:
-        A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return A.shape, B.shape, A.tobytes(), B.tobytes()
+    key = ()
+    for M in mats:
+        try:
+            M = np.asarray(M, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        key += M.shape, M.tobytes()
+    return key
 
 
 def _checked_pair_spectrum(A, B, names=("A", "B")) -> PairSpectrum:
@@ -356,12 +360,12 @@ def _checked_pair_spectrum(A, B, names=("A", "B")) -> PairSpectrum:
     A sum that _definite_spectra reduces skips the PSD half of a pair it
     certifies; any other pair takes one eigh of the stack (A, B, A + B),
     whose spare slot the cheap half fills with the sum, and _eigh_spectrum.
-    A pair bitwise the last one that passed (_pair_key) gets its record
+    A pair bitwise the last one that passed (_key) gets its record
     back with neither: both are functions of those bytes alone, and a pair
     that raised is never kept.  The names only reach errors, so they are
     not in the key."""
     global _last_pair
-    key = _pair_key(A, B)
+    key = _key(A, B)
     last = _last_pair
     if last is not None and last[0] == key:
         return last[1]
@@ -385,11 +389,9 @@ def _checked_pair_spectrum(A, B, names=("A", "B")) -> PairSpectrum:
 
 
 class StateSpectrum(NamedTuple):
-    rho: np.ndarray  # the validated state and pair
-    A: np.ndarray
-    B: np.ndarray
-    t: np.ndarray  # R's clipped eigenvalues
-    m: np.ndarray  # the state's weights over them (_state_weights)
+    rho: np.ndarray  # the validated state
+    pair: PairSpectrum  # the validated pair's, on the eigh route
+    m: np.ndarray  # the state's weights over pair.t (_state_weights)
     tr: float  # Tr rho
     norm_a: float  # the spectral norms of A and B
     norm_b: float
@@ -400,8 +402,14 @@ def _checked_state_spectrum(rho, A, B) -> StateSpectrum:
     require_psd validate them, rho first.  One eigh of the stack (rho, A,
     B, A + B) gives each what eigh gives it alone, to the last bit.  Where
     Tr rho, read off its diagonal, is not positive or the shapes differ,
-    rho is validated alone first, its size before any eigh."""
+    rho is validated alone first, its size before any eigh.  A triple
+    bitwise the last one that passed gets its record back, read-only."""
+    global _last_state
     rho, A, B = _shaped(rho), _shaped(A), _shaped(B)
+    # keyed as shaped: nothing below reads the arguments as given
+    key, last = _key(rho, A, B), _last_state
+    if last is not None and last[0] == key:
+        return last[1]
     same = rho.ndim == 2 and rho.shape == A.shape == B.shape
     # a trace of unvalidated input, or a sum, that overflows is inf
     with np.errstate(over="ignore"):
@@ -420,8 +428,12 @@ def _checked_state_spectrum(rho, A, B) -> StateSpectrum:
         np.add(Ah, Bh, out=S)
     w, V = _psd_stack(H, names)
     pair = _eigh_spectrum(Ah, Bh, w[3], V[3], "A + B")
-    return StateSpectrum(rho_h, Ah, Bh, pair.t, _state_weights(pair.X, rho_h),
-                         tr, float(w[1, -1]), float(w[2, -1]))
+    st = StateSpectrum(rho_h, pair, _state_weights(pair.X, rho_h), tr,
+                       float(w[1, -1]), float(w[2, -1]))
+    for M in (rho_h, *pair, st.m):
+        M.setflags(write=False)
+    _last_state = key, st
+    return st
 
 
 class PwDiagnostics(NamedTuple):
@@ -430,15 +442,9 @@ class PwDiagnostics(NamedTuple):
     hits_at_one: int
 
 
-def _pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
-              endpoint_tol: float):
-    """(pw_apply's value, PwDiagnostics) at the endpoint band endpoint_tol:
-    perspective_apply's entry, for the CLI's --tau-end."""
-    if phi.variant != "full":
-        raise PreconditionError(
-            f"{phi.name} is a restricted variant; use pw_apply_restricted"
-        )
-    sp = _checked_pair_spectrum(A, B)
+def _pw_value(phi: HomogeneousFunction, sp, endpoint_tol=ENDPOINT_TOL):
+    """(pw_apply's value, PwDiagnostics) at the endpoint band endpoint_tol
+    (the CLI's --tau-end), on the PairSpectrum sp of a validated pair."""
     values, at_zero, at_one = _diagonal_values(phi, sp.t, endpoint_tol)
     return (_diagonal_congruence(sp.X, values),
             PwDiagnostics(sp.t.copy(), int(np.count_nonzero(at_zero)),
@@ -453,7 +459,11 @@ def pw_apply(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray):
     value is X* diag(phi(t, 1-t)) X over the pair's _checked_pair_spectrum
     (_diagonal_congruence), the zero element when A+B = 0.
     """
-    return _pw_apply(phi, A, B, ENDPOINT_TOL)[0]
+    if phi.variant != "full":
+        raise PreconditionError(
+            f"{phi.name} is a restricted variant; use pw_apply_restricted"
+        )
+    return _pw_value(phi, _checked_pair_spectrum(A, B))[0]
 
 
 def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
@@ -480,7 +490,7 @@ def pw_apply_restricted(phi: HomogeneousFunction, A: np.ndarray, B: np.ndarray,
             f"pair is not in the <= cone: min eigenvalue of S is "
             f"{1.0 - sp.t[-1]:.3e}"
         )
-    return _diagonal_congruence(sp.X, _diagonal_values(phi, sp.t)[0])
+    return _pw_value(phi, sp)[0]
 
 
 def _grouped_joint_eigensystem(wA: np.ndarray, VA: np.ndarray, B: np.ndarray):

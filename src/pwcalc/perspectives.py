@@ -25,7 +25,7 @@ from .calculus import (
     _diagonal_values,
     _endpoints,
     _pair_spectra,
-    _pw_apply,
+    _pw_value,
     _r_spectrum,
     _validated_pair,
 )
@@ -34,6 +34,7 @@ from .extended import (
     ExtendedSelfAdjoint,
     INF,
     _pairing,
+    _state_value,
     classify,
     evaluate_state,
 )
@@ -123,8 +124,8 @@ def perspective_apply(f: ExtendedFunction, A: np.ndarray, B: np.ndarray,
                       endpoint_tol: float = ENDPOINT_TOL,
                       assert_convex: bool = False) -> PerspectiveResult:
     """Extended operator perspective of (A, B) with diagnostics."""
-    phi = perspective_of(f, assert_convex=assert_convex)
-    value, diag = _pw_apply(phi, A, B, endpoint_tol)
+    phi = perspective_of(f, assert_convex=assert_convex)  # a full variant
+    value, diag = _pw_value(phi, _checked_pair_spectrum(A, B), endpoint_tol)
     return PerspectiveResult(
         value, diag.r_eigenvalues,
         (diag.hits_at_zero, diag.hits_at_one), classify(value),
@@ -417,6 +418,14 @@ def _t2_bound(sp) -> T2Bound:
     return T2Bound(True, lam, upper, lower_fails)
 
 
+def _t2_state_value(st, swapped: bool = False) -> float:
+    """phi_{t^2}(A, B)(rho) off the integrals' StateSpectrum st; swapped,
+    phi_{t^2}(B, A)(rho) off (B, A)'s, which 1 - t is not to the last bit."""
+    sp = _checked_pair_spectrum(st.pair.B, st.pair.A) if swapped else st.pair
+    return _state_value(_pw_value(perspective_of(catalog("power", 2)), sp)[0],
+                        st.rho)
+
+
 def _unit_power(scale: float) -> float:
     """1.0 for a pair whose scale lies within 4^+-UNSCALED_POW4, else the
     power of four 4^j <= scale < 4^(j+1) to divide it by."""
@@ -454,9 +463,9 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     cliff at alpha < 2, (c) can hold where (d) fails); (d) also samples
     unit vectors for the reported constant.  One stacked eigh validates A
     and B and gives the powers; the trusting pair kernel gives the spectra
-    of (a) and of (c)'s and (e)'s pairs, PSD by construction.  The powers
-    and the sample run on the pair divided by _unit_power of its norm, and
-    each constant is mapped back by its degree.
+    of (a), which (b) reads too, and of (c)'s and (e)'s pairs, PSD by
+    construction.  The powers and the sample run on the pair divided by
+    _unit_power of its norm, and each constant is mapped back by its degree.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (1, 2]")
@@ -464,8 +473,9 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     c = _unit_power(float(w.max(initial=0.0)))
     if c != 1.0:
         A, B, w = A / c, B / c, w / c
-    a2 = _t2_bound(_pair_spectra(A, B))
-    res_b = perspective_apply(catalog("power", alpha), A, B)
+    sp = _pair_spectra(A, B)
+    a2 = _t2_bound(sp)
+    value_b = _pw_value(perspective_of(catalog("power", alpha)), sp)[0]
     (A_alpha,) = _psd_powers(w[0], V[0], alpha)
     B_c, B_e = _psd_powers(w[1], V[1], alpha - 1.0, (alpha - 1.0) / alpha)
     lam_c = _unit_dominates_scale(A_alpha, B_c) * c
@@ -484,7 +494,7 @@ def boundedness_chain(alpha: float, A: np.ndarray, B: np.ndarray,
     lam_e = _unit_dominates_scale(A, B_e) * c ** (1.0 / alpha)
     conds = {
         "a": a2.bounded,
-        "b": res_b.bounded,
+        "b": classify(value_b) == BOUNDED,
         "c": math.isfinite(lam_c),
         "d": a2.bounded,  # absolute continuity: t2_bound's rule, same pair
         "e": math.isfinite(lam_e),

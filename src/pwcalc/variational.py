@@ -14,7 +14,7 @@ An evaluation reads calculus._checked_state_spectrum's record: the
 pairings rho(A) = sum m_i t_i and rho(B) = sum m_i (1 - t_i) (Tr rho A and
 Tr rho B but for the parts beyond the rank cut of A + B, at most
 n eps |A + B| Tr rho), and Tr rho and the norms of A and B, which scale the
-singular-mass threshold.  A phi_{t^2} term adds a perspective_apply.
+singular-mass threshold; a phi_{t^2}(A, B) term reads its pair spectrum.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .calculus import _checked_state_spectrum, _endpoints, _validated_pair
 from .extended import (
     ExtendedSelfAdjoint,
     INF,
-    _state_value,
     add,
     from_matrix,
     infinity_on,
@@ -41,7 +40,6 @@ from .functions import (
     IntegralRepr97,
     Measure,
     approximants,
-    catalog,
 )
 from .linalg import (
     _hermitian_stack,
@@ -53,7 +51,7 @@ from .linalg import (
     spectral_norm,
     subspace_meet,
 )
-from .perspectives import perspective_apply
+from .perspectives import _t2_state_value
 
 # State mass on a singular part below this (relative) threshold counts as zero
 # when deciding the divergent branch of an infinite-mass integral.
@@ -87,11 +85,6 @@ def _integrand(num: np.ndarray, t: np.ndarray, s: np.ndarray,
     return K.T.copy()
 
 
-def _t2_term(A, B, rho) -> float:
-    # rho was validated by the integral evaluation that asks for this term
-    return _state_value(perspective_apply(catalog("power", 2), A, B).value, rho)
-
-
 def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
                      rho: np.ndarray) -> float:
     """Perspective evaluation through the general integral expression.
@@ -101,7 +94,7 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     with a0 = b - 2c + d and b0 = a - b + c - 2d.
     """
     st = _checked_state_spectrum(rho, A, B)
-    mu, t, m, s = r.mu, st.t, st.m, 1.0 - st.t
+    mu, t, m, s = r.mu, st.pair.t, st.m, 1.0 - st.pair.t
     # the singular parts are the eigenprojections of R at 1 (A relative to
     # B) and at 0 (B relative to A), cut as in lebesgue_decomposition; a
     # divergent branch returns before any term is computed
@@ -114,9 +107,9 @@ def integral_eval_91(r: IntegralRepr77, A: np.ndarray, B: np.ndarray,
     b0 = r.a - r.b + r.c - 2.0 * r.d
     terms = [a0 * float(m @ t), b0 * float(m @ s)]
     if r.c > 0:
-        terms.append(xmul(r.c, _t2_term(st.A, st.B, st.rho)))
+        terms.append(xmul(r.c, _t2_state_value(st)))
     if r.d > 0:
-        terms.append(xmul(r.d, _t2_term(st.B, st.A, st.rho)))
+        terms.append(xmul(r.d, _t2_state_value(st, swapped=True)))
     kernel = _integrand((2.0 * t - 1.0) ** 2, t, s, mu.locations)
     terms.append(float(mu.weights @ kernel @ m))
     return xadd(*terms)
@@ -130,12 +123,12 @@ def integral_eval_92(r: IntegralRepr97, A: np.ndarray, B: np.ndarray,
     + int [rho(A) - rho(A : lB)] dnu(l).
     """
     st = _checked_state_spectrum(rho, A, B)
-    nu, t, m, s = r.nu, st.t, st.m, 1.0 - st.t
+    nu, t, m, s = r.nu, st.pair.t, st.m, 1.0 - st.pair.t
     if nu.infinite_mass and _singular(m[_endpoints(t)[1]].sum(), st.tr, st.norm_a):
         return INF
     terms = [r.fp0 * float(m @ t), r.f0 * float(m @ s)]
     if r.c > 0:
-        terms.append(xmul(r.c, _t2_term(st.A, st.B, st.rho)))
+        terms.append(xmul(r.c, _t2_state_value(st)))
     kernel = _integrand(t * t, t, s, nu.locations)
     terms.append(float(nu.weights @ kernel @ m))
     return xadd(*terms)

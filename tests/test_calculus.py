@@ -15,6 +15,7 @@ from pwcalc.calculus import (
     HomogeneousFunction,
     PreconditionError,
     _checked_pair_spectrum,
+    _checked_state_spectrum,
     _endpoints,
     _pair_spectra,
     check_homogeneity,
@@ -34,7 +35,13 @@ from pwcalc.extended import (
     form_leq,
     quadratic_form,
 )
-from pwcalc.functions import ExtendedFunction, Interval, catalog
+from pwcalc.functions import (
+    ExtendedFunction,
+    IntegralRepr77,
+    Interval,
+    Measure,
+    catalog,
+)
 from pwcalc.linalg import (
     EPS,
     NonFiniteError,
@@ -68,10 +75,16 @@ from pwcalc.suites import (
     haar_unitary,
     random_isometry,
     random_psd,
+    random_state,
 )
 from pwcalc.variational import (
+    integral_eval_91,
+    integral_eval_92,
     optimal_decomposition,
     repr77_square_minus,
+    repr77_tlogt,
+    repr97_square,
+    repr97_t_alpha,
     two_projections,
     variational_envelope,
 )
@@ -1190,8 +1203,8 @@ class TestPairMemo:
         assert out.r_eigenvalues.flags.writeable
         out.r_eigenvalues[:] = 0.5
         for diagnostics in (perspective_apply(catalog("tlogt"), A, B),
-                            calculus._pw_apply(MEMO_TLOGT, A, B,
-                                               ENDPOINT_TOL)[1]):
+                            calculus._pw_value(
+                                MEMO_TLOGT, _checked_pair_spectrum(A, B))[1]):
             assert diagnostics.r_eigenvalues.tobytes() == want.tobytes()
         assert calculus._last_pair[1] is record
 
@@ -1256,35 +1269,164 @@ class TestPairMemo:
         assert got == _outcome_bytes(dominates_scale, X, Y)
 
     def test_threads_read_their_own_pairs(self):
-        # four threads, more than the cores of a small host, cycle through
-        # six pairs from different starts, each pair twice in a row, with a
-        # short switch interval: a record read for another pair than the
-        # call's would show in its outputs
         pairs = [gen_pair(RandomSpec(4, 4, profile, seed=5), trial)
                  for profile in ("rank_deficient", "well_conditioned")
                  for trial in range(3)]
-        want = [_outcome_bytes(lebesgue_decomposition, A, B)
-                for A, B in pairs]
-        wrong, done = [], []
+        _each_thread_reads_its_own(lebesgue_decomposition, pairs)
 
-        def run(start):
-            for i in range(300):
-                j = (start + i // 2) % len(pairs)  # each pair twice in a row
-                if _outcome_bytes(lebesgue_decomposition,
-                                  *pairs[j]) != want[j]:
-                    wrong.append(j)
-            done.append(start)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(k,))
-                       for k in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(done) == [0, 1, 2, 3] and wrong == []
+def _each_thread_reads_its_own(call, inputs):
+    """Four threads, more than the cores of a small host, cycle through the
+    inputs from different starts, each input twice in a row, with a short
+    switch interval: a record read for other input than the call's would
+    show in its outputs."""
+    want = [_outcome_bytes(call, *args) for args in inputs]
+    wrong, done = [], []
+
+    def run(start):
+        for i in range(300):
+            j = (start + i // 2) % len(inputs)  # each input twice in a row
+            if _outcome_bytes(call, *inputs[j]) != want[j]:
+                wrong.append(j)
+        done.append(start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [0, 1, 2, 3] and wrong == []
+
+
+# ---------------------------------------------------------------------------
+# The state kernel's memo of the last triple
+# ---------------------------------------------------------------------------
+
+R77_TLOGT = repr77_tlogt(48)
+R97_T15 = repr97_t_alpha(1.5, 48)
+STATE_CALLS = {
+    "integral_eval_91": lambda rho, A, B: integral_eval_91(R77_TLOGT, A, B,
+                                                           rho),
+    "integral_eval_92": lambda rho, A, B: integral_eval_92(R97_T15, A, B, rho),
+    "integral_eval_91-square": lambda rho, A, B: integral_eval_91(
+        repr77_square_minus(), A, B, rho),
+    "integral_eval_92-square": lambda rho, A, B: integral_eval_92(
+        repr97_square(), A, B, rho),
+    # the swapped square term's pair is read from _checked_pair_spectrum
+    "integral_eval_91-both_squares": lambda rho, A, B: integral_eval_91(
+        IntegralRepr77(0.5, -0.25, 1.0, 0.75, Measure(np.array([0.5, 2.0]),
+                                                      np.array([0.3, 0.7]))),
+        A, B, rho),
+}
+
+
+def _memo_triples():
+    """(label, rho, A, B): _memo_pairs' pairs, each with a drawn state."""
+    for label, A, B in _memo_pairs():
+        yield label, random_state(np.random.default_rng(5), len(A)), A, B
+
+
+def _clear_memos(monkeypatch):
+    monkeypatch.setattr(calculus, "_last_pair", None)
+    monkeypatch.setattr(calculus, "_last_state", None)
+
+
+class TestStateMemo:
+    """_checked_state_spectrum keeps the last triple (rho, A, B) that
+    passed, keyed by their shapes and bytes: a call on those bytes again
+    reads its record, with no validation and no decomposition, and every
+    output and error is what a fresh decomposition gives, to the last
+    bit."""
+
+    @pytest.mark.parametrize("name", STATE_CALLS)
+    def test_a_repeat_skips_the_kernel(self, name, monkeypatch):
+        call = STATE_CALLS[name]
+        for label, rho, A, B in _memo_triples():
+            _clear_memos(monkeypatch)
+            fresh, fresh_runs = _runs(monkeypatch, call, rho, A, B)
+            again, again_runs = _runs(monkeypatch, call, rho, A, B)
+            assert fresh_runs["eigh"] >= 2, label
+            assert fresh_runs["_hermitian_stack"] >= 1, label
+            assert again == fresh, label
+            # no eigh and no kernel step: only an infinite square term's
+            # assembly, which makes its svd again
+            assert set(again_runs) <= {"svd"}, label
+            assert again_runs["svd"] == fresh_runs["svd"], label
+
+    def test_the_second_integral_reads_the_first_ones_record(
+            self, monkeypatch):
+        for label, rho, A, B in _memo_triples():
+            _clear_memos(monkeypatch)
+            integral_eval_91(R77_TLOGT, A, B, rho)
+            got, runs = _runs(monkeypatch, integral_eval_92, R97_T15, A, B,
+                              rho)
+            assert runs == {}, label
+            _clear_memos(monkeypatch)
+            assert got == _outcome_bytes(integral_eval_92, R97_T15, A, B,
+                                         rho), label
+
+    @pytest.mark.parametrize("edit", ["state", "in_place", "ulp",
+                                      "negative_zero"])
+    def test_other_bytes_are_decomposed_again(self, edit, monkeypatch):
+        # another state on the same pair, the same state array edited in
+        # place, one entry of A moved by one ulp, and a +0.0 imaginary part
+        # of the state made -0.0 (equal as numbers)
+        A, B = gen_pair(RandomSpec(4, 4, "well_conditioned", seed=5), 0)
+        rho = random_state(np.random.default_rng(5), 4)
+        first = _checked_state_spectrum(rho, A, B)
+        if edit == "state":
+            rho = random_state(np.random.default_rng(6), 4)
+        elif edit == "in_place":
+            rho *= 0.5
+        elif edit == "ulp":
+            A = A.copy()
+            A[1, 1] = np.nextafter(A[1, 1].real, math.inf)
+        else:
+            assert math.copysign(1.0, rho[2, 2].imag) == 1.0
+            rho[2, 2] = complex(rho[2, 2].real, -0.0)
+        got, runs = _runs(monkeypatch, integral_eval_91, R77_TLOGT, A, B, rho)
+        assert runs["_hermitian_stack"] == 1 and runs["eigh"] == 2
+        assert calculus._last_state[1] is not first
+        _clear_memos(monkeypatch)
+        assert got == _outcome_bytes(integral_eval_91, R77_TLOGT, A, B, rho)
+
+    @pytest.mark.parametrize("state, name", [(-1.0, "state"), (1.0, "B")])
+    def test_a_failing_triple_is_not_kept(self, state, name, monkeypatch):
+        # with B not PSD, a state that is not PSD either raises first
+        A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+        rho = random_state(np.random.default_rng(5), 4)
+        kept = _checked_state_spectrum(rho, A, B)
+        errors = []
+        for _ in range(2):
+            error, runs = _runs(monkeypatch, integral_eval_91, R77_TLOGT, A,
+                                -B, state * rho)
+            assert runs["eigh"] >= 1
+            assert calculus._last_state[1] is kept
+            errors.append(error)
+        assert errors[0] == errors[1]
+        assert errors[0][0] is NotPsdError
+        assert errors[0][1].startswith(f"{name} is not PSD")
+
+    def test_the_record_is_read_only(self):
+        A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5), 0)
+        rho = random_state(np.random.default_rng(5), 4)
+        record = _checked_state_spectrum(rho, A, B)
+        assert not any(M.flags.writeable
+                       for M in (record.rho, *record.pair, record.m))
+        assert _checked_state_spectrum(rho.copy(), A.copy(),
+                                       B.copy()) is record
+        assert calculus._last_state[1] is record
+
+    def test_threads_read_their_own_triples(self):
+        # three pairs, each with two states
+        triples = [(random_state(np.random.default_rng(k), 4),
+                    *gen_pair(RandomSpec(4, 4, "rank_deficient", seed=5),
+                              trial))
+                   for trial in range(3) for k in range(2)]
+        _each_thread_reads_its_own(STATE_CALLS["integral_eval_91"], triples)

@@ -7,17 +7,18 @@ output, exactly) what it gives on (A, B), to the last bit, and raise the
 same error.  The check needs no reference implementation, no tolerance and
 no mpmath, so it shares no fast path with the code it checks.  Each scaled
 call runs twice on the same (cA, cB): the second run's pair kernel reads
-the record of the pair the first run left, and must give the same bytes.
+the record of the pair the first run left, and the integrals' state kernel
+that of the triple (rho, cA, cB), and must give the same bytes.
 
 Covered domain: gen_pair pairs (seed 11) of the well_conditioned,
 rank_deficient and projection profiles, n in {2, 3, 6, 33, 40} (33 and 40
 take the Cholesky route on a definite sum), trials 0 and 1, k in {-200,
--60, 7, 60, 200}; compatible_representation, which never takes that
-route; perspective_apply and pw_apply_restricted, on both
-sides, also on the commuting_pair and dominated_pair profiles; and the
-independent oracles (invertible_formula, pw_commuting_oracle,
-special_values) on the well_conditioned, commuting_pair and dominated_pair
-profiles.  Measured on
+-60, 7, 60, 200}, the integrals also with their square terms;
+compatible_representation, which never takes that route; perspective_apply
+and pw_apply_restricted, on both sides, also on the commuting_pair and
+dominated_pair profiles; and the independent oracles (invertible_formula,
+pw_commuting_oracle, special_values) on the well_conditioned,
+commuting_pair and dominated_pair profiles.  Measured on
 the first three profiles' pairs up to n = 33, every output is exact for
 -202 <= k <= 241 and the first breaks come at k = -203 and k = 242, where
 numpy's eigh itself stops scaling exactly: LAPACK rescales a matrix near
@@ -56,7 +57,13 @@ from pwcalc.calculus import (
     special_values,
 )
 from pwcalc.extended import INF, evaluate_state
-from pwcalc.functions import ExtendedFunction, Interval, catalog
+from pwcalc.functions import (
+    ExtendedFunction,
+    IntegralRepr77,
+    Interval,
+    Measure,
+    catalog,
+)
 from pwcalc.perspectives import (
     DEFAULT_EPS_SCHEDULE,
     boundedness_chain,
@@ -77,6 +84,7 @@ from pwcalc.variational import (
     integral_eval_91,
     integral_eval_92,
     repr77_tlogt,
+    repr97_square,
     repr97_t_alpha,
 )
 
@@ -88,6 +96,9 @@ EIGH_EXACT = (4.0 ** -202, 4.0 ** 242)
 GEOMETRIC = connection_generator("geometric")
 R77 = repr77_tlogt(48)
 R97 = repr97_t_alpha(1.5, 48)
+# both square terms, phi_{t^2}(A, B) and phi_{t^2}(B, A), and no measure
+R77_SQUARES = IntegralRepr77(0.0, 0.0, 1.0, 1.0, Measure.zero())
+R97_SQUARE = repr97_square()
 # y log(x/y) on the >= cone, and x log(y/x) on the <= cone
 YLOGXY_GE = HomogeneousFunction("ylogxy", catalog("ylogxy"), 0.0, INF,
                                 variant="ge")
@@ -176,6 +187,10 @@ CALLS = {
         "value": (1, integral_eval_91(R77, A, B, rho))},
     "integral_eval_92": lambda A, B, rho, c: {
         "value": (1, integral_eval_92(R97, A, B, rho))},
+    "integral_eval_91-squares": lambda A, B, rho, c: {
+        "value": (1, integral_eval_91(R77_SQUARES, A, B, rho))},
+    "integral_eval_92-square": lambda A, B, rho, c: {
+        "value": (1, integral_eval_92(R97_SQUARE, A, B, rho))},
     "parallel_sum": lambda A, B, rho, c: {
         "value": (1, parallel_sum(A, B))},
     "epsilon_limit": _epsilon,
@@ -269,8 +284,9 @@ def _compare(k, n, profiles, calls):
             for name, call in TABLES[calls].items():
                 got, want = _outcome(call, A, B, rho, c), unscaled[name]
                 label = (profile, trial, name)
-                # the same (cA, cB) again: the pair kernel's readers get the
-                # record the first run read, which must give its bytes
+                # the same (cA, cB) again: the pair and state kernels'
+                # readers get the record the first run read, which must
+                # give its bytes
                 again = _outcome(call, A, B, rho, c)
                 assert _bits(again, 1.0) == _bits(got, 1.0), label
                 if isinstance(want, type):

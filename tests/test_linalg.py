@@ -981,7 +981,8 @@ class TestStackedValidation:
             if rejected:
                 assert got == want, label
             else:
-                assert _same_arrays((got.rho, got.A, got.B), want), label
+                assert _same_arrays((got.rho, got.pair.A, got.pair.B),
+                                    want), label
         # each cliff is met from both sides
         for kind in ("hermitian", "psd"):
             assert {(kind, True), (kind, False)} <= decisions
@@ -1503,6 +1504,14 @@ def _validated_state_spectrum(rho, A, B):
     return (rho, A, B, *r_spectrum_weights(A, B, rho))
 
 
+def _state_fields(rho, A, B):
+    """_checked_state_spectrum's record as the reference path's tuple
+    (rho, A, B, t, m) followed by (Tr rho, |A|, |B|)."""
+    st = _checked_state_spectrum(rho, A, B)
+    return (st.rho, st.pair.A, st.pair.B, st.pair.t, st.m, st.tr, st.norm_a,
+            st.norm_b)
+
+
 def _reference_singular(mass, rho, A) -> bool:
     """The singular-mass decision with the norm's SVD."""
     floor = SINGULAR_MASS_REL_TOL * float(np.trace(rho).real)
@@ -1538,7 +1547,7 @@ class TestStateSpectrum:
             want = _outcome(_validated_state_spectrum, rho, A, B)
             want_x = list(seen)
             seen.clear()
-            got = _outcome(_checked_state_spectrum, rho, A, B)
+            got = _outcome(_state_fields, rho, A, B)
             if isinstance(want[0], type):
                 assert got == want, label
                 continue
@@ -1582,7 +1591,7 @@ class TestStateSpectrum:
                 _outcome(sequential_state_pair, rho, A, B)[0], type)
             runs.clear()
             kernels.clear()
-            got = _outcome(_checked_state_spectrum, rho, A, B)
+            got = _outcome(_state_fields, rho, A, B)
             assert len(kernels) <= 1, label
             assert len(runs) == len(set(runs)) <= 2, label
             assert set(runs) <= {"_hermitian_stack", "_psd_stack",
@@ -1619,4 +1628,4 @@ class TestStateSpectrum:
         monkeypatch.setattr(np.linalg, "eigh", eigh_failing)
         want = _outcome(_validated_state_spectrum, rho, A, B)
         assert want[0] is EigenSolverError
-        assert _outcome(_checked_state_spectrum, rho, A, B) == want
+        assert _outcome(_state_fields, rho, A, B) == want

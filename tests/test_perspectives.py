@@ -212,13 +212,13 @@ R97_SQUARE_T15 = IntegralRepr97(0.0, 0.0, 1.0, repr97_t_alpha(1.5, 32).nu)
     (DOMINATES, "rank_deficient", 2, 0),
     (T2, "rank_deficient", 5, 2),
     (lambda A, B, rho: t2_bound(B, A), "rank_deficient", 2, 0),
-    (CHAIN, "rank_deficient", 12, 6),
+    (CHAIN, "rank_deficient", 10, 6),
     (CONNECTION, "well_conditioned", 2, 0),
     (LEBESGUE, "well_conditioned", 2, 0),
     (ABS_CONT, "well_conditioned", 2, 0),
     (DOMINATES, "well_conditioned", 2, 0),
     (T2, "well_conditioned", 5, 2),
-    (CHAIN, "well_conditioned", 12, 6),
+    (CHAIN, "well_conditioned", 10, 6),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, A, B),
      "rank_deficient", 2, 0),
     (lambda A, B, rho: invertible_formula(TLOGT_PHI, B, A),

@@ -137,8 +137,9 @@ class TestIntegralEval92:
 ], ids=["91", "92"])
 def test_square_term_reads_the_validated_state(evaluate, r, monkeypatch):
     # 1 eigh of the stack (rho, A, B, A+B) validates rho, A and B and
-    # gives the spectrum of A+B, 1 gives R's, and 2 the perspective of t^2,
-    # whose state value does not validate rho again nor read its lower bound
+    # gives the spectrum of A+B, and 1 gives R's; the perspective of t^2
+    # reads that record, and its state value does not validate rho again
+    # nor read its lower bound
     A, B = gen_pair(RandomSpec(4, 4, "rank_deficient", seed=24), 0)
     rho = random_state(np.random.default_rng(25), 4)
     calls = []
@@ -146,7 +147,7 @@ def test_square_term_reads_the_validated_state(evaluate, r, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda *a, **k: calls.append(1) or eigh(*a, **k))
     evaluate(r, A, B, rho)
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("evaluate, r", [
